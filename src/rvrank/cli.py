@@ -5,9 +5,6 @@ invocations, so runs compose into pipelines (synth -> retrieve -> pairs ->
 train -> rerank -> eval).  Each artifact records the configuration that
 produced it: CSVs carry a leading ``# config: {...}`` comment, JSON files a
 ``"config"`` key, and binary files a ``<name>.config.json`` sidecar.
-
-``RVRANK_THREADS`` caps the re-ranking worker pool (default 1); outputs are
-identical at any thread count.
 """
 
 from __future__ import annotations
@@ -29,9 +26,9 @@ from .retrieval import (METRICS, build_eval_pairs, build_train_pairs,
 from .reranker import (RankingConfig, read_ranked_csv, rerank_pipeline,
                        write_ranked_csv)
 from .synthgen import SynthConfig, generate, write_groundtruth
-from .verifier import (NoPresentPartsError, TrainConfig, VerifierModel,
-                       load_model, make_pair_representation, save_model,
-                       score_global, score_part, train, write_history_csv)
+from .verifier import (TrainConfig, VerifierModel, batch_scores, load_model,
+                       pair_arrays, part_contributions, save_model, train,
+                       write_history_csv)
 
 STAGE_CHOICES = {
     "none": (),
@@ -245,18 +242,20 @@ def cmd_explain(args: argparse.Namespace) -> int:
     print(f"query {args.query_role}:{query.index} identity={query.identity} "
           f"cloth={query.cloth}")
     print("rank,gallery_index,label,score,head,best_part")
-    for rank, entry in enumerate(lists[0].entries, start=1):
-        cand = gallery[entry.gallery_index]
-        rep = make_pair_representation(query, cand)
-        label = int(cand.identity == query.identity)
-        try:
-            score, contrib = score_part(model, rep)
+    entries = lists[0].entries
+    gx, px, present = pair_arrays(
+        [(query, gallery[e.gallery_index]) for e in entries], bundle.dims)
+    scores = batch_scores(model, gx, px, present)
+    contribs = part_contributions(model, px, present)
+    rows = zip(entries, scores, contribs, present.any(axis=1))
+    for rank, (entry, score, contrib, has_parts) in enumerate(rows, start=1):
+        label = int(gallery[entry.gallery_index].identity == query.identity)
+        if has_parts:
             best = int(np.nanargmax(contrib))
             print(f"{rank},{entry.gallery_index},{label},{score:.6f},part,{best}")
             cells = ["-" if np.isnan(c) else f"{c:.4f}" for c in contrib]
             print("  parts: " + " ".join(cells))
-        except NoPresentPartsError:
-            score = score_global(model, rep)
+        else:
             print(f"{rank},{entry.gallery_index},{label},{score:.6f},global,-")
     return 0
 

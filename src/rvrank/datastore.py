@@ -20,7 +20,7 @@ import csv
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -40,27 +40,22 @@ class BundleFormatError(ValueError):
     """A dataset file violates the on-disk format contract."""
 
 
-class PartEntry(NamedTuple):
-    """One part slot of an image: a presence flag and a (Dp,) f32 vector.
-
-    When ``present`` is False the vector is all zeros and carries no
-    information; downstream code must consult the flag, never the values.
-    """
-
-    present: bool
-    vector: np.ndarray
-
-
 @dataclass(frozen=True)
 class ImageRecord:
-    """A single image: metadata plus its global and part features."""
+    """A single image: metadata plus views into its bundle's feature arrays.
+
+    ``part_present`` is a (K,) bool array and ``part_vectors`` a (K, Dp)
+    f32 array.  An absent slot's vector is all zeros and carries no
+    information; downstream code must consult the flag, never the values.
+    """
 
     index: int
     identity: int
     cloth: int
     camera: int
     global_feature: np.ndarray
-    part_features: tuple[PartEntry, ...]
+    part_present: np.ndarray
+    part_vectors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -113,43 +108,52 @@ class DatasetBundle:
 
 
 # ---------------------------------------------------------------------------
-# metadata CSV
+# CSV files
 
 
-def _read_metadata_rows(path: Path) -> list[tuple[int, str, int, int, int]]:
-    rows: list[tuple[int, str, int, int, int]] = []
+Row = TypeVar("Row")
+
+
+def read_csv(path: str | Path, header: tuple[str, ...],
+             parse: Callable[[list[str]], Row],
+             error: type[ValueError] = ValueError) -> Iterator[Row]:
+    """Iterate over a CSV written by this package: ``#`` comment lines
+    anywhere, then ``header``, then rows of exactly ``len(header)`` fields.
+
+    ``parse`` turns each row's fields into the value yielded; a ValueError
+    it raises, like any format fault, is re-raised as ``error`` naming the
+    file and line.
+    """
+    path = Path(path)
+    header_seen = False
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header_seen = False
-        for lineno, raw in enumerate(reader, start=1):
-            if not raw or (raw[0].startswith("#")):
+        for lineno, raw in enumerate(csv.reader(fh), start=1):
+            if not raw or raw[0].startswith("#"):
                 continue
             if not header_seen:
-                if tuple(raw) != METADATA_HEADER:
-                    raise BundleFormatError(
-                        f"{path}: malformed header on line {lineno}: expected "
-                        f"{','.join(METADATA_HEADER)!r}, got {','.join(raw)!r}"
-                    )
+                if tuple(raw) != header:
+                    raise error(f"{path}: line {lineno}: expected header "
+                                f"{','.join(header)!r}, got {','.join(raw)!r}")
                 header_seen = True
                 continue
-            if len(raw) != 5:
-                raise BundleFormatError(
-                    f"{path}: line {lineno}: expected 5 fields, got {len(raw)}"
-                )
-            index_s, role, identity_s, cloth_s, camera_s = raw
-            if role not in _ROLE_RANK:
-                raise BundleFormatError(
-                    f"{path}: line {lineno}: unknown role token {role!r} "
-                    f"(expected one of {', '.join(ROLES)})"
-                )
+            if len(raw) != len(header):
+                raise error(f"{path}: line {lineno}: expected {len(header)} "
+                            f"fields, got {len(raw)}")
             try:
-                parsed = (int(index_s), role, int(identity_s), int(cloth_s), int(camera_s))
+                row = parse(raw)
             except ValueError as exc:
-                raise BundleFormatError(f"{path}: line {lineno}: {exc}") from None
-            rows.append(parsed)
-        if not header_seen:
-            raise BundleFormatError(f"{path}: missing header row")
-    return rows
+                raise error(f"{path}: line {lineno}: {exc}") from None
+            yield row
+    if not header_seen:
+        raise error(f"{path}: missing header row")
+
+
+def _parse_metadata_row(raw: list[str]) -> tuple[int, str, int, int, int]:
+    index_s, role, identity_s, cloth_s, camera_s = raw
+    if role not in _ROLE_RANK:
+        raise ValueError(f"unknown role token {role!r} "
+                         f"(expected one of {', '.join(ROLES)})")
+    return int(index_s), role, int(identity_s), int(cloth_s), int(camera_s)
 
 
 def _check_metadata_order(path: Path, rows: list[tuple[int, str, int, int, int]]) -> None:
@@ -295,7 +299,8 @@ def load_bundle(
     """
     metadata_path = Path(metadata_path)
     feature_path = Path(feature_path)
-    rows = _read_metadata_rows(metadata_path)
+    rows = list(read_csv(metadata_path, METADATA_HEADER, _parse_metadata_row,
+                         BundleFormatError))
     _check_metadata_order(metadata_path, rows)
 
     features = read_feature_file(feature_path)
@@ -341,23 +346,32 @@ def load_bundle(
             f"files hold {dims}"
         )
 
+    return _assemble(rows, features, present, vectors)
+
+
+def _assemble(rows: list[tuple[int, str, int, int, int]], features: np.ndarray,
+              present: np.ndarray, vectors: np.ndarray) -> DatasetBundle:
+    """One record per metadata row, viewing row ``row_no`` of each array;
+    every split sorted by index."""
     splits: dict[str, list[ImageRecord]] = {role: [] for role in ROLES}
     for row_no, (index, role, identity, cloth, camera) in enumerate(rows):
-        parts = tuple(
-            PartEntry(bool(present[row_no, j]), vectors[row_no, j]) for j in range(k)
-        )
-        splits[role].append(
-            ImageRecord(index, identity, cloth, camera, features[row_no], parts)
-        )
-    return DatasetBundle(splits=splits, dims=dims)
+        if role not in _ROLE_RANK:
+            raise ValueError(f"row {row_no}: unknown role token {role!r}")
+        splits[role].append(ImageRecord(index, identity, cloth, camera,
+                                        features[row_no], present[row_no],
+                                        vectors[row_no]))
+    for split in splits.values():
+        split.sort(key=lambda rec: rec.index)
+    return DatasetBundle(splits=splits,
+                         dims=(features.shape[1], vectors.shape[2], present.shape[1]))
 
 
 def validate_bundle(bundle: DatasetBundle) -> list[Violation]:
     """Check bundle invariants; returns one :class:`Violation` per failure.
 
     Covers: negative identity/cloth/camera labels, non-dense or unsorted
-    indices, feature/part shapes that disagree with ``bundle.dims``,
-    non-finite values, and part tuples of the wrong length.
+    indices, feature/part shapes that disagree with ``bundle.dims``, and
+    non-finite values in the global feature or a present part.
     """
     out: list[Violation] = []
     d, dp, k = bundle.dims
@@ -377,17 +391,17 @@ def validate_bundle(bundle: DatasetBundle) -> list[Violation]:
             elif not np.isfinite(gf).all():
                 out.append(Violation(role, rec.index, "global_feature",
                                      "non-finite value"))
-            if len(rec.part_features) != k:
-                out.append(Violation(role, rec.index, "part_features",
-                                     f"{len(rec.part_features)} slots, dims declare K={k}"))
-                continue
-            for j, entry in enumerate(rec.part_features):
-                vec = np.asarray(entry.vector)
-                if vec.shape != (dp,):
-                    out.append(Violation(role, rec.index, "part_features",
-                                         f"part {j} shape {vec.shape} != ({dp},)"))
-                elif entry.present and not np.isfinite(vec).all():
-                    out.append(Violation(role, rec.index, "part_features",
+            present = np.asarray(rec.part_present)
+            vectors = np.asarray(rec.part_vectors)
+            if present.shape != (k,):
+                out.append(Violation(role, rec.index, "part_present",
+                                     f"{len(present)} slots, dims declare K={k}"))
+            elif vectors.shape != (k, dp):
+                out.append(Violation(role, rec.index, "part_vectors",
+                                     f"shape {vectors.shape} != ({k}, {dp})"))
+            else:
+                for j in np.flatnonzero(present & ~np.isfinite(vectors).all(axis=1)):
+                    out.append(Violation(role, rec.index, "part_vectors",
                                          f"part {j} non-finite value"))
     return out
 
@@ -417,18 +431,14 @@ def write_bundle(
                 fh.write(f"{rec.index},{role},{rec.identity},{rec.cloth},{rec.camera}\n")
 
     features = np.zeros((len(records), d), dtype="<f4")
+    present = np.zeros((len(records), k), dtype=bool)
+    vectors = np.zeros((len(records), k, dp), dtype="<f4")
     for row_no, rec in enumerate(records):
         features[row_no] = rec.global_feature
+        present[row_no] = rec.part_present
+        vectors[row_no] = rec.part_vectors
     write_feature_file(feature_path, features)
-
     if parts_path is not None:
-        present = np.zeros((len(records), k), dtype=bool)
-        vectors = np.zeros((len(records), k, dp), dtype="<f4")
-        for row_no, rec in enumerate(records):
-            for j, entry in enumerate(rec.part_features):
-                present[row_no, j] = entry.present
-                if entry.present:
-                    vectors[row_no, j] = entry.vector
         write_parts_file(parts_path, present, vectors)
 
 
@@ -459,17 +469,4 @@ def build_bundle(
         present = np.zeros((len(rows), k), dtype=bool)
         vectors = np.zeros((len(rows), k, dp), dtype=np.float32)
 
-    splits: dict[str, list[ImageRecord]] = {role: [] for role in ROLES}
-    for row_no, (index, role, identity, cloth, camera) in enumerate(rows):
-        if role not in _ROLE_RANK:
-            raise ValueError(f"row {row_no}: unknown role token {role!r}")
-        parts = tuple(
-            PartEntry(bool(present[row_no, j]), vectors[row_no, j]) for j in range(k)
-        )
-        splits[role].append(
-            ImageRecord(index, identity, cloth, camera, features[row_no], parts)
-        )
-    order_key = lambda rec: rec.index
-    for role in ROLES:
-        splits[role].sort(key=order_key)
-    return DatasetBundle(splits=splits, dims=(features.shape[1], dp, k))
+    return _assemble(rows, features, present, vectors)

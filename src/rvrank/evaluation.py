@@ -13,17 +13,17 @@ a single positive are excluded from the averages and reported separately.
 
 from __future__ import annotations
 
-import csv
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .datastore import DatasetBundle
+from .datastore import DatasetBundle, read_csv
 from .reranker import RankedList, RankingConfig, rerank_pipeline, window_rerank
-from .verifier import VerifierModel
+from .verifier import prefix_scores
 
 SWEEP_HEADER = ("L", "rank1", "rank10")
 PER_QUERY_HEADER = ("query_index", "first_hit_rank", "average_precision")
@@ -86,13 +86,16 @@ def evaluate(bundle: DatasetBundle, ranked: list[RankedList], k_max: int = 10,
              query_role: str = "Q", gallery_role: str = "G") -> EvalReport:
     """Score ranked lists against identity labels.
 
-    Each ranking must be a permutation of its query's eligible gallery
-    (same-identity-same-cloth images already removed); anything else --
-    ineligible entries, duplicates, omissions -- raises ValueError naming
-    the query.
+    ``ranked`` must hold exactly one ranking per query of ``query_role``,
+    in any order; a missing, duplicated or unknown query raises ValueError
+    naming it.  Each ranking must be a permutation of its query's eligible
+    gallery (same-identity-same-cloth images already removed); anything
+    else -- ineligible entries, duplicates, omissions -- raises ValueError
+    naming the query.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    _check_one_ranking_per_query(ranked, len(bundle.splits[query_role]), query_role)
     gallery = bundle.splits[gallery_role]
     first_hits: list[int] = []
     aps: list[float] = []
@@ -137,6 +140,22 @@ def evaluate(bundle: DatasetBundle, ranked: list[RankedList], k_max: int = 10,
                       excluded_queries=excluded, per_query=per_query)
 
 
+def _check_one_ranking_per_query(ranked: list[RankedList], num_queries: int,
+                                 query_role: str) -> None:
+    counts = Counter(rl.query_index for rl in ranked)
+    faults = {
+        "missing": [qi for qi in range(num_queries) if qi not in counts],
+        "duplicated": sorted(qi for qi, n in counts.items() if n > 1),
+        "unknown": sorted(qi for qi in counts if not 0 <= qi < num_queries),
+    }
+    detail = "; ".join(f"{len(qis)} {what}: {qis[:20]}"
+                       + (" ..." if len(qis) > 20 else "")
+                       for what, qis in faults.items() if qis)
+    if detail:
+        raise ValueError(f"expected one ranking per {query_role} query "
+                         f"(0..{num_queries - 1}); queries {detail}")
+
+
 # ---------------------------------------------------------------------------
 # window-size sweep
 
@@ -154,24 +173,15 @@ def sweep_L(bundle: DatasetBundle, scorer, config: RankingConfig,
     :func:`rerank_pipeline`.  Returns (L, rank1, rank10) rows in the order
     given.
     """
-    from .reranker import _model_prefix_scores  # shared scoring helper
-
     cfg = config.clamped()
     base = rerank_pipeline(bundle, None, cfg,
                            stages=("kreciprocal",) if include_kreciprocal else (),
                            candidates=candidates, metric=metric,
                            query_role=query_role, gallery_role=gallery_role)
-    queries = bundle.splits[query_role]
     gallery = bundle.splits[gallery_role]
-    score_maps: list[dict[int, float]] = []
-    for query, rl in zip(queries, base):
-        prefix = rl.order[: min(cfg.Q, len(rl.order))]
-        if isinstance(scorer, VerifierModel):
-            score_maps.append(_model_prefix_scores(scorer, bundle, query,
-                                                   gallery, prefix))
-        else:
-            score_maps.append({gi: float(scorer(query, gallery[gi]))
-                               for gi in prefix})
+    score_maps = prefix_scores(
+        scorer, bundle.dims, bundle.splits[query_role],
+        [[(gi, gallery[gi]) for gi in rl.order[:cfg.Q]] for rl in base])
 
     rows: list[tuple[int, float, float]] = []
     for L in L_values:
@@ -196,18 +206,5 @@ def write_sweep_csv(path: str | Path, rows: list[tuple[int, float, float]],
 
 
 def read_sweep_csv(path: str | Path) -> list[tuple[int, float, float]]:
-    path = Path(path)
-    rows: list[tuple[int, float, float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header_seen = False
-        for lineno, raw in enumerate(reader, start=1):
-            if not raw or raw[0].startswith("#"):
-                continue
-            if not header_seen:
-                if tuple(raw) != SWEEP_HEADER:
-                    raise ValueError(f"{path}: line {lineno}: bad header {raw}")
-                header_seen = True
-                continue
-            rows.append((int(raw[0]), float(raw[1]), float(raw[2])))
-    return rows
+    return list(read_csv(path, SWEEP_HEADER,
+                         lambda raw: (int(raw[0]), float(raw[1]), float(raw[2]))))

@@ -18,20 +18,17 @@ with the stage provenance (``retrieval``, ``kreciprocal``, ``window`` or
 
 from __future__ import annotations
 
-import csv
-import os
 import warnings
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .datastore import DatasetBundle, ImageRecord
+from .datastore import DatasetBundle, ImageRecord, read_csv
 from .retrieval import CandidateList, distance_matrix, eligible_mask, stack_features
-from .verifier import VerifierModel, batch_scores, pair_arrays
+from .verifier import VerifierModel, prefix_scores
 
 STAGE_NAMES = ("kreciprocal", "window")
 
@@ -224,35 +221,6 @@ def kreciprocal_rerank(dist: np.ndarray, num_queries: int, k1: int = 20,
 # pipeline
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("RVRANK_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        warnings.warn(f"RVRANK_THREADS={raw!r} is not an integer; using 1 thread")
-        return 1
-    return max(1, count)
-
-
-def _map_queries(fn: Callable, items: list) -> list:
-    """Apply ``fn`` per query, optionally on a thread pool; results keep the
-    input order either way."""
-    threads = _thread_count()
-    if threads == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _model_prefix_scores(model: VerifierModel, bundle: DatasetBundle,
-                         query: ImageRecord, gallery: list[ImageRecord],
-                         prefix: list[int]) -> dict[int, float]:
-    recs = [(query, gallery[gi]) for gi in prefix]
-    gx, px, present = pair_arrays(recs, bundle.dims)
-    scores = batch_scores(model, gx, px, present)
-    return {gi: float(s) for gi, s in zip(prefix, scores)}
-
-
 def rerank_pipeline(bundle: DatasetBundle, scorer: VerifierModel | Scorer | None,
                     config: RankingConfig,
                     stages: Sequence[str] = ("kreciprocal", "window"),
@@ -269,9 +237,7 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: VerifierModel | Scorer | None
     prefix and a ValueError names the first query that disagrees.
 
     The window stage scores exactly ``min(Q, eligible)`` candidates per
-    query.  Queries are processed on ``RVRANK_THREADS`` threads (default 1);
-    results are merged in query order, so the output is identical at any
-    thread count.
+    query, through :func:`~rvrank.verifier.prefix_scores`.
     """
     for stage in stages:
         if stage not in STAGE_NAMES:
@@ -323,24 +289,11 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: VerifierModel | Scorer | None
 
     if "window" in stages:
         provenance_parts.append("window")
-
-        def run_window(args: tuple[ImageRecord, list[int]]) -> list[int]:
-            query, order = args
-            try:
-                depth = min(cfg.Q, len(order))
-                prefix = order[:depth]
-                if isinstance(scorer, VerifierModel):
-                    score_of = _model_prefix_scores(scorer, bundle, query,
-                                                    gallery, prefix)
-                else:
-                    score_of = {gi: float(scorer(query, gallery[gi]))
-                                for gi in prefix}
-                return window_rerank(order, score_of, cfg.L, cfg.Q).order
-            except Exception as exc:
-                raise RuntimeError(
-                    f"window stage failed for query {query.index}: {exc}") from exc
-
-        orders = _map_queries(run_window, list(zip(queries, orders)))
+        score_maps = prefix_scores(
+            scorer, bundle.dims, queries,
+            [[(gi, gallery[gi]) for gi in order[:cfg.Q]] for order in orders])
+        orders = [window_rerank(order, score_of, cfg.L, cfg.Q).order
+                  for order, score_of in zip(orders, score_maps)]
 
     if len(provenance_parts) == 2:
         provenance = "composed"
@@ -370,26 +323,13 @@ def write_ranked_csv(path: str | Path, ranked: list[RankedList],
 def read_ranked_csv(path: str | Path) -> list[RankedList]:
     path = Path(path)
     rows: dict[int, list[tuple[int, int, str]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header_seen = False
-        for lineno, raw in enumerate(reader, start=1):
-            if not raw or raw[0].startswith("#"):
-                continue
-            if not header_seen:
-                if tuple(raw) != RANKED_HEADER:
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected header "
-                        f"{','.join(RANKED_HEADER)!r}, got {','.join(raw)!r}"
-                    )
-                header_seen = True
-                continue
-            if len(raw) != 4:
-                raise ValueError(f"{path}: line {lineno}: expected 4 fields, got {len(raw)}")
-            qi, rank, gi, prov = raw
-            rows.setdefault(int(qi), []).append((int(rank), int(gi), prov))
-        if not header_seen:
-            raise ValueError(f"{path}: missing header row")
+
+    def group(raw: list[str]) -> None:
+        rows.setdefault(int(raw[0]), []).append((int(raw[1]), int(raw[2]), raw[3]))
+
+    # Rows are grouped as they stream past: a ranked.csv holds one row per
+    # eligible gallery image per query, too many to hold twice.
+    deque(read_csv(path, RANKED_HEADER, group), maxlen=0)
     out: list[RankedList] = []
     for qi in sorted(rows):
         entries = sorted(rows[qi])

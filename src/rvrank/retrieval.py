@@ -16,14 +16,13 @@ Pair datasets reuse the same machinery:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .datastore import DatasetBundle, ImageRecord
+from .datastore import DatasetBundle, ImageRecord, read_csv
 
 METRICS = ("euclidean", "cosine")
 
@@ -225,30 +224,13 @@ def write_pairs_csv(path: str | Path, pair_set: PairSet,
                      f"{p.cand_index},{p.score!r},{p.label}\n")
 
 
+def _parse_pair_row(raw: list[str]) -> Pair:
+    qr, qi, rank, cr, ci, score, label = raw
+    return Pair(qr, int(qi), int(rank), cr, int(ci), float(score), int(label))
+
+
 def read_pairs_csv(path: str | Path) -> PairSet:
-    path = Path(path)
-    pairs: list[Pair] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header_seen = False
-        for lineno, raw in enumerate(reader, start=1):
-            if not raw or raw[0].startswith("#"):
-                continue
-            if not header_seen:
-                if tuple(raw) != PAIR_HEADER:
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected header "
-                        f"{','.join(PAIR_HEADER)!r}, got {','.join(raw)!r}"
-                    )
-                header_seen = True
-                continue
-            if len(raw) != 7:
-                raise ValueError(f"{path}: line {lineno}: expected 7 fields, got {len(raw)}")
-            qr, qi, rank, cr, ci, score, label = raw
-            pairs.append(Pair(qr, int(qi), int(rank), cr, int(ci),
-                              float(score), int(label)))
-        if not header_seen:
-            raise ValueError(f"{path}: missing header row")
+    pairs = list(read_csv(path, PAIR_HEADER, _parse_pair_row))
     query_roles = {p.query_role for p in pairs}
     provenance = ""
     if len(query_roles) == 1:

@@ -12,8 +12,8 @@ once for the global feature and once per part.  Two small heads score it:
   ``sim_S``.  The gain is parameterised as ``exp(log_gain)`` so raising the
   winning part's contribution always raises ``sim_S``.
 
-Pairs where no part is present on both sides have no ``sim_S``; callers fall
-back to ``sim_G`` (see :func:`pair_score`).
+Pairs where no part is present on both sides have no ``sim_S``; their score
+falls back to ``sim_G`` (see :func:`batch_scores`).
 
 Training minimises a dual triplet hinge over anchor/positive/negative
 triplets with plain mini-batch SGD, checkpointing the epoch with the best
@@ -44,23 +44,6 @@ WEIGHT_FIELDS = (
 )
 
 
-class NoPresentPartsError(ValueError):
-    """Raised when a part score is requested but no part is jointly present."""
-
-
-class PartPair(NamedTuple):
-    joint_present: bool
-    vector: np.ndarray
-
-
-@dataclass
-class PairRepresentation:
-    """Fused query/candidate representation: global (2D,) plus K part (2Dp,)."""
-
-    global_pair: np.ndarray
-    part_pairs: tuple[PartPair, ...]
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     margin: float = 0.3
@@ -79,48 +62,59 @@ class EpochStats(NamedTuple):
     valid_rank1: float
 
 
-def make_pair_representation(query: ImageRecord, cand: ImageRecord) -> PairRepresentation:
-    """Symmetric fusion of two records: [|a-b| ; a*b], globally and per part."""
-    fq = np.asarray(query.global_feature, dtype=np.float64)
-    fg = np.asarray(cand.global_feature, dtype=np.float64)
-    if fq.shape != fg.shape:
-        raise ValueError(f"global feature shapes differ: {fq.shape} vs {fg.shape}")
-    if len(query.part_features) != len(cand.part_features):
-        raise ValueError(
-            f"part counts differ: {len(query.part_features)} vs {len(cand.part_features)}"
-        )
-    global_pair = np.concatenate([np.abs(fq - fg), fq * fg])
-    parts = []
-    for pq, pg in zip(query.part_features, cand.part_features):
-        joint = pq.present and pg.present
-        vq = np.asarray(pq.vector, dtype=np.float64)
-        vg = np.asarray(pg.vector, dtype=np.float64)
-        vec = np.concatenate([np.abs(vq - vg), vq * vg]) if joint \
-            else np.zeros(2 * vq.shape[0])
-        parts.append(PartPair(joint, vec))
-    return PairRepresentation(global_pair, tuple(parts))
+def _stacked(arrays: list[np.ndarray], shape: tuple[int, ...],
+             what: str) -> np.ndarray:
+    out = np.stack(arrays) if arrays else np.zeros((0, *shape))
+    if out.shape[1:] != shape:
+        raise ValueError(f"{what} shapes {out.shape[1:]} do not match dims {shape}")
+    return out
 
 
 def pair_arrays(pairs: list[tuple[ImageRecord, ImageRecord]],
                 dims: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack fused representations for many pairs.
+    """Symmetric fusion ``[|a-b| ; a*b]`` of many (query, candidate) pairs,
+    globally and per part, in float64.
 
     Returns ``(global_x, part_x, joint_present)`` with shapes (n, 2D),
-    (n, K, 2Dp) and (n, K); absent part rows are zero.
+    (n, K, 2Dp) and (n, K); a part slot is jointly present when both
+    records have it, and its fused row is zero otherwise.
     """
     d, dp, k = dims
-    n = len(pairs)
-    gx = np.zeros((n, 2 * d))
-    px = np.zeros((n, k, 2 * dp))
-    present = np.zeros((n, k), dtype=bool)
-    for i, (q, g) in enumerate(pairs):
-        rep = make_pair_representation(q, g)
-        gx[i] = rep.global_pair
-        for j, pp in enumerate(rep.part_pairs):
-            present[i, j] = pp.joint_present
-            if pp.joint_present:
-                px[i, j] = pp.vector
+    queries, cands = [q for q, _ in pairs], [g for _, g in pairs]
+    fq = _stacked([r.global_feature for r in queries], (d,), "global feature")
+    fg = _stacked([r.global_feature for r in cands], (d,), "global feature")
+    vq = _stacked([r.part_vectors for r in queries], (k, dp), "part vector")
+    vg = _stacked([r.part_vectors for r in cands], (k, dp), "part vector")
+    present = np.logical_and(
+        _stacked([r.part_present for r in queries], (k,), "part presence"),
+        _stacked([r.part_present for r in cands], (k,), "part presence"))
+    fq, fg = fq.astype(np.float64), fg.astype(np.float64)
+    vq, vg = vq.astype(np.float64), vg.astype(np.float64)
+    gx = np.concatenate([np.abs(fq - fg), fq * fg], axis=1)
+    px = np.concatenate([np.abs(vq - vg), vq * vg], axis=2)
+    px[~present] = 0.0
     return gx, px, present
+
+
+def _weight_layout(dims: tuple[int, int, int], hidden_global: int,
+                   hidden_part: int) -> list[tuple[str, tuple[int, ...], int]]:
+    """(name, shape, init fan-in) of every tensor in ``WEIGHT_FIELDS`` order."""
+    d, dp, k = dims
+    if d < 1 or dp < 0 or k < 1:
+        raise ValueError(f"bad dims {dims}: need D >= 1, Dp >= 0, K >= 1")
+    hg, hp = hidden_global, hidden_part
+    return [
+        ("global_hidden_w", (hg, 2 * d), 2 * d),
+        ("global_hidden_b", (hg,), 2 * d),
+        ("global_out_w", (hg,), hg),
+        ("global_out_b", (), hg),
+        ("part_hidden_w", (hp, 2 * dp), 2 * dp),
+        ("part_hidden_b", (hp,), 2 * dp),
+        ("part_mix_w", (k, hp), hp),
+        ("part_mix_b", (k,), hp),
+        ("out_log_gain", (), 1),
+        ("out_bias", (), 1),
+    ]
 
 
 @dataclass(eq=False)
@@ -157,32 +151,14 @@ class VerifierModel:
         (dims, seed) pair fully determines the weights.  The output affine
         scalars use fan-in 1.
         """
-        d, dp, k = dims
-        if d < 1 or dp < 0 or k < 1:
-            raise ValueError(f"bad dims {dims}: need D >= 1, Dp >= 0, K >= 1")
         rng = np.random.default_rng(seed)
-
-        def draw(shape, fan_in):
+        tensors = {}
+        for name, shape, fan_in in _weight_layout(dims, hidden_global, hidden_part):
             bound = 1.0 / np.sqrt(max(1, fan_in))
-            return rng.uniform(-bound, bound, size=shape)
-
-        return cls(
-            dims=(d, dp, k),
-            hidden_global=hidden_global,
-            hidden_part=hidden_part,
-            seed=seed,
-            hyper=hyper or TrainConfig(),
-            global_hidden_w=draw((hidden_global, 2 * d), 2 * d),
-            global_hidden_b=draw((hidden_global,), 2 * d),
-            global_out_w=draw((hidden_global,), hidden_global),
-            global_out_b=draw((), hidden_global),
-            part_hidden_w=draw((hidden_part, 2 * dp), 2 * dp),
-            part_hidden_b=draw((hidden_part,), 2 * dp),
-            part_mix_w=draw((k, hidden_part), hidden_part),
-            part_mix_b=draw((k,), hidden_part),
-            out_log_gain=draw((), 1),
-            out_bias=draw((), 1),
-        )
+            tensors[name] = rng.uniform(-bound, bound, size=shape)
+        return cls(dims=tuple(dims), hidden_global=hidden_global,
+                   hidden_part=hidden_part, seed=seed,
+                   hyper=hyper or TrainConfig(), **tensors)
 
     def weights(self) -> list[tuple[str, np.ndarray]]:
         return [(name, getattr(self, name)) for name in WEIGHT_FIELDS]
@@ -296,48 +272,65 @@ def gradients_vector(model: VerifierModel, grads: dict[str, np.ndarray]) -> np.n
 # scoring
 
 
-def score_global(model: VerifierModel, rep: PairRepresentation) -> float:
-    """Global-head similarity ``sim_G`` in (-1, 1)."""
-    s, _ = _forward_global(model, rep.global_pair[None, :])
-    return float(s[0])
-
-
-def score_part(model: VerifierModel, rep: PairRepresentation) -> tuple[float, np.ndarray]:
-    """Part-head similarity ``sim_S`` plus per-part contributions.
-
-    The contributions array has one entry per part slot, NaN where the part
-    is not jointly present.  Raises :class:`NoPresentPartsError` when every
-    slot is NaN.
-    """
-    k = len(rep.part_pairs)
-    present = np.array([pp.joint_present for pp in rep.part_pairs])
-    if not present.any():
-        raise NoPresentPartsError("no part is present in both images of the pair")
-    px = np.zeros((1, k, rep.part_pairs[0].vector.shape[0]))
-    for j, pp in enumerate(rep.part_pairs):
-        if pp.joint_present:
-            px[0, j] = pp.vector
-    s, contrib, _, _ = _forward_parts(model, px, present[None, :])
-    return float(s[0]), contrib[0]
-
-
-def pair_score(model: VerifierModel, query: ImageRecord, cand: ImageRecord) -> float:
-    """Verification score for a pair: ``sim_S``, or ``sim_G`` when no part
-    is jointly present."""
-    rep = make_pair_representation(query, cand)
-    try:
-        s, _ = score_part(model, rep)
-        return s
-    except NoPresentPartsError:
-        return score_global(model, rep)
-
-
 def batch_scores(model: VerifierModel, gx: np.ndarray, px: np.ndarray,
                  present: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`pair_score` over stacked pair arrays."""
+    """Verification score per fused pair (see :func:`pair_arrays`):
+    ``sim_S``, or ``sim_G`` for a pair with no jointly present part."""
     sg, _ = _forward_global(model, gx)
     sp, _, valid, _ = _forward_parts(model, px, present)
     return np.where(valid, sp, sg)
+
+
+def part_contributions(model: VerifierModel, px: np.ndarray,
+                       present: np.ndarray) -> np.ndarray:
+    """Per-part contributions (n, K) that the part head of
+    :func:`batch_scores` max-pools; NaN where a part is not jointly present."""
+    return _forward_parts(model, px, present)[1]
+
+
+#: Pairs fused and scored together by :func:`prefix_scores`, which bounds
+#: the fused arrays' memory whatever the number of queries.
+SCORE_CHUNK = 256
+
+
+def prefix_scores(scorer: VerifierModel | Callable[[ImageRecord, ImageRecord], float],
+                  dims: tuple[int, int, int],
+                  queries: list[ImageRecord],
+                  prefixes: list[list[tuple[int, ImageRecord]]]
+                  ) -> list[dict[int, float]]:
+    """Score each query against its candidates: ``prefixes[i]`` lists the
+    ``(gallery_index, record)`` candidates of ``queries[i]``, and the result
+    holds one ``{gallery_index: score}`` per query.
+
+    A :class:`VerifierModel` fuses and scores the pairs of all queries in
+    chunks of ``SCORE_CHUNK``; any other ``(query, candidate) -> float``
+    callable is called once per pair.  A failure raises RuntimeError naming
+    the query whose pairs were being scored.
+    """
+    out: list[dict[int, float]] = [{} for _ in queries]
+    if not isinstance(scorer, VerifierModel):
+        for query, prefix, scores in zip(queries, prefixes, out):
+            try:
+                for gi, cand in prefix:
+                    scores[gi] = float(scorer(query, cand))
+            except Exception as exc:
+                raise RuntimeError(
+                    f"window stage failed for query {query.index}: {exc}") from exc
+        return out
+    flat = [(qi, gi, cand) for qi, prefix in enumerate(prefixes)
+            for gi, cand in prefix]
+    for start in range(0, len(flat), SCORE_CHUNK):
+        chunk = flat[start:start + SCORE_CHUNK]
+        try:
+            gx, px, present = pair_arrays(
+                [(queries[qi], cand) for qi, _, cand in chunk], dims)
+            scores = batch_scores(scorer, gx, px, present)
+        except Exception as exc:
+            raise RuntimeError(f"window stage failed for query "
+                               f"{queries[chunk[0][0]].index}: {exc}") from exc
+        for (qi, gi, _), score in zip(chunk, scores):
+            out[qi][gi] = float(score)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -350,58 +343,69 @@ def triplet_hinge(sim_pos: float, sim_neg: float, margin: float) -> float:
     return max(sim_neg - sim_pos + margin, 0.0)
 
 
-@dataclass
-class TripletBatch:
-    """Triplets over a shared pair table.
+class TripletTable(NamedTuple):
+    """The fused pairs :func:`train` optimises over.
 
-    ``pair_refs`` lists (anchor_ref, cand_ref) role/index pairs;
-    ``pos_index``/``neg_index`` select, per triplet, the positive and
-    negative pair row.
+    Row ``r`` of ``gx``/``px``/``present`` fuses the pair ``refs[r]``, an
+    ``((anchor role, index), (candidate role, index))``;
+    ``anchor_rows[anchor]`` lists an anchor's positive and negative rows.
+    Every anchor has at least one of each.
     """
 
-    pair_refs: list[tuple[tuple[str, int], tuple[str, int]]]
-    pos_index: np.ndarray
-    neg_index: np.ndarray
+    anchors: list[tuple[str, int]]
+    anchor_rows: dict[tuple[str, int], tuple[list[int], list[int]]]
+    refs: list[tuple[tuple[str, int], tuple[str, int]]]
+    gx: np.ndarray
+    px: np.ndarray
+    present: np.ndarray
+
+    def cross_indices(self, anchors) -> tuple[np.ndarray, np.ndarray]:
+        """Every positive x negative triplet of ``anchors``, anchor by
+        anchor, as (positive row, negative row) index arrays."""
+        pos_idx: list[np.ndarray] = []
+        neg_idx: list[np.ndarray] = []
+        for anchor in anchors:
+            pos_rows, neg_rows = self.anchor_rows[anchor]
+            p = np.asarray(pos_rows, dtype=np.intp)
+            n = np.asarray(neg_rows, dtype=np.intp)
+            pos_idx.append(np.repeat(p, n.size))
+            neg_idx.append(np.tile(n, p.size))
+        if not pos_idx:
+            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        return np.concatenate(pos_idx), np.concatenate(neg_idx)
+
+    def batch(self, anchors):
+        """One SGD batch: ``(gx, px, present, pos_index, neg_index)`` over
+        just the rows the anchors' triplets use, in table order."""
+        pos_idx, neg_idx = self.cross_indices(anchors)
+        rows = np.unique(np.concatenate([pos_idx, neg_idx]))
+        remap = np.zeros(len(self.refs), dtype=np.intp)
+        remap[rows] = np.arange(rows.size)
+        return (self.gx[rows], self.px[rows], self.present[rows],
+                remap[pos_idx], remap[neg_idx])
 
 
-def build_triplet_batches(pair_set: PairSet, batch_size: int = 16,
-                          anchor_order: list[tuple[str, int]] | None = None
-                          ) -> list[TripletBatch]:
-    """Group anchors into batches and enumerate every positive x negative
-    triplet per anchor.
-
-    Anchors appear in ``anchor_order`` (default: first appearance in the
-    pair set).  Anchors lacking positives or negatives yield no triplets.
-    """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+def triplet_table(bundle: DatasetBundle, pair_set: PairSet) -> TripletTable:
+    """Fuse every pair of every anchor that has both positives and
+    negatives, anchors in first-appearance order and each anchor's rows in
+    pair-set order."""
     grouped = pair_set.by_query()
-    anchors = anchor_order if anchor_order is not None else list(grouped)
-    batches: list[TripletBatch] = []
-    for start in range(0, len(anchors), batch_size):
-        chunk = anchors[start:start + batch_size]
-        refs: list[tuple[tuple[str, int], tuple[str, int]]] = []
-        pos_idx: list[int] = []
-        neg_idx: list[int] = []
-        for anchor in chunk:
-            plist = grouped.get(anchor, [])
-            pos_rows = []
-            neg_rows = []
-            for p in plist:
-                refs.append((anchor, (p.cand_role, p.cand_index)))
-                (pos_rows if p.label == 1 else neg_rows).append(len(refs) - 1)
-            for pi in pos_rows:
-                for ni in neg_rows:
-                    pos_idx.append(pi)
-                    neg_idx.append(ni)
-        batches.append(TripletBatch(refs, np.asarray(pos_idx, dtype=np.intp),
-                                    np.asarray(neg_idx, dtype=np.intp)))
-    return batches
-
-
-def _batch_arrays(bundle: DatasetBundle, batch: TripletBatch):
-    recs = [(bundle.resolve(*a), bundle.resolve(*c)) for a, c in batch.pair_refs]
-    return pair_arrays(recs, bundle.dims)
+    anchors = [a for a, plist in grouped.items()
+               if any(p.label == 1 for p in plist) and any(p.label == 0 for p in plist)]
+    if not anchors:
+        raise ValueError("no usable anchors: every anchor lacks positives or negatives")
+    refs: list[tuple[tuple[str, int], tuple[str, int]]] = []
+    anchor_rows: dict[tuple[str, int], tuple[list[int], list[int]]] = {}
+    for anchor in anchors:
+        pos_rows: list[int] = []
+        neg_rows: list[int] = []
+        for p in grouped[anchor]:
+            refs.append((anchor, (p.cand_role, p.cand_index)))
+            (pos_rows if p.label == 1 else neg_rows).append(len(refs) - 1)
+        anchor_rows[anchor] = (pos_rows, neg_rows)
+    records = [(bundle.resolve(*a), bundle.resolve(*c)) for a, c in refs]
+    return TripletTable(anchors, anchor_rows, refs,
+                        *pair_arrays(records, bundle.dims))
 
 
 def _loss_forward(model: VerifierModel, gx, px, present, pos_index, neg_index,
@@ -417,34 +421,25 @@ def _loss_forward(model: VerifierModel, gx, px, present, pos_index, neg_index,
             sg, sp, cache_g, cache_p)
 
 
-def batch_loss(model: VerifierModel, bundle: DatasetBundle, batch: TripletBatch,
-               margin: float | None = None) -> tuple[float, float, float]:
-    """Summed dual hinge loss ``(total, global_term, part_term)`` for a batch.
+def triplet_loss(model: VerifierModel, gx, px, present, pos_index, neg_index,
+                 margin: float) -> tuple[float, float, float]:
+    """Summed dual hinge loss ``(total, global_term, part_term)`` over the
+    triplets ``(pos_index[i], neg_index[i])`` of fused pair rows.
 
     The part term skips triplets where either pair has no jointly present
     part (those pairs have no ``sim_S``).
     """
-    m = model.hyper.margin if margin is None else margin
-    gx, px, present = _batch_arrays(bundle, batch)
-    lg, lp, *_ = _loss_forward(model, gx, px, present,
-                               batch.pos_index, batch.neg_index, m)
+    lg, lp, *_ = _loss_forward(model, gx, px, present, pos_index, neg_index, margin)
     return lg + lp, lg, lp
 
 
-def loss_gradients(model: VerifierModel, bundle: DatasetBundle, batch: TripletBatch,
-                   margin: float | None = None
-                   ) -> tuple[tuple[float, float, float], dict[str, np.ndarray]]:
-    """Loss and analytic weight gradients for one triplet batch.
+def triplet_loss_and_grads(model: VerifierModel, gx, px, present, pos_index,
+                           neg_index, margin: float
+                           ) -> tuple[tuple[float, float, float], dict[str, np.ndarray]]:
+    """:func:`triplet_loss` plus its analytic weight gradients.
 
     At a hinge kink (activation exactly 0) the subgradient 0 is used.
     """
-    m = model.hyper.margin if margin is None else margin
-    gx, px, present = _batch_arrays(bundle, batch)
-    return _loss_gradients_arrays(model, gx, px, present,
-                                  batch.pos_index, batch.neg_index, m)
-
-
-def _loss_gradients_arrays(model, gx, px, present, pos_index, neg_index, margin):
     lg, lp, hg, hp, part_ok, sg, sp, cache_g, cache_p = _loss_forward(
         model, gx, px, present, pos_index, neg_index, margin)
     grads = zero_gradients(model)
@@ -467,19 +462,6 @@ def _loss_gradients_arrays(model, gx, px, present, pos_index, neg_index, margin)
 # training
 
 
-def _candidate_views(pair_set: PairSet):
-    """Per-query candidate ids, labels and rank order from an eval pair set."""
-    views = []
-    for (qrole, qi), plist in pair_set.by_query().items():
-        ordered = sorted(plist, key=lambda p: p.rank)
-        views.append(((qrole, qi),
-                      [p.cand_index for p in ordered],
-                      [(p.cand_role, p.cand_index) for p in ordered],
-                      [p.label for p in ordered]))
-    views.sort(key=lambda v: v[0][1])
-    return views
-
-
 def validation_rank1(model: VerifierModel, bundle: DatasetBundle,
                      valid_pairs: PairSet, ranking_L: int, ranking_Q: int) -> float:
     """Rank-1 over validation queries after re-scoring their candidate lists
@@ -490,23 +472,22 @@ def validation_rank1(model: VerifierModel, bundle: DatasetBundle,
     """
     from .reranker import window_rerank
 
-    views = _candidate_views(valid_pairs)
+    views = []
+    for (qrole, qi), plist in valid_pairs.by_query().items():
+        ordered = sorted(plist, key=lambda p: p.rank)
+        if any(p.label == 1 for p in ordered):
+            views.append((bundle.resolve(qrole, qi), ordered))
+    score_maps = prefix_scores(
+        model, bundle.dims, [query for query, _ in views],
+        [[(p.cand_index, bundle.resolve(p.cand_role, p.cand_index))
+          for p in ordered[:ranking_Q]] for _, ordered in views])
     hits = 0
-    counted = 0
-    for (qrole, qi), cand_ids, cand_refs, labels in views:
-        if 1 not in labels:
-            continue
-        counted += 1
-        query = bundle.resolve(qrole, qi)
-        recs = [(query, bundle.resolve(*ref)) for ref in cand_refs]
-        gx, px, present = pair_arrays(recs, bundle.dims)
-        scores = batch_scores(model, gx, px, present)
-        score_of = {cid: float(s) for cid, s in zip(cand_ids, scores)}
-        ranked = window_rerank(cand_ids, score_of, ranking_L, ranking_Q,
-                               query_index=qi)
-        if labels[cand_ids.index(ranked.order[0])] == 1:
-            hits += 1
-    return hits / counted if counted else 0.0
+    for (query, ordered), score_of in zip(views, score_maps):
+        cand_ids = [p.cand_index for p in ordered]
+        top = window_rerank(cand_ids, score_of, ranking_L, ranking_Q,
+                            query_index=query.index).order[0]
+        hits += ordered[cand_ids.index(top)].label == 1
+    return hits / len(views) if views else 0.0
 
 
 def _learning_rate(config: TrainConfig, epoch: int) -> float:
@@ -533,30 +514,13 @@ def train(model: VerifierModel, bundle: DatasetBundle, train_pairs: PairSet,
     Returns the model and one :class:`EpochStats` row per epoch (0..epochs).
     """
     config = model.hyper
-    grouped = train_pairs.by_query()
-    anchors = [a for a, plist in grouped.items()
-               if any(p.label == 1 for p in plist) and any(p.label == 0 for p in plist)]
-    if not anchors:
-        raise ValueError("no usable anchors: every anchor lacks positives or negatives")
-
-    # Pair table built once; per-epoch batches only re-index into it.
-    refs: list[tuple[tuple[str, int], tuple[str, int]]] = []
-    anchor_rows: dict[tuple[str, int], tuple[list[int], list[int]]] = {}
-    for anchor in anchors:
-        pos_rows: list[int] = []
-        neg_rows: list[int] = []
-        for p in grouped[anchor]:
-            refs.append((anchor, (p.cand_role, p.cand_index)))
-            (pos_rows if p.label == 1 else neg_rows).append(len(refs) - 1)
-        anchor_rows[anchor] = (pos_rows, neg_rows)
-    records = [(bundle.resolve(*a), bundle.resolve(*c)) for a, c in refs]
-    gx_all, px_all, present_all = pair_arrays(records, bundle.dims)
+    # Pairs fused once; per-epoch batches only re-index into the table.
+    table = triplet_table(bundle, train_pairs)
+    anchors = table.anchors
 
     def epoch_loss() -> tuple[float, float, float]:
-        pos_idx, neg_idx = _cross_indices(anchors, anchor_rows)
-        lg, lp, *_ = _loss_forward(model, gx_all, px_all, present_all,
-                                   pos_idx, neg_idx, config.margin)
-        return lg + lp, lg, lp
+        return triplet_loss(model, table.gx, table.px, table.present,
+                            *table.cross_indices(anchors), config.margin)
 
     history: list[EpochStats] = []
     best_vec: np.ndarray | None = None
@@ -582,13 +546,8 @@ def train(model: VerifierModel, bundle: DatasetBundle, train_pairs: PairSet,
         total = np.zeros(3)
         for start in range(0, len(order), config.batch_size):
             chunk = order[start:start + config.batch_size]
-            pos_idx, neg_idx = _cross_indices(chunk, anchor_rows)
-            rows = np.unique(np.concatenate([pos_idx, neg_idx]))
-            remap = np.zeros(len(refs), dtype=np.intp)
-            remap[rows] = np.arange(rows.size)
-            losses, grads = _loss_gradients_arrays(
-                model, gx_all[rows], px_all[rows], present_all[rows],
-                remap[pos_idx], remap[neg_idx], config.margin)
+            losses, grads = triplet_loss_and_grads(model, *table.batch(chunk),
+                                                   config.margin)
             if not np.isfinite(losses[0]):
                 raise RuntimeError(f"non-finite loss at epoch {epoch}")
             total += losses
@@ -602,20 +561,6 @@ def train(model: VerifierModel, bundle: DatasetBundle, train_pairs: PairSet,
     assert best_vec is not None
     model.load_weights_vector(best_vec)
     return model, history
-
-
-def _cross_indices(anchors, anchor_rows) -> tuple[np.ndarray, np.ndarray]:
-    pos_idx: list[np.ndarray] = []
-    neg_idx: list[np.ndarray] = []
-    for anchor in anchors:
-        pos_rows, neg_rows = anchor_rows[anchor]
-        p = np.asarray(pos_rows, dtype=np.intp)
-        n = np.asarray(neg_rows, dtype=np.intp)
-        pos_idx.append(np.repeat(p, n.size))
-        neg_idx.append(np.tile(n, p.size))
-    if not pos_idx:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    return np.concatenate(pos_idx), np.concatenate(neg_idx)
 
 
 def write_history_csv(path: str | Path, history: list[EpochStats],
@@ -683,11 +628,16 @@ def load_model(path: str | Path) -> VerifierModel:
     hyper = TrainConfig(margin=margin, learning_rate=lr, epochs=epochs,
                         batch_size=batch, decay_factor=decay_factor,
                         decay_epochs=tuple(milestones))
-    model = VerifierModel.initialize((d, dp, k), hg, hp, seed=seed, hyper=hyper)
-    expect = sum(w.size for _, w in model.weights())
+    layout = _weight_layout((d, dp, k), hg, hp)
+    expect = sum(int(np.prod(shape)) for _, shape, _ in layout)
     payload = np.frombuffer(data, dtype="<f4", offset=offset)
     if payload.size != expect:
         raise ValueError(f"{path}: weight payload holds {payload.size} f32 values, "
                          f"dims require {expect}")
-    model.load_weights_vector(payload.astype(np.float64))
-    return model
+    tensors = {}
+    for name, shape, _ in layout:
+        size = int(np.prod(shape))
+        tensors[name] = payload[:size].astype(np.float64).reshape(shape)
+        payload = payload[size:]
+    return VerifierModel(dims=(d, dp, k), hidden_global=hg, hidden_part=hp,
+                         seed=seed, hyper=hyper, **tensors)

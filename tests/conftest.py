@@ -1,6 +1,9 @@
-"""Shared fixtures: tiny hand-built bundles and the frozen benchmark scenario."""
+"""Shared fixtures: tiny hand-built bundles, the frozen benchmark scenario
+and scalar-loop reference oracles."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -103,3 +106,51 @@ def train_bundle(rng: np.random.Generator, *, n_identities: int = 4,
                 parts.append(rng.normal(size=(k, dp)))
                 i += 1
     return build_bundle(rows, np.stack(feats), np.stack(present), np.stack(parts))
+
+
+def oracle_fuse(query, cand):
+    """Scalar-loop pair fusion: the global ``[|a-b|; a*b]`` list plus one
+    ``(jointly present, fused list)`` per part slot, zeros when absent."""
+    a = [float(x) for x in query.global_feature]
+    b = [float(x) for x in cand.global_feature]
+    fused = [abs(x - y) for x, y in zip(a, b)] + [x * y for x, y in zip(a, b)]
+    parts = []
+    for j in range(len(query.part_present)):
+        va = [float(x) for x in query.part_vectors[j]]
+        vb = [float(x) for x in cand.part_vectors[j]]
+        joint = bool(query.part_present[j] and cand.part_present[j])
+        vec = ([abs(x - y) for x, y in zip(va, vb)] + [x * y for x, y in zip(va, vb)]
+               if joint else [0.0] * (2 * len(va)))
+        parts.append((joint, vec))
+    return fused, parts
+
+
+def _dense_tanh(weights, biases, x):
+    return [math.tanh(sum(w * v for w, v in zip(row, x)) + b)
+            for row, b in zip(weights, biases)]
+
+
+def oracle_scores(model, query, cand):
+    """Scalar-loop verifier: ``(score, sim_G, sim_S, contributions)``.
+
+    ``sim_S`` is None and every contribution NaN when no part is jointly
+    present; the score is then ``sim_G``.
+    """
+    fused, parts = oracle_fuse(query, cand)
+    hidden = _dense_tanh(model.global_hidden_w, model.global_hidden_b, fused)
+    sim_g = math.tanh(sum(w * h for w, h in zip(model.global_out_w, hidden))
+                      + float(model.global_out_b))
+    contrib = []
+    for j, (joint, vec) in enumerate(parts):
+        if not joint:
+            contrib.append(math.nan)
+            continue
+        u = _dense_tanh(model.part_hidden_w, model.part_hidden_b, vec)
+        contrib.append(sum(m * h for m, h in zip(model.part_mix_w[j], u))
+                       + float(model.part_mix_b[j]))
+    present = [c for c in contrib if not math.isnan(c)]
+    sim_s = None
+    if present:
+        sim_s = math.tanh(math.exp(float(model.out_log_gain)) * max(present)
+                          + float(model.out_bias))
+    return (sim_g if sim_s is None else sim_s), sim_g, sim_s, contrib

@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SCENARIO, eligible_orders, oracle_metrics, random_bundle
+from conftest import (SCENARIO, eligible_orders, oracle_metrics, oracle_scores,
+                      random_bundle)
 from rvrank.datastore import build_bundle
 from rvrank.evaluation import evaluate, sweep_L
 from rvrank.reranker import (
@@ -27,15 +28,11 @@ from rvrank.synthgen import generate, oracle_scorer
 from rvrank.verifier import (
     TrainConfig,
     VerifierModel,
-    batch_loss,
-    build_triplet_batches,
     gradients_vector,
-    loss_gradients,
-    make_pair_representation,
-    pair_arrays,
-    score_global,
-    score_part,
     train,
+    triplet_loss,
+    triplet_loss_and_grads,
+    triplet_table,
 )
 
 # Measured once on the frozen scenario (140 identities, seed 0) and pinned.
@@ -182,33 +179,33 @@ def test_analytic_gradients_match_finite_differences():
         pair_set, _ = build_train_pairs(bundle, num_candidates=3)
         if not pair_set.pairs:
             continue
-        batch = build_triplet_batches(pair_set, batch_size=3)[0]
-        if len(batch.pos_index) == 0:
+        table = triplet_table(bundle, pair_set)
+        pos_index, neg_index = table.cross_indices(table.anchors[:3])
+        if len(pos_index) == 0:
             continue
         model = VerifierModel.initialize(dims, int(rng.integers(3, 5)),
                                          int(rng.integers(3, 5)),
                                          seed=int(rng.integers(1 << 16)))
         margin = float(rng.uniform(0.2, 0.4))
 
-        # Distance to the nearest non-smooth point of the loss surface.
-        reps = [make_pair_representation(bundle.resolve(*a), bundle.resolve(*c))
-                for a, c in batch.pair_refs]
-        sg = np.array([score_global(model, r) for r in reps])
-        sp = np.full(len(reps), np.nan)
+        # Distance to the nearest non-smooth point of the loss surface,
+        # from the scalar oracle over the pairs the triplets use.
+        sg = np.full(len(table.refs), np.nan)
+        sp = np.full(len(table.refs), np.nan)
         gaps = []
-        for i, rep in enumerate(reps):
-            try:
-                s, contrib = score_part(model, rep)
-            except Exception:
+        for row in np.unique(np.concatenate([pos_index, neg_index])):
+            anchor, cand = table.refs[row]
+            _, sg[row], sim_s, contrib = oracle_scores(
+                model, bundle.resolve(*anchor), bundle.resolve(*cand))
+            if sim_s is None:
                 continue
-            sp[i] = s
-            finite = np.sort(contrib[np.isfinite(contrib)])[::-1]
+            sp[row] = sim_s
+            finite = np.sort(np.asarray(contrib)[np.isfinite(contrib)])[::-1]
             if finite.size >= 2:
                 gaps.append(finite[0] - finite[1])
-        zg = sg[batch.neg_index] - sg[batch.pos_index] + margin
-        part_ok = np.isfinite(sp[batch.pos_index]) & \
-            np.isfinite(sp[batch.neg_index])
-        zp = (sp[batch.neg_index] - sp[batch.pos_index] + margin)[part_ok]
+        zg = sg[neg_index] - sg[pos_index] + margin
+        part_ok = np.isfinite(sp[pos_index]) & np.isfinite(sp[neg_index])
+        zp = (sp[neg_index] - sp[pos_index] + margin)[part_ok]
         kink = min([np.abs(zg).min(), *([np.abs(zp).min()] if zp.size else []),
                     *gaps])
         active = (zg > 0).any() or (zp > 0).any()
@@ -216,7 +213,9 @@ def test_analytic_gradients_match_finite_differences():
             continue
         accepted += 1
 
-        _, grads = loss_gradients(model, bundle, batch, margin=margin)
+        # The batch train() takes an SGD step on.
+        batch = table.batch(table.anchors[:3])
+        _, grads = triplet_loss_and_grads(model, *batch, margin)
         analytic = gradients_vector(model, grads)
         base = model.weights_vector()
         h = 1e-6
@@ -226,8 +225,7 @@ def test_analytic_gradients_match_finite_differences():
                 vec = base.copy()
                 vec[i] += sign * h
                 model.load_weights_vector(vec)
-                numeric[i] += sign * batch_loss(model, bundle, batch,
-                                                margin=margin)[0] / (2 * h)
+                numeric[i] += sign * triplet_loss(model, *batch, margin)[0] / (2 * h)
         model.load_weights_vector(base)
         err = np.linalg.norm(numeric - analytic) / \
             max(np.linalg.norm(numeric), 1e-12)

@@ -197,6 +197,31 @@ def test_mismatched_candidates_fail_the_rerank(workspace, tmp_path, capsys):
     assert "candidate" in err
 
 
+def test_eval_rejects_partial_or_duplicated_rankings(workspace, tmp_path, capsys):
+    data = workspace / "data"
+    lines = (workspace / "ranked.csv").read_text().splitlines()
+    header_at = next(i for i, ln in enumerate(lines)
+                     if ln.startswith("query_index"))
+    head, rows = lines[:header_at + 1], lines[header_at + 1:]
+    query1 = [ln for ln in rows if ln.split(",")[0] == "1"]
+    cases = {
+        "partial": (head + [ln for ln in rows if ln.split(",")[0] != "1"],
+                    "missing: [1]"),
+        "doubled": (lines + query1, "query 1"),
+    }
+    for name, (text, named) in cases.items():
+        ranked = tmp_path / f"{name}.csv"
+        ranked.write_text("\n".join(text) + "\n")
+        report = tmp_path / f"{name}.json"
+        rc = main(["eval", "--meta", str(data / "meta.csv"),
+                   "--features", str(data / "features.bin"),
+                   "--parts", str(data / "parts.bin"),
+                   "--ranked", str(ranked), "--out", str(report)])
+        assert rc == 1, name
+        assert named in capsys.readouterr().err, name
+        assert not report.exists(), name
+
+
 def test_version_flag_exits_cleanly(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

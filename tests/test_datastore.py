@@ -23,6 +23,9 @@ from rvrank.datastore import (
     write_feature_file,
     write_parts_file,
 )
+from rvrank.evaluation import SWEEP_HEADER, read_sweep_csv
+from rvrank.reranker import RANKED_HEADER, read_ranked_csv
+from rvrank.retrieval import PAIR_HEADER, read_pairs_csv
 
 
 def write_and_reload(bundle, tmp_path, expected_dims=None):
@@ -43,9 +46,8 @@ class TestRoundTrip:
                 assert (a.index, a.identity, a.cloth, a.camera) == \
                        (b.index, b.identity, b.cloth, b.camera)
                 np.testing.assert_array_equal(a.global_feature, b.global_feature)
-                for pa, pb in zip(a.part_features, b.part_features):
-                    assert pa.present == pb.present
-                    np.testing.assert_array_equal(pa.vector, pb.vector)
+                np.testing.assert_array_equal(a.part_present, b.part_present)
+                np.testing.assert_array_equal(a.part_vectors, b.part_vectors)
 
     def test_disk_memory_disk_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -188,6 +190,37 @@ class TestFormatErrors:
         assert len(bundle.splits["G"]) == 1
 
 
+class TestCsvReaders:
+    #: reader, header, a good row, the same row with a non-numeric field
+    READERS = {
+        "pairs": (read_pairs_csv, PAIR_HEADER, "Q,0,1,G,3,-0.5,1",
+                  "Q,0,1,G,x,-0.5,1", ValueError),
+        "ranked": (read_ranked_csv, RANKED_HEADER, "0,1,3,window",
+                   "0,x,3,window", ValueError),
+        "sweep": (read_sweep_csv, SWEEP_HEADER, "5,0.5,1.0", "5,x,1.0", ValueError),
+        "metadata": (lambda path: load_bundle(path, path.parent / "f.bin"),
+                     ("index", "role", "identity", "cloth", "camera"),
+                     "0,G,1,0,0", "0,G,x,0,0", BundleFormatError),
+    }
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_errors_name_the_file_and_line(self, tmp_path, name):
+        read, header, good, bad, error = self.READERS[name]
+        write_feature_file(tmp_path / "f.bin", np.zeros((1, 2)))
+        path = tmp_path / f"{name}.csv"
+        cases = {
+            "line 4: could not convert|line 4: invalid literal":
+                [",".join(header), good, bad],
+            "line 4: expected": [",".join(header), good, good + ",9"],
+            "line 3: expected header": ["", ",".join(header[:-1])],
+            "missing header": [],
+        }
+        for want, lines in cases.items():
+            path.write_text("# config: {}\n" + "".join(ln + "\n" for ln in lines))
+            with pytest.raises(error, match=f"{path.name}: ({want})"):
+                read(path)
+
+
 class TestMissingParts:
     def test_no_parts_file_yields_absent_slots(self, tmp_path):
         rng = np.random.default_rng(31)
@@ -197,8 +230,9 @@ class TestMissingParts:
         loaded = load_bundle(meta, feat)
         assert loaded.dims == (bundle.feature_dim, 0, DEFAULT_PART_COUNT)
         for rec in loaded.records():
-            assert len(rec.part_features) == DEFAULT_PART_COUNT
-            assert not any(p.present for p in rec.part_features)
+            assert rec.part_present.shape == (DEFAULT_PART_COUNT,)
+            assert rec.part_vectors.shape == (DEFAULT_PART_COUNT, 0)
+            assert not rec.part_present.any()
 
     def test_absent_vectors_are_normalized_to_zero(self, tmp_path):
         path = tmp_path / "p.bin"
@@ -239,7 +273,8 @@ class TestValidation:
         bundle = random_bundle(rng, dims=(4, 3, 5))
         rec = bundle.splits["G"][0]
         bundle.splits["G"][0] = dataclasses.replace(
-            rec, part_features=rec.part_features[:3])
+            rec, part_present=rec.part_present[:3],
+            part_vectors=rec.part_vectors[:3])
         violations = validate_bundle(bundle)
         assert any("dims" in str(v) for v in violations)
 

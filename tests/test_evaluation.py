@@ -124,6 +124,31 @@ class TestPermutationStrictness:
                      k_max=0)
 
 
+class TestQueryCoverage:
+    def setup_method(self):
+        rng = np.random.default_rng(61)
+        self.bundle = random_bundle(rng, n_query=6, n_gallery=12)
+        self.ranked = [RankedList(q.index, order, "retrieval")
+                       for q, order in zip(self.bundle.splits["Q"],
+                                           eligible_orders(rng, self.bundle))]
+
+    def test_missing_queries_are_named(self):
+        subset = [rl for rl in self.ranked if rl.query_index not in (1, 4)]
+        with pytest.raises(ValueError, match=r"2 missing: \[1, 4\]"):
+            evaluate(self.bundle, subset)
+
+    def test_duplicated_queries_are_named(self):
+        with pytest.raises(ValueError, match=r"6 duplicated: \[0, 1, 2, 3, 4, 5\]"):
+            evaluate(self.bundle, self.ranked + self.ranked)
+        with pytest.raises(ValueError, match=r"1 duplicated: \[3\]"):
+            evaluate(self.bundle, self.ranked + [self.ranked[3]])
+
+    def test_unknown_queries_are_named(self):
+        extra = RankedList(6, self.ranked[0].order, "retrieval")
+        with pytest.raises(ValueError, match=r"1 unknown: \[6\]"):
+            evaluate(self.bundle, self.ranked + [extra])
+
+
 class TestReportSerialisation:
     def test_json_layout_and_config_echo(self, tmp_path):
         bundle = labelled_instance([1, 0])

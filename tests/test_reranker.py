@@ -12,7 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_bundle
+from conftest import oracle_scores, random_bundle
+from rvrank import verifier
 from rvrank.reranker import (
     RankedList,
     RankingConfig,
@@ -364,37 +365,41 @@ class TestPipeline:
             rerank_pipeline(bundle, flaky, RankingConfig(P=8, L=2, Q=4),
                             stages=("window",))
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        rng = np.random.default_rng(32)
-        bundle = random_bundle(rng, n_query=6, n_gallery=18)
-        model = VerifierModel.initialize(bundle.dims, 6, 6, seed=2)
-        cfg = RankingConfig(P=18, L=4, Q=10, k1=4, k2=2)
-        monkeypatch.delenv("RVRANK_THREADS", raising=False)
-        serial = rerank_pipeline(bundle, model, cfg)
-        monkeypatch.setenv("RVRANK_THREADS", "4")
-        threaded = rerank_pipeline(bundle, model, cfg)
-        assert [rl.order for rl in serial] == [rl.order for rl in threaded]
+    def test_model_scores_do_not_depend_on_the_chunking(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        bundle = random_bundle(rng, n_query=5, n_gallery=14, part_presence=0.4)
+        model = VerifierModel.initialize(bundle.dims, 6, 6, seed=6)
+        queries, gallery = bundle.splits["Q"], bundle.splits["G"]
+        prefixes = [[(gi, gallery[gi]) for gi in rng.permutation(14)[:9]]
+                    for _ in queries]
+        whole = verifier.prefix_scores(model, bundle.dims, queries, prefixes)
+        monkeypatch.setattr(verifier, "SCORE_CHUNK", 4)
+        chunked = verifier.prefix_scores(model, bundle.dims, queries, prefixes)
+        assert chunked == whole
+        for query, prefix, scores in zip(queries, prefixes, whole):
+            assert list(scores) == [gi for gi, _ in prefix]
+            for gi, cand in prefix:
+                np.testing.assert_allclose(scores[gi],
+                                           oracle_scores(model, query, cand)[0],
+                                           rtol=1e-12)
 
-    def test_invalid_thread_setting_warns_and_runs(self, monkeypatch):
-        rng = np.random.default_rng(33)
-        bundle = random_bundle(rng, n_query=2, n_gallery=8)
-        model = VerifierModel.initialize(bundle.dims, 6, 6, seed=3)
-        monkeypatch.setenv("RVRANK_THREADS", "many")
-        with pytest.warns(UserWarning, match="RVRANK_THREADS"):
-            ranked = rerank_pipeline(bundle, model,
-                                     RankingConfig(P=8, L=2, Q=4),
-                                     stages=("window",))
-        assert len(ranked) == 2
+    def test_model_failure_names_the_query(self):
+        rng = np.random.default_rng(36)
+        bundle = random_bundle(rng, n_query=3, n_gallery=8)
+        d, dp, k = bundle.dims
+        model = VerifierModel.initialize((d + 1, dp, k), 6, 6, seed=7)
+        with pytest.raises(RuntimeError, match="query 0"):
+            rerank_pipeline(bundle, model, RankingConfig(P=8, L=2, Q=4),
+                            stages=("window",))
 
     def test_model_and_equivalent_callable_agree(self):
         rng = np.random.default_rng(34)
         bundle = random_bundle(rng, n_query=4, n_gallery=12)
         model = VerifierModel.initialize(bundle.dims, 6, 6, seed=4)
-        from rvrank.verifier import pair_score
         cfg = RankingConfig(P=12, L=3, Q=8)
         via_model = rerank_pipeline(bundle, model, cfg, stages=("window",))
         via_callable = rerank_pipeline(
-            bundle, lambda q, g: pair_score(model, q, g), cfg,
+            bundle, lambda q, g: oracle_scores(model, q, g)[0], cfg,
             stages=("window",))
         assert [rl.order for rl in via_model] == \
                [rl.order for rl in via_callable]

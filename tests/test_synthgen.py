@@ -70,11 +70,10 @@ class TestStructure:
     def test_part_dropout_rate_is_respected(self):
         cfg = SynthConfig(n_identities=20, part_dropout=0.4, seed=7)
         bundle, _ = generate(cfg)
-        flags = [p.present for r in bundle.records() for p in r.part_features]
-        rate = np.mean(flags)
+        rate = np.mean([r.part_present for r in bundle.records()])
         assert abs(rate - 0.6) < 0.05
         full, _ = generate(SynthConfig(n_identities=8, part_dropout=0.0, seed=8))
-        assert all(p.present for r in full.records() for p in r.part_features)
+        assert all(r.part_present.all() for r in full.records())
 
 
 class TestDeterminism:
@@ -83,9 +82,8 @@ class TestDeterminism:
         b, _ = generate(SynthConfig(n_identities=9, seed=11))
         for ra, rb in zip(a.records(), b.records()):
             np.testing.assert_array_equal(ra.global_feature, rb.global_feature)
-            for pa, pb in zip(ra.part_features, rb.part_features):
-                assert pa.present == pb.present
-                np.testing.assert_array_equal(pa.vector, pb.vector)
+            np.testing.assert_array_equal(ra.part_present, rb.part_present)
+            np.testing.assert_array_equal(ra.part_vectors, rb.part_vectors)
 
     def test_same_seed_is_byte_identical_on_disk(self, tmp_path):
         for sub in ("a", "b"):

@@ -2,31 +2,32 @@
 
 from __future__ import annotations
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import train_bundle
+from conftest import oracle_fuse, oracle_scores
 from rvrank.datastore import build_bundle
 from rvrank.retrieval import build_eval_pairs, build_train_pairs
 from rvrank.synthgen import SynthConfig, generate
 from rvrank.verifier import (
     HISTORY_HEADER,
-    NoPresentPartsError,
+    MODEL_MAGIC,
     TrainConfig,
     VerifierModel,
-    batch_loss,
     batch_scores,
-    build_triplet_batches,
+    gradients_vector,
     load_model,
-    loss_gradients,
-    make_pair_representation,
     pair_arrays,
-    pair_score,
+    part_contributions,
     save_model,
-    score_global,
-    score_part,
     train,
     triplet_hinge,
+    triplet_loss,
+    triplet_loss_and_grads,
+    triplet_table,
     validation_rank1,
     write_history_csv,
 )
@@ -49,84 +50,87 @@ def zeroed(model):
     return out
 
 
+def score(model, q, g):
+    """(score, per-part contributions) of one pair, through the batch path."""
+    gx, px, present = pair_arrays([(q, g)], model.dims)
+    return (float(batch_scores(model, gx, px, present)[0]),
+            part_contributions(model, px, present)[0])
+
+
+def global_score(model, q, g):
+    """``sim_G`` of one pair: the batch score with every part masked out."""
+    gx, px, present = pair_arrays([(q, g)], model.dims)
+    return float(batch_scores(model, gx, px, np.zeros_like(present))[0])
+
+
 class TestPairRepresentation:
     def test_identical_inputs_give_zero_diff_and_squared_product(self):
-        q, _, _ = two_record_bundle()
-        rep = make_pair_representation(q, q)
+        q, _, bundle = two_record_bundle()
+        gx, _, _ = pair_arrays([(q, q)], bundle.dims)
         d = q.global_feature.shape[0]
-        np.testing.assert_allclose(rep.global_pair[:d], 0.0, atol=1e-12)
-        np.testing.assert_allclose(rep.global_pair[d:],
+        np.testing.assert_allclose(gx[0, :d], 0.0, atol=1e-12)
+        np.testing.assert_allclose(gx[0, d:],
                                    np.asarray(q.global_feature, np.float64) ** 2,
                                    rtol=1e-12)
 
     def test_representation_is_symmetric(self):
-        q, g, _ = two_record_bundle()
-        ab = make_pair_representation(q, g)
-        ba = make_pair_representation(g, q)
-        np.testing.assert_array_equal(ab.global_pair, ba.global_pair)
-        for pa, pb in zip(ab.part_pairs, ba.part_pairs):
-            assert pa.joint_present == pb.joint_present
-            np.testing.assert_array_equal(pa.vector, pb.vector)
+        q, g, bundle = two_record_bundle()
+        gx, px, present = pair_arrays([(q, g), (g, q)], bundle.dims)
+        np.testing.assert_array_equal(gx[0], gx[1])
+        np.testing.assert_array_equal(px[0], px[1])
+        np.testing.assert_array_equal(present[0], present[1])
 
     def test_joint_presence_requires_both_sides(self):
-        q, g, _ = two_record_bundle(present_g=(True, False, False, True, False))
-        rep = make_pair_representation(q, g)
-        assert [p.joint_present for p in rep.part_pairs] == \
-               [True, False, False, True, False]
-        for p in rep.part_pairs:
-            if not p.joint_present:
-                np.testing.assert_array_equal(p.vector, 0.0)
+        q, g, bundle = two_record_bundle(present_g=(True, False, False, True, False))
+        _, px, present = pair_arrays([(q, g)], bundle.dims)
+        assert present[0].tolist() == [True, False, False, True, False]
+        np.testing.assert_array_equal(px[0, ~present[0]], 0.0)
 
     def test_mismatched_shapes_raise(self):
-        q, _, _ = two_record_bundle()
+        q, _, bundle = two_record_bundle()
         rng = np.random.default_rng(1)
         other = build_bundle([(0, "G", 2, 0, 0)], rng.normal(size=(1, 7)))
         with pytest.raises(ValueError, match="shapes"):
-            make_pair_representation(q, other.splits["G"][0])
+            pair_arrays([(q, other.splits["G"][0])], bundle.dims)
 
     def test_pair_arrays_match_single_representation(self):
         q, g, bundle = two_record_bundle()
         gx, px, present = pair_arrays([(q, g), (q, q)], bundle.dims)
-        rep = make_pair_representation(q, g)
-        np.testing.assert_array_equal(gx[0], rep.global_pair)
-        for j, pp in enumerate(rep.part_pairs):
-            assert present[0, j] == pp.joint_present
-            np.testing.assert_array_equal(px[0, j], pp.vector)
+        for row, (a, b) in enumerate([(q, g), (q, q)]):
+            fused, parts = oracle_fuse(a, b)
+            np.testing.assert_array_equal(gx[row], fused)
+            for j, (joint, vec) in enumerate(parts):
+                assert present[row, j] == joint
+                np.testing.assert_array_equal(px[row, j], vec)
 
 
 class TestScoring:
     def test_zero_weights_score_zero(self):
         q, g, _ = two_record_bundle()
         model = zeroed(VerifierModel.initialize((4, 3, 5), 8, 7, seed=0))
-        rep = make_pair_representation(q, g)
-        assert score_global(model, rep) == 0.0
-        s, _ = score_part(model, rep)
-        assert s == 0.0
+        assert global_score(model, q, g) == 0.0
+        assert score(model, q, g)[0] == 0.0
 
     def test_scores_are_bounded(self):
-        rng = np.random.default_rng(3)
         model = VerifierModel.initialize((4, 3, 5), 8, 7, seed=4)
         for seed in range(977, 987):
             q, g, _ = two_record_bundle(seed=seed)
-            rep = make_pair_representation(q, g)
-            assert -1.0 < score_global(model, rep) < 1.0
-            s, _ = score_part(model, rep)
-            assert -1.0 < s < 1.0
+            assert -1.0 < global_score(model, q, g) < 1.0
+            assert -1.0 < score(model, q, g)[0] < 1.0
 
     def test_scores_are_symmetric_in_the_pair(self):
         model = VerifierModel.initialize((4, 3, 5), 8, 7, seed=5)
         q, g, _ = two_record_bundle()
-        assert pair_score(model, q, g) == pair_score(model, g, q)
+        assert score(model, q, g)[0] == score(model, g, q)[0]
 
     def test_frozen_scoring_goldens(self):
         # Regression pins: computed from seeds (999, 123) and frozen.
         q, g, _ = two_record_bundle()
         model = VerifierModel.initialize((4, 3, 5), hidden_global=8,
                                          hidden_part=7, seed=123)
-        rep = make_pair_representation(q, g)
-        np.testing.assert_allclose(score_global(model, rep),
+        np.testing.assert_allclose(global_score(model, q, g),
                                    -0.42908056204928, rtol=1e-12)
-        s, contrib = score_part(model, rep)
+        s, contrib = score(model, q, g)
         np.testing.assert_allclose(s, 0.38185622162314176, rtol=1e-12)
         want = [0.0803789952991748, -0.8452913986712334, np.nan,
                 -0.023455740813056014, 0.19785902801575028]
@@ -135,7 +139,7 @@ class TestScoring:
     def test_contributions_mark_absent_parts_nan(self):
         q, g, _ = two_record_bundle(present_g=(True, False, True, False, True))
         model = VerifierModel.initialize((4, 3, 5), 8, 7, seed=6)
-        _, contrib = score_part(model, make_pair_representation(q, g))
+        _, contrib = score(model, q, g)
         assert contrib.shape == (5,)
         assert np.isnan(contrib[[1, 3]]).all()
         assert np.isfinite(contrib[[0, 2, 4]]).all()
@@ -143,7 +147,7 @@ class TestScoring:
     def test_score_is_the_max_present_contribution_transformed(self):
         q, g, _ = two_record_bundle()
         model = VerifierModel.initialize((4, 3, 5), 8, 7, seed=7)
-        s, contrib = score_part(model, make_pair_representation(q, g))
+        s, contrib = score(model, q, g)
         pooled = np.nanmax(contrib)
         gain = float(np.exp(model.out_log_gain))
         np.testing.assert_allclose(s, np.tanh(gain * pooled + float(model.out_bias)),
@@ -152,19 +156,21 @@ class TestScoring:
     def test_single_present_part_decides_the_score(self):
         q, g, _ = two_record_bundle(present_g=(False, False, True, False, False))
         model = VerifierModel.initialize((4, 3, 5), 8, 7, seed=8)
-        s, contrib = score_part(model, make_pair_representation(q, g))
+        s, contrib = score(model, q, g)
         assert np.isfinite(contrib[2]) and np.isnan(np.delete(contrib, 2)).all()
         gain = float(np.exp(model.out_log_gain))
         np.testing.assert_allclose(
             s, np.tanh(gain * contrib[2] + float(model.out_bias)), rtol=1e-12)
 
-    def test_no_present_parts_raises_and_pair_score_falls_back(self):
+    def test_no_present_parts_fall_back_to_the_global_head(self):
         q, g, _ = two_record_bundle(present_g=(False,) * 5)
         model = VerifierModel.initialize((4, 3, 5), 8, 7, seed=9)
-        rep = make_pair_representation(q, g)
-        with pytest.raises(NoPresentPartsError):
-            score_part(model, rep)
-        assert pair_score(model, q, g) == score_global(model, rep)
+        s, contrib = score(model, q, g)
+        assert np.isnan(contrib).all()
+        assert s == global_score(model, q, g)
+        _, sim_g, sim_s, _ = oracle_scores(model, q, g)
+        assert sim_s is None
+        np.testing.assert_allclose(s, sim_g, rtol=1e-12)
 
     def test_batch_scores_match_scalar_path(self):
         model = VerifierModel.initialize((4, 3, 5), 8, 7, seed=10)
@@ -176,8 +182,11 @@ class TestScoring:
         pairs.append((q0, g0))  # exercises the global fallback row
         gx, px, present = pair_arrays(pairs, bundle.dims)
         got = batch_scores(model, gx, px, present)
-        want = [pair_score(model, a, b) for a, b in pairs]
+        want = [oracle_scores(model, a, b)[0] for a, b in pairs]
         np.testing.assert_allclose(got, want, rtol=1e-12)
+        contrib = part_contributions(model, px, present)
+        want_c = [oracle_scores(model, a, b)[3] for a, b in pairs]
+        np.testing.assert_allclose(contrib, want_c, rtol=1e-12)
 
 
 class TestHinge:
@@ -210,35 +219,47 @@ def small_training_setup(seed=0, epochs=4, **hyper):
     return model, bundle, train_pairs, valid_pairs
 
 
+def oracle_triplet_loss(model, bundle, table, pos_index, neg_index, margin):
+    """Scalar-loop (global term, part term) over table-row triplets."""
+    def scores(row):
+        anchor, cand = table.refs[row]
+        return oracle_scores(model, bundle.resolve(*anchor), bundle.resolve(*cand))
+
+    want_g = want_p = 0.0
+    for pi, ni in zip(pos_index, neg_index):
+        _, sg_pos, sp_pos, _ = scores(pi)
+        _, sg_neg, sp_neg, _ = scores(ni)
+        want_g += triplet_hinge(sg_pos, sg_neg, margin)
+        if sp_pos is not None and sp_neg is not None:
+            want_p += triplet_hinge(sp_pos, sp_neg, margin)
+    return want_g, want_p
+
+
 class TestBatchLoss:
     def test_matches_scalar_triplet_loop(self):
         model, bundle, train_pairs, _ = small_training_setup()
-        batches = build_triplet_batches(train_pairs, batch_size=4)
-        for batch in batches[:3]:
-            total, lg, lp = batch_loss(model, bundle, batch, margin=0.3)
-            want_g = want_p = 0.0
-            for pi, ni in zip(batch.pos_index, batch.neg_index):
-                pos = make_pair_representation(bundle.resolve(*batch.pair_refs[pi][0]),
-                                               bundle.resolve(*batch.pair_refs[pi][1]))
-                neg = make_pair_representation(bundle.resolve(*batch.pair_refs[ni][0]),
-                                               bundle.resolve(*batch.pair_refs[ni][1]))
-                want_g += triplet_hinge(score_global(model, pos),
-                                        score_global(model, neg), 0.3)
-                try:
-                    sp_pos, _ = score_part(model, pos)
-                    sp_neg, _ = score_part(model, neg)
-                except NoPresentPartsError:
-                    continue
-                want_p += triplet_hinge(sp_pos, sp_neg, 0.3)
+        table = triplet_table(bundle, train_pairs)
+        for start in (0, 4, 8):
+            anchors = table.anchors[start:start + 4]
+            pos, neg = table.cross_indices(anchors)
+            total, lg, lp = triplet_loss(model, table.gx, table.px,
+                                         table.present, pos, neg, 0.3)
+            want_g, want_p = oracle_triplet_loss(model, bundle, table, pos, neg, 0.3)
             np.testing.assert_allclose(lg, want_g, atol=1e-9)
             np.testing.assert_allclose(lp, want_p, atol=1e-9)
             assert total == lg + lp
+            # The SGD step's gathered batch holds the same triplets.
+            (b_total, b_lg, b_lp), _ = triplet_loss_and_grads(
+                model, *table.batch(anchors), 0.3)
+            np.testing.assert_allclose([b_total, b_lg, b_lp], [total, lg, lp],
+                                       rtol=1e-12)
 
     def test_triplet_count_is_the_cross_product(self):
-        _, _, train_pairs, _ = small_training_setup()
+        _, bundle, train_pairs, _ = small_training_setup()
         grouped = train_pairs.by_query()
-        batches = build_triplet_batches(train_pairs, batch_size=3)
-        got = sum(len(b.pos_index) for b in batches)
+        table = triplet_table(bundle, train_pairs)
+        got = sum(len(table.cross_indices(table.anchors[i:i + 3])[0])
+                  for i in range(0, len(table.anchors), 3))
         want = sum(sum(1 for p in plist if p.label == 1) *
                    sum(1 for p in plist if p.label == 0)
                    for plist in grouped.values())
@@ -246,8 +267,9 @@ class TestBatchLoss:
 
     def test_zero_margin_separable_batch_costs_nothing(self):
         model, bundle, train_pairs, _ = small_training_setup()
-        batch = build_triplet_batches(train_pairs, batch_size=4)[0]
-        total, lg, lp = batch_loss(model, bundle, batch, margin=-10.0)
+        table = triplet_table(bundle, train_pairs)
+        batch = table.batch(table.anchors[:4])
+        (total, lg, lp), _ = triplet_loss_and_grads(model, *batch, -10.0)
         assert total == 0.0 and lg == 0.0 and lp == 0.0
 
 
@@ -255,20 +277,20 @@ class TestGradients:
     def test_analytic_matches_central_differences(self):
         # Quick spot check; broad coverage lives in the acceptance suite.
         model, bundle, train_pairs, _ = small_training_setup(seed=3)
-        batch = build_triplet_batches(train_pairs, batch_size=3)[1]
-        (_, _, _), grads = loss_gradients(model, bundle, batch, margin=0.31)
-        from rvrank.verifier import gradients_vector
+        table = triplet_table(bundle, train_pairs)
+        batch = table.batch(table.anchors[3:6])
+        _, grads = triplet_loss_and_grads(model, *batch, 0.31)
         analytic = gradients_vector(model, grads)
 
         base = model.weights_vector()
         h = 1e-6
         numeric = np.zeros_like(base)
         for i in range(base.size):
-            for sign, slot in ((1.0, 0), (-1.0, 1)):
+            for sign in (1.0, -1.0):
                 vec = base.copy()
                 vec[i] += sign * h
                 model.load_weights_vector(vec)
-                val = batch_loss(model, bundle, batch, margin=0.31)[0]
+                val = triplet_loss(model, *batch, 0.31)[0]
                 numeric[i] += sign * val / (2 * h)
         model.load_weights_vector(base)
         err = np.linalg.norm(numeric - analytic) / max(np.linalg.norm(numeric), 1e-12)
@@ -279,21 +301,20 @@ class TestHeadSeparation:
     def test_part_score_ignores_global_weights(self):
         q, g, _ = two_record_bundle()
         model = VerifierModel.initialize((4, 3, 5), 8, 7, seed=12)
-        before = pair_score(model, q, g)
+        before = score(model, q, g)[0]
         bumped = model.copy()
         bumped.global_hidden_w = bumped.global_hidden_w + 3.7
         bumped.global_out_b = bumped.global_out_b + 1.1
-        assert pair_score(bumped, q, g) == before
+        assert score(bumped, q, g)[0] == before
 
     def test_global_score_ignores_part_weights(self):
         q, g, _ = two_record_bundle()
         model = VerifierModel.initialize((4, 3, 5), 8, 7, seed=13)
-        rep = make_pair_representation(q, g)
-        before = score_global(model, rep)
+        before = global_score(model, q, g)
         bumped = model.copy()
         bumped.part_mix_w = bumped.part_mix_w - 2.0
         bumped.out_log_gain = bumped.out_log_gain + 0.5
-        assert score_global(bumped, rep) == before
+        assert global_score(bumped, q, g) == before
 
 
 class TestContributionConsistency:
@@ -303,13 +324,13 @@ class TestContributionConsistency:
             q, g, _ = two_record_bundle(seed=200 + seed)
             model = VerifierModel.initialize((4, 3, 5), 8, 7,
                                              seed=int(rng.integers(1 << 16)))
-            s, contrib = score_part(model, make_pair_representation(q, g))
+            s, contrib = score(model, q, g)
             kstar = int(np.nanargmax(contrib))
             bumped = model.copy()
             bias = bumped.part_mix_b.copy()
             bias[kstar] += 0.25
             bumped.part_mix_b = bias
-            s2, contrib2 = score_part(bumped, make_pair_representation(q, g))
+            s2, contrib2 = score(bumped, q, g)
             np.testing.assert_allclose(contrib2[kstar], contrib[kstar] + 0.25,
                                        rtol=1e-12)
             assert s2 > s
@@ -399,9 +420,8 @@ class TestCheckpoint:
         path = tmp_path / "model.bin"
         save_model(path, model)
         back = load_model(path)
-        rep = make_pair_representation(q, g)
-        np.testing.assert_allclose(score_global(back, rep),
-                                   score_global(model, rep), atol=1e-6)
+        np.testing.assert_allclose(global_score(back, q, g),
+                                   global_score(model, q, g), atol=1e-6)
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         model = VerifierModel.initialize((4, 3, 5), 8, 7, seed=22)
@@ -423,3 +443,19 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError):
             load_model(path)
+
+    def test_oversized_header_is_rejected_before_allocating(self, tmp_path):
+        # A header-only file declaring D=4000, Hg=4000: the weights it
+        # promises would take 256 MB as float64.
+        path = tmp_path / "m.bin"
+        path.write_bytes(MODEL_MAGIC + struct.pack("<5I", 4000, 8, 15, 4000, 32)
+                         + struct.pack("<q2d2IdI", 0, 0.3, 3.5e-4, 80, 16, 0.1, 0))
+        assert path.stat().st_size == 68
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="payload"):
+                load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"peak {peak} bytes"
