@@ -238,7 +238,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     query = bundle.resolve(args.query_role, args.query_index)
     gallery = bundle.splits[args.gallery_role]
-    lists = top_candidates([query], gallery, args.limit, metric=args.metric)
+    lists = top_candidates(bundle.splits[args.query_role][query.index:query.index + 1],
+                           gallery, args.limit, metric=args.metric)
     print(f"query {args.query_role}:{query.index} identity={query.identity} "
           f"cloth={query.cloth}")
     print("rank,gallery_index,label,score,head,best_part")
@@ -249,7 +250,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     contribs = part_contributions(model, px, present)
     rows = zip(entries, scores, contribs, present.any(axis=1))
     for rank, (entry, score, contrib, has_parts) in enumerate(rows, start=1):
-        label = int(gallery[entry.gallery_index].identity == query.identity)
+        label = int(gallery.identity[entry.gallery_index] == query.identity)
         if has_parts:
             best = int(np.nanargmax(contrib))
             print(f"{rank},{entry.gallery_index},{label},{score:.6f},part,{best}")

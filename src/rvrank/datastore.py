@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, TypeVar
 
@@ -71,31 +71,54 @@ class Violation:
         return f"[{self.role}:{self.index}] {self.field}: {self.message}"
 
 
+@dataclass(frozen=True, eq=False)
+class Split:
+    """One role's images as columns; row ``i`` is the image with index ``i``.
+
+    ``identity``, ``cloth`` and ``camera`` are (n,) int64, ``features`` is
+    (n, D) f32, ``present`` (n, K) bool and ``vectors`` (n, K, Dp) f32.
+    ``split[i]`` is the :class:`ImageRecord` view of row ``i``, built once:
+    every access returns the same object.  ``split[a:b]`` is a new Split of
+    those rows, indexed from 0.
+    """
+
+    identity: np.ndarray
+    cloth: np.ndarray
+    camera: np.ndarray
+    features: np.ndarray
+    present: np.ndarray
+    vectors: np.ndarray
+    _records: list = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_records", [None] * len(self.identity))
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Split(self.identity[i], self.cloth[i], self.camera[i],
+                         self.features[i], self.present[i], self.vectors[i])
+        i = range(len(self))[i]
+        rec = self._records[i]
+        if rec is None:
+            rec = self._records[i] = ImageRecord(
+                i, int(self.identity[i]), int(self.cloth[i]), int(self.camera[i]),
+                self.features[i], self.present[i], self.vectors[i])
+        return rec
+
+
 @dataclass
 class DatasetBundle:
     """All five splits of a dataset plus the shared dimensions (D, Dp, K)."""
 
-    splits: dict[str, list[ImageRecord]]
+    splits: dict[str, Split]
     dims: tuple[int, int, int]
 
     @property
     def feature_dim(self) -> int:
         return self.dims[0]
-
-    @property
-    def part_dim(self) -> int:
-        return self.dims[1]
-
-    @property
-    def part_count(self) -> int:
-        return self.dims[2]
-
-    def records(self) -> list[ImageRecord]:
-        """All records in canonical (role, index) order."""
-        out: list[ImageRecord] = []
-        for role in ROLES:
-            out.extend(self.splits.get(role, []))
-        return out
 
     def resolve(self, role: str, index: int) -> ImageRecord:
         """Look up one record by (role, index); raises KeyError if missing."""
@@ -150,29 +173,33 @@ def read_csv(path: str | Path, header: tuple[str, ...],
 
 def _parse_metadata_row(raw: list[str]) -> tuple[int, str, int, int, int]:
     index_s, role, identity_s, cloth_s, camera_s = raw
-    if role not in _ROLE_RANK:
-        raise ValueError(f"unknown role token {role!r} "
-                         f"(expected one of {', '.join(ROLES)})")
     return int(index_s), role, int(identity_s), int(cloth_s), int(camera_s)
 
 
-def _check_metadata_order(path: Path, rows: list[tuple[int, str, int, int, int]]) -> None:
+def _check_metadata_order(source: str | Path,
+                          rows: list[tuple[int, str, int, int, int]]) -> dict[str, int]:
+    """Check that rows are sorted by role, then index, with dense indices;
+    returns the number of rows per role."""
     counts: dict[str, int] = {role: 0 for role in ROLES}
     prev_key = (-1, -1)
     for row_no, (index, role, _, _, _) in enumerate(rows):
+        if role not in _ROLE_RANK:
+            raise BundleFormatError(f"{source}: row {row_no}: unknown role token "
+                                    f"{role!r} (expected one of {', '.join(ROLES)})")
         key = (_ROLE_RANK[role], index)
         if key <= prev_key:
             raise BundleFormatError(
-                f"{path}: row {row_no} ({role}:{index}) out of order; rows must be "
+                f"{source}: row {row_no} ({role}:{index}) out of order; rows must be "
                 "sorted by role (T, VQ, VG, Q, G) then index"
             )
         if index != counts[role]:
             raise BundleFormatError(
-                f"{path}: row {row_no}: role {role} expected dense index "
+                f"{source}: row {row_no}: role {role} expected dense index "
                 f"{counts[role]}, got {index}"
             )
         counts[role] += 1
         prev_key = key
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +262,13 @@ def read_parts_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
             )
         n, k, dp = struct.unpack("<III", _read_exact(fh, 12, path, "header"))
         payload = fh.read()
-    record = np.dtype([("flag", "u1"), ("vec", "<f4", (dp,))])
-    expected = n * k * record.itemsize
+    expected = n * k * (1 + 4 * dp)
     if len(payload) != expected:
         raise BundleFormatError(
             f"{path}: payload length mismatch: header declares {n}x{k} parts of "
             f"dim {dp} ({expected} bytes), file holds {len(payload)} bytes"
         )
+    record = np.dtype([("flag", "u1"), ("vec", "<f4", (dp,))])
     raw = np.frombuffer(payload, dtype=record).reshape(n, k)
     flags = raw["flag"]
     bad = np.argwhere(flags > 1)
@@ -301,7 +328,7 @@ def load_bundle(
     feature_path = Path(feature_path)
     rows = list(read_csv(metadata_path, METADATA_HEADER, _parse_metadata_row,
                          BundleFormatError))
-    _check_metadata_order(metadata_path, rows)
+    counts = _check_metadata_order(metadata_path, rows)
 
     features = read_feature_file(feature_path)
     if features.shape[0] != len(rows):
@@ -333,76 +360,59 @@ def load_bundle(
                 f"{parts_path}: non-finite value in record {int(i)} part {int(j)} "
                 f"(metadata {rows[int(i)][1]}:{rows[int(i)][0]})"
             )
-        k, dp = present.shape[1], vectors.shape[2]
     else:
-        k, dp = DEFAULT_PART_COUNT, 0
-        present = np.zeros((len(rows), k), dtype=bool)
-        vectors = np.zeros((len(rows), k, dp), dtype="<f4")
+        present = vectors = None
 
-    dims = (features.shape[1], dp, k)
-    if expected_dims is not None and tuple(expected_dims) != dims:
+    bundle = _assemble(rows, counts, features, present, vectors)
+    if expected_dims is not None and tuple(expected_dims) != bundle.dims:
         raise BundleFormatError(
             f"dimension mismatch: expected (D, Dp, K) = {tuple(expected_dims)}, "
-            f"files hold {dims}"
+            f"files hold {bundle.dims}"
         )
+    return bundle
 
-    return _assemble(rows, features, present, vectors)
 
-
-def _assemble(rows: list[tuple[int, str, int, int, int]], features: np.ndarray,
-              present: np.ndarray, vectors: np.ndarray) -> DatasetBundle:
-    """One record per metadata row, viewing row ``row_no`` of each array;
-    every split sorted by index."""
-    splits: dict[str, list[ImageRecord]] = {role: [] for role in ROLES}
-    for row_no, (index, role, identity, cloth, camera) in enumerate(rows):
-        if role not in _ROLE_RANK:
-            raise ValueError(f"row {row_no}: unknown role token {role!r}")
-        splits[role].append(ImageRecord(index, identity, cloth, camera,
-                                        features[row_no], present[row_no],
-                                        vectors[row_no]))
-    for split in splits.values():
-        split.sort(key=lambda rec: rec.index)
+def _assemble(rows: list[tuple[int, str, int, int, int]], counts: dict[str, int],
+              features: np.ndarray, present: np.ndarray | None,
+              vectors: np.ndarray | None) -> DatasetBundle:
+    """Slice the arrays of role-ordered rows (see :func:`_check_metadata_order`)
+    into one :class:`Split` per role; without part arrays every image gets
+    ``DEFAULT_PART_COUNT`` absent slots of dimension zero."""
+    if present is None:
+        present = np.zeros((len(rows), DEFAULT_PART_COUNT), dtype=bool)
+        vectors = np.zeros((len(rows), DEFAULT_PART_COUNT, 0), dtype=np.float32)
+    labels = np.array([row[2:] for row in rows], dtype=np.int64).reshape(-1, 3).T.copy()
+    splits: dict[str, Split] = {}
+    start = 0
+    for role in ROLES:
+        part = slice(start, start + counts[role])
+        splits[role] = Split(labels[0, part], labels[1, part], labels[2, part],
+                             features[part], present[part], vectors[part])
+        start = part.stop
     return DatasetBundle(splits=splits,
                          dims=(features.shape[1], vectors.shape[2], present.shape[1]))
 
 
 def validate_bundle(bundle: DatasetBundle) -> list[Violation]:
-    """Check bundle invariants; returns one :class:`Violation` per failure.
+    """Check what a bundle's arrays do not guarantee; returns one
+    :class:`Violation` per failure, in (role, index) order.
 
-    Covers: negative identity/cloth/camera labels, non-dense or unsorted
-    indices, feature/part shapes that disagree with ``bundle.dims``, and
-    non-finite values in the global feature or a present part.
+    Covers negative identity/cloth/camera labels and non-finite values in
+    the global feature or a present part.
     """
     out: list[Violation] = []
-    d, dp, k = bundle.dims
     for role in ROLES:
-        for pos, rec in enumerate(bundle.splits.get(role, [])):
-            if rec.index != pos:
-                out.append(Violation(role, rec.index, "index",
-                                     f"expected dense index {pos}"))
-            for field in ("identity", "cloth", "camera"):
-                if getattr(rec, field) < 0:
-                    out.append(Violation(role, rec.index, field,
-                                         f"negative value {getattr(rec, field)}"))
-            gf = np.asarray(rec.global_feature)
-            if gf.shape != (d,):
-                out.append(Violation(role, rec.index, "global_feature",
-                                     f"shape {gf.shape} != ({d},)"))
-            elif not np.isfinite(gf).all():
-                out.append(Violation(role, rec.index, "global_feature",
-                                     "non-finite value"))
-            present = np.asarray(rec.part_present)
-            vectors = np.asarray(rec.part_vectors)
-            if present.shape != (k,):
-                out.append(Violation(role, rec.index, "part_present",
-                                     f"{len(present)} slots, dims declare K={k}"))
-            elif vectors.shape != (k, dp):
-                out.append(Violation(role, rec.index, "part_vectors",
-                                     f"shape {vectors.shape} != ({k}, {dp})"))
-            else:
-                for j in np.flatnonzero(present & ~np.isfinite(vectors).all(axis=1)):
-                    out.append(Violation(role, rec.index, "part_vectors",
-                                         f"part {j} non-finite value"))
+        split = bundle.splits[role]
+        for name in ("identity", "cloth", "camera"):
+            column = getattr(split, name)
+            out.extend(Violation(role, int(i), name, f"negative value {column[i]}")
+                       for i in np.flatnonzero(column < 0))
+        out.extend(Violation(role, int(i), "global_feature", "non-finite value")
+                   for i in np.flatnonzero(~np.isfinite(split.features).all(axis=1)))
+        bad_parts = split.present & ~np.isfinite(split.vectors).all(axis=2)
+        out.extend(Violation(role, int(i), "part_vectors", f"part {j} non-finite value")
+                   for i, j in np.argwhere(bad_parts))
+    out.sort(key=lambda v: (_ROLE_RANK[v.role], v.index))
     return out
 
 
@@ -420,26 +430,20 @@ def write_bundle(
     ``config_comment`` (if given) is emitted as a leading ``#`` line of the
     metadata CSV.
     """
-    records = bundle.records()
-    d, dp, k = bundle.dims
+    splits = [bundle.splits[role] for role in ROLES]
     with open(metadata_path, "w", newline="") as fh:
         if config_comment is not None:
             fh.write(f"# {config_comment}\n")
         fh.write(",".join(METADATA_HEADER) + "\n")
-        for role in ROLES:
-            for rec in bundle.splits.get(role, []):
-                fh.write(f"{rec.index},{role},{rec.identity},{rec.cloth},{rec.camera}\n")
-
-    features = np.zeros((len(records), d), dtype="<f4")
-    present = np.zeros((len(records), k), dtype=bool)
-    vectors = np.zeros((len(records), k, dp), dtype="<f4")
-    for row_no, rec in enumerate(records):
-        features[row_no] = rec.global_feature
-        present[row_no] = rec.part_present
-        vectors[row_no] = rec.part_vectors
-    write_feature_file(feature_path, features)
+        for role, split in zip(ROLES, splits):
+            labels = zip(split.identity.tolist(), split.cloth.tolist(),
+                         split.camera.tolist())
+            fh.writelines(f"{i},{role},{identity},{cloth},{camera}\n"
+                          for i, (identity, cloth, camera) in enumerate(labels))
+    write_feature_file(feature_path, np.concatenate([s.features for s in splits]))
     if parts_path is not None:
-        write_parts_file(parts_path, present, vectors)
+        write_parts_file(parts_path, np.concatenate([s.present for s in splits]),
+                         np.concatenate([s.vectors for s in splits]))
 
 
 def build_bundle(
@@ -450,10 +454,14 @@ def build_bundle(
 ) -> DatasetBundle:
     """Assemble a bundle from in-memory arrays (row order = metadata order).
 
-    ``rows`` entries are (index, role, identity, cloth, camera).  Arrays are
+    ``rows`` entries are (index, role, identity, cloth, camera), ordered as
+    in a metadata file: by role (T, VQ, VG, Q, G), then dense index from 0.
+    A row out of order, with a gap or with an unknown role raises
+    :class:`BundleFormatError` naming it.  Arrays are
     cast to float32 so an assembled bundle round-trips bit-for-bit through
     :func:`write_bundle` / :func:`load_bundle`.
     """
+    counts = _check_metadata_order("rows", rows)
     features = np.asarray(features, dtype=np.float32)
     if features.shape[0] != len(rows):
         raise ValueError(f"{features.shape[0]} feature rows for {len(rows)} metadata rows")
@@ -462,11 +470,5 @@ def build_bundle(
     if present is not None:
         present = np.asarray(present, dtype=bool)
         vectors = np.asarray(vectors, dtype=np.float32)
-        k, dp = present.shape[1], vectors.shape[2]
         vectors = np.where(present[:, :, None], vectors, np.float32(0.0))
-    else:
-        k, dp = DEFAULT_PART_COUNT, 0
-        present = np.zeros((len(rows), k), dtype=bool)
-        vectors = np.zeros((len(rows), k, dp), dtype=np.float32)
-
-    return _assemble(rows, features, present, vectors)
+    return _assemble(rows, counts, features, present, vectors)

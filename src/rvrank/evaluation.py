@@ -21,8 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .datastore import DatasetBundle, read_csv
+from .datastore import DatasetBundle, Split, read_csv
 from .reranker import RankedList, RankingConfig, rerank_pipeline, window_rerank
+from .retrieval import eligible_mask
 from .verifier import prefix_scores
 
 SWEEP_HEADER = ("L", "rank1", "rank10")
@@ -95,47 +96,48 @@ def evaluate(bundle: DatasetBundle, ranked: list[RankedList], k_max: int = 10,
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    _check_one_ranking_per_query(ranked, len(bundle.splits[query_role]), query_role)
-    gallery = bundle.splits[gallery_role]
+    queries, gallery = bundle.splits[query_role], bundle.splits[gallery_role]
+    _check_one_ranking_per_query(ranked, len(queries), query_role)
+    return _score(queries, gallery, eligible_mask(queries, gallery), ranked, k_max)
+
+
+def _score(queries: Split, gallery: Split, allowed: np.ndarray,
+           ranked: list[RankedList], k_max: int) -> EvalReport:
+    """:func:`evaluate` with each query's ranking present once and its
+    eligibility mask over the gallery in ``allowed``."""
     first_hits: list[int] = []
     aps: list[float] = []
     excluded: list[int] = []
     per_query: list[QueryMetric] = []
     for rl in sorted(ranked, key=lambda r: r.query_index):
-        query = bundle.resolve(query_role, rl.query_index)
-        eligible = {rec.index for rec in gallery
-                    if not (rec.identity == query.identity
-                            and rec.cloth == query.cloth)}
-        if set(rl.order) != eligible or len(rl.order) != len(eligible):
+        qi = rl.query_index
+        eligible = np.flatnonzero(allowed[qi])
+        # Sorted, a permutation of the eligible gallery is its index list;
+        # checked before any lookup, so a bad index cannot wrap or raise.
+        if not np.array_equal(np.sort(np.array(rl.order)), eligible):
             raise ValueError(
-                f"ranking for query {rl.query_index} is not a permutation of "
-                f"its {len(eligible)} eligible gallery images"
+                f"ranking for query {qi} is not a permutation of "
+                f"its {eligible.size} eligible gallery images"
             )
-        labels = [1 if gallery[gi].identity == query.identity else 0
-                  for gi in rl.order]
-        labels_arr = np.asarray(labels, dtype=np.int64)
-        num_pos = int(labels_arr.sum())
+        labels = gallery.identity[np.asarray(rl.order, dtype=np.int64)] == queries.identity[qi]
+        num_pos = int(labels.sum())
         if num_pos == 0:
-            excluded.append(rl.query_index)
-            per_query.append(QueryMetric(rl.query_index, None, None))
+            excluded.append(qi)
+            per_query.append(QueryMetric(qi, None, None))
             continue
-        positions = np.flatnonzero(labels_arr) + 1
+        positions = np.flatnonzero(labels) + 1
         first_hit = int(positions[0])
         precisions = np.arange(1, num_pos + 1) / positions
         ap = float(precisions.mean())
         first_hits.append(first_hit)
         aps.append(ap)
-        per_query.append(QueryMetric(rl.query_index, first_hit, ap))
+        per_query.append(QueryMetric(qi, first_hit, ap))
 
     n = len(first_hits)
-    if n == 0:
-        cmc = [0.0] * k_max
-        map_score = 0.0
-    else:
-        hits = np.asarray(first_hits)
-        cmc = [float((hits <= k).mean()) for k in range(1, k_max + 1)]
-        map_score = float(np.mean(aps))
-    auc = float(np.mean(cmc)) if cmc else 0.0
+    hits = np.asarray(first_hits)
+    cmc = [float((hits <= k).mean()) if n else 0.0 for k in range(1, k_max + 1)]
+    map_score = float(np.mean(aps)) if n else 0.0
+    auc = float(np.mean(cmc))
     return EvalReport(cmc=cmc, map_score=map_score, auc=auc, num_evaluated=n,
                       excluded_queries=excluded, per_query=per_query)
 
@@ -178,19 +180,19 @@ def sweep_L(bundle: DatasetBundle, scorer, config: RankingConfig,
                            stages=("kreciprocal",) if include_kreciprocal else (),
                            candidates=candidates, metric=metric,
                            query_role=query_role, gallery_role=gallery_role)
-    gallery = bundle.splits[gallery_role]
+    queries, gallery = bundle.splits[query_role], bundle.splits[gallery_role]
     score_maps = prefix_scores(
-        scorer, bundle.dims, bundle.splits[query_role],
+        scorer, bundle.dims, queries,
         [[(gi, gallery[gi]) for gi in rl.order[:cfg.Q]] for rl in base])
 
+    allowed = eligible_mask(queries, gallery)
     rows: list[tuple[int, float, float]] = []
     for L in L_values:
         run_cfg = RankingConfig(P=cfg.P, L=int(L), Q=cfg.Q, margin=cfg.margin,
                                 k1=cfg.k1, k2=cfg.k2, lam=cfg.lam).clamped()
         ranked = [window_rerank(rl.order, sm, run_cfg.L, run_cfg.Q, rl.query_index)
                   for rl, sm in zip(base, score_maps)]
-        report = evaluate(bundle, ranked, k_max=10, query_role=query_role,
-                          gallery_role=gallery_role)
+        report = _score(queries, gallery, allowed, ranked, k_max=10)
         rows.append((int(L), report.cmc[0], report.cmc[9]))
     return rows
 

@@ -22,12 +22,12 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .datastore import DatasetBundle, ImageRecord, read_csv
-from .retrieval import CandidateList, distance_matrix, eligible_mask, stack_features
+from .retrieval import CandidateList, distance_matrix, eligible_mask, masked_order
 from .verifier import VerifierModel, prefix_scores
 
 STAGE_NAMES = ("kreciprocal", "window")
@@ -89,12 +89,7 @@ class RankedList:
 
 
 def _score_lookup(score_of) -> Callable[[int], float]:
-    if callable(score_of):
-        raw = score_of
-    elif isinstance(score_of, Mapping):
-        raw = score_of.__getitem__
-    else:
-        raw = score_of.__getitem__
+    raw = score_of if callable(score_of) else score_of.__getitem__
 
     def score(gi: int) -> float:
         try:
@@ -247,62 +242,44 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: VerifierModel | Scorer | None
     cfg = config.clamped()
     queries = bundle.splits[query_role]
     gallery = bundle.splits[gallery_role]
-    if not queries:
+    if not len(queries):
         return []
-    qf = stack_features(queries)
-    gf = stack_features(gallery)
-    base_dist = distance_matrix(qf, gf, metric)
-
-    masks = [eligible_mask(q, gallery) for q in queries]
-
-    def sort_row(row: np.ndarray, mask: np.ndarray) -> list[int]:
-        keyed = row.copy()
-        keyed[~mask] = np.inf
-        order = np.argsort(keyed, kind="stable")
-        return [int(g) for g in order[: int(mask.sum())]]
-
-    orders = [sort_row(base_dist[qi], masks[qi]) for qi in range(len(queries))]
+    base_dist = distance_matrix(queries.features, gallery.features, metric)
+    allowed = eligible_mask(queries, gallery)
+    orders = [masked_order(row, ok).tolist() for row, ok in zip(base_dist, allowed)]
 
     if candidates is not None:
         by_query = {c.query_index: c for c in candidates}
-        for query, order in zip(queries, orders):
-            cand = by_query.get(query.index)
+        for qi, order in enumerate(orders):
+            cand = by_query.get(qi)
             if cand is None:
-                raise ValueError(f"no candidate list for query {query.index}")
+                raise ValueError(f"no candidate list for query {qi}")
             got = [e.gallery_index for e in cand.entries]
             if got != order[: len(got)]:
                 raise ValueError(
-                    f"candidate list for query {query.index} does not match the "
+                    f"candidate list for query {qi} does not match the "
                     f"current retrieval ranking; rebuild the candidates"
                 )
 
-    provenance_parts: list[str] = []
-
     if "kreciprocal" in stages:
-        union = np.vstack([qf, gf])
+        # One float64 array as both operands, as in build_train_pairs.
+        union = np.vstack([queries.features, gallery.features]).astype(np.float64)
         union_dist = distance_matrix(union, union, metric)
         np.fill_diagonal(union_dist, 0.0)
         new_dist = kreciprocal_rerank(union_dist, len(queries),
                                       k1=cfg.k1, k2=cfg.k2, lam=cfg.lam)
-        orders = [sort_row(new_dist[qi], masks[qi]) for qi in range(len(queries))]
-        provenance_parts.append("kreciprocal")
+        orders = [masked_order(row, ok).tolist() for row, ok in zip(new_dist, allowed)]
 
     if "window" in stages:
-        provenance_parts.append("window")
         score_maps = prefix_scores(
             scorer, bundle.dims, queries,
             [[(gi, gallery[gi]) for gi in order[:cfg.Q]] for order in orders])
         orders = [window_rerank(order, score_of, cfg.L, cfg.Q).order
                   for order, score_of in zip(orders, score_maps)]
 
-    if len(provenance_parts) == 2:
-        provenance = "composed"
-    elif provenance_parts:
-        provenance = provenance_parts[0]
-    else:
-        provenance = "retrieval"
-    return [RankedList(q.index, order, provenance)
-            for q, order in zip(queries, orders)]
+    ran = [stage for stage in STAGE_NAMES if stage in stages]
+    provenance = "composed" if len(ran) == 2 else (ran[0] if ran else "retrieval")
+    return [RankedList(qi, order, provenance) for qi, order in enumerate(orders)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datastore import DatasetBundle, ImageRecord, read_csv
+from .datastore import DatasetBundle, Split, read_csv
 
 METRICS = ("euclidean", "cosine")
 
@@ -78,13 +78,6 @@ class PairSet:
         return out
 
 
-def stack_features(records: list[ImageRecord]) -> np.ndarray:
-    """Stack global features into an (n, D) float64 matrix."""
-    if not records:
-        return np.zeros((0, 0))
-    return np.stack([r.global_feature for r in records]).astype(np.float64)
-
-
 def distance_matrix(query_feats: np.ndarray, gallery_feats: np.ndarray,
                     metric: str = "euclidean") -> np.ndarray:
     """Exact pairwise distances, (n_query, n_gallery), float64.
@@ -108,20 +101,27 @@ def distance_matrix(query_feats: np.ndarray, gallery_feats: np.ndarray,
     raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
-def eligible_mask(query: ImageRecord, gallery: list[ImageRecord]) -> np.ndarray:
-    """Boolean mask over the gallery: True where the candidate may compete.
+def eligible_mask(queries: Split, gallery: Split) -> np.ndarray:
+    """(n_query, n_gallery) boolean mask: True where the candidate may compete.
 
     A gallery image is ineligible exactly when it shares both the identity
     and the cloth index of the query.  (Within one split this also removes
     the query itself.)
     """
-    ids = np.fromiter((r.identity for r in gallery), dtype=np.int64, count=len(gallery))
-    cloths = np.fromiter((r.cloth for r in gallery), dtype=np.int64, count=len(gallery))
-    return ~((ids == query.identity) & (cloths == query.cloth))
+    return ~((queries.identity[:, None] == gallery.identity[None, :])
+             & (queries.cloth[:, None] == gallery.cloth[None, :]))
 
 
-def top_candidates(queries: list[ImageRecord], gallery: list[ImageRecord],
-                   num_candidates: int, metric: str = "euclidean") -> list[CandidateList]:
+def masked_order(row: np.ndarray, allowed: np.ndarray,
+                 limit: int | None = None) -> np.ndarray:
+    """Indices of the entries ``allowed`` permits, by ascending ``row``
+    value with ties to the lower index; at most ``limit`` of them."""
+    order = np.argsort(row, kind="stable")
+    return order[allowed[order]][:limit]
+
+
+def top_candidates(queries: Split, gallery: Split, num_candidates: int,
+                   metric: str = "euclidean") -> list[CandidateList]:
     """Top-P eligible candidates per query, nearest first.
 
     Ties in distance break towards the lower gallery index.  Queries with
@@ -129,18 +129,16 @@ def top_candidates(queries: list[ImageRecord], gallery: list[ImageRecord],
     """
     if num_candidates < 1:
         raise ValueError(f"num_candidates must be >= 1, got {num_candidates}")
-    if not gallery:
+    if not len(gallery):
         raise ValueError("empty gallery")
-    dist = distance_matrix(stack_features(queries), stack_features(gallery), metric)
+    dist = distance_matrix(queries.features, gallery.features, metric)
+    allowed = eligible_mask(queries, gallery)
     out: list[CandidateList] = []
-    for qi, query in enumerate(queries):
-        row = dist[qi].copy()
-        mask = eligible_mask(query, gallery)
-        row[~mask] = np.inf
-        order = np.argsort(row, kind="stable")
-        keep = min(num_candidates, int(mask.sum()))
-        entries = [CandidateEntry(int(j), float(-row[j])) for j in order[:keep]]
-        out.append(CandidateList(query_index=query.index, entries=entries))
+    for qi, (row, ok) in enumerate(zip(dist, allowed)):
+        kept = masked_order(row, ok, num_candidates)
+        entries = [CandidateEntry(j, -d)
+                   for j, d in zip(kept.tolist(), row[kept].tolist())]
+        out.append(CandidateList(query_index=qi, entries=entries))
     return out
 
 
@@ -151,10 +149,10 @@ def build_eval_pairs(bundle: DatasetBundle, query_role: str, gallery_role: str,
     gallery = bundle.splits[gallery_role]
     lists = top_candidates(queries, gallery, num_candidates, metric)
     pairs: list[Pair] = []
-    for query, cand in zip(queries, lists):
+    for identity, cand in zip(queries.identity, lists):
         for rank, (gi, score) in enumerate(cand.entries, start=1):
-            label = int(gallery[gi].identity == query.identity)
-            pairs.append(Pair(query_role, query.index, rank,
+            label = int(gallery.identity[gi] == identity)
+            pairs.append(Pair(query_role, cand.query_index, rank,
                               gallery_role, gi, score, label))
     provenance = {"VQ": "valid", "Q": "test"}.get(query_role,
                                                   f"{query_role}-{gallery_role}")
@@ -172,28 +170,28 @@ def build_train_pairs(bundle: DatasetBundle, num_candidates: int = 20,
     lists their indices.
     """
     train = bundle.splits["T"]
-    feats = stack_features(train)
+    # One float64 array as both operands: numpy computes ``a @ a.T`` as a
+    # symmetric product, so dist is exactly symmetric.
+    feats = train.features.astype(np.float64)
     dist = distance_matrix(feats, feats, metric)
-    ids = np.fromiter((r.identity for r in train), dtype=np.int64, count=len(train))
-    cloths = np.fromiter((r.cloth for r in train), dtype=np.int64, count=len(train))
+    ids, cloths = train.identity, train.cloth
 
     pairs: list[Pair] = []
     dropped: list[int] = []
-    for ai, anchor in enumerate(train):
-        pos_mask = (ids == anchor.identity) & (cloths != anchor.cloth)
-        neg_mask = ids != anchor.identity
+    for ai, row in enumerate(dist):
+        same = ids == ids[ai]
+        pos_mask, neg_mask = same & (cloths != cloths[ai]), ~same
         if not pos_mask.any() or not neg_mask.any():
-            dropped.append(anchor.index)
+            dropped.append(ai)
             continue
-        row = dist[ai]
-        for mask, label in ((pos_mask, 1), (neg_mask, 0)):
-            masked = row.copy()
-            masked[~mask] = np.inf
-            order = np.argsort(masked, kind="stable")
-            keep = min(num_candidates, int(mask.sum()))
-            for rank, j in enumerate(order[:keep], start=1):
-                pairs.append(Pair("T", anchor.index, rank, "T", int(j),
-                                  float(-row[j]), label))
+        # One sort serves both lists: every candidate is a positive or a negative.
+        order = masked_order(row, pos_mask | neg_mask)
+        is_pos = pos_mask[order]
+        for kept, label in ((order[is_pos][:num_candidates], 1),
+                             (order[~is_pos][:num_candidates], 0)):
+            for rank, (j, d) in enumerate(zip(kept.tolist(), row[kept].tolist()),
+                                          start=1):
+                pairs.append(Pair("T", ai, rank, "T", j, -d, label))
     return PairSet(pairs, "train"), dropped
 
 

@@ -24,12 +24,13 @@ generator, so a config determines the bundle bit for bit.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .datastore import DatasetBundle, build_bundle
+from .datastore import ROLES, DatasetBundle, build_bundle
 
 TRAIN_FRACTION = 0.5
 VALID_FRACTION = 0.2
@@ -110,11 +111,7 @@ def generate(config: SynthConfig) -> tuple[DatasetBundle, GroundTruth]:
     d, dp, k = config.feature_dim, config.part_dim, config.part_count
     centroids = rng.normal(size=(n_groups, d))
 
-    role_rows: dict[str, list[tuple[str, int, int, int]]] = {
-        role: [] for role in ("T", "VQ", "VG", "Q", "G")}
-    role_feats: dict[str, list[np.ndarray]] = {r: [] for r in role_rows}
-    role_present: dict[str, list[np.ndarray]] = {r: [] for r in role_rows}
-    role_parts: dict[str, list[np.ndarray]] = {r: [] for r in role_rows}
+    images = []   # (role, identity, cloth, camera, feature, presence, parts)
     details = np.zeros((config.n_identities, k, dp))
 
     for identity in range(config.n_identities):
@@ -143,23 +140,17 @@ def generate(config: SynthConfig) -> tuple[DatasetBundle, GroundTruth]:
                 else:
                     role = "Q" if slot == 0 else "G"
                 camera = cloth * config.images_per_cloth + slot
-                role_rows[role].append((role, identity, cloth, camera))
-                role_feats[role].append(feat)
-                role_present[role].append(present)
-                role_parts[role].append(parts)
+                images.append((role, identity, cloth, camera, feat, present, parts))
 
-    rows: list[tuple[int, str, int, int, int]] = []
-    feats: list[np.ndarray] = []
-    present_rows: list[np.ndarray] = []
-    part_rows: list[np.ndarray] = []
-    for role in ("T", "VQ", "VG", "Q", "G"):
-        for i, (r, identity, cloth, camera) in enumerate(role_rows[role]):
-            rows.append((i, r, identity, cloth, camera))
-        feats.extend(role_feats[role])
-        present_rows.extend(role_present[role])
-        part_rows.extend(role_parts[role])
-
-    bundle = build_bundle(rows, np.stack(feats), np.stack(present_rows),
+    # Metadata order: by role, each role in generation order (a stable sort).
+    images.sort(key=lambda image: ROLES.index(image[0]))
+    index: Counter = Counter()
+    rows = []
+    for role, identity, cloth, camera, *_ in images:
+        rows.append((index[role], role, identity, cloth, camera))
+        index[role] += 1
+    *_, feat_rows, present_rows, part_rows = zip(*images)
+    bundle = build_bundle(rows, np.stack(feat_rows), np.stack(present_rows),
                           np.stack(part_rows))
     truth = GroundTruth(config=config,
                         split_of_identity=split_of_identity,

@@ -22,6 +22,7 @@ validation Rank-1 (epoch 0, the untrained model, included).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -462,32 +463,54 @@ def triplet_loss_and_grads(model: VerifierModel, gx, px, present, pos_index,
 # training
 
 
-def validation_rank1(model: VerifierModel, bundle: DatasetBundle,
-                     valid_pairs: PairSet, ranking_L: int, ranking_Q: int) -> float:
-    """Rank-1 over validation queries after re-scoring their candidate lists
-    with the verifier and applying the windowed ranking strategy.
+class ValidationSet(NamedTuple):
+    """What :func:`validation_rank1` ranks: in ``lists``, each validation
+    query with a positive as ``(index, candidates, labels)`` in rank order;
+    in ``gx``/``px``/``present``, its first ``depth`` candidates (the only
+    ones the window scores) fused once, query after query."""
 
-    Queries whose candidate list contains no positive are excluded; returns
-    0.0 if every query is excluded.
-    """
-    from .reranker import window_rerank
+    lists: list[tuple[int, list[int], list[int]]]
+    depth: int
+    gx: np.ndarray
+    px: np.ndarray
+    present: np.ndarray
 
-    views = []
+
+def validation_set(bundle: DatasetBundle, valid_pairs: PairSet,
+                   ranking_Q: int) -> ValidationSet:
+    """Group ``valid_pairs`` by query and fuse every prefix once."""
+    lists = []
+    fused = []
     for (qrole, qi), plist in valid_pairs.by_query().items():
         ordered = sorted(plist, key=lambda p: p.rank)
         if any(p.label == 1 for p in ordered):
-            views.append((bundle.resolve(qrole, qi), ordered))
-    score_maps = prefix_scores(
-        model, bundle.dims, [query for query, _ in views],
-        [[(p.cand_index, bundle.resolve(p.cand_role, p.cand_index))
-          for p in ordered[:ranking_Q]] for _, ordered in views])
+            lists.append((qi, [p.cand_index for p in ordered], [p.label for p in ordered]))
+            fused += [(bundle.resolve(qrole, qi), bundle.resolve(p.cand_role, p.cand_index))
+                      for p in ordered[:ranking_Q]]
+    return ValidationSet(lists, ranking_Q, *pair_arrays(fused, bundle.dims))
+
+
+def validation_rank1(model: VerifierModel, valid: ValidationSet,
+                     ranking_L: int) -> float:
+    """Rank-1 over validation queries after re-scoring their candidate lists
+    with the verifier and applying the windowed ranking strategy (window
+    ``ranking_L``, depth ``valid.depth``).
+
+    Returns 0.0 if no query has a positive candidate.
+    """
+    from .reranker import window_rerank
+
+    chunks = (slice(start, start + SCORE_CHUNK)
+              for start in range(0, len(valid.gx), SCORE_CHUNK))
+    scores = (s for rows in chunks for s in batch_scores(
+        model, valid.gx[rows], valid.px[rows], valid.present[rows]).tolist())
     hits = 0
-    for (query, ordered), score_of in zip(views, score_maps):
-        cand_ids = [p.cand_index for p in ordered]
-        top = window_rerank(cand_ids, score_of, ranking_L, ranking_Q,
-                            query_index=query.index).order[0]
-        hits += ordered[cand_ids.index(top)].label == 1
-    return hits / len(views) if views else 0.0
+    for qi, cand_ids, labels in valid.lists:
+        score_of = dict(zip(cand_ids[:valid.depth], scores))
+        top = window_rerank(cand_ids, score_of, ranking_L, valid.depth,
+                            query_index=qi).order[0]
+        hits += labels[cand_ids.index(top)] == 1
+    return hits / len(valid.lists) if valid.lists else 0.0
 
 
 def _learning_rate(config: TrainConfig, epoch: int) -> float:
@@ -514,8 +537,10 @@ def train(model: VerifierModel, bundle: DatasetBundle, train_pairs: PairSet,
     Returns the model and one :class:`EpochStats` row per epoch (0..epochs).
     """
     config = model.hyper
-    # Pairs fused once; per-epoch batches only re-index into the table.
+    # Pairs fused once; per-epoch batches only re-index into the table, and
+    # validation re-scores the same fused prefixes.
     table = triplet_table(bundle, train_pairs)
+    valid = validation_set(bundle, valid_pairs, ranking_Q)
     anchors = table.anchors
 
     def epoch_loss() -> tuple[float, float, float]:
@@ -528,7 +553,7 @@ def train(model: VerifierModel, bundle: DatasetBundle, train_pairs: PairSet,
 
     def record(epoch: int, losses: tuple[float, float, float]) -> None:
         nonlocal best_vec, best_key
-        rank1 = validation_rank1(model, bundle, valid_pairs, ranking_L, ranking_Q)
+        rank1 = validation_rank1(model, valid, ranking_L)
         stats = EpochStats(epoch, losses[0], losses[1], losses[2], rank1)
         history.append(stats)
         key = (-rank1, epoch)
@@ -628,15 +653,18 @@ def load_model(path: str | Path) -> VerifierModel:
     hyper = TrainConfig(margin=margin, learning_rate=lr, epochs=epochs,
                         batch_size=batch, decay_factor=decay_factor,
                         decay_epochs=tuple(milestones))
-    layout = _weight_layout((d, dp, k), hg, hp)
-    expect = sum(int(np.prod(shape)) for _, shape, _ in layout)
+    try:
+        layout = _weight_layout((d, dp, k), hg, hp)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    expect = sum(math.prod(shape) for _, shape, _ in layout)
+    if len(data) - offset != 4 * expect:
+        raise ValueError(f"{path}: weight payload holds {len(data) - offset} bytes, "
+                         f"dims require {expect} f32 values ({4 * expect} bytes)")
     payload = np.frombuffer(data, dtype="<f4", offset=offset)
-    if payload.size != expect:
-        raise ValueError(f"{path}: weight payload holds {payload.size} f32 values, "
-                         f"dims require {expect}")
     tensors = {}
     for name, shape, _ in layout:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         tensors[name] = payload[:size].astype(np.float64).reshape(shape)
         payload = payload[size:]
     return VerifierModel(dims=(d, dp, k), hidden_global=hg, hidden_part=hp,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import struct
 
 import numpy as np
@@ -12,8 +11,6 @@ from conftest import random_bundle
 from rvrank.datastore import (
     DEFAULT_PART_COUNT,
     BundleFormatError,
-    DatasetBundle,
-    ImageRecord,
     build_bundle,
     load_bundle,
     read_feature_file,
@@ -93,6 +90,122 @@ class TestSplitCounting:
         assert bundle.resolve("G", 1).identity == 7
         with pytest.raises(KeyError):
             bundle.resolve("G", 2)
+
+
+class TestSplit:
+    def test_columns_follow_the_rows_of_each_role(self):
+        feats = np.arange(8, dtype=np.float32).reshape(4, 2)
+        rows = [(0, "T", 9, 1, 2), (0, "G", 5, 0, 1), (1, "G", 6, 3, 4),
+                (2, "G", 7, 2, 0)]
+        bundle = build_bundle(rows, feats)
+        gallery = bundle.splits["G"]
+        assert gallery.identity.tolist() == [5, 6, 7]
+        assert gallery.cloth.tolist() == [0, 3, 2]
+        assert gallery.camera.tolist() == [1, 4, 0]
+        np.testing.assert_array_equal(gallery.features, feats[1:])
+        assert len(bundle.splits["VQ"]) == 0
+        assert [rec.identity for rec in gallery] == [5, 6, 7]
+
+    def test_a_row_is_the_same_record_on_every_access(self):
+        rng = np.random.default_rng(14)
+        bundle = random_bundle(rng, n_query=2, n_gallery=5)
+        gallery = bundle.splits["G"]
+        assert gallery[3] is gallery[3]
+        assert gallery[-1] is gallery[4]
+        assert list(gallery)[2] is gallery[2]
+        assert bundle.resolve("G", 1) is gallery[1]
+        with pytest.raises(IndexError):
+            gallery[5]
+
+    def test_a_record_views_its_row(self):
+        rng = np.random.default_rng(15)
+        bundle = random_bundle(rng, n_query=2, n_gallery=5, part_presence=0.5)
+        gallery = bundle.splits["G"]
+        rec = gallery[2]
+        assert (rec.index, rec.identity, rec.cloth, rec.camera) == \
+               (2, int(gallery.identity[2]), int(gallery.cloth[2]),
+                int(gallery.camera[2]))
+        np.testing.assert_array_equal(rec.global_feature, gallery.features[2])
+        np.testing.assert_array_equal(rec.part_present, gallery.present[2])
+        np.testing.assert_array_equal(rec.part_vectors, gallery.vectors[2])
+
+    def test_a_slice_is_a_split_indexed_from_zero(self):
+        rng = np.random.default_rng(16)
+        gallery = random_bundle(rng, n_query=1, n_gallery=6).splits["G"]
+        part = gallery[2:4]
+        assert len(part) == 2
+        assert part.identity.tolist() == gallery.identity[2:4].tolist()
+        assert part[0].index == 0
+        np.testing.assert_array_equal(part[1].global_feature, gallery[3].global_feature)
+        assert len(gallery[0:0]) == 0
+
+
+class TestBuildBundleOrder:
+    @pytest.mark.parametrize("rows, want", [
+        ([(0, "G", 1, 0, 0), (0, "Q", 2, 0, 0)], "row 1 .*out of order"),
+        ([(1, "G", 1, 0, 0), (0, "G", 2, 0, 0)], "row 0: role G expected dense index 0"),
+        ([(0, "G", 1, 0, 0), (2, "G", 2, 0, 0)], "row 1: role G expected dense index 1"),
+        ([(0, "G", 1, 0, 0), (0, "X", 2, 0, 0)], "row 1: unknown role token 'X'"),
+    ])
+    def test_bad_rows_are_rejected_by_row(self, rows, want):
+        with pytest.raises(BundleFormatError, match=want):
+            build_bundle(rows, np.zeros((len(rows), 2)))
+
+
+class TestReaderFuzz:
+    """Every truncation of a small RVR1/RVP1/RVM1 file, and seeded random
+    changes to the header bytes that fix its layout (magic, sizes, counts),
+    must be rejected with an error naming the file."""
+
+    @staticmethod
+    def files(tmp_path):
+        from rvrank.verifier import TrainConfig, VerifierModel, load_model, save_model
+        rng = np.random.default_rng(51)
+        feat, parts, model = (tmp_path / name for name in ("f.bin", "p.bin", "m.bin"))
+        write_feature_file(feat, rng.normal(size=(3, 4)))
+        write_parts_file(parts, rng.random((3, 2)) < 0.5, rng.normal(size=(3, 2, 3)))
+        save_model(model, VerifierModel.initialize(
+            (3, 2, 2), 3, 2, seed=5, hyper=TrainConfig(decay_epochs=(4, 9))))
+        # RVM1: magic and the five dims, then (after seed and hyperparameters)
+        # the milestone count; the other header fields take any value.
+        model_layout = [*range(24), *range(64, 68)]
+        return [(read_feature_file, feat, range(12)),
+                (read_parts_file, parts, range(16)),
+                (load_model, model, model_layout)]
+
+    @staticmethod
+    def assert_rejected(read, path, data):
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            read(path)
+        assert str(path) in str(info.value), str(info.value)
+
+    def test_every_truncation_is_rejected(self, tmp_path):
+        for read, path, _ in self.files(tmp_path):
+            data = path.read_bytes()
+            case = tmp_path / f"cut-{path.name}"
+            for n in range(len(data)):
+                self.assert_rejected(read, case, data[:n])
+
+    def test_zero_model_dims_are_rejected(self, tmp_path):
+        read, path, _ = self.files(tmp_path)[2]
+        data = path.read_bytes()
+        for offset in (4, 12):   # D and K of the RVM1 header
+            raw = bytearray(data)
+            raw[offset:offset + 4] = bytes(4)
+            self.assert_rejected(read, tmp_path / "zero.bin", bytes(raw))
+
+    def test_random_header_changes_are_rejected(self, tmp_path):
+        rng = np.random.default_rng(52)
+        for read, path, layout in self.files(tmp_path):
+            data = path.read_bytes()
+            case = tmp_path / f"flip-{path.name}"
+            for _ in range(300):
+                raw = bytearray(data)
+                for pos in rng.choice(layout, size=int(rng.integers(1, 4)),
+                                      replace=False):
+                    raw[pos] ^= int(rng.integers(1, 256))
+                self.assert_rejected(read, case, bytes(raw))
 
 
 class TestFormatErrors:
@@ -229,10 +342,11 @@ class TestMissingParts:
         write_bundle(bundle, meta, feat, None)
         loaded = load_bundle(meta, feat)
         assert loaded.dims == (bundle.feature_dim, 0, DEFAULT_PART_COUNT)
-        for rec in loaded.records():
-            assert rec.part_present.shape == (DEFAULT_PART_COUNT,)
-            assert rec.part_vectors.shape == (DEFAULT_PART_COUNT, 0)
-            assert not rec.part_present.any()
+        for role, split in loaded.splits.items():
+            n = len(bundle.splits[role])
+            assert split.present.shape == (n, DEFAULT_PART_COUNT)
+            assert split.vectors.shape == (n, DEFAULT_PART_COUNT, 0)
+            assert not split.present.any()
 
     def test_absent_vectors_are_normalized_to_zero(self, tmp_path):
         path = tmp_path / "p.bin"
@@ -252,31 +366,38 @@ class TestValidation:
         assert validate_bundle(bundle) == []
 
     def test_nan_feature_is_reported_with_role_and_index(self):
-        rng = np.random.default_rng(42)
-        bundle = random_bundle(rng, n_gallery=9)
-        rec = bundle.splits["G"][7]
-        bad = rec.global_feature.copy()
-        bad[0] = np.nan
-        bundle.splits["G"][7] = dataclasses.replace(rec, global_feature=bad)
+        feats = np.zeros((10, 2), dtype=np.float32)
+        feats[1 + 7, 0] = np.nan   # row 0 is the query
+        rows = [(0, "Q", 1, 0, 0)] + [(i, "G", 2, 0, 0) for i in range(9)]
+        violations = validate_bundle(build_bundle(rows, feats))
+        assert [(v.role, v.index, v.field) for v in violations] == \
+               [("G", 7, "global_feature")]
+
+    def test_nan_in_a_present_part_only_is_reported(self):
+        present = np.array([[True, False], [True, True]])
+        vectors = np.zeros((2, 2, 3))
+        vectors[0, 1, 0] = np.nan   # absent slot: normalised away
+        vectors[1, 1, 2] = np.inf
+        bundle = build_bundle([(0, "G", 1, 0, 0), (1, "G", 2, 0, 0)],
+                              np.zeros((2, 2)), present, vectors)
         violations = validate_bundle(bundle)
-        assert any(v.role == "G" and v.index == 7 and v.field == "global_feature"
-                   for v in violations)
+        assert [(v.role, v.index, v.field, v.message) for v in violations] == \
+               [("G", 1, "part_vectors", "part 1 non-finite value")]
+
+    def test_violations_come_in_role_and_index_order(self):
+        feats = np.zeros((3, 2), dtype=np.float32)
+        feats[0, 0] = np.inf
+        rows = [(0, "T", 1, -1, 0), (0, "Q", -2, 0, -3), (1, "Q", 1, 0, 0)]
+        violations = validate_bundle(build_bundle(rows, feats))
+        assert [(v.role, v.index, v.field) for v in violations] == [
+            ("T", 0, "cloth"), ("T", 0, "global_feature"),
+            ("Q", 0, "identity"), ("Q", 0, "camera")]
 
     def test_negative_identity_is_reported(self):
         feats = np.zeros((1, 2), dtype=np.float32)
         bundle = build_bundle([(0, "G", -3, 0, 0)], feats)
         violations = validate_bundle(bundle)
         assert any(v.field == "identity" for v in violations)
-
-    def test_inconsistent_part_count_names_dims(self):
-        rng = np.random.default_rng(43)
-        bundle = random_bundle(rng, dims=(4, 3, 5))
-        rec = bundle.splits["G"][0]
-        bundle.splits["G"][0] = dataclasses.replace(
-            rec, part_present=rec.part_present[:3],
-            part_vectors=rec.part_vectors[:3])
-        violations = validate_bundle(bundle)
-        assert any("dims" in str(v) for v in violations)
 
     def test_violation_string_mentions_location(self):
         feats = np.zeros((1, 2), dtype=np.float32)

@@ -17,7 +17,7 @@ from rvrank.evaluation import (
     write_sweep_csv,
 )
 from rvrank.reranker import RankedList, RankingConfig, rerank_pipeline
-from rvrank.retrieval import distance_matrix, stack_features
+from rvrank.retrieval import distance_matrix
 
 
 def labelled_instance(identities, query_identity=1):
@@ -110,13 +110,18 @@ class TestPermutationStrictness:
             evaluate(self.bundle, [RankedList(0, [0, 1], "retrieval")])
 
     def test_ineligible_entry_raises(self):
-        bundle = labelled_instance([1, 0, 0], query_identity=1)
         # gallery 0 shares identity and cloth with the query: ineligible
-        rec = bundle.splits["G"][0]
-        import dataclasses
-        bundle.splits["G"][0] = dataclasses.replace(rec, cloth=0)
+        rows = [(0, "Q", 1, 0, 0), (0, "G", 1, 0, 1), (1, "G", 0, 1, 1),
+                (2, "G", 0, 1, 1)]
+        bundle = build_bundle(rows, np.zeros((4, 2), dtype=np.float32))
         with pytest.raises(ValueError, match="permutation"):
             evaluate(bundle, [RankedList(0, [0, 1, 2], "retrieval")])
+
+    @pytest.mark.parametrize("order", [[-1, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 2**70]])
+    def test_out_of_range_entry_raises(self, order):
+        # -1 and 4 would gather real labels if looked up before the check.
+        with pytest.raises(ValueError, match="query 0 is not a permutation"):
+            evaluate(self.bundle, [RankedList(0, order, "retrieval")])
 
     def test_bad_k_max_raises(self):
         with pytest.raises(ValueError, match="k_max"):
@@ -208,8 +213,8 @@ class TestSweep:
         # grows, so rank-1 should be non-decreasing in L here.
         rng = np.random.default_rng(60)
         bundle = random_bundle(rng, n_query=6, n_gallery=24, n_identities=5)
-        dist = distance_matrix(stack_features(bundle.splits["Q"]),
-                               stack_features(bundle.splits["G"]))
+        dist = distance_matrix(bundle.splits["Q"].features,
+                               bundle.splits["G"].features)
 
         def scorer(query, cand):
             same = bundle.splits["G"][cand.index].identity == query.identity

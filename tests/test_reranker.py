@@ -383,6 +383,30 @@ class TestPipeline:
                                            oracle_scores(model, query, cand)[0],
                                            rtol=1e-12)
 
+    def test_pair_arrays_sees_the_same_records_on_every_run(self, monkeypatch):
+        # Distinct pairs are counted by record identity, so a row must map
+        # to one record object for the bundle's lifetime.
+        rng = np.random.default_rng(37)
+        bundle = random_bundle(rng, n_query=3, n_gallery=9)
+        model = VerifierModel.initialize(bundle.dims, 6, 6, seed=8)
+        seen = []
+        real = verifier.pair_arrays
+
+        def spy(pairs, dims):
+            seen.append(pairs)
+            return real(pairs, dims)
+
+        monkeypatch.setattr(verifier, "pair_arrays", spy)
+        runs = []
+        for _ in range(2):
+            seen.clear()
+            rerank_pipeline(bundle, model, RankingConfig(P=9, L=2, Q=4),
+                            stages=("window",))
+            runs.append([(id(q), id(g)) for pairs in seen for q, g in pairs])
+        assert runs[0] == runs[1] and runs[0]
+        records = {id(rec) for role in ("Q", "G") for rec in bundle.splits[role]}
+        assert {i for pair in runs[0] for i in pair} <= records
+
     def test_model_failure_names_the_query(self):
         rng = np.random.default_rng(36)
         bundle = random_bundle(rng, n_query=3, n_gallery=8)

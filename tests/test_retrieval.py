@@ -17,8 +17,8 @@ from rvrank.retrieval import (
     candidates_from_pairs,
     distance_matrix,
     eligible_mask,
+    masked_order,
     read_pairs_csv,
-    stack_features,
     top_candidates,
     write_pairs_csv,
 )
@@ -79,10 +79,10 @@ class TestEligibility:
                 (1, "G", 1, 1, 2),   # same identity, new cloth: in
                 (2, "G", 2, 0, 3)]   # different identity: in
         bundle = build_bundle(rows, feats)
-        query = bundle.splits["Q"][0]
+        queries = bundle.splits["Q"]
         gallery = bundle.splits["G"]
-        assert eligible_mask(query, gallery).tolist() == [False, True, True]
-        lists = top_candidates([query], gallery, 20)
+        assert eligible_mask(queries, gallery).tolist() == [[False, True, True]]
+        lists = top_candidates(queries, gallery, 20)
         assert len(lists[0].entries) == 2
         assert {e.gallery_index for e in lists[0].entries} == {1, 2}
 
@@ -91,7 +91,7 @@ class TestEligibility:
         for _ in range(30):
             bundle = random_bundle(rng, n_query=3, n_gallery=10)
             queries, gallery = bundle.splits["Q"], bundle.splits["G"]
-            dist = distance_matrix(stack_features(queries), stack_features(gallery))
+            dist = distance_matrix(queries.features, gallery.features)
             lists = top_candidates(queries, gallery, 1)
             for qi, query in enumerate(queries):
                 best, best_j = None, None
@@ -106,7 +106,7 @@ class TestEligibility:
         rng = np.random.default_rng(18)
         bundle = random_bundle(rng, n_query=2, n_gallery=8)
         queries, gallery = bundle.splits["Q"], bundle.splits["G"]
-        dist = distance_matrix(stack_features(queries), stack_features(gallery))
+        dist = distance_matrix(queries.features, gallery.features)
         for qi, cand in enumerate(top_candidates(queries, gallery, 5)):
             scores = [e.score for e in cand.entries]
             assert scores == sorted(scores, reverse=True)
@@ -122,11 +122,26 @@ class TestEligibility:
         lists = top_candidates(bundle.splits["Q"], bundle.splits["G"], 3)
         assert [e.gallery_index for e in lists[0].entries] == [0, 1, 2]
 
+    def test_masked_order_matches_a_masked_full_sort(self):
+        # The reference: masked entries set to inf, one stable sort, cut at
+        # min(limit, allowed); rounded rows make ties frequent.
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            n = int(rng.integers(1, 15))
+            row = np.round(rng.random(n), 1)
+            allowed = rng.random(n) < 0.7
+            limit = int(rng.integers(1, n + 2))
+            keyed = np.where(allowed, row, np.inf)
+            want = np.argsort(keyed, kind="stable")[:min(limit, int(allowed.sum()))]
+            assert masked_order(row, allowed, limit).tolist() == want.tolist()
+            assert masked_order(row, allowed).tolist() == \
+                   np.argsort(keyed, kind="stable")[:int(allowed.sum())].tolist()
+
     def test_empty_gallery_raises(self):
         feats = np.zeros((1, 2), dtype=np.float32)
         bundle = build_bundle([(0, "Q", 1, 0, 0)], feats)
         with pytest.raises(ValueError, match="empty gallery"):
-            top_candidates(bundle.splits["Q"], [], 5)
+            top_candidates(bundle.splits["Q"], bundle.splits["G"], 5)
 
 
 class TestEvalPairs:
@@ -157,8 +172,8 @@ class TestEvalPairs:
         bundle = random_bundle(rng, n_query=2, n_gallery=6)
         bundle.splits["VQ"] = bundle.splits.pop("Q")
         bundle.splits["VG"] = bundle.splits.pop("G")
-        bundle.splits["Q"] = []
-        bundle.splits["G"] = []
+        bundle.splits["Q"] = bundle.splits["VQ"][0:0]
+        bundle.splits["G"] = bundle.splits["VG"][0:0]
         pair_set = build_eval_pairs(bundle, "VQ", "VG")
         assert pair_set.provenance == "valid"
 
@@ -198,16 +213,21 @@ class TestTrainPairs:
         rng = np.random.default_rng(38)
         bundle = train_bundle(rng, n_identities=5, n_cloths=3, images_per_cloth=2)
         train = bundle.splits["T"]
-        dist = distance_matrix(stack_features(train), stack_features(train))
+        dist = distance_matrix(train.features, train.features)
         pair_set, _ = build_train_pairs(bundle, num_candidates=3)
         for (_, ai), plist in pair_set.by_query().items():
             anchor = train[ai]
-            negs = sorted(p.cand_index for p in plist if p.label == 0)
-            want = sorted(
-                sorted((j for j in range(len(train))
-                        if train[j].identity != anchor.identity),
-                       key=lambda j: (dist[ai, j], j))[:3])
+            negs = [p.cand_index for p in plist if p.label == 0]
+            want = sorted((j for j in range(len(train))
+                           if train[j].identity != anchor.identity),
+                          key=lambda j: (dist[ai, j], j))[:3]
             assert negs == want
+            poss = [p.cand_index for p in plist if p.label == 1]
+            want = sorted((j for j in range(len(train))
+                           if train[j].identity == anchor.identity
+                           and train[j].cloth != anchor.cloth),
+                          key=lambda j: (dist[ai, j], j))[:3]
+            assert poss == want
 
     def test_single_cloth_anchor_is_dropped_and_reported(self):
         # identity 0 has one cloth only: no valid positives anywhere

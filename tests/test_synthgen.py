@@ -70,20 +70,21 @@ class TestStructure:
     def test_part_dropout_rate_is_respected(self):
         cfg = SynthConfig(n_identities=20, part_dropout=0.4, seed=7)
         bundle, _ = generate(cfg)
-        rate = np.mean([r.part_present for r in bundle.records()])
+        rate = np.mean(np.concatenate([s.present for s in bundle.splits.values()]))
         assert abs(rate - 0.6) < 0.05
         full, _ = generate(SynthConfig(n_identities=8, part_dropout=0.0, seed=8))
-        assert all(r.part_present.all() for r in full.records())
+        assert all(s.present.all() for s in full.splits.values())
 
 
 class TestDeterminism:
     def test_same_seed_is_identical_in_memory(self):
         a, _ = generate(SynthConfig(n_identities=9, seed=11))
         b, _ = generate(SynthConfig(n_identities=9, seed=11))
-        for ra, rb in zip(a.records(), b.records()):
-            np.testing.assert_array_equal(ra.global_feature, rb.global_feature)
-            np.testing.assert_array_equal(ra.part_present, rb.part_present)
-            np.testing.assert_array_equal(ra.part_vectors, rb.part_vectors)
+        for role, sa in a.splits.items():
+            sb = b.splits[role]
+            np.testing.assert_array_equal(sa.features, sb.features)
+            np.testing.assert_array_equal(sa.present, sb.present)
+            np.testing.assert_array_equal(sa.vectors, sb.vectors)
 
     def test_same_seed_is_byte_identical_on_disk(self, tmp_path):
         for sub in ("a", "b"):
@@ -99,8 +100,8 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         a, _ = generate(SynthConfig(n_identities=9, seed=13))
         b, _ = generate(SynthConfig(n_identities=9, seed=14))
-        assert any(not np.array_equal(ra.global_feature, rb.global_feature)
-                   for ra, rb in zip(a.records(), b.records()))
+        assert any(not np.array_equal(a.splits[role].features, b.splits[role].features)
+                   for role in a.splits)
 
 
 class TestGroundTruthFile:

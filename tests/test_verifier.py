@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_fuse, oracle_scores
+from rvrank import verifier
 from rvrank.datastore import build_bundle
 from rvrank.retrieval import build_eval_pairs, build_train_pairs
 from rvrank.synthgen import SynthConfig, generate
@@ -29,6 +30,7 @@ from rvrank.verifier import (
     triplet_loss_and_grads,
     triplet_table,
     validation_rank1,
+    validation_set,
     write_history_csv,
 )
 
@@ -360,8 +362,46 @@ class TestTraining:
             seed=2, epochs=3, learning_rate=5e-3)
         trained, history = train(model, bundle, train_pairs, valid_pairs)
         best = max(h.valid_rank1 for h in history)
-        got = validation_rank1(trained, bundle, valid_pairs, 10, 20)
+        got = validation_rank1(trained, validation_set(bundle, valid_pairs, 20), 10)
         np.testing.assert_allclose(got, best, rtol=1e-12)
+
+    def test_validation_rank1_matches_a_per_query_reference(self):
+        from rvrank.reranker import window_rerank
+        model, bundle, _, valid_pairs = small_training_setup(seed=3)
+        L, Q = 2, 4
+        hits = total = 0
+        for (role, qi), plist in valid_pairs.by_query().items():
+            ordered = sorted(plist, key=lambda p: p.rank)
+            if not any(p.label == 1 for p in ordered):
+                continue
+            query = bundle.resolve(role, qi)
+            scores = {p.cand_index: oracle_scores(
+                model, query, bundle.resolve(p.cand_role, p.cand_index))[0]
+                for p in ordered[:Q]}
+            top = window_rerank([p.cand_index for p in ordered], scores, L, Q).order[0]
+            hits += next(p.label for p in ordered if p.cand_index == top)
+            total += 1
+        assert total > 0
+        got = validation_rank1(model, validation_set(bundle, valid_pairs, Q), L)
+        assert got == hits / total
+
+    def test_pairs_are_fused_once_per_train_call(self, monkeypatch):
+        model, bundle, train_pairs, valid_pairs = small_training_setup(epochs=3)
+        fused = []
+
+        def spy(pairs, dims):
+            fused.append(len(pairs))
+            return pair_arrays(pairs, dims)
+
+        monkeypatch.setattr(verifier, "pair_arrays", spy)
+        validated = []
+        real_validation = verifier.validation_rank1
+        monkeypatch.setattr(verifier, "validation_rank1",
+                            lambda *a: validated.append(1) or real_validation(*a))
+        train(model, bundle, train_pairs, valid_pairs)
+        # the triplet table, then the validation prefixes; one validation per epoch
+        assert len(fused) == 2
+        assert len(validated) == 4
 
     def test_learning_rate_decays_after_milestones(self):
         from rvrank.verifier import _learning_rate
@@ -383,10 +423,9 @@ class TestTraining:
         model, bundle, train_pairs, valid_pairs = small_training_setup(
             epochs=2, learning_rate=1e-3)
         with np.errstate(over="ignore", invalid="ignore"):
-            for rec in bundle.records():
-                rec.global_feature[:] = np.array(
-                    [1e308, -1e308] * (len(rec.global_feature) // 2),
-                    dtype=np.float32)
+            for split in bundle.splits.values():
+                split.features[:] = np.array(
+                    [1e308, -1e308] * (bundle.feature_dim // 2), dtype=np.float32)
             with pytest.raises(RuntimeError, match="epoch"):
                 train(model, bundle, train_pairs, valid_pairs)
 
