@@ -187,7 +187,7 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     candidates = None
     if args.candidates is not None:
         candidates = candidates_from_pairs(read_pairs_csv(args.candidates))
-    config = RankingConfig(P=args.P, L=args.L, Q=args.Q, margin=args.margin,
+    config = RankingConfig(P=args.P, L=args.L, Q=args.Q,
                            k1=args.k1, k2=args.k2, lam=args.lam)
     ranked = rerank_pipeline(bundle, scorer, config, stages=stages,
                              candidates=candidates, metric=args.metric,
@@ -238,26 +238,26 @@ def cmd_explain(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     query = bundle.resolve(args.query_role, args.query_index)
     gallery = bundle.splits[args.gallery_role]
-    lists = top_candidates(bundle.splits[args.query_role][query.index:query.index + 1],
-                           gallery, args.limit, metric=args.metric)
+    [(indices, _)] = top_candidates(
+        bundle.splits[args.query_role][query.index:query.index + 1],
+        gallery, args.limit, metric=args.metric)
     print(f"query {args.query_role}:{query.index} identity={query.identity} "
           f"cloth={query.cloth}")
     print("rank,gallery_index,label,score,head,best_part")
-    entries = lists[0].entries
     gx, px, present = pair_arrays(
-        [(query, gallery[e.gallery_index]) for e in entries], bundle.dims)
+        [(query, gallery[gi]) for gi in indices.tolist()], bundle.dims)
     scores = batch_scores(model, gx, px, present)
     contribs = part_contributions(model, px, present)
-    rows = zip(entries, scores, contribs, present.any(axis=1))
-    for rank, (entry, score, contrib, has_parts) in enumerate(rows, start=1):
-        label = int(gallery.identity[entry.gallery_index] == query.identity)
+    labels = (gallery.identity[indices] == query.identity).astype(int)
+    rows = zip(indices.tolist(), labels.tolist(), scores, contribs, present.any(axis=1))
+    for rank, (gi, label, score, contrib, has_parts) in enumerate(rows, start=1):
         if has_parts:
             best = int(np.nanargmax(contrib))
-            print(f"{rank},{entry.gallery_index},{label},{score:.6f},part,{best}")
+            print(f"{rank},{gi},{label},{score:.6f},part,{best}")
             cells = ["-" if np.isnan(c) else f"{c:.4f}" for c in contrib]
             print("  parts: " + " ".join(cells))
         else:
-            print(f"{rank},{entry.gallery_index},{label},{score:.6f},global,-")
+            print(f"{rank},{gi},{label},{score:.6f},global,-")
     return 0
 
 
@@ -336,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--P", type=int, default=20)
     p.add_argument("--L", type=int, default=10)
     p.add_argument("--Q", type=int, default=20)
-    p.add_argument("--margin", type=float, default=0.3)
     p.add_argument("--k1", type=int, default=20)
     p.add_argument("--k2", type=int, default=6)
     p.add_argument("--lambda", dest="lam", type=float, default=0.3)
@@ -386,6 +385,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (BundleFormatError, ValueError, KeyError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory running {args.command!r}"
+              + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

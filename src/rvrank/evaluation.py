@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -111,15 +111,16 @@ def _score(queries: Split, gallery: Split, allowed: np.ndarray,
     per_query: list[QueryMetric] = []
     for rl in sorted(ranked, key=lambda r: r.query_index):
         qi = rl.query_index
+        order = np.asarray(rl.order)
         eligible = np.flatnonzero(allowed[qi])
         # Sorted, a permutation of the eligible gallery is its index list;
         # checked before any lookup, so a bad index cannot wrap or raise.
-        if not np.array_equal(np.sort(np.array(rl.order)), eligible):
+        if not np.array_equal(np.sort(order), eligible):
             raise ValueError(
                 f"ranking for query {qi} is not a permutation of "
                 f"its {eligible.size} eligible gallery images"
             )
-        labels = gallery.identity[np.asarray(rl.order, dtype=np.int64)] == queries.identity[qi]
+        labels = gallery.identity[order] == queries.identity[qi]
         num_pos = int(labels.sum())
         if num_pos == 0:
             excluded.append(qi)
@@ -181,17 +182,15 @@ def sweep_L(bundle: DatasetBundle, scorer, config: RankingConfig,
                            candidates=candidates, metric=metric,
                            query_role=query_role, gallery_role=gallery_role)
     queries, gallery = bundle.splits[query_role], bundle.splits[gallery_role]
-    score_maps = prefix_scores(
-        scorer, bundle.dims, queries,
-        [[(gi, gallery[gi]) for gi in rl.order[:cfg.Q]] for rl in base])
+    scores = prefix_scores(scorer, bundle.dims, queries, gallery,
+                           [rl.order for rl in base], cfg.Q)
 
     allowed = eligible_mask(queries, gallery)
     rows: list[tuple[int, float, float]] = []
     for L in L_values:
-        run_cfg = RankingConfig(P=cfg.P, L=int(L), Q=cfg.Q, margin=cfg.margin,
-                                k1=cfg.k1, k2=cfg.k2, lam=cfg.lam).clamped()
-        ranked = [window_rerank(rl.order, sm, run_cfg.L, run_cfg.Q, rl.query_index)
-                  for rl, sm in zip(base, score_maps)]
+        run_cfg = replace(cfg, L=int(L)).clamped()
+        ranked = [window_rerank(rl.order, s, run_cfg.L, run_cfg.Q, rl.query_index)
+                  for rl, s in zip(base, scores)]
         report = _score(queries, gallery, allowed, ranked, k_max=10)
         rows.append((int(L), report.cmc[0], report.cmc[9]))
     return rows

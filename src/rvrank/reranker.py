@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .datastore import DatasetBundle, ImageRecord, read_csv
-from .retrieval import CandidateList, distance_matrix, eligible_mask, masked_order
+from .retrieval import distance_matrix, eligible_mask, masked_order
 from .verifier import VerifierModel, prefix_scores
 
 STAGE_NAMES = ("kreciprocal", "window")
@@ -44,13 +44,12 @@ class RankingConfig:
 
     P bounds the retrieved candidate list, L is the verification window
     size, Q the re-ranked depth; k1/k2/lam parameterise k-reciprocal
-    re-ranking and margin the verifier's training hinge.
+    re-ranking.
     """
 
     P: int = 20
     L: int = 10
     Q: int = 20
-    margin: float = 0.3
     k1: int = 20
     k2: int = 6
     lam: float = 0.3
@@ -59,7 +58,7 @@ class RankingConfig:
         """Return a copy satisfying L <= Q <= P, warning on every adjustment.
 
         Values that cannot be fixed by clamping (non-positive sizes, a blend
-        outside [0, 1], a negative margin) raise ValueError.
+        outside [0, 1]) raise ValueError.
         """
         if self.P < 1 or self.L < 1 or self.Q < 1:
             raise ValueError(f"P, L and Q must be >= 1, got P={self.P} L={self.L} Q={self.Q}")
@@ -67,8 +66,6 @@ class RankingConfig:
             raise ValueError(f"k1 and k2 must be >= 1, got k1={self.k1} k2={self.k2}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
-        if self.margin < 0.0:
-            raise ValueError(f"margin must be >= 0, got {self.margin}")
         cfg = self
         if cfg.Q > cfg.P:
             warnings.warn(f"Q={cfg.Q} exceeds P={cfg.P}; clamping Q to {cfg.P}")
@@ -81,57 +78,48 @@ class RankingConfig:
 
 @dataclass
 class RankedList:
-    """Full gallery permutation for one query plus how it was produced."""
+    """Full gallery permutation for one query, as an int64 array of gallery
+    indices best first, plus how it was produced."""
 
     query_index: int
-    order: list[int]
+    order: np.ndarray
     provenance: str
 
 
-def _score_lookup(score_of) -> Callable[[int], float]:
-    raw = score_of if callable(score_of) else score_of.__getitem__
-
-    def score(gi: int) -> float:
-        try:
-            return raw(gi)
-        except (KeyError, IndexError):
-            raise ValueError(f"no score for gallery entry {gi} inside the "
-                             f"re-ranked depth") from None
-
-    return score
-
-
-def window_rerank(retrieval_order: Sequence[int], score_of, L: int, Q: int,
+def window_rerank(order: np.ndarray, scores: np.ndarray, L: int, Q: int,
                   query_index: int = -1) -> RankedList:
     """Reorder the first Q entries of a ranking with an L-wide score window.
 
-    The window starts as the first L entries.  Each step emits the
-    highest-scoring entry (ties fall to the better retrieval rank) and pulls
-    the next entry after position L into the window, until ranks 1..Q are
-    re-emitted.  Entries beyond Q keep their retrieval order.  ``score_of``
-    may be a mapping, a sequence indexed by gallery index, or a callable.
+    ``scores[i]`` scores ``order[i]`` for each of the first ``min(Q,
+    len(order))`` positions; any other length raises ValueError.  The window
+    starts as the first L positions.  Each step emits the highest-scoring
+    position (ties fall to the better retrieval rank) and pulls the next
+    position after L into the window, until ranks 1..Q are re-emitted.
+    Entries beyond Q keep their retrieval order.
     """
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
     if Q < L:
         raise ValueError(f"Q must be >= L, got L={L} Q={Q}")
-    order = list(retrieval_order)
+    order = np.asarray(order, dtype=np.int64)
     depth = min(Q, len(order))
-    width = min(L, depth)
-    head, tail = order[:depth], order[depth:]
-    score = _score_lookup(score_of)
-    window = head[:width]
-    supply = deque(head[width:])
-    out: list[int] = []
+    if len(scores) != depth:
+        raise ValueError(f"expected {depth} scores, one per entry of the "
+                         f"re-ranked depth, got {len(scores)}")
+    score = np.asarray(scores, dtype=np.float64).tolist()
+    window = list(range(min(L, depth)))
+    refill = len(window)
+    emitted: list[int] = []
     while window:
-        best = 0
-        for pos in range(1, len(window)):
-            if score(window[pos]) > score(window[best]):
-                best = pos
-        out.append(window.pop(best))
-        if supply:
-            window.append(supply.popleft())
-    return RankedList(query_index, out + tail, "window")
+        # max() keeps the first of equal scores: the better retrieval rank.
+        best = max(window, key=score.__getitem__)
+        window.remove(best)
+        emitted.append(best)
+        if refill < depth:
+            window.append(refill)
+            refill += 1
+    return RankedList(query_index, np.concatenate([order[emitted], order[depth:]]),
+                      "window")
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +207,7 @@ def kreciprocal_rerank(dist: np.ndarray, num_queries: int, k1: int = 20,
 def rerank_pipeline(bundle: DatasetBundle, scorer: VerifierModel | Scorer | None,
                     config: RankingConfig,
                     stages: Sequence[str] = ("kreciprocal", "window"),
-                    candidates: list[CandidateList] | None = None,
+                    candidates: dict[int, np.ndarray] | None = None,
                     metric: str = "euclidean", query_role: str = "Q",
                     gallery_role: str = "G") -> list[RankedList]:
     """Retrieve, then apply the requested ranking stages per query.
@@ -228,8 +216,9 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: VerifierModel | Scorer | None
     fixed (k-reciprocal first).  ``scorer`` may be a VerifierModel, a plain
     ``(query, candidate) -> float`` callable, or None when the window stage
     is not requested.  When ``candidates`` (a previously retrieved top-P
-    set) is supplied, it is checked against the freshly computed retrieval
-    prefix and a ValueError names the first query that disagrees.
+    set, ``{query_index: gallery indices}``) is supplied, it is checked
+    against the freshly computed retrieval prefix and a ValueError names the
+    first query that disagrees.
 
     The window stage scores exactly ``min(Q, eligible)`` candidates per
     query, through :func:`~rvrank.verifier.prefix_scores`.
@@ -246,16 +235,14 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: VerifierModel | Scorer | None
         return []
     base_dist = distance_matrix(queries.features, gallery.features, metric)
     allowed = eligible_mask(queries, gallery)
-    orders = [masked_order(row, ok).tolist() for row, ok in zip(base_dist, allowed)]
+    orders = [masked_order(row, ok) for row, ok in zip(base_dist, allowed)]
 
     if candidates is not None:
-        by_query = {c.query_index: c for c in candidates}
         for qi, order in enumerate(orders):
-            cand = by_query.get(qi)
-            if cand is None:
+            got = candidates.get(qi)
+            if got is None:
                 raise ValueError(f"no candidate list for query {qi}")
-            got = [e.gallery_index for e in cand.entries]
-            if got != order[: len(got)]:
+            if not np.array_equal(got, order[:len(got)]):
                 raise ValueError(
                     f"candidate list for query {qi} does not match the "
                     f"current retrieval ranking; rebuild the candidates"
@@ -268,14 +255,12 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: VerifierModel | Scorer | None
         np.fill_diagonal(union_dist, 0.0)
         new_dist = kreciprocal_rerank(union_dist, len(queries),
                                       k1=cfg.k1, k2=cfg.k2, lam=cfg.lam)
-        orders = [masked_order(row, ok).tolist() for row, ok in zip(new_dist, allowed)]
+        orders = [masked_order(row, ok) for row, ok in zip(new_dist, allowed)]
 
     if "window" in stages:
-        score_maps = prefix_scores(
-            scorer, bundle.dims, queries,
-            [[(gi, gallery[gi]) for gi in order[:cfg.Q]] for order in orders])
-        orders = [window_rerank(order, score_of, cfg.L, cfg.Q).order
-                  for order, score_of in zip(orders, score_maps)]
+        scores = prefix_scores(scorer, bundle.dims, queries, gallery, orders, cfg.Q)
+        orders = [window_rerank(order, s, cfg.L, cfg.Q).order
+                  for order, s in zip(orders, scores)]
 
     ran = [stage for stage in STAGE_NAMES if stage in stages]
     provenance = "composed" if len(ran) == 2 else (ran[0] if ran else "retrieval")
@@ -293,28 +278,44 @@ def write_ranked_csv(path: str | Path, ranked: list[RankedList],
             fh.write(f"# {config_comment}\n")
         fh.write(",".join(RANKED_HEADER) + "\n")
         for rl in ranked:
-            for rank, gi in enumerate(rl.order, start=1):
+            for rank, gi in enumerate(rl.order.tolist(), start=1):
                 fh.write(f"{rl.query_index},{rank},{gi},{rl.provenance}\n")
 
 
 def read_ranked_csv(path: str | Path) -> list[RankedList]:
     path = Path(path)
-    rows: dict[int, list[tuple[int, int, str]]] = {}
+    queries: list[int] = []
+    ranks: list[int] = []
+    gallery: list[int] = []
+    provenance: list[int] = []
+    codes: dict[str, int] = {}
 
-    def group(raw: list[str]) -> None:
-        rows.setdefault(int(raw[0]), []).append((int(raw[1]), int(raw[2]), raw[3]))
+    def collect(raw: list[str]) -> None:
+        queries.append(int(raw[0]))
+        ranks.append(int(raw[1]))
+        gallery.append(int(raw[2]))
+        provenance.append(codes.setdefault(raw[3], len(codes)))
 
-    # Rows are grouped as they stream past: a ranked.csv holds one row per
-    # eligible gallery image per query, too many to hold twice.
-    deque(read_csv(path, RANKED_HEADER, group), maxlen=0)
+    # Rows stream into columns: a ranked.csv holds one row per eligible
+    # gallery image per query, too many to hold as row objects.
+    deque(read_csv(path, RANKED_HEADER, collect), maxlen=0)
+    if not queries:
+        return []
+    try:
+        q, r, g = (np.array(col, dtype=np.int64) for col in (queries, ranks, gallery))
+    except OverflowError:
+        raise ValueError(f"{path}: an index or rank does not fit in int64") from None
+    by_query = np.lexsort((r, q))
+    q, c = q[by_query], np.array(provenance)[by_query]
+    starts = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
+    names = list(codes)
     out: list[RankedList] = []
-    for qi in sorted(rows):
-        entries = sorted(rows[qi])
-        ranks = [r for r, _, _ in entries]
-        if ranks != list(range(1, len(ranks) + 1)):
+    for qi, rank, order, prov in zip(q[starts].tolist(), *(
+            np.split(col, starts[1:]) for col in (r[by_query], g[by_query], c))):
+        if not np.array_equal(rank, np.arange(1, len(rank) + 1)):
             raise ValueError(f"{path}: query {qi}: ranks are not dense from 1")
-        provs = {p for _, _, p in entries}
-        if len(provs) != 1:
-            raise ValueError(f"{path}: query {qi}: mixed stage_provenance values {sorted(provs)}")
-        out.append(RankedList(qi, [g for _, g, _ in entries], provs.pop()))
+        if (prov != prov[0]).any():
+            provs = sorted({names[k] for k in prov.tolist()})
+            raise ValueError(f"{path}: query {qi}: mixed stage_provenance values {provs}")
+        out.append(RankedList(qi, order, names[prov[0]]))
     return out

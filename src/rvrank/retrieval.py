@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,19 +29,6 @@ PAIR_HEADER = ("query_role", "query_index", "rank", "cand_role", "cand_index",
                "score", "label")
 
 _COSINE_EPS = 1e-12
-
-
-class CandidateEntry(NamedTuple):
-    gallery_index: int
-    score: float
-
-
-@dataclass
-class CandidateList:
-    """Top candidates for one query, best first; ``score`` is -distance."""
-
-    query_index: int
-    entries: list[CandidateEntry]
 
 
 @dataclass(frozen=True)
@@ -121,11 +107,12 @@ def masked_order(row: np.ndarray, allowed: np.ndarray,
 
 
 def top_candidates(queries: Split, gallery: Split, num_candidates: int,
-                   metric: str = "euclidean") -> list[CandidateList]:
-    """Top-P eligible candidates per query, nearest first.
+                   metric: str = "euclidean") -> list[tuple[np.ndarray, np.ndarray]]:
+    """Top-P eligible candidates per query, nearest first, as aligned
+    ``(gallery indices, scores)`` arrays; a score is -distance.
 
     Ties in distance break towards the lower gallery index.  Queries with
-    fewer than P eligible gallery images get shorter lists.
+    fewer than P eligible gallery images get shorter arrays.
     """
     if num_candidates < 1:
         raise ValueError(f"num_candidates must be >= 1, got {num_candidates}")
@@ -133,12 +120,10 @@ def top_candidates(queries: Split, gallery: Split, num_candidates: int,
         raise ValueError("empty gallery")
     dist = distance_matrix(queries.features, gallery.features, metric)
     allowed = eligible_mask(queries, gallery)
-    out: list[CandidateList] = []
-    for qi, (row, ok) in enumerate(zip(dist, allowed)):
+    out: list[tuple[np.ndarray, np.ndarray]] = []
+    for row, ok in zip(dist, allowed):
         kept = masked_order(row, ok, num_candidates)
-        entries = [CandidateEntry(j, -d)
-                   for j, d in zip(kept.tolist(), row[kept].tolist())]
-        out.append(CandidateList(query_index=qi, entries=entries))
+        out.append((kept, -row[kept]))
     return out
 
 
@@ -149,11 +134,11 @@ def build_eval_pairs(bundle: DatasetBundle, query_role: str, gallery_role: str,
     gallery = bundle.splits[gallery_role]
     lists = top_candidates(queries, gallery, num_candidates, metric)
     pairs: list[Pair] = []
-    for identity, cand in zip(queries.identity, lists):
-        for rank, (gi, score) in enumerate(cand.entries, start=1):
-            label = int(gallery.identity[gi] == identity)
-            pairs.append(Pair(query_role, cand.query_index, rank,
-                              gallery_role, gi, score, label))
+    for qi, (identity, (kept, scores)) in enumerate(zip(queries.identity, lists)):
+        labels = (gallery.identity[kept] == identity).astype(int)
+        for rank, (gi, score, label) in enumerate(
+                zip(kept.tolist(), scores.tolist(), labels.tolist()), start=1):
+            pairs.append(Pair(query_role, qi, rank, gallery_role, gi, score, label))
     provenance = {"VQ": "valid", "Q": "test"}.get(query_role,
                                                   f"{query_role}-{gallery_role}")
     return PairSet(pairs, provenance)
@@ -195,15 +180,12 @@ def build_train_pairs(bundle: DatasetBundle, num_candidates: int = 20,
     return PairSet(pairs, "train"), dropped
 
 
-def candidates_from_pairs(pair_set: PairSet) -> list[CandidateList]:
-    """Recover per-query candidate lists (rank order) from an eval pair set."""
-    out: list[CandidateList] = []
-    for (_, qi), plist in pair_set.by_query().items():
-        ordered = sorted(plist, key=lambda p: p.rank)
-        out.append(CandidateList(qi, [CandidateEntry(p.cand_index, p.score)
-                                      for p in ordered]))
-    out.sort(key=lambda c: c.query_index)
-    return out
+def candidates_from_pairs(pair_set: PairSet) -> dict[int, np.ndarray]:
+    """Recover each query's candidate gallery indices, in rank order, from
+    an eval pair set: ``{query_index: gallery indices}``."""
+    out = {qi: np.array([p.cand_index for p in sorted(plist, key=lambda p: p.rank)])
+           for (_, qi), plist in pair_set.by_query().items()}
+    return dict(sorted(out.items()))
 
 
 # ---------------------------------------------------------------------------

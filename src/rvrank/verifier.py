@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .datastore import DatasetBundle, ImageRecord
+from .datastore import DatasetBundle, ImageRecord, Split
 from .retrieval import PairSet
 
 MODEL_MAGIC = b"RVM1"
@@ -295,43 +295,40 @@ SCORE_CHUNK = 256
 
 
 def prefix_scores(scorer: VerifierModel | Callable[[ImageRecord, ImageRecord], float],
-                  dims: tuple[int, int, int],
-                  queries: list[ImageRecord],
-                  prefixes: list[list[tuple[int, ImageRecord]]]
-                  ) -> list[dict[int, float]]:
-    """Score each query against its candidates: ``prefixes[i]`` lists the
-    ``(gallery_index, record)`` candidates of ``queries[i]``, and the result
-    holds one ``{gallery_index: score}`` per query.
+                  dims: tuple[int, int, int], queries: Split, gallery: Split,
+                  orders: list[np.ndarray], depth: int) -> list[np.ndarray]:
+    """Score each query against the first ``depth`` gallery indices of its
+    order: ``orders[i]`` ranks ``gallery`` for ``queries[i]``, and the result
+    holds one float array per query, aligned with ``orders[i][:depth]``.
 
     A :class:`VerifierModel` fuses and scores the pairs of all queries in
     chunks of ``SCORE_CHUNK``; any other ``(query, candidate) -> float``
     callable is called once per pair.  A failure raises RuntimeError naming
     the query whose pairs were being scored.
     """
-    out: list[dict[int, float]] = [{} for _ in queries]
+    prefixes = [order[:depth] for order in orders]
     if not isinstance(scorer, VerifierModel):
-        for query, prefix, scores in zip(queries, prefixes, out):
+        out = []
+        for query, prefix in zip(queries, prefixes):
             try:
-                for gi, cand in prefix:
-                    scores[gi] = float(scorer(query, cand))
+                out.append(np.array([float(scorer(query, gallery[gi]))
+                                     for gi in prefix.tolist()]))
             except Exception as exc:
                 raise RuntimeError(
                     f"window stage failed for query {query.index}: {exc}") from exc
         return out
-    flat = [(qi, gi, cand) for qi, prefix in enumerate(prefixes)
-            for gi, cand in prefix]
-    for start in range(0, len(flat), SCORE_CHUNK):
-        chunk = flat[start:start + SCORE_CHUNK]
+    pairs = [(queries[qi], gallery[gi]) for qi, prefix in enumerate(prefixes)
+             for gi in prefix.tolist()]
+    flat = np.empty(len(pairs))
+    for start in range(0, len(pairs), SCORE_CHUNK):
+        chunk = pairs[start:start + SCORE_CHUNK]
         try:
-            gx, px, present = pair_arrays(
-                [(queries[qi], cand) for qi, _, cand in chunk], dims)
-            scores = batch_scores(scorer, gx, px, present)
+            flat[start:start + len(chunk)] = batch_scores(scorer, *pair_arrays(chunk, dims))
         except Exception as exc:
             raise RuntimeError(f"window stage failed for query "
-                               f"{queries[chunk[0][0]].index}: {exc}") from exc
-        for (qi, gi, _), score in zip(chunk, scores):
-            out[qi][gi] = float(score)
-    return out
+                               f"{chunk[0][0].index}: {exc}") from exc
+    ends = np.cumsum([len(p) for p in prefixes], dtype=np.int64).tolist()
+    return [flat[end - len(p):end] for p, end in zip(prefixes, ends)]
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +461,13 @@ def triplet_loss_and_grads(model: VerifierModel, gx, px, present, pos_index,
 
 
 class ValidationSet(NamedTuple):
-    """What :func:`validation_rank1` ranks: in ``lists``, each validation
-    query with a positive as ``(index, candidates, labels)`` in rank order;
-    in ``gx``/``px``/``present``, its first ``depth`` candidates (the only
-    ones the window scores) fused once, query after query."""
+    """What :func:`validation_rank1` ranks: in ``labels``, each validation
+    query with a positive as its candidates' labels (1 for a positive, else
+    0) in rank order; in ``gx``/``px``/``present``, its first ``depth``
+    candidates (the only ones the window scores) fused once, query after
+    query."""
 
-    lists: list[tuple[int, list[int], list[int]]]
+    labels: list[np.ndarray]
     depth: int
     gx: np.ndarray
     px: np.ndarray
@@ -479,15 +477,15 @@ class ValidationSet(NamedTuple):
 def validation_set(bundle: DatasetBundle, valid_pairs: PairSet,
                    ranking_Q: int) -> ValidationSet:
     """Group ``valid_pairs`` by query and fuse every prefix once."""
-    lists = []
+    labels = []
     fused = []
     for (qrole, qi), plist in valid_pairs.by_query().items():
         ordered = sorted(plist, key=lambda p: p.rank)
         if any(p.label == 1 for p in ordered):
-            lists.append((qi, [p.cand_index for p in ordered], [p.label for p in ordered]))
+            labels.append(np.array([p.label == 1 for p in ordered], dtype=np.int64))
             fused += [(bundle.resolve(qrole, qi), bundle.resolve(p.cand_role, p.cand_index))
                       for p in ordered[:ranking_Q]]
-    return ValidationSet(lists, ranking_Q, *pair_arrays(fused, bundle.dims))
+    return ValidationSet(labels, ranking_Q, *pair_arrays(fused, bundle.dims))
 
 
 def validation_rank1(model: VerifierModel, valid: ValidationSet,
@@ -500,17 +498,19 @@ def validation_rank1(model: VerifierModel, valid: ValidationSet,
     """
     from .reranker import window_rerank
 
-    chunks = (slice(start, start + SCORE_CHUNK)
-              for start in range(0, len(valid.gx), SCORE_CHUNK))
-    scores = (s for rows in chunks for s in batch_scores(
-        model, valid.gx[rows], valid.px[rows], valid.present[rows]).tolist())
-    hits = 0
-    for qi, cand_ids, labels in valid.lists:
-        score_of = dict(zip(cand_ids[:valid.depth], scores))
-        top = window_rerank(cand_ids, score_of, ranking_L, valid.depth,
-                            query_index=qi).order[0]
-        hits += labels[cand_ids.index(top)] == 1
-    return hits / len(valid.lists) if valid.lists else 0.0
+    scores = np.empty(len(valid.gx))
+    for start in range(0, len(scores), SCORE_CHUNK):
+        rows = slice(start, start + SCORE_CHUNK)
+        scores[rows] = batch_scores(model, valid.gx[rows], valid.px[rows],
+                                    valid.present[rows])
+    hits = end = 0
+    for labels in valid.labels:
+        start, end = end, end + min(valid.depth, len(labels))
+        # The window moves positions, so re-ranking the labels puts the
+        # label of the verifier's top candidate first.
+        hits += int(window_rerank(labels, scores[start:end], ranking_L,
+                                  valid.depth).order[0])
+    return hits / len(valid.labels) if valid.labels else 0.0
 
 
 def _learning_rate(config: TrainConfig, epoch: int) -> float:

@@ -63,24 +63,25 @@ def test_window_invariants_hold_on_random_instances():
         q = int(rng.integers(1, 46))
         width = int(rng.integers(1, q + 1))
         if rng.random() < 0.3:  # discrete scores exercise tie handling
-            scores = {g: float(rng.integers(0, 4)) for g in entries}
+            table = {g: float(rng.integers(0, 4)) for g in entries}
         else:
-            scores = {g: float(rng.normal()) for g in entries}
+            table = {g: float(rng.normal()) for g in entries}
+        depth = min(q, n)
+        scores = [table[g] for g in entries[:depth]]
 
-        out = window_rerank(entries, scores, width, q).order
+        out = window_rerank(entries, scores, width, q).order.tolist()
         assert sorted(out) == sorted(entries)
 
-        depth = min(q, n)
         assert out[depth:] == entries[depth:]
         for new_pos, g in enumerate(out[:depth], start=1):
             old_pos = entries.index(g) + 1
             assert new_pos >= max(1, old_pos - width + 1)
 
-        assert window_rerank(entries, scores, 1, q).order == entries
+        assert window_rerank(entries, scores, 1, q).order.tolist() == entries
 
-        full = window_rerank(entries, scores, q, q).order
+        full = window_rerank(entries, scores, q, q).order.tolist()
         want = sorted(entries[:depth],
-                      key=lambda g: (-scores[g], entries.index(g)))
+                      key=lambda g: (-table[g], entries.index(g)))
         assert full[:depth] == want
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"window invariant sweep took {elapsed:.2f}s"
@@ -89,8 +90,8 @@ def test_window_invariants_hold_on_random_instances():
 def test_window_reorders_the_worked_example():
     """Four entries, window 2: the top-scoring last entry can only surface
     after the window reaches it, giving [a, b, c, d] -> [b, c, d, a]."""
-    scores = {0: 0.1, 1: 0.9, 2: 0.5, 3: 0.8}
-    assert window_rerank([0, 1, 2, 3], scores, L=2, Q=4).order == [1, 2, 3, 0]
+    scores = [0.1, 0.9, 0.5, 0.8]
+    assert window_rerank([0, 1, 2, 3], scores, L=2, Q=4).order.tolist() == [1, 2, 3, 0]
 
 
 def test_rank10_is_flat_once_the_window_covers_the_tail(scenario_setup):

@@ -1,5 +1,7 @@
-"""The benchmark's tracer wraps package functions by name: every name it
-lists must resolve, or the traced benchmark run silently loses a layer."""
+"""The benchmark's tracer wraps package functions by name and counts their
+work from the arguments they are called with: every name it lists must
+resolve, and every counter must read those arguments as the package passes
+them, or the traced benchmark run silently loses a layer or miscounts it."""
 
 from __future__ import annotations
 
@@ -7,15 +9,81 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from conftest import random_bundle
+from rvrank import cli, reranker, verifier
+from rvrank.datastore import write_bundle
+from rvrank.retrieval import eligible_mask
+from rvrank.verifier import VerifierModel, save_model
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_every_traced_function_exists():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_function_exists():
+    tracer = load_tracer()
     assert tracer.TARGETS
     for module_name, fn_name, _ in tracer.TARGETS:
         module = importlib.import_module(f"rvrank.{module_name}")
         assert callable(getattr(module, fn_name, None)), \
             f"rvrank.{module_name}.{fn_name} is traced but does not exist"
+
+
+def test_window_counters_read_the_arguments_rerank_passes(tmp_path, monkeypatch):
+    tracer = load_tracer()
+    rng = np.random.default_rng(11)
+    bundle = random_bundle(rng, n_query=8, n_gallery=16, n_identities=2, n_cloths=2)
+    Q = 12
+    eligible = eligible_mask(bundle.splits["Q"], bundle.splits["G"]).sum(axis=1).tolist()
+    # Both sides of min(Q, eligible) occur.
+    assert min(eligible) < Q <= max(eligible)
+
+    write_bundle(bundle, tmp_path / "meta.csv", tmp_path / "features.bin",
+                 tmp_path / "parts.bin")
+    save_model(tmp_path / "model.bin",
+               VerifierModel.initialize(bundle.dims, 6, 6, seed=0))
+
+    captured: dict[str, list] = {}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            result = real(*args, **kwargs)
+            captured.setdefault(name, []).append((args, kwargs, result))
+            return result
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(reranker, "window_rerank")
+    spy(verifier, "pair_arrays")
+    spy(cli, "write_ranked_csv")
+    assert cli.main(["rerank", "--meta", str(tmp_path / "meta.csv"),
+                     "--features", str(tmp_path / "features.bin"),
+                     "--parts", str(tmp_path / "parts.bin"),
+                     "--model", str(tmp_path / "model.bin"),
+                     "--out", str(tmp_path / "ranked.csv"), "--stages", "window",
+                     "--P", "16", "--L", "4", "--Q", str(Q)]) == 0
+
+    t = tracer.Tracer()
+    span = t.open("reranker.rerank_pipeline")
+    for call in captured["window_rerank"]:
+        tracer.count_window(t, *call)
+    for call in captured["pair_arrays"]:
+        tracer.count_pair_arrays(t, *call)
+    t.close(span)
+    for call in captured["write_ranked_csv"]:
+        tracer.count_write_ranked(t, *call)
+
+    scored = sum(min(Q, e) for e in eligible)
+    assert t.counts["reranker.window_calls"] == len(eligible)
+    assert t.counts["reranker.scorer_calls"] == scored
+    assert t.counts["rerank.pairs_fused"] == scored
+    assert t.counts["reranker.ranked_rows"] == sum(eligible)

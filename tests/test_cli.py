@@ -97,7 +97,7 @@ def test_stage_free_rerank_is_the_retrieval_baseline(workspace):
     assert {rl.provenance for rl in ranked} == {"retrieval"}
     want = rerank_pipeline(bundle, None, RankingConfig(P=10, L=5, Q=10),
                            stages=())
-    assert [rl.order for rl in ranked] == [rl.order for rl in want]
+    assert [rl.order.tolist() for rl in ranked] == [rl.order.tolist() for rl in want]
     report = json.loads((workspace / "report_none.json").read_text())
     fresh = evaluate(bundle, want, k_max=10)
     assert report["cmc"] == fresh.cmc
@@ -239,3 +239,15 @@ def test_missing_bundle_file_is_reported(tmp_path, capsys):
                "--features", str(tmp_path / "none.bin")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_out_of_memory_is_reported_without_a_traceback(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 9.00 TiB")
+
+    monkeypatch.setattr("rvrank.cli.load_bundle", exhausted)
+    rc = main(["validate", "--meta", str(tmp_path / "meta.csv"),
+               "--features", str(tmp_path / "features.bin")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory running 'validate': Unable to allocate 9.00 TiB\n"

@@ -48,7 +48,7 @@ class TestRankingConfig:
         assert (cfg.L, cfg.Q) == (4, 4)
 
     @pytest.mark.parametrize("bad", [dict(P=0), dict(L=-1), dict(k1=0),
-                                     dict(lam=1.5), dict(margin=-0.1)])
+                                     dict(lam=1.5)])
     def test_invalid_values_raise(self, bad):
         with pytest.raises(ValueError):
             RankingConfig(**bad).clamped()
@@ -58,9 +58,9 @@ class TestWindowRerank:
     def test_four_entry_example(self):
         # Last-ranked entry scores best but the window only reaches it after
         # emitting the first three: [a, b, c, d] -> [b, c, d, a].
-        scores = {0: 0.1, 1: 0.9, 2: 0.5, 3: 0.8}
-        ranked = window_rerank([0, 1, 2, 3], scores, L=2, Q=4)
-        assert ranked.order == [1, 2, 3, 0]
+        ranked = window_rerank([0, 1, 2, 3], [0.1, 0.9, 0.5, 0.8], L=2, Q=4)
+        assert ranked.order.tolist() == [1, 2, 3, 0]
+        assert ranked.order.dtype == np.int64
         assert ranked.provenance == "window"
 
     def test_width_one_is_the_identity(self):
@@ -68,36 +68,36 @@ class TestWindowRerank:
         for _ in range(20):
             n = int(rng.integers(1, 15))
             order = rng.permutation(50)[:n].tolist()
-            scores = {g: float(rng.normal()) for g in order}
-            assert window_rerank(order, scores, 1, max(1, n)).order == order
+            scores = [float(rng.normal()) for _ in order]
+            assert window_rerank(order, scores, 1, max(1, n)).order.tolist() == order
 
     def test_full_width_sorts_the_depth(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             n = int(rng.integers(2, 12))
             order = list(range(n))
-            scores = {g: float(rng.normal()) for g in order}
-            got = window_rerank(order, scores, n, n).order
+            scores = [float(rng.normal()) for _ in order]
+            got = window_rerank(order, scores, n, n).order.tolist()
             want = sorted(order, key=lambda g: (-scores[g], order.index(g)))
             assert got == want
 
     def test_suffix_beyond_depth_is_untouched(self):
         rng = np.random.default_rng(7)
-        order = rng.permutation(30).tolist()
-        scores = {g: float(rng.normal()) for g in order}
-        ranked = window_rerank(order, scores, 3, 10)
-        assert ranked.order[10:] == order[10:]
+        order = rng.permutation(30)
+        scores = rng.normal(size=30)
+        ranked = window_rerank(order, scores[:10], 3, 10)
+        assert np.array_equal(ranked.order[10:], order[10:])
         assert sorted(ranked.order[:10]) == sorted(order[:10])
 
     def test_ties_keep_the_better_retrieval_rank(self):
-        ranked = window_rerank([4, 9, 2], {4: 1.0, 9: 1.0, 2: 1.0}, 2, 3)
-        assert ranked.order == [4, 9, 2]
+        ranked = window_rerank([4, 9, 2], [1.0, 1.0, 1.0], 2, 3)
+        assert ranked.order.tolist() == [4, 9, 2]
 
     def test_decreasing_scores_change_nothing(self):
         order = list(range(8))
-        scores = {g: -float(g) for g in order}
+        scores = [-float(g) for g in order]
         for width in range(1, 9):
-            assert window_rerank(order, scores, width, 8).order == order
+            assert window_rerank(order, scores, width, 8).order.tolist() == order
 
     def test_promotion_is_bounded_by_the_window(self):
         rng = np.random.default_rng(8)
@@ -105,7 +105,7 @@ class TestWindowRerank:
             n = int(rng.integers(2, 25))
             width = int(rng.integers(1, n + 1))
             order = list(rng.permutation(100)[:n])
-            scores = {int(g): float(rng.normal()) for g in order}
+            scores = [float(rng.normal()) for _ in order]
             got = window_rerank([int(g) for g in order], scores, width, n).order
             for new_pos, g in enumerate(got, start=1):
                 old_pos = order.index(g) + 1
@@ -117,27 +117,22 @@ class TestWindowRerank:
         q, t = 20, 10
         for _ in range(30):
             order = list(range(q + 5))
-            scores = {g: float(rng.normal()) for g in order}
-            tops = [frozenset(window_rerank(order, scores, width, q).order[:t])
+            scores = [float(rng.normal()) for _ in order]
+            tops = [frozenset(window_rerank(order, scores[:q], width, q).order[:t].tolist())
                     for width in range(q - t + 1, q + 1)]
             assert len(set(tops)) == 1
 
-    def test_missing_score_raises(self):
-        with pytest.raises(ValueError, match="no score"):
-            window_rerank([0, 1], {0: 1.0}, 2, 2)
-
-    def test_sequence_and_callable_scorers_match_mapping(self):
-        order = [3, 0, 2, 1]
-        table = [0.3, 0.1, 0.9, 0.2]
-        want = window_rerank(order, {i: table[i] for i in order}, 2, 4).order
-        assert window_rerank(order, table, 2, 4).order == want
-        assert window_rerank(order, lambda g: table[g], 2, 4).order == want
+    def test_wrong_score_count_raises(self):
+        # Two entries at depth Q=2 need exactly two scores.
+        for count in (0, 1, 3):
+            with pytest.raises(ValueError, match="expected 2 scores"):
+                window_rerank([0, 1], [1.0] * count, 2, 2)
 
     def test_invalid_sizes_raise(self):
         with pytest.raises(ValueError, match="L"):
-            window_rerank([0], {0: 0.0}, 0, 1)
+            window_rerank([0], [0.0], 0, 1)
         with pytest.raises(ValueError, match="Q"):
-            window_rerank([0], {0: 0.0}, 3, 2)
+            window_rerank([0], [0.0], 3, 2)
 
 
 def oracle_kreciprocal(dist, num_queries, k1, k2, lam):
@@ -277,11 +272,11 @@ class TestPipeline:
         bundle = random_bundle(rng, n_query=4, n_gallery=15)
         ranked = rerank_pipeline(bundle, None, RankingConfig(), stages=())
         pairs = build_eval_pairs(bundle, "Q", "G", num_candidates=15)
-        by_query = {c.query_index: c for c in candidates_from_pairs(pairs)}
+        by_query = candidates_from_pairs(pairs)
         for rl in ranked:
             assert rl.provenance == "retrieval"
-            want = [e.gallery_index for e in by_query[rl.query_index].entries]
-            assert rl.order == want
+            assert rl.order.dtype == np.int64
+            assert np.array_equal(rl.order, by_query[rl.query_index])
 
     def test_provenance_labels_per_stage_combination(self):
         rng = np.random.default_rng(24)
@@ -337,8 +332,7 @@ class TestPipeline:
         bundle = random_bundle(rng, n_query=3, n_gallery=10)
         pairs = build_eval_pairs(bundle, "Q", "G", num_candidates=5)
         cands = candidates_from_pairs(pairs)
-        entries = cands[1].entries
-        entries[0], entries[1] = entries[1], entries[0]
+        cands[1][[0, 1]] = cands[1][[1, 0]]
         with pytest.raises(ValueError, match="query 1"):
             rerank_pipeline(bundle, None, RankingConfig(P=5, L=2, Q=4),
                             stages=(), candidates=cands)
@@ -370,17 +364,18 @@ class TestPipeline:
         bundle = random_bundle(rng, n_query=5, n_gallery=14, part_presence=0.4)
         model = VerifierModel.initialize(bundle.dims, 6, 6, seed=6)
         queries, gallery = bundle.splits["Q"], bundle.splits["G"]
-        prefixes = [[(gi, gallery[gi]) for gi in rng.permutation(14)[:9]]
-                    for _ in queries]
-        whole = verifier.prefix_scores(model, bundle.dims, queries, prefixes)
+        # Orders longer and shorter than the depth of 9.
+        orders = [rng.permutation(14)[:n] for n in (14, 9, 5, 12, 0)]
+        whole = verifier.prefix_scores(model, bundle.dims, queries, gallery, orders, 9)
         monkeypatch.setattr(verifier, "SCORE_CHUNK", 4)
-        chunked = verifier.prefix_scores(model, bundle.dims, queries, prefixes)
-        assert chunked == whole
-        for query, prefix, scores in zip(queries, prefixes, whole):
-            assert list(scores) == [gi for gi, _ in prefix]
-            for gi, cand in prefix:
-                np.testing.assert_allclose(scores[gi],
-                                           oracle_scores(model, query, cand)[0],
+        chunked = verifier.prefix_scores(model, bundle.dims, queries, gallery, orders, 9)
+        assert len(whole) == len(chunked) == len(orders)
+        for query, order, scores, again in zip(queries, orders, whole, chunked):
+            assert np.array_equal(again, scores)
+            assert len(scores) == min(9, len(order))
+            for gi, score in zip(order.tolist(), scores):
+                np.testing.assert_allclose(score,
+                                           oracle_scores(model, query, gallery[gi])[0],
                                            rtol=1e-12)
 
     def test_pair_arrays_sees_the_same_records_on_every_run(self, monkeypatch):
@@ -425,8 +420,8 @@ class TestPipeline:
         via_callable = rerank_pipeline(
             bundle, lambda q, g: oracle_scores(model, q, g)[0], cfg,
             stages=("window",))
-        assert [rl.order for rl in via_model] == \
-               [rl.order for rl in via_callable]
+        assert [rl.order.tolist() for rl in via_model] == \
+               [rl.order.tolist() for rl in via_callable]
 
 
 class TestRankedCsv:
@@ -439,8 +434,9 @@ class TestRankedCsv:
         path = tmp_path / "ranked.csv"
         write_ranked_csv(path, ranked, config_comment="config: {}")
         back = read_ranked_csv(path)
-        assert [(rl.query_index, rl.order, rl.provenance) for rl in back] == \
-               [(rl.query_index, rl.order, rl.provenance) for rl in ranked]
+        assert [(rl.query_index, rl.order.tolist(), rl.provenance) for rl in back] == \
+               [(rl.query_index, rl.order.tolist(), rl.provenance) for rl in ranked]
+        assert all(rl.order.dtype == np.int64 for rl in back)
 
     def test_sparse_ranks_raise(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -454,6 +450,13 @@ class TestRankedCsv:
         path.write_text("query_index,rank,gallery_index,stage_provenance\n"
                         "0,1,5,window\n0,2,6,retrieval\n")
         with pytest.raises(ValueError):
+            read_ranked_csv(path)
+
+    def test_index_beyond_int64_raises(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("query_index,rank,gallery_index,stage_provenance\n"
+                        f"0,1,{2**70},window\n")
+        with pytest.raises(ValueError, match="does not fit in int64"):
             read_ranked_csv(path)
 
     def test_missing_header_raises(self, tmp_path):

@@ -82,9 +82,9 @@ class TestEligibility:
         queries = bundle.splits["Q"]
         gallery = bundle.splits["G"]
         assert eligible_mask(queries, gallery).tolist() == [[False, True, True]]
-        lists = top_candidates(queries, gallery, 20)
-        assert len(lists[0].entries) == 2
-        assert {e.gallery_index for e in lists[0].entries} == {1, 2}
+        [(indices, scores)] = top_candidates(queries, gallery, 20)
+        assert len(indices) == len(scores) == 2
+        assert set(indices.tolist()) == {1, 2}
 
     def test_top_one_matches_full_sort_oracle(self):
         rng = np.random.default_rng(17)
@@ -100,18 +100,17 @@ class TestEligibility:
                         continue
                     if best is None or dist[qi, j] < best:
                         best, best_j = dist[qi, j], j
-                assert lists[qi].entries[0].gallery_index == best_j
+                assert lists[qi][0].tolist() == [best_j]
 
     def test_scores_are_negated_distances_in_descending_order(self):
         rng = np.random.default_rng(18)
         bundle = random_bundle(rng, n_query=2, n_gallery=8)
         queries, gallery = bundle.splits["Q"], bundle.splits["G"]
         dist = distance_matrix(queries.features, gallery.features)
-        for qi, cand in enumerate(top_candidates(queries, gallery, 5)):
-            scores = [e.score for e in cand.entries]
-            assert scores == sorted(scores, reverse=True)
-            for e in cand.entries:
-                np.testing.assert_allclose(e.score, -dist[qi, e.gallery_index])
+        for qi, (indices, scores) in enumerate(top_candidates(queries, gallery, 5)):
+            assert scores.tolist() == sorted(scores.tolist(), reverse=True)
+            for gi, score in zip(indices, scores):
+                np.testing.assert_allclose(score, -dist[qi, gi])
 
     def test_distance_ties_break_to_lower_gallery_index(self):
         feats = np.array([[0.0, 0.0],
@@ -119,8 +118,8 @@ class TestEligibility:
         rows = [(0, "Q", 0, 0, 0),
                 (0, "G", 1, 0, 0), (1, "G", 2, 0, 0), (2, "G", 3, 0, 0)]
         bundle = build_bundle(rows, feats)
-        lists = top_candidates(bundle.splits["Q"], bundle.splits["G"], 3)
-        assert [e.gallery_index for e in lists[0].entries] == [0, 1, 2]
+        [(indices, _)] = top_candidates(bundle.splits["Q"], bundle.splits["G"], 3)
+        assert indices.tolist() == [0, 1, 2]
 
     def test_masked_order_matches_a_masked_full_sort(self):
         # The reference: masked entries set to inf, one stable sort, cut at
@@ -182,11 +181,9 @@ class TestEvalPairs:
         bundle = random_bundle(rng, n_query=3, n_gallery=9)
         direct = top_candidates(bundle.splits["Q"], bundle.splits["G"], 4)
         via_pairs = candidates_from_pairs(build_eval_pairs(bundle, "Q", "G", 4))
-        assert len(direct) == len(via_pairs)
-        for a, b in zip(direct, via_pairs):
-            assert a.query_index == b.query_index
-            assert [e.gallery_index for e in a.entries] == \
-                   [e.gallery_index for e in b.entries]
+        assert list(via_pairs) == list(range(len(direct)))
+        for qi, (indices, _) in enumerate(direct):
+            assert via_pairs[qi].tolist() == indices.tolist()
 
 
 class TestTrainPairs:

@@ -375,9 +375,9 @@ class TestTraining:
             if not any(p.label == 1 for p in ordered):
                 continue
             query = bundle.resolve(role, qi)
-            scores = {p.cand_index: oracle_scores(
+            scores = [oracle_scores(
                 model, query, bundle.resolve(p.cand_role, p.cand_index))[0]
-                for p in ordered[:Q]}
+                for p in ordered[:Q]]
             top = window_rerank([p.cand_index for p in ordered], scores, L, Q).order[0]
             hits += next(p.label for p in ordered if p.cand_index == top)
             total += 1
