@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,8 @@ from .datastore import (BundleFormatError, load_bundle, validate_bundle,
                         write_bundle)
 from .evaluation import evaluate, sweep_L, write_sweep_csv
 from .retrieval import (METRICS, build_eval_pairs, build_train_pairs,
-                        candidates_from_pairs, read_pairs_csv, top_candidates,
-                        write_pairs_csv)
+                        candidates_from_pairs, query_runs, read_pairs_csv,
+                        top_candidates, write_pairs_csv)
 from .reranker import (RankingConfig, read_ranked_csv, rerank_pipeline,
                        write_ranked_csv)
 from .synthgen import SynthConfig, generate, write_groundtruth
@@ -123,7 +124,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     pairs = build_eval_pairs(bundle, args.query_role, args.gallery_role,
                              num_candidates=args.P, metric=args.metric)
     write_pairs_csv(args.out, pairs, config_comment=_config_comment(args))
-    n_queries = len({(p.query_role, p.query_index) for p in pairs.pairs})
+    n_queries = len(query_runs(pairs.pairs))
     print(f"wrote {args.out}: {len(pairs.pairs)} pairs for {n_queries} queries")
     return 0
 
@@ -382,7 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            # One line per warning, without the source location, so stderr
+            # does not depend on the checkout.
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                             file=sys.stderr)
+            return args.func(args)
     except (BundleFormatError, ValueError, KeyError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

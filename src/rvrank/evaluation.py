@@ -164,23 +164,20 @@ def _check_one_ranking_per_query(ranked: list[RankedList], num_queries: int,
 
 
 def sweep_L(bundle: DatasetBundle, scorer, config: RankingConfig,
-            L_values: Sequence[int], candidates=None,
-            include_kreciprocal: bool = False, metric: str = "euclidean",
-            query_role: str = "Q", gallery_role: str = "G"
+            L_values: Sequence[int], include_kreciprocal: bool = False,
+            metric: str = "euclidean", query_role: str = "Q", gallery_role: str = "G"
             ) -> list[tuple[int, float, float]]:
     """Rank-1/Rank-10 as a function of the window size L, at fixed Q.
 
     Verifier scores are computed once per query (the scored prefix depends
-    only on Q) and reused across all L values.  ``candidates`` (optional
-    previously retrieved lists) are cross-checked exactly as in
-    :func:`rerank_pipeline`.  Returns (L, rank1, rank10) rows in the order
-    given.
+    only on Q) and reused across all L values.  Returns (L, rank1, rank10)
+    rows in the order given.
     """
     cfg = config.clamped()
     base = rerank_pipeline(bundle, None, cfg,
                            stages=("kreciprocal",) if include_kreciprocal else (),
-                           candidates=candidates, metric=metric,
-                           query_role=query_role, gallery_role=gallery_role)
+                           metric=metric, query_role=query_role,
+                           gallery_role=gallery_role)
     queries, gallery = bundle.splits[query_role], bundle.splits[gallery_role]
     scores = prefix_scores(scorer, bundle.dims, queries, gallery,
                            [rl.order for rl in base], cfg.Q)

@@ -305,13 +305,13 @@ def read_ranked_csv(path: str | Path) -> list[RankedList]:
         q, r, g = (np.array(col, dtype=np.int64) for col in (queries, ranks, gallery))
     except OverflowError:
         raise ValueError(f"{path}: an index or rank does not fit in int64") from None
-    by_query = np.lexsort((r, q))
-    q, c = q[by_query], np.array(provenance)[by_query]
+    by_rank = np.lexsort((r, q))
+    q, c = q[by_rank], np.array(provenance)[by_rank]
     starts = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
     names = list(codes)
     out: list[RankedList] = []
     for qi, rank, order, prov in zip(q[starts].tolist(), *(
-            np.split(col, starts[1:]) for col in (r[by_query], g[by_query], c))):
+            np.split(col, starts[1:]) for col in (r[by_rank], g[by_rank], c))):
         if not np.array_equal(rank, np.arange(1, len(rank) + 1)):
             raise ValueError(f"{path}: query {qi}: ranks are not dense from 1")
         if (prov != prov[0]).any():

@@ -16,52 +16,34 @@ Pair datasets reuse the same machinery:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .datastore import DatasetBundle, Split, read_csv
+from .datastore import ROLES, DatasetBundle, Split, read_csv
 
 METRICS = ("euclidean", "cosine")
 
-PAIR_HEADER = ("query_role", "query_index", "rank", "cand_role", "cand_index",
-               "score", "label")
-
 _COSINE_EPS = 1e-12
 
+#: One row of a pair dataset.  ``rank`` is 1-based within the query's list
+#: (training pairs rank their positive and negative sub-lists
+#: independently), ``score`` is -distance and ``label`` is 1 when both images
+#: share an identity, else 0.
+PAIR_DTYPE = np.dtype([("query_role", "U2"), ("query_index", np.int64),
+                       ("rank", np.int64), ("cand_role", "U2"),
+                       ("cand_index", np.int64), ("score", np.float64),
+                       ("label", np.int64)])
 
-@dataclass(frozen=True)
-class Pair:
-    """One (query, candidate) row of a pair dataset.
-
-    ``rank`` is 1-based within the query's list; for training pairs the
-    positive and negative sub-lists are ranked independently.  ``label`` is
-    1 when both images share an identity, else 0.
-    """
-
-    query_role: str
-    query_index: int
-    rank: int
-    cand_role: str
-    cand_index: int
-    score: float
-    label: int
+PAIR_HEADER = PAIR_DTYPE.names
 
 
 @dataclass
 class PairSet:
-    """A pair dataset plus its provenance tag (train, valid or test)."""
+    """A pair dataset: one :data:`PAIR_DTYPE` row per pair, in file order."""
 
-    pairs: list[Pair] = field(default_factory=list)
-    provenance: str = ""
-
-    def by_query(self) -> dict[tuple[str, int], list[Pair]]:
-        """Group pairs per query, preserving file/rank order."""
-        out: dict[tuple[str, int], list[Pair]] = {}
-        for p in self.pairs:
-            out.setdefault((p.query_role, p.query_index), []).append(p)
-        return out
+    pairs: np.ndarray
 
 
 def distance_matrix(query_feats: np.ndarray, gallery_feats: np.ndarray,
@@ -127,21 +109,34 @@ def top_candidates(queries: Split, gallery: Split, num_candidates: int,
     return out
 
 
+def _ranked_pairs(query_role: str, queries: Split, cand_role: str, cands: Split,
+                  runs: list[tuple[int, np.ndarray, np.ndarray]]) -> PairSet:
+    """One pair per candidate of each ``(query index, candidate indices,
+    scores)`` run, ranked from 1 within its run and labelled 1 when the query
+    and the candidate share an identity."""
+    if not runs:
+        return PairSet(np.empty(0, dtype=PAIR_DTYPE))
+    query_index, cand_index, scores = zip(*runs)
+    counts = [len(kept) for kept in cand_index]
+    pairs = np.empty(sum(counts), dtype=PAIR_DTYPE)
+    pairs["query_role"], pairs["cand_role"] = query_role, cand_role
+    pairs["query_index"] = np.repeat(query_index, counts)
+    pairs["rank"] = np.concatenate([np.arange(1, n + 1) for n in counts])
+    pairs["cand_index"] = np.concatenate(cand_index)
+    pairs["score"] = np.concatenate(scores)
+    pairs["label"] = (queries.identity[pairs["query_index"]]
+                      == cands.identity[pairs["cand_index"]])
+    return PairSet(pairs)
+
+
 def build_eval_pairs(bundle: DatasetBundle, query_role: str, gallery_role: str,
                      num_candidates: int = 20, metric: str = "euclidean") -> PairSet:
     """Labelled top-P candidate pairs for a query/gallery role combination."""
     queries = bundle.splits[query_role]
     gallery = bundle.splits[gallery_role]
     lists = top_candidates(queries, gallery, num_candidates, metric)
-    pairs: list[Pair] = []
-    for qi, (identity, (kept, scores)) in enumerate(zip(queries.identity, lists)):
-        labels = (gallery.identity[kept] == identity).astype(int)
-        for rank, (gi, score, label) in enumerate(
-                zip(kept.tolist(), scores.tolist(), labels.tolist()), start=1):
-            pairs.append(Pair(query_role, qi, rank, gallery_role, gi, score, label))
-    provenance = {"VQ": "valid", "Q": "test"}.get(query_role,
-                                                  f"{query_role}-{gallery_role}")
-    return PairSet(pairs, provenance)
+    return _ranked_pairs(query_role, queries, gallery_role, gallery,
+                         [(qi, kept, scores) for qi, (kept, scores) in enumerate(lists)])
 
 
 def build_train_pairs(bundle: DatasetBundle, num_candidates: int = 20,
@@ -161,7 +156,7 @@ def build_train_pairs(bundle: DatasetBundle, num_candidates: int = 20,
     dist = distance_matrix(feats, feats, metric)
     ids, cloths = train.identity, train.cloth
 
-    pairs: list[Pair] = []
+    runs: list[tuple[int, np.ndarray, np.ndarray]] = []
     dropped: list[int] = []
     for ai, row in enumerate(dist):
         same = ids == ids[ai]
@@ -172,20 +167,30 @@ def build_train_pairs(bundle: DatasetBundle, num_candidates: int = 20,
         # One sort serves both lists: every candidate is a positive or a negative.
         order = masked_order(row, pos_mask | neg_mask)
         is_pos = pos_mask[order]
-        for kept, label in ((order[is_pos][:num_candidates], 1),
-                             (order[~is_pos][:num_candidates], 0)):
-            for rank, (j, d) in enumerate(zip(kept.tolist(), row[kept].tolist()),
-                                          start=1):
-                pairs.append(Pair("T", ai, rank, "T", j, -d, label))
-    return PairSet(pairs, "train"), dropped
+        for kept in (order[is_pos][:num_candidates], order[~is_pos][:num_candidates]):
+            # A copy: the slice would keep the anchor's whole sorted row alive.
+            runs.append((ai, kept.copy(), -row[kept]))
+    return _ranked_pairs("T", train, "T", train, runs), dropped
+
+
+def query_runs(pairs: np.ndarray) -> list[np.ndarray]:
+    """Row numbers of each query's pairs in rank order (equal ranks in file
+    order); queries are numbered by their ``(query_role, query_index)``'s
+    first appearance and come in that order."""
+    _, first, inverse = np.unique(pairs[["query_role", "query_index"]],
+                                  return_index=True, return_inverse=True)
+    number = np.argsort(np.argsort(first))[inverse]
+    order = np.lexsort((pairs["rank"], number))
+    return np.split(order, np.flatnonzero(np.diff(number[order], prepend=-1)))[1:]
 
 
 def candidates_from_pairs(pair_set: PairSet) -> dict[int, np.ndarray]:
     """Recover each query's candidate gallery indices, in rank order, from
     an eval pair set: ``{query_index: gallery indices}``."""
-    out = {qi: np.array([p.cand_index for p in sorted(plist, key=lambda p: p.rank)])
-           for (_, qi), plist in pair_set.by_query().items()}
-    return dict(sorted(out.items()))
+    pairs = pair_set.pairs
+    runs = [(int(pairs["query_index"][run[0]]), pairs["cand_index"][run])
+            for run in query_runs(pairs)]
+    return dict(sorted(runs, key=lambda run: run[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -199,21 +204,23 @@ def write_pairs_csv(path: str | Path, pair_set: PairSet,
         if config_comment is not None:
             fh.write(f"# {config_comment}\n")
         fh.write(",".join(PAIR_HEADER) + "\n")
-        for p in pair_set.pairs:
-            fh.write(f"{p.query_role},{p.query_index},{p.rank},{p.cand_role},"
-                     f"{p.cand_index},{p.score!r},{p.label}\n")
+        fh.writelines(f"{qr},{qi},{rank},{cr},{ci},{score!r},{label}\n"
+                      for qr, qi, rank, cr, ci, score, label in pair_set.pairs.tolist())
 
 
-def _parse_pair_row(raw: list[str]) -> Pair:
+def _parse_pair_row(raw: list[str]) -> tuple:
     qr, qi, rank, cr, ci, score, label = raw
-    return Pair(qr, int(qi), int(rank), cr, int(ci), float(score), int(label))
+    for role in (qr, cr):
+        if role not in ROLES:
+            raise ValueError(f"unknown role {role!r} (expected one of {', '.join(ROLES)})")
+    qi, rank, ci, label = int(qi), int(rank), int(ci), int(label)
+    if not all(-2 ** 63 <= v < 2 ** 63 for v in (qi, rank, ci)):
+        raise ValueError("an index or rank does not fit in int64")
+    if label not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {label}")
+    return qr, qi, rank, cr, ci, float(score), label
 
 
 def read_pairs_csv(path: str | Path) -> PairSet:
-    pairs = list(read_csv(path, PAIR_HEADER, _parse_pair_row))
-    query_roles = {p.query_role for p in pairs}
-    provenance = ""
-    if len(query_roles) == 1:
-        provenance = {"T": "train", "VQ": "valid", "Q": "test"}.get(
-            query_roles.pop(), "")
-    return PairSet(pairs, provenance)
+    return PairSet(np.array(list(read_csv(path, PAIR_HEADER, _parse_pair_row)),
+                            dtype=PAIR_DTYPE))

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .datastore import DatasetBundle, ImageRecord, Split
-from .retrieval import PairSet
+from .retrieval import PairSet, query_runs
 
 MODEL_MAGIC = b"RVM1"
 
@@ -344,15 +344,15 @@ def triplet_hinge(sim_pos: float, sim_neg: float, margin: float) -> float:
 class TripletTable(NamedTuple):
     """The fused pairs :func:`train` optimises over.
 
-    Row ``r`` of ``gx``/``px``/``present`` fuses the pair ``refs[r]``, an
-    ``((anchor role, index), (candidate role, index))``;
-    ``anchor_rows[anchor]`` lists an anchor's positive and negative rows.
+    Row ``r`` of ``gx``/``px``/``present`` fuses the pair ``pairs[r]``, a
+    row of the pair set's array; ``anchors`` numbers the anchors from 0 and
+    ``anchor_rows[a]`` holds anchor ``a``'s positive and negative row arrays.
     Every anchor has at least one of each.
     """
 
-    anchors: list[tuple[str, int]]
-    anchor_rows: dict[tuple[str, int], tuple[list[int], list[int]]]
-    refs: list[tuple[tuple[str, int], tuple[str, int]]]
+    anchors: range
+    anchor_rows: list[tuple[np.ndarray, np.ndarray]]
+    pairs: np.ndarray
     gx: np.ndarray
     px: np.ndarray
     present: np.ndarray
@@ -360,16 +360,11 @@ class TripletTable(NamedTuple):
     def cross_indices(self, anchors) -> tuple[np.ndarray, np.ndarray]:
         """Every positive x negative triplet of ``anchors``, anchor by
         anchor, as (positive row, negative row) index arrays."""
-        pos_idx: list[np.ndarray] = []
-        neg_idx: list[np.ndarray] = []
+        pos_idx, neg_idx = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
         for anchor in anchors:
-            pos_rows, neg_rows = self.anchor_rows[anchor]
-            p = np.asarray(pos_rows, dtype=np.intp)
-            n = np.asarray(neg_rows, dtype=np.intp)
+            p, n = self.anchor_rows[anchor]
             pos_idx.append(np.repeat(p, n.size))
             neg_idx.append(np.tile(n, p.size))
-        if not pos_idx:
-            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
         return np.concatenate(pos_idx), np.concatenate(neg_idx)
 
     def batch(self, anchors):
@@ -377,33 +372,35 @@ class TripletTable(NamedTuple):
         just the rows the anchors' triplets use, in table order."""
         pos_idx, neg_idx = self.cross_indices(anchors)
         rows = np.unique(np.concatenate([pos_idx, neg_idx]))
-        remap = np.zeros(len(self.refs), dtype=np.intp)
+        remap = np.zeros(len(self.pairs), dtype=np.intp)
         remap[rows] = np.arange(rows.size)
         return (self.gx[rows], self.px[rows], self.present[rows],
                 remap[pos_idx], remap[neg_idx])
+
+
+def _pair_records(bundle: DatasetBundle, pairs: np.ndarray
+                  ) -> list[tuple[ImageRecord, ImageRecord]]:
+    """The (query, candidate) records of each pair row; a role or index the
+    bundle lacks raises KeyError."""
+    return [(bundle.resolve(qr, qi), bundle.resolve(cr, ci))
+            for qr, qi, _, cr, ci, _, _ in pairs.tolist()]
 
 
 def triplet_table(bundle: DatasetBundle, pair_set: PairSet) -> TripletTable:
     """Fuse every pair of every anchor that has both positives and
     negatives, anchors in first-appearance order and each anchor's rows in
     pair-set order."""
-    grouped = pair_set.by_query()
-    anchors = [a for a, plist in grouped.items()
-               if any(p.label == 1 for p in plist) and any(p.label == 0 for p in plist)]
-    if not anchors:
+    is_pos = pair_set.pairs["label"] == 1
+    runs = [np.sort(run) for run in query_runs(pair_set.pairs)
+            if is_pos[run].any() and not is_pos[run].all()]
+    if not runs:
         raise ValueError("no usable anchors: every anchor lacks positives or negatives")
-    refs: list[tuple[tuple[str, int], tuple[str, int]]] = []
-    anchor_rows: dict[tuple[str, int], tuple[list[int], list[int]]] = {}
-    for anchor in anchors:
-        pos_rows: list[int] = []
-        neg_rows: list[int] = []
-        for p in grouped[anchor]:
-            refs.append((anchor, (p.cand_role, p.cand_index)))
-            (pos_rows if p.label == 1 else neg_rows).append(len(refs) - 1)
-        anchor_rows[anchor] = (pos_rows, neg_rows)
-    records = [(bundle.resolve(*a), bundle.resolve(*c)) for a, c in refs]
-    return TripletTable(anchors, anchor_rows, refs,
-                        *pair_arrays(records, bundle.dims))
+    pairs = pair_set.pairs[np.concatenate(runs)]
+    pos = pairs["label"] == 1
+    positions = np.split(np.arange(len(pairs)), np.cumsum([len(run) for run in runs[:-1]]))
+    anchor_rows = [(rows[pos[rows]], rows[~pos[rows]]) for rows in positions]
+    return TripletTable(range(len(runs)), anchor_rows, pairs,
+                        *pair_arrays(_pair_records(bundle, pairs), bundle.dims))
 
 
 def _loss_forward(model: VerifierModel, gx, px, present, pos_index, neg_index,
@@ -477,15 +474,11 @@ class ValidationSet(NamedTuple):
 def validation_set(bundle: DatasetBundle, valid_pairs: PairSet,
                    ranking_Q: int) -> ValidationSet:
     """Group ``valid_pairs`` by query and fuse every prefix once."""
-    labels = []
-    fused = []
-    for (qrole, qi), plist in valid_pairs.by_query().items():
-        ordered = sorted(plist, key=lambda p: p.rank)
-        if any(p.label == 1 for p in ordered):
-            labels.append(np.array([p.label == 1 for p in ordered], dtype=np.int64))
-            fused += [(bundle.resolve(qrole, qi), bundle.resolve(p.cand_role, p.cand_index))
-                      for p in ordered[:ranking_Q]]
-    return ValidationSet(labels, ranking_Q, *pair_arrays(fused, bundle.dims))
+    pairs = valid_pairs.pairs
+    runs = [pairs[run] for run in query_runs(pairs) if (pairs["label"][run] == 1).any()]
+    prefixes = np.concatenate([pairs[:0], *(run[:ranking_Q] for run in runs)])
+    return ValidationSet([(run["label"] == 1).astype(np.int64) for run in runs], ranking_Q,
+                         *pair_arrays(_pair_records(bundle, prefixes), bundle.dims))
 
 
 def validation_rank1(model: VerifierModel, valid: ValidationSet,
@@ -541,11 +534,6 @@ def train(model: VerifierModel, bundle: DatasetBundle, train_pairs: PairSet,
     # validation re-scores the same fused prefixes.
     table = triplet_table(bundle, train_pairs)
     valid = validation_set(bundle, valid_pairs, ranking_Q)
-    anchors = table.anchors
-
-    def epoch_loss() -> tuple[float, float, float]:
-        return triplet_loss(model, table.gx, table.px, table.present,
-                            *table.cross_indices(anchors), config.margin)
 
     history: list[EpochStats] = []
     best_vec: np.ndarray | None = None
@@ -563,11 +551,12 @@ def train(model: VerifierModel, bundle: DatasetBundle, train_pairs: PairSet,
         if progress is not None:
             progress(stats)
 
-    record(0, epoch_loss())
+    record(0, triplet_loss(model, table.gx, table.px, table.present,
+                           *table.cross_indices(table.anchors), config.margin))
     rng = np.random.default_rng([model.seed, 1])
     for epoch in range(1, config.epochs + 1):
         lr = _learning_rate(config, epoch)
-        order = [anchors[i] for i in rng.permutation(len(anchors))]
+        order = rng.permutation(len(table.anchors))
         total = np.zeros(3)
         for start in range(0, len(order), config.batch_size):
             chunk = order[start:start + config.batch_size]

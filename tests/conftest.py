@@ -4,11 +4,13 @@ and scalar-loop reference oracles."""
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from rvrank.datastore import build_bundle
+from rvrank.retrieval import PAIR_HEADER
 from rvrank.synthgen import SynthConfig, generate
 
 # The acceptance scenario: tuned once so that plain retrieval is well below
@@ -154,3 +156,23 @@ def oracle_scores(model, query, cand):
         sim_s = math.tanh(math.exp(float(model.out_log_gain)) * max(present)
                           + float(model.out_bias))
     return (sim_g if sim_s is None else sim_s), sim_g, sim_s, contrib
+
+
+#: One row of a pair array as a tuple with named fields.
+PairRow = namedtuple("PairRow", PAIR_HEADER)
+
+
+def oracle_groups(pairs) -> dict[tuple[str, int], list[PairRow]]:
+    """Scalar-loop query grouping of a pair array: each ``(query_role,
+    query_index)``'s rows in file order, queries in first-appearance order."""
+    out: dict[tuple[str, int], list[PairRow]] = {}
+    for row in map(PairRow._make, pairs.tolist()):
+        out.setdefault((row.query_role, row.query_index), []).append(row)
+    return out
+
+
+def pair_records(bundle, pairs, row):
+    """The (query, candidate) records that row ``row`` of a pair array names."""
+    p = PairRow._make(pairs[row].item())
+    return (bundle.resolve(p.query_role, p.query_index),
+            bundle.resolve(p.cand_role, p.cand_index))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import (SCENARIO, eligible_orders, oracle_metrics, oracle_scores,
-                      random_bundle)
+                      pair_records, random_bundle)
 from rvrank.datastore import build_bundle
 from rvrank.evaluation import evaluate, sweep_L
 from rvrank.reranker import (
@@ -178,7 +178,7 @@ def test_analytic_gradients_match_finite_differences():
         bundle = build_bundle(rows, rng.normal(size=(n_img, d)),
                               present, rng.normal(size=(n_img, k, dp)))
         pair_set, _ = build_train_pairs(bundle, num_candidates=3)
-        if not pair_set.pairs:
+        if not len(pair_set.pairs):
             continue
         table = triplet_table(bundle, pair_set)
         pos_index, neg_index = table.cross_indices(table.anchors[:3])
@@ -191,13 +191,12 @@ def test_analytic_gradients_match_finite_differences():
 
         # Distance to the nearest non-smooth point of the loss surface,
         # from the scalar oracle over the pairs the triplets use.
-        sg = np.full(len(table.refs), np.nan)
-        sp = np.full(len(table.refs), np.nan)
+        sg = np.full(len(table.pairs), np.nan)
+        sp = np.full(len(table.pairs), np.nan)
         gaps = []
         for row in np.unique(np.concatenate([pos_index, neg_index])):
-            anchor, cand = table.refs[row]
             _, sg[row], sim_s, contrib = oracle_scores(
-                model, bundle.resolve(*anchor), bundle.resolve(*cand))
+                model, *pair_records(bundle, table.pairs, row))
             if sim_s is None:
                 continue
             sp[row] = sim_s

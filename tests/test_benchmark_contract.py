@@ -27,6 +27,19 @@ def load_tracer():
     return tracer
 
 
+def spy(monkeypatch, captured: dict[str, list], module, name: str) -> None:
+    """Replace ``module.name`` with a wrapper that appends each call's
+    ``(args, kwargs, result)`` to ``captured[name]``."""
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        result = real(*args, **kwargs)
+        captured.setdefault(name, []).append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_every_traced_function_exists():
     tracer = load_tracer()
     assert tracer.TARGETS
@@ -51,20 +64,9 @@ def test_window_counters_read_the_arguments_rerank_passes(tmp_path, monkeypatch)
                VerifierModel.initialize(bundle.dims, 6, 6, seed=0))
 
     captured: dict[str, list] = {}
-
-    def spy(module, name):
-        real = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            result = real(*args, **kwargs)
-            captured.setdefault(name, []).append((args, kwargs, result))
-            return result
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    spy(reranker, "window_rerank")
-    spy(verifier, "pair_arrays")
-    spy(cli, "write_ranked_csv")
+    for module, name in ((reranker, "window_rerank"), (verifier, "pair_arrays"),
+                         (cli, "write_ranked_csv")):
+        spy(monkeypatch, captured, module, name)
     assert cli.main(["rerank", "--meta", str(tmp_path / "meta.csv"),
                      "--features", str(tmp_path / "features.bin"),
                      "--parts", str(tmp_path / "parts.bin"),
@@ -87,3 +89,37 @@ def test_window_counters_read_the_arguments_rerank_passes(tmp_path, monkeypatch)
     assert t.counts["reranker.scorer_calls"] == scored
     assert t.counts["rerank.pairs_fused"] == scored
     assert t.counts["reranker.ranked_rows"] == sum(eligible)
+
+
+def test_pair_row_counter_reads_the_pair_csv_calls(tmp_path, monkeypatch):
+    tracer = load_tracer()
+    data, pairs = tmp_path / "data", tmp_path / "pairs"
+    bundle_flags = ["--meta", str(data / "meta.csv"), "--features",
+                    str(data / "features.bin"), "--parts", str(data / "parts.bin")]
+    assert cli.main(["synth", "--out", str(data), "--n-identities", "8",
+                     "--feature-dim", "8", "--part-dim", "4", "--part-count", "4"]) == 0
+
+    captured: dict[str, list] = {}
+    for name in ("write_pairs_csv", "read_pairs_csv"):
+        spy(monkeypatch, captured, cli, name)
+    assert cli.main(["pairs", *bundle_flags, "--out", str(pairs), "--P", "5"]) == 0
+    assert cli.main(["train", *bundle_flags,
+                     "--train-pairs", str(pairs / "train_pairs.csv"),
+                     "--valid-pairs", str(pairs / "valid_pairs.csv"),
+                     "--out", str(tmp_path / "model"), "--epochs", "1",
+                     "--hidden-global", "4", "--hidden-part", "4"]) == 0
+
+    def data_rows(name: str) -> int:
+        lines = (pairs / name).read_text().splitlines()
+        return sum(1 for ln in lines if not ln.startswith("#")) - 1
+
+    rows = {name: data_rows(f"{name}_pairs.csv") for name in ("train", "valid", "test")}
+    assert min(rows.values()) > 0
+    t = tracer.Tracer()
+    for call in captured["write_pairs_csv"]:
+        tracer.count_write_pairs(t, *call)
+    assert t.counts["retrieval.pair_rows"] == sum(rows.values())
+    t = tracer.Tracer()
+    for call in captured["read_pairs_csv"]:
+        tracer.count_read_pairs(t, *call)
+    assert t.counts["retrieval.pair_rows"] == rows["train"] + rows["valid"]

@@ -197,6 +197,43 @@ def test_mismatched_candidates_fail_the_rerank(workspace, tmp_path, capsys):
     assert "candidate" in err
 
 
+@pytest.mark.parametrize("index", ["-1", "len"])
+def test_out_of_range_pair_index_fails_the_train(workspace, tmp_path, capsys, index):
+    data = workspace / "data"
+    n_train = len(load_bundle(data / "meta.csv", data / "features.bin").splits["T"])
+    index = str(n_train) if index == "len" else index
+    lines = (workspace / "pairs" / "train_pairs.csv").read_text().splitlines()
+    row = next(i for i, ln in enumerate(lines) if ln.startswith("T,"))
+    fields = lines[row].split(",")
+    fields[4] = index
+    lines[row] = ",".join(fields)
+    bad = tmp_path / "train_pairs.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(["train", "--meta", str(data / "meta.csv"),
+               "--features", str(data / "features.bin"),
+               "--parts", str(data / "parts.bin"),
+               "--train-pairs", str(bad),
+               "--valid-pairs", str(workspace / "pairs" / "valid_pairs.csv"),
+               "--out", str(tmp_path / "model"), "--epochs", "1"])
+    assert rc == 1
+    assert f"index {index} out of range for role T" in capsys.readouterr().err
+    assert not (tmp_path / "model" / "model.bin").exists()
+
+
+def test_clamp_warnings_are_one_line_without_a_source_location(workspace, tmp_path,
+                                                                capsys):
+    data = workspace / "data"
+    rc = main(["sweep-l", "--meta", str(data / "meta.csv"),
+               "--features", str(data / "features.bin"),
+               "--parts", str(data / "parts.bin"),
+               "--model", str(workspace / "model" / "model.bin"),
+               "--out", str(tmp_path / "sweep.csv"), "--L-values", "25", "--Q", "20"])
+    assert rc == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines
+    assert set(lines) == {"warning: L=25 exceeds Q=20; clamping L to 20"}
+
+
 def test_eval_rejects_partial_or_duplicated_rankings(workspace, tmp_path, capsys):
     data = workspace / "data"
     lines = (workspace / "ranked.csv").read_text().splitlines()

@@ -272,11 +272,11 @@ class TestPipeline:
         bundle = random_bundle(rng, n_query=4, n_gallery=15)
         ranked = rerank_pipeline(bundle, None, RankingConfig(), stages=())
         pairs = build_eval_pairs(bundle, "Q", "G", num_candidates=15)
-        by_query = candidates_from_pairs(pairs)
+        candidates = candidates_from_pairs(pairs)
         for rl in ranked:
             assert rl.provenance == "retrieval"
             assert rl.order.dtype == np.int64
-            assert np.array_equal(rl.order, by_query[rl.query_index])
+            assert np.array_equal(rl.order, candidates[rl.query_index])
 
     def test_provenance_labels_per_stage_combination(self):
         rng = np.random.default_rng(24)

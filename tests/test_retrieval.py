@@ -10,7 +10,7 @@ import pytest
 from conftest import random_bundle, train_bundle
 from rvrank.datastore import build_bundle
 from rvrank.retrieval import (
-    Pair,
+    PAIR_DTYPE,
     PairSet,
     build_eval_pairs,
     build_train_pairs,
@@ -18,6 +18,7 @@ from rvrank.retrieval import (
     distance_matrix,
     eligible_mask,
     masked_order,
+    query_runs,
     read_pairs_csv,
     top_candidates,
     write_pairs_csv,
@@ -149,9 +150,10 @@ class TestEvalPairs:
         rows = [(0, "Q", 1, 0, 0), (0, "G", 1, 1, 1), (1, "G", 2, 0, 2)]
         bundle = build_bundle(rows, feats)
         pair_set = build_eval_pairs(bundle, "Q", "G", num_candidates=5)
-        assert [(p.rank, p.cand_index, p.label) for p in pair_set.pairs] == \
+        assert pair_set.pairs.dtype == PAIR_DTYPE
+        assert pair_set.pairs[["rank", "cand_index", "label"]].tolist() == \
                [(1, 0, 1), (2, 1, 0)]
-        assert pair_set.provenance == "test"
+        assert set(pair_set.pairs[["query_role", "cand_role"]].tolist()) == {("Q", "G")}
 
     def test_pair_count_matches_per_query_eligibility(self):
         rng = np.random.default_rng(27)
@@ -174,7 +176,8 @@ class TestEvalPairs:
         bundle.splits["Q"] = bundle.splits["VQ"][0:0]
         bundle.splits["G"] = bundle.splits["VG"][0:0]
         pair_set = build_eval_pairs(bundle, "VQ", "VG")
-        assert pair_set.provenance == "valid"
+        assert len(pair_set.pairs) > 0
+        assert set(pair_set.pairs[["query_role", "cand_role"]].tolist()) == {("VQ", "VG")}
 
     def test_candidates_from_pairs_round_trips_lists(self):
         rng = np.random.default_rng(29)
@@ -194,17 +197,16 @@ class TestTrainPairs:
             train = bundle.splits["T"]
             pair_set, dropped = build_train_pairs(bundle, num_candidates=5)
             assert dropped == []
-            by_anchor = pair_set.by_query()
-            for (_, ai), plist in by_anchor.items():
-                anchor = train[ai]
-                for p in plist:
-                    other = train[p.cand_index]
-                    assert p.cand_index != ai
-                    if p.label == 1:
-                        assert other.identity == anchor.identity
-                        assert other.cloth != anchor.cloth
-                    else:
-                        assert other.identity != anchor.identity
+            assert set(pair_set.pairs[["query_role", "cand_role"]].tolist()) == {("T", "T")}
+            columns = pair_set.pairs[["query_index", "cand_index", "label"]]
+            for ai, ci, label in columns.tolist():
+                anchor, other = train[ai], train[ci]
+                assert ci != ai
+                if label == 1:
+                    assert other.identity == anchor.identity
+                    assert other.cloth != anchor.cloth
+                else:
+                    assert other.identity != anchor.identity
 
     def test_pairs_take_nearest_candidates(self):
         rng = np.random.default_rng(38)
@@ -212,14 +214,21 @@ class TestTrainPairs:
         train = bundle.splits["T"]
         dist = distance_matrix(train.features, train.features)
         pair_set, _ = build_train_pairs(bundle, num_candidates=3)
-        for (_, ai), plist in pair_set.by_query().items():
+        pairs = pair_set.pairs
+        for ai in np.unique(pairs["query_index"]).tolist():
             anchor = train[ai]
-            negs = [p.cand_index for p in plist if p.label == 0]
+            rows = pairs[pairs["query_index"] == ai]
+            assert rows["rank"].tolist() == \
+                   [*range(1, (rows["label"] == 1).sum() + 1),
+                    *range(1, (rows["label"] == 0).sum() + 1)]
+            np.testing.assert_allclose(rows["score"], -dist[ai, rows["cand_index"]],
+                                       rtol=1e-12)
+            negs = rows["cand_index"][rows["label"] == 0].tolist()
             want = sorted((j for j in range(len(train))
                            if train[j].identity != anchor.identity),
                           key=lambda j: (dist[ai, j], j))[:3]
             assert negs == want
-            poss = [p.cand_index for p in plist if p.label == 1]
+            poss = rows["cand_index"][rows["label"] == 1].tolist()
             want = sorted((j for j in range(len(train))
                            if train[j].identity == anchor.identity
                            and train[j].cloth != anchor.cloth),
@@ -235,15 +244,15 @@ class TestTrainPairs:
         bundle = build_bundle(rows, feats)
         pair_set, dropped = build_train_pairs(bundle, num_candidates=4)
         assert dropped == [0, 1]
-        anchors = {qi for (_, qi) in pair_set.by_query()}
-        assert anchors == {2, 3, 4, 5}
+        assert set(pair_set.pairs["query_index"].tolist()) == {2, 3, 4, 5}
 
     def test_lonely_dataset_drops_everything(self):
         feats = np.zeros((2, 2), dtype=np.float32)
         rows = [(0, "T", 0, 0, 0), (1, "T", 0, 1, 0)]
         bundle = build_bundle(rows, feats)
         pair_set, dropped = build_train_pairs(bundle)
-        assert pair_set.pairs == [] and dropped == [0, 1]
+        assert pair_set.pairs.dtype == PAIR_DTYPE
+        assert len(pair_set.pairs) == 0 and dropped == [0, 1]
 
     def test_train_pair_counts(self):
         rng = np.random.default_rng(39)
@@ -252,7 +261,7 @@ class TestTrainPairs:
         # 12 anchors, each with 2 same-id-other-cloth positives and 8 negatives
         assert dropped == []
         assert len(pair_set.pairs) == 12 * (2 + 8)
-        assert pair_set.provenance == "train"
+        assert set(pair_set.pairs[["query_role", "cand_role"]].tolist()) == {("T", "T")}
 
 
 class TestPairsCsv:
@@ -263,8 +272,8 @@ class TestPairsCsv:
         path = tmp_path / "pairs.csv"
         write_pairs_csv(path, pair_set, config_comment="config: {}")
         back = read_pairs_csv(path)
-        assert back.pairs == pair_set.pairs
-        assert back.provenance == pair_set.provenance
+        assert back.pairs.dtype == PAIR_DTYPE
+        assert back.pairs.tolist() == pair_set.pairs.tolist()
 
     def test_write_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(48)
@@ -276,14 +285,53 @@ class TestPairsCsv:
         assert a.read_bytes() == b.read_bytes()
 
     def test_scores_survive_repr_round_trip(self, tmp_path):
-        pair = Pair("Q", 0, 1, "G", 3, -0.12345678901234567, 1)
+        pairs = np.array([("Q", 0, 1, "G", 3, -0.12345678901234567, 1)],
+                         dtype=PAIR_DTYPE)
         path = tmp_path / "p.csv"
-        write_pairs_csv(path, PairSet([pair], "test"))
+        write_pairs_csv(path, PairSet(pairs))
         back = read_pairs_csv(path)
-        assert back.pairs[0].score == pair.score
+        assert back.pairs["score"][0] == -0.12345678901234567
 
     def test_bad_header_raises(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("query_role,query_index\nQ,0\n")
         with pytest.raises(ValueError, match="header"):
             read_pairs_csv(path)
+
+    @pytest.mark.parametrize("row, want", [
+        ("X,0,1,G,3,-0.5,1", "unknown role 'X'"),
+        ("Q,0,1,XYZ,3,-0.5,1", "unknown role 'XYZ'"),
+        ("Q,0,1,G,3,-0.5,2", "label must be 0 or 1, got 2"),
+        ("Q,0,1,G,3,-0.5,-1", "label must be 0 or 1, got -1"),
+        (f"Q,{2 ** 63},1,G,3,-0.5,1", "an index or rank does not fit in int64"),
+        (f"Q,0,1,G,{-2 ** 63 - 1},-0.5,1", "an index or rank does not fit in int64"),
+    ])
+    def test_bad_field_values_name_the_file_and_line(self, tmp_path, row, want):
+        path = tmp_path / "p.csv"
+        path.write_text("# config: {}\nquery_role,query_index,rank,cand_role,"
+                        "cand_index,score,label\nQ,0,1,G,2,-0.25,0\n" + row + "\n")
+        with pytest.raises(ValueError, match=f"p.csv: line 4: {want}"):
+            read_pairs_csv(path)
+
+
+class TestQueryGroups:
+    #: (query_role, query_index, rank) per row; queries interleave in file order.
+    ROWS = [("Q", 3, 2), ("VQ", 3, 1), ("Q", 1, 1), ("Q", 3, 1), ("Q", 1, 2),
+            ("VQ", 3, 1), ("Q", 3, 3)]
+
+    def pairs(self):
+        return np.array([(qr, qi, rank, "G", 10 * i, 0.0, i % 2)
+                         for i, (qr, qi, rank) in enumerate(self.ROWS)], dtype=PAIR_DTYPE)
+
+    def test_runs_follow_first_appearance_then_rank_then_file_order(self):
+        assert [run.tolist() for run in query_runs(self.pairs())] == \
+               [[3, 0, 6], [1, 5], [2, 4]]
+        assert query_runs(self.pairs()[:0]) == []
+
+    def test_candidates_are_keyed_on_the_query_index(self):
+        pairs = self.pairs()
+        only_q = PairSet(pairs[pairs["query_role"] == "Q"])
+        got = candidates_from_pairs(only_q)
+        assert list(got) == [1, 3]
+        assert got[1].tolist() == [20, 40] and got[3].tolist() == [30, 0, 60]
+        assert candidates_from_pairs(PairSet(pairs[:0])) == {}

@@ -8,10 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import oracle_fuse, oracle_scores
+from conftest import oracle_fuse, oracle_groups, oracle_scores, pair_records
 from rvrank import verifier
 from rvrank.datastore import build_bundle
-from rvrank.retrieval import build_eval_pairs, build_train_pairs
+from rvrank.retrieval import PairSet, build_eval_pairs, build_train_pairs
 from rvrank.synthgen import SynthConfig, generate
 from rvrank.verifier import (
     HISTORY_HEADER,
@@ -224,8 +224,7 @@ def small_training_setup(seed=0, epochs=4, **hyper):
 def oracle_triplet_loss(model, bundle, table, pos_index, neg_index, margin):
     """Scalar-loop (global term, part term) over table-row triplets."""
     def scores(row):
-        anchor, cand = table.refs[row]
-        return oracle_scores(model, bundle.resolve(*anchor), bundle.resolve(*cand))
+        return oracle_scores(model, *pair_records(bundle, table.pairs, row))
 
     want_g = want_p = 0.0
     for pi, ni in zip(pos_index, neg_index):
@@ -258,7 +257,7 @@ class TestBatchLoss:
 
     def test_triplet_count_is_the_cross_product(self):
         _, bundle, train_pairs, _ = small_training_setup()
-        grouped = train_pairs.by_query()
+        grouped = oracle_groups(train_pairs.pairs)
         table = triplet_table(bundle, train_pairs)
         got = sum(len(table.cross_indices(table.anchors[i:i + 3])[0])
                   for i in range(0, len(table.anchors), 3))
@@ -266,6 +265,34 @@ class TestBatchLoss:
                    sum(1 for p in plist if p.label == 0)
                    for plist in grouped.values())
         assert got == want
+
+    def test_table_rows_follow_anchor_appearance_then_file_order(self):
+        _, bundle, train_pairs, _ = small_training_setup()
+        # Interleave the anchors and leave one without negatives.
+        shuffle = np.random.default_rng(5).permutation(len(train_pairs.pairs))
+        pairs = train_pairs.pairs[shuffle]
+        lonely = pairs["query_index"][0]
+        pairs = pairs[(pairs["query_index"] != lonely) | (pairs["label"] == 1)]
+        table = triplet_table(bundle, PairSet(pairs))
+        want_rows, want_anchor_rows = [], []
+        for plist in oracle_groups(pairs).values():
+            if {p.label for p in plist} != {0, 1}:
+                continue
+            start = len(want_rows)
+            want_rows += plist
+            want_anchor_rows.append(
+                ([start + i for i, p in enumerate(plist) if p.label == 1],
+                 [start + i for i, p in enumerate(plist) if p.label == 0]))
+        assert len(want_anchor_rows) == len(oracle_groups(pairs)) - 1
+        assert table.pairs.tolist() == [tuple(p) for p in want_rows]
+        assert list(table.anchors) == list(range(len(want_anchor_rows)))
+        assert [(pos.tolist(), neg.tolist()) for pos, neg in table.anchor_rows] == \
+               want_anchor_rows
+        gx, px, present = pair_arrays(
+            [pair_records(bundle, table.pairs, r) for r in range(len(table.pairs))],
+            bundle.dims)
+        assert np.array_equal(table.gx, gx) and np.array_equal(table.px, px)
+        assert np.array_equal(table.present, present)
 
     def test_zero_margin_separable_batch_costs_nothing(self):
         model, bundle, train_pairs, _ = small_training_setup()
@@ -370,7 +397,7 @@ class TestTraining:
         model, bundle, _, valid_pairs = small_training_setup(seed=3)
         L, Q = 2, 4
         hits = total = 0
-        for (role, qi), plist in valid_pairs.by_query().items():
+        for (role, qi), plist in oracle_groups(valid_pairs.pairs).items():
             ordered = sorted(plist, key=lambda p: p.rank)
             if not any(p.label == 1 for p in ordered):
                 continue
@@ -414,8 +441,7 @@ class TestTraining:
 
     def test_unusable_pair_set_raises(self):
         model, bundle, train_pairs, valid_pairs = small_training_setup()
-        from rvrank.retrieval import PairSet
-        only_pos = PairSet([p for p in train_pairs.pairs if p.label == 1], "train")
+        only_pos = PairSet(train_pairs.pairs[train_pairs.pairs["label"] == 1])
         with pytest.raises(ValueError, match="anchors"):
             train(model, bundle, only_pos, valid_pairs)
 
