@@ -200,8 +200,31 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_ranked_roles(args: argparse.Namespace) -> None:
+    """Fail when ``--ranked``'s leading ``# config:`` line records other
+    query and gallery roles than ``eval`` was given; a file without both
+    roles in that line is not checked."""
+    with open(args.ranked, "rb") as fh:
+        first = fh.readline()
+    if not first.startswith(b"# config: "):
+        return
+    try:
+        config = json.loads(first.removeprefix(b"# config: "))
+    except ValueError:  # not JSON, or not text: left to the reader
+        return
+    if not isinstance(config, dict) or not {"query_role", "gallery_role"} <= config.keys():
+        return
+    ranked = (config["query_role"], config["gallery_role"])
+    if ranked != (args.query_role, args.gallery_role):
+        raise ValueError(
+            f"{args.ranked}: ranked with --query-role {ranked[0]} --gallery-role "
+            f"{ranked[1]}, but eval got --query-role {args.query_role} "
+            f"--gallery-role {args.gallery_role}")
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     bundle = _load_bundle_args(args)
+    _check_ranked_roles(args)
     ranked = read_ranked_csv(args.ranked)
     report = evaluate(bundle, ranked, k_max=args.k_max,
                       query_role=args.query_role, gallery_role=args.gallery_role)

@@ -18,6 +18,8 @@ with the stage provenance (``retrieval``, ``kreciprocal``, ``window`` or
 
 from __future__ import annotations
 
+import csv
+import re
 import warnings
 from collections import deque
 from dataclasses import dataclass, replace
@@ -282,8 +284,94 @@ def write_ranked_csv(path: str | Path, ranked: list[RankedList],
                 fh.write(f"{rl.query_index},{rank},{gi},{rl.provenance}\n")
 
 
-def read_ranked_csv(path: str | Path) -> list[RankedList]:
-    path = Path(path)
+#: At most 18 digits per integer field on the fast path: 10**18 - 1 fits
+#: int64, so no field can overflow.
+_FAST_DIGITS = 18
+
+
+def _digit_column(body: np.ndarray, begin: np.ndarray,
+                  end: np.ndarray) -> np.ndarray | None:
+    """The integer each ``body[begin:end]`` spells, or None unless every
+    field is 1 to 18 plain ASCII digits.  Built one digit place at a time,
+    units first, so temporaries stay O(rows)."""
+    width = end - begin
+    if width.min() < 1 or width.max() > _FAST_DIGITS:
+        return None
+    value = np.zeros(len(end), dtype=np.int64)
+    for place in range(int(width.max())):
+        # A field narrower than this place reads a byte before it: count 0.
+        byte = np.take(body, end - 1 - place, mode="clip")
+        digit = np.where(width > place, byte - np.uint8(ord("0")), np.uint8(0))
+        if (digit > 9).any():
+            return None
+        value += digit * np.int64(10 ** place)
+    return value
+
+
+def _parse_ranked_bytes(data: bytes) -> tuple | None:
+    """Columns ``(query, rank, gallery, codes, names)`` of a well-formed
+    ranked CSV, parsed from its bytes, or None to leave the file to
+    :func:`~rvrank.datastore.read_csv`.
+
+    ``csv.reader`` reads the head (comment lines up to and including the
+    header), so a quoted ``# config:`` line parses as it does there.  The
+    body must be rows of three integer fields of plain digits and one
+    ``[A-Za-z0-9_]+`` provenance token that is the same on every row, with
+    no blank line and a newline at the end of the file.  The whole file
+    must be ASCII with no CR or NUL byte.
+    """
+    if not data.isascii() or b"\r" in data or b"\0" in data or not data.endswith(b"\n"):
+        return None
+    start = 0
+
+    def lines():
+        nonlocal start
+        while start < len(data):
+            end = data.index(b"\n", start) + 1
+            line, start = data[start:end].decode("ascii"), end
+            yield line
+
+    try:
+        for raw in csv.reader(lines()):
+            if raw and not raw[0].startswith("#"):
+                break
+        else:
+            return None
+    except csv.Error:
+        return None
+    if tuple(raw) != RANKED_HEADER:
+        return None
+    body = np.frombuffer(data, dtype=np.uint8, offset=start)
+    ends = np.flatnonzero(body == ord("\n"))
+    empty = np.zeros(0, dtype=np.int64)
+    if not len(ends):
+        return empty, empty, empty, empty, []
+    begins = np.r_[0, ends[:-1] + 1]
+    commas = np.flatnonzero(body == ord(","))
+    if len(commas) != 3 * len(ends):
+        return None
+    # Commas are sorted, so three per row with each row's three inside it
+    # means exactly three in every row.
+    commas = commas.reshape(-1, 3)
+    if (commas[:, 0] < begins).any() or (commas[:, 2] > ends).any():
+        return None
+    query = _digit_column(body, begins, commas[:, 0])
+    rank = _digit_column(body, commas[:, 0] + 1, commas[:, 1])
+    gallery = _digit_column(body, commas[:, 1] + 1, commas[:, 2])
+    if query is None or rank is None or gallery is None:
+        return None
+    token = bytes(body[commas[0, 2] + 1:ends[0]])
+    # The pattern holds one newline, so its matches cannot overlap: one per
+    # row means every row's last field is the token.
+    if (not re.fullmatch(rb"[A-Za-z0-9_]+", token)
+            or data.count(b"," + token + b"\n", start) != len(ends)):
+        return None
+    return query, rank, gallery, np.zeros(len(ends), dtype=np.int64), [token.decode()]
+
+
+def _read_ranked_rows(path: Path) -> tuple:
+    """The same columns as :func:`_parse_ranked_bytes`, row by row through
+    :func:`~rvrank.datastore.read_csv`, for any file it accepts."""
     queries: list[int] = []
     ranks: list[int] = []
     gallery: list[int] = []
@@ -299,16 +387,31 @@ def read_ranked_csv(path: str | Path) -> list[RankedList]:
     # Rows stream into columns: a ranked.csv holds one row per eligible
     # gallery image per query, too many to hold as row objects.
     deque(read_csv(path, RANKED_HEADER, collect), maxlen=0)
-    if not queries:
-        return []
     try:
         q, r, g = (np.array(col, dtype=np.int64) for col in (queries, ranks, gallery))
     except OverflowError:
         raise ValueError(f"{path}: an index or rank does not fit in int64") from None
+    return q, r, g, np.array(provenance, dtype=np.int64), list(codes)
+
+
+def read_ranked_csv(path: str | Path) -> list[RankedList]:
+    """Read a ranked CSV back into one :class:`RankedList` per query, in
+    query order.
+
+    A file as :func:`write_ranked_csv` writes it is parsed from its bytes
+    with numpy; any other file goes through
+    :func:`~rvrank.datastore.read_csv`, which accepts the same files and
+    names the file and line of a fault.  Either way each query's ranks
+    must be dense from 1 and its provenance one value.
+    """
+    path = Path(path)
+    columns = _parse_ranked_bytes(path.read_bytes())
+    q, r, g, c, names = columns if columns is not None else _read_ranked_rows(path)
+    if not len(q):
+        return []
     by_rank = np.lexsort((r, q))
-    q, c = q[by_rank], np.array(provenance)[by_rank]
+    q, c = q[by_rank], c[by_rank]
     starts = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
-    names = list(codes)
     out: list[RankedList] = []
     for qi, rank, order, prov in zip(q[starts].tolist(), *(
             np.split(col, starts[1:]) for col in (r[by_rank], g[by_rank], c))):

@@ -83,9 +83,11 @@ def eligible_mask(queries: Split, gallery: Split) -> np.ndarray:
 def masked_order(row: np.ndarray, allowed: np.ndarray,
                  limit: int | None = None) -> np.ndarray:
     """Indices of the entries ``allowed`` permits, by ascending ``row``
-    value with ties to the lower index; at most ``limit`` of them."""
+    value with ties to the lower index; at most ``limit`` of them, as an
+    array of their own that keeps no longer ordering alive."""
     order = np.argsort(row, kind="stable")
-    return order[allowed[order]][:limit]
+    kept = order[allowed[order]]
+    return kept if limit is None else kept[:limit].copy()
 
 
 def top_candidates(queries: Split, gallery: Split, num_candidates: int,

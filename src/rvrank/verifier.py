@@ -386,10 +386,34 @@ def _pair_records(bundle: DatasetBundle, pairs: np.ndarray
             for qr, qi, _, cr, ci, _, _ in pairs.tolist()]
 
 
+def _check_pair_indices(bundle: DatasetBundle, pairs: np.ndarray) -> None:
+    """Raise ValueError naming the first pair row, in array order, whose
+    query or candidate index lies outside its role's split; a role the
+    bundle lacks raises KeyError."""
+    sides = (("query_role", "query_index"), ("cand_role", "cand_index"))
+    bad = []
+    for role_col, index_col in sides:
+        roles, inverse = np.unique(pairs[role_col], return_inverse=True)
+        unknown = [role for role in roles.tolist() if role not in bundle.splits]
+        if unknown:
+            raise KeyError(f"unknown role {unknown[0]!r}")
+        size = np.array([len(bundle.splits[role]) for role in roles.tolist()], dtype=np.int64)
+        bad.append((pairs[index_col] < 0) | (pairs[index_col] >= size[inverse]))
+    rows = np.flatnonzero(bad[0] | bad[1])
+    if len(rows):
+        row = int(rows[0])
+        role_col, index_col = sides[0] if bad[0][row] else sides[1]
+        role = str(pairs[role_col][row])
+        raise ValueError(f"pair row {row}: index {pairs[index_col][row]} out of range "
+                         f"for role {role} (n={len(bundle.splits[role])})")
+
+
 def triplet_table(bundle: DatasetBundle, pair_set: PairSet) -> TripletTable:
     """Fuse every pair of every anchor that has both positives and
     negatives, anchors in first-appearance order and each anchor's rows in
-    pair-set order."""
+    pair-set order.  Every pair row's indices are checked first, including
+    the rows of anchors that are left out."""
+    _check_pair_indices(bundle, pair_set.pairs)
     is_pos = pair_set.pairs["label"] == 1
     runs = [np.sort(run) for run in query_runs(pair_set.pairs)
             if is_pos[run].any() and not is_pos[run].all()]
@@ -473,8 +497,11 @@ class ValidationSet(NamedTuple):
 
 def validation_set(bundle: DatasetBundle, valid_pairs: PairSet,
                    ranking_Q: int) -> ValidationSet:
-    """Group ``valid_pairs`` by query and fuse every prefix once."""
+    """Group ``valid_pairs`` by query and fuse every prefix once.  Every
+    pair row's indices are checked first, including the rows of queries
+    without a positive, which are left out."""
     pairs = valid_pairs.pairs
+    _check_pair_indices(bundle, pairs)
     runs = [pairs[run] for run in query_runs(pairs) if (pairs["label"][run] == 1).any()]
     prefixes = np.concatenate([pairs[:0], *(run[:ranking_Q] for run in runs)])
     return ValidationSet([(run["label"] == 1).astype(np.int64) for run in runs], ranking_Q,

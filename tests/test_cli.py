@@ -259,6 +259,24 @@ def test_eval_rejects_partial_or_duplicated_rankings(workspace, tmp_path, capsys
         assert not report.exists(), name
 
 
+def test_eval_rejects_a_ranking_made_for_other_roles(workspace, tmp_path, capsys):
+    data = workspace / "data"
+    flags = ["--meta", str(data / "meta.csv"), "--features", str(data / "features.bin"),
+             "--parts", str(data / "parts.bin")]
+    ranked, report = tmp_path / "ranked.csv", tmp_path / "report.json"
+    assert main(["rerank", *flags, "--query-role", "VQ", "--gallery-role", "VG",
+                 "--stages", "none", "--out", str(ranked)]) == 0
+    capsys.readouterr()
+    rc = main(["eval", *flags, "--ranked", str(ranked), "--out", str(report)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {ranked}: ranked with --query-role VQ --gallery-role VG, "
+                   "but eval got --query-role Q --gallery-role G\n")
+    assert not report.exists()
+    assert main(["eval", *flags, "--query-role", "VQ", "--gallery-role", "VG",
+                 "--ranked", str(ranked), "--out", str(report)]) == 0
+
+
 def test_version_flag_exits_cleanly(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_scores, random_bundle
-from rvrank import verifier
+from rvrank import reranker, verifier
 from rvrank.reranker import (
     RankedList,
     RankingConfig,
@@ -464,3 +464,72 @@ class TestRankedCsv:
         path.write_text("0,1,5,window\n")
         with pytest.raises(ValueError, match="header"):
             read_ranked_csv(path)
+
+
+HEADER = b"query_index,rank,gallery_index,stage_provenance\n"
+
+#: Files both readers must agree on: the fast parser's own input, and every
+#: odd or faulty file it must leave to the row-by-row reader.
+READER_CASES = {
+    "well formed": HEADER + b"1,1,4,window\n0,2,3,window\n0,1,5,window\n",
+    "18 digits": HEADER + b"0,1,999999999999999999,retrieval\n",
+    "config comment": b'# config: {"a":"b,c","query_role":"Q"}\n' + HEADER
+                      + b"0,1,5,window\n",
+    "quotes span lines": b'# config: {"a":1,"b\nc":2}\n' + HEADER + b"0,1,5,window\n",
+    "crlf": HEADER.replace(b"\n", b"\r\n") + b"0,1,5,window\r\n0,2,6,window\r\n",
+    "quoted field": HEADER + b'0,1,5,"window"\n0,2,6,window\n',
+    "blank line": HEADER + b"0,1,5,window\n\n0,2,6,window\n",
+    "comment between rows": HEADER + b"0,1,5,window\n# note\n0,2,6,window\n",
+    "plus sign": HEADER + b"0,+1,5,window\n",
+    "leading space": HEADER + b"0, 1,5,window\n",
+    "leading zeros": HEADER + b"0,001,007,window\n",
+    "negative index": HEADER + b"-1,1,5,window\n",
+    "19 digits": HEADER + b"0,1,9223372036854775807,window\n",
+    "2**70": HEADER + b"0,1,%d,window\n" % 2**70,
+    "no trailing newline": HEADER + b"0,1,5,window\n0,2,6,window",
+    "truncated last row": HEADER + b"0,1,5,window\n0,2,6\n",
+    "extra field": HEADER + b"0,1,5,window\n0,2,6,window,9\n",
+    "nul byte": HEADER + b"0,1,5,win\0dow\n",
+    "non-ascii token": HEADER + "0,1,5,w\u00efndow\n".encode(),
+    "mixed provenance": HEADER + b"0,1,5,window\n0,2,6,retrieval\n",
+    "sparse ranks": HEADER + b"0,1,5,window\n0,3,6,window\n",
+    "header only": HEADER,
+    "empty file": b"",
+}
+
+
+def read_outcome(path):
+    """What read_ranked_csv makes of a file: its rankings or its error."""
+    try:
+        return [(rl.query_index, rl.order.tolist(), rl.provenance)
+                for rl in read_ranked_csv(path)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestRankedCsvFastPath:
+    @pytest.mark.parametrize("name", sorted(READER_CASES))
+    def test_fast_parser_agrees_with_the_row_reader(self, tmp_path, monkeypatch, name):
+        path = tmp_path / "ranked.csv"
+        path.write_bytes(READER_CASES[name])
+        shipped = read_outcome(path)
+        monkeypatch.setattr(reranker, "_parse_ranked_bytes", lambda data: None)
+        assert read_outcome(path) == shipped
+
+    def test_written_files_never_take_the_row_reader(self, tmp_path, monkeypatch):
+        def row_reader(*args, **kwargs):
+            raise AssertionError("read_csv called for a written ranked.csv")
+
+        monkeypatch.setattr(reranker, "read_csv", row_reader)
+        rng = np.random.default_rng(47)
+        bundle = random_bundle(rng, n_query=3, n_gallery=9)
+        model = VerifierModel.initialize(bundle.dims, 6, 6, seed=5)
+        path = tmp_path / "ranked.csv"
+        cfg = RankingConfig(P=9, L=3, Q=6, k1=3, k2=2)
+        for stages in ((), ("kreciprocal",), ("window",), ("kreciprocal", "window")):
+            ranked = rerank_pipeline(bundle, model, cfg, stages=stages)
+            write_ranked_csv(path, ranked,
+                             config_comment='config: {"out":"a, \\"b\\"","query_role":"Q"}')
+            assert [(rl.query_index, rl.order.tolist(), rl.provenance)
+                    for rl in read_ranked_csv(path)] == \
+                   [(rl.query_index, rl.order.tolist(), rl.provenance) for rl in ranked]

@@ -137,6 +137,17 @@ class TestEligibility:
             assert masked_order(row, allowed).tolist() == \
                    np.argsort(keyed, kind="stable")[:int(allowed.sum())].tolist()
 
+    def test_masked_order_with_a_limit_owns_its_memory(self):
+        # A top-P list must not keep the query's whole sorted row alive.
+        row = np.random.default_rng(23).random(50)
+        allowed = np.ones(50, dtype=bool)
+        allowed[::3] = False
+        full = masked_order(row, allowed)
+        for limit in (5, 40):
+            kept = masked_order(row, allowed, limit)
+            assert kept.base is None
+            assert kept.tolist() == full[:limit].tolist()
+
     def test_empty_gallery_raises(self):
         feats = np.zeros((1, 2), dtype=np.float32)
         bundle = build_bundle([(0, "Q", 1, 0, 0)], feats)

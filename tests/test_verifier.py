@@ -294,6 +294,19 @@ class TestBatchLoss:
         assert np.array_equal(table.gx, gx) and np.array_equal(table.px, px)
         assert np.array_equal(table.present, present)
 
+    def test_out_of_range_row_in_a_discarded_group_raises(self):
+        # Query index -1 forms a one-row group of its own, which has only one
+        # label and so is left out of the table; its index is still checked.
+        _, bundle, train_pairs, _ = small_training_setup()
+        pairs = train_pairs.pairs.copy()
+        pairs["query_index"][7] = -1
+        with pytest.raises(ValueError, match="pair row 7: index -1 out of range for role T"):
+            triplet_table(bundle, PairSet(pairs))
+        pairs = train_pairs.pairs.copy()
+        pairs["cand_index"][3] = n = len(bundle.splits["T"])
+        with pytest.raises(ValueError, match=f"pair row 3: index {n} out of range for role T"):
+            triplet_table(bundle, PairSet(pairs))
+
     def test_zero_margin_separable_batch_costs_nothing(self):
         model, bundle, train_pairs, _ = small_training_setup()
         table = triplet_table(bundle, train_pairs)
@@ -411,6 +424,15 @@ class TestTraining:
         assert total > 0
         got = validation_rank1(model, validation_set(bundle, valid_pairs, Q), L)
         assert got == hits / total
+
+    def test_out_of_range_row_of_a_query_without_positive_raises(self):
+        _, bundle, _, valid_pairs = small_training_setup()
+        pairs = valid_pairs.pairs.copy()
+        row = int(np.flatnonzero(pairs["label"] == 0)[0])
+        pairs["query_index"][row] = -1
+        with pytest.raises(ValueError,
+                           match=f"pair row {row}: index -1 out of range for role VQ"):
+            validation_set(bundle, PairSet(pairs), 20)
 
     def test_pairs_are_fused_once_per_train_call(self, monkeypatch):
         model, bundle, train_pairs, valid_pairs = small_training_setup(epochs=3)
