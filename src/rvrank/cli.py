@@ -10,6 +10,7 @@ produced it: CSVs carry a leading ``# config: {...}`` comment, JSON files a
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import warnings
@@ -18,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .datastore import (BundleFormatError, load_bundle, validate_bundle,
-                        write_bundle)
+from .datastore import (ROLES, BundleFormatError, load_bundle, validate_bundle,
+                        write_bundle, write_json)
 from .evaluation import evaluate, sweep_L, write_sweep_csv
 from .retrieval import (METRICS, build_eval_pairs, build_train_pairs,
                         candidates_from_pairs, query_runs, read_pairs_csv,
@@ -51,9 +52,7 @@ def _config_comment(args: argparse.Namespace) -> str:
 
 
 def _write_sidecar(path: Path, args: argparse.Namespace) -> None:
-    with open(str(path) + ".config.json", "w") as fh:
-        json.dump({"config": _config_dict(args)}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(str(path) + ".config.json", {"config": _config_dict(args)})
 
 
 def _load_bundle_args(args: argparse.Namespace):
@@ -68,8 +67,8 @@ def _add_bundle_flags(sub: argparse.ArgumentParser, parts_required: bool = False
 
 
 def _add_role_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--query-role", default="Q", choices=("T", "VQ", "VG", "Q", "G"))
-    sub.add_argument("--gallery-role", default="G", choices=("T", "VQ", "VG", "Q", "G"))
+    sub.add_argument("--query-role", default="Q", choices=ROLES)
+    sub.add_argument("--gallery-role", default="G", choices=ROLES)
 
 
 # ---------------------------------------------------------------------------
@@ -77,21 +76,8 @@ def _add_role_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = SynthConfig(
-        n_identities=args.n_identities,
-        clothes_per_identity=args.clothes_per_identity,
-        images_per_cloth=args.images_per_cloth,
-        confuser_group_size=args.confuser_group_size,
-        feature_dim=args.feature_dim,
-        part_dim=args.part_dim,
-        part_count=args.part_count,
-        identity_shift=args.identity_shift,
-        cloth_shift=args.cloth_shift,
-        general_noise=args.general_noise,
-        detail_noise=args.detail_noise,
-        part_dropout=args.part_dropout,
-        seed=args.seed,
-    )
+    config = SynthConfig(**{f.name: getattr(args, f.name)
+                            for f in dataclasses.fields(SynthConfig)})
     bundle, truth = generate(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -187,7 +173,9 @@ def cmd_rerank(args: argparse.Namespace) -> int:
         scorer = load_model(args.model)
     candidates = None
     if args.candidates is not None:
-        candidates = candidates_from_pairs(read_pairs_csv(args.candidates))
+        pair_set = read_pairs_csv(args.candidates)
+        _check_candidate_roles(args, pair_set.pairs)
+        candidates = candidates_from_pairs(pair_set)
     config = RankingConfig(P=args.P, L=args.L, Q=args.Q,
                            k1=args.k1, k2=args.k2, lam=args.lam)
     ranked = rerank_pipeline(bundle, scorer, config, stages=stages,
@@ -198,6 +186,17 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     print(f"wrote {args.out}: {len(ranked)} queries, "
           f"stages={args.stages}")
     return 0
+
+
+def _check_candidate_roles(args: argparse.Namespace, pairs: np.ndarray) -> None:
+    """Fail unless every row of ``--candidates`` pairs a ``--query-role``
+    query with a ``--gallery-role`` candidate."""
+    found = sorted(set(zip(pairs["query_role"].tolist(), pairs["cand_role"].tolist())))
+    if any(roles != (args.query_role, args.gallery_role) for roles in found):
+        raise ValueError(
+            f"{args.candidates}: holds pairs of roles "
+            f"{', '.join(f'{q}/{g}' for q, g in found)}, but rerank got "
+            f"--query-role {args.query_role} --gallery-role {args.gallery_role}")
 
 
 def _check_ranked_roles(args: argparse.Namespace) -> None:
@@ -260,11 +259,13 @@ def cmd_sweep_l(args: argparse.Namespace) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     bundle = _load_bundle_args(args)
     model = load_model(args.model)
-    query = bundle.resolve(args.query_role, args.query_index)
-    gallery = bundle.splits[args.gallery_role]
-    [(indices, _)] = top_candidates(
-        bundle.splits[args.query_role][query.index:query.index + 1],
-        gallery, args.limit, metric=args.metric)
+    queries, gallery = bundle.splits[args.query_role], bundle.splits[args.gallery_role]
+    if not 0 <= args.query_index < len(queries):
+        raise ValueError(f"--query-index {args.query_index} out of range for role "
+                         f"{args.query_role} (n={len(queries)})")
+    query = queries[args.query_index]
+    [(indices, _)] = top_candidates(queries[query.index:query.index + 1],
+                                    gallery, args.limit, metric=args.metric)
     print(f"query {args.query_role}:{query.index} identity={query.identity} "
           f"cloth={query.cloth}")
     print("rank,gallery_index,label,score,head,best_part")
@@ -299,19 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-identities", type=int, default=40)
-    p.add_argument("--clothes-per-identity", type=int, default=3)
-    p.add_argument("--images-per-cloth", type=int, default=2)
-    p.add_argument("--confuser-group-size", type=int, default=4)
-    p.add_argument("--feature-dim", type=int, default=32)
-    p.add_argument("--part-dim", type=int, default=8)
-    p.add_argument("--part-count", type=int, default=15)
-    p.add_argument("--identity-shift", type=float, default=0.2)
-    p.add_argument("--cloth-shift", type=float, default=1.0)
-    p.add_argument("--general-noise", type=float, default=0.3)
-    p.add_argument("--detail-noise", type=float, default=0.0)
-    p.add_argument("--part-dropout", type=float, default=0.0)
+    for f in dataclasses.fields(SynthConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                       default=f.default)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("validate", help="check a bundle against its invariants")

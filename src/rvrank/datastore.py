@@ -12,15 +12,21 @@ A dataset bundle is three files:
 Binary payloads are little-endian f32, row-major, in metadata row order.
 Rows in the metadata file are sorted by role (in the order T, VQ, VG, Q, G)
 and then by index; indices are dense 0..n-1 within each role.
+
+This module also frames every artifact the package writes or reads:
+:func:`write_csv` and :func:`read_csv` for CSVs, :func:`write_json` for JSON
+and :class:`BinaryHeader` for the magic and header of a binary file.  Each
+format module keeps only its own row or field rule.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -120,21 +126,31 @@ class DatasetBundle:
     def feature_dim(self) -> int:
         return self.dims[0]
 
-    def resolve(self, role: str, index: int) -> ImageRecord:
-        """Look up one record by (role, index); raises KeyError if missing."""
-        if role not in self.splits:
-            raise KeyError(f"unknown role {role!r}")
-        split = self.splits[role]
-        if not 0 <= index < len(split):
-            raise KeyError(f"index {index} out of range for role {role} (n={len(split)})")
-        return split[index]
-
 
 # ---------------------------------------------------------------------------
-# CSV files
+# artifact framing: CSV, JSON and binary headers
 
 
 Row = TypeVar("Row")
+
+
+def write_csv(path: str | Path, header: tuple[str, ...], chunks: Iterable[str],
+              config_comment: str | None = None) -> None:
+    """Write a CSV that :func:`read_csv` reads: an optional ``# `` comment
+    line, then ``header``, then ``chunks`` of text, each holding one or more
+    complete rows that end in ``\\n``."""
+    with open(path, "w", newline="") as fh:
+        if config_comment is not None:
+            fh.write(f"# {config_comment}\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(chunks)
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """Write ``payload`` as JSON: sorted keys, two-space indent, final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def read_csv(path: str | Path, header: tuple[str, ...],
@@ -169,6 +185,49 @@ def read_csv(path: str | Path, header: tuple[str, ...],
             yield row
     if not header_seen:
         raise error(f"{path}: missing header row")
+
+
+class BinaryHeader:
+    """A binary file read whole and checked front to back: its ``magic``,
+    header fields in order (:meth:`take`), then a payload whose size the
+    header fixes (:meth:`payload`).  Every fault raises ``error`` naming the
+    file."""
+
+    def __init__(self, path: str | Path, magic: bytes,
+                 error: type[ValueError] = BundleFormatError) -> None:
+        self.path = Path(path)
+        self.error = error
+        self.data = self.path.read_bytes()
+        found = self.data[:len(magic)]
+        if found != magic:
+            raise error(f"{self.path}: bad magic at offset 0: expected {magic!r}, "
+                        f"got {found!r}")
+        self.offset = len(magic)
+
+    def take(self, fmt: str) -> tuple:
+        """Unpack the next header fields; a file too short for them raises."""
+        size = struct.calcsize(fmt)
+        held = len(self.data) - self.offset
+        if size > held:
+            raise self.error(f"{self.path}: truncated header at offset {self.offset}: "
+                             f"wanted {size} bytes, got {held}")
+        values = struct.unpack_from(fmt, self.data, self.offset)
+        self.offset += size
+        return values
+
+    def payload(self, expected_bytes: int, what: str) -> memoryview:
+        """The rest of the file, which must be exactly ``expected_bytes``
+        long; ``what`` names the contents the header declares."""
+        held = len(self.data) - self.offset
+        if held != expected_bytes:
+            raise self.error(f"{self.path}: payload length mismatch: header declares "
+                             f"{what} ({expected_bytes} bytes), file holds {held} bytes "
+                             "after the header")
+        return memoryview(self.data)[self.offset:]
+
+
+# ---------------------------------------------------------------------------
+# metadata CSV
 
 
 def _parse_metadata_row(raw: list[str]) -> tuple[int, str, int, int, int]:
@@ -206,33 +265,12 @@ def _check_metadata_order(source: str | Path,
 # binary feature files
 
 
-def _read_exact(fh, n: int, path: Path, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise BundleFormatError(
-            f"{path}: truncated while reading {what}: wanted {n} bytes, got {len(data)}"
-        )
-    return data
-
-
 def read_feature_file(path: str | Path) -> np.ndarray:
     """Read a global feature file into an (N, D) float32 array."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, path, "magic")
-        if magic != FEATURE_MAGIC:
-            raise BundleFormatError(
-                f"{path}: bad magic at offset 0: expected {FEATURE_MAGIC!r}, got {magic!r}"
-            )
-        n, d = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
-        payload = fh.read()
-    expected = n * d * 4
-    if len(payload) != expected:
-        raise BundleFormatError(
-            f"{path}: payload length mismatch: header declares {n}x{d} f32 "
-            f"({expected} bytes), file holds {len(payload)} bytes after the header"
-        )
-    return np.frombuffer(payload, dtype="<f4").reshape(n, d)
+    header = BinaryHeader(path, FEATURE_MAGIC)
+    n, d = header.take("<II")
+    return np.frombuffer(header.payload(n * d * 4, f"{n}x{d} f32"),
+                         dtype="<f4").reshape(n, d)
 
 
 def write_feature_file(path: str | Path, features: np.ndarray) -> None:
@@ -253,21 +291,11 @@ def read_parts_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     and ``vectors`` is an (N, K, Dp) float32 array.  Vectors whose presence
     flag is 0 are normalised to all-zero regardless of the stored payload.
     """
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, path, "magic")
-        if magic != PARTS_MAGIC:
-            raise BundleFormatError(
-                f"{path}: bad magic at offset 0: expected {PARTS_MAGIC!r}, got {magic!r}"
-            )
-        n, k, dp = struct.unpack("<III", _read_exact(fh, 12, path, "header"))
-        payload = fh.read()
-    expected = n * k * (1 + 4 * dp)
-    if len(payload) != expected:
-        raise BundleFormatError(
-            f"{path}: payload length mismatch: header declares {n}x{k} parts of "
-            f"dim {dp} ({expected} bytes), file holds {len(payload)} bytes"
-        )
+    header = BinaryHeader(path, PARTS_MAGIC)
+    n, k, dp = header.take("<III")
+    # The size is checked by arithmetic first: a huge declared dp must not
+    # build its record dtype.
+    payload = header.payload(n * k * (1 + 4 * dp), f"{n}x{k} parts of dim {dp}")
     record = np.dtype([("flag", "u1"), ("vec", "<f4", (dp,))])
     raw = np.frombuffer(payload, dtype=record).reshape(n, k)
     flags = raw["flag"]
@@ -275,7 +303,8 @@ def read_parts_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     if bad.size:
         i, j = bad[0]
         raise BundleFormatError(
-            f"{path}: record {i} part {j}: presence flag must be 0 or 1, got {flags[i, j]}"
+            f"{header.path}: record {i} part {j}: presence flag must be 0 or 1, "
+            f"got {flags[i, j]}"
         )
     present = flags.astype(bool)
     vectors = raw["vec"].copy()
@@ -431,15 +460,11 @@ def write_bundle(
     metadata CSV.
     """
     splits = [bundle.splits[role] for role in ROLES]
-    with open(metadata_path, "w", newline="") as fh:
-        if config_comment is not None:
-            fh.write(f"# {config_comment}\n")
-        fh.write(",".join(METADATA_HEADER) + "\n")
-        for role, split in zip(ROLES, splits):
-            labels = zip(split.identity.tolist(), split.cloth.tolist(),
-                         split.camera.tolist())
-            fh.writelines(f"{i},{role},{identity},{cloth},{camera}\n"
-                          for i, (identity, cloth, camera) in enumerate(labels))
+    rows = (f"{i},{role},{identity},{cloth},{camera}\n"
+            for role, split in zip(ROLES, splits)
+            for i, (identity, cloth, camera) in enumerate(zip(
+                split.identity.tolist(), split.cloth.tolist(), split.camera.tolist())))
+    write_csv(metadata_path, METADATA_HEADER, rows, config_comment)
     write_feature_file(feature_path, np.concatenate([s.features for s in splits]))
     if parts_path is not None:
         write_parts_file(parts_path, np.concatenate([s.present for s in splits]),

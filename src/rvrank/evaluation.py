@@ -13,7 +13,6 @@ a single positive are excluded from the averages and reported separately.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -21,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datastore import DatasetBundle, Split, read_csv
+from .datastore import DatasetBundle, Split, read_csv, write_csv, write_json
 from .reranker import RankedList, RankingConfig, rerank_pipeline, window_rerank
 from .retrieval import eligible_mask
 from .verifier import prefix_scores
@@ -67,20 +66,17 @@ class EvalReport:
         return out
 
     def write_json(self, path: str | Path, config: dict | None = None) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(config), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_json_dict(config))
 
     def write_per_query_csv(self, path: str | Path,
                             config_comment: str | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            if config_comment is not None:
-                fh.write(f"# {config_comment}\n")
-            fh.write(",".join(PER_QUERY_HEADER) + "\n")
+        def rows():
             for qm in self.per_query:
                 hit = "" if qm.first_hit_rank is None else qm.first_hit_rank
                 ap = "" if qm.average_precision is None else repr(qm.average_precision)
-                fh.write(f"{qm.query_index},{hit},{ap}\n")
+                yield f"{qm.query_index},{hit},{ap}\n"
+
+        write_csv(path, PER_QUERY_HEADER, rows(), config_comment)
 
 
 def evaluate(bundle: DatasetBundle, ranked: list[RankedList], k_max: int = 10,
@@ -195,12 +191,8 @@ def sweep_L(bundle: DatasetBundle, scorer, config: RankingConfig,
 
 def write_sweep_csv(path: str | Path, rows: list[tuple[int, float, float]],
                     config_comment: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        if config_comment is not None:
-            fh.write(f"# {config_comment}\n")
-        fh.write(",".join(SWEEP_HEADER) + "\n")
-        for L, r1, r10 in rows:
-            fh.write(f"{L},{r1!r},{r10!r}\n")
+    write_csv(path, SWEEP_HEADER, (f"{L},{r1!r},{r10!r}\n" for L, r1, r10 in rows),
+              config_comment)
 
 
 def read_sweep_csv(path: str | Path) -> list[tuple[int, float, float]]:

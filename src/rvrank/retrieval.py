@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datastore import ROLES, DatasetBundle, Split, read_csv
+from .datastore import ROLES, DatasetBundle, Split, read_csv, write_csv
 
 METRICS = ("euclidean", "cosine")
 
@@ -202,12 +202,10 @@ def candidates_from_pairs(pair_set: PairSet) -> dict[int, np.ndarray]:
 def write_pairs_csv(path: str | Path, pair_set: PairSet,
                     config_comment: str | None = None) -> None:
     """Write a pair set; float scores use repr so reads round-trip exactly."""
-    with open(path, "w", newline="") as fh:
-        if config_comment is not None:
-            fh.write(f"# {config_comment}\n")
-        fh.write(",".join(PAIR_HEADER) + "\n")
-        fh.writelines(f"{qr},{qi},{rank},{cr},{ci},{score!r},{label}\n"
-                      for qr, qi, rank, cr, ci, score, label in pair_set.pairs.tolist())
+    write_csv(path, PAIR_HEADER,
+              (f"{qr},{qi},{rank},{cr},{ci},{score!r},{label}\n"
+               for qr, qi, rank, cr, ci, score, label in pair_set.pairs.tolist()),
+              config_comment)
 
 
 def _parse_pair_row(raw: list[str]) -> tuple:

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datastore import ROLES, DatasetBundle, build_bundle
+from .datastore import ROLES, DatasetBundle, build_bundle, write_json
 
 TRAIN_FRACTION = 0.5
 VALID_FRACTION = 0.2
@@ -193,9 +193,7 @@ def write_groundtruth(path: str | Path, truth: GroundTruth) -> None:
         "detail_vectors": [[[float(x) for x in part] for part in ident]
                            for ident in truth.detail_vectors],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_groundtruth(path: str | Path) -> GroundTruth:

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .datastore import DatasetBundle, ImageRecord, Split
+from .datastore import BinaryHeader, DatasetBundle, ImageRecord, Split, write_csv
 from .retrieval import PairSet, query_runs
 
 MODEL_MAGIC = b"RVM1"
@@ -380,10 +380,10 @@ class TripletTable(NamedTuple):
 
 def _pair_records(bundle: DatasetBundle, pairs: np.ndarray
                   ) -> list[tuple[ImageRecord, ImageRecord]]:
-    """The (query, candidate) records of each pair row; a role or index the
-    bundle lacks raises KeyError."""
-    return [(bundle.resolve(qr, qi), bundle.resolve(cr, ci))
-            for qr, qi, _, cr, ci, _, _ in pairs.tolist()]
+    """The (query, candidate) records of each pair row, whose roles and
+    indices :func:`_check_pair_indices` has checked."""
+    splits = bundle.splits
+    return [(splits[qr][qi], splits[cr][ci]) for qr, qi, _, cr, ci, _, _ in pairs.tolist()]
 
 
 def _check_pair_indices(bundle: DatasetBundle, pairs: np.ndarray) -> None:
@@ -606,13 +606,10 @@ def train(model: VerifierModel, bundle: DatasetBundle, train_pairs: PairSet,
 
 def write_history_csv(path: str | Path, history: list[EpochStats],
                       config_comment: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        if config_comment is not None:
-            fh.write(f"# {config_comment}\n")
-        fh.write(",".join(HISTORY_HEADER) + "\n")
-        for row in history:
-            fh.write(f"{row.epoch},{row.loss!r},{row.loss_global!r},"
-                     f"{row.loss_part!r},{row.valid_rank1!r}\n")
+    write_csv(path, HISTORY_HEADER,
+              (f"{row.epoch},{row.loss!r},{row.loss_global!r},"
+               f"{row.loss_part!r},{row.valid_rank1!r}\n" for row in history),
+              config_comment)
 
 
 # ---------------------------------------------------------------------------
@@ -642,42 +639,20 @@ def save_model(path: str | Path, model: VerifierModel) -> None:
 
 
 def load_model(path: str | Path) -> VerifierModel:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != MODEL_MAGIC:
-        raise ValueError(f"{path}: bad magic at offset 0: expected {MODEL_MAGIC!r}, "
-                         f"got {data[:4]!r}")
-    offset = 4
-
-    def take(fmt):
-        nonlocal offset
-        size = struct.calcsize(fmt)
-        if offset + size > len(data):
-            raise ValueError(f"{path}: truncated header at offset {offset}")
-        vals = struct.unpack_from(fmt, data, offset)
-        offset += size
-        return vals
-
-    d, dp, k, hg, hp = take("<5I")
-    (seed,) = take("<q")
-    margin, lr = take("<2d")
-    epochs, batch = take("<2I")
-    (decay_factor,) = take("<d")
-    (n_milestones,) = take("<I")
-    milestones = take(f"<{n_milestones}I") if n_milestones else ()
+    header = BinaryHeader(path, MODEL_MAGIC, ValueError)
+    (d, dp, k, hg, hp, seed, margin, lr, epochs, batch, decay_factor,
+     n_milestones) = header.take("<5Iq2d2IdI")
+    milestones = header.take(f"<{n_milestones}I")
     hyper = TrainConfig(margin=margin, learning_rate=lr, epochs=epochs,
                         batch_size=batch, decay_factor=decay_factor,
                         decay_epochs=tuple(milestones))
     try:
         layout = _weight_layout((d, dp, k), hg, hp)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{header.path}: {exc}") from None
     expect = sum(math.prod(shape) for _, shape, _ in layout)
-    if len(data) - offset != 4 * expect:
-        raise ValueError(f"{path}: weight payload holds {len(data) - offset} bytes, "
-                         f"dims require {expect} f32 values ({4 * expect} bytes)")
-    payload = np.frombuffer(data, dtype="<f4", offset=offset)
+    payload = np.frombuffer(header.payload(4 * expect, f"{expect} f32 weights"),
+                            dtype="<f4")
     tensors = {}
     for name, shape, _ in layout:
         size = math.prod(shape)

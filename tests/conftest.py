@@ -174,5 +174,5 @@ def oracle_groups(pairs) -> dict[tuple[str, int], list[PairRow]]:
 def pair_records(bundle, pairs, row):
     """The (query, candidate) records that row ``row`` of a pair array names."""
     p = PairRow._make(pairs[row].item())
-    return (bundle.resolve(p.query_role, p.query_index),
-            bundle.resolve(p.cand_role, p.cand_index))
+    return (bundle.splits[p.query_role][p.query_index],
+            bundle.splits[p.cand_role][p.cand_index])

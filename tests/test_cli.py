@@ -136,6 +136,20 @@ def test_explain_prints_per_part_contributions(workspace, capsys):
     assert "parts:" in out
 
 
+@pytest.mark.parametrize("index", ["-1", "9999"])
+def test_explain_rejects_an_out_of_range_query_index(workspace, capsys, index):
+    data = workspace / "data"
+    n_query = len(load_bundle(data / "meta.csv", data / "features.bin").splits["Q"])
+    rc = main(["explain", "--meta", str(data / "meta.csv"),
+               "--features", str(data / "features.bin"),
+               "--parts", str(data / "parts.bin"),
+               "--model", str(workspace / "model" / "model.bin"),
+               "--query-index", index])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: --query-index {index} out of range for role Q (n={n_query})\n")
+
+
 def test_synth_is_deterministic_across_directories(tmp_path):
     args = ["--n-identities", "8", "--seed", "9", "--feature-dim", "6",
             "--part-dim", "3", "--part-count", "4"]
@@ -197,6 +211,22 @@ def test_mismatched_candidates_fail_the_rerank(workspace, tmp_path, capsys):
     assert "candidate" in err
 
 
+def test_candidates_made_for_other_roles_fail_the_rerank(workspace, tmp_path, capsys):
+    data = workspace / "data"
+    valid_pairs = workspace / "pairs" / "valid_pairs.csv"
+    out = tmp_path / "out.csv"
+    rc = main(["rerank", "--meta", str(data / "meta.csv"),
+               "--features", str(data / "features.bin"),
+               "--parts", str(data / "parts.bin"),
+               "--candidates", str(valid_pairs), "--stages", "none",
+               "--out", str(out), "--P", "10"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {valid_pairs}: holds pairs of roles VQ/VG, but rerank got "
+        "--query-role Q --gallery-role G\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("index", ["-1", "len"])
 def test_out_of_range_pair_index_fails_the_train(workspace, tmp_path, capsys, index):
     data = workspace / "data"
@@ -220,6 +250,7 @@ def test_out_of_range_pair_index_fails_the_train(workspace, tmp_path, capsys, in
     assert not (tmp_path / "model" / "model.bin").exists()
 
 
+@pytest.mark.filterwarnings("default::UserWarning")
 def test_clamp_warnings_are_one_line_without_a_source_location(workspace, tmp_path,
                                                                 capsys):
     data = workspace / "data"

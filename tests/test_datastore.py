@@ -83,13 +83,13 @@ class TestSplitCounting:
         assert len(loaded.splits["G"]) == 3
         assert loaded.feature_dim == 3
 
-    def test_resolve_returns_the_right_record(self):
+    def test_split_indexing_returns_the_right_record(self):
         feats = np.eye(3, dtype=np.float32)
         rows = [(0, "Q", 5, 0, 0), (0, "G", 6, 0, 1), (1, "G", 7, 1, 2)]
         bundle = build_bundle(rows, feats)
-        assert bundle.resolve("G", 1).identity == 7
-        with pytest.raises(KeyError):
-            bundle.resolve("G", 2)
+        assert bundle.splits["G"][1].identity == 7
+        with pytest.raises(IndexError):
+            bundle.splits["G"][2]
 
 
 class TestSplit:
@@ -113,7 +113,6 @@ class TestSplit:
         assert gallery[3] is gallery[3]
         assert gallery[-1] is gallery[4]
         assert list(gallery)[2] is gallery[2]
-        assert bundle.resolve("G", 1) is gallery[1]
         with pytest.raises(IndexError):
             gallery[5]
 
@@ -206,6 +205,50 @@ class TestReaderFuzz:
                                       replace=False):
                     raw[pos] ^= int(rng.integers(1, 256))
                 self.assert_rejected(read, case, bytes(raw))
+
+
+class TestBinaryFaultWording:
+    """Each fault reads the same in the RVR1, RVP1 and RVM1 formats."""
+
+    @staticmethod
+    def files(tmp_path):
+        from rvrank.verifier import MODEL_MAGIC, VerifierModel, load_model, save_model
+        feat, parts, model = (tmp_path / name for name in ("f.bin", "p.bin", "m.bin"))
+        write_feature_file(feat, np.zeros((2, 3)))
+        write_parts_file(parts, np.ones((2, 2), dtype=bool), np.zeros((2, 2, 3)))
+        save_model(model, VerifierModel.initialize((3, 3, 2), 4, 4, seed=1))
+        return [(read_feature_file, feat, b"RVR1", "<II"),
+                (read_parts_file, parts, b"RVP1", "<III"),
+                (load_model, model, MODEL_MAGIC, "<5Iq2d2IdI")]
+
+    @staticmethod
+    def message(read, path, data):
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            read(path)
+        return str(info.value)
+
+    def test_bad_magic(self, tmp_path):
+        for read, path, magic, _ in self.files(tmp_path):
+            data = path.read_bytes()
+            assert self.message(read, path, b"XY" + data[2:]) == (
+                f"{path}: bad magic at offset 0: expected {magic!r}, got {b'XY' + magic[2:]!r}")
+            assert self.message(read, path, b"RV") == (
+                f"{path}: bad magic at offset 0: expected {magic!r}, got {b'RV'!r}")
+
+    def test_truncated_header(self, tmp_path):
+        for read, path, _, fmt in self.files(tmp_path):
+            data = path.read_bytes()
+            assert self.message(read, path, data[:6]) == (
+                f"{path}: truncated header at offset 4: "
+                f"wanted {struct.calcsize(fmt)} bytes, got 2")
+
+    def test_payload_length_mismatch(self, tmp_path):
+        for read, path, _, _ in self.files(tmp_path):
+            data = path.read_bytes()
+            text = self.message(read, path, data + b"\0")
+            assert text.startswith(f"{path}: payload length mismatch: header declares "), text
+            assert text.endswith(" bytes after the header"), text
 
 
 class TestFormatErrors:

@@ -414,9 +414,9 @@ class TestTraining:
             ordered = sorted(plist, key=lambda p: p.rank)
             if not any(p.label == 1 for p in ordered):
                 continue
-            query = bundle.resolve(role, qi)
+            query = bundle.splits[role][qi]
             scores = [oracle_scores(
-                model, query, bundle.resolve(p.cand_role, p.cand_index))[0]
+                model, query, bundle.splits[p.cand_role][p.cand_index])[0]
                 for p in ordered[:Q]]
             top = window_rerank([p.cand_index for p in ordered], scores, L, Q).order[0]
             hits += next(p.label for p in ordered if p.cand_index == top)
