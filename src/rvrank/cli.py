@@ -59,6 +59,15 @@ def _load_bundle_args(args: argparse.Namespace):
     return load_bundle(args.meta, args.features, getattr(args, "parts", None))
 
 
+def _load_model_args(args: argparse.Namespace, bundle) -> VerifierModel:
+    """Load ``--model``, which must have been trained on ``bundle``'s dims."""
+    model = load_model(args.model)
+    if model.dims != bundle.dims:
+        raise ValueError(f"{args.model}: model has (D, Dp, K) = {model.dims}, but the "
+                         f"bundle holds {bundle.dims}")
+    return model
+
+
 def _add_bundle_flags(sub: argparse.ArgumentParser, parts_required: bool = False) -> None:
     sub.add_argument("--meta", required=True, help="metadata CSV")
     sub.add_argument("--features", required=True, help="global feature file")
@@ -170,7 +179,7 @@ def cmd_rerank(args: argparse.Namespace) -> int:
             print("error: --model is required when the window stage runs",
                   file=sys.stderr)
             return 1
-        scorer = load_model(args.model)
+        scorer = _load_model_args(args, bundle)
     candidates = None
     if args.candidates is not None:
         pair_set = read_pairs_csv(args.candidates)
@@ -239,7 +248,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_sweep_l(args: argparse.Namespace) -> int:
     bundle = _load_bundle_args(args)
-    model = load_model(args.model)
+    model = _load_model_args(args, bundle)
     L_values = [int(tok) for tok in args.L_values.split(",") if tok]
     if not L_values:
         print("error: --L-values is empty", file=sys.stderr)
@@ -258,7 +267,7 @@ def cmd_sweep_l(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     bundle = _load_bundle_args(args)
-    model = load_model(args.model)
+    model = _load_model_args(args, bundle)
     queries, gallery = bundle.splits[args.query_role], bundle.splits[args.gallery_role]
     if not 0 <= args.query_index < len(queries):
         raise ValueError(f"--query-index {args.query_index} out of range for role "

@@ -35,24 +35,34 @@ from .retrieval import PairSet, query_runs
 
 MODEL_MAGIC = b"RVM1"
 
-HISTORY_HEADER = ("epoch", "L", "L_g", "L_p", "valid_rank1")
+#: RVM1 header after the magic: u32 D, Dp, K, Hg, Hp; i64 seed; f64 margin
+#: and learning rate; u32 epochs and batch size; f64 decay factor; u32
+#: milestone count.  The milestones follow as u32, then the weights.
+MODEL_HEADER = "<5Iq2d2IdI"
 
-#: Weight tensors in declared (serialisation and initialisation) order.
-WEIGHT_FIELDS = (
-    "global_hidden_w", "global_hidden_b", "global_out_w", "global_out_b",
-    "part_hidden_w", "part_hidden_b", "part_mix_w", "part_mix_b",
-    "out_log_gain", "out_bias",
-)
+HISTORY_HEADER = ("epoch", "L", "L_g", "L_p", "valid_rank1")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training hyperparameters.  ``batch_size`` must be at least 1, and
+    every count an RVM1 checkpoint stores as u32 must fit in one."""
+
     margin: float = 0.3
     learning_rate: float = 3.5e-4
     epochs: int = 80
     batch_size: int = 16
     decay_factor: float = 0.1
     decay_epochs: tuple[int, ...] = (30, 60)
+
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        counts = [("epochs", self.epochs), ("batch_size", self.batch_size),
+                  *(("decay_epochs", m) for m in self.decay_epochs)]
+        for name, value in counts:
+            if not 0 <= value < 2**32:
+                raise ValueError(f"{name} must be in 0..{2**32 - 1} (u32), got {value}")
 
 
 class EpochStats(NamedTuple):
@@ -99,7 +109,8 @@ def pair_arrays(pairs: list[tuple[ImageRecord, ImageRecord]],
 
 def _weight_layout(dims: tuple[int, int, int], hidden_global: int,
                    hidden_part: int) -> list[tuple[str, tuple[int, ...], int]]:
-    """(name, shape, init fan-in) of every tensor in ``WEIGHT_FIELDS`` order."""
+    """(name, shape, init fan-in) of every weight tensor, in the order the
+    tensors lie in :attr:`VerifierModel.params`."""
     d, dp, k = dims
     if d < 1 or dp < 0 or k < 1:
         raise ValueError(f"bad dims {dims}: need D >= 1, Dp >= 0, K >= 1")
@@ -118,29 +129,34 @@ def _weight_layout(dims: tuple[int, int, int], hidden_global: int,
     ]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class VerifierModel:
     """Weights and shape/seed bookkeeping for the two scoring heads.
 
-    All weights are float64 in memory; checkpoints store float32 (see
-    :func:`save_model`).
+    ``params`` holds every weight as one float64 vector, the tensors back
+    to back in :func:`_weight_layout` order; checkpoints store it as
+    float32 (see :func:`save_model`).  Each tensor name, such as
+    ``model.global_hidden_w``, reads a writable view into ``params``.  The
+    model is frozen, so a tensor name cannot be rebound to another array.
     """
 
     dims: tuple[int, int, int]
     hidden_global: int
     hidden_part: int
     seed: int
+    params: np.ndarray
     hyper: TrainConfig = field(default_factory=TrainConfig)
-    global_hidden_w: np.ndarray = None
-    global_hidden_b: np.ndarray = None
-    global_out_w: np.ndarray = None
-    global_out_b: np.ndarray = None
-    part_hidden_w: np.ndarray = None
-    part_hidden_b: np.ndarray = None
-    part_mix_w: np.ndarray = None
-    part_mix_b: np.ndarray = None
-    out_log_gain: np.ndarray = None
-    out_bias: np.ndarray = None
+
+    def __post_init__(self) -> None:
+        layout = _weight_layout(self.dims, self.hidden_global, self.hidden_part)
+        size = sum(math.prod(shape) for _, shape, _ in layout)
+        if self.params.dtype != np.float64 or self.params.shape != (size,):
+            raise ValueError(f"params must be {size} float64 values, got "
+                             f"{self.params.dtype} of shape {self.params.shape}")
+        # The frozen dataclass's __setattr__ refuses every name, so the
+        # tensor views go into the instance dict directly.
+        self.__dict__["_layout"] = layout
+        self.__dict__.update(self.views(self.params))
 
     @classmethod
     def initialize(cls, dims: tuple[int, int, int], hidden_global: int = 32,
@@ -148,48 +164,33 @@ class VerifierModel:
                    hyper: TrainConfig | None = None) -> "VerifierModel":
         """Seeded uniform init: each tensor ~ U[-1/sqrt(fan_in), +1/sqrt(fan_in)].
 
-        Tensors are drawn in ``WEIGHT_FIELDS`` order from one generator, so a
+        Tensors are drawn in layout order from one generator, so a
         (dims, seed) pair fully determines the weights.  The output affine
         scalars use fan-in 1.
         """
         rng = np.random.default_rng(seed)
-        tensors = {}
-        for name, shape, fan_in in _weight_layout(dims, hidden_global, hidden_part):
-            bound = 1.0 / np.sqrt(max(1, fan_in))
-            tensors[name] = rng.uniform(-bound, bound, size=shape)
+        params = np.concatenate([
+            rng.uniform(-1.0 / np.sqrt(max(1, fan_in)), 1.0 / np.sqrt(max(1, fan_in)),
+                        size=math.prod(shape))
+            for _, shape, fan_in in _weight_layout(dims, hidden_global, hidden_part)])
         return cls(dims=tuple(dims), hidden_global=hidden_global,
-                   hidden_part=hidden_part, seed=seed,
-                   hyper=hyper or TrainConfig(), **tensors)
+                   hidden_part=hidden_part, seed=seed, params=params,
+                   hyper=hyper or TrainConfig())
 
-    def weights(self) -> list[tuple[str, np.ndarray]]:
-        return [(name, getattr(self, name)) for name in WEIGHT_FIELDS]
+    def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Tensor name -> view into ``vec``, a vector laid out like ``params``."""
+        ends = np.cumsum([math.prod(shape) for _, shape, _ in self._layout])
+        return {name: chunk.reshape(shape) for (name, shape, _), chunk
+                in zip(self._layout, np.split(vec, ends[:-1]))}
 
-    def weights_vector(self) -> np.ndarray:
-        """All weights flattened in declared order (float64 copy)."""
-        return np.concatenate([np.asarray(w, dtype=np.float64).ravel()
-                               for _, w in self.weights()])
-
-    def load_weights_vector(self, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=np.float64)
-        offset = 0
-        for name, w in self.weights():
-            size = w.size
-            chunk = vec[offset:offset + size]
-            if chunk.size != size:
-                raise ValueError(
-                    f"weight vector too short: {vec.size} values, need "
-                    f"{sum(w.size for _, w in self.weights())}"
-                )
-            setattr(self, name, chunk.reshape(w.shape).copy())
-            offset += size
-        if offset != vec.size:
-            raise ValueError(f"weight vector too long: {vec.size} values, used {offset}")
+    def nonfinite_tensor(self, vec: np.ndarray) -> str | None:
+        """Name of the first tensor, in layout order, with a non-finite value
+        in ``vec`` (laid out like ``params``); None if every value is finite."""
+        return next((name for name, view in self.views(vec).items()
+                     if not np.isfinite(view).all()), None)
 
     def copy(self) -> "VerifierModel":
-        dup = replace(self)
-        for name, w in self.weights():
-            setattr(dup, name, np.array(w, dtype=np.float64))
-        return dup
+        return replace(self, params=self.params.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +258,6 @@ def _backward_parts(model: VerifierModel, cache, ds: np.ndarray, grads: dict) ->
     dzp = du * (1.0 - u_star * u_star)
     grads["part_hidden_b"] += dzp.sum(axis=0)
     grads["part_hidden_w"] += dzp.T @ px[rows, ks]
-
-
-def zero_gradients(model: VerifierModel) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(np.asarray(w, dtype=np.float64))
-            for name, w in model.weights()}
-
-
-def gradients_vector(model: VerifierModel, grads: dict[str, np.ndarray]) -> np.ndarray:
-    """Flatten a gradient dict in the same order as :meth:`weights_vector`."""
-    return np.concatenate([np.asarray(grads[name]).ravel() for name in WEIGHT_FIELDS])
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +445,16 @@ def triplet_loss(model: VerifierModel, gx, px, present, pos_index, neg_index,
 
 def triplet_loss_and_grads(model: VerifierModel, gx, px, present, pos_index,
                            neg_index, margin: float
-                           ) -> tuple[tuple[float, float, float], dict[str, np.ndarray]]:
-    """:func:`triplet_loss` plus its analytic weight gradients.
+                           ) -> tuple[tuple[float, float, float], np.ndarray]:
+    """:func:`triplet_loss` plus its analytic gradient, one vector laid out
+    like ``model.params``.
 
     At a hinge kink (activation exactly 0) the subgradient 0 is used.
     """
     lg, lp, hg, hp, part_ok, sg, sp, cache_g, cache_p = _loss_forward(
         model, gx, px, present, pos_index, neg_index, margin)
-    grads = zero_gradients(model)
+    grad = np.zeros_like(model.params)
+    grads = model.views(grad)
 
     dsg = np.zeros_like(sg)
     active = hg > 0.0
@@ -474,7 +467,7 @@ def triplet_loss_and_grads(model: VerifierModel, gx, px, present, pos_index,
     np.add.at(dsp, neg_index[active_p], 1.0)
     np.add.at(dsp, pos_index[active_p], -1.0)
     _backward_parts(model, cache_p, dsp, grads)
-    return (lg + lp, lg, lp), grads
+    return (lg + lp, lg, lp), grad
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +555,7 @@ def train(model: VerifierModel, bundle: DatasetBundle, train_pairs: PairSet,
     table = triplet_table(bundle, train_pairs)
     valid = validation_set(bundle, valid_pairs, ranking_Q)
 
+    params = model.params
     history: list[EpochStats] = []
     best_vec: np.ndarray | None = None
     best_key: tuple[float, int] | None = None
@@ -574,7 +568,7 @@ def train(model: VerifierModel, bundle: DatasetBundle, train_pairs: PairSet,
         key = (-rank1, epoch)
         if best_key is None or key < best_key:
             best_key = key
-            best_vec = model.weights_vector()
+            best_vec = params.copy()
         if progress is not None:
             progress(stats)
 
@@ -587,20 +581,19 @@ def train(model: VerifierModel, bundle: DatasetBundle, train_pairs: PairSet,
         total = np.zeros(3)
         for start in range(0, len(order), config.batch_size):
             chunk = order[start:start + config.batch_size]
-            losses, grads = triplet_loss_and_grads(model, *table.batch(chunk),
-                                                   config.margin)
+            losses, grad = triplet_loss_and_grads(model, *table.batch(chunk),
+                                                  config.margin)
             if not np.isfinite(losses[0]):
                 raise RuntimeError(f"non-finite loss at epoch {epoch}")
             total += losses
-            for name, w in model.weights():
-                g = grads[name]
-                if not np.all(np.isfinite(g)):
-                    raise RuntimeError(f"non-finite gradient for {name} at epoch {epoch}")
-                w -= lr * g
+            bad = model.nonfinite_tensor(grad)
+            if bad is not None:
+                raise RuntimeError(f"non-finite gradient for {bad} at epoch {epoch}")
+            params -= lr * grad
         record(epoch, (float(total[0]), float(total[1]), float(total[2])))
 
     assert best_vec is not None
-    model.load_weights_vector(best_vec)
+    params[:] = best_vec
     return model, history
 
 
@@ -619,44 +612,39 @@ def write_history_csv(path: str | Path, history: list[EpochStats],
 def save_model(path: str | Path, model: VerifierModel) -> None:
     """Write an RVM1 checkpoint.
 
-    Layout (little-endian): magic, u32 D/Dp/K/Hg/Hp, i64 seed, f64 margin,
-    f64 learning rate, u32 epochs, u32 batch size, f64 decay factor, u32
-    milestone count + u32 milestones, then every tensor in
-    ``WEIGHT_FIELDS`` order as f32.
+    Layout (little-endian): magic, the :data:`MODEL_HEADER` fields, the
+    u32 milestones, then ``params`` as f32.
     """
     h = model.hyper
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<5I", *model.dims, model.hidden_global, model.hidden_part))
-        fh.write(struct.pack("<q", model.seed))
-        fh.write(struct.pack("<2d", h.margin, h.learning_rate))
-        fh.write(struct.pack("<2I", h.epochs, h.batch_size))
-        fh.write(struct.pack("<d", h.decay_factor))
-        fh.write(struct.pack("<I", len(h.decay_epochs)))
+        fh.write(struct.pack(MODEL_HEADER, *model.dims, model.hidden_global,
+                             model.hidden_part, model.seed, h.margin, h.learning_rate,
+                             h.epochs, h.batch_size, h.decay_factor, len(h.decay_epochs)))
         fh.write(struct.pack(f"<{len(h.decay_epochs)}I", *h.decay_epochs))
-        for _, w in model.weights():
-            fh.write(np.ascontiguousarray(w, dtype="<f4").tobytes())
+        fh.write(model.params.astype("<f4").tobytes())
 
 
 def load_model(path: str | Path) -> VerifierModel:
+    """Read an RVM1 checkpoint; a malformed header or payload, or a
+    non-finite weight, raises ValueError naming the file."""
     header = BinaryHeader(path, MODEL_MAGIC, ValueError)
     (d, dp, k, hg, hp, seed, margin, lr, epochs, batch, decay_factor,
-     n_milestones) = header.take("<5Iq2d2IdI")
+     n_milestones) = header.take(MODEL_HEADER)
     milestones = header.take(f"<{n_milestones}I")
-    hyper = TrainConfig(margin=margin, learning_rate=lr, epochs=epochs,
-                        batch_size=batch, decay_factor=decay_factor,
-                        decay_epochs=tuple(milestones))
     try:
+        hyper = TrainConfig(margin=margin, learning_rate=lr, epochs=epochs,
+                            batch_size=batch, decay_factor=decay_factor,
+                            decay_epochs=tuple(milestones))
         layout = _weight_layout((d, dp, k), hg, hp)
     except ValueError as exc:
         raise ValueError(f"{header.path}: {exc}") from None
     expect = sum(math.prod(shape) for _, shape, _ in layout)
     payload = np.frombuffer(header.payload(4 * expect, f"{expect} f32 weights"),
                             dtype="<f4")
-    tensors = {}
-    for name, shape, _ in layout:
-        size = math.prod(shape)
-        tensors[name] = payload[:size].astype(np.float64).reshape(shape)
-        payload = payload[size:]
-    return VerifierModel(dims=(d, dp, k), hidden_global=hg, hidden_part=hp,
-                         seed=seed, hyper=hyper, **tensors)
+    model = VerifierModel(dims=(d, dp, k), hidden_global=hg, hidden_part=hp,
+                          seed=seed, params=payload.astype(np.float64), hyper=hyper)
+    bad = model.nonfinite_tensor(model.params)
+    if bad is not None:
+        raise ValueError(f"{header.path}: non-finite value in weight tensor {bad}")
+    return model

@@ -12,6 +12,7 @@ from rvrank.cli import main
 from rvrank.datastore import load_bundle
 from rvrank.evaluation import evaluate, read_sweep_csv
 from rvrank.reranker import RankingConfig, read_ranked_csv, rerank_pipeline
+from rvrank.verifier import VerifierModel, save_model
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +249,65 @@ def test_out_of_range_pair_index_fails_the_train(workspace, tmp_path, capsys, in
     assert rc == 1
     assert f"index {index} out of range for role T" in capsys.readouterr().err
     assert not (tmp_path / "model" / "model.bin").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--epochs", "-1", "epochs must be in 0..4294967295 (u32), got -1"),
+    ("--batch-size", "-3", "batch_size must be at least 1, got -3"),
+    ("--batch-size", "0", "batch_size must be at least 1, got 0"),
+])
+def test_untrainable_hyperparameters_fail_before_training(workspace, tmp_path, capsys,
+                                                          flag, value, message):
+    data = workspace / "data"
+    out = tmp_path / "model"
+    rc = main(["train", "--meta", str(data / "meta.csv"),
+               "--features", str(data / "features.bin"),
+               "--parts", str(data / "parts.bin"),
+               "--train-pairs", str(workspace / "pairs" / "train_pairs.csv"),
+               "--valid-pairs", str(workspace / "pairs" / "valid_pairs.csv"),
+               "--out", str(out), flag, value])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def model_commands(workspace, model, out):
+    """argv of every command that loads ``--model`` to score pairs."""
+    data = workspace / "data"
+    flags = ["--meta", str(data / "meta.csv"), "--features", str(data / "features.bin"),
+             "--parts", str(data / "parts.bin"), "--model", str(model)]
+    return {
+        "rerank": ["rerank", *flags, "--stages", "window", "--out", str(out)],
+        "sweep-l": ["sweep-l", *flags, "--L-values", "1,3", "--out", str(out)],
+        "explain": ["explain", *flags, "--query-index", "0"],
+    }
+
+
+@pytest.mark.parametrize("command", ["rerank", "sweep-l", "explain"])
+@pytest.mark.parametrize("dims", [(12, 4, 1), (16, 4, 6)])
+def test_a_model_for_other_dims_is_rejected_before_any_output(workspace, tmp_path, capsys,
+                                                              command, dims):
+    model, out = tmp_path / "model.bin", tmp_path / "out.csv"
+    save_model(model, VerifierModel.initialize(dims, 4, 4, seed=0))
+    rc = main(model_commands(workspace, model, out)[command])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {model}: model has (D, Dp, K) = {dims}, "
+                            "but the bundle holds (12, 4, 6)\n")
+    assert not out.exists()
+
+
+def test_a_model_trained_with_parts_needs_the_part_file(workspace, tmp_path, capsys):
+    model, out = workspace / "model" / "model.bin", tmp_path / "ranked.csv"
+    argv = model_commands(workspace, model, out)["rerank"]
+    at = argv.index("--parts")
+    rc = main(argv[:at] + argv[at + 2:])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {model}: model has (D, Dp, K) = (12, 4, 6), "
+        "but the bundle holds (12, 0, 15)\n")
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("default::UserWarning")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import struct
 import tracemalloc
 
@@ -19,7 +21,6 @@ from rvrank.verifier import (
     TrainConfig,
     VerifierModel,
     batch_scores,
-    gradients_vector,
     load_model,
     pair_arrays,
     part_contributions,
@@ -48,7 +49,7 @@ def two_record_bundle(seed=999, present_g=(True, True, False, True, True)):
 
 def zeroed(model):
     out = model.copy()
-    out.load_weights_vector(np.zeros_like(out.weights_vector()))
+    out.params[:] = 0.0
     return out
 
 
@@ -321,20 +322,19 @@ class TestGradients:
         model, bundle, train_pairs, _ = small_training_setup(seed=3)
         table = triplet_table(bundle, train_pairs)
         batch = table.batch(table.anchors[3:6])
-        _, grads = triplet_loss_and_grads(model, *batch, 0.31)
-        analytic = gradients_vector(model, grads)
+        _, analytic = triplet_loss_and_grads(model, *batch, 0.31)
 
-        base = model.weights_vector()
+        base = model.params.copy()
         h = 1e-6
         numeric = np.zeros_like(base)
         for i in range(base.size):
             for sign in (1.0, -1.0):
                 vec = base.copy()
                 vec[i] += sign * h
-                model.load_weights_vector(vec)
+                model.params[:] = vec
                 val = triplet_loss(model, *batch, 0.31)[0]
                 numeric[i] += sign * val / (2 * h)
-        model.load_weights_vector(base)
+        model.params[:] = base
         err = np.linalg.norm(numeric - analytic) / max(np.linalg.norm(numeric), 1e-12)
         assert err < 1e-4
 
@@ -345,8 +345,8 @@ class TestHeadSeparation:
         model = VerifierModel.initialize((4, 3, 5), 8, 7, seed=12)
         before = score(model, q, g)[0]
         bumped = model.copy()
-        bumped.global_hidden_w = bumped.global_hidden_w + 3.7
-        bumped.global_out_b = bumped.global_out_b + 1.1
+        bumped.global_hidden_w[...] += 3.7
+        bumped.global_out_b[...] += 1.1
         assert score(bumped, q, g)[0] == before
 
     def test_global_score_ignores_part_weights(self):
@@ -354,8 +354,8 @@ class TestHeadSeparation:
         model = VerifierModel.initialize((4, 3, 5), 8, 7, seed=13)
         before = global_score(model, q, g)
         bumped = model.copy()
-        bumped.part_mix_w = bumped.part_mix_w - 2.0
-        bumped.out_log_gain = bumped.out_log_gain + 0.5
+        bumped.part_mix_w[...] -= 2.0
+        bumped.out_log_gain[...] += 0.5
         assert global_score(bumped, q, g) == before
 
 
@@ -369,9 +369,7 @@ class TestContributionConsistency:
             s, contrib = score(model, q, g)
             kstar = int(np.nanargmax(contrib))
             bumped = model.copy()
-            bias = bumped.part_mix_b.copy()
-            bias[kstar] += 0.25
-            bumped.part_mix_b = bias
+            bumped.part_mix_b[kstar] += 0.25
             s2, contrib2 = score(bumped, q, g)
             np.testing.assert_allclose(contrib2[kstar], contrib[kstar] + 0.25,
                                        rtol=1e-12)
@@ -382,9 +380,9 @@ class TestTraining:
     def test_zero_learning_rate_keeps_initial_weights(self):
         model, bundle, train_pairs, valid_pairs = small_training_setup(
             epochs=3, learning_rate=0.0)
-        initial = model.weights_vector()
+        initial = model.params.copy()
         trained, history = train(model, bundle, train_pairs, valid_pairs)
-        np.testing.assert_array_equal(trained.weights_vector(), initial)
+        np.testing.assert_array_equal(trained.params, initial)
         assert len(history) == 4 and history[0].epoch == 0
 
     def test_same_seed_is_bit_identical(self):
@@ -393,7 +391,7 @@ class TestTraining:
             model, bundle, train_pairs, valid_pairs = small_training_setup(
                 seed=1, epochs=3)
             trained, history = train(model, bundle, train_pairs, valid_pairs)
-            runs.append((trained.weights_vector(), history))
+            runs.append((trained.params.copy(), history))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
 
@@ -546,3 +544,110 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, f"peak {peak} bytes"
+
+    def test_non_finite_weight_is_rejected_naming_its_tensor(self, tmp_path):
+        model = VerifierModel.initialize((4, 3, 5), 8, 7, seed=24)
+        path = tmp_path / "m.bin"
+        save_model(path, model)
+        data = path.read_bytes()
+        payload_at = len(data) - 4 * model.params.size
+        nan = struct.pack("<f", float("nan"))
+        for offset, name in ((len(data) - 4, "out_bias"),
+                             (payload_at, "global_hidden_w"),
+                             (payload_at + 4 * model.global_hidden_w.size, "global_hidden_b")):
+            path.write_bytes(data[:offset] + nan + data[offset + 4:])
+            with pytest.raises(ValueError) as info:
+                load_model(path)
+            assert str(info.value) == f"{path}: non-finite value in weight tensor {name}"
+
+    def test_zero_batch_size_in_the_header_is_rejected(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_model(path, VerifierModel.initialize((4, 3, 5), 8, 7, seed=25))
+        data = bytearray(path.read_bytes())
+        # dims, seed, margin, learning rate and epochs precede the batch size
+        at = len(MODEL_MAGIC) + struct.calcsize("<5Iq2dI")
+        data[at:at + 4] = bytes(4)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: batch_size must be at least 1, got 0"
+
+
+class TestWeightVector:
+    """``params`` and its tensor views.  The saved bytes of two models are
+    pinned, so a change of draw order, layout or SGD arithmetic shows."""
+
+    INIT_SHA256 = "3ef3bfc33e1861fcb36249185591be49ed8cfb037120a938c388335693bb5b6b"
+    TRAINED_SHA256 = "b2bdce0bc6188a7cc42838c71d306a0b1a32dba8ab39729666fe07d4c002e0b5"
+
+    @staticmethod
+    def saved(model, tmp_path):
+        path = tmp_path / "m.bin"
+        save_model(path, model)
+        return path.read_bytes()
+
+    def test_initial_weights_are_pinned(self, tmp_path):
+        model = VerifierModel.initialize((4, 3, 5), 8, 7, seed=0)
+        digest = hashlib.sha256(self.saved(model, tmp_path)).hexdigest()
+        assert digest == self.INIT_SHA256
+
+    def test_trained_weights_are_pinned(self, tmp_path):
+        model, bundle, train_pairs, valid_pairs = small_training_setup(epochs=2)
+        trained, _ = train(model, bundle, train_pairs, valid_pairs)
+        digest = hashlib.sha256(self.saved(trained, tmp_path)).hexdigest()
+        assert digest == self.TRAINED_SHA256
+
+    def test_tensors_are_views_into_params(self, tmp_path):
+        model = VerifierModel.initialize((4, 3, 5), 8, 7, seed=0)
+        before = self.saved(model, tmp_path)
+        params = model.params.copy()
+        model.part_mix_b[2] += 0.5
+        [changed] = np.flatnonzero(model.params != params)
+        assert model.params[changed] == params[changed] + 0.5 == model.part_mix_b[2]
+        assert self.saved(model, tmp_path) != before
+
+    def test_tensor_names_cannot_be_rebound(self):
+        model = VerifierModel.initialize((4, 3, 5), 8, 7, seed=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.out_bias = np.zeros(())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.params = np.zeros_like(model.params)
+
+    def test_params_of_the_wrong_size_are_rejected(self):
+        model = VerifierModel.initialize((4, 3, 5), 8, 7, seed=0)
+        with pytest.raises(ValueError, match="params must be"):
+            dataclasses.replace(model, params=model.params[:-1].copy())
+
+    def test_non_finite_values_are_named_by_their_tensor(self):
+        # Dp = 0 makes part_hidden_w empty; a value after it is still named
+        # by the tensor that holds it.
+        model = VerifierModel.initialize((4, 0, 5), 8, 7, seed=0)
+        assert model.part_hidden_w.size == 0
+        assert model.nonfinite_tensor(model.params) is None
+        for name, view in model.views(model.params).items():
+            if view.size:
+                vec = np.zeros_like(model.params)
+                model.views(vec)[name].flat[-1] = np.inf
+                vec[-1] = np.nan
+                assert model.nonfinite_tensor(vec) == name
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("fields, message", [
+        ({"batch_size": 0}, "batch_size must be at least 1, got 0"),
+        ({"batch_size": -3}, "batch_size must be at least 1, got -3"),
+        ({"epochs": -1}, "epochs must be in 0..4294967295 (u32), got -1"),
+        ({"batch_size": 2**32}, "batch_size must be in 0..4294967295 (u32), got 4294967296"),
+        ({"decay_epochs": (3, -2)}, "decay_epochs must be in 0..4294967295 (u32), got -2"),
+    ])
+    def test_values_that_cannot_train_or_be_saved_are_rejected(self, fields, message):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**fields)
+        assert str(info.value) == message
+
+    def test_the_largest_u32_values_round_trip(self, tmp_path):
+        hyper = TrainConfig(epochs=2**32 - 1, batch_size=2**32 - 1,
+                            decay_epochs=(0, 2**32 - 1))
+        path = tmp_path / "m.bin"
+        save_model(path, VerifierModel.initialize((4, 3, 5), 8, 7, seed=0, hyper=hyper))
+        assert load_model(path).hyper == hyper
