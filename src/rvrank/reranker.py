@@ -128,15 +128,124 @@ def window_rerank(order: np.ndarray, scores: np.ndarray, L: int, Q: int,
 # k-reciprocal re-ranking
 
 
-def _reciprocal_sets(initial: np.ndarray, k: int) -> list[np.ndarray]:
-    """R(i, k): the top-k neighbours of i (self included) that also have i in
-    their own top-k."""
-    heads = initial[:, :k + 1]
-    out = []
-    for i in range(initial.shape[0]):
-        fwd = heads[i]
-        back = heads[fwd]
-        out.append(fwd[(back == i).any(axis=1)])
+#: Most (query entry, gallery entry) overlap terms the Jaccard step holds
+#: at once; a block of queries stops before it would pass this.
+_JACCARD_BLOCK = 1 << 19
+
+#: Sparse neighbourhood vectors: CSR ``(indptr, columns, values)``, each
+#: row's columns ascending.
+Vectors = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _neighbours(d: np.ndarray, count: int) -> np.ndarray:
+    """(n, count) indices: each image's ``count`` nearest images, itself at
+    distance 0, in ``argsort(kind="stable")`` order."""
+    n = d.shape[0]
+    everything = np.ones(n, dtype=bool)
+    out = np.empty((n, count), dtype=np.intp)
+    for i in range(n):
+        row = d[i].copy()
+        row[i] = 0.0
+        out[i] = masked_order(row, everything, count)
+    return out
+
+
+def _reciprocal(heads: np.ndarray) -> np.ndarray:
+    """Mask over ``heads``: True where ``heads[i, p]`` has i among its own
+    heads, so row i's True entries are R(i, k) for k + 1 heads per row."""
+    n, width = heads.shape
+    owner = np.repeat(np.arange(n), width)
+    return np.isin(heads.ravel() * n + owner,
+                   owner * n + heads.ravel()).reshape(n, width)
+
+
+def _csr(keys: np.ndarray, values: np.ndarray, n: int) -> Vectors:
+    """CSR rows from sorted unique ``row * n + column`` keys."""
+    counts = np.bincount(keys // n, minlength=n)
+    return np.concatenate([[0], np.cumsum(counts)]), keys % n, values
+
+
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(lengths, positions)``: how many entries each of the CSR rows
+    ``rows`` stores, and where they are, row after row."""
+    lengths = indptr[rows + 1] - indptr[rows]
+    skip = np.repeat(indptr[rows] - (np.cumsum(lengths) - lengths), lengths)
+    return lengths, np.arange(len(skip)) + skip
+
+
+def _neighbourhood_vectors(d: np.ndarray, initial: np.ndarray, k1: int) -> Vectors:
+    """Each image's k1-reciprocal set R(i, k1), grown by every half-k1 set
+    R(j, k1/2) of a member j that shares more than 2/3 of its entries with
+    R(i, k1), weighted ``exp(-d)`` and normalised to sum 1."""
+    n = d.shape[0]
+    heads, half_heads = initial[:, :k1 + 1], initial[:, :int(np.around(k1 / 2)) + 1]
+    half = _reciprocal(half_heads)
+    # R(i, k1) as keys i * n + j; each of its members j's half set as keys
+    # i * n + c, one row per (pair, c).
+    owner, at = np.nonzero(_reciprocal(heads))
+    j = heads[owner, at]
+    recip = owner * n + j
+    pair, slot = np.nonzero(half[j])
+    member = owner[pair] * n + half_heads[j[pair], slot]
+    overlap = np.bincount(pair[np.isin(member, recip)], minlength=len(recip))
+    expands = overlap > (2.0 / 3.0) * half.sum(axis=1)[j]
+    keys = np.unique(np.concatenate([recip, member[expands[pair]]]))
+    rows, cols = keys // n, keys % n
+    weights = np.exp(-np.where(rows == cols, 0.0, d[rows, cols]))
+    # Each row's sum adds its weights in ascending column order.
+    return _csr(keys, weights / np.bincount(rows, weights, minlength=n)[rows], n)
+
+
+def _expand(vectors: Vectors, heads: np.ndarray) -> Vectors:
+    """Local query expansion: each row becomes the mean of its heads' rows,
+    summed in head order and then divided, as the dense mean does."""
+    indptr, cols, values = vectors
+    n, k2 = heads.shape
+    parts = [_row_entries(indptr, heads[:, p]) for p in range(k2)]
+    keys, slots = np.unique(np.concatenate(
+        [np.repeat(np.arange(n) * n, lengths) + cols[at] for lengths, at in parts]),
+        return_inverse=True)
+    summed = np.zeros(len(keys))
+    for (_, at), part in zip(parts, np.split(slots, np.cumsum(
+            [len(at) for _, at in parts])[:-1])):
+        summed[part] += values[at]
+    return _csr(keys, summed / k2, n)
+
+
+def _jaccard(vectors: Vectors, num_queries: int) -> np.ndarray:
+    """``1 - s / (2 - s)`` per (query row, gallery row), s the sum of
+    ``min`` over their shared columns, through an inverted index over the
+    gallery rows' columns.  Each sum adds its terms in ascending column
+    order, starting from 0."""
+    indptr, cols, values = vectors
+    n = len(indptr) - 1
+    num_gallery = n - num_queries
+    # Gallery entries by column, each column's rows ascending.
+    first = indptr[num_queries]
+    by_col = first + np.argsort(cols[first:], kind="stable")
+    col_ptr = np.concatenate([[0], np.cumsum(np.bincount(cols[first:], minlength=n))])
+    col_rows = np.repeat(np.arange(n), np.diff(indptr))[by_col] - num_queries
+    col_values = values[by_col]
+
+    query_base = np.repeat(np.arange(num_queries) * num_gallery,
+                           np.diff(indptr[:num_queries + 1]))
+    # terms[q]: how many overlap terms the queries before q add up.
+    terms = np.cumsum(np.r_[0, np.diff(col_ptr)[cols[:first]]])[indptr[:num_queries + 1]]
+    out = np.empty((num_queries, num_gallery))
+    q0 = 0
+    while q0 < num_queries:
+        q1 = max(q0 + 1, int(np.searchsorted(terms, terms[q0] + _JACCARD_BLOCK,
+                                             side="right")) - 1)
+        entries = slice(indptr[q0], indptr[q1])
+        lengths, at = _row_entries(col_ptr, cols[entries])
+        # bincount adds in array order, and each query's entries come in
+        # ascending column order.
+        overlap = np.bincount(
+            np.repeat(query_base[entries] - q0 * num_gallery, lengths) + col_rows[at],
+            weights=np.minimum(np.repeat(values[entries], lengths), col_values[at]),
+            minlength=(q1 - q0) * num_gallery).reshape(q1 - q0, -1)
+        out[q0:q1] = 1.0 - overlap / (2.0 - overlap)
+        q0 = q1
     return out
 
 
@@ -153,6 +262,10 @@ def kreciprocal_rerank(dist: np.ndarray, num_queries: int, k1: int = 20,
     gallery vector is blended with the original distance:
     ``lam * original + (1 - lam) * jaccard``, so lam=1 returns the original
     query/gallery block unchanged.
+
+    Each image keeps only its top ``max(k1 + 1, k2)`` neighbours, the
+    vectors are sparse rows and only query rows get a Jaccard row, so the
+    memory beyond ``dist`` and the returned block is O(n * k1 * k2).
     """
     d = np.asarray(dist, dtype=np.float64)
     n = d.shape[0]
@@ -162,8 +275,6 @@ def kreciprocal_rerank(dist: np.ndarray, num_queries: int, k1: int = 20,
         raise ValueError(f"num_queries must lie in (0, {n}), got {num_queries}")
     if np.abs(np.diagonal(d)).max() > 1e-6:
         raise ValueError("dist diagonal must be zero (self-distances)")
-    d = d.copy()
-    np.fill_diagonal(d, 0.0)
     if k1 > n - 1:
         warnings.warn(f"k1={k1} exceeds the {n - 1} available neighbours; clamping")
         k1 = n - 1
@@ -171,35 +282,11 @@ def kreciprocal_rerank(dist: np.ndarray, num_queries: int, k1: int = 20,
         warnings.warn(f"k2={k2} exceeds the {n} available images; clamping")
         k2 = n
 
-    initial = np.argsort(d, kind="stable", axis=1)
-    recip = _reciprocal_sets(initial, k1)
-    half = _reciprocal_sets(initial, int(np.around(k1 / 2)))
-
-    vectors = np.zeros((n, n))
-    for i in range(n):
-        members = set(recip[i].tolist())
-        for j in recip[i]:
-            candidate = half[j]
-            overlap = np.intersect1d(candidate, recip[i], assume_unique=False).size
-            if overlap > (2.0 / 3.0) * candidate.size:
-                members.update(candidate.tolist())
-        idx = np.fromiter(members, dtype=np.intp, count=len(members))
-        weights = np.exp(-d[i, idx])
-        vectors[i, idx] = weights / weights.sum()
-
+    initial = _neighbours(d, max(k1 + 1, k2))
+    vectors = _neighbourhood_vectors(d, initial, k1)
     if k2 > 1:
-        vectors = vectors[initial[:, :k2]].mean(axis=1)
-
-    nonzero_rows: list[np.ndarray] = [np.flatnonzero(vectors[:, j]) for j in range(n)]
-    jaccard = np.zeros((num_queries, n - num_queries))
-    for qi in range(num_queries):
-        overlap = np.zeros(n)
-        for j in np.flatnonzero(vectors[qi]):
-            rows = nonzero_rows[j]
-            overlap[rows] += np.minimum(vectors[qi, j], vectors[rows, j])
-        jaccard[qi] = (1.0 - overlap / (2.0 - overlap))[num_queries:]
-
-    return lam * d[:num_queries, num_queries:] + (1.0 - lam) * jaccard
+        vectors = _expand(vectors, initial[:, :k2])
+    return lam * d[:num_queries, num_queries:] + (1.0 - lam) * _jaccard(vectors, num_queries)
 
 
 # ---------------------------------------------------------------------------

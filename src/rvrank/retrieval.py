@@ -84,10 +84,22 @@ def masked_order(row: np.ndarray, allowed: np.ndarray,
                  limit: int | None = None) -> np.ndarray:
     """Indices of the entries ``allowed`` permits, by ascending ``row``
     value with ties to the lower index; at most ``limit`` of them, as an
-    array of their own that keeps no longer ordering alive."""
-    order = np.argsort(row, kind="stable")
-    kept = order[allowed[order]]
-    return kept if limit is None else kept[:limit].copy()
+    array of their own that keeps no longer ordering alive.
+
+    With a ``limit`` below the allowed count, ``np.partition`` finds the
+    limit-th smallest allowed value and only the entries at or below it
+    (ties at the cut included) are sorted: the same order as sorting every
+    allowed entry.  A NaN cut sorts them all, as NaN sorts last.
+    """
+    kept = np.flatnonzero(allowed)
+    values = row[kept]
+    if limit is not None and 0 < limit < len(kept):
+        cut = np.partition(values, limit - 1)[limit - 1]
+        if not np.isnan(cut):
+            near = values <= cut
+            kept, values = kept[near], values[near]
+    order = kept[np.argsort(values, kind="stable")]
+    return order if limit is None or len(order) <= limit else order[:limit].copy()
 
 
 def top_candidates(queries: Split, gallery: Split, num_candidates: int,
@@ -166,12 +178,9 @@ def build_train_pairs(bundle: DatasetBundle, num_candidates: int = 20,
         if not pos_mask.any() or not neg_mask.any():
             dropped.append(ai)
             continue
-        # One sort serves both lists: every candidate is a positive or a negative.
-        order = masked_order(row, pos_mask | neg_mask)
-        is_pos = pos_mask[order]
-        for kept in (order[is_pos][:num_candidates], order[~is_pos][:num_candidates]):
-            # A copy: the slice would keep the anchor's whole sorted row alive.
-            runs.append((ai, kept.copy(), -row[kept]))
+        for mask in (pos_mask, neg_mask):
+            kept = masked_order(row, mask, num_candidates)
+            runs.append((ai, kept, -row[kept]))
     return _ranked_pairs("T", train, "T", train, runs), dropped
 
 

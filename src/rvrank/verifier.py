@@ -166,8 +166,10 @@ class VerifierModel:
 
         Tensors are drawn in layout order from one generator, so a
         (dims, seed) pair fully determines the weights.  The output affine
-        scalars use fan-in 1.
+        scalars use fan-in 1.  The seed must fit the checkpoint's i64.
         """
+        if not 0 <= seed < 2**63:
+            raise ValueError(f"seed must be in 0..{2**63 - 1} (i64), got {seed}")
         rng = np.random.default_rng(seed)
         params = np.concatenate([
             rng.uniform(-1.0 / np.sqrt(max(1, fan_in)), 1.0 / np.sqrt(max(1, fan_in)),
@@ -616,12 +618,14 @@ def save_model(path: str | Path, model: VerifierModel) -> None:
     u32 milestones, then ``params`` as f32.
     """
     h = model.hyper
+    # Packed before the file opens: a value that does not fit leaves no file.
+    header = (MODEL_MAGIC
+              + struct.pack(MODEL_HEADER, *model.dims, model.hidden_global,
+                            model.hidden_part, model.seed, h.margin, h.learning_rate,
+                            h.epochs, h.batch_size, h.decay_factor, len(h.decay_epochs))
+              + struct.pack(f"<{len(h.decay_epochs)}I", *h.decay_epochs))
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack(MODEL_HEADER, *model.dims, model.hidden_global,
-                             model.hidden_part, model.seed, h.margin, h.learning_rate,
-                             h.epochs, h.batch_size, h.decay_factor, len(h.decay_epochs)))
-        fh.write(struct.pack(f"<{len(h.decay_epochs)}I", *h.decay_epochs))
+        fh.write(header)
         fh.write(model.params.astype("<f4").tobytes())
 
 

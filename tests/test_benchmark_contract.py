@@ -123,3 +123,24 @@ def test_pair_row_counter_reads_the_pair_csv_calls(tmp_path, monkeypatch):
     for call in captured["read_pairs_csv"]:
         tracer.count_read_pairs(t, *call)
     assert t.counts["retrieval.pair_rows"] == rows["train"] + rows["valid"]
+
+
+def test_kreciprocal_counter_reads_the_union_size(tmp_path, monkeypatch):
+    tracer = load_tracer()
+    rng = np.random.default_rng(12)
+    bundle = random_bundle(rng, n_query=5, n_gallery=14, n_identities=3, n_cloths=2)
+    write_bundle(bundle, tmp_path / "meta.csv", tmp_path / "features.bin",
+                 tmp_path / "parts.bin")
+
+    captured: dict[str, list] = {}
+    spy(monkeypatch, captured, reranker, "kreciprocal_rerank")
+    assert cli.main(["rerank", "--meta", str(tmp_path / "meta.csv"),
+                     "--features", str(tmp_path / "features.bin"),
+                     "--out", str(tmp_path / "ranked.csv"), "--stages", "kreciprocal",
+                     "--k1", "4", "--k2", "2"]) == 0
+
+    t = tracer.Tracer()
+    [call] = captured["kreciprocal_rerank"]
+    tracer.count_kreciprocal(t, *call)
+    assert t.counts["reranker.kreciprocal_n"] == \
+        len(bundle.splits["Q"]) + len(bundle.splits["G"])

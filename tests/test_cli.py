@@ -255,6 +255,9 @@ def test_out_of_range_pair_index_fails_the_train(workspace, tmp_path, capsys, in
     ("--epochs", "-1", "epochs must be in 0..4294967295 (u32), got -1"),
     ("--batch-size", "-3", "batch_size must be at least 1, got -3"),
     ("--batch-size", "0", "batch_size must be at least 1, got 0"),
+    ("--seed", "9223372036854775808",
+     "seed must be in 0..9223372036854775807 (i64), got 9223372036854775808"),
+    ("--seed", "-1", "seed must be in 0..9223372036854775807 (i64), got -1"),
 ])
 def test_untrainable_hyperparameters_fail_before_training(workspace, tmp_path, capsys,
                                                           flag, value, message):

@@ -8,6 +8,7 @@ procedure.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from rvrank.reranker import (
     window_rerank,
     write_ranked_csv,
 )
-from rvrank.retrieval import build_eval_pairs, candidates_from_pairs
+from rvrank.retrieval import build_eval_pairs, candidates_from_pairs, distance_matrix
 from rvrank.verifier import VerifierModel
 
 
@@ -201,6 +202,41 @@ class TestKReciprocal:
             got = kreciprocal_rerank(dist, nq, k1=k1, k2=k2, lam=lam)
             want = oracle_kreciprocal(dist, nq, k1, k2, lam)
             np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_matches_the_naive_oracle_on_larger_tied_inputs(self):
+        # One-decimal distances tie often, so the order among equal
+        # distances (lower index first) shapes every neighbourhood; k1
+        # reaches the clamp on the smallest unions.
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            n = int(rng.integers(5, 31))
+            nq = int(rng.integers(1, n - 1))
+            k1 = int(rng.integers(1, 8))
+            k2 = int(rng.integers(1, 5))
+            lam = float(rng.uniform(0, 1))
+            dist = np.round(point_cloud_distances(rng, n), 1)
+            if k1 > n - 1:
+                with pytest.warns(UserWarning, match="k1"):
+                    got = kreciprocal_rerank(dist, nq, k1=k1, k2=k2, lam=lam)
+            else:
+                got = kreciprocal_rerank(dist, nq, k1=k1, k2=k2, lam=lam)
+            want = oracle_kreciprocal(dist, nq, k1, k2, lam)
+            np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_memory_beyond_the_input_stays_below_three_matrices(self):
+        # The dense form held an n x n argsort, n x n vectors and an
+        # (n, k2, n) gather: about ten n x n float64 arrays at k2=6.
+        n = 1500
+        feats = np.random.default_rng(32).normal(size=(n, 32))
+        dist = distance_matrix(feats, feats)
+        np.fill_diagonal(dist, 0.0)
+        tracemalloc.start()
+        try:
+            kreciprocal_rerank(dist, n // 4, k1=20, k2=6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64"
 
     def test_full_blend_returns_the_original_block(self):
         rng = np.random.default_rng(14)

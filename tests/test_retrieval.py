@@ -155,6 +155,69 @@ class TestEligibility:
             top_candidates(bundle.splits["Q"], bundle.splits["G"], 5)
 
 
+def masked_full_sort(row, allowed, limit=None):
+    """The order ``masked_order`` must give: one stable sort of the whole
+    row, then the allowed entries, then the first ``limit``."""
+    order = np.argsort(row, kind="stable")
+    return order[allowed[order]][:limit].tolist()
+
+
+class TestSelection:
+    """``masked_order`` with a limit below the allowed count selects with
+    ``np.partition`` instead of sorting the row."""
+
+    def test_ties_across_the_cut_keep_the_full_sort_order(self):
+        assert masked_order(np.array([0.5, 0.2, 0.5, 0.5, 0.1]),
+                            np.ones(5, dtype=bool), 3).tolist() == [4, 1, 0]
+        rng = np.random.default_rng(41)
+        ties_at_cut = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            row = np.round(rng.random(n), 1)
+            allowed = rng.random(n) < 0.8
+            full = masked_full_sort(row, allowed)
+            for limit in range(1, len(full)):
+                ties_at_cut += row[full[limit - 1]] == row[full[limit]]
+                assert masked_order(row, allowed, limit).tolist() == full[:limit]
+        assert ties_at_cut > 1000
+
+    def test_inf_and_nan_entries_sort_as_the_full_sort_puts_them(self):
+        rng = np.random.default_rng(42)
+        specials = np.array([np.inf, -np.inf, np.nan])
+        for _ in range(300):
+            n = int(rng.integers(2, 25))
+            row = np.round(rng.random(n), 1)
+            odd = rng.random(n) < 0.4
+            row[odd] = rng.choice(specials, int(odd.sum()))
+            allowed = rng.random(n) < 0.7
+            for limit in range(1, n + 2):
+                assert masked_order(row, allowed, limit).tolist() == \
+                       masked_full_sort(row, allowed, limit)
+        # An allowed inf still ranks before a NaN; a NaN cut sorts them all.
+        row = np.array([np.nan, np.inf, 1.0, np.nan, np.inf])
+        allowed = np.array([True, True, False, True, True])
+        assert masked_order(row, allowed, 2).tolist() == [1, 4]
+        assert masked_order(row, allowed, 3).tolist() == [1, 4, 0]
+
+    def test_an_all_false_mask_selects_nothing(self):
+        row = np.random.default_rng(43).random(12)
+        nothing = np.zeros(12, dtype=bool)
+        for limit in (None, 1, 5, 12, 20):
+            assert masked_order(row, nothing, limit).tolist() == []
+
+    def test_a_limit_at_or_above_the_eligible_count_keeps_every_entry(self):
+        rng = np.random.default_rng(44)
+        for _ in range(100):
+            n = int(rng.integers(1, 30))
+            row = np.round(rng.random(n), 1)
+            allowed = rng.random(n) < 0.6
+            eligible = int(allowed.sum())
+            for limit in (eligible, eligible + 1, eligible + 10):
+                kept = masked_order(row, allowed, limit)
+                assert kept.tolist() == masked_full_sort(row, allowed)
+                assert kept.base is None
+
+
 class TestEvalPairs:
     def test_labels_follow_identity(self):
         feats = np.array([[0.0, 0.0], [0.1, 0.0], [0.9, 0.0]], dtype=np.float32)

@@ -515,6 +515,14 @@ class TestCheckpoint:
         save_model(b, load_model(a))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_a_header_that_cannot_be_packed_leaves_no_file(self, tmp_path):
+        model = VerifierModel.initialize((4, 3, 5), 8, 7, seed=25)
+        unpackable = dataclasses.replace(model, seed=2**63, params=model.params.copy())
+        path = tmp_path / "m.bin"
+        with pytest.raises(struct.error):
+            save_model(path, unpackable)
+        assert not path.exists()
+
     def test_bad_magic_is_rejected(self, tmp_path):
         path = tmp_path / "m.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
