@@ -249,7 +249,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_sweep_l(args: argparse.Namespace) -> int:
     bundle = _load_bundle_args(args)
     model = _load_model_args(args, bundle)
-    L_values = [int(tok) for tok in args.L_values.split(",") if tok]
+    L_values = []
+    for tok in args.L_values.split(","):
+        if tok:
+            try:
+                L_values.append(int(tok))
+            except ValueError:
+                raise ValueError(f"--L-values: {tok!r} is not an integer") from None
     if not L_values:
         print("error: --L-values is empty", file=sys.stderr)
         return 1

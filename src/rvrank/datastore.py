@@ -133,17 +133,136 @@ class DatasetBundle:
 
 Row = TypeVar("Row")
 
+#: Rows formatted per block by :func:`write_csv`, so that every temporary of
+#: the writer is O(block) rather than O(rows).
+_BLOCK_ROWS = 1 << 16
 
-def write_csv(path: str | Path, header: tuple[str, ...], chunks: Iterable[str],
+
+def _digit_groups() -> np.ndarray:
+    """(3, 10**4) uint32 table of 4-byte digit groups, by kind: 0 all NUL
+    (above a number's leading group), 1 NUL-padded on the left (its leading
+    group; 0 spells ``0``), 2 zero-padded (every lower group)."""
+    groups = np.arange(10 ** 4)[:, None]
+    place = 10 ** np.arange(3, -1, -1)
+    padded = (groups // place % 10 + ord("0")).astype(np.uint8)
+    leading = np.where((groups < place) & (place > 1), np.uint8(0), padded)
+    table = np.stack([np.zeros_like(padded), leading, padded])
+    return table.view(np.uint32)[..., 0]
+
+
+_DIGIT_GROUPS = _digit_groups()
+
+#: Bytes a text field may not hold: each would break a row of the file.
+_TEXT_FORBIDDEN = np.zeros(256, dtype=bool)
+_TEXT_FORBIDDEN[list(b',"\n\r')] = True
+
+
+def _int_bytes(values: np.ndarray) -> np.ndarray:
+    """(rows, width) uint8: each int64 as ``str(v)``, NUL-padded."""
+    negative = values < 0
+    rest = values.view(np.uint64).copy()
+    # Two's complement: exact for every magnitude, int64's minimum included.
+    rest[negative] = ~rest[negative] + np.uint64(1)
+    top, count = int(rest.max(initial=0)), 1
+    while count < 5 and top >= 10 ** (4 * count):
+        count += 1
+    groups = np.empty((len(values), count), dtype=np.uint32)
+    for k in range(count):
+        kind = (rest >= 10 ** 4).astype(np.intp) + ((rest > 0) if k else 1)
+        groups[:, count - 1 - k] = _DIGIT_GROUPS[kind, (rest % 10 ** 4).astype(np.intp)]
+        rest //= 10 ** 4
+    digits = groups.view(np.uint8)
+    if not negative.any():
+        return digits
+    # The NULs between the sign and the leading digit drop out when the
+    # block is compacted.
+    return np.column_stack([np.where(negative, np.uint8(ord("-")), np.uint8(0)), digits])
+
+
+def _float_bytes(values: np.ndarray) -> np.ndarray:
+    """(rows, width) uint8: each float64 as ``repr(v)``, NUL-padded."""
+    text = np.array(list(map(repr, values.tolist())), dtype="S")
+    return text.view(np.uint8).reshape(len(values), -1)
+
+
+def _text_bytes(values: np.ndarray) -> np.ndarray:
+    """(rows, width) uint8: each str as UTF-8, NUL-padded."""
+    values = np.ascontiguousarray(values)
+    codes = values.view(np.uint32).reshape(len(values), -1)
+    if codes.max(initial=0) < 128:
+        return codes.astype(np.uint8)
+    return np.char.encode(values, "utf-8").view(np.uint8).reshape(len(values), -1)
+
+
+#: Column dtype kind -> (dtype it is written as, its block formatter).
+_FORMATS = {"i": (np.int64, _int_bytes), "f": (np.float64, _float_bytes),
+            "U": (np.str_, _text_bytes)}
+
+
+def _check_text(path: Path, name: str, values: np.ndarray) -> None:
+    """Raise ValueError naming the file, column and row of the first text
+    field that holds a byte of :data:`_TEXT_FORBIDDEN` or a NUL."""
+    for start in range(0, len(values), _BLOCK_ROWS):
+        data = _text_bytes(values[start:start + _BLOCK_ROWS])
+        # Every rejected byte, NUL included, sorts below "-"; only rows
+        # holding such a byte, if only as padding, are tested further.
+        rows = np.flatnonzero((data < ord("-")).any(axis=1))
+        data = data[rows]
+        bad = _TEXT_FORBIDDEN[data].any(axis=1)
+        bad |= ((data[:, :-1] == 0) & (data[:, 1:] != 0)).any(axis=1)
+        if bad.any():
+            row = start + int(rows[np.argmax(bad)])
+            raise ValueError(f"{path}: column {name!r}, row {row}: text field "
+                             f"{str(values[row])!r} holds a comma, quote, newline, "
+                             "carriage return or NUL")
+
+
+def write_csv(path: str | Path, header: tuple[str, ...],
+              columns: Iterable[np.ndarray],
               config_comment: str | None = None) -> None:
     """Write a CSV that :func:`read_csv` reads: an optional ``# `` comment
-    line, then ``header``, then ``chunks`` of text, each holding one or more
-    complete rows that end in ``\\n``."""
-    with open(path, "w", newline="") as fh:
+    line, then ``header``, then one row per entry of ``columns``, which
+    hold one 1-D array per header field, all of one length.
+
+    An integer column is written as ``str(v)`` of each int64 value, a float
+    column as ``repr(v)`` of each float64 value and a str column verbatim,
+    as UTF-8; an empty string is an empty field.  A text field holding a
+    comma, a quote, a newline, a carriage return or a NUL raises ValueError
+    naming the file, column and row before the file is opened.  Rows are
+    formatted in blocks of at most ``_BLOCK_ROWS``.
+    """
+    path = Path(path)
+    formats = []
+    for name, column in zip(header, columns, strict=True):
+        column = np.asarray(column)
+        if column.ndim != 1 or column.dtype.kind not in _FORMATS:
+            raise ValueError(f"{path}: column {name!r} must be a 1-D array of "
+                             f"integers, floats or str, got {column.dtype} "
+                             f"of shape {column.shape}")
+        dtype, fmt = _FORMATS[column.dtype.kind]
+        column = column.astype(dtype, casting="safe", copy=False)
+        if fmt is _text_bytes:
+            _check_text(path, name, column)
+        formats.append((column, fmt))
+    lengths = {len(column) for column, _ in formats}
+    if len(lengths) > 1:
+        raise ValueError(f"{path}: columns differ in length: {sorted(lengths)}")
+
+    with open(path, "wb") as fh:
         if config_comment is not None:
-            fh.write(f"# {config_comment}\n")
-        fh.write(",".join(header) + "\n")
-        fh.writelines(chunks)
+            fh.write(f"# {config_comment}\n".encode())
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, max(lengths, default=0), _BLOCK_ROWS):
+            fields = [fmt(column[start:start + _BLOCK_ROWS]) for column, fmt in formats]
+            block = np.empty((len(fields[0]), sum(f.shape[1] + 1 for f in fields)),
+                             dtype=np.uint8)
+            at = 0
+            for f in fields:
+                block[:, at:at + f.shape[1]] = f
+                block[:, at + f.shape[1]] = ord(",")
+                at += f.shape[1] + 1
+            block[:, -1] = ord("\n")
+            fh.write(block[block != 0].tobytes())
 
 
 def write_json(path: str | Path, payload: dict) -> None:
@@ -165,7 +284,7 @@ def read_csv(path: str | Path, header: tuple[str, ...],
     """
     path = Path(path)
     header_seen = False
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         for lineno, raw in enumerate(csv.reader(fh), start=1):
             if not raw or raw[0].startswith("#"):
                 continue
@@ -460,11 +579,13 @@ def write_bundle(
     metadata CSV.
     """
     splits = [bundle.splits[role] for role in ROLES]
-    rows = (f"{i},{role},{identity},{cloth},{camera}\n"
-            for role, split in zip(ROLES, splits)
-            for i, (identity, cloth, camera) in enumerate(zip(
-                split.identity.tolist(), split.cloth.tolist(), split.camera.tolist())))
-    write_csv(metadata_path, METADATA_HEADER, rows, config_comment)
+    sizes = [len(split) for split in splits]
+    write_csv(metadata_path, METADATA_HEADER,
+              [np.concatenate([np.arange(n) for n in sizes]),
+               np.repeat(np.array(ROLES), sizes)]
+              + [np.concatenate([getattr(s, name) for s in splits])
+                 for name in METADATA_HEADER[2:]],
+              config_comment)
     write_feature_file(feature_path, np.concatenate([s.features for s in splits]))
     if parts_path is not None:
         write_parts_file(parts_path, np.concatenate([s.present for s in splits]),

@@ -70,13 +70,13 @@ class EvalReport:
 
     def write_per_query_csv(self, path: str | Path,
                             config_comment: str | None = None) -> None:
-        def rows():
-            for qm in self.per_query:
-                hit = "" if qm.first_hit_rank is None else qm.first_hit_rank
-                ap = "" if qm.average_precision is None else repr(qm.average_precision)
-                yield f"{qm.query_index},{hit},{ap}\n"
-
-        write_csv(path, PER_QUERY_HEADER, rows(), config_comment)
+        # An excluded query's rank and AP are empty fields.
+        write_csv(path, PER_QUERY_HEADER, (
+            np.array([qm.query_index for qm in self.per_query], dtype=np.int64),
+            np.array(["" if qm.first_hit_rank is None else str(qm.first_hit_rank)
+                      for qm in self.per_query], dtype=str),
+            np.array(["" if qm.average_precision is None else repr(qm.average_precision)
+                      for qm in self.per_query], dtype=str)), config_comment)
 
 
 def evaluate(bundle: DatasetBundle, ranked: list[RankedList], k_max: int = 10,
@@ -191,8 +191,9 @@ def sweep_L(bundle: DatasetBundle, scorer, config: RankingConfig,
 
 def write_sweep_csv(path: str | Path, rows: list[tuple[int, float, float]],
                     config_comment: str | None = None) -> None:
-    write_csv(path, SWEEP_HEADER, (f"{L},{r1!r},{r10!r}\n" for L, r1, r10 in rows),
-              config_comment)
+    table = np.array(rows, dtype=[("L", np.int64), ("rank1", np.float64),
+                                  ("rank10", np.float64)])
+    write_csv(path, SWEEP_HEADER, [table[name] for name in SWEEP_HEADER], config_comment)
 
 
 def read_sweep_csv(path: str | Path) -> list[tuple[int, float, float]]:

@@ -322,9 +322,12 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: VerifierModel | Scorer | None
     gallery = bundle.splits[gallery_role]
     if not len(queries):
         return []
-    base_dist = distance_matrix(queries.features, gallery.features, metric)
     allowed = eligible_mask(queries, gallery)
-    orders = [masked_order(row, ok) for row, ok in zip(base_dist, allowed)]
+    # k-reciprocal re-ranking replaces the retrieval orders, so they are
+    # computed only when the candidate check or a pipeline without it reads them.
+    if candidates is not None or "kreciprocal" not in stages:
+        base_dist = distance_matrix(queries.features, gallery.features, metric)
+        orders = [masked_order(row, ok) for row, ok in zip(base_dist, allowed)]
 
     if candidates is not None:
         for qi, order in enumerate(orders):
@@ -362,12 +365,20 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: VerifierModel | Scorer | None
 
 def write_ranked_csv(path: str | Path, ranked: list[RankedList],
                      config_comment: str | None = None) -> None:
-    # One joined chunk per query: a generator of single rows writes slower.
-    write_csv(path, RANKED_HEADER,
-              ("".join(f"{rl.query_index},{rank},{gi},{rl.provenance}\n"
-                       for rank, gi in enumerate(rl.order.tolist(), start=1))
-               for rl in ranked),
-              config_comment)
+    lengths = np.array([len(rl.order) for rl in ranked], dtype=np.int64)
+    rows = int(lengths.sum())
+    query = np.repeat(np.array([rl.query_index for rl in ranked], dtype=np.int64), lengths)
+    names = np.array([rl.provenance for rl in ranked], dtype=str)
+    # A pipeline tags every query with one provenance: a stride-0 column
+    # holds it once, not once per row (4 bytes per character per row).
+    if len(set(names.tolist())) == 1:
+        provenance = np.broadcast_to(names[:1], (rows,))
+    else:
+        provenance = np.repeat(names, lengths)
+    rank = np.arange(1, rows + 1)
+    rank -= np.repeat(np.cumsum(lengths) - lengths, lengths)
+    gallery = np.concatenate([np.empty(0, np.int64)] + [rl.order for rl in ranked])
+    write_csv(path, RANKED_HEADER, (query, rank, gallery, provenance), config_comment)
 
 
 #: At most 18 digits per integer field on the fast path: 10**18 - 1 fits

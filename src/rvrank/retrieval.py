@@ -211,9 +211,7 @@ def candidates_from_pairs(pair_set: PairSet) -> dict[int, np.ndarray]:
 def write_pairs_csv(path: str | Path, pair_set: PairSet,
                     config_comment: str | None = None) -> None:
     """Write a pair set; float scores use repr so reads round-trip exactly."""
-    write_csv(path, PAIR_HEADER,
-              (f"{qr},{qi},{rank},{cr},{ci},{score!r},{label}\n"
-               for qr, qi, rank, cr, ci, score, label in pair_set.pairs.tolist()),
+    write_csv(path, PAIR_HEADER, [pair_set.pairs[name] for name in PAIR_HEADER],
               config_comment)
 
 

@@ -601,10 +601,9 @@ def train(model: VerifierModel, bundle: DatasetBundle, train_pairs: PairSet,
 
 def write_history_csv(path: str | Path, history: list[EpochStats],
                       config_comment: str | None = None) -> None:
-    write_csv(path, HISTORY_HEADER,
-              (f"{row.epoch},{row.loss!r},{row.loss_global!r},"
-               f"{row.loss_part!r},{row.valid_rank1!r}\n" for row in history),
-              config_comment)
+    table = np.array(history, dtype=[("epoch", np.int64)]
+                     + [(name, np.float64) for name in HISTORY_HEADER[1:]])
+    write_csv(path, HISTORY_HEADER, [table[name] for name in HISTORY_HEADER], config_comment)
 
 
 # ---------------------------------------------------------------------------

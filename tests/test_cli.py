@@ -328,6 +328,15 @@ def test_clamp_warnings_are_one_line_without_a_source_location(workspace, tmp_pa
     assert set(lines) == {"warning: L=25 exceeds Q=20; clamping L to 20"}
 
 
+def test_a_bad_L_value_names_the_flag_and_the_token(workspace, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = model_commands(workspace, workspace / "model" / "model.bin", out)["sweep-l"]
+    argv[argv.index("--L-values") + 1] = "1,x"
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --L-values: 'x' is not an integer\n"
+    assert not out.exists()
+
+
 def test_eval_rejects_partial_or_duplicated_rankings(workspace, tmp_path, capsys):
     data = workspace / "data"
     lines = (workspace / "ranked.csv").read_text().splitlines()

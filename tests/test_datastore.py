@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_bundle
+from rvrank import datastore
 from rvrank.datastore import (
     DEFAULT_PART_COUNT,
     BundleFormatError,
@@ -17,6 +18,7 @@ from rvrank.datastore import (
     read_parts_file,
     validate_bundle,
     write_bundle,
+    write_csv,
     write_feature_file,
     write_parts_file,
 )
@@ -375,6 +377,65 @@ class TestCsvReaders:
             path.write_text("# config: {}\n" + "".join(ln + "\n" for ln in lines))
             with pytest.raises(error, match=f"{path.name}: ({want})"):
                 read(path)
+
+
+class TestWriteCsv:
+    """``write_csv`` against the f-string rows it replaced: ``str`` of each
+    int, ``repr`` of each float and each text field verbatim."""
+
+    @staticmethod
+    def columns(rng, n):
+        info = np.iinfo(np.int64)
+        ints = rng.integers(info.min, info.max, n, endpoint=True)
+        # Every digit count, not only the 19-digit values a uniform draw gives.
+        ints //= 10 ** rng.integers(0, 19, n)
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+        text = np.array(["", "T", "VQ", "window", "\u00e9t\u00e9", "a b"])[rng.integers(0, 6, n)]
+        edges = ([info.min, info.max, info.min + 1, -1, 0, 9999, 10 ** 4, -10 ** 8],
+                 [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1])
+        head = min(n, len(edges[0]))
+        ints[:head], floats[:head] = edges[0][:head], edges[1][:head]
+        return ints, floats, text
+
+    @pytest.mark.parametrize("rows", [0, 1, 8, 2 * datastore._BLOCK_ROWS + 3])
+    def test_rows_match_the_f_string_form(self, tmp_path, rows):
+        ints, floats, text = self.columns(np.random.default_rng(rows), rows)
+        path = tmp_path / "out.csv"
+        write_csv(path, ("i", "f", "t", "j"), (ints, floats, text, ints[::-1]),
+                  config_comment="config: {}")
+        want = "# config: {}\ni,f,t,j\n" + "".join(
+            f"{i},{f!r},{t},{j}\n" for i, f, t, j in
+            zip(ints.tolist(), floats.tolist(), text.tolist(), ints[::-1].tolist()))
+        assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("bad", [",", '"', "\n", "\r", "\0"])
+    def test_a_text_field_that_would_break_its_row_is_rejected(self, tmp_path, bad):
+        path = tmp_path / "out.csv"
+        text = np.array(["T"] * (datastore._BLOCK_ROWS + 5), dtype="U3")
+        text[-2] = f"V{bad}Q"
+        with pytest.raises(ValueError) as err:
+            write_csv(path, ("index", "role"), (np.arange(len(text)), text))
+        assert str(err.value).startswith(f"{path}: column 'role', row {len(text) - 2}: ")
+        assert not path.exists()
+
+    def test_negative_labels_are_written_back(self, tmp_path):
+        rows = [(0, "Q", -3, 2 ** 40, -1), (0, "G", 5, -2 ** 62, 0)]
+        paths = (tmp_path / "meta.csv", tmp_path / "feat.bin")
+        write_bundle(build_bundle(rows, np.zeros((2, 2))), *paths)
+        assert paths[0].read_text().splitlines()[1:] == \
+            [",".join(map(str, row)) for row in rows]
+        loaded = load_bundle(*paths)
+        assert [(v.role, v.field) for v in validate_bundle(loaded)] == \
+            [("Q", "identity"), ("Q", "camera"), ("G", "cloth")]
+
+    def test_columns_of_other_kinds_or_lengths_are_rejected(self, tmp_path):
+        path = tmp_path / "out.csv"
+        for columns, match in (((np.arange(3), np.arange(4)), "differ in length"),
+                               ((np.arange(3), np.ones(3, dtype=bool)), "column 'b'"),
+                               ((np.arange(3), np.ones((3, 1))), "column 'b'")):
+            with pytest.raises(ValueError, match=match):
+                write_csv(path, ("a", "b"), columns)
+        assert not path.exists()
 
 
 class TestMissingParts:

@@ -16,6 +16,7 @@ import pytest
 from conftest import oracle_scores, random_bundle
 from rvrank import reranker, verifier
 from rvrank.reranker import (
+    RANKED_HEADER,
     RankedList,
     RankingConfig,
     kreciprocal_rerank,
@@ -447,6 +448,31 @@ class TestPipeline:
             rerank_pipeline(bundle, model, RankingConfig(P=8, L=2, Q=4),
                             stages=("window",))
 
+    def test_kreciprocal_sorts_no_retrieval_order(self, tmp_path, monkeypatch):
+        # Full orders only: k-reciprocal's neighbour lists pass a limit.
+        full_orders = []
+        real = reranker.masked_order
+
+        def spy(row, allowed, limit=None):
+            if limit is None:
+                full_orders.append(len(row))
+            return real(row, allowed, limit)
+
+        monkeypatch.setattr(reranker, "masked_order", spy)
+        rng = np.random.default_rng(38)
+        bundle = random_bundle(rng, n_query=4, n_gallery=12)
+        cfg = RankingConfig(P=5, L=2, Q=4, k1=4, k2=2)
+        cands = candidates_from_pairs(build_eval_pairs(bundle, "Q", "G", num_candidates=5))
+        files = []
+        for candidates, sorts in ((None, 4), (cands, 8)):
+            full_orders.clear()
+            ranked = rerank_pipeline(bundle, None, cfg, stages=("kreciprocal",),
+                                     candidates=candidates)
+            assert len(full_orders) == sorts
+            files.append(tmp_path / f"ranked{sorts}.csv")
+            write_ranked_csv(files[-1], ranked)
+        assert files[0].read_bytes() == files[1].read_bytes()
+
     def test_model_and_equivalent_callable_agree(self):
         rng = np.random.default_rng(34)
         bundle = random_bundle(rng, n_query=4, n_gallery=12)
@@ -474,6 +500,17 @@ class TestRankedCsv:
                [(rl.query_index, rl.order.tolist(), rl.provenance) for rl in ranked]
         assert all(rl.order.dtype == np.int64 for rl in back)
 
+    def test_rows_match_the_f_string_form(self, tmp_path):
+        ranked = [RankedList(2, np.array([4, 0, 7]), "window"),
+                  RankedList(0, np.array([], dtype=np.int64), "window"),
+                  RankedList(1, np.array([3, 12345]), "retrieval")]
+        path = tmp_path / "ranked.csv"
+        for lists in (ranked[:2], ranked, []):
+            write_ranked_csv(path, lists)
+            assert path.read_text() == ",".join(RANKED_HEADER) + "\n" + "".join(
+                f"{rl.query_index},{rank},{gi},{rl.provenance}\n" for rl in lists
+                for rank, gi in enumerate(rl.order.tolist(), start=1))
+
     def test_sparse_ranks_raise(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("query_index,rank,gallery_index,stage_provenance\n"
@@ -500,6 +537,24 @@ class TestRankedCsv:
         path.write_text("0,1,5,window\n")
         with pytest.raises(ValueError, match="header"):
             read_ranked_csv(path)
+
+    def test_memory_beyond_the_columns_is_fixed(self, tmp_path):
+        # 450 queries of 1,347 images: the size of a large benchmark's
+        # ranked.csv.  Rows are formatted in blocks, so all but the three
+        # int64 columns handed to write_csv (the provenance is one string,
+        # broadcast) is bounded whatever the row count; formatting every
+        # row at once peaks near 60 MB more.
+        rng = np.random.default_rng(48)
+        ranked = [RankedList(qi, rng.permutation(1347), "kreciprocal")
+                  for qi in range(450)]
+        columns = 450 * 1347 * 3 * 8
+        tracemalloc.start()
+        try:
+            write_ranked_csv(tmp_path / "ranked.csv", ranked)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - columns < 16 * 2 ** 20, f"{(peak - columns) / 2 ** 20:.1f} MB"
 
 
 HEADER = b"query_index,rank,gallery_index,stage_provenance\n"
