@@ -145,6 +145,10 @@ def cmd_pairs(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if args.L < 1 or args.Q < 1:
+        raise ValueError(f"--L and --Q must be >= 1, got L={args.L} Q={args.Q}")
+    # Validation re-ranks as rerank does, L clamped to Q (P plays no part).
+    window = RankingConfig(P=args.Q, L=args.L, Q=args.Q).clamped()
     bundle = _load_bundle_args(args)
     train_pairs = read_pairs_csv(args.train_pairs)
     valid_pairs = read_pairs_csv(args.valid_pairs)
@@ -161,7 +165,7 @@ def cmd_train(args: argparse.Namespace) -> int:
               f"valid_rank1={stats.valid_rank1:.4f}", file=sys.stderr)
 
     model, history = train(model, bundle, train_pairs, valid_pairs,
-                           ranking_L=args.L, ranking_Q=args.Q, progress=progress)
+                           ranking_L=window.L, ranking_Q=window.Q, progress=progress)
     save_model(out / "model.bin", model)
     _write_sidecar(out / "model.bin", args)
     write_history_csv(out / "history.csv", history, config_comment=_config_comment(args))
@@ -176,9 +180,7 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     scorer = None
     if "window" in stages:
         if args.model is None:
-            print("error: --model is required when the window stage runs",
-                  file=sys.stderr)
-            return 1
+            raise ValueError("--model is required when the window stage runs")
         scorer = _load_model_args(args, bundle)
     candidates = None
     if args.candidates is not None:
@@ -247,8 +249,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_l(args: argparse.Namespace) -> int:
-    bundle = _load_bundle_args(args)
-    model = _load_model_args(args, bundle)
     L_values = []
     for tok in args.L_values.split(","):
         if tok:
@@ -257,8 +257,9 @@ def cmd_sweep_l(args: argparse.Namespace) -> int:
             except ValueError:
                 raise ValueError(f"--L-values: {tok!r} is not an integer") from None
     if not L_values:
-        print("error: --L-values is empty", file=sys.stderr)
-        return 1
+        raise ValueError("--L-values is empty")
+    bundle = _load_bundle_args(args)
+    model = _load_model_args(args, bundle)
     config = RankingConfig(P=args.P, L=L_values[0], Q=args.Q,
                            k1=args.k1, k2=args.k2, lam=args.lam)
     rows = sweep_L(bundle, model, config, L_values,

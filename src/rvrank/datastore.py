@@ -16,22 +16,23 @@ and then by index; indices are dense 0..n-1 within each role.
 This module also frames every artifact the package writes or reads:
 :func:`write_csv` and :func:`read_csv` for CSVs, :func:`write_json` for JSON
 and :class:`BinaryHeader` for the magic and header of a binary file.  Each
-format module keeps only its own row or field rule.
+format module keeps only its header, its column kinds and its own rules,
+checked over whole columns with :func:`check_rows`.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable
 
 import numpy as np
 
 ROLES = ("T", "VQ", "VG", "Q", "G")
-_ROLE_RANK = {role: i for i, role in enumerate(ROLES)}
 
 METADATA_HEADER = ("index", "role", "identity", "cloth", "camera")
 
@@ -130,8 +131,6 @@ class DatasetBundle:
 # ---------------------------------------------------------------------------
 # artifact framing: CSV, JSON and binary headers
 
-
-Row = TypeVar("Row")
 
 #: Rows formatted per block by :func:`write_csv`, so that every temporary of
 #: the writer is O(block) rather than O(rows).
@@ -272,38 +271,163 @@ def write_json(path: str | Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def read_csv(path: str | Path, header: tuple[str, ...],
-             parse: Callable[[list[str]], Row],
-             error: type[ValueError] = ValueError) -> Iterator[Row]:
-    """Iterate over a CSV written by this package: ``#`` comment lines
+def read_csv(path: str | Path, header: tuple[str, ...], kinds: tuple[type, ...],
+             error: type[ValueError] = ValueError) -> tuple[list[np.ndarray], np.ndarray]:
+    """Read a CSV as :func:`write_csv` writes it: ``#`` comment lines
     anywhere, then ``header``, then rows of exactly ``len(header)`` fields.
 
-    ``parse`` turns each row's fields into the value yielded; a ValueError
-    it raises, like any format fault, is re-raised as ``error`` naming the
-    file and line.
+    Returns one 1-D array per field, typed by ``kinds`` (``int`` as int64,
+    ``float`` as float64, or ``str``), and each row's file line number.
+    Every format fault, an int64 overflow included, raises ``error`` naming
+    the file and line.  :func:`_parse_bytes` reads the body of a file as
+    this package writes it; any other file is read row by row, alike.
     """
     path = Path(path)
-    header_seen = False
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(csv.reader(fh), start=1):
-            if not raw or raw[0].startswith("#"):
-                continue
-            if not header_seen:
-                if tuple(raw) != header:
-                    raise error(f"{path}: line {lineno}: expected header "
-                                f"{','.join(header)!r}, got {','.join(raw)!r}")
-                header_seen = True
-                continue
-            if len(raw) != len(header):
-                raise error(f"{path}: line {lineno}: expected {len(header)} "
-                            f"fields, got {len(raw)}")
-            try:
-                row = parse(raw)
-            except ValueError as exc:
-                raise error(f"{path}: line {lineno}: {exc}") from None
-            yield row
-    if not header_seen:
-        raise error(f"{path}: missing header row")
+    data = path.read_bytes()
+    rows = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    try:
+        for raw in rows:
+            if raw and not raw[0].startswith("#"):
+                break
+        else:
+            raise error(f"{path}: missing header row")
+        if tuple(raw) != header:
+            raise error(f"{path}: line {rows.line_num}: expected header "
+                        f"{','.join(header)!r}, got {','.join(raw)!r}")
+        parsed = _parse_bytes(data, rows.line_num, kinds)
+        return parsed if parsed is not None else _read_rows(path, rows, header, kinds, error)
+    except csv.Error as exc:
+        raise error(f"{path}: line {rows.line_num}: {exc}") from None
+
+
+def check_rows(rules: list[tuple[np.ndarray, Callable[[int], str]]],
+               error: type[ValueError] = ValueError) -> None:
+    """Raise ``error(message(i))`` for the first row ``i`` that a rule
+    flags; each rule is a boolean column ``bad`` and its ``message``, and a
+    row that several rules flag takes the first rule's message."""
+    flagged = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(rules) if bad.any()]
+    if flagged:
+        row, k = min(flagged)
+        raise error(rules[k][1](row))
+
+
+#: Bytes ``repr`` writes for a float64, and the NUL padding of a field.
+_REPR_BYTES = np.zeros(256, dtype=bool)
+_REPR_BYTES[list(b"0123456789.+-einfa\0")] = True
+
+
+def _digit_column(body: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """The integer each ``body[begin:end]`` spells, one digit place at a
+    time, or None unless all are 1 to 18 plain digits (no int64 overflow)."""
+    width = end - begin
+    places = int(width.max())
+    if width.min() < 1 or places > 18:
+        return None
+    value = np.zeros(len(end), dtype=np.int64)
+    at = end - places
+    for place in range(places, 0, -1):
+        digit = body.take(at, mode="clip") - np.uint8(ord("0"))
+        digit[width < place] = 0  # a byte before a narrower field
+        if (digit > 9).any():
+            return None
+        value *= 10
+        value += digit
+        at += 1
+    return value
+
+
+def _float_column(body: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """The float64 each ``body[begin:end]`` casts to, or None unless all are
+    non-empty, cast, and hold only bytes ``repr`` writes."""
+    width = end - begin
+    if width.min() < 1:
+        return None
+    text = np.zeros((len(end), int(width.max())), dtype=np.uint8)  # NUL-padded
+    for place in range(text.shape[1]):
+        text[:, place] = np.where(width > place, body.take(begin + place, mode="clip"), 0)
+    if not _REPR_BYTES[text].all():
+        return None
+    try:
+        return text.view(f"S{text.shape[1]}")[:, 0].astype(np.float64)
+    except ValueError:
+        return None
+
+
+def _token_column(body: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """The first ``body[begin:end]`` broadcast to every row, or None unless
+    every one holds that same non-empty token, byte for byte."""
+    token = body[begin[0]:end[0]].tobytes()
+    if not token or (end - begin != len(token)).any():
+        return None
+    at = begin.copy()
+    for byte in token:
+        if (body.take(at) != byte).any():
+            return None
+        at += 1
+    return np.broadcast_to(np.array(token.decode()), len(end))
+
+
+def _parse_bytes(data: bytes, head_lines: int,
+                 kinds: tuple[type, ...]) -> tuple[list[np.ndarray], np.ndarray] | None:
+    """:func:`read_csv`'s result for the rows after the first ``head_lines``
+    lines, parsed from the bytes with numpy, or None to leave the file to
+    the row path.  The file must be ASCII without CR or NUL and end in a
+    newline, and its body hold no quote or ``#``, only rows of
+    ``len(kinds)`` fields.  A text column comes back read-only.
+    """
+    if not data.isascii() or b"\r" in data or b"\0" in data or not data.endswith(b"\n"):
+        return None
+    start = 0
+    for _ in range(head_lines):
+        start = data.index(b"\n", start) + 1
+    if data.find(b'"', start) >= 0 or data.find(b"#", start) >= 0:
+        return None
+    body = np.frombuffer(data, dtype=np.uint8, offset=start)
+    # Row by row, the comma after each field but the last, then the newline.
+    ends = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
+    if len(ends) % len(kinds):
+        return None
+    ends = ends.reshape(-1, len(kinds))
+    if (body[ends[:, :-1]] != ord(",")).any() or (body[ends[:, -1]] != ord("\n")).any():
+        return None
+    if not len(ends):
+        return [np.empty(0, dtype=kind) for kind in kinds], np.empty(0, dtype=np.int64)
+    columns = []
+    for j, kind in enumerate(kinds):
+        begin = ends[:, j - 1] + 1 if j else np.r_[0, ends[:-1, -1] + 1]
+        columns.append({int: _digit_column, float: _float_column,
+                        str: _token_column}[kind](body, begin, ends[:, j]))
+        if columns[-1] is None:
+            return None
+    return columns, np.arange(head_lines + 1, head_lines + 1 + len(ends))
+
+
+def _read_rows(path: Path, rows, header: tuple[str, ...], kinds: tuple[type, ...],
+               error: type[ValueError]) -> tuple[list[np.ndarray], np.ndarray]:
+    """:func:`read_csv`'s result for the rest of ``rows``, a ``csv.reader``
+    past the header, converted field by field."""
+    fields: list[list] = [[] for _ in header]
+    lines: list[int] = []
+    for raw in rows:
+        if not raw or raw[0].startswith("#"):
+            continue
+        if len(raw) != len(header):
+            raise error(f"{path}: line {rows.line_num}: expected {len(header)} "
+                        f"fields, got {len(raw)}")
+        try:
+            for values, kind, value in zip(fields, kinds, raw):
+                values.append(kind(value))
+        except ValueError as exc:
+            raise error(f"{path}: line {rows.line_num}: {exc}") from None
+        lines.append(rows.line_num)
+    columns = []
+    for name, kind, values in zip(header, kinds, fields):
+        try:
+            columns.append(np.array(values, dtype=kind))
+        except OverflowError:
+            row = next(i for i, v in enumerate(values) if not -2 ** 63 <= v < 2 ** 63)
+            raise error(f"{path}: line {lines[row]}: {name} does not fit in int64") from None
+    return columns, np.array(lines, dtype=np.int64)
 
 
 class BinaryHeader:
@@ -349,35 +473,31 @@ class BinaryHeader:
 # metadata CSV
 
 
-def _parse_metadata_row(raw: list[str]) -> tuple[int, str, int, int, int]:
-    index_s, role, identity_s, cloth_s, camera_s = raw
-    return int(index_s), role, int(identity_s), int(cloth_s), int(camera_s)
+#: Column kinds of the metadata CSV, field by field.
+_METADATA_KINDS = (int, str, int, int, int)
 
 
-def _check_metadata_order(source: str | Path,
-                          rows: list[tuple[int, str, int, int, int]]) -> dict[str, int]:
+def _check_metadata_order(source: str | Path, index: np.ndarray, role: np.ndarray,
+                          where: Callable[[int], str]) -> dict[str, int]:
     """Check that rows are sorted by role, then index, with dense indices;
-    returns the number of rows per role."""
-    counts: dict[str, int] = {role: 0 for role in ROLES}
-    prev_key = (-1, -1)
-    for row_no, (index, role, _, _, _) in enumerate(rows):
-        if role not in _ROLE_RANK:
-            raise BundleFormatError(f"{source}: row {row_no}: unknown role token "
-                                    f"{role!r} (expected one of {', '.join(ROLES)})")
-        key = (_ROLE_RANK[role], index)
-        if key <= prev_key:
-            raise BundleFormatError(
-                f"{source}: row {row_no} ({role}:{index}) out of order; rows must be "
-                "sorted by role (T, VQ, VG, Q, G) then index"
-            )
-        if index != counts[role]:
-            raise BundleFormatError(
-                f"{source}: row {row_no}: role {role} expected dense index "
-                f"{counts[role]}, got {index}"
-            )
-        counts[role] += 1
-        prev_key = key
-    return counts
+    returns the number of rows per role.  ``where(i)`` names row ``i`` in
+    an error."""
+    rank = np.select([role == name for name in ROLES], range(len(ROLES)), -1)
+    ascending = np.ones(len(role), dtype=bool)
+    ascending[1:] = (rank[1:] > rank[:-1]) | ((rank[1:] == rank[:-1]) & (index[1:] > index[:-1]))
+    # Each row's dense index: how many rows of its role come before it.
+    dense = np.zeros(len(role), dtype=np.int64)
+    for r in range(len(ROLES)):
+        dense[rank == r] = np.arange(np.count_nonzero(rank == r))
+    check_rows([
+        (rank < 0, lambda i: f"{source}: {where(i)}: unknown role token {str(role[i])!r} "
+                             f"(expected one of {', '.join(ROLES)})"),
+        (~ascending, lambda i: f"{source}: {where(i)} ({role[i]}:{index[i]}) out of order; "
+                               "rows must be sorted by role (T, VQ, VG, Q, G) then index"),
+        (index != dense, lambda i: f"{source}: {where(i)}: role {role[i]} expected dense "
+                                   f"index {dense[i]}, got {index[i]}"),
+    ], BundleFormatError)
+    return {name: int(np.count_nonzero(rank == r)) for r, name in enumerate(ROLES)}
 
 
 # ---------------------------------------------------------------------------
@@ -474,44 +594,31 @@ def load_bundle(
     """
     metadata_path = Path(metadata_path)
     feature_path = Path(feature_path)
-    rows = list(read_csv(metadata_path, METADATA_HEADER, _parse_metadata_row,
-                         BundleFormatError))
-    counts = _check_metadata_order(metadata_path, rows)
+    (index, role, *labels), lines = read_csv(metadata_path, METADATA_HEADER,
+                                             _METADATA_KINDS, BundleFormatError)
+    counts = _check_metadata_order(metadata_path, index, role, lambda i: f"line {lines[i]}")
 
     features = read_feature_file(feature_path)
-    if features.shape[0] != len(rows):
-        raise BundleFormatError(
-            f"{feature_path}: holds {features.shape[0]} rows but "
-            f"{metadata_path} lists {len(rows)} images"
-        )
-    bad_rows = np.flatnonzero(~np.isfinite(features).all(axis=1))
-    if bad_rows.size:
-        r = int(bad_rows[0])
-        raise BundleFormatError(
-            f"{feature_path}: non-finite value in feature row {r} "
-            f"(metadata {rows[r][1]}:{rows[r][0]})"
-        )
+    if features.shape[0] != len(index):
+        raise BundleFormatError(f"{feature_path}: holds {features.shape[0]} rows but "
+                                f"{metadata_path} lists {len(index)} images")
+    check_rows([(~np.isfinite(features).all(axis=1), lambda r: (
+        f"{feature_path}: non-finite value in feature row {r} "
+        f"(metadata {role[r]}:{index[r]})"))], BundleFormatError)
 
+    present = vectors = None
     if parts_path is not None:
         parts_path = Path(parts_path)
         present, vectors = read_parts_file(parts_path)
-        if present.shape[0] != len(rows):
-            raise BundleFormatError(
-                f"{parts_path}: holds {present.shape[0]} records but "
-                f"{metadata_path} lists {len(rows)} images"
-            )
-        finite = np.isfinite(vectors).all(axis=2) | ~present
-        bad = np.argwhere(~finite)
-        if bad.size:
-            i, j = bad[0]
-            raise BundleFormatError(
-                f"{parts_path}: non-finite value in record {int(i)} part {int(j)} "
-                f"(metadata {rows[int(i)][1]}:{rows[int(i)][0]})"
-            )
-    else:
-        present = vectors = None
+        if present.shape[0] != len(index):
+            raise BundleFormatError(f"{parts_path}: holds {present.shape[0]} records but "
+                                    f"{metadata_path} lists {len(index)} images")
+        bad = present & ~np.isfinite(vectors).all(axis=2)
+        check_rows([(bad.any(axis=1), lambda i: (
+            f"{parts_path}: non-finite value in record {i} part {np.argmax(bad[i])} "
+            f"(metadata {role[i]}:{index[i]})"))], BundleFormatError)
 
-    bundle = _assemble(rows, counts, features, present, vectors)
+    bundle = _assemble(np.array(labels), counts, features, present, vectors)
     if expected_dims is not None and tuple(expected_dims) != bundle.dims:
         raise BundleFormatError(
             f"dimension mismatch: expected (D, Dp, K) = {tuple(expected_dims)}, "
@@ -520,16 +627,16 @@ def load_bundle(
     return bundle
 
 
-def _assemble(rows: list[tuple[int, str, int, int, int]], counts: dict[str, int],
+def _assemble(labels: np.ndarray, counts: dict[str, int],
               features: np.ndarray, present: np.ndarray | None,
               vectors: np.ndarray | None) -> DatasetBundle:
-    """Slice the arrays of role-ordered rows (see :func:`_check_metadata_order`)
-    into one :class:`Split` per role; without part arrays every image gets
+    """Slice the (3, n) identity, cloth and camera labels and the arrays of
+    role-ordered rows (see :func:`_check_metadata_order`) into one
+    :class:`Split` per role; without part arrays every image gets
     ``DEFAULT_PART_COUNT`` absent slots of dimension zero."""
     if present is None:
-        present = np.zeros((len(rows), DEFAULT_PART_COUNT), dtype=bool)
-        vectors = np.zeros((len(rows), DEFAULT_PART_COUNT, 0), dtype=np.float32)
-    labels = np.array([row[2:] for row in rows], dtype=np.int64).reshape(-1, 3).T.copy()
+        present = np.zeros((len(features), DEFAULT_PART_COUNT), dtype=bool)
+        vectors = np.zeros((len(features), DEFAULT_PART_COUNT, 0), dtype=np.float32)
     splits: dict[str, Split] = {}
     start = 0
     for role in ROLES:
@@ -560,7 +667,7 @@ def validate_bundle(bundle: DatasetBundle) -> list[Violation]:
         bad_parts = split.present & ~np.isfinite(split.vectors).all(axis=2)
         out.extend(Violation(role, int(i), "part_vectors", f"part {j} non-finite value")
                    for i, j in np.argwhere(bad_parts))
-    out.sort(key=lambda v: (_ROLE_RANK[v.role], v.index))
+    out.sort(key=lambda v: (ROLES.index(v.role), v.index))
     return out
 
 
@@ -607,7 +714,9 @@ def build_bundle(
     cast to float32 so an assembled bundle round-trips bit-for-bit through
     :func:`write_bundle` / :func:`load_bundle`.
     """
-    counts = _check_metadata_order("rows", rows)
+    index, role, *labels = zip(*rows) if rows else ((),) * 5
+    counts = _check_metadata_order("rows", np.array(index, dtype=np.int64),
+                                   np.array(role, dtype=str), lambda i: f"row {i}")
     features = np.asarray(features, dtype=np.float32)
     if features.shape[0] != len(rows):
         raise ValueError(f"{features.shape[0]} feature rows for {len(rows)} metadata rows")
@@ -617,4 +726,4 @@ def build_bundle(
         present = np.asarray(present, dtype=bool)
         vectors = np.asarray(vectors, dtype=np.float32)
         vectors = np.where(present[:, :, None], vectors, np.float32(0.0))
-    return _assemble(rows, counts, features, present, vectors)
+    return _assemble(np.array(labels, dtype=np.int64), counts, features, present, vectors)

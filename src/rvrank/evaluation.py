@@ -197,5 +197,5 @@ def write_sweep_csv(path: str | Path, rows: list[tuple[int, float, float]],
 
 
 def read_sweep_csv(path: str | Path) -> list[tuple[int, float, float]]:
-    return list(read_csv(path, SWEEP_HEADER,
-                         lambda raw: (int(raw[0]), float(raw[1]), float(raw[2]))))
+    columns, _ = read_csv(path, SWEEP_HEADER, (int, float, float))
+    return list(zip(*(column.tolist() for column in columns)))

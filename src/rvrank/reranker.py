@@ -18,17 +18,14 @@ with the stage provenance (``retrieval``, ``kreciprocal``, ``window`` or
 
 from __future__ import annotations
 
-import csv
-import re
 import warnings
-from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .datastore import DatasetBundle, ImageRecord, read_csv, write_csv
+from .datastore import DatasetBundle, ImageRecord, check_rows, read_csv, write_csv
 from .retrieval import distance_matrix, eligible_mask, masked_order
 from .verifier import VerifierModel, prefix_scores
 
@@ -307,7 +304,7 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: VerifierModel | Scorer | None
     is not requested.  When ``candidates`` (a previously retrieved top-P
     set, ``{query_index: gallery indices}``) is supplied, it is checked
     against the freshly computed retrieval prefix and a ValueError names the
-    first query that disagrees.
+    first query that disagrees, or that ``query_role`` does not have.
 
     The window stage scores exactly ``min(Q, eligible)`` candidates per
     query, through :func:`~rvrank.verifier.prefix_scores`.
@@ -320,6 +317,10 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: VerifierModel | Scorer | None
     cfg = config.clamped()
     queries = bundle.splits[query_role]
     gallery = bundle.splits[gallery_role]
+    unknown = sorted(set(candidates or ()) - set(range(len(queries))))
+    if unknown:
+        raise ValueError(f"candidate list for query {unknown[0]}, but the bundle has "
+                         f"{len(queries)} {query_role} queries")
     if not len(queries):
         return []
     allowed = eligible_mask(queries, gallery)
@@ -381,141 +382,30 @@ def write_ranked_csv(path: str | Path, ranked: list[RankedList],
     write_csv(path, RANKED_HEADER, (query, rank, gallery, provenance), config_comment)
 
 
-#: At most 18 digits per integer field on the fast path: 10**18 - 1 fits
-#: int64, so no field can overflow.
-_FAST_DIGITS = 18
-
-
-def _digit_column(body: np.ndarray, begin: np.ndarray,
-                  end: np.ndarray) -> np.ndarray | None:
-    """The integer each ``body[begin:end]`` spells, or None unless every
-    field is 1 to 18 plain ASCII digits.  Built one digit place at a time,
-    units first, so temporaries stay O(rows)."""
-    width = end - begin
-    if width.min() < 1 or width.max() > _FAST_DIGITS:
-        return None
-    value = np.zeros(len(end), dtype=np.int64)
-    for place in range(int(width.max())):
-        # A field narrower than this place reads a byte before it: count 0.
-        byte = np.take(body, end - 1 - place, mode="clip")
-        digit = np.where(width > place, byte - np.uint8(ord("0")), np.uint8(0))
-        if (digit > 9).any():
-            return None
-        value += digit * np.int64(10 ** place)
-    return value
-
-
-def _parse_ranked_bytes(data: bytes) -> tuple | None:
-    """Columns ``(query, rank, gallery, codes, names)`` of a well-formed
-    ranked CSV, parsed from its bytes, or None to leave the file to
-    :func:`~rvrank.datastore.read_csv`.
-
-    ``csv.reader`` reads the head (comment lines up to and including the
-    header), so a quoted ``# config:`` line parses as it does there.  The
-    body must be rows of three integer fields of plain digits and one
-    ``[A-Za-z0-9_]+`` provenance token that is the same on every row, with
-    no blank line and a newline at the end of the file.  The whole file
-    must be ASCII with no CR or NUL byte.
-    """
-    if not data.isascii() or b"\r" in data or b"\0" in data or not data.endswith(b"\n"):
-        return None
-    start = 0
-
-    def lines():
-        nonlocal start
-        while start < len(data):
-            end = data.index(b"\n", start) + 1
-            line, start = data[start:end].decode("ascii"), end
-            yield line
-
-    try:
-        for raw in csv.reader(lines()):
-            if raw and not raw[0].startswith("#"):
-                break
-        else:
-            return None
-    except csv.Error:
-        return None
-    if tuple(raw) != RANKED_HEADER:
-        return None
-    body = np.frombuffer(data, dtype=np.uint8, offset=start)
-    ends = np.flatnonzero(body == ord("\n"))
-    empty = np.zeros(0, dtype=np.int64)
-    if not len(ends):
-        return empty, empty, empty, empty, []
-    begins = np.r_[0, ends[:-1] + 1]
-    commas = np.flatnonzero(body == ord(","))
-    if len(commas) != 3 * len(ends):
-        return None
-    # Commas are sorted, so three per row with each row's three inside it
-    # means exactly three in every row.
-    commas = commas.reshape(-1, 3)
-    if (commas[:, 0] < begins).any() or (commas[:, 2] > ends).any():
-        return None
-    query = _digit_column(body, begins, commas[:, 0])
-    rank = _digit_column(body, commas[:, 0] + 1, commas[:, 1])
-    gallery = _digit_column(body, commas[:, 1] + 1, commas[:, 2])
-    if query is None or rank is None or gallery is None:
-        return None
-    token = bytes(body[commas[0, 2] + 1:ends[0]])
-    # The pattern holds one newline, so its matches cannot overlap: one per
-    # row means every row's last field is the token.
-    if (not re.fullmatch(rb"[A-Za-z0-9_]+", token)
-            or data.count(b"," + token + b"\n", start) != len(ends)):
-        return None
-    return query, rank, gallery, np.zeros(len(ends), dtype=np.int64), [token.decode()]
-
-
-def _read_ranked_rows(path: Path) -> tuple:
-    """The same columns as :func:`_parse_ranked_bytes`, row by row through
-    :func:`~rvrank.datastore.read_csv`, for any file it accepts."""
-    queries: list[int] = []
-    ranks: list[int] = []
-    gallery: list[int] = []
-    provenance: list[int] = []
-    codes: dict[str, int] = {}
-
-    def collect(raw: list[str]) -> None:
-        queries.append(int(raw[0]))
-        ranks.append(int(raw[1]))
-        gallery.append(int(raw[2]))
-        provenance.append(codes.setdefault(raw[3], len(codes)))
-
-    # Rows stream into columns: a ranked.csv holds one row per eligible
-    # gallery image per query, too many to hold as row objects.
-    deque(read_csv(path, RANKED_HEADER, collect), maxlen=0)
-    try:
-        q, r, g = (np.array(col, dtype=np.int64) for col in (queries, ranks, gallery))
-    except OverflowError:
-        raise ValueError(f"{path}: an index or rank does not fit in int64") from None
-    return q, r, g, np.array(provenance, dtype=np.int64), list(codes)
-
-
 def read_ranked_csv(path: str | Path) -> list[RankedList]:
     """Read a ranked CSV back into one :class:`RankedList` per query, in
-    query order.
-
-    A file as :func:`write_ranked_csv` writes it is parsed from its bytes
-    with numpy; any other file goes through
-    :func:`~rvrank.datastore.read_csv`, which accepts the same files and
-    names the file and line of a fault.  Either way each query's ranks
-    must be dense from 1 and its provenance one value.
-    """
+    query order.  Each query's ranks must be dense from 1 and its
+    provenance one value; a fault raises ValueError naming the file and
+    line."""
     path = Path(path)
-    columns = _parse_ranked_bytes(path.read_bytes())
-    q, r, g, c, names = columns if columns is not None else _read_ranked_rows(path)
+    (q, r, g, prov), lines = read_csv(path, RANKED_HEADER, (int, int, int, str))
     if not len(q):
         return []
-    by_rank = np.lexsort((r, q))
-    q, c = q[by_rank], c[by_rank]
+    # Rows as write_ranked_csv writes them need no sort.
+    if not ((q[1:] > q[:-1]) | ((q[1:] == q[:-1]) & (r[1:] > r[:-1]))).all():
+        by_rank = np.lexsort((r, q))
+        q, r, g, prov, lines = (col[by_rank] for col in (q, r, g, prov, lines))
     starts = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
-    out: list[RankedList] = []
-    for qi, rank, order, prov in zip(q[starts].tolist(), *(
-            np.split(col, starts[1:]) for col in (r[by_rank], g[by_rank], c))):
-        if not np.array_equal(rank, np.arange(1, len(rank) + 1)):
-            raise ValueError(f"{path}: query {qi}: ranks are not dense from 1")
-        if (prov != prov[0]).any():
-            provs = sorted({names[k] for k in prov.tolist()})
-            raise ValueError(f"{path}: query {qi}: mixed stage_provenance values {provs}")
-        out.append(RankedList(qi, order, names[prov[0]]))
-    return out
+    # Row by row: the position of its query's first row.
+    first = np.repeat(starts, np.diff(np.r_[starts, len(q)]))
+    rules = [(r != np.arange(1, len(q) + 1) - first,
+              lambda i: f"{path}: line {lines[i]}: query {q[i]}: ranks are not dense from 1")]
+    # A pipeline tags every query with one provenance: a uniform column
+    # needs no comparison row by row.
+    if not (prov == prov[0]).all():
+        rules.append((prov != prov[first], lambda i: (
+            f"{path}: line {lines[i]}: query {q[i]}: mixed stage_provenance values "
+            f"{sorted(set(prov[q == q[i]].tolist()))}")))
+    check_rows(rules)
+    return [RankedList(qi, order, name) for qi, order, name in zip(
+        q[starts].tolist(), np.split(g, starts[1:]), prov[starts].tolist())]

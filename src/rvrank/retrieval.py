@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datastore import ROLES, DatasetBundle, Split, read_csv, write_csv
+from .datastore import ROLES, DatasetBundle, Split, check_rows, read_csv, write_csv
 
 METRICS = ("euclidean", "cosine")
 
@@ -215,19 +215,20 @@ def write_pairs_csv(path: str | Path, pair_set: PairSet,
               config_comment)
 
 
-def _parse_pair_row(raw: list[str]) -> tuple:
-    qr, qi, rank, cr, ci, score, label = raw
-    for role in (qr, cr):
-        if role not in ROLES:
-            raise ValueError(f"unknown role {role!r} (expected one of {', '.join(ROLES)})")
-    qi, rank, ci, label = int(qi), int(rank), int(ci), int(label)
-    if not all(-2 ** 63 <= v < 2 ** 63 for v in (qi, rank, ci)):
-        raise ValueError("an index or rank does not fit in int64")
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label}")
-    return qr, qi, rank, cr, ci, float(score), label
-
-
 def read_pairs_csv(path: str | Path) -> PairSet:
-    return PairSet(np.array(list(read_csv(path, PAIR_HEADER, _parse_pair_row)),
-                            dtype=PAIR_DTYPE))
+    """Read a pair set; an unknown role or a label other than 0 or 1 raises
+    ValueError naming the file and line."""
+    path = Path(path)
+    columns, lines = read_csv(path, PAIR_HEADER, (str, int, int, str, int, float, int))
+    qr, cr, label = columns[0], columns[3], columns[6]
+    check_rows([
+        (~np.isin(qr, ROLES) | ~np.isin(cr, ROLES), lambda i: (
+            f"{path}: line {lines[i]}: unknown role "
+            f"{str(qr[i] if qr[i] not in ROLES else cr[i])!r} "
+            f"(expected one of {', '.join(ROLES)})")),
+        ((label != 0) & (label != 1),
+         lambda i: f"{path}: line {lines[i]}: label must be 0 or 1, got {label[i]}")])
+    pairs = np.empty(len(lines), dtype=PAIR_DTYPE)
+    for name, column in zip(PAIR_HEADER, columns):
+        pairs[name] = column
+    return PairSet(pairs)

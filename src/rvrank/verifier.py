@@ -30,7 +30,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .datastore import BinaryHeader, DatasetBundle, ImageRecord, Split, write_csv
+from .datastore import (BinaryHeader, DatasetBundle, ImageRecord, Split, check_rows,
+                        write_csv)
 from .retrieval import PairSet, query_runs
 
 MODEL_MAGIC = b"RVM1"
@@ -383,22 +384,18 @@ def _check_pair_indices(bundle: DatasetBundle, pairs: np.ndarray) -> None:
     """Raise ValueError naming the first pair row, in array order, whose
     query or candidate index lies outside its role's split; a role the
     bundle lacks raises KeyError."""
-    sides = (("query_role", "query_index"), ("cand_role", "cand_index"))
-    bad = []
-    for role_col, index_col in sides:
-        roles, inverse = np.unique(pairs[role_col], return_inverse=True)
-        unknown = [role for role in roles.tolist() if role not in bundle.splits]
+    rules = []
+    for role, index in ((pairs["query_role"], pairs["query_index"]),
+                        (pairs["cand_role"], pairs["cand_index"])):
+        names, inverse = np.unique(role, return_inverse=True)
+        unknown = [name for name in names.tolist() if name not in bundle.splits]
         if unknown:
             raise KeyError(f"unknown role {unknown[0]!r}")
-        size = np.array([len(bundle.splits[role]) for role in roles.tolist()], dtype=np.int64)
-        bad.append((pairs[index_col] < 0) | (pairs[index_col] >= size[inverse]))
-    rows = np.flatnonzero(bad[0] | bad[1])
-    if len(rows):
-        row = int(rows[0])
-        role_col, index_col = sides[0] if bad[0][row] else sides[1]
-        role = str(pairs[role_col][row])
-        raise ValueError(f"pair row {row}: index {pairs[index_col][row]} out of range "
-                         f"for role {role} (n={len(bundle.splits[role])})")
+        size = np.array([len(bundle.splits[name]) for name in names.tolist()])[inverse]
+        rules.append(((index < 0) | (index >= size), lambda row, role=role, index=index,
+                      size=size: f"pair row {row}: index {index[row]} out of range for "
+                                 f"role {role[row]} (n={size[row]})"))
+    check_rows(rules)
 
 
 def triplet_table(bundle: DatasetBundle, pair_set: PairSet) -> TripletTable:

@@ -409,3 +409,62 @@ def test_out_of_memory_is_reported_without_a_traceback(tmp_path, capsys, monkeyp
     assert rc == 1
     err = capsys.readouterr().err
     assert err == "error: out of memory running 'validate': Unable to allocate 9.00 TiB\n"
+
+
+def test_a_bad_L_value_fails_before_the_bundle_is_read(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep-l", "--meta", str(tmp_path / "none.csv"),
+               "--features", str(tmp_path / "none.bin"), "--model", str(tmp_path / "none.bin"),
+               "--out", str(out), "--L-values", "1,x"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --L-values: 'x' is not an integer\n"
+    assert not out.exists()
+
+
+def train_argv(workspace, out, *flags):
+    data, pairs = workspace / "data", workspace / "pairs"
+    return ["train", "--meta", str(data / "meta.csv"), "--features", str(data / "features.bin"),
+            "--parts", str(data / "parts.bin"), "--train-pairs", str(pairs / "train_pairs.csv"),
+            "--valid-pairs", str(pairs / "valid_pairs.csv"), "--out", str(out),
+            "--epochs", "2", "--hidden-global", "4", "--hidden-part", "4", *flags]
+
+
+@pytest.mark.filterwarnings("default::UserWarning")
+def test_train_clamps_a_window_wider_than_its_depth(workspace, tmp_path, capsys):
+    clamped, plain = tmp_path / "clamped", tmp_path / "plain"
+    assert main(train_argv(workspace, clamped, "--L", "25", "--Q", "20")) == 0
+    warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning")]
+    assert warnings == ["warning: L=25 exceeds Q=20; clamping L to 20"]
+    assert main(train_argv(workspace, plain, "--L", "20", "--Q", "20")) == 0
+    assert (clamped / "model.bin").read_bytes() == (plain / "model.bin").read_bytes()
+    # Only the recorded --L of the config comment differs.
+    assert (clamped / "history.csv").read_text().splitlines()[1:] == \
+           (plain / "history.csv").read_text().splitlines()[1:]
+
+
+@pytest.mark.parametrize("L, Q", [("0", "20"), ("5", "0"), ("-1", "-1")])
+def test_train_rejects_a_window_or_depth_below_one(workspace, tmp_path, capsys, L, Q):
+    out = tmp_path / "model"
+    assert main(train_argv(workspace, out, "--L", L, "--Q", Q)) == 1
+    assert capsys.readouterr().err == f"error: --L and --Q must be >= 1, got L={L} Q={Q}\n"
+    assert not out.exists()
+
+
+def test_candidates_for_queries_the_bundle_lacks_fail_the_rerank(workspace, tmp_path, capsys):
+    data = workspace / "data"
+    extra = tmp_path / "test_pairs.csv"
+    lines = (workspace / "pairs" / "test_pairs.csv").read_text().splitlines(keepends=True)
+    n_queries = len(load_bundle(data / "meta.csv", data / "features.bin").splits["Q"])
+    extra.write_text("".join(lines) + "".join(
+        f"Q,{qi},{rank},G,{rank},-1.5,0\n" for qi in (n_queries + 90, n_queries + 7)
+        for rank in (1, 2)))
+    out = tmp_path / "ranked.csv"
+    rc = main(["rerank", "--meta", str(data / "meta.csv"),
+               "--features", str(data / "features.bin"), "--parts", str(data / "parts.bin"),
+               "--candidates", str(extra), "--stages", "none", "--out", str(out),
+               "--P", "10", "--L", "5", "--Q", "10"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: candidate list for query {n_queries + 7}, but the bundle has "
+        f"{n_queries} Q queries\n")
+    assert not out.exists()

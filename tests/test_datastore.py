@@ -508,3 +508,138 @@ class TestValidation:
         bundle = build_bundle([(0, "Q", 1, -1, 0)], feats)
         violations = validate_bundle(bundle)
         assert violations and "Q" in str(violations[0])
+
+
+PAIRS = b"query_role,query_index,rank,cand_role,cand_index,score,label\n"
+META = b"index,role,identity,cloth,camera\n"
+SWEEP = b"L,rank1,rank10\n"
+
+#: Pair, metadata and sweep files both paths of ``read_csv`` must agree on:
+#: the byte path's own input, and every odd or faulty file it must leave
+#: to the row path.  Names in BYTE_PATH are the ones the byte path takes.
+CASES = {
+    "pairs/well formed": PAIRS + b"Q,0,1,G,3,-0.5,1\nQ,0,2,G,12,-1.25e-05,0\n"
+                         b"Q,1,1,G,0,-inf,0\nQ,1,2,G,4,nan,1\nQ,2,1,G,9,-1e+16,0\n",
+    "pairs/config comment": b'# config: {"out":"a, \\"b\\"","P":5}\n' + PAIRS
+                            + b"T,0,1,T,3,-0.5,1\n",
+    "pairs/quotes span lines": b'# config: {"a":1,"b\nc":2}\n' + PAIRS + b"VQ,0,1,VG,3,0.0,1\n",
+    "pairs/header only": PAIRS,
+    "pairs/crlf": PAIRS.replace(b"\n", b"\r\n") + b"Q,0,1,G,3,-0.5,1\r\n",
+    "pairs/quoted role": PAIRS + b'Q,0,1,"G",3,-0.5,1\n',
+    "pairs/comment between rows": PAIRS + b"Q,0,1,G,3,-0.5,1\n# note\nQ,0,2,G,4,-0.75,0\n",
+    "pairs/blank line": PAIRS + b"Q,0,1,G,3,-0.5,1\n\nQ,0,2,G,4,-0.75,0\n",
+    "pairs/signs": PAIRS + b"Q,+0,1,G,3,+0.5,1\nQ,-1,2,G,4,-0.75,0\n",
+    "pairs/19 digits": PAIRS + b"Q,0,1,G,9223372036854775807,-0.5,1\n",
+    "pairs/2**70": PAIRS + b"Q,0,1,G,%d,-0.5,1\n" % 2 ** 70,
+    "pairs/mixed roles": PAIRS + b"Q,0,1,G,3,-0.5,1\nVQ,0,1,VG,3,-0.5,1\n",
+    "pairs/roles differing in their last byte": PAIRS + b"VQ,0,1,VG,3,-0.5,1\n"
+                                                b"VG,0,1,VQ,3,-0.5,1\n",
+    "pairs/comment shaped as a row": PAIRS + b"#Q,0,1,G,3,-0.5,1\n",
+    "pairs/unknown role": PAIRS + b"Q,0,1,G,3,-0.5,1\nQ,0,2,XYZ,4,-0.75,0\n",
+    "pairs/uniform unknown role": PAIRS + b"Q,0,1,XYZ,3,-0.5,1\nQ,0,2,XYZ,4,-0.75,0\n",
+    "pairs/bad label": PAIRS + b"Q,0,1,G,3,-0.5,1\nQ,0,2,G,4,-0.75,2\n",
+    "pairs/underscores": PAIRS + b"Q,1_0,1,G,3,-0_5,1\n",
+    "pairs/float underscore": PAIRS + b"Q,0,1,G,3,-0_5,1\n",
+    "pairs/spaces": PAIRS + b"Q,0, 1,G,3, -0.5,1\n",
+    "pairs/bad float": PAIRS + b"Q,0,1,G,3,1e,1\n",
+    "pairs/empty score": PAIRS + b"Q,0,1,G,3,,1\n",
+    "pairs/extra field": PAIRS + b"Q,0,1,G,3,-0.5,1,9\n",
+    "pairs/no trailing newline": PAIRS + b"Q,0,1,G,3,-0.5,1",
+    "pairs/non-ascii role": PAIRS + "Q,0,1,Gé,3,-0.5,1\n".encode(),
+    "metadata/one role": META + b"0,G,1,0,0\n1,G,2,0,1\n",
+    "metadata/every role": META + b"0,T,1,0,0\n0,Q,2,0,1\n",
+    "metadata/negative label": META + b"0,G,-3,0,0\n1,G,2,-1,1\n",
+    "metadata/crlf": META.replace(b"\n", b"\r\n") + b"0,G,1,0,0\r\n1,G,2,0,1\r\n",
+    "metadata/comment between rows": META + b"0,G,1,0,0\n# note\n1,G,2,0,1\n",
+    "metadata/quoted field": META + b'0,G,1,0,0\n1,G,"2",0,1\n',
+    "metadata/19 digits": META + b"0,G,9223372036854775807,0,0\n1,G,2,0,1\n",
+    "metadata/2**70": META + b"0,G,1,0,0\n1,G,%d,0,1\n" % 2 ** 70,
+    "metadata/out of order": META + b"1,G,1,0,0\n0,G,2,0,1\n",
+    "metadata/unknown role": META + b"0,G,1,0,0\n0,X,2,0,1\n",
+    "sweep/well formed": SWEEP + b"1,0.25,0.75\n5,0.5,1.0\n",
+    "sweep/crlf": SWEEP.replace(b"\n", b"\r\n") + b"1,0.25,0.75\r\n",
+    "sweep/quoted field": SWEEP + b'1,"0.25",0.75\n',
+    "sweep/comment between rows": SWEEP + b"1,0.25,0.75\n# note\n5,0.5,1.0\n",
+    "sweep/signs": SWEEP + b"+1,-0.25,+0.75\n",
+    "sweep/19 digits": SWEEP + b"9223372036854775807,0.25,0.75\n",
+    "sweep/2**70": SWEEP + b"%d,0.25,0.75\n" % 2 ** 70,
+    "sweep/bad float": SWEEP + b"1,x,0.75\n",
+    "sweep/a field moved to the next line": SWEEP + b"1,0.25,0.75,2\n0.5,1.0\n",
+}
+
+BYTE_PATH = {"pairs/well formed", "pairs/config comment", "pairs/quotes span lines",
+             "pairs/header only", "pairs/uniform unknown role", "pairs/bad label",
+             "metadata/one role", "metadata/out of order", "sweep/well formed"}
+
+#: Per format: header, kinds and reader of its files.
+FORMATS = {
+    "pairs": (PAIR_HEADER, (str, int, int, str, int, float, int), read_pairs_csv),
+    "metadata": (datastore.METADATA_HEADER, datastore._METADATA_KINDS,
+                 lambda path: load_bundle(path, path.parent / "f.bin").splits),
+    "sweep": (SWEEP_HEADER, (int, float, float), read_sweep_csv),
+}
+
+
+def outcome(read, path):
+    """What a reader makes of a file: its result as plain values and bytes
+    (so that NaNs compare equal), or its error's type and message."""
+    try:
+        got = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(got, tuple):  # read_csv's columns and line numbers
+        columns, lines = got
+        return [(c.dtype.str, c.tolist() if c.dtype.kind == "U" else c.tobytes())
+                for c in columns], lines.tolist()
+    if isinstance(got, dict):  # a bundle's splits
+        return {role: (s.identity.tolist(), s.cloth.tolist(), s.camera.tolist())
+                for role, s in got.items()}
+    return (got.pairs.dtype, got.pairs.tobytes()) if hasattr(got, "pairs") else got
+
+
+class TestCsvBytePath:
+    @staticmethod
+    def outcomes(tmp_path, name):
+        header, kinds, reader = FORMATS[name.split("/")[0]]
+        path = tmp_path / "file.csv"
+        path.write_bytes(CASES[name])
+        write_feature_file(tmp_path / "f.bin", np.zeros((2, 2)))
+        return (outcome(lambda p: datastore.read_csv(p, header, kinds), path),
+                outcome(reader, path))
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_byte_path_agrees_with_the_row_path(self, tmp_path, monkeypatch, name):
+        shipped = self.outcomes(tmp_path, name)
+        monkeypatch.setattr(datastore, "_parse_bytes", lambda *args: None)
+        assert self.outcomes(tmp_path, name) == shipped
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_only_the_written_form_takes_the_byte_path(self, tmp_path, monkeypatch, name):
+        calls = []
+        row_path = datastore._read_rows
+        monkeypatch.setattr(datastore, "_read_rows",
+                            lambda *args: calls.append(1) or row_path(*args))
+        header, kinds, _ = FORMATS[name.split("/")[0]]
+        path = tmp_path / "file.csv"
+        path.write_bytes(CASES[name])
+        try:
+            datastore.read_csv(path, header, kinds)
+        except ValueError:
+            pass
+        assert (not calls) == (name in BYTE_PATH)
+
+    def test_a_text_column_keeps_every_character(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_bytes(CASES["pairs/uniform unknown role"])
+        (role, *_), _ = datastore.read_csv(path, PAIR_HEADER, FORMATS["pairs"][1])
+        assert role.tolist() == ["Q", "Q"]
+        with pytest.raises(ValueError, match="line 2: unknown role 'XYZ'"):
+            read_pairs_csv(path)
+
+    def test_an_integer_beyond_int64_names_its_line_and_field(self, tmp_path):
+        path = tmp_path / "meta.csv"
+        path.write_bytes(CASES["metadata/2**70"])
+        write_feature_file(tmp_path / "f.bin", np.zeros((2, 2)))
+        with pytest.raises(BundleFormatError,
+                           match=f"{path.name}: line 3: identity does not fit in int64"):
+            load_bundle(path, tmp_path / "f.bin")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_scores, random_bundle
-from rvrank import reranker, verifier
+from rvrank import datastore, reranker, verifier
 from rvrank.reranker import (
     RANKED_HEADER,
     RankedList,
@@ -559,8 +559,8 @@ class TestRankedCsv:
 
 HEADER = b"query_index,rank,gallery_index,stage_provenance\n"
 
-#: Files both readers must agree on: the fast parser's own input, and every
-#: odd or faulty file it must leave to the row-by-row reader.
+#: Files both paths of ``read_csv`` must agree on: the byte parser's own
+#: input, and every odd or faulty file it must leave to the row path.
 READER_CASES = {
     "well formed": HEADER + b"1,1,4,window\n0,2,3,window\n0,1,5,window\n",
     "18 digits": HEADER + b"0,1,999999999999999999,retrieval\n",
@@ -580,9 +580,11 @@ READER_CASES = {
     "no trailing newline": HEADER + b"0,1,5,window\n0,2,6,window",
     "truncated last row": HEADER + b"0,1,5,window\n0,2,6\n",
     "extra field": HEADER + b"0,1,5,window\n0,2,6,window,9\n",
+    "a field moved to the next line": HEADER + b"1,2,3,w,1\n2,3,w\n",
     "nul byte": HEADER + b"0,1,5,win\0dow\n",
     "non-ascii token": HEADER + "0,1,5,w\u00efndow\n".encode(),
     "mixed provenance": HEADER + b"0,1,5,window\n0,2,6,retrieval\n",
+    "same-width provenance": HEADER + b"0,1,5,window\n0,2,6,wind0w\n",
     "sparse ranks": HEADER + b"0,1,5,window\n0,3,6,window\n",
     "header only": HEADER,
     "empty file": b"",
@@ -604,14 +606,14 @@ class TestRankedCsvFastPath:
         path = tmp_path / "ranked.csv"
         path.write_bytes(READER_CASES[name])
         shipped = read_outcome(path)
-        monkeypatch.setattr(reranker, "_parse_ranked_bytes", lambda data: None)
+        monkeypatch.setattr(datastore, "_parse_bytes", lambda *args: None)
         assert read_outcome(path) == shipped
 
     def test_written_files_never_take_the_row_reader(self, tmp_path, monkeypatch):
         def row_reader(*args, **kwargs):
-            raise AssertionError("read_csv called for a written ranked.csv")
+            raise AssertionError("a written ranked.csv took the row path")
 
-        monkeypatch.setattr(reranker, "read_csv", row_reader)
+        monkeypatch.setattr(datastore, "_read_rows", row_reader)
         rng = np.random.default_rng(47)
         bundle = random_bundle(rng, n_query=3, n_gallery=9)
         model = VerifierModel.initialize(bundle.dims, 6, 6, seed=5)

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import random_bundle, train_bundle
+from rvrank import datastore
+from rvrank.cli import main
 from rvrank.datastore import build_bundle
 from rvrank.retrieval import (
     PAIR_DTYPE,
@@ -377,8 +379,8 @@ class TestPairsCsv:
         ("Q,0,1,XYZ,3,-0.5,1", "unknown role 'XYZ'"),
         ("Q,0,1,G,3,-0.5,2", "label must be 0 or 1, got 2"),
         ("Q,0,1,G,3,-0.5,-1", "label must be 0 or 1, got -1"),
-        (f"Q,{2 ** 63},1,G,3,-0.5,1", "an index or rank does not fit in int64"),
-        (f"Q,0,1,G,{-2 ** 63 - 1},-0.5,1", "an index or rank does not fit in int64"),
+        (f"Q,{2 ** 63},1,G,3,-0.5,1", "query_index does not fit in int64"),
+        (f"Q,0,1,G,{-2 ** 63 - 1},-0.5,1", "cand_index does not fit in int64"),
     ])
     def test_bad_field_values_name_the_file_and_line(self, tmp_path, row, want):
         path = tmp_path / "p.csv"
@@ -386,6 +388,28 @@ class TestPairsCsv:
                         "cand_index,score,label\nQ,0,1,G,2,-0.25,0\n" + row + "\n")
         with pytest.raises(ValueError, match=f"p.csv: line 4: {want}"):
             read_pairs_csv(path)
+
+    def test_written_pair_files_never_take_the_row_path(self, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        flags = ["--meta", str(data / "meta.csv"), "--features", str(data / "features.bin")]
+        assert main(["synth", "--out", str(data), "--n-identities", "12", "--feature-dim", "6",
+                     "--part-dim", "2", "--part-count", "3", "--seed", "4"]) == 0
+        assert main(["pairs", *flags, "--out", str(tmp_path), "--P", "6"]) == 0
+        assert main(["retrieve", *flags, "--out", str(tmp_path / "candidates.csv")]) == 0
+        files = sorted(tmp_path.glob("*.csv"))
+        assert len(files) == 4
+        monkeypatch.setattr(datastore, "_parse_bytes", lambda *args: None)
+        by_rows = [read_pairs_csv(path).pairs for path in files]
+        monkeypatch.undo()
+
+        def row_path(*args):
+            raise AssertionError("a written pair CSV took the row path")
+
+        monkeypatch.setattr(datastore, "_read_rows", row_path)
+        for path, want in zip(files, by_rows):
+            got = read_pairs_csv(path).pairs
+            assert len(got) and got.dtype == PAIR_DTYPE
+            assert got.tobytes() == want.tobytes()
 
 
 class TestQueryGroups:
