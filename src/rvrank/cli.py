@@ -125,6 +125,8 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
 
 def cmd_pairs(args: argparse.Namespace) -> int:
+    if args.P < 1:
+        raise ValueError(f"--P must be >= 1, got {args.P}")
     bundle = _load_bundle_args(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

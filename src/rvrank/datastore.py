@@ -336,15 +336,21 @@ def _digit_column(body: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.nd
     return value
 
 
+def _padded_fields(body: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """(rows, widest) uint8: each ``body[begin:end]``, NUL-padded on the right."""
+    width = end - begin
+    text = np.zeros((len(end), int(width.max())), dtype=np.uint8)
+    for place in range(text.shape[1]):
+        text[:, place] = np.where(width > place, body.take(begin + place, mode="clip"), 0)
+    return text
+
+
 def _float_column(body: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray | None:
     """The float64 each ``body[begin:end]`` casts to, or None unless all are
     non-empty, cast, and hold only bytes ``repr`` writes."""
-    width = end - begin
-    if width.min() < 1:
+    if (end - begin).min() < 1:
         return None
-    text = np.zeros((len(end), int(width.max())), dtype=np.uint8)  # NUL-padded
-    for place in range(text.shape[1]):
-        text[:, place] = np.where(width > place, body.take(begin + place, mode="clip"), 0)
+    text = _padded_fields(body, begin, end)
     if not _REPR_BYTES[text].all():
         return None
     try:
@@ -353,18 +359,25 @@ def _float_column(body: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.nd
         return None
 
 
-def _token_column(body: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray | None:
-    """The first ``body[begin:end]`` broadcast to every row, or None unless
-    every one holds that same non-empty token, byte for byte."""
-    token = body[begin[0]:end[0]].tobytes()
-    if not token or (end - begin != len(token)).any():
+def _text_column(body: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """The str each ``body[begin:end]`` spells, or None if one is empty.
+    A column that holds one token on every row (a pair file's roles, a
+    ranking's provenance) comes back as that token broadcast read-only,
+    checked byte by byte without a copy of the column."""
+    width = end - begin
+    if width.min() < 1:
         return None
-    at = begin.copy()
-    for byte in token:
-        if (body.take(at) != byte).any():
-            return None
-        at += 1
-    return np.broadcast_to(np.array(token.decode()), len(end))
+    token = body[begin[0]:end[0]].tobytes()
+    if (width == len(token)).all():
+        at = begin.copy()
+        for byte in token:
+            if (body.take(at) != byte).any():
+                break
+            at += 1
+        else:
+            return np.broadcast_to(np.array(token.decode()), len(end))
+    text = _padded_fields(body, begin, end)
+    return text.view(f"S{text.shape[1]}")[:, 0].astype(str)
 
 
 def _parse_bytes(data: bytes, head_lines: int,
@@ -373,7 +386,7 @@ def _parse_bytes(data: bytes, head_lines: int,
     lines, parsed from the bytes with numpy, or None to leave the file to
     the row path.  The file must be ASCII without CR or NUL and end in a
     newline, and its body hold no quote or ``#``, only rows of
-    ``len(kinds)`` fields.  A text column comes back read-only.
+    ``len(kinds)`` fields.
     """
     if not data.isascii() or b"\r" in data or b"\0" in data or not data.endswith(b"\n"):
         return None
@@ -396,7 +409,7 @@ def _parse_bytes(data: bytes, head_lines: int,
     for j, kind in enumerate(kinds):
         begin = ends[:, j - 1] + 1 if j else np.r_[0, ends[:-1, -1] + 1]
         columns.append({int: _digit_column, float: _float_column,
-                        str: _token_column}[kind](body, begin, ends[:, j]))
+                        str: _text_column}[kind](body, begin, ends[:, j]))
         if columns[-1] is None:
             return None
     return columns, np.arange(head_lines + 1, head_lines + 1 + len(ends))

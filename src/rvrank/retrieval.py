@@ -46,27 +46,44 @@ class PairSet:
     pairs: np.ndarray
 
 
+#: Rows of the product :func:`distance_matrix` finishes per block, which
+#: bounds its temporaries to this many rows.
+DISTANCE_BLOCK = 64
+
+
 def distance_matrix(query_feats: np.ndarray, gallery_feats: np.ndarray,
                     metric: str = "euclidean") -> np.ndarray:
     """Exact pairwise distances, (n_query, n_gallery), float64.
 
-    ``euclidean`` is the L2 distance; ``cosine`` is 1 - cosine similarity
-    with zero-norm rows guarded by a small epsilon.
+    ``euclidean`` is the L2 distance ``sqrt(max(|q|² + |g|² - 2 q·g, 0))``;
+    ``cosine`` is 1 - cosine similarity with zero-norm rows guarded by a
+    small epsilon.  The product ``q @ g.T`` is taken whole, so the same
+    array as both operands gives an exactly symmetric matrix; it is then
+    turned into distances in place, ``DISTANCE_BLOCK`` rows at a time,
+    which keeps the peak near one n_query x n_gallery array.
     """
     q = np.asarray(query_feats, dtype=np.float64)
     g = np.asarray(gallery_feats, dtype=np.float64)
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
     if metric == "euclidean":
-        qq = (q * q).sum(axis=1)[:, None]
-        gg = (g * g).sum(axis=1)[None, :]
-        sq = qq + gg - 2.0 * (q @ g.T)
-        np.maximum(sq, 0.0, out=sq)
-        return np.sqrt(sq)
-    if metric == "cosine":
-        qn = np.linalg.norm(q, axis=1)[:, None]
-        gn = np.linalg.norm(g, axis=1)[None, :]
-        denom = np.maximum(qn * gn, _COSINE_EPS)
-        return 1.0 - (q @ g.T) / denom
-    raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+        qq, gg = (q * q).sum(axis=1), (g * g).sum(axis=1)
+    else:
+        qn, gn = np.linalg.norm(q, axis=1), np.linalg.norm(g, axis=1)
+    dist = q @ g.T
+    for start in range(0, len(dist), DISTANCE_BLOCK):
+        rows = slice(start, start + DISTANCE_BLOCK)
+        block = dist[rows]
+        if metric == "euclidean":
+            # (qq + gg) + (-2 m) rounds as (qq + gg) - 2 m does.
+            block *= -2.0
+            block += qq[rows, None] + gg
+            np.maximum(block, 0.0, out=block)
+            np.sqrt(block, out=block)
+        else:
+            block /= np.maximum(qn[rows, None] * gn, _COSINE_EPS)
+            np.subtract(1.0, block, out=block)
+    return dist
 
 
 def eligible_mask(queries: Split, gallery: Split) -> np.ndarray:
@@ -163,6 +180,8 @@ def build_train_pairs(bundle: DatasetBundle, num_candidates: int = 20,
     least one positive and one negative are dropped; the second return value
     lists their indices.
     """
+    if num_candidates < 1:
+        raise ValueError(f"num_candidates must be >= 1, got {num_candidates}")
     train = bundle.splits["T"]
     # One float64 array as both operands: numpy computes ``a @ a.T`` as a
     # symmetric product, so dist is exactly symmetric.

@@ -43,6 +43,10 @@ MODEL_HEADER = "<5Iq2d2IdI"
 
 HISTORY_HEADER = ("epoch", "L", "L_g", "L_p", "valid_rank1")
 
+#: Pairs fused, scored or run through the part head together, which bounds
+#: every temporary of those steps whatever the number of pairs.
+SCORE_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -89,22 +93,32 @@ def pair_arrays(pairs: list[tuple[ImageRecord, ImageRecord]],
 
     Returns ``(global_x, part_x, joint_present)`` with shapes (n, 2D),
     (n, K, 2Dp) and (n, K); a part slot is jointly present when both
-    records have it, and its fused row is zero otherwise.
+    records have it, and its fused row is zero otherwise.  The outputs are
+    filled ``SCORE_CHUNK`` pairs at a time, so no other temporary grows
+    with n.
     """
     d, dp, k = dims
-    queries, cands = [q for q, _ in pairs], [g for _, g in pairs]
-    fq = _stacked([r.global_feature for r in queries], (d,), "global feature")
-    fg = _stacked([r.global_feature for r in cands], (d,), "global feature")
-    vq = _stacked([r.part_vectors for r in queries], (k, dp), "part vector")
-    vg = _stacked([r.part_vectors for r in cands], (k, dp), "part vector")
-    present = np.logical_and(
-        _stacked([r.part_present for r in queries], (k,), "part presence"),
-        _stacked([r.part_present for r in cands], (k,), "part presence"))
-    fq, fg = fq.astype(np.float64), fg.astype(np.float64)
-    vq, vg = vq.astype(np.float64), vg.astype(np.float64)
-    gx = np.concatenate([np.abs(fq - fg), fq * fg], axis=1)
-    px = np.concatenate([np.abs(vq - vg), vq * vg], axis=2)
-    px[~present] = 0.0
+    gx = np.empty((len(pairs), 2 * d))
+    px = np.empty((len(pairs), k, 2 * dp))
+    present = np.empty((len(pairs), k), dtype=bool)
+    for start in range(0, len(pairs), SCORE_CHUNK):
+        rows = slice(start, start + SCORE_CHUNK)
+        queries, cands = [q for q, _ in pairs[rows]], [g for _, g in pairs[rows]]
+        fq = _stacked([r.global_feature for r in queries], (d,), "global feature")
+        fg = _stacked([r.global_feature for r in cands], (d,), "global feature")
+        vq = _stacked([r.part_vectors for r in queries], (k, dp), "part vector")
+        vg = _stacked([r.part_vectors for r in cands], (k, dp), "part vector")
+        np.logical_and(
+            _stacked([r.part_present for r in queries], (k,), "part presence"),
+            _stacked([r.part_present for r in cands], (k,), "part presence"),
+            out=present[rows])
+        # dtype=float64 casts each f32 input exactly, so every op runs in float64.
+        for a, b, out, width in ((fq, fg, gx[rows], d), (vq, vg, px[rows], dp)):
+            diff = out[..., :width]
+            np.subtract(a, b, out=diff, dtype=np.float64)
+            np.abs(diff, out=diff)
+            np.multiply(a, b, out=out[..., width:], dtype=np.float64)
+        px[rows][~present[rows]] = 0.0
     return gx, px, present
 
 
@@ -201,6 +215,8 @@ class VerifierModel:
 
 
 def _forward_global(model: VerifierModel, gx: np.ndarray):
+    # One 2-D product over every row: OpenBLAS rounds some row chunks of it
+    # differently (856 of 322,560 cells moved at 64-row chunks, measured).
     z1 = gx @ model.global_hidden_w.T + model.global_hidden_b
     h = np.tanh(z1)
     z2 = h @ model.global_out_w + model.global_out_b
@@ -225,26 +241,40 @@ def _forward_parts(model: VerifierModel, px: np.ndarray, present: np.ndarray):
     Returns ``(s, contrib, valid, cache)``: ``s`` is NaN where ``valid`` is
     False (no jointly present part); ``contrib`` holds raw per-part
     contributions with NaN at absent slots.
+
+    The hidden layer runs ``SCORE_CHUNK`` rows at a time; of its (n, K,
+    Hp) activations only the winning slot's row ``u_star`` (n, Hp) is kept
+    for :func:`_backward_parts`.  numpy takes the 3-D product slice by
+    slice, so no result depends on the chunk size.
     """
-    zp = px @ model.part_hidden_w.T + model.part_hidden_b
-    u = np.tanh(zp)
-    c = (u * model.part_mix_w[None, :, :]).sum(axis=2) + model.part_mix_b[None, :]
+    n, k = present.shape
+    c = np.empty((n, k))
+    pooled = np.empty(n)
+    kstar = np.empty(n, dtype=np.intp)
+    u_star = np.empty((n, model.hidden_part))
+    for start in range(0, n, SCORE_CHUNK):
+        rows = slice(start, start + SCORE_CHUNK)
+        u = px[rows] @ model.part_hidden_w.T
+        u += model.part_hidden_b
+        np.tanh(u, out=u)
+        c[rows] = (u * model.part_mix_w[None, :, :]).sum(axis=2) + model.part_mix_b[None, :]
+        # A row with no present slot is all -inf and takes slot 0.
+        masked = np.where(present[rows], c[rows], -np.inf)
+        at = np.arange(len(masked))
+        kstar[rows] = masked.argmax(axis=1)
+        pooled[rows] = masked[at, kstar[rows]]
+        u_star[rows] = u[at, kstar[rows]]
     valid = present.any(axis=1)
-    masked = np.where(present, c, -np.inf)
-    pooled = np.full(c.shape[0], np.nan)
-    kstar = np.zeros(c.shape[0], dtype=np.intp)
-    if valid.any():
-        pooled[valid] = masked[valid].max(axis=1)
-        kstar[valid] = masked[valid].argmax(axis=1)
+    pooled[~valid] = np.nan
     gain = np.exp(model.out_log_gain)
     s = np.tanh(gain * pooled + model.out_bias)
     contrib = np.where(present, c, np.nan)
-    return s, contrib, valid, (px, u, pooled, kstar, s, gain, valid)
+    return s, contrib, valid, (px, u_star, pooled, kstar, s, gain, valid)
 
 
 def _backward_parts(model: VerifierModel, cache, ds: np.ndarray, grads: dict) -> None:
     """Backward for the part head; ``ds`` must be zero at invalid rows."""
-    px, u, pooled, kstar, s, gain, valid = cache
+    px, u_star, pooled, kstar, s, gain, valid = cache
     ds = np.where(valid, ds, 0.0)
     rows = np.flatnonzero(ds != 0.0)
     if rows.size == 0:
@@ -255,7 +285,7 @@ def _backward_parts(model: VerifierModel, cache, ds: np.ndarray, grads: dict) ->
     dpooled = dzs * gain
     ks = kstar[rows]
     np.add.at(grads["part_mix_b"], ks, dpooled)
-    u_star = u[rows, ks]
+    u_star = u_star[rows]
     np.add.at(grads["part_mix_w"], ks, dpooled[:, None] * u_star)
     du = dpooled[:, None] * model.part_mix_w[ks]
     dzp = du * (1.0 - u_star * u_star)
@@ -281,11 +311,6 @@ def part_contributions(model: VerifierModel, px: np.ndarray,
     """Per-part contributions (n, K) that the part head of
     :func:`batch_scores` max-pools; NaN where a part is not jointly present."""
     return _forward_parts(model, px, present)[1]
-
-
-#: Pairs fused and scored together by :func:`prefix_scores`, which bounds
-#: the fused arrays' memory whatever the number of queries.
-SCORE_CHUNK = 256
 
 
 def prefix_scores(scorer: VerifierModel | Callable[[ImageRecord, ImageRecord], float],

@@ -450,6 +450,16 @@ def test_train_rejects_a_window_or_depth_below_one(workspace, tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("P", ["0", "-3"])
+def test_pairs_rejects_a_depth_below_one_and_writes_nothing(workspace, tmp_path, capsys, P):
+    data, out = workspace / "data", tmp_path / "pairs"
+    assert main(["pairs", "--meta", str(data / "meta.csv"),
+                 "--features", str(data / "features.bin"),
+                 "--parts", str(data / "parts.bin"), "--out", str(out), "--P", P]) == 1
+    assert capsys.readouterr().err == f"error: --P must be >= 1, got {P}\n"
+    assert not out.exists()
+
+
 def test_candidates_for_queries_the_bundle_lacks_fail_the_rerank(workspace, tmp_path, capsys):
     data = workspace / "data"
     extra = tmp_path / "test_pairs.csv"

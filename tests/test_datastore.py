@@ -25,6 +25,7 @@ from rvrank.datastore import (
 from rvrank.evaluation import SWEEP_HEADER, read_sweep_csv
 from rvrank.reranker import RANKED_HEADER, read_ranked_csv
 from rvrank.retrieval import PAIR_HEADER, read_pairs_csv
+from rvrank.synthgen import SynthConfig, generate
 
 
 def write_and_reload(bundle, tmp_path, expected_dims=None):
@@ -556,6 +557,11 @@ CASES = {
     "metadata/2**70": META + b"0,G,1,0,0\n1,G,%d,0,1\n" % 2 ** 70,
     "metadata/out of order": META + b"1,G,1,0,0\n0,G,2,0,1\n",
     "metadata/unknown role": META + b"0,G,1,0,0\n0,X,2,0,1\n",
+    "metadata/mixed-width roles": META + b"0,T,1,0,0\n0,VQ,2,0,1\n0,VG,2,1,1\n0,Q,3,0,0\n",
+    "metadata/a wider role first": META + b"0,VQ,2,0,1\n0,T,1,0,0\n",
+    "metadata/empty role": META + b"0,G,1,0,0\n1,,2,0,1\n",
+    "metadata/every role empty": META + b"0,,1,0,0\n1,,2,0,1\n",
+    "pairs/empty role": PAIRS + b"Q,0,1,G,3,-0.5,1\n,0,2,G,4,-0.75,0\n",
     "sweep/well formed": SWEEP + b"1,0.25,0.75\n5,0.5,1.0\n",
     "sweep/crlf": SWEEP.replace(b"\n", b"\r\n") + b"1,0.25,0.75\r\n",
     "sweep/quoted field": SWEEP + b'1,"0.25",0.75\n',
@@ -569,7 +575,11 @@ CASES = {
 
 BYTE_PATH = {"pairs/well formed", "pairs/config comment", "pairs/quotes span lines",
              "pairs/header only", "pairs/uniform unknown role", "pairs/bad label",
-             "metadata/one role", "metadata/out of order", "sweep/well formed"}
+             "pairs/mixed roles", "pairs/roles differing in their last byte",
+             "pairs/unknown role", "metadata/one role", "metadata/every role",
+             "metadata/out of order", "metadata/unknown role",
+             "metadata/mixed-width roles", "metadata/a wider role first",
+             "sweep/well formed"}
 
 #: Per format: header, kinds and reader of its files.
 FORMATS = {
@@ -635,6 +645,21 @@ class TestCsvBytePath:
         assert role.tolist() == ["Q", "Q"]
         with pytest.raises(ValueError, match="line 2: unknown role 'XYZ'"):
             read_pairs_csv(path)
+
+    def test_a_written_metadata_file_takes_the_byte_path(self, tmp_path, monkeypatch):
+        bundle, _ = generate(SynthConfig(n_identities=5, seed=8))
+        paths = tmp_path / "meta.csv", tmp_path / "f.bin"
+        write_bundle(bundle, *paths, config_comment="config: {}")
+        monkeypatch.setattr(datastore, "_read_rows", None)
+        (_, role, *_), _ = datastore.read_csv(paths[0], datastore.METADATA_HEADER,
+                                              datastore._METADATA_KINDS)
+        assert role.flags.writeable and role.dtype == np.dtype("<U2")
+        assert role.tolist() == [r for r in datastore.ROLES
+                                 for _ in range(len(bundle.splits[r]))]
+        reloaded = load_bundle(*paths)
+        for name in datastore.ROLES:
+            assert np.array_equal(reloaded.splits[name].identity,
+                                  bundle.splits[name].identity)
 
     def test_an_integer_beyond_int64_names_its_line_and_field(self, tmp_path):
         path = tmp_path / "meta.csv"

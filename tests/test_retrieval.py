@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_bundle, train_bundle
-from rvrank import datastore
+from rvrank import datastore, retrieval
 from rvrank.cli import main
 from rvrank.datastore import build_bundle
 from rvrank.retrieval import (
@@ -72,6 +73,49 @@ class TestDistanceMatrix:
     def test_unknown_metric_raises(self):
         with pytest.raises(ValueError, match="metric"):
             distance_matrix(np.zeros((1, 2)), np.zeros((1, 2)), "manhattan")
+
+
+def one_shot_distances(q, g, metric):
+    """``distance_matrix`` as one expression over whole matrices."""
+    q, g = np.asarray(q, dtype=np.float64), np.asarray(g, dtype=np.float64)
+    if metric == "euclidean":
+        sq = (q * q).sum(axis=1)[:, None] + (g * g).sum(axis=1)[None, :] - 2.0 * (q @ g.T)
+        return np.sqrt(np.maximum(sq, 0.0))
+    denom = np.maximum(np.linalg.norm(q, axis=1)[:, None] * np.linalg.norm(g, axis=1)[None, :],
+                       1e-12)
+    return 1.0 - (q @ g.T) / denom
+
+
+class TestDistanceBlocks:
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("n_query, n_gallery", [(1, 9), (1, 1), (23, 23), (23, 40)])
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_blocks_leave_every_bit_of_the_one_shot_form(self, monkeypatch, metric,
+                                                         n_query, n_gallery, block):
+        monkeypatch.setattr(retrieval, "DISTANCE_BLOCK", block)
+        rng = np.random.default_rng(n_query * 100 + n_gallery)
+        q = rng.normal(size=(n_query, 16)).astype(np.float32).astype(np.float64)
+        if n_query > 1:
+            q[-1] = 0.0  # a zero row: cosine's epsilon guard, and a zero distance
+        g = q if n_query == n_gallery else rng.normal(size=(n_gallery, 16))
+        got = distance_matrix(q, g, metric)
+        assert np.array_equal(got, one_shot_distances(q, g, metric))
+        if g is q:
+            assert np.array_equal(got, got.T)
+
+    def test_peak_memory_stays_near_one_matrix(self):
+        """Before the in-place tail, ``qq + gg - 2.0 * (q @ g.T)`` and a
+        second array for ``sqrt`` peaked at 2.0 n² float64 values
+        (tracemalloc, n = 1,000)."""
+        n = 1000
+        a = np.random.default_rng(3).normal(size=(n, 32))
+        tracemalloc.start()
+        try:
+            distance_matrix(a, a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * n * 8
 
 
 class TestEligibility:
@@ -329,6 +373,12 @@ class TestTrainPairs:
         pair_set, dropped = build_train_pairs(bundle)
         assert pair_set.pairs.dtype == PAIR_DTYPE
         assert len(pair_set.pairs) == 0 and dropped == [0, 1]
+
+    @pytest.mark.parametrize("P", [0, -1])
+    def test_a_depth_below_one_is_rejected(self, P):
+        bundle = train_bundle(np.random.default_rng(40), n_identities=3, n_cloths=2)
+        with pytest.raises(ValueError, match=f"num_candidates must be >= 1, got {P}"):
+            build_train_pairs(bundle, num_candidates=P)
 
     def test_train_pair_counts(self):
         rng = np.random.default_rng(39)

@@ -339,6 +339,123 @@ class TestGradients:
         assert err < 1e-4
 
 
+def one_shot_fusion(pairs, dims):
+    """``pair_arrays`` as whole-array expressions over every pair at once."""
+    d, dp, k = dims
+    fq, fg = (np.stack([pair[side].global_feature for pair in pairs]).astype(np.float64)
+              for side in (0, 1))
+    vq, vg = (np.stack([pair[side].part_vectors for pair in pairs]).astype(np.float64)
+              for side in (0, 1))
+    present = (np.stack([q.part_present for q, _ in pairs])
+               & np.stack([g.part_present for _, g in pairs]))
+    gx = np.concatenate([np.abs(fq - fg), fq * fg], axis=1)
+    px = np.concatenate([np.abs(vq - vg), vq * vg], axis=2)
+    px[~present] = 0.0
+    return gx, px, present
+
+
+def one_shot_scores(model, gx, px, present):
+    """(``batch_scores``, ``part_contributions``) as whole-array expressions,
+    the part head over every row at once."""
+    sg = np.tanh(np.tanh(gx @ model.global_hidden_w.T + model.global_hidden_b)
+                 @ model.global_out_w + model.global_out_b)
+    u = np.tanh(px @ model.part_hidden_w.T + model.part_hidden_b)
+    c = (u * model.part_mix_w[None, :, :]).sum(axis=2) + model.part_mix_b[None, :]
+    pooled = np.where(present, c, -np.inf).max(axis=1)
+    sp = np.tanh(np.exp(model.out_log_gain) * pooled + model.out_bias)
+    return np.where(present.any(axis=1), sp, sg), np.where(present, c, np.nan)
+
+
+def sparse_parts_setup(seed=4):
+    """A model and a triplet table where many pairs share no present part."""
+    cfg = SynthConfig(n_identities=10, clothes_per_identity=2, images_per_cloth=2,
+                      confuser_group_size=2, feature_dim=8, part_dim=4, part_count=3,
+                      part_dropout=0.6, seed=seed)
+    bundle, _ = generate(cfg)
+    table = triplet_table(bundle, build_train_pairs(bundle, num_candidates=5)[0])
+    model = VerifierModel.initialize(bundle.dims, 8, 8, seed=seed)
+    records = [pair_records(bundle, table.pairs, r) for r in range(len(table.pairs))]
+    return model, bundle, table, records
+
+
+class TestChunkEdges:
+    """The part head and the fusion run ``SCORE_CHUNK`` rows at a time; no
+    chunk size may move a bit."""
+
+    CHUNKS = [1, 7, 64]
+
+    def test_the_table_mixes_rows_with_and_without_a_joint_part(self):
+        _, _, table, _ = sparse_parts_setup()
+        valid = table.present.any(axis=1)
+        assert len(table.pairs) > 2 * max(self.CHUNKS)
+        assert 0 < valid.sum() < len(valid)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_fusion_matches_the_one_shot_form(self, monkeypatch, chunk):
+        _, bundle, _, records = sparse_parts_setup()
+        monkeypatch.setattr(verifier, "SCORE_CHUNK", chunk)
+        for got, want in zip(pair_arrays(records, bundle.dims),
+                             one_shot_fusion(records, bundle.dims)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_scores_and_contributions_match_the_one_shot_form(self, monkeypatch, chunk):
+        model, _, table, _ = sparse_parts_setup()
+        monkeypatch.setattr(verifier, "SCORE_CHUNK", chunk)
+        want_scores, want_contrib = one_shot_scores(model, table.gx, table.px, table.present)
+        assert np.array_equal(batch_scores(model, table.gx, table.px, table.present),
+                              want_scores)
+        assert np.array_equal(part_contributions(model, table.px, table.present),
+                              want_contrib, equal_nan=True)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_loss_and_gradient_match_a_single_chunk(self, monkeypatch, chunk):
+        model, _, table, _ = sparse_parts_setup()
+        args = (model, table.gx, table.px, table.present,
+                *table.cross_indices(table.anchors), 0.3)
+        monkeypatch.setattr(verifier, "SCORE_CHUNK", len(table.pairs))
+        want_losses, want_grad = triplet_loss_and_grads(*args)
+        monkeypatch.setattr(verifier, "SCORE_CHUNK", chunk)
+        losses, grad = triplet_loss_and_grads(*args)
+        assert losses == want_losses and triplet_loss(*args) == want_losses
+        assert np.array_equal(grad, want_grad)
+        assert model.views(grad)["part_hidden_w"].any()
+
+    def test_gradients_across_chunks_match_central_differences(self, monkeypatch):
+        model, _, table, _ = sparse_parts_setup(seed=5)
+        monkeypatch.setattr(verifier, "SCORE_CHUNK", 5)
+        batch = table.batch(table.anchors[:6])
+        assert len(batch[0]) > 4 * verifier.SCORE_CHUNK
+        _, analytic = triplet_loss_and_grads(model, *batch, 0.31)
+        base, h = model.params.copy(), 1e-6
+        numeric = np.zeros_like(base)
+        for i in range(base.size):
+            for sign in (1.0, -1.0):
+                model.params[:] = base
+                model.params[i] += sign * h
+                numeric[i] += sign * triplet_loss(model, *batch, 0.31)[0] / (2 * h)
+        model.params[:] = base
+        err = np.linalg.norm(numeric - analytic) / max(np.linalg.norm(numeric), 1e-12)
+        assert err < 1e-4
+
+    def test_the_untrained_loss_over_a_whole_table_stays_below_its_input(self):
+        """Before the part head ran in chunks, its (n, K, Hp) activations
+        lived three at a time and ``triplet_loss`` over this table (2,880
+        rows) peaked at 6.2 x ``px.nbytes`` (tracemalloc)."""
+        bundle, _ = generate(SynthConfig(n_identities=40, seed=1))
+        table = triplet_table(bundle, build_train_pairs(bundle, num_candidates=20)[0])
+        model = VerifierModel.initialize(bundle.dims, seed=1)
+        pos, neg = table.cross_indices(table.anchors)
+        assert len(table.pairs) > 10 * verifier.SCORE_CHUNK
+        tracemalloc.start()
+        try:
+            triplet_loss(model, table.gx, table.px, table.present, pos, neg, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table.px.nbytes
+
+
 class TestHeadSeparation:
     def test_part_score_ignores_global_weights(self):
         q, g, _ = two_record_bundle()
