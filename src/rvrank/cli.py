@@ -177,6 +177,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_rerank(args: argparse.Namespace) -> int:
+    config = RankingConfig(P=args.P, L=args.L, Q=args.Q,
+                           k1=args.k1, k2=args.k2, lam=args.lam)
     bundle = _load_bundle_args(args)
     stages = STAGE_CHOICES[args.stages]
     scorer = None
@@ -189,8 +191,6 @@ def cmd_rerank(args: argparse.Namespace) -> int:
         pair_set = read_pairs_csv(args.candidates)
         _check_candidate_roles(args, pair_set.pairs)
         candidates = candidates_from_pairs(pair_set)
-    config = RankingConfig(P=args.P, L=args.L, Q=args.Q,
-                           k1=args.k1, k2=args.k2, lam=args.lam)
     ranked = rerank_pipeline(bundle, scorer, config, stages=stages,
                              candidates=candidates, metric=args.metric,
                              query_role=args.query_role,
@@ -260,10 +260,11 @@ def cmd_sweep_l(args: argparse.Namespace) -> int:
                 raise ValueError(f"--L-values: {tok!r} is not an integer") from None
     if not L_values:
         raise ValueError("--L-values is empty")
+    # One config per width, so that a bad one fails before any input is read.
+    config, *_ = [RankingConfig(P=args.P, L=L, Q=args.Q, k1=args.k1, k2=args.k2,
+                                lam=args.lam) for L in L_values]
     bundle = _load_bundle_args(args)
     model = _load_model_args(args, bundle)
-    config = RankingConfig(P=args.P, L=L_values[0], Q=args.Q,
-                           k1=args.k1, k2=args.k2, lam=args.lam)
     rows = sweep_L(bundle, model, config, L_values,
                    include_kreciprocal=args.with_kreciprocal,
                    metric=args.metric, query_role=args.query_role,

@@ -240,8 +240,12 @@ def write_csv(path: str | Path, header: tuple[str, ...],
                              f"of shape {column.shape}")
         dtype, fmt = _FORMATS[column.dtype.kind]
         column = column.astype(dtype, casting="safe", copy=False)
+        # A stride-0 column holds one value: it is checked and encoded once.
+        once = column[:1] if column.strides == (0,) and len(column) else column
         if fmt is _text_bytes:
-            _check_text(path, name, column)
+            _check_text(path, name, once)
+        if once is not column:
+            fmt = lambda values, f=fmt(once): np.broadcast_to(f, (len(values), f.shape[1]))
         formats.append((column, fmt))
     lengths = {len(column) for column, _ in formats}
     if len(lengths) > 1:
@@ -380,13 +384,18 @@ def _text_column(body: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.nda
     return text.view(f"S{text.shape[1]}")[:, 0].astype(str)
 
 
+#: Body bytes :func:`_parse_bytes` parses at once: its temporaries are O(block).
+_PARSE_BYTES = 1 << 20
+
+
 def _parse_bytes(data: bytes, head_lines: int,
                  kinds: tuple[type, ...]) -> tuple[list[np.ndarray], np.ndarray] | None:
     """:func:`read_csv`'s result for the rows after the first ``head_lines``
     lines, parsed from the bytes with numpy, or None to leave the file to
     the row path.  The file must be ASCII without CR or NUL and end in a
     newline, and its body hold no quote or ``#``, only rows of
-    ``len(kinds)`` fields.
+    ``len(kinds)`` fields.  Blocks of about ``_PARSE_BYTES`` are parsed
+    in turn, each cut just after a newline.
     """
     if not data.isascii() or b"\r" in data or b"\0" in data or not data.endswith(b"\n"):
         return None
@@ -395,24 +404,38 @@ def _parse_bytes(data: bytes, head_lines: int,
         start = data.index(b"\n", start) + 1
     if data.find(b'"', start) >= 0 or data.find(b"#", start) >= 0:
         return None
-    body = np.frombuffer(data, dtype=np.uint8, offset=start)
-    # Row by row, the comma after each field but the last, then the newline.
-    ends = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
-    if len(ends) % len(kinds):
-        return None
-    ends = ends.reshape(-1, len(kinds))
-    if (body[ends[:, :-1]] != ord(",")).any() or (body[ends[:, -1]] != ord("\n")).any():
-        return None
-    if not len(ends):
+    rows = data.count(b"\n", start)
+    if not rows:
         return [np.empty(0, dtype=kind) for kind in kinds], np.empty(0, dtype=np.int64)
-    columns = []
-    for j, kind in enumerate(kinds):
-        begin = ends[:, j - 1] + 1 if j else np.r_[0, ends[:-1, -1] + 1]
-        columns.append({int: _digit_column, float: _float_column,
-                        str: _text_column}[kind](body, begin, ends[:, j]))
-        if columns[-1] is None:
+    columns = [[] if kind is str else np.empty(rows, dtype=kind) for kind in kinds]
+    done = 0
+    while start < len(data):
+        stop = data.rfind(b"\n", start, start + _PARSE_BYTES) + 1 or data.index(b"\n", start) + 1
+        body = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
+        start = stop
+        # Row by row, the comma after each field but the last, then the newline.
+        ends = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
+        if len(ends) % len(kinds):
             return None
-    return columns, np.arange(head_lines + 1, head_lines + 1 + len(ends))
+        ends = ends.reshape(-1, len(kinds))
+        if (body[ends[:, :-1]] != ord(",")).any() or (body[ends[:, -1]] != ord("\n")).any():
+            return None
+        for j, (kind, column) in enumerate(zip(kinds, columns)):
+            begin = ends[:, j - 1] + 1 if j else np.r_[0, ends[:-1, -1] + 1]
+            values = {int: _digit_column, float: _float_column,
+                      str: _text_column}[kind](body, begin, ends[:, j])
+            if values is None:
+                return None
+            if kind is str:
+                column.append(values)
+            else:
+                column[done:done + len(ends)] = values
+        done += len(ends)
+    for j, parts in enumerate(columns):
+        if isinstance(parts, list):  # one token in every block stays one broadcast
+            one = all(p.strides == (0,) and p[0] == parts[0][0] for p in parts)
+            columns[j] = np.broadcast_to(parts[0][:1], rows) if one else np.concatenate(parts)
+    return columns, np.arange(head_lines + 1, head_lines + 1 + rows)
 
 
 def _read_rows(path: Path, rows, header: tuple[str, ...], kinds: tuple[type, ...],
@@ -429,6 +452,9 @@ def _read_rows(path: Path, rows, header: tuple[str, ...], kinds: tuple[type, ...
                         f"fields, got {len(raw)}")
         try:
             for values, kind, value in zip(fields, kinds, raw):
+                # int() and float() would read "1_0" as 10 and " 3 " as 3.
+                if kind is not str and ("_" in value or value != value.strip()):
+                    raise ValueError(f"{kind.__name__} field {value!r} holds '_' or whitespace")
                 values.append(kind(value))
         except ValueError as exc:
             raise error(f"{path}: line {rows.line_num}: {exc}") from None

@@ -53,18 +53,18 @@ class RankingConfig:
     k2: int = 6
     lam: float = 0.3
 
-    def clamped(self) -> "RankingConfig":
-        """Return a copy satisfying L <= Q <= P, warning on every adjustment.
-
-        Values that cannot be fixed by clamping (non-positive sizes, a blend
-        outside [0, 1]) raise ValueError.
-        """
+    def __post_init__(self) -> None:
+        """Values that cannot be fixed by clamping (non-positive sizes, a
+        blend outside [0, 1]) raise ValueError."""
         if self.P < 1 or self.L < 1 or self.Q < 1:
             raise ValueError(f"P, L and Q must be >= 1, got P={self.P} L={self.L} Q={self.Q}")
         if self.k1 < 1 or self.k2 < 1:
             raise ValueError(f"k1 and k2 must be >= 1, got k1={self.k1} k2={self.k2}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
+
+    def clamped(self) -> "RankingConfig":
+        """Return a copy satisfying L <= Q <= P, warning on every adjustment."""
         cfg = self
         if cfg.Q > cfg.P:
             warnings.warn(f"Q={cfg.Q} exceeds P={cfg.P}; clamping Q to {cfg.P}")
@@ -125,9 +125,13 @@ def window_rerank(order: np.ndarray, scores: np.ndarray, L: int, Q: int,
 # k-reciprocal re-ranking
 
 
-#: Most (query entry, gallery entry) overlap terms the Jaccard step holds
-#: at once; a block of queries stops before it would pass this.
-_JACCARD_BLOCK = 1 << 19
+#: Most (query entry, gallery entry) overlap terms, and most (query, gallery)
+#: cells, the Jaccard step holds at once; a block of queries stops before
+#: it would pass either.
+_JACCARD_BLOCK = 1 << 15
+
+#: Rows the set steps (:func:`_neighbourhood_vectors`, :func:`_expand`) take at once.
+_SET_ROWS = 256
 
 #: Sparse neighbourhood vectors: CSR ``(indptr, columns, values)``, each
 #: row's columns ascending.
@@ -147,17 +151,25 @@ def _neighbours(d: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
+def _isin(keys: np.ndarray, among: np.ndarray) -> np.ndarray:
+    """``np.isin(keys, among)`` through one sort of ``among`` and a binary search."""
+    among = np.sort(among)
+    return among.take(np.searchsorted(among, keys), mode="clip") == keys
+
+
 def _reciprocal(heads: np.ndarray) -> np.ndarray:
     """Mask over ``heads``: True where ``heads[i, p]`` has i among its own
     heads, so row i's True entries are R(i, k) for k + 1 heads per row."""
     n, width = heads.shape
     owner = np.repeat(np.arange(n), width)
-    return np.isin(heads.ravel() * n + owner,
-                   owner * n + heads.ravel()).reshape(n, width)
+    return _isin(heads.ravel() * n + owner, owner * n + heads.ravel()).reshape(n, width)
 
 
-def _csr(keys: np.ndarray, values: np.ndarray, n: int) -> Vectors:
-    """CSR rows from sorted unique ``row * n + column`` keys."""
+def _csr(n: int, block: Callable) -> Vectors:
+    """CSR rows from ``block(r0, r1)``: rows r0..r1-1 as sorted unique
+    ``row * n + column`` keys and their values, ``_SET_ROWS`` rows a call."""
+    keys, values = map(np.concatenate, zip(*(
+        block(r0, min(r0 + _SET_ROWS, n)) for r0 in range(0, n, _SET_ROWS))))
     counts = np.bincount(keys // n, minlength=n)
     return np.concatenate([[0], np.cumsum(counts)]), keys % n, values
 
@@ -177,20 +189,25 @@ def _neighbourhood_vectors(d: np.ndarray, initial: np.ndarray, k1: int) -> Vecto
     n = d.shape[0]
     heads, half_heads = initial[:, :k1 + 1], initial[:, :int(np.around(k1 / 2)) + 1]
     half = _reciprocal(half_heads)
-    # R(i, k1) as keys i * n + j; each of its members j's half set as keys
-    # i * n + c, one row per (pair, c).
-    owner, at = np.nonzero(_reciprocal(heads))
-    j = heads[owner, at]
-    recip = owner * n + j
-    pair, slot = np.nonzero(half[j])
-    member = owner[pair] * n + half_heads[j[pair], slot]
-    overlap = np.bincount(pair[np.isin(member, recip)], minlength=len(recip))
-    expands = overlap > (2.0 / 3.0) * half.sum(axis=1)[j]
-    keys = np.unique(np.concatenate([recip, member[expands[pair]]]))
-    rows, cols = keys // n, keys % n
-    weights = np.exp(-np.where(rows == cols, 0.0, d[rows, cols]))
-    # Each row's sum adds its weights in ascending column order.
-    return _csr(keys, weights / np.bincount(rows, weights, minlength=n)[rows], n)
+    owners, at = np.nonzero(_reciprocal(heads))
+    members = heads[owners, at]
+
+    def block(r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
+        # R(i, k1) as keys i * n + j; each of its members j's half set as
+        # keys i * n + c, one row per (pair, c).
+        lo, hi = np.searchsorted(owners, [r0, r1])
+        owner, j = owners[lo:hi], members[lo:hi]
+        recip = owner * n + j
+        pair, slot = np.nonzero(half[j])
+        member = owner[pair] * n + half_heads[j[pair], slot]
+        overlap = np.bincount(pair[_isin(member, recip)], minlength=len(recip))
+        expands = overlap > (2.0 / 3.0) * half.sum(axis=1)[j]
+        keys = np.unique(np.concatenate([recip, member[expands[pair]]]))
+        rows, cols = keys // n, keys % n
+        weights = np.exp(-np.where(rows == cols, 0.0, d[rows, cols]))
+        # Each row's sum adds its weights in ascending column order.
+        return keys, weights / np.bincount(rows - r0, weights)[rows - r0]
+    return _csr(n, block)
 
 
 def _expand(vectors: Vectors, heads: np.ndarray) -> Vectors:
@@ -198,22 +215,25 @@ def _expand(vectors: Vectors, heads: np.ndarray) -> Vectors:
     summed in head order and then divided, as the dense mean does."""
     indptr, cols, values = vectors
     n, k2 = heads.shape
-    parts = [_row_entries(indptr, heads[:, p]) for p in range(k2)]
-    keys, slots = np.unique(np.concatenate(
-        [np.repeat(np.arange(n) * n, lengths) + cols[at] for lengths, at in parts]),
-        return_inverse=True)
-    summed = np.zeros(len(keys))
-    for (_, at), part in zip(parts, np.split(slots, np.cumsum(
-            [len(at) for _, at in parts])[:-1])):
-        summed[part] += values[at]
-    return _csr(keys, summed / k2, n)
+
+    def block(r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
+        parts = [_row_entries(indptr, heads[r0:r1, p]) for p in range(k2)]
+        keys, slots = np.unique(np.concatenate(
+            [np.repeat(np.arange(r0, r1) * n, lengths) + cols[at] for lengths, at in parts]),
+            return_inverse=True)
+        summed = np.zeros(len(keys))
+        for (_, at), part in zip(parts, np.split(slots, np.cumsum(
+                [len(at) for _, at in parts])[:-1])):
+            summed[part] += values[at]
+        return keys, summed / k2
+    return _csr(n, block)
 
 
-def _jaccard(vectors: Vectors, num_queries: int) -> np.ndarray:
-    """``1 - s / (2 - s)`` per (query row, gallery row), s the sum of
-    ``min`` over their shared columns, through an inverted index over the
-    gallery rows' columns.  Each sum adds its terms in ascending column
-    order, starting from 0."""
+def _jaccard(vectors: Vectors, num_queries: int, d: np.ndarray, lam: float) -> np.ndarray:
+    """``lam * d + (1 - lam) * (1 - s / (2 - s))`` per (query row, gallery
+    row), s the sum of ``min`` over their shared columns, through an
+    inverted index over the gallery rows' columns.  Each sum adds its terms
+    in ascending column order, starting from 0."""
     indptr, cols, values = vectors
     n = len(indptr) - 1
     num_gallery = n - num_queries
@@ -231,8 +251,8 @@ def _jaccard(vectors: Vectors, num_queries: int) -> np.ndarray:
     out = np.empty((num_queries, num_gallery))
     q0 = 0
     while q0 < num_queries:
-        q1 = max(q0 + 1, int(np.searchsorted(terms, terms[q0] + _JACCARD_BLOCK,
-                                             side="right")) - 1)
+        q1 = max(q0 + 1, min(q0 + _JACCARD_BLOCK // num_gallery, int(np.searchsorted(
+            terms, terms[q0] + _JACCARD_BLOCK, side="right")) - 1))
         entries = slice(indptr[q0], indptr[q1])
         lengths, at = _row_entries(col_ptr, cols[entries])
         # bincount adds in array order, and each query's entries come in
@@ -241,7 +261,8 @@ def _jaccard(vectors: Vectors, num_queries: int) -> np.ndarray:
             np.repeat(query_base[entries] - q0 * num_gallery, lengths) + col_rows[at],
             weights=np.minimum(np.repeat(values[entries], lengths), col_values[at]),
             minlength=(q1 - q0) * num_gallery).reshape(q1 - q0, -1)
-        out[q0:q1] = 1.0 - overlap / (2.0 - overlap)
+        jaccard = 1.0 - overlap / (2.0 - overlap)
+        out[q0:q1] = lam * d[q0:q1, num_queries:] + (1.0 - lam) * jaccard
         q0 = q1
     return out
 
@@ -262,7 +283,8 @@ def kreciprocal_rerank(dist: np.ndarray, num_queries: int, k1: int = 20,
 
     Each image keeps only its top ``max(k1 + 1, k2)`` neighbours, the
     vectors are sparse rows and only query rows get a Jaccard row, so the
-    memory beyond ``dist`` and the returned block is O(n * k1 * k2).
+    memory beyond ``dist`` and the returned block is O(n * k1 * k2); the
+    steps run by blocks of rows or queries, so no temporary is larger.
     """
     d = np.asarray(dist, dtype=np.float64)
     n = d.shape[0]
@@ -283,7 +305,7 @@ def kreciprocal_rerank(dist: np.ndarray, num_queries: int, k1: int = 20,
     vectors = _neighbourhood_vectors(d, initial, k1)
     if k2 > 1:
         vectors = _expand(vectors, initial[:, :k2])
-    return lam * d[:num_queries, num_queries:] + (1.0 - lam) * _jaccard(vectors, num_queries)
+    return _jaccard(vectors, num_queries, d, lam)
 
 
 # ---------------------------------------------------------------------------

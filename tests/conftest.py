@@ -4,6 +4,7 @@ and scalar-loop reference oracles."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -12,6 +13,22 @@ import pytest
 from rvrank.datastore import build_bundle
 from rvrank.retrieval import PAIR_HEADER
 from rvrank.synthgen import SynthConfig, generate
+
+
+class PeakMemory:
+    """``with PeakMemory() as peak:`` traces the block's allocations with
+    tracemalloc; ``peak.bytes`` is then the most they held at once."""
+
+    bytes: int
+
+    def __enter__(self) -> "PeakMemory":
+        tracemalloc.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.bytes = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+
 
 # The acceptance scenario: tuned once so that plain retrieval is well below
 # 0.6 rank-1 while the planted part details make verification easy, then

@@ -421,6 +421,27 @@ def test_a_bad_L_value_fails_before_the_bundle_is_read(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("rerank", ["--k1", "0"], "k1 and k2 must be >= 1, got k1=0 k2=6"),
+    ("rerank", ["--lambda", "1.5"], "lam must lie in [0, 1], got 1.5"),
+    ("rerank", ["--Q", "0"], "P, L and Q must be >= 1, got P=20 L=10 Q=0"),
+    ("sweep-l", ["--k2", "0"], "k1 and k2 must be >= 1, got k1=20 k2=0"),
+    ("sweep-l", ["--L-values", "5,0"], "P, L and Q must be >= 1, got P=20 L=0 Q=20"),
+])
+def test_a_bad_ranking_config_fails_before_any_input_is_read(tmp_path, capsys, command,
+                                                             flags, message):
+    # Every input is missing: reading any of them would report that instead.
+    out = tmp_path / "out.csv"
+    argv = [command, "--meta", str(tmp_path / "none.csv"), "--features",
+            str(tmp_path / "none.bin"), "--model", str(tmp_path / "none.bin"),
+            "--out", str(out)]
+    if command == "sweep-l":
+        argv += ["--L-values", "1,5"]
+    assert main(argv + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def train_argv(workspace, out, *flags):
     data, pairs = workspace / "data", workspace / "pairs"
     return ["train", "--meta", str(data / "meta.csv"), "--features", str(data / "features.bin"),

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import random_bundle
+from conftest import PeakMemory, random_bundle
 from rvrank import datastore
 from rvrank.datastore import (
     DEFAULT_PART_COUNT,
@@ -23,7 +23,7 @@ from rvrank.datastore import (
     write_parts_file,
 )
 from rvrank.evaluation import SWEEP_HEADER, read_sweep_csv
-from rvrank.reranker import RANKED_HEADER, read_ranked_csv
+from rvrank.reranker import RANKED_HEADER, RankedList, read_ranked_csv, write_ranked_csv
 from rvrank.retrieval import PAIR_HEADER, read_pairs_csv
 from rvrank.synthgen import SynthConfig, generate
 
@@ -419,6 +419,17 @@ class TestWriteCsv:
         assert str(err.value).startswith(f"{path}: column 'role', row {len(text) - 2}: ")
         assert not path.exists()
 
+    def test_a_stride_0_column_is_written_as_its_copy(self, tmp_path):
+        # Encoded once and repeated, across a block edge.
+        n = datastore._BLOCK_ROWS + 3
+        columns = [np.broadcast_to(np.array(v), n) for v in ("kreciprocal", -12, 0.1)]
+        shared, copied = tmp_path / "shared.csv", tmp_path / "copied.csv"
+        write_csv(shared, ("t", "i", "f"), columns)
+        write_csv(copied, ("t", "i", "f"), [c.copy() for c in columns])
+        assert shared.read_bytes() == copied.read_bytes()
+        with pytest.raises(ValueError, match="column 'role', row 0: text field 'V,Q'"):
+            write_csv(shared, ("role",), [np.broadcast_to(np.array("V,Q"), n)])
+
     def test_negative_labels_are_written_back(self, tmp_path):
         rows = [(0, "Q", -3, 2 ** 40, -1), (0, "G", 5, -2 ** 62, 0)]
         paths = (tmp_path / "meta.csv", tmp_path / "feat.bin")
@@ -668,3 +679,105 @@ class TestCsvBytePath:
         with pytest.raises(BundleFormatError,
                            match=f"{path.name}: line 3: identity does not fit in int64"):
             load_bundle(path, tmp_path / "f.bin")
+
+
+class TestCsvBytePathInSmallBlocks(TestCsvBytePath):
+    """Every case above again, with the body parsed 1, 7 or 64 bytes at a
+    time: a block always ends just after a newline, so these hold one row,
+    or a few."""
+
+    @pytest.fixture(autouse=True, params=[1, 7, 64])
+    def small_blocks(self, request, monkeypatch):
+        monkeypatch.setattr(datastore, "_PARSE_BYTES", request.param)
+
+
+RANKED_KINDS = (int, int, int, str)
+
+
+def read_ranked_columns(path):
+    return datastore.read_csv(path, RANKED_HEADER, RANKED_KINDS)
+
+
+class TestCsvBlocks:
+    @staticmethod
+    def ranked_file(tmp_path, provenance, queries=6, gallery=600):
+        """A ranked.csv of ``queries * gallery`` rows, its queries tagged in
+        turn by the names in ``provenance``."""
+        rng = np.random.default_rng(queries)
+        path = tmp_path / "ranked.csv"
+        write_ranked_csv(path, [RankedList(qi, rng.permutation(gallery),
+                                           provenance[qi % len(provenance)])
+                                for qi in range(queries)], config_comment="config: {}")
+        return path
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("provenance", [("kreciprocal",), ("retrieval", "window", "composed")])
+    def test_blocks_read_what_one_block_reads(self, tmp_path, monkeypatch, block, provenance):
+        path = self.ranked_file(tmp_path, provenance)
+        want = outcome(read_ranked_columns, path)
+        monkeypatch.setattr(datastore, "_PARSE_BYTES", block)
+        monkeypatch.setattr(datastore, "_read_rows", None)
+        got = read_ranked_columns(path)
+        assert outcome(lambda _: got, path) == want
+        (*_, names), lines = got
+        assert lines[-1] == 2 + 6 * 600 and len(names) == 6 * 600
+        # One token throughout stays one broadcast; a token that changes
+        # between blocks gives an ordinary column.
+        assert (names.strides == (0,)) == (len(provenance) == 1)
+        assert names.flags.writeable == (len(provenance) > 1)
+
+    @pytest.mark.parametrize("block", [7, 1 << 10, datastore._PARSE_BYTES])
+    def test_a_fault_in_the_last_block_reads_as_the_row_path_says(self, tmp_path,
+                                                                   monkeypatch, block):
+        path = self.ranked_file(tmp_path, ("window",))
+        data = path.read_bytes()
+        path.write_bytes(data[:data.rindex(b"\n", 0, -1) + 1] + b"5,600,1_0,window\n")
+        monkeypatch.setattr(datastore, "_PARSE_BYTES", block)
+        got = outcome(read_ranked_columns, path)
+        assert got == (ValueError, f"{path}: line 3602: int field '1_0' holds '_' or whitespace")
+        monkeypatch.setattr(datastore, "_parse_bytes", lambda *args: None)
+        assert outcome(read_ranked_columns, path) == got
+
+    def test_memory_beyond_the_file_and_its_columns_is_fixed(self, tmp_path):
+        """450 queries of 1,347 images, the size of a large benchmark's
+        ranked.csv.  Parsed as one block, the body's separator masks and
+        field offsets peaked at 4.4 x the file's bytes (tracemalloc)."""
+        path = self.ranked_file(tmp_path, ("kreciprocal",), queries=450, gallery=1347)
+        with PeakMemory() as peak:
+            columns, lines = read_ranked_columns(path)
+        # The provenance is one string, broadcast.
+        held = sum(c.nbytes for c in columns if c.strides != (0,)) + lines.nbytes
+        beyond = peak.bytes - path.stat().st_size - held
+        assert beyond < 8 * 2 ** 20, f"{beyond / 2 ** 20:.1f} MB"
+
+
+class TestRowPathNumbers:
+    """``int()`` and ``float()`` read ``1_0`` as 10 and `` 3 `` as 3; the
+    writer writes neither, so the row path rejects both."""
+
+    @pytest.mark.parametrize("row, field", [(b"0,1,1_0,retrieval", "int field '1_0'"),
+                                            (b"0,1, 3 ,retrieval", "int field ' 3 '")])
+    def test_ranked_rows(self, tmp_path, row, field):
+        path = tmp_path / "ranked.csv"
+        path.write_bytes(RANKED_HEADER_LINE + b"0,1,0,retrieval\n" + row + b"\n")
+        assert outcome(read_ranked_csv, path) == \
+            (ValueError, f"{path}: line 3: {field} holds '_' or whitespace")
+
+    @pytest.mark.parametrize("row, field", [(b"Q,1_2,1,G,3,-0.5,1", "int field '1_2'"),
+                                            (b"Q,0,1,G,3,-1_0.5,1", "float field '-1_0.5'"),
+                                            (b"Q,0,1,G,3,-0.5\t,1", "float field '-0.5\\t'")])
+    def test_pair_rows(self, tmp_path, row, field):
+        path = tmp_path / "pairs.csv"
+        path.write_bytes(PAIRS + row + b"\n")
+        assert outcome(read_pairs_csv, path) == \
+            (ValueError, f"{path}: line 2: {field} holds '_' or whitespace")
+
+    def test_metadata_rows(self, tmp_path):
+        path = tmp_path / "meta.csv"
+        path.write_bytes(META + b"0,G,1,0,0\n1,G,2_0,0,1\n")
+        write_feature_file(tmp_path / "f.bin", np.zeros((2, 2)))
+        assert outcome(lambda p: load_bundle(p, tmp_path / "f.bin"), path) == \
+            (BundleFormatError, f"{path}: line 3: int field '2_0' holds '_' or whitespace")
+
+
+RANKED_HEADER_LINE = (",".join(RANKED_HEADER) + "\n").encode()

@@ -8,12 +8,11 @@ procedure.
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import oracle_scores, random_bundle
+from conftest import PeakMemory, oracle_scores, random_bundle
 from rvrank import datastore, reranker, verifier
 from rvrank.reranker import (
     RANKED_HEADER,
@@ -26,6 +25,7 @@ from rvrank.reranker import (
     write_ranked_csv,
 )
 from rvrank.retrieval import build_eval_pairs, candidates_from_pairs, distance_matrix
+from rvrank.synthgen import SynthConfig, generate
 from rvrank.verifier import VerifierModel
 
 
@@ -50,10 +50,11 @@ class TestRankingConfig:
         assert (cfg.L, cfg.Q) == (4, 4)
 
     @pytest.mark.parametrize("bad", [dict(P=0), dict(L=-1), dict(k1=0),
-                                     dict(lam=1.5)])
+                                     dict(lam=1.5), dict(Q=0), dict(k2=0), dict(lam=-0.1)])
     def test_invalid_values_raise(self, bad):
+        # Raised on construction, before anything reads a config.
         with pytest.raises(ValueError):
-            RankingConfig(**bad).clamped()
+            RankingConfig(**bad)
 
 
 class TestWindowRerank:
@@ -231,13 +232,38 @@ class TestKReciprocal:
         feats = np.random.default_rng(32).normal(size=(n, 32))
         dist = distance_matrix(feats, feats)
         np.fill_diagonal(dist, 0.0)
-        tracemalloc.start()
-        try:
+        with PeakMemory() as peak:
             kreciprocal_rerank(dist, n // 4, k1=20, k2=6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64"
+        assert peak.bytes < 3 * n * n * 8, f"peak {peak.bytes / (n * n * 8):.2f} n x n float64"
+
+    def test_memory_beyond_the_input_stays_below_half_of_it(self):
+        """A union of 1,800 images (450 queries), the size and kind of a
+        large benchmark's.  Before the set steps ran by row blocks and the
+        blend by query blocks, the call peaked at 1.2 x ``dist.nbytes``
+        beyond ``dist`` (tracemalloc)."""
+        bundle, _ = generate(SynthConfig(n_identities=500, images_per_cloth=4,
+                                         identity_shift=1.5, seed=2))
+        queries = bundle.splits["Q"].features
+        union = np.vstack([queries, bundle.splits["G"].features]).astype(np.float64)
+        dist = distance_matrix(union, union)
+        np.fill_diagonal(dist, 0.0)
+        with PeakMemory() as peak:
+            kreciprocal_rerank(dist, len(queries))
+        assert peak.bytes < 0.5 * dist.nbytes, f"{peak.bytes / dist.nbytes:.2f} x dist.nbytes"
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("n, nq, k1, k2", [(12, 4, 3, 1), (40, 9, 6, 3), (61, 30, 20, 6),
+                                               (90, 1, 8, 4), (75, 74, 5, 2)])
+    def test_blocks_change_no_bit(self, monkeypatch, block, n, nq, k1, k2):
+        # One-decimal distances tie often.  Blocks of 1 and 7 split the rows
+        # and queries that the default blocks take whole, or nearly so.
+        rng = np.random.default_rng(n)
+        for dist in (point_cloud_distances(rng, n), np.round(point_cloud_distances(rng, n), 1)):
+            whole = kreciprocal_rerank(dist, nq, k1=k1, k2=k2)
+            with monkeypatch.context() as patch:
+                patch.setattr(reranker, "_JACCARD_BLOCK", block)
+                patch.setattr(reranker, "_SET_ROWS", block)
+                assert np.array_equal(kreciprocal_rerank(dist, nq, k1=k1, k2=k2), whole)
 
     def test_full_blend_returns_the_original_block(self):
         rng = np.random.default_rng(14)
@@ -548,13 +574,9 @@ class TestRankedCsv:
         ranked = [RankedList(qi, rng.permutation(1347), "kreciprocal")
                   for qi in range(450)]
         columns = 450 * 1347 * 3 * 8
-        tracemalloc.start()
-        try:
+        with PeakMemory() as peak:
             write_ranked_csv(tmp_path / "ranked.csv", ranked)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - columns < 16 * 2 ** 20, f"{(peak - columns) / 2 ** 20:.1f} MB"
+        assert peak.bytes - columns < 16 * 2 ** 20, f"{(peak.bytes - columns) / 2 ** 20:.1f} MB"
 
 
 HEADER = b"query_index,rank,gallery_index,stage_provenance\n"

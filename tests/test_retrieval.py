@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import random_bundle, train_bundle
+from conftest import PeakMemory, random_bundle, train_bundle
 from rvrank import datastore, retrieval
 from rvrank.cli import main
 from rvrank.datastore import build_bundle
@@ -109,13 +108,9 @@ class TestDistanceBlocks:
         (tracemalloc, n = 1,000)."""
         n = 1000
         a = np.random.default_rng(3).normal(size=(n, 32))
-        tracemalloc.start()
-        try:
+        with PeakMemory() as peak:
             distance_matrix(a, a)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * n * n * 8
+        assert peak.bytes < 1.25 * n * n * 8
 
 
 class TestEligibility:

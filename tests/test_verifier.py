@@ -5,12 +5,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import oracle_fuse, oracle_groups, oracle_scores, pair_records
+from conftest import (PeakMemory, oracle_fuse, oracle_groups, oracle_scores,
+                      pair_records)
 from rvrank import verifier
 from rvrank.datastore import build_bundle
 from rvrank.retrieval import PairSet, build_eval_pairs, build_train_pairs
@@ -447,13 +447,9 @@ class TestChunkEdges:
         model = VerifierModel.initialize(bundle.dims, seed=1)
         pos, neg = table.cross_indices(table.anchors)
         assert len(table.pairs) > 10 * verifier.SCORE_CHUNK
-        tracemalloc.start()
-        try:
+        with PeakMemory() as peak:
             triplet_loss(model, table.gx, table.px, table.present, pos, neg, 0.3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < table.px.nbytes
+        assert peak.bytes < table.px.nbytes
 
 
 class TestHeadSeparation:
@@ -661,14 +657,9 @@ class TestCheckpoint:
         path.write_bytes(MODEL_MAGIC + struct.pack("<5I", 4000, 8, 15, 4000, 32)
                          + struct.pack("<q2d2IdI", 0, 0.3, 3.5e-4, 80, 16, 0.1, 0))
         assert path.stat().st_size == 68
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="payload"):
-                load_model(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20, f"peak {peak} bytes"
+        with PeakMemory() as peak, pytest.raises(ValueError, match="payload"):
+            load_model(path)
+        assert peak.bytes < 4 * 2**20, f"peak {peak.bytes} bytes"
 
     def test_non_finite_weight_is_rejected_naming_its_tensor(self, tmp_path):
         model = VerifierModel.initialize((4, 3, 5), 8, 7, seed=24)
