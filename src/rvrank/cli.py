@@ -27,10 +27,9 @@ from .retrieval import (METRICS, build_eval_pairs, build_train_pairs,
                         top_candidates, write_pairs_csv)
 from .reranker import (RankingConfig, read_ranked_csv, rerank_pipeline,
                        write_ranked_csv)
-from .synthgen import SynthConfig, generate, write_groundtruth
-from .verifier import (TrainConfig, VerifierModel, batch_scores, load_model,
-                       pair_arrays, part_contributions, save_model, train,
-                       write_history_csv)
+from .synthgen import SynthConfig, generate
+from .verifier import (TrainConfig, VerifierModel, batch_scores, fuse, load_model,
+                       part_contributions, save_model, train, write_history_csv)
 
 STAGE_CHOICES = {
     "none": (),
@@ -68,6 +67,24 @@ def _load_model_args(args: argparse.Namespace, bundle) -> VerifierModel:
     return model
 
 
+def _at_least_one(flag: str, value: int) -> None:
+    """Fail unless the count given as ``flag`` is at least 1."""
+    if value < 1:
+        raise ValueError(f"{flag} must be >= 1, got {value}")
+
+
+def _check_pair_roles(flag: str, path: str, pairs: np.ndarray,
+                      roles: tuple[str, str]) -> None:
+    """Fail unless every row of the pair file ``path``, given as ``flag``,
+    pairs a ``roles[0]`` query with a ``roles[1]`` candidate."""
+    query, cand = pairs["query_role"], pairs["cand_role"]
+    if ((query != roles[0]) | (cand != roles[1])).any():
+        found = sorted(set(zip(query.tolist(), cand.tolist())))
+        raise ValueError(f"{flag} {path}: holds pairs of roles "
+                         f"{', '.join(f'{q}/{g}' for q, g in found)}, but {flag} takes "
+                         f"{roles[0]}/{roles[1]} pairs")
+
+
 def _add_bundle_flags(sub: argparse.ArgumentParser, parts_required: bool = False) -> None:
     sub.add_argument("--meta", required=True, help="metadata CSV")
     sub.add_argument("--features", required=True, help="global feature file")
@@ -87,14 +104,13 @@ def _add_role_flags(sub: argparse.ArgumentParser) -> None:
 def cmd_synth(args: argparse.Namespace) -> int:
     config = SynthConfig(**{f.name: getattr(args, f.name)
                             for f in dataclasses.fields(SynthConfig)})
-    bundle, truth = generate(config)
+    bundle, _ = generate(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_bundle(bundle, out / "meta.csv", out / "features.bin", out / "parts.bin",
                  config_comment=_config_comment(args))
     _write_sidecar(out / "features.bin", args)
     _write_sidecar(out / "parts.bin", args)
-    write_groundtruth(out / "groundtruth.json", truth)
     counts = {role: len(bundle.splits[role]) for role in bundle.splits}
     print(f"wrote {out}: dims={bundle.dims} " +
           " ".join(f"{r}={c}" for r, c in counts.items()))
@@ -115,6 +131,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
+    _at_least_one("--P", args.P)
     bundle = _load_bundle_args(args)
     pairs = build_eval_pairs(bundle, args.query_role, args.gallery_role,
                              num_candidates=args.P, metric=args.metric)
@@ -125,8 +142,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
 
 def cmd_pairs(args: argparse.Namespace) -> int:
-    if args.P < 1:
-        raise ValueError(f"--P must be >= 1, got {args.P}")
+    _at_least_one("--P", args.P)
     bundle = _load_bundle_args(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -153,7 +169,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     window = RankingConfig(P=args.Q, L=args.L, Q=args.Q).clamped()
     bundle = _load_bundle_args(args)
     train_pairs = read_pairs_csv(args.train_pairs)
+    _check_pair_roles("--train-pairs", args.train_pairs, train_pairs.pairs, ("T", "T"))
     valid_pairs = read_pairs_csv(args.valid_pairs)
+    _check_pair_roles("--valid-pairs", args.valid_pairs, valid_pairs.pairs, ("VQ", "VG"))
     hyper = TrainConfig(margin=args.margin, learning_rate=args.lr,
                         epochs=args.epochs, batch_size=args.batch_size)
     model = VerifierModel.initialize(bundle.dims, hidden_global=args.hidden_global,
@@ -189,7 +207,8 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     candidates = None
     if args.candidates is not None:
         pair_set = read_pairs_csv(args.candidates)
-        _check_candidate_roles(args, pair_set.pairs)
+        _check_pair_roles("--candidates", args.candidates, pair_set.pairs,
+                          (args.query_role, args.gallery_role))
         candidates = candidates_from_pairs(pair_set)
     ranked = rerank_pipeline(bundle, scorer, config, stages=stages,
                              candidates=candidates, metric=args.metric,
@@ -199,17 +218,6 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     print(f"wrote {args.out}: {len(ranked)} queries, "
           f"stages={args.stages}")
     return 0
-
-
-def _check_candidate_roles(args: argparse.Namespace, pairs: np.ndarray) -> None:
-    """Fail unless every row of ``--candidates`` pairs a ``--query-role``
-    query with a ``--gallery-role`` candidate."""
-    found = sorted(set(zip(pairs["query_role"].tolist(), pairs["cand_role"].tolist())))
-    if any(roles != (args.query_role, args.gallery_role) for roles in found):
-        raise ValueError(
-            f"{args.candidates}: holds pairs of roles "
-            f"{', '.join(f'{q}/{g}' for q, g in found)}, but rerank got "
-            f"--query-role {args.query_role} --gallery-role {args.gallery_role}")
 
 
 def _check_ranked_roles(args: argparse.Namespace) -> None:
@@ -235,6 +243,7 @@ def _check_ranked_roles(args: argparse.Namespace) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    _at_least_one("--k-max", args.k_max)
     bundle = _load_bundle_args(args)
     _check_ranked_roles(args)
     ranked = read_ranked_csv(args.ranked)
@@ -276,23 +285,24 @@ def cmd_sweep_l(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
+    _at_least_one("--limit", args.limit)
     bundle = _load_bundle_args(args)
     model = _load_model_args(args, bundle)
     queries, gallery = bundle.splits[args.query_role], bundle.splits[args.gallery_role]
-    if not 0 <= args.query_index < len(queries):
-        raise ValueError(f"--query-index {args.query_index} out of range for role "
+    qi = args.query_index
+    if not 0 <= qi < len(queries):
+        raise ValueError(f"--query-index {qi} out of range for role "
                          f"{args.query_role} (n={len(queries)})")
-    query = queries[args.query_index]
-    [(indices, _)] = top_candidates(queries[query.index:query.index + 1],
-                                    gallery, args.limit, metric=args.metric)
-    print(f"query {args.query_role}:{query.index} identity={query.identity} "
-          f"cloth={query.cloth}")
+    [(indices, _)] = top_candidates(queries[qi:qi + 1], gallery, args.limit,
+                                    metric=args.metric)
+    print(f"query {args.query_role}:{qi} identity={queries.identity[qi]} "
+          f"cloth={queries.cloth[qi]}")
     print("rank,gallery_index,label,score,head,best_part")
-    gx, px, present = pair_arrays(
-        [(query, gallery[gi]) for gi in indices.tolist()], bundle.dims)
+    gx, px, present = fuse(queries, np.full(len(indices), qi), gallery, indices,
+                           bundle.dims)
     scores = batch_scores(model, gx, px, present)
     contribs = part_contributions(model, px, present)
-    labels = (gallery.identity[indices] == query.identity).astype(int)
+    labels = (gallery.identity[indices] == queries.identity[qi]).astype(int)
     rows = zip(indices.tolist(), labels.tolist(), scores, contribs, present.any(axis=1))
     for rank, (gi, label, score, contrib, has_parts) in enumerate(rows, start=1):
         if has_parts:

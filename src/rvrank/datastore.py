@@ -276,12 +276,15 @@ def write_json(path: str | Path, payload: dict) -> None:
 
 
 def read_csv(path: str | Path, header: tuple[str, ...], kinds: tuple[type, ...],
-             error: type[ValueError] = ValueError) -> tuple[list[np.ndarray], np.ndarray]:
+             error: type[ValueError] = ValueError
+             ) -> tuple[list[np.ndarray], np.ndarray | range]:
     """Read a CSV as :func:`write_csv` writes it: ``#`` comment lines
     anywhere, then ``header``, then rows of exactly ``len(header)`` fields.
 
     Returns one 1-D array per field, typed by ``kinds`` (``int`` as int64,
-    ``float`` as float64, or ``str``), and each row's file line number.
+    ``float`` as float64, or ``str``), and each row's file line number: a
+    ``range`` for a file the byte path reads, whose rows are consecutive
+    lines, else an int64 array.
     Every format fault, an int64 overflow included, raises ``error`` naming
     the file and line.  :func:`_parse_bytes` reads the body of a file as
     this package writes it; any other file is read row by row, alike.
@@ -389,7 +392,7 @@ _PARSE_BYTES = 1 << 20
 
 
 def _parse_bytes(data: bytes, head_lines: int,
-                 kinds: tuple[type, ...]) -> tuple[list[np.ndarray], np.ndarray] | None:
+                 kinds: tuple[type, ...]) -> tuple[list[np.ndarray], range] | None:
     """:func:`read_csv`'s result for the rows after the first ``head_lines``
     lines, parsed from the bytes with numpy, or None to leave the file to
     the row path.  The file must be ASCII without CR or NUL and end in a
@@ -405,8 +408,9 @@ def _parse_bytes(data: bytes, head_lines: int,
     if data.find(b'"', start) >= 0 or data.find(b"#", start) >= 0:
         return None
     rows = data.count(b"\n", start)
+    lines = range(head_lines + 1, head_lines + 1 + rows)
     if not rows:
-        return [np.empty(0, dtype=kind) for kind in kinds], np.empty(0, dtype=np.int64)
+        return [np.empty(0, dtype=kind) for kind in kinds], lines
     columns = [[] if kind is str else np.empty(rows, dtype=kind) for kind in kinds]
     done = 0
     while start < len(data):
@@ -435,7 +439,7 @@ def _parse_bytes(data: bytes, head_lines: int,
         if isinstance(parts, list):  # one token in every block stays one broadcast
             one = all(p.strides == (0,) and p[0] == parts[0][0] for p in parts)
             columns[j] = np.broadcast_to(parts[0][:1], rows) if one else np.concatenate(parts)
-    return columns, np.arange(head_lines + 1, head_lines + 1 + rows)
+    return columns, lines
 
 
 def _read_rows(path: Path, rows, header: tuple[str, ...], kinds: tuple[type, ...],

@@ -165,8 +165,9 @@ def sweep_L(bundle: DatasetBundle, scorer, config: RankingConfig,
             ) -> list[tuple[int, float, float]]:
     """Rank-1/Rank-10 as a function of the window size L, at fixed Q.
 
-    Verifier scores are computed once per query (the scored prefix depends
-    only on Q) and reused across all L values.  Returns (L, rank1, rank10)
+    ``scorer`` follows the protocol of :func:`~rvrank.verifier.prefix_scores`.
+    Its scores are computed once per query (the scored prefix depends only
+    on Q) and reused across all L values.  Returns (L, rank1, rank10)
     rows in the order given.
     """
     cfg = config.clamped()
@@ -175,8 +176,7 @@ def sweep_L(bundle: DatasetBundle, scorer, config: RankingConfig,
                            metric=metric, query_role=query_role,
                            gallery_role=gallery_role)
     queries, gallery = bundle.splits[query_role], bundle.splits[gallery_role]
-    scores = prefix_scores(scorer, bundle.dims, queries, gallery,
-                           [rl.order for rl in base], cfg.Q)
+    scores = prefix_scores(scorer, queries, gallery, [rl.order for rl in base], cfg.Q)
 
     allowed = eligible_mask(queries, gallery)
     rows: list[tuple[int, float, float]] = []

@@ -9,7 +9,7 @@ Two stages, composable in a fixed order:
   positions of the current ranking: repeatedly emit the highest
   verifier-scored image in the window and refill from the next rank.
   Positions beyond Q are never touched, so the work per query is bounded by
-  Q verifier calls regardless of gallery size.
+  Q scored pairs regardless of gallery size.
 
 Every query's output is a full permutation of its eligible gallery, tagged
 with the stage provenance (``retrieval``, ``kreciprocal``, ``window`` or
@@ -25,16 +25,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .datastore import DatasetBundle, ImageRecord, check_rows, read_csv, write_csv
+from .datastore import DatasetBundle, check_rows, read_csv, write_csv
 from .retrieval import distance_matrix, eligible_mask, masked_order
-from .verifier import VerifierModel, prefix_scores
+from .verifier import prefix_scores
 
 STAGE_NAMES = ("kreciprocal", "window")
 
 RANKED_HEADER = ("query_index", "rank", "gallery_index", "stage_provenance")
-
-#: A scorer takes (query record, candidate record) and returns a similarity.
-Scorer = Callable[[ImageRecord, ImageRecord], float]
 
 
 @dataclass(frozen=True)
@@ -312,7 +309,7 @@ def kreciprocal_rerank(dist: np.ndarray, num_queries: int, k1: int = 20,
 # pipeline
 
 
-def rerank_pipeline(bundle: DatasetBundle, scorer: VerifierModel | Scorer | None,
+def rerank_pipeline(bundle: DatasetBundle, scorer: Callable[..., np.ndarray] | None,
                     config: RankingConfig,
                     stages: Sequence[str] = ("kreciprocal", "window"),
                     candidates: dict[int, np.ndarray] | None = None,
@@ -321,15 +318,16 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: VerifierModel | Scorer | None
     """Retrieve, then apply the requested ranking stages per query.
 
     ``stages`` is any subset of ``("kreciprocal", "window")``; order is
-    fixed (k-reciprocal first).  ``scorer`` may be a VerifierModel, a plain
-    ``(query, candidate) -> float`` callable, or None when the window stage
-    is not requested.  When ``candidates`` (a previously retrieved top-P
-    set, ``{query_index: gallery indices}``) is supplied, it is checked
-    against the freshly computed retrieval prefix and a ValueError names the
-    first query that disagrees, or that ``query_role`` does not have.
+    fixed (k-reciprocal first).  ``scorer`` follows the protocol of
+    :func:`~rvrank.verifier.prefix_scores` (a VerifierModel does), and may
+    be None when the window stage is not requested.  When ``candidates``
+    (a previously retrieved top-P set, ``{query_index: gallery indices}``)
+    is supplied, it is checked against the freshly computed retrieval
+    prefix and a ValueError names the first query that disagrees, or that
+    ``query_role`` does not have.
 
-    The window stage scores exactly ``min(Q, eligible)`` candidates per
-    query, through :func:`~rvrank.verifier.prefix_scores`.
+    The window stage passes exactly ``min(Q, eligible)`` pairs per query to
+    the scorer, through :func:`~rvrank.verifier.prefix_scores`.
     """
     for stage in stages:
         if stage not in STAGE_NAMES:
@@ -373,7 +371,7 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: VerifierModel | Scorer | None
         orders = [masked_order(row, ok) for row, ok in zip(new_dist, allowed)]
 
     if "window" in stages:
-        scores = prefix_scores(scorer, bundle.dims, queries, gallery, orders, cfg.Q)
+        scores = prefix_scores(scorer, queries, gallery, orders, cfg.Q)
         orders = [window_rerank(order, s, cfg.L, cfg.Q).order
                   for order, s in zip(orders, scores)]
 
@@ -416,7 +414,7 @@ def read_ranked_csv(path: str | Path) -> list[RankedList]:
     # Rows as write_ranked_csv writes them need no sort.
     if not ((q[1:] > q[:-1]) | ((q[1:] == q[:-1]) & (r[1:] > r[:-1]))).all():
         by_rank = np.lexsort((r, q))
-        q, r, g, prov, lines = (col[by_rank] for col in (q, r, g, prov, lines))
+        q, r, g, prov, lines = (col[by_rank] for col in (q, r, g, prov, np.asarray(lines)))
     starts = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
     # Row by row: the position of its query's first row.
     first = np.repeat(starts, np.diff(np.r_[starts, len(q)]))

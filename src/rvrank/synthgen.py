@@ -23,14 +23,12 @@ generator, so a config determines the bundle bit for bit.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-from .datastore import ROLES, DatasetBundle, build_bundle, write_json
+from .datastore import ROLES, DatasetBundle, build_bundle
 
 TRAIN_FRACTION = 0.5
 VALID_FRACTION = 0.2
@@ -160,7 +158,8 @@ def generate(config: SynthConfig) -> tuple[DatasetBundle, GroundTruth]:
 
 
 def oracle_scorer(truth: GroundTruth):
-    """Upper-bound pair scorer built from the planted ground truth.
+    """Upper-bound pair scorer built from the planted ground truth, in the
+    protocol of :func:`~rvrank.verifier.prefix_scores`.
 
     Same identity scores exactly 1.0; otherwise the cosine similarity of the
     two identities' flattened detail signatures (well below 1 for random
@@ -171,41 +170,9 @@ def oracle_scorer(truth: GroundTruth):
         .astype(np.float64)
     norms = np.linalg.norm(flat, axis=1)
 
-    def score(query, cand) -> float:
-        a, b = query.identity, cand.identity
-        if a == b:
-            return 1.0
-        denom = max(norms[a] * norms[b], 1e-12)
-        return float(flat[a] @ flat[b] / denom)
+    def score(queries, query_index, gallery, gallery_index) -> np.ndarray:
+        a, b = queries.identity[query_index], gallery.identity[gallery_index]
+        dots = np.einsum("ij,ij->i", flat[a], flat[b])
+        return np.where(a == b, 1.0, dots / np.maximum(norms[a] * norms[b], 1e-12))
 
     return score
-
-
-# ---------------------------------------------------------------------------
-# ground truth serialisation
-
-
-def write_groundtruth(path: str | Path, truth: GroundTruth) -> None:
-    payload = {
-        "config": asdict(truth.config),
-        "split_of_identity": truth.split_of_identity,
-        "group_of_identity": truth.group_of_identity,
-        "detail_vectors": [[[float(x) for x in part] for part in ident]
-                           for ident in truth.detail_vectors],
-    }
-    write_json(path, payload)
-
-
-def load_groundtruth(path: str | Path) -> GroundTruth:
-    with open(path) as fh:
-        payload = json.load(fh)
-    config = SynthConfig(**payload["config"])
-    details = np.asarray(payload["detail_vectors"], dtype=np.float32)
-    expect = (config.n_identities, config.part_count, config.part_dim)
-    if details.shape != expect:
-        raise ValueError(f"{path}: detail_vectors shape {details.shape} does not "
-                         f"match config {expect}")
-    return GroundTruth(config=config,
-                       split_of_identity=list(payload["split_of_identity"]),
-                       group_of_identity=list(payload["group_of_identity"]),
-                       detail_vectors=details)

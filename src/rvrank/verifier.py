@@ -122,6 +122,15 @@ def pair_arrays(pairs: list[tuple[ImageRecord, ImageRecord]],
     return gx, px, present
 
 
+def fuse(queries: Split, query_index: np.ndarray, gallery: Split,
+         gallery_index: np.ndarray, dims: tuple[int, int, int]
+         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`pair_arrays` of the pairs ``(queries[q], gallery[g])`` of the
+    aligned index arrays: the one place that builds image records."""
+    return pair_arrays([(queries[q], gallery[g]) for q, g
+                        in zip(query_index.tolist(), gallery_index.tolist())], dims)
+
+
 def _weight_layout(dims: tuple[int, int, int], hidden_global: int,
                    hidden_part: int) -> list[tuple[str, tuple[int, ...], int]]:
     """(name, shape, init fan-in) of every weight tensor, in the order the
@@ -208,6 +217,13 @@ class VerifierModel:
 
     def copy(self) -> "VerifierModel":
         return replace(self, params=self.params.copy())
+
+    def __call__(self, queries: Split, query_index: np.ndarray, gallery: Split,
+                 gallery_index: np.ndarray) -> np.ndarray:
+        """The scorer protocol of :func:`prefix_scores`: one verification
+        score per aligned (query index, gallery index) pair."""
+        return batch_scores(self, *fuse(queries, query_index, gallery, gallery_index,
+                                        self.dims))
 
 
 # ---------------------------------------------------------------------------
@@ -313,41 +329,34 @@ def part_contributions(model: VerifierModel, px: np.ndarray,
     return _forward_parts(model, px, present)[1]
 
 
-def prefix_scores(scorer: VerifierModel | Callable[[ImageRecord, ImageRecord], float],
-                  dims: tuple[int, int, int], queries: Split, gallery: Split,
-                  orders: list[np.ndarray], depth: int) -> list[np.ndarray]:
+def prefix_scores(scorer: Callable[[Split, np.ndarray, Split, np.ndarray], np.ndarray],
+                  queries: Split, gallery: Split, orders: list[np.ndarray],
+                  depth: int) -> list[np.ndarray]:
     """Score each query against the first ``depth`` gallery indices of its
     order: ``orders[i]`` ranks ``gallery`` for ``queries[i]``, and the result
     holds one float array per query, aligned with ``orders[i][:depth]``.
 
-    A :class:`VerifierModel` fuses and scores the pairs of all queries in
-    chunks of ``SCORE_CHUNK``; any other ``(query, candidate) -> float``
-    callable is called once per pair.  A failure raises RuntimeError naming
-    the query whose pairs were being scored.
+    ``scorer(queries, query_index, gallery, gallery_index)`` returns one
+    score per aligned pair of int64 index arrays; a :class:`VerifierModel`
+    is one.  The prefixes of all queries, back to back, go to it
+    ``SCORE_CHUNK`` pairs per call.  A failure raises RuntimeError naming
+    the queries of the failing call.
     """
     prefixes = [order[:depth] for order in orders]
-    if not isinstance(scorer, VerifierModel):
-        out = []
-        for query, prefix in zip(queries, prefixes):
-            try:
-                out.append(np.array([float(scorer(query, gallery[gi]))
-                                     for gi in prefix.tolist()]))
-            except Exception as exc:
-                raise RuntimeError(
-                    f"window stage failed for query {query.index}: {exc}") from exc
-        return out
-    pairs = [(queries[qi], gallery[gi]) for qi, prefix in enumerate(prefixes)
-             for gi in prefix.tolist()]
-    flat = np.empty(len(pairs))
-    for start in range(0, len(pairs), SCORE_CHUNK):
-        chunk = pairs[start:start + SCORE_CHUNK]
+    lengths = np.array([len(p) for p in prefixes], dtype=np.int64)
+    query_index = np.repeat(np.arange(len(prefixes), dtype=np.int64), lengths)
+    gallery_index = np.concatenate([np.empty(0, np.int64), *prefixes])
+    flat = np.empty(len(query_index))
+    for start in range(0, len(flat), SCORE_CHUNK):
+        rows = slice(start, start + SCORE_CHUNK)
         try:
-            flat[start:start + len(chunk)] = batch_scores(scorer, *pair_arrays(chunk, dims))
+            flat[rows] = scorer(queries, query_index[rows], gallery, gallery_index[rows])
         except Exception as exc:
-            raise RuntimeError(f"window stage failed for query "
-                               f"{chunk[0][0].index}: {exc}") from exc
-    ends = np.cumsum([len(p) for p in prefixes], dtype=np.int64).tolist()
-    return [flat[end - len(p):end] for p, end in zip(prefixes, ends)]
+            first, last = query_index[rows][[0, -1]].tolist()
+            who = f"query {first}" if first == last else f"queries {first}-{last}"
+            raise RuntimeError(f"window stage failed for {who}: {exc}") from exc
+    ends = np.cumsum(lengths).tolist()
+    return [flat[end - n:end] for n, end in zip(lengths.tolist(), ends)]
 
 
 # ---------------------------------------------------------------------------
@@ -397,38 +406,37 @@ class TripletTable(NamedTuple):
                 remap[pos_idx], remap[neg_idx])
 
 
-def _pair_records(bundle: DatasetBundle, pairs: np.ndarray
-                  ) -> list[tuple[ImageRecord, ImageRecord]]:
-    """The (query, candidate) records of each pair row, whose roles and
-    indices :func:`_check_pair_indices` has checked."""
-    splits = bundle.splits
-    return [(splits[qr][qi], splits[cr][ci]) for qr, qi, _, cr, ci, _, _ in pairs.tolist()]
-
-
-def _check_pair_indices(bundle: DatasetBundle, pairs: np.ndarray) -> None:
-    """Raise ValueError naming the first pair row, in array order, whose
-    query or candidate index lies outside its role's split; a role the
-    bundle lacks raises KeyError."""
-    rules = []
-    for role, index in ((pairs["query_role"], pairs["query_index"]),
-                        (pairs["cand_role"], pairs["cand_index"])):
-        names, inverse = np.unique(role, return_inverse=True)
-        unknown = [name for name in names.tolist() if name not in bundle.splits]
-        if unknown:
-            raise KeyError(f"unknown role {unknown[0]!r}")
-        size = np.array([len(bundle.splits[name]) for name in names.tolist()])[inverse]
-        rules.append(((index < 0) | (index >= size), lambda row, role=role, index=index,
-                      size=size: f"pair row {row}: index {index[row]} out of range for "
-                                 f"role {role[row]} (n={size[row]})"))
+def _check_pair_indices(bundle: DatasetBundle, pairs: np.ndarray) -> tuple[Split, Split]:
+    """The query and candidate splits of a pair array, which pairs one query
+    role with one candidate role.  Raise ValueError naming the first pair
+    row, in array order, whose roles differ from row 0's or whose query or
+    candidate index lies outside its split; a role the bundle lacks raises
+    KeyError."""
+    # Row 0 names the roles; any split serves a pair array without rows.
+    (query_role, cand_role), = pairs[["query_role", "cand_role"]][:1].tolist() or [("T", "T")]
+    for role in (query_role, cand_role):
+        if role not in bundle.splits:
+            raise KeyError(f"unknown role {role!r}")
+    queries, cands = bundle.splits[query_role], bundle.splits[cand_role]
+    rules = [((pairs["query_role"] != query_role) | (pairs["cand_role"] != cand_role),
+              lambda row: f"pair row {row}: roles {pairs['query_role'][row]}/"
+                          f"{pairs['cand_role'][row]}, but row 0 pairs {query_role}/"
+                          f"{cand_role}; a pair set holds one role pair")]
+    for role, n, index in ((query_role, len(queries), pairs["query_index"]),
+                           (cand_role, len(cands), pairs["cand_index"])):
+        rules.append(((index < 0) | (index >= n), lambda row, role=role, n=n, index=index:
+                      f"pair row {row}: index {index[row]} out of range for role {role} "
+                      f"(n={n})"))
     check_rows(rules)
+    return queries, cands
 
 
 def triplet_table(bundle: DatasetBundle, pair_set: PairSet) -> TripletTable:
     """Fuse every pair of every anchor that has both positives and
     negatives, anchors in first-appearance order and each anchor's rows in
-    pair-set order.  Every pair row's indices are checked first, including
-    the rows of anchors that are left out."""
-    _check_pair_indices(bundle, pair_set.pairs)
+    pair-set order.  Every pair row's roles and indices are checked first,
+    including the rows of anchors that are left out."""
+    queries, cands = _check_pair_indices(bundle, pair_set.pairs)
     is_pos = pair_set.pairs["label"] == 1
     runs = [np.sort(run) for run in query_runs(pair_set.pairs)
             if is_pos[run].any() and not is_pos[run].all()]
@@ -439,7 +447,8 @@ def triplet_table(bundle: DatasetBundle, pair_set: PairSet) -> TripletTable:
     positions = np.split(np.arange(len(pairs)), np.cumsum([len(run) for run in runs[:-1]]))
     anchor_rows = [(rows[pos[rows]], rows[~pos[rows]]) for rows in positions]
     return TripletTable(range(len(runs)), anchor_rows, pairs,
-                        *pair_arrays(_pair_records(bundle, pairs), bundle.dims))
+                        *fuse(queries, pairs["query_index"], cands, pairs["cand_index"],
+                              bundle.dims))
 
 
 def _loss_forward(model: VerifierModel, gx, px, present, pos_index, neg_index,
@@ -515,14 +524,15 @@ class ValidationSet(NamedTuple):
 def validation_set(bundle: DatasetBundle, valid_pairs: PairSet,
                    ranking_Q: int) -> ValidationSet:
     """Group ``valid_pairs`` by query and fuse every prefix once.  Every
-    pair row's indices are checked first, including the rows of queries
-    without a positive, which are left out."""
+    pair row's roles and indices are checked first, including the rows of
+    queries without a positive, which are left out."""
     pairs = valid_pairs.pairs
-    _check_pair_indices(bundle, pairs)
+    queries, gallery = _check_pair_indices(bundle, pairs)
     runs = [pairs[run] for run in query_runs(pairs) if (pairs["label"][run] == 1).any()]
     prefixes = np.concatenate([pairs[:0], *(run[:ranking_Q] for run in runs)])
     return ValidationSet([(run["label"] == 1).astype(np.int64) for run in runs], ranking_Q,
-                         *pair_arrays(_pair_records(bundle, prefixes), bundle.dims))
+                         *fuse(queries, prefixes["query_index"], gallery,
+                               prefixes["cand_index"], bundle.dims))
 
 
 def validation_rank1(model: VerifierModel, valid: ValidationSet,

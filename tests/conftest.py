@@ -175,6 +175,15 @@ def oracle_scores(model, query, cand):
     return (sim_g if sim_s is None else sim_s), sim_g, sim_s, contrib
 
 
+def pairwise(score):
+    """A scorer of the ``prefix_scores`` protocol that calls ``score(query
+    record, candidate record)`` once per pair it is passed."""
+    def scorer(queries, query_index, gallery, gallery_index):
+        return np.array([float(score(queries[q], gallery[g])) for q, g
+                         in zip(query_index.tolist(), gallery_index.tolist())])
+    return scorer
+
+
 #: One row of a pair array as a tuple with named fields.
 PairRow = namedtuple("PairRow", PAIR_HEADER)
 

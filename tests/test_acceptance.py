@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import (SCENARIO, eligible_orders, oracle_metrics, oracle_scores,
-                      pair_records, random_bundle)
+                      pair_records, pairwise, random_bundle)
 from rvrank.datastore import build_bundle
 from rvrank.evaluation import evaluate, sweep_L
 from rvrank.reranker import (
@@ -278,7 +278,7 @@ def test_reciprocal_free_instance_and_full_blend_change_nothing():
 
 
 def test_scoring_cost_is_window_bounded_and_linear():
-    """The window stage calls the scorer exactly min(Q, eligible) times per
+    """The window stage passes the scorer exactly min(Q, eligible) pairs per
     query, and wall-clock time over 100/400/1600 queries fits a straight
     line with R^2 > 0.99."""
     # Exact call counting on a bundle with deliberately uneven eligibility.
@@ -301,7 +301,7 @@ def test_scoring_cost_is_window_bounded_and_linear():
 
     for q_depth in (12, 20):
         calls.clear()
-        rerank_pipeline(bundle, counting,
+        rerank_pipeline(bundle, pairwise(counting),
                         RankingConfig(P=30, L=5, Q=q_depth),
                         stages=("window",))
         for query in bundle.splits["Q"]:

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import json
 import shutil
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rvrank
 from rvrank.cli import main
-from rvrank.datastore import load_bundle
+from rvrank.datastore import Split, load_bundle
 from rvrank.evaluation import evaluate, read_sweep_csv
 from rvrank.reranker import RankingConfig, read_ranked_csv, rerank_pipeline
 from rvrank.verifier import VerifierModel, save_model
@@ -58,7 +61,7 @@ def workspace(tmp_path_factory):
 
 def test_all_artifacts_exist(workspace):
     for name in ("data/meta.csv", "data/features.bin", "data/parts.bin",
-                 "data/groundtruth.json", "data/features.bin.config.json",
+                 "data/features.bin.config.json",
                  "candidates.csv", "pairs/train_pairs.csv",
                  "pairs/valid_pairs.csv", "pairs/test_pairs.csv",
                  "model/model.bin", "model/model.bin.config.json",
@@ -137,6 +140,39 @@ def test_explain_prints_per_part_contributions(workspace, capsys):
     assert "parts:" in out
 
 
+def test_image_records_are_named_only_by_datastore_and_verifier():
+    package = Path(rvrank.__file__).parent
+    assert sorted(path.name for path in package.glob("*.py")
+                  if "ImageRecord" in path.read_text()) == ["datastore.py", "verifier.py"]
+
+
+def test_only_fuse_builds_image_records(workspace, tmp_path, monkeypatch):
+    """Every record a command builds, it builds through ``verifier.fuse``."""
+    builders = set()
+    index_split = Split.__getitem__
+
+    def spy(split, i):
+        if not isinstance(i, slice):
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "<listcomp>":
+                caller = caller.f_back
+            builders.add((Path(caller.f_code.co_filename).name, caller.f_code.co_name))
+        return index_split(split, i)
+
+    monkeypatch.setattr(Split, "__getitem__", spy)
+    data, model = workspace / "data", str(workspace / "model" / "model.bin")
+    bundle_flags = ["--meta", str(data / "meta.csv"), "--features", str(data / "features.bin"),
+                    "--parts", str(data / "parts.bin")]
+    for argv in (train_argv(workspace, tmp_path / "model"),
+                 ["rerank", *bundle_flags, "--model", model, "--out", str(tmp_path / "r.csv"),
+                  "--P", "10", "--L", "5", "--Q", "10", "--k1", "5", "--k2", "2"],
+                 ["sweep-l", *bundle_flags, "--model", model, "--out", str(tmp_path / "s.csv"),
+                  "--L-values", "1,3", "--P", "10", "--Q", "10"],
+                 ["explain", *bundle_flags, "--model", model, "--query-index", "1"]):
+        assert main(argv) == 0, argv[0]
+    assert builders == {("verifier.py", "fuse")}
+
+
 @pytest.mark.parametrize("index", ["-1", "9999"])
 def test_explain_rejects_an_out_of_range_query_index(workspace, capsys, index):
     data = workspace / "data"
@@ -156,7 +192,7 @@ def test_synth_is_deterministic_across_directories(tmp_path):
             "--part-dim", "3", "--part-count", "4"]
     assert main(["synth", "--out", str(tmp_path / "a"), *args]) == 0
     assert main(["synth", "--out", str(tmp_path / "b"), *args]) == 0
-    for name in ("meta.csv", "features.bin", "parts.bin", "groundtruth.json"):
+    for name in ("meta.csv", "features.bin", "parts.bin"):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         # the metadata comment echoes --out, which legitimately differs
@@ -223,8 +259,29 @@ def test_candidates_made_for_other_roles_fail_the_rerank(workspace, tmp_path, ca
                "--out", str(out), "--P", "10"])
     assert rc == 1
     assert capsys.readouterr().err == (
-        f"error: {valid_pairs}: holds pairs of roles VQ/VG, but rerank got "
-        "--query-role Q --gallery-role G\n")
+        f"error: --candidates {valid_pairs}: holds pairs of roles VQ/VG, but --candidates "
+        "takes Q/G pairs\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("train_file, valid_file, message", [
+    ("valid", "train", "--train-pairs {valid}: holds pairs of roles VQ/VG, but "
+                       "--train-pairs takes T/T pairs"),
+    ("train", "test", "--valid-pairs {test}: holds pairs of roles Q/G, but "
+                      "--valid-pairs takes VQ/VG pairs"),
+    ("train", "train", "--valid-pairs {train}: holds pairs of roles T/T, but "
+                       "--valid-pairs takes VQ/VG pairs"),
+], ids=["swapped", "test as valid", "train as valid"])
+def test_pair_files_of_other_roles_fail_the_train(workspace, tmp_path, capsys,
+                                                  train_file, valid_file, message):
+    pairs = {name: str(workspace / "pairs" / f"{name}_pairs.csv")
+             for name in ("train", "valid", "test")}
+    out = tmp_path / "model"
+    argv = train_argv(workspace, out)
+    argv[argv.index("--train-pairs") + 1] = pairs[train_file]
+    argv[argv.index("--valid-pairs") + 1] = pairs[valid_file]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message.format(**pairs)}\n"
     assert not out.exists()
 
 
@@ -469,6 +526,23 @@ def test_train_rejects_a_window_or_depth_below_one(workspace, tmp_path, capsys, 
     assert main(train_argv(workspace, out, "--L", L, "--Q", Q)) == 1
     assert capsys.readouterr().err == f"error: --L and --Q must be >= 1, got L={L} Q={Q}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("retrieve", ["--out", "out.csv", "--P", "0"], "--P must be >= 1, got 0"),
+    ("explain", ["--model", "none.bin", "--query-index", "0", "--limit", "0"],
+     "--limit must be >= 1, got 0"),
+    ("eval", ["--ranked", "none.csv", "--out", "out.json", "--k-max", "0"],
+     "--k-max must be >= 1, got 0"),
+])
+def test_a_count_below_one_fails_before_any_input_is_read(tmp_path, capsys, monkeypatch,
+                                                          command, flags, message):
+    # Every input is missing: reading any of them would report that instead.
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--meta", "none.csv", "--features", "none.bin", "--parts", "none.bin"]
+    assert main(argv + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("P", ["0", "-3"])

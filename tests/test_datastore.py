@@ -611,7 +611,7 @@ def outcome(read, path):
     if isinstance(got, tuple):  # read_csv's columns and line numbers
         columns, lines = got
         return [(c.dtype.str, c.tolist() if c.dtype.kind == "U" else c.tobytes())
-                for c in columns], lines.tolist()
+                for c in columns], list(lines)
     if isinstance(got, dict):  # a bundle's splits
         return {role: (s.identity.tolist(), s.cloth.tolist(), s.camera.tolist())
                 for role, s in got.items()}
@@ -656,6 +656,15 @@ class TestCsvBytePath:
         assert role.tolist() == ["Q", "Q"]
         with pytest.raises(ValueError, match="line 2: unknown role 'XYZ'"):
             read_pairs_csv(path)
+
+    @pytest.mark.parametrize("name", sorted(BYTE_PATH))
+    def test_a_written_file_numbers_its_rows_with_a_range(self, tmp_path, name):
+        header, kinds, _ = FORMATS[name.split("/")[0]]
+        path = tmp_path / "file.csv"
+        path.write_bytes(CASES[name])
+        _, lines = datastore.read_csv(path, header, kinds)
+        head = CASES[name].count(b"\n") - len(lines)
+        assert isinstance(lines, range) and lines == range(head + 1, head + 1 + len(lines))
 
     def test_a_written_metadata_file_takes_the_byte_path(self, tmp_path, monkeypatch):
         bundle, _ = generate(SynthConfig(n_identities=5, seed=8))
@@ -746,7 +755,9 @@ class TestCsvBlocks:
         with PeakMemory() as peak:
             columns, lines = read_ranked_columns(path)
         # The provenance is one string, broadcast.
-        held = sum(c.nbytes for c in columns if c.strides != (0,)) + lines.nbytes
+        # The line numbers are a range: rows of a written file are consecutive lines.
+        assert isinstance(lines, range)
+        held = sum(c.nbytes for c in columns if c.strides != (0,))
         beyond = peak.bytes - path.stat().st_size - held
         assert beyond < 8 * 2 ** 20, f"{beyond / 2 ** 20:.1f} MB"
 

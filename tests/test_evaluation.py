@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import eligible_orders, oracle_metrics, random_bundle
+from conftest import eligible_orders, oracle_metrics, pairwise, random_bundle
 from rvrank.datastore import build_bundle
 from rvrank.evaluation import (
     SWEEP_HEADER,
@@ -196,7 +196,7 @@ class TestSweep:
             return table[key]
 
         cfg = RankingConfig(P=20, L=10, Q=15)
-        rows = sweep_L(bundle, scorer, cfg, [1, 4])
+        rows = sweep_L(bundle, pairwise(scorer), cfg, [1, 4])
         base = rerank_pipeline(bundle, None, cfg, stages=())
         report = evaluate(bundle, base, k_max=10)
         assert rows[0] == (1, report.cmc[0], report.cmc[9])
@@ -204,7 +204,7 @@ class TestSweep:
     def test_rows_follow_the_requested_order(self):
         rng = np.random.default_rng(59)
         bundle = random_bundle(rng, n_query=4, n_gallery=16)
-        rows = sweep_L(bundle, lambda q, g: 0.0, RankingConfig(P=16, Q=12),
+        rows = sweep_L(bundle, pairwise(lambda q, g: 0.0), RankingConfig(P=16, Q=12),
                        [7, 2, 9])
         assert [r[0] for r in rows] == [7, 2, 9]
 
@@ -220,7 +220,7 @@ class TestSweep:
             same = bundle.splits["G"][cand.index].identity == query.identity
             return 1.0 if same else -1.0 - dist[query.index, cand.index]
 
-        rows = sweep_L(bundle, scorer, RankingConfig(P=24, Q=20),
+        rows = sweep_L(bundle, pairwise(scorer), RankingConfig(P=24, Q=20),
                        [1, 5, 10, 20])
         rank1 = [r[1] for r in rows]
         assert all(a <= b for a, b in zip(rank1, rank1[1:]))

@@ -8,11 +8,12 @@ procedure.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import PeakMemory, oracle_scores, random_bundle
+from conftest import PeakMemory, oracle_scores, pairwise, random_bundle
 from rvrank import datastore, reranker, verifier
 from rvrank.reranker import (
     RANKED_HEADER,
@@ -24,7 +25,8 @@ from rvrank.reranker import (
     window_rerank,
     write_ranked_csv,
 )
-from rvrank.retrieval import build_eval_pairs, candidates_from_pairs, distance_matrix
+from rvrank.retrieval import (build_eval_pairs, candidates_from_pairs, distance_matrix,
+                              eligible_mask)
 from rvrank.synthgen import SynthConfig, generate
 from rvrank.verifier import VerifierModel
 
@@ -314,19 +316,32 @@ class TestKReciprocal:
 
 
 class CountingScorer:
-    """Callable scorer that tallies invocations per query index."""
+    """Protocol scorer that tallies the pairs it is passed per query index
+    and keeps the index arrays of every call."""
 
     def __init__(self, rng):
         self.table = {}
         self.rng = rng
         self.calls = {}
+        self.batches = []
 
-    def __call__(self, query, cand):
-        self.calls[query.index] = self.calls.get(query.index, 0) + 1
-        key = (query.index, cand.index)
-        if key not in self.table:
-            self.table[key] = float(self.rng.normal())
-        return self.table[key]
+    def __call__(self, queries, query_index, gallery, gallery_index):
+        self.batches.append((query_index, gallery_index))
+        scores = []
+        for key in zip(query_index.tolist(), gallery_index.tolist()):
+            self.calls[key[0]] = self.calls.get(key[0], 0) + 1
+            if key not in self.table:
+                self.table[key] = float(self.rng.normal())
+            scores.append(self.table[key])
+        return np.array(scores)
+
+
+def named_queries(message):
+    """The queries a window-stage failure names, ``query N`` or ``queries A-B``."""
+    found = re.search(r"failed for (?:query (\d+)|queries (\d+)-(\d+)):", message)
+    assert found, message
+    one, first, last = found.groups()
+    return range(int(one), int(one) + 1) if one else range(int(first), int(last) + 1)
 
 
 class TestPipeline:
@@ -390,6 +405,31 @@ class TestPipeline:
                                    and g.cloth == query.cloth))
             assert scorer.calls[query.index] == min(12, eligible)
 
+    def test_a_scorer_gets_int64_chunks_and_min_q_eligible_pairs(self, monkeypatch):
+        rng = np.random.default_rng(39)
+        bundle = random_bundle(rng, n_query=6, n_gallery=14)
+        queries, gallery = bundle.splits["Q"], bundle.splits["G"]
+        monkeypatch.setattr(verifier, "SCORE_CHUNK", 5)
+        # Orders longer and shorter than the depth of 9, one of them empty.
+        orders = [rng.permutation(14)[:n] for n in (14, 9, 3, 0, 12, 8)]
+        scorer = CountingScorer(np.random.default_rng(2))
+        scores = verifier.prefix_scores(scorer, queries, gallery, orders, 9)
+        assert all(len(qi) == len(gi) <= 5 for qi, gi in scorer.batches)
+        assert all(a.dtype == np.int64 for batch in scorer.batches for a in batch)
+        assert [scorer.calls.get(qi, 0) for qi in range(6)] == \
+               [min(9, len(order)) for order in orders]
+        for qi, (order, got) in enumerate(zip(orders, scores)):
+            assert got.tolist() == [scorer.table[qi, gi] for gi in order[:9].tolist()]
+
+        # Through the pipeline: one call per chunk of the queries' prefixes.
+        scorer = CountingScorer(np.random.default_rng(3))
+        rerank_pipeline(bundle, scorer, RankingConfig(P=14, L=3, Q=9), stages=("window",))
+        depth = np.minimum(9, eligible_mask(queries, gallery).sum(axis=1))
+        assert [scorer.calls[qi] for qi in range(6)] == depth.tolist()
+        total = int(depth.sum())
+        assert [len(qi) for qi, _ in scorer.batches] == \
+               [min(5, total - start) for start in range(0, total, 5)]
+
     def test_stale_candidates_name_the_query(self):
         rng = np.random.default_rng(29)
         bundle = random_bundle(rng, n_query=3, n_gallery=10)
@@ -409,18 +449,24 @@ class TestPipeline:
                                  stages=(), candidates=cands)
         assert len(ranked) == 3
 
-    def test_scorer_failure_names_the_query(self):
+    @pytest.mark.parametrize("chunk", [256, 4])
+    def test_scorer_failure_names_the_query(self, monkeypatch, chunk):
         rng = np.random.default_rng(31)
         bundle = random_bundle(rng, n_query=3, n_gallery=8)
+        monkeypatch.setattr(verifier, "SCORE_CHUNK", chunk)
 
-        def flaky(query, cand):
-            if query.index == 2:
+        def flaky(queries, query_index, gallery, gallery_index):
+            if (query_index == 2).any():
                 raise KeyError("boom")
-            return 0.0
+            return np.zeros(len(query_index))
 
-        with pytest.raises(RuntimeError, match="query 2"):
+        with pytest.raises(RuntimeError, match="boom") as failure:
             rerank_pipeline(bundle, flaky, RankingConfig(P=8, L=2, Q=4),
                             stages=("window",))
+        named = named_queries(str(failure.value))
+        assert 2 in named
+        if chunk == 4:  # queries 0 and 1 hold 4 pairs each, so query 2 has its own call
+            assert named == range(2, 3)
 
     def test_model_scores_do_not_depend_on_the_chunking(self, monkeypatch):
         rng = np.random.default_rng(35)
@@ -429,9 +475,9 @@ class TestPipeline:
         queries, gallery = bundle.splits["Q"], bundle.splits["G"]
         # Orders longer and shorter than the depth of 9.
         orders = [rng.permutation(14)[:n] for n in (14, 9, 5, 12, 0)]
-        whole = verifier.prefix_scores(model, bundle.dims, queries, gallery, orders, 9)
+        whole = verifier.prefix_scores(model, queries, gallery, orders, 9)
         monkeypatch.setattr(verifier, "SCORE_CHUNK", 4)
-        chunked = verifier.prefix_scores(model, bundle.dims, queries, gallery, orders, 9)
+        chunked = verifier.prefix_scores(model, queries, gallery, orders, 9)
         assert len(whole) == len(chunked) == len(orders)
         for query, order, scores, again in zip(queries, orders, whole, chunked):
             assert np.array_equal(again, scores)
@@ -470,9 +516,10 @@ class TestPipeline:
         bundle = random_bundle(rng, n_query=3, n_gallery=8)
         d, dp, k = bundle.dims
         model = VerifierModel.initialize((d + 1, dp, k), 6, 6, seed=7)
-        with pytest.raises(RuntimeError, match="query 0"):
+        with pytest.raises(RuntimeError, match="window stage failed") as failure:
             rerank_pipeline(bundle, model, RankingConfig(P=8, L=2, Q=4),
                             stages=("window",))
+        assert 0 in named_queries(str(failure.value))
 
     def test_kreciprocal_sorts_no_retrieval_order(self, tmp_path, monkeypatch):
         # Full orders only: k-reciprocal's neighbour lists pass a limit.
@@ -506,7 +553,7 @@ class TestPipeline:
         cfg = RankingConfig(P=12, L=3, Q=8)
         via_model = rerank_pipeline(bundle, model, cfg, stages=("window",))
         via_callable = rerank_pipeline(
-            bundle, lambda q, g: oracle_scores(model, q, g)[0], cfg,
+            bundle, pairwise(lambda q, g: oracle_scores(model, q, g)[0]), cfg,
             stages=("window",))
         assert [rl.order.tolist() for rl in via_model] == \
                [rl.order.tolist() for rl in via_callable]

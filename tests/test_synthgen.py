@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
+from rvrank.cli import main
 from rvrank.datastore import validate_bundle, write_bundle
 from rvrank.evaluation import evaluate
 from rvrank.reranker import RankingConfig, rerank_pipeline
 from rvrank.synthgen import (
     SynthConfig,
     generate,
-    load_groundtruth,
     oracle_scorer,
     split_identity_counts,
-    write_groundtruth,
 )
 
 
@@ -89,11 +91,10 @@ class TestDeterminism:
     def test_same_seed_is_byte_identical_on_disk(self, tmp_path):
         for sub in ("a", "b"):
             (tmp_path / sub).mkdir()
-            bundle, truth = generate(SynthConfig(n_identities=9, seed=12))
+            bundle, _ = generate(SynthConfig(n_identities=9, seed=12))
             write_bundle(bundle, tmp_path / sub / "meta.csv",
                          tmp_path / sub / "feat.bin", tmp_path / sub / "parts.bin")
-            write_groundtruth(tmp_path / sub / "truth.json", truth)
-        for name in ("meta.csv", "feat.bin", "parts.bin", "truth.json"):
+        for name in ("meta.csv", "feat.bin", "parts.bin"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
 
@@ -104,29 +105,41 @@ class TestDeterminism:
                    for role in a.splits)
 
 
-class TestGroundTruthFile:
-    def test_round_trip(self, tmp_path):
-        _, truth = generate(SynthConfig(n_identities=9, seed=21))
-        path = tmp_path / "truth.json"
-        write_groundtruth(path, truth)
-        back = load_groundtruth(path)
-        assert back.config == truth.config
-        assert back.split_of_identity == truth.split_of_identity
-        assert back.group_of_identity == truth.group_of_identity
-        np.testing.assert_array_equal(back.detail_vectors, truth.detail_vectors)
+class TestGroundTruth:
+    def test_a_synth_directory_regenerates_from_its_config(self, tmp_path):
+        # The recorded config fixes the bundle, and so the planted truth
+        # generate() returns with it.
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--n-identities", "9", "--seed", "21",
+                     "--part-count", "4", "--part-dropout", "0.3"]) == 0
+        recorded = json.loads((data / "features.bin.config.json").read_text())["config"]
+        config = SynthConfig(**{f.name: recorded[f.name]
+                                for f in dataclasses.fields(SynthConfig)})
+        bundle, _ = generate(config)
+        again = tmp_path / "again"
+        again.mkdir()
+        write_bundle(bundle, again / "meta.csv", again / "features.bin", again / "parts.bin")
+        for name in ("meta.csv", "features.bin", "parts.bin"):
+            got, want = ((d / name).read_bytes() for d in (again, data))
+            if name == "meta.csv":  # the synth file leads with its config comment
+                want = want.split(b"\n", 1)[1]
+            assert got == want, name
+        assert sorted(p.name for p in data.iterdir()) == [
+            "features.bin", "features.bin.config.json", "meta.csv", "parts.bin",
+            "parts.bin.config.json"]
 
     def test_oracle_scorer_pins_same_identity_to_one(self):
         bundle, truth = generate(SynthConfig(n_identities=9, seed=22))
         score = oracle_scorer(truth)
         queries = bundle.splits["Q"]
         gallery = bundle.splits["G"]
-        for q in queries[:4]:
-            for g in gallery:
-                s = score(q, g)
-                if g.identity == q.identity:
-                    assert s == 1.0
-                else:
-                    assert s < 1.0
+        query_index = np.repeat(np.arange(4), len(gallery))
+        gallery_index = np.tile(np.arange(len(gallery)), 4)
+        s = score(queries, query_index, gallery, gallery_index)
+        same = queries.identity[query_index] == gallery.identity[gallery_index]
+        assert same.any() and not same.all()
+        assert (s[same] == 1.0).all()
+        assert (s[~same] < 1.0).all()
 
 
 class TestDifficulty:

@@ -222,6 +222,23 @@ def small_training_setup(seed=0, epochs=4, **hyper):
     return model, bundle, train_pairs, valid_pairs
 
 
+@pytest.mark.parametrize("side", ["query_role", "cand_role"])
+@pytest.mark.parametrize("builder", ["triplet_table", "validation_set"])
+def test_a_pair_set_of_mixed_roles_is_rejected_naming_the_row(builder, side):
+    _, bundle, train_pairs, valid_pairs = small_training_setup()
+    if builder == "triplet_table":
+        pairs, build, roles = train_pairs.pairs.copy(), triplet_table, ["T", "T"]
+    else:
+        pairs, build, roles = valid_pairs.pairs.copy(), \
+            lambda b, p: validation_set(b, p, 20), ["VQ", "VG"]
+    pairs["query_index"][9] = -1  # a later fault: the first row is named
+    pairs[side][5] = other = "Q" if side == "query_role" else "G"
+    roles_5 = "/".join([other, roles[1]] if side == "query_role" else [roles[0], other])
+    with pytest.raises(ValueError, match=f"pair row 5: roles {roles_5}, but row 0 pairs "
+                                         f"{'/'.join(roles)}; a pair set holds one role pair"):
+        build(bundle, PairSet(pairs))
+
+
 def oracle_triplet_loss(model, bundle, table, pos_index, neg_index, margin):
     """Scalar-loop (global term, part term) over table-row triplets."""
     def scores(row):
