@@ -167,13 +167,13 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ValueError(f"--L and --Q must be >= 1, got L={args.L} Q={args.Q}")
     # Validation re-ranks as rerank does, L clamped to Q (P plays no part).
     window = RankingConfig(P=args.Q, L=args.L, Q=args.Q).clamped()
+    hyper = TrainConfig(margin=args.margin, learning_rate=args.lr,
+                        epochs=args.epochs, batch_size=args.batch_size)
     bundle = _load_bundle_args(args)
     train_pairs = read_pairs_csv(args.train_pairs)
     _check_pair_roles("--train-pairs", args.train_pairs, train_pairs.pairs, ("T", "T"))
     valid_pairs = read_pairs_csv(args.valid_pairs)
     _check_pair_roles("--valid-pairs", args.valid_pairs, valid_pairs.pairs, ("VQ", "VG"))
-    hyper = TrainConfig(margin=args.margin, learning_rate=args.lr,
-                        epochs=args.epochs, batch_size=args.batch_size)
     model = VerifierModel.initialize(bundle.dims, hidden_global=args.hidden_global,
                                      hidden_part=args.hidden_part, seed=args.seed,
                                      hyper=hyper)

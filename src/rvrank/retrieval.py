@@ -235,18 +235,27 @@ def write_pairs_csv(path: str | Path, pair_set: PairSet,
 
 
 def read_pairs_csv(path: str | Path) -> PairSet:
-    """Read a pair set; an unknown role or a label other than 0 or 1 raises
-    ValueError naming the file and line."""
+    """Read a pair set; an unknown role, a label other than 0 or 1 or a
+    repeated (query role, query index, candidate role, candidate index)
+    raises ValueError naming the file and line."""
     path = Path(path)
     columns, lines = read_csv(path, PAIR_HEADER, (str, int, int, str, int, float, int))
-    qr, cr, label = columns[0], columns[3], columns[6]
+    qr, qi, cr, ci, label = (columns[i] for i in (0, 1, 3, 4, 6))
+    keys = (qr, qi, cr, ci)
+    order = np.lexsort(keys[::-1])  # stable: a repeated pair's rows stay in file order
+    repeat = np.zeros(len(order), dtype=bool)
+    repeat[order[1:]] = np.logical_and.reduce([k[order][1:] == k[order][:-1] for k in keys])
     check_rows([
         (~np.isin(qr, ROLES) | ~np.isin(cr, ROLES), lambda i: (
             f"{path}: line {lines[i]}: unknown role "
             f"{str(qr[i] if qr[i] not in ROLES else cr[i])!r} "
             f"(expected one of {', '.join(ROLES)})")),
         ((label != 0) & (label != 1),
-         lambda i: f"{path}: line {lines[i]}: label must be 0 or 1, got {label[i]}")])
+         lambda i: f"{path}: line {lines[i]}: label must be 0 or 1, got {label[i]}"),
+        (repeat, lambda i: (
+            f"{path}: line {lines[i]}: repeats the pair of line "
+            f"{lines[np.logical_and.reduce([k == k[i] for k in keys]).argmax()]} "
+            f"({qr[i]} {qi[i]} -> {cr[i]} {ci[i]})"))])
     pairs = np.empty(len(lines), dtype=PAIR_DTYPE)
     for name, column in zip(PAIR_HEADER, columns):
         pairs[name] = column

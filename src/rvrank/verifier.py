@@ -50,8 +50,9 @@ SCORE_CHUNK = 256
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters.  ``batch_size`` must be at least 1, and
-    every count an RVM1 checkpoint stores as u32 must fit in one."""
+    """Training hyperparameters.  ``margin``, ``learning_rate`` and
+    ``decay_factor`` must be finite, ``batch_size`` at least 1, and every
+    count an RVM1 checkpoint stores as u32 must fit in one."""
 
     margin: float = 0.3
     learning_rate: float = 3.5e-4
@@ -61,6 +62,9 @@ class TrainConfig:
     decay_epochs: tuple[int, ...] = (30, 60)
 
     def __post_init__(self) -> None:
+        for name in ("margin", "learning_rate", "decay_factor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         counts = [("epochs", self.epochs), ("batch_size", self.batch_size),
@@ -139,6 +143,8 @@ def _weight_layout(dims: tuple[int, int, int], hidden_global: int,
     if d < 1 or dp < 0 or k < 1:
         raise ValueError(f"bad dims {dims}: need D >= 1, Dp >= 0, K >= 1")
     hg, hp = hidden_global, hidden_part
+    if hg < 0 or hp < 0:
+        raise ValueError(f"bad hidden sizes hidden_global={hg} hidden_part={hp}: need >= 0")
     return [
         ("global_hidden_w", (hg, 2 * d), 2 * d),
         ("global_hidden_b", (hg,), 2 * d),
@@ -373,37 +379,28 @@ class TripletTable(NamedTuple):
     """The fused pairs :func:`train` optimises over.
 
     Row ``r`` of ``gx``/``px``/``present`` fuses the pair ``pairs[r]``, a
-    row of the pair set's array; ``anchors`` numbers the anchors from 0 and
-    ``anchor_rows[a]`` holds anchor ``a``'s positive and negative row arrays.
-    Every anchor has at least one of each.
+    row of the pair set's array.  Anchor ``a`` (numbered from 0) owns rows
+    ``bounds[a]:bounds[a + 1]``, at least one positive and one negative,
+    and ``triplets[a]``, the (positive row, negative row) index arrays of
+    each positive with each negative, positive by positive.
     """
 
-    anchors: range
-    anchor_rows: list[tuple[np.ndarray, np.ndarray]]
+    bounds: np.ndarray
+    triplets: list[np.ndarray]
     pairs: np.ndarray
     gx: np.ndarray
     px: np.ndarray
     present: np.ndarray
 
-    def cross_indices(self, anchors) -> tuple[np.ndarray, np.ndarray]:
-        """Every positive x negative triplet of ``anchors``, anchor by
-        anchor, as (positive row, negative row) index arrays."""
-        pos_idx, neg_idx = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-        for anchor in anchors:
-            p, n = self.anchor_rows[anchor]
-            pos_idx.append(np.repeat(p, n.size))
-            neg_idx.append(np.tile(n, p.size))
-        return np.concatenate(pos_idx), np.concatenate(neg_idx)
-
-    def batch(self, anchors):
-        """One SGD batch: ``(gx, px, present, pos_index, neg_index)`` over
-        just the rows the anchors' triplets use, in table order."""
-        pos_idx, neg_idx = self.cross_indices(anchors)
-        rows = np.unique(np.concatenate([pos_idx, neg_idx]))
-        remap = np.zeros(len(self.pairs), dtype=np.intp)
-        remap[rows] = np.arange(rows.size)
-        return (self.gx[rows], self.px[rows], self.present[rows],
-                remap[pos_idx], remap[neg_idx])
+    def batch(self, anchors: np.ndarray):
+        """One SGD batch ``(gx, px, present, pos_index, neg_index)``: the
+        anchors' rows in table order, and their triplets in the order the
+        anchors are given, numbered by those rows."""
+        rows = np.concatenate([np.arange(*self.bounds[a:a + 2]) for a in np.sort(anchors)])
+        # The rows ascend, and each anchor's triplets use every row it owns.
+        pos_index, neg_index = np.searchsorted(
+            rows, np.concatenate([self.triplets[a] for a in anchors], axis=1))
+        return self.gx[rows], self.px[rows], self.present[rows], pos_index, neg_index
 
 
 def _check_pair_indices(bundle: DatasetBundle, pairs: np.ndarray) -> tuple[Split, Split]:
@@ -444,9 +441,10 @@ def triplet_table(bundle: DatasetBundle, pair_set: PairSet) -> TripletTable:
         raise ValueError("no usable anchors: every anchor lacks positives or negatives")
     pairs = pair_set.pairs[np.concatenate(runs)]
     pos = pairs["label"] == 1
-    positions = np.split(np.arange(len(pairs)), np.cumsum([len(run) for run in runs[:-1]]))
-    anchor_rows = [(rows[pos[rows]], rows[~pos[rows]]) for rows in positions]
-    return TripletTable(range(len(runs)), anchor_rows, pairs,
+    bounds = np.cumsum([0, *map(len, runs)])
+    triplets = [np.stack(np.meshgrid(rows[pos[rows]], rows[~pos[rows]], indexing="ij"))
+                .reshape(2, -1) for rows in np.split(np.arange(len(pairs)), bounds[1:-1])]
+    return TripletTable(bounds, triplets, pairs,
                         *fuse(queries, pairs["query_index"], cands, pairs["cand_index"],
                               bundle.dims))
 
@@ -455,13 +453,11 @@ def _loss_forward(model: VerifierModel, gx, px, present, pos_index, neg_index,
                   margin: float):
     sg, cache_g = _forward_global(model, gx)
     sp, _, valid, cache_p = _forward_parts(model, px, present)
-    zg = sg[neg_index] - sg[pos_index] + margin
-    hg = np.maximum(zg, 0.0)
+    hg = np.maximum(sg[neg_index] - sg[pos_index] + margin, 0.0)
+    # A triplet with a pair that has no sim_S has no part term.
     part_ok = valid[pos_index] & valid[neg_index]
-    zp = np.where(part_ok, sp[neg_index] - sp[pos_index] + margin, 0.0)
-    hp = np.where(part_ok, np.maximum(zp, 0.0), 0.0)
-    return (float(hg.sum()), float(hp.sum()), hg, hp, part_ok,
-            sg, sp, cache_g, cache_p)
+    hp = np.maximum(np.where(part_ok, sp[neg_index] - sp[pos_index] + margin, 0.0), 0.0)
+    return float(hg.sum()), float(hp.sum()), hg, hp, cache_g, cache_p
 
 
 def triplet_loss(model: VerifierModel, gx, px, present, pos_index, neg_index,
@@ -484,22 +480,16 @@ def triplet_loss_and_grads(model: VerifierModel, gx, px, present, pos_index,
 
     At a hinge kink (activation exactly 0) the subgradient 0 is used.
     """
-    lg, lp, hg, hp, part_ok, sg, sp, cache_g, cache_p = _loss_forward(
-        model, gx, px, present, pos_index, neg_index, margin)
+    lg, lp, hg, hp, cache_g, cache_p = _loss_forward(model, gx, px, present, pos_index,
+                                                      neg_index, margin)
     grad = np.zeros_like(model.params)
     grads = model.views(grad)
-
-    dsg = np.zeros_like(sg)
-    active = hg > 0.0
-    np.add.at(dsg, neg_index[active], 1.0)
-    np.add.at(dsg, pos_index[active], -1.0)
-    _backward_global(model, cache_g, dsg, grads)
-
-    dsp = np.zeros_like(sg)
-    active_p = (hp > 0.0) & part_ok
-    np.add.at(dsp, neg_index[active_p], 1.0)
-    np.add.at(dsp, pos_index[active_p], -1.0)
-    _backward_parts(model, cache_p, dsp, grads)
+    for hinge, backward, cache in ((hg, _backward_global, cache_g),
+                                   (hp, _backward_parts, cache_p)):
+        ds = np.zeros(len(gx))
+        np.add.at(ds, neg_index[hinge > 0.0], 1.0)
+        np.add.at(ds, pos_index[hinge > 0.0], -1.0)
+        backward(model, cache, ds, grads)
     return (lg + lp, lg, lp), grad
 
 
@@ -607,11 +597,11 @@ def train(model: VerifierModel, bundle: DatasetBundle, train_pairs: PairSet,
             progress(stats)
 
     record(0, triplet_loss(model, table.gx, table.px, table.present,
-                           *table.cross_indices(table.anchors), config.margin))
+                           *np.concatenate(table.triplets, axis=1), config.margin))
     rng = np.random.default_rng([model.seed, 1])
     for epoch in range(1, config.epochs + 1):
         lr = _learning_rate(config, epoch)
-        order = rng.permutation(len(table.anchors))
+        order = rng.permutation(len(table.triplets))
         total = np.zeros(3)
         for start in range(0, len(order), config.batch_size):
             chunk = order[start:start + config.batch_size]

@@ -573,3 +573,54 @@ def test_candidates_for_queries_the_bundle_lacks_fail_the_rerank(workspace, tmp_
         f"error: candidate list for query {n_queries + 7}, but the bundle has "
         f"{n_queries} Q queries\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "rerank"])
+def test_a_repeated_pair_row_fails_the_read_naming_both_lines(workspace, tmp_path, capsys,
+                                                              command):
+    data, name = workspace / "data", f"{'train' if command == 'train' else 'test'}_pairs.csv"
+    lines = (workspace / "pairs" / name).read_text().splitlines(keepends=True)
+    assert lines[0].startswith("# config:") and lines[1].startswith("query_role")
+    bad = tmp_path / name
+    bad.write_text("".join(lines[:3] + lines[2:]))  # line 4 repeats line 3
+    qr, qi, _, cr, ci, *_ = lines[2].split(",")
+    out = tmp_path / "out"
+    if command == "train":
+        argv = train_argv(workspace, out)
+        argv[argv.index("--train-pairs") + 1] = str(bad)
+    else:
+        argv = ["rerank", "--meta", str(data / "meta.csv"),
+                "--features", str(data / "features.bin"), "--parts", str(data / "parts.bin"),
+                "--candidates", str(bad), "--stages", "none", "--out", str(out),
+                "--P", "10", "--L", "5", "--Q", "10"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 4: repeats the pair of line 3 ({qr} {qi} -> {cr} {ci})\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lr", "inf", "learning_rate must be finite, got inf"),
+    ("--margin", "nan", "margin must be finite, got nan"),
+    ("--batch-size", "0", "batch_size must be at least 1, got 0"),
+])
+def test_untrainable_hyperparameters_fail_before_any_input_is_read(tmp_path, capsys,
+                                                                  monkeypatch, flag, value,
+                                                                  message):
+    # Every input is missing: reading any of them would report that instead.
+    monkeypatch.chdir(tmp_path)
+    argv = ["train", "--meta", "none.csv", "--features", "none.bin", "--train-pairs",
+            "none.csv", "--valid-pairs", "none.csv", "--out", "model", flag, value]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, sizes", [(["--hidden-part", "-1"], "4 hidden_part=-1"),
+                                          (["--hidden-global", "-2"], "-2 hidden_part=4")])
+def test_a_negative_hidden_size_is_named(workspace, tmp_path, capsys, flags, sizes):
+    out = tmp_path / "model"
+    assert main(train_argv(workspace, out, *flags)) == 1
+    assert capsys.readouterr().err == (
+        f"error: bad hidden sizes hidden_global={sizes}: need >= 0\n")
+    assert not out.exists()

@@ -259,8 +259,8 @@ class TestBatchLoss:
         model, bundle, train_pairs, _ = small_training_setup()
         table = triplet_table(bundle, train_pairs)
         for start in (0, 4, 8):
-            anchors = table.anchors[start:start + 4]
-            pos, neg = table.cross_indices(anchors)
+            anchors = np.arange(start, start + 4)
+            pos, neg = np.concatenate([table.triplets[a] for a in anchors], axis=1)
             total, lg, lp = triplet_loss(model, table.gx, table.px,
                                          table.present, pos, neg, 0.3)
             want_g, want_p = oracle_triplet_loss(model, bundle, table, pos, neg, 0.3)
@@ -273,12 +273,53 @@ class TestBatchLoss:
             np.testing.assert_allclose([b_total, b_lg, b_lp], [total, lg, lp],
                                        rtol=1e-12)
 
+    @staticmethod
+    def cross_product_batch(table, anchors):
+        """The batch as it was built per call before the table stored its
+        triplets: each anchor's rows found from the query index, its positive
+        x negative cross product by ``np.repeat``/``np.tile``, the rows the
+        triplets use by ``np.unique``, and a table-length remap into them."""
+        qi = table.pairs["query_index"]
+        starts = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
+        ends = np.r_[starts[1:], len(qi)]
+        pos_idx, neg_idx = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        for anchor in anchors:
+            rows = np.arange(starts[anchor], ends[anchor])
+            is_pos = table.pairs["label"][rows] == 1
+            p, n = rows[is_pos], rows[~is_pos]
+            pos_idx.append(np.repeat(p, n.size))
+            neg_idx.append(np.tile(n, p.size))
+        pos_idx, neg_idx = np.concatenate(pos_idx), np.concatenate(neg_idx)
+        rows = np.unique(np.concatenate([pos_idx, neg_idx]))
+        remap = np.zeros(len(table.pairs), dtype=np.intp)
+        remap[rows] = np.arange(rows.size)
+        return (table.gx[rows], table.px[rows], table.present[rows],
+                remap[pos_idx], remap[neg_idx])
+
+    def test_batch_matches_the_per_call_cross_product(self):
+        _, bundle, train_pairs, _ = small_training_setup()
+        # Shuffled rows interleave positives and negatives within each anchor.
+        pairs = train_pairs.pairs[np.random.default_rng(7).permutation(len(train_pairs.pairs))]
+        table = triplet_table(bundle, PairSet(pairs))
+        labels = [table.pairs["label"][a:b] for a, b in zip(table.bounds[:-1], table.bounds[1:])]
+        assert any((np.diff(label) > 0).any() for label in labels)
+        n_anchors = len(labels)
+        rng = np.random.default_rng(8)
+        chunks = [rng.choice(n_anchors, size, replace=False) for size in (1, 3, 16)]
+        chunks += [np.sort(rng.choice(n_anchors, 5, replace=False))[::-1],
+                   np.arange(n_anchors), rng.permutation(n_anchors)]
+        for anchors in chunks:
+            got, want = table.batch(anchors), self.cross_product_batch(table, anchors)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
     def test_triplet_count_is_the_cross_product(self):
         _, bundle, train_pairs, _ = small_training_setup()
         grouped = oracle_groups(train_pairs.pairs)
         table = triplet_table(bundle, train_pairs)
-        got = sum(len(table.cross_indices(table.anchors[i:i + 3])[0])
-                  for i in range(0, len(table.anchors), 3))
+        n_anchors = len(table.triplets)
+        got = sum(len(table.batch(np.arange(i, min(i + 3, n_anchors)))[3])
+                  for i in range(0, n_anchors, 3))
         want = sum(sum(1 for p in plist if p.label == 1) *
                    sum(1 for p in plist if p.label == 0)
                    for plist in grouped.values())
@@ -292,20 +333,20 @@ class TestBatchLoss:
         lonely = pairs["query_index"][0]
         pairs = pairs[(pairs["query_index"] != lonely) | (pairs["label"] == 1)]
         table = triplet_table(bundle, PairSet(pairs))
-        want_rows, want_anchor_rows = [], []
+        want_rows, want_bounds, want_triplets = [], [0], []
         for plist in oracle_groups(pairs).values():
             if {p.label for p in plist} != {0, 1}:
                 continue
             start = len(want_rows)
             want_rows += plist
-            want_anchor_rows.append(
-                ([start + i for i, p in enumerate(plist) if p.label == 1],
-                 [start + i for i, p in enumerate(plist) if p.label == 0]))
-        assert len(want_anchor_rows) == len(oracle_groups(pairs)) - 1
+            want_bounds.append(len(want_rows))
+            pos = [start + i for i, p in enumerate(plist) if p.label == 1]
+            neg = [start + i for i, p in enumerate(plist) if p.label == 0]
+            want_triplets.append(([p for p in pos for _ in neg], neg * len(pos)))
+        assert len(want_triplets) == len(oracle_groups(pairs)) - 1
         assert table.pairs.tolist() == [tuple(p) for p in want_rows]
-        assert list(table.anchors) == list(range(len(want_anchor_rows)))
-        assert [(pos.tolist(), neg.tolist()) for pos, neg in table.anchor_rows] == \
-               want_anchor_rows
+        assert table.bounds.tolist() == want_bounds
+        assert [(pos.tolist(), neg.tolist()) for pos, neg in table.triplets] == want_triplets
         gx, px, present = pair_arrays(
             [pair_records(bundle, table.pairs, r) for r in range(len(table.pairs))],
             bundle.dims)
@@ -328,7 +369,7 @@ class TestBatchLoss:
     def test_zero_margin_separable_batch_costs_nothing(self):
         model, bundle, train_pairs, _ = small_training_setup()
         table = triplet_table(bundle, train_pairs)
-        batch = table.batch(table.anchors[:4])
+        batch = table.batch(np.arange(4))
         (total, lg, lp), _ = triplet_loss_and_grads(model, *batch, -10.0)
         assert total == 0.0 and lg == 0.0 and lp == 0.0
 
@@ -338,7 +379,7 @@ class TestGradients:
         # Quick spot check; broad coverage lives in the acceptance suite.
         model, bundle, train_pairs, _ = small_training_setup(seed=3)
         table = triplet_table(bundle, train_pairs)
-        batch = table.batch(table.anchors[3:6])
+        batch = table.batch(np.arange(3, 6))
         _, analytic = triplet_loss_and_grads(model, *batch, 0.31)
 
         base = model.params.copy()
@@ -429,7 +470,7 @@ class TestChunkEdges:
     def test_loss_and_gradient_match_a_single_chunk(self, monkeypatch, chunk):
         model, _, table, _ = sparse_parts_setup()
         args = (model, table.gx, table.px, table.present,
-                *table.cross_indices(table.anchors), 0.3)
+                *np.concatenate(table.triplets, axis=1), 0.3)
         monkeypatch.setattr(verifier, "SCORE_CHUNK", len(table.pairs))
         want_losses, want_grad = triplet_loss_and_grads(*args)
         monkeypatch.setattr(verifier, "SCORE_CHUNK", chunk)
@@ -441,7 +482,7 @@ class TestChunkEdges:
     def test_gradients_across_chunks_match_central_differences(self, monkeypatch):
         model, _, table, _ = sparse_parts_setup(seed=5)
         monkeypatch.setattr(verifier, "SCORE_CHUNK", 5)
-        batch = table.batch(table.anchors[:6])
+        batch = table.batch(np.arange(6))
         assert len(batch[0]) > 4 * verifier.SCORE_CHUNK
         _, analytic = triplet_loss_and_grads(model, *batch, 0.31)
         base, h = model.params.copy(), 1e-6
@@ -462,7 +503,7 @@ class TestChunkEdges:
         bundle, _ = generate(SynthConfig(n_identities=40, seed=1))
         table = triplet_table(bundle, build_train_pairs(bundle, num_candidates=20)[0])
         model = VerifierModel.initialize(bundle.dims, seed=1)
-        pos, neg = table.cross_indices(table.anchors)
+        pos, neg = np.concatenate(table.triplets, axis=1)
         assert len(table.pairs) > 10 * verifier.SCORE_CHUNK
         with PeakMemory() as peak:
             triplet_loss(model, table.gx, table.px, table.present, pos, neg, 0.3)
@@ -704,6 +745,33 @@ class TestCheckpoint:
         with pytest.raises(ValueError) as info:
             load_model(path)
         assert str(info.value) == f"{path}: batch_size must be at least 1, got 0"
+
+    @pytest.mark.parametrize("name", ["margin", "learning_rate", "decay_factor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_a_non_finite_hyperparameter_is_named(self, tmp_path, name, value):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**{name: value})
+        assert str(info.value) == f"{name} must be finite, got {value}"
+        # The same value in a checkpoint header is rejected by name too.
+        path = tmp_path / "m.bin"
+        save_model(path, VerifierModel.initialize((4, 3, 5), 8, 7, seed=26))
+        data = bytearray(path.read_bytes())
+        # dims and seed precede margin and learning rate; the batch size
+        # precedes the decay factor.
+        at = len(MODEL_MAGIC) + struct.calcsize({"margin": "<5Iq",
+                                                 "learning_rate": "<5Iqd",
+                                                 "decay_factor": "<5Iq2d2I"}[name])
+        data[at:at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: {name} must be finite, got {value}"
+
+    def test_hidden_sizes_of_zero_save_and_load(self, tmp_path):
+        model = VerifierModel.initialize((4, 3, 5), 0, 0, seed=0)
+        path = tmp_path / "m.bin"
+        save_model(path, model)
+        assert np.array_equal(load_model(path).params, model.params.astype(np.float32))
 
 
 class TestWeightVector:
