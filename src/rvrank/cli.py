@@ -28,8 +28,9 @@ from .retrieval import (METRICS, build_eval_pairs, build_train_pairs,
 from .reranker import (RankingConfig, read_ranked_csv, rerank_pipeline,
                        write_ranked_csv)
 from .synthgen import SynthConfig, generate
-from .verifier import (TrainConfig, VerifierModel, batch_scores, fuse, load_model,
-                       part_contributions, save_model, train, write_history_csv)
+from .verifier import (TrainConfig, VerifierModel, batch_scores, check_sizes, fuse,
+                       load_model, part_contributions, save_model, train,
+                       write_history_csv)
 
 STAGE_CHOICES = {
     "none": (),
@@ -169,6 +170,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     window = RankingConfig(P=args.Q, L=args.L, Q=args.Q).clamped()
     hyper = TrainConfig(margin=args.margin, learning_rate=args.lr,
                         epochs=args.epochs, batch_size=args.batch_size)
+    check_sizes(args.hidden_global, args.hidden_part, args.seed)
     bundle = _load_bundle_args(args)
     train_pairs = read_pairs_csv(args.train_pairs)
     _check_pair_roles("--train-pairs", args.train_pairs, train_pairs.pairs, ("T", "T"))

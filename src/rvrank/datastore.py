@@ -23,7 +23,7 @@ checked over whole columns with :func:`check_rows`.
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -122,10 +122,6 @@ class DatasetBundle:
 
     splits: dict[str, Split]
     dims: tuple[int, int, int]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.dims[0]
 
 
 # ---------------------------------------------------------------------------
@@ -283,28 +279,42 @@ def read_csv(path: str | Path, header: tuple[str, ...], kinds: tuple[type, ...],
 
     Returns one 1-D array per field, typed by ``kinds`` (``int`` as int64,
     ``float`` as float64, or ``str``), and each row's file line number: a
-    ``range`` for a file the byte path reads, whose rows are consecutive
-    lines, else an int64 array.
-    Every format fault, an int64 overflow included, raises ``error`` naming
-    the file and line.  :func:`_parse_bytes` reads the body of a file as
-    this package writes it; any other file is read row by row, alike.
+    ``range`` for a file :func:`_read_body` reads, whose rows are
+    consecutive lines, else an int64 array.
+    Every format fault, an int64 overflow or a byte that is not UTF-8
+    included, raises ``error`` naming the file and line.
+    :func:`_read_body` reads the body of a file as this package writes it;
+    any other file is read row by row, alike.
     """
     path = Path(path)
-    data = path.read_bytes()
-    rows = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
-    try:
-        for raw in rows:
-            if raw and not raw[0].startswith("#"):
-                break
-        else:
-            raise error(f"{path}: missing header row")
-        if tuple(raw) != header:
-            raise error(f"{path}: line {rows.line_num}: expected header "
-                        f"{','.join(header)!r}, got {','.join(raw)!r}")
-        parsed = _parse_bytes(data, rows.line_num, kinds)
-        return parsed if parsed is not None else _read_rows(path, rows, header, kinds, error)
-    except csv.Error as exc:
-        raise error(f"{path}: line {rows.line_num}: {exc}") from None
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        rows = csv.reader(_utf8_lines(path, fh, error))
+        try:
+            for raw in rows:
+                if raw and not raw[0].startswith("#"):
+                    break
+            else:
+                raise error(f"{path}: missing header row")
+            if tuple(raw) != header:
+                raise error(f"{path}: line {rows.line_num}: expected header "
+                            f"{','.join(header)!r}, got {','.join(raw)!r}")
+            parsed = _read_body(path, rows.line_num, kinds)
+            return parsed if parsed is not None else _read_rows(path, rows, header, kinds, error)
+        except csv.Error as exc:
+            raise error(f"{path}: line {rows.line_num}: {exc}") from None
+
+
+def _utf8_lines(path: Path, fh, error: type[ValueError]):
+    """The lines of ``fh``, a text file read with ``errors="surrogateescape"``;
+    a line holding a byte that is not UTF-8 raises ``error`` naming the file
+    and line."""
+    for number, line in enumerate(fh, 1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}: line {number}: {exc}") from None
+        yield line
 
 
 def check_rows(rules: list[tuple[np.ndarray, Callable[[int], str]]],
@@ -318,127 +328,65 @@ def check_rows(rules: list[tuple[np.ndarray, Callable[[int], str]]],
         raise error(rules[k][1](row))
 
 
-#: Bytes ``repr`` writes for a float64, and the NUL padding of a field.
-_REPR_BYTES = np.zeros(256, dtype=bool)
-_REPR_BYTES[list(b"0123456789.+-einfa\0")] = True
+#: Width of a text field as :func:`_read_body` reads it.  ``np.loadtxt``
+#: cuts a wider field to this width silently, so a field this wide may have
+#: been cut, and its file goes to the row path.
+_TEXT_WIDTH = 16
 
 
-def _digit_column(body: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray | None:
-    """The integer each ``body[begin:end]`` spells, one digit place at a
-    time, or None unless all are 1 to 18 plain digits (no int64 overflow)."""
-    width = end - begin
-    places = int(width.max())
-    if width.min() < 1 or places > 18:
+def _read_body(path: Path, head_lines: int,
+               kinds: tuple[type, ...]) -> tuple[list[np.ndarray], range] | None:
+    """:func:`read_csv`'s result for the rows after the first ``head_lines``
+    lines, parsed by ``np.loadtxt``, or None to leave the file to the row
+    path.
+
+    A gate scans the rows in 1 MiB reads and counts them.  They must be
+    ASCII and end in a newline, and hold no byte at or below ``#`` but
+    newlines: no whitespace (which loadtxt strips from a number), quote,
+    ``#``, CR or NUL.  loadtxt skips blank lines, so a row count other than
+    the gate's goes to the row path, as does an empty text field or one
+    ``_TEXT_WIDTH`` wide.  A text column holding one token on every row
+    comes back as that token broadcast read-only.
+    """
+    # The head's lines are UTF-8 (read_csv checked them); the body's may not be.
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        start = sum(len(line.encode()) for line in itertools.islice(fh, head_lines))
+    rows, last = 0, ord("\n")
+    # Read as int8, every byte that is not ASCII is negative: "<= #" finds it too.
+    block = np.empty(1 << 20, dtype=np.int8)
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        while size := fh.readinto(block):
+            body = block[:size]
+            newlines = np.count_nonzero(body == ord("\n"))
+            if np.count_nonzero(body <= ord("#")) != newlines:
+                return None
+            rows, last = rows + newlines, body[-1]
+    if last != ord("\n"):
         return None
-    value = np.zeros(len(end), dtype=np.int64)
-    at = end - places
-    for place in range(places, 0, -1):
-        digit = body.take(at, mode="clip") - np.uint8(ord("0"))
-        digit[width < place] = 0  # a byte before a narrower field
-        if (digit > 9).any():
-            return None
-        value *= 10
-        value += digit
-        at += 1
-    return value
-
-
-def _padded_fields(body: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """(rows, widest) uint8: each ``body[begin:end]``, NUL-padded on the right."""
-    width = end - begin
-    text = np.zeros((len(end), int(width.max())), dtype=np.uint8)
-    for place in range(text.shape[1]):
-        text[:, place] = np.where(width > place, body.take(begin + place, mode="clip"), 0)
-    return text
-
-
-def _float_column(body: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray | None:
-    """The float64 each ``body[begin:end]`` casts to, or None unless all are
-    non-empty, cast, and hold only bytes ``repr`` writes."""
-    if (end - begin).min() < 1:
-        return None
-    text = _padded_fields(body, begin, end)
-    if not _REPR_BYTES[text].all():
-        return None
+    lines = range(head_lines + 1, head_lines + 1 + rows)
+    if not rows:  # loadtxt warns on a file without rows
+        return [np.empty(0, dtype=kind) for kind in kinds], lines
+    dtype = np.dtype([("", f"S{_TEXT_WIDTH}" if kind is str else kind) for kind in kinds])
     try:
-        return text.view(f"S{text.shape[1]}")[:, 0].astype(np.float64)
+        table = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=head_lines,
+                           comments=None, quotechar=None, ndmin=1, encoding="utf-8")
     except ValueError:
         return None
-
-
-def _text_column(body: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray | None:
-    """The str each ``body[begin:end]`` spells, or None if one is empty.
-    A column that holds one token on every row (a pair file's roles, a
-    ranking's provenance) comes back as that token broadcast read-only,
-    checked byte by byte without a copy of the column."""
-    width = end - begin
-    if width.min() < 1:
+    if len(table) != rows:
         return None
-    token = body[begin[0]:end[0]].tobytes()
-    if (width == len(token)).all():
-        at = begin.copy()
-        for byte in token:
-            if (body.take(at) != byte).any():
-                break
-            at += 1
-        else:
-            return np.broadcast_to(np.array(token.decode()), len(end))
-    text = _padded_fields(body, begin, end)
-    return text.view(f"S{text.shape[1]}")[:, 0].astype(str)
-
-
-#: Body bytes :func:`_parse_bytes` parses at once: its temporaries are O(block).
-_PARSE_BYTES = 1 << 20
-
-
-def _parse_bytes(data: bytes, head_lines: int,
-                 kinds: tuple[type, ...]) -> tuple[list[np.ndarray], range] | None:
-    """:func:`read_csv`'s result for the rows after the first ``head_lines``
-    lines, parsed from the bytes with numpy, or None to leave the file to
-    the row path.  The file must be ASCII without CR or NUL and end in a
-    newline, and its body hold no quote or ``#``, only rows of
-    ``len(kinds)`` fields.  Blocks of about ``_PARSE_BYTES`` are parsed
-    in turn, each cut just after a newline.
-    """
-    if not data.isascii() or b"\r" in data or b"\0" in data or not data.endswith(b"\n"):
-        return None
-    start = 0
-    for _ in range(head_lines):
-        start = data.index(b"\n", start) + 1
-    if data.find(b'"', start) >= 0 or data.find(b"#", start) >= 0:
-        return None
-    rows = data.count(b"\n", start)
-    lines = range(head_lines + 1, head_lines + 1 + rows)
-    if not rows:
-        return [np.empty(0, dtype=kind) for kind in kinds], lines
-    columns = [[] if kind is str else np.empty(rows, dtype=kind) for kind in kinds]
-    done = 0
-    while start < len(data):
-        stop = data.rfind(b"\n", start, start + _PARSE_BYTES) + 1 or data.index(b"\n", start) + 1
-        body = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
-        start = stop
-        # Row by row, the comma after each field but the last, then the newline.
-        ends = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
-        if len(ends) % len(kinds):
-            return None
-        ends = ends.reshape(-1, len(kinds))
-        if (body[ends[:, :-1]] != ord(",")).any() or (body[ends[:, -1]] != ord("\n")).any():
-            return None
-        for j, (kind, column) in enumerate(zip(kinds, columns)):
-            begin = ends[:, j - 1] + 1 if j else np.r_[0, ends[:-1, -1] + 1]
-            values = {int: _digit_column, float: _float_column,
-                      str: _text_column}[kind](body, begin, ends[:, j])
-            if values is None:
+    columns = [table[name] for name in dtype.names]
+    for j, kind in enumerate(kinds):
+        if kind is str:
+            text = columns[j]
+            uniform = (text == text[0]).all()
+            # The gate let no NUL through: a field's length is its count of non-NUL bytes.
+            fields = (text[:1] if uniform else text)[:, None].view(np.uint8)
+            width = np.count_nonzero(fields, axis=1)
+            if width.min() < 1 or width.max() >= _TEXT_WIDTH:
                 return None
-            if kind is str:
-                column.append(values)
-            else:
-                column[done:done + len(ends)] = values
-        done += len(ends)
-    for j, parts in enumerate(columns):
-        if isinstance(parts, list):  # one token in every block stays one broadcast
-            one = all(p.strides == (0,) and p[0] == parts[0][0] for p in parts)
-            columns[j] = np.broadcast_to(parts[0][:1], rows) if one else np.concatenate(parts)
+            columns[j] = (np.broadcast_to(np.array(text[0].decode()), rows) if uniform
+                          else text.astype(f"U{width.max()}"))
     return columns, lines
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datastore import DatasetBundle, Split, read_csv, write_csv, write_json
+from .datastore import DatasetBundle, Split, write_csv, write_json
 from .reranker import RankedList, RankingConfig, rerank_pipeline, window_rerank
 from .retrieval import eligible_mask
 from .verifier import prefix_scores
@@ -194,8 +194,3 @@ def write_sweep_csv(path: str | Path, rows: list[tuple[int, float, float]],
     table = np.array(rows, dtype=[("L", np.int64), ("rank1", np.float64),
                                   ("rank10", np.float64)])
     write_csv(path, SWEEP_HEADER, [table[name] for name in SWEEP_HEADER], config_comment)
-
-
-def read_sweep_csv(path: str | Path) -> list[tuple[int, float, float]]:
-    columns, _ = read_csv(path, SWEEP_HEADER, (int, float, float))
-    return list(zip(*(column.tolist() for column in columns)))

@@ -135,6 +135,17 @@ def fuse(queries: Split, query_index: np.ndarray, gallery: Split,
                         in zip(query_index.tolist(), gallery_index.tolist())], dims)
 
 
+def check_sizes(hidden_global: int, hidden_part: int, seed: int = 0) -> None:
+    """Raise ValueError unless ``seed`` fits a checkpoint's i64 and both
+    hidden sizes are at least 0.  It needs no input, so ``train`` checks its
+    flags with it before it reads any."""
+    if not 0 <= seed < 2**63:
+        raise ValueError(f"seed must be in 0..{2**63 - 1} (i64), got {seed}")
+    if hidden_global < 0 or hidden_part < 0:
+        raise ValueError(f"bad hidden sizes hidden_global={hidden_global} "
+                         f"hidden_part={hidden_part}: need >= 0")
+
+
 def _weight_layout(dims: tuple[int, int, int], hidden_global: int,
                    hidden_part: int) -> list[tuple[str, tuple[int, ...], int]]:
     """(name, shape, init fan-in) of every weight tensor, in the order the
@@ -142,9 +153,8 @@ def _weight_layout(dims: tuple[int, int, int], hidden_global: int,
     d, dp, k = dims
     if d < 1 or dp < 0 or k < 1:
         raise ValueError(f"bad dims {dims}: need D >= 1, Dp >= 0, K >= 1")
+    check_sizes(hidden_global, hidden_part)
     hg, hp = hidden_global, hidden_part
-    if hg < 0 or hp < 0:
-        raise ValueError(f"bad hidden sizes hidden_global={hg} hidden_part={hp}: need >= 0")
     return [
         ("global_hidden_w", (hg, 2 * d), 2 * d),
         ("global_hidden_b", (hg,), 2 * d),
@@ -198,8 +208,7 @@ class VerifierModel:
         (dims, seed) pair fully determines the weights.  The output affine
         scalars use fan-in 1.  The seed must fit the checkpoint's i64.
         """
-        if not 0 <= seed < 2**63:
-            raise ValueError(f"seed must be in 0..{2**63 - 1} (i64), got {seed}")
+        check_sizes(hidden_global, hidden_part, seed)
         rng = np.random.default_rng(seed)
         params = np.concatenate([
             rng.uniform(-1.0 / np.sqrt(max(1, fan_in)), 1.0 / np.sqrt(max(1, fan_in)),

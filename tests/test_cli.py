@@ -12,8 +12,8 @@ import pytest
 
 import rvrank
 from rvrank.cli import main
-from rvrank.datastore import Split, load_bundle
-from rvrank.evaluation import evaluate, read_sweep_csv
+from rvrank.datastore import Split, load_bundle, read_csv
+from rvrank.evaluation import SWEEP_HEADER, evaluate
 from rvrank.reranker import RankingConfig, read_ranked_csv, rerank_pipeline
 from rvrank.verifier import VerifierModel, save_model
 
@@ -114,10 +114,10 @@ def test_composed_rerank_labels_its_provenance(workspace):
 
 
 def test_sweep_rows_follow_the_requested_widths(workspace):
-    rows = read_sweep_csv(workspace / "sweep.csv")
-    assert [r[0] for r in rows] == [1, 3, 5]
-    for _, r1, r10 in rows:
-        assert 0.0 <= r1 <= r10 <= 1.0
+    (widths, rank1, rank10), _ = read_csv(workspace / "sweep.csv", SWEEP_HEADER,
+                                          (int, float, float))
+    assert widths.tolist() == [1, 3, 5]
+    assert ((0.0 <= rank1) & (rank1 <= rank10) & (rank10 <= 1.0)).all()
 
 
 def test_history_has_one_row_per_epoch_plus_start(workspace):
@@ -603,6 +603,9 @@ def test_a_repeated_pair_row_fails_the_read_naming_both_lines(workspace, tmp_pat
     ("--lr", "inf", "learning_rate must be finite, got inf"),
     ("--margin", "nan", "margin must be finite, got nan"),
     ("--batch-size", "0", "batch_size must be at least 1, got 0"),
+    ("--seed", "-1", "seed must be in 0..9223372036854775807 (i64), got -1"),
+    ("--hidden-part", "-1", "bad hidden sizes hidden_global=32 hidden_part=-1: need >= 0"),
+    ("--hidden-global", "-2", "bad hidden sizes hidden_global=-2 hidden_part=32: need >= 0"),
 ])
 def test_untrainable_hyperparameters_fail_before_any_input_is_read(tmp_path, capsys,
                                                                   monkeypatch, flag, value,

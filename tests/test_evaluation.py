@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import eligible_orders, oracle_metrics, pairwise, random_bundle
-from rvrank.datastore import build_bundle
+from rvrank.datastore import build_bundle, read_csv
 from rvrank.evaluation import (
     SWEEP_HEADER,
     evaluate,
-    read_sweep_csv,
     sweep_L,
     write_sweep_csv,
 )
@@ -179,7 +178,8 @@ class TestReportSerialisation:
         rows = [(1, 0.25, 0.75), (5, 0.5, 1.0)]
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, rows, config_comment="config: {}")
-        assert read_sweep_csv(path) == rows
+        columns, _ = read_csv(path, SWEEP_HEADER, (int, float, float))
+        assert list(zip(*(column.tolist() for column in columns))) == rows
         assert path.read_text().splitlines()[1] == ",".join(SWEEP_HEADER)
 
 

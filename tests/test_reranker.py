@@ -628,7 +628,7 @@ class TestRankedCsv:
 
 HEADER = b"query_index,rank,gallery_index,stage_provenance\n"
 
-#: Files both paths of ``read_csv`` must agree on: the byte parser's own
+#: Files both paths of ``read_csv`` must agree on: the fast path's own
 #: input, and every odd or faulty file it must leave to the row path.
 READER_CASES = {
     "well formed": HEADER + b"1,1,4,window\n0,2,3,window\n0,1,5,window\n",
@@ -675,7 +675,7 @@ class TestRankedCsvFastPath:
         path = tmp_path / "ranked.csv"
         path.write_bytes(READER_CASES[name])
         shipped = read_outcome(path)
-        monkeypatch.setattr(datastore, "_parse_bytes", lambda *args: None)
+        monkeypatch.setattr(datastore, "_read_body", lambda *args: None)
         assert read_outcome(path) == shipped
 
     def test_written_files_never_take_the_row_reader(self, tmp_path, monkeypatch):

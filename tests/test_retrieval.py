@@ -443,7 +443,7 @@ class TestPairsCsv:
         assert main(["retrieve", *flags, "--out", str(tmp_path / "candidates.csv")]) == 0
         files = sorted(tmp_path.glob("*.csv"))
         assert len(files) == 4
-        monkeypatch.setattr(datastore, "_parse_bytes", lambda *args: None)
+        monkeypatch.setattr(datastore, "_read_body", lambda *args: None)
         by_rows = [read_pairs_csv(path).pairs for path in files]
         monkeypatch.undo()
 

@@ -642,7 +642,7 @@ class TestTraining:
         with np.errstate(over="ignore", invalid="ignore"):
             for split in bundle.splits.values():
                 split.features[:] = np.array(
-                    [1e308, -1e308] * (bundle.feature_dim // 2), dtype=np.float32)
+                    [1e308, -1e308] * (bundle.dims[0] // 2), dtype=np.float32)
             with pytest.raises(RuntimeError, match="epoch"):
                 train(model, bundle, train_pairs, valid_pairs)
 
