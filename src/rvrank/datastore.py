@@ -333,6 +333,9 @@ def check_rows(rules: list[tuple[np.ndarray, Callable[[int], str]]],
 #: been cut, and its file goes to the row path.
 _TEXT_WIDTH = 16
 
+#: Bytes the gate of :func:`_read_body` scans per read.
+_GATE_BYTES = 1 << 20
+
 
 def _read_body(path: Path, head_lines: int,
                kinds: tuple[type, ...]) -> tuple[list[np.ndarray], range] | None:
@@ -340,7 +343,7 @@ def _read_body(path: Path, head_lines: int,
     lines, parsed by ``np.loadtxt``, or None to leave the file to the row
     path.
 
-    A gate scans the rows in 1 MiB reads and counts them.  They must be
+    A gate scans the rows in ``_GATE_BYTES`` (1 MiB) reads and counts them.  They must be
     ASCII and end in a newline, and hold no byte at or below ``#`` but
     newlines: no whitespace (which loadtxt strips from a number), quote,
     ``#``, CR or NUL.  loadtxt skips blank lines, so a row count other than
@@ -353,7 +356,7 @@ def _read_body(path: Path, head_lines: int,
         start = sum(len(line.encode()) for line in itertools.islice(fh, head_lines))
     rows, last = 0, ord("\n")
     # Read as int8, every byte that is not ASCII is negative: "<= #" finds it too.
-    block = np.empty(1 << 20, dtype=np.int8)
+    block = np.empty(_GATE_BYTES, dtype=np.int8)
     with open(path, "rb") as fh:
         fh.seek(start)
         while size := fh.readinto(block):

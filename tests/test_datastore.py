@@ -708,6 +708,16 @@ class TestCsvBytePath:
             load_bundle(path, tmp_path / "f.bin")
 
 
+class TestCsvBytePathInSmallGateReads(TestCsvBytePath):
+    """Every case above again, with the gate scanning the body 1, 7 or 64
+    bytes at a read: its row count, its byte checks and its last-byte
+    check must hold across reads that cut rows anywhere."""
+
+    @pytest.fixture(autouse=True, params=[1, 7, 64])
+    def small_reads(self, request, monkeypatch):
+        monkeypatch.setattr(datastore, "_GATE_BYTES", request.param)
+
+
 RANKED_KINDS = (int, int, int, str)
 
 
@@ -727,20 +737,29 @@ class TestRankedColumns:
                                 for qi in range(queries)], config_comment="config: {}")
         return path
 
+    @pytest.mark.parametrize("block", [1, 7, 64])
     @pytest.mark.parametrize("provenance", [("kreciprocal",), ("retrieval", "window", "composed")])
-    def test_one_token_throughout_stays_one_broadcast(self, tmp_path, monkeypatch, provenance):
+    def test_one_token_throughout_stays_one_broadcast(self, tmp_path, monkeypatch, block,
+                                                       provenance):
         path = self.ranked_file(tmp_path, provenance)
+        want = outcome(read_ranked_columns, path)
+        monkeypatch.setattr(datastore, "_GATE_BYTES", block)
         monkeypatch.setattr(datastore, "_read_rows", None)
-        (*_, names), lines = read_ranked_columns(path)
+        got = read_ranked_columns(path)
+        assert outcome(lambda _: got, path) == want
+        (*_, names), lines = got
         assert lines[-1] == 2 + 6 * 600 and len(names) == 6 * 600
         assert (names.strides == (0,)) == (len(provenance) == 1)
         assert names.flags.writeable == (len(provenance) > 1)
         assert names.dtype == np.dtype(f"<U{max(map(len, provenance))}")
 
-    def test_a_fault_in_the_last_row_reads_as_the_row_path_says(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("block", [7, 1 << 10, datastore._GATE_BYTES])
+    def test_a_fault_in_the_last_row_reads_as_the_row_path_says(self, tmp_path, monkeypatch,
+                                                                block):
         path = self.ranked_file(tmp_path, ("window",))
         data = path.read_bytes()
         path.write_bytes(data[:data.rindex(b"\n", 0, -1) + 1] + b"5,600,1_0,window\n")
+        monkeypatch.setattr(datastore, "_GATE_BYTES", block)
         got = outcome(read_ranked_columns, path)
         assert got == (ValueError, f"{path}: line 3602: int field '1_0' holds '_' or whitespace")
         monkeypatch.setattr(datastore, "_read_body", lambda *args: None)
