@@ -23,8 +23,8 @@ from .datastore import (ROLES, BundleFormatError, load_bundle, validate_bundle,
                         write_bundle, write_json)
 from .evaluation import evaluate, sweep_L, write_sweep_csv
 from .retrieval import (METRICS, build_eval_pairs, build_train_pairs,
-                        candidates_from_pairs, query_runs, read_pairs_csv,
-                        top_candidates, write_pairs_csv)
+                        candidates_from_pairs, read_pairs_csv, top_candidates,
+                        write_pairs_csv)
 from .reranker import (RankingConfig, read_ranked_csv, rerank_pipeline,
                        write_ranked_csv)
 from .synthgen import SynthConfig, generate
@@ -137,7 +137,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     pairs = build_eval_pairs(bundle, args.query_role, args.gallery_role,
                              num_candidates=args.P, metric=args.metric)
     write_pairs_csv(args.out, pairs, config_comment=_config_comment(args))
-    n_queries = len(query_runs(pairs.pairs))
+    n_queries = len(np.unique(pairs.pairs["query_index"]))
     print(f"wrote {args.out}: {len(pairs.pairs)} pairs for {n_queries} queries")
     return 0
 
@@ -295,8 +295,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if not 0 <= qi < len(queries):
         raise ValueError(f"--query-index {qi} out of range for role "
                          f"{args.query_role} (n={len(queries)})")
-    [(indices, _)] = top_candidates(queries[qi:qi + 1], gallery, args.limit,
-                                    metric=args.metric)
+    [indices] = top_candidates(queries[qi:qi + 1], gallery, args.limit, metric=args.metric)
     print(f"query {args.query_role}:{qi} identity={queries.identity[qi]} "
           f"cloth={queries.cloth[qi]}")
     print("rank,gallery_index,label,score,head,best_part")

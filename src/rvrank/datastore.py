@@ -577,14 +577,13 @@ def load_bundle(
     metadata_path: str | Path,
     feature_path: str | Path,
     parts_path: str | Path | None = None,
-    expected_dims: tuple[int, int, int] | None = None,
 ) -> DatasetBundle:
     """Load a dataset bundle from its metadata, feature and part files.
 
     Raises :class:`BundleFormatError` on malformed headers, unknown role
-    tokens, row/payload count mismatches, non-finite feature values, or an
-    ``expected_dims`` mismatch.  When ``parts_path`` is None every record
-    gets ``DEFAULT_PART_COUNT`` absent part slots of dimension zero.
+    tokens, row/payload count mismatches or non-finite feature values.  When
+    ``parts_path`` is None every record gets ``DEFAULT_PART_COUNT`` absent
+    part slots of dimension zero.
     """
     metadata_path = Path(metadata_path)
     feature_path = Path(feature_path)
@@ -612,13 +611,7 @@ def load_bundle(
             f"{parts_path}: non-finite value in record {i} part {np.argmax(bad[i])} "
             f"(metadata {role[i]}:{index[i]})"))], BundleFormatError)
 
-    bundle = _assemble(np.array(labels), counts, features, present, vectors)
-    if expected_dims is not None and tuple(expected_dims) != bundle.dims:
-        raise BundleFormatError(
-            f"dimension mismatch: expected (D, Dp, K) = {tuple(expected_dims)}, "
-            f"files hold {bundle.dims}"
-        )
-    return bundle
+    return _assemble(np.array(labels), counts, features, present, vectors)
 
 
 def _assemble(labels: np.ndarray, counts: dict[str, int],

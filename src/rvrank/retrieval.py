@@ -3,8 +3,7 @@
 Retrieval compares query features against gallery features with an exact
 distance matrix, applies the eligibility rule (a gallery image with the same
 identity *and* the same cloth index as the query never competes), and keeps
-the top-P nearest candidates per query.  Candidate scores are negated
-distances, so higher is always better downstream.
+the top-P nearest candidates per query.
 
 Pair datasets reuse the same machinery:
 
@@ -29,12 +28,11 @@ _COSINE_EPS = 1e-12
 
 #: One row of a pair dataset.  ``rank`` is 1-based within the query's list
 #: (training pairs rank their positive and negative sub-lists
-#: independently), ``score`` is -distance and ``label`` is 1 when both images
-#: share an identity, else 0.
+#: independently) and ``label`` is 1 when both images share an identity,
+#: else 0.
 PAIR_DTYPE = np.dtype([("query_role", "U2"), ("query_index", np.int64),
                        ("rank", np.int64), ("cand_role", "U2"),
-                       ("cand_index", np.int64), ("score", np.float64),
-                       ("label", np.int64)])
+                       ("cand_index", np.int64), ("label", np.int64)])
 
 PAIR_HEADER = PAIR_DTYPE.names
 
@@ -120,9 +118,9 @@ def masked_order(row: np.ndarray, allowed: np.ndarray,
 
 
 def top_candidates(queries: Split, gallery: Split, num_candidates: int,
-                   metric: str = "euclidean") -> list[tuple[np.ndarray, np.ndarray]]:
-    """Top-P eligible candidates per query, nearest first, as aligned
-    ``(gallery indices, scores)`` arrays; a score is -distance.
+                   metric: str = "euclidean") -> list[np.ndarray]:
+    """Top-P eligible candidates per query: an array of gallery indices,
+    nearest first.
 
     Ties in distance break towards the lower gallery index.  Queries with
     fewer than P eligible gallery images get shorter arrays.
@@ -133,28 +131,23 @@ def top_candidates(queries: Split, gallery: Split, num_candidates: int,
         raise ValueError("empty gallery")
     dist = distance_matrix(queries.features, gallery.features, metric)
     allowed = eligible_mask(queries, gallery)
-    out: list[tuple[np.ndarray, np.ndarray]] = []
-    for row, ok in zip(dist, allowed):
-        kept = masked_order(row, ok, num_candidates)
-        out.append((kept, -row[kept]))
-    return out
+    return [masked_order(row, ok, num_candidates) for row, ok in zip(dist, allowed)]
 
 
 def _ranked_pairs(query_role: str, queries: Split, cand_role: str, cands: Split,
-                  runs: list[tuple[int, np.ndarray, np.ndarray]]) -> PairSet:
-    """One pair per candidate of each ``(query index, candidate indices,
-    scores)`` run, ranked from 1 within its run and labelled 1 when the query
-    and the candidate share an identity."""
+                  runs: list[tuple[int, np.ndarray]]) -> PairSet:
+    """One pair per candidate of each ``(query index, candidate indices)``
+    run, ranked from 1 within its run and labelled 1 when the query and the
+    candidate share an identity."""
     if not runs:
         return PairSet(np.empty(0, dtype=PAIR_DTYPE))
-    query_index, cand_index, scores = zip(*runs)
+    query_index, cand_index = zip(*runs)
     counts = [len(kept) for kept in cand_index]
     pairs = np.empty(sum(counts), dtype=PAIR_DTYPE)
     pairs["query_role"], pairs["cand_role"] = query_role, cand_role
     pairs["query_index"] = np.repeat(query_index, counts)
     pairs["rank"] = np.concatenate([np.arange(1, n + 1) for n in counts])
     pairs["cand_index"] = np.concatenate(cand_index)
-    pairs["score"] = np.concatenate(scores)
     pairs["label"] = (queries.identity[pairs["query_index"]]
                       == cands.identity[pairs["cand_index"]])
     return PairSet(pairs)
@@ -166,8 +159,7 @@ def build_eval_pairs(bundle: DatasetBundle, query_role: str, gallery_role: str,
     queries = bundle.splits[query_role]
     gallery = bundle.splits[gallery_role]
     lists = top_candidates(queries, gallery, num_candidates, metric)
-    return _ranked_pairs(query_role, queries, gallery_role, gallery,
-                         [(qi, kept, scores) for qi, (kept, scores) in enumerate(lists)])
+    return _ranked_pairs(query_role, queries, gallery_role, gallery, list(enumerate(lists)))
 
 
 def build_train_pairs(bundle: DatasetBundle, num_candidates: int = 20,
@@ -189,7 +181,7 @@ def build_train_pairs(bundle: DatasetBundle, num_candidates: int = 20,
     dist = distance_matrix(feats, feats, metric)
     ids, cloths = train.identity, train.cloth
 
-    runs: list[tuple[int, np.ndarray, np.ndarray]] = []
+    runs: list[tuple[int, np.ndarray]] = []
     dropped: list[int] = []
     for ai, row in enumerate(dist):
         same = ids == ids[ai]
@@ -197,9 +189,8 @@ def build_train_pairs(bundle: DatasetBundle, num_candidates: int = 20,
         if not pos_mask.any() or not neg_mask.any():
             dropped.append(ai)
             continue
-        for mask in (pos_mask, neg_mask):
-            kept = masked_order(row, mask, num_candidates)
-            runs.append((ai, kept, -row[kept]))
+        runs += [(ai, masked_order(row, mask, num_candidates))
+                 for mask in (pos_mask, neg_mask)]
     return _ranked_pairs("T", train, "T", train, runs), dropped
 
 
@@ -229,7 +220,7 @@ def candidates_from_pairs(pair_set: PairSet) -> dict[int, np.ndarray]:
 
 def write_pairs_csv(path: str | Path, pair_set: PairSet,
                     config_comment: str | None = None) -> None:
-    """Write a pair set; float scores use repr so reads round-trip exactly."""
+    """Write a pair set, one CSV row per pair."""
     write_csv(path, PAIR_HEADER, [pair_set.pairs[name] for name in PAIR_HEADER],
               config_comment)
 
@@ -239,8 +230,8 @@ def read_pairs_csv(path: str | Path) -> PairSet:
     repeated (query role, query index, candidate role, candidate index)
     raises ValueError naming the file and line."""
     path = Path(path)
-    columns, lines = read_csv(path, PAIR_HEADER, (str, int, int, str, int, float, int))
-    qr, qi, cr, ci, label = (columns[i] for i in (0, 1, 3, 4, 6))
+    columns, lines = read_csv(path, PAIR_HEADER, (str, int, int, str, int, int))
+    qr, qi, _, cr, ci, label = columns
     keys = (qr, qi, cr, ci)
     order = np.lexsort(keys[::-1])  # stable: a repeated pair's rows stay in file order
     repeat = np.zeros(len(order), dtype=bool)

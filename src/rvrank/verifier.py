@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -229,9 +229,6 @@ class VerifierModel:
         in ``vec`` (laid out like ``params``); None if every value is finite."""
         return next((name for name, view in self.views(vec).items()
                      if not np.isfinite(view).all()), None)
-
-    def copy(self) -> "VerifierModel":
-        return replace(self, params=self.params.copy())
 
     def __call__(self, queries: Split, query_index: np.ndarray, gallery: Split,
                  gallery_index: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ measured once on the reference implementation and must not drift.
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import numpy as np
@@ -351,48 +352,73 @@ def test_scoring_cost_is_window_bounded_and_linear():
     assert r_squared > 0.99, f"times {times} give R^2 {r_squared:.4f}"
 
 
-def test_identical_seeds_reproduce_every_artifact(tmp_path):
+#: sha256 of every artifact of the pipeline below.  A change that alters an
+#: artifact's bytes on purpose updates its digest here and names the change
+#: in CHANGES.md.  The pair CSVs and candidates.csv were last changed by
+#: dropping the pair files' score column; every other digest predates it.
+PIPELINE_SHA256 = {
+    "candidates.csv": "75a597148dfd81f7cbccd412d00d5fe38127e36520d66270953676dcd828bd8f",
+    "data/features.bin": "6e41e01590c932bc99bc3dc4dfdf1bb9883e1709a1c4b71a946f6a324645bec6",
+    "data/features.bin.config.json":
+        "42e9d341a12df8daa49a38386bed75cf6b5e08aa67718aec110cd4e2fea9e080",
+    "data/meta.csv": "434fdcfa8ea8a4c807ca073e2b6be2714f9301165b5b06bbe539408cd915863a",
+    "data/parts.bin": "c5d8d9bfea3500eef9b07f91f6107b42ad4aabaec704ac291170dc586acad700",
+    "data/parts.bin.config.json":
+        "42e9d341a12df8daa49a38386bed75cf6b5e08aa67718aec110cd4e2fea9e080",
+    "model/history.csv": "1b2f25bb24204e57e86b69bc3a68314aa5e27dd51ac1bddd91da729981cbf456",
+    "model/model.bin": "d94bcf89cabbfcac292a3e128f590b8a01ae9cb986be1018e4db4f5a26540b8d",
+    "model/model.bin.config.json":
+        "ab183c65ebb5f7f7a63649e2fa660e159be85ca3e74746543b2dfdfed11cacdc",
+    "pairs/test_pairs.csv": "57eabd834a490b3667f673f88175d8654ee4f56ac7afa28d2bbef20968da3f22",
+    "pairs/train_pairs.csv": "d1bbd81ec61395e4b6a0c0c7cb62baf94203ab6a8f6614ee24a82dd7be533a68",
+    "pairs/valid_pairs.csv": "32843546f1ade00e4be3a617fd9f3e236e74398b81f51772d80a1b9e0b944db2",
+    "per_query.csv": "5e09d60577d36eec1534f97aaed8b0418b828f8486f7029aa56b73b4548e187b",
+    "ranked.csv": "010fdcf5148265fb5264ce85e6ab205d486fd0bb46fe7c7a39cb4592059a5e84",
+    "report.json": "a4107248f65c50ef98bfc0954d5e9dd17bc1e440b6a1af74a46c1e80ab3a8b11",
+    "sweep.csv": "74e0a3a54009c0226537b3840f8a8d3022b69a37a3654a829a6dd0dc020bc3f8",
+}
+
+
+def test_identical_seeds_reproduce_every_artifact(tmp_path, monkeypatch):
     """Running the full command pipeline twice with the same seeds must
-    reproduce every artifact byte for byte."""
+    reproduce every artifact byte for byte, and the bytes must match
+    ``PIPELINE_SHA256``.  Each run works in an empty directory with
+    relative paths, so the ``# config:`` lines do not depend on it."""
     from rvrank.cli import main
 
-    ws = tmp_path / "run"
-    data = ws / "data"
-    bundle_flags = ["--meta", str(data / "meta.csv"),
-                    "--features", str(data / "features.bin"),
-                    "--parts", str(data / "parts.bin")]
+    bundle_flags = ["--meta", "data/meta.csv", "--features", "data/features.bin",
+                    "--parts", "data/parts.bin"]
     steps = [
-        ["synth", "--out", str(data), "--n-identities", "12",
+        ["synth", "--out", "data", "--n-identities", "12",
          "--feature-dim", "12", "--part-dim", "4", "--part-count", "6",
          "--seed", "7"],
-        ["retrieve", *bundle_flags, "--out", str(ws / "candidates.csv"),
-         "--P", "10"],
-        ["pairs", *bundle_flags, "--out", str(ws / "pairs"), "--P", "10"],
+        ["retrieve", *bundle_flags, "--out", "candidates.csv", "--P", "10"],
+        ["pairs", *bundle_flags, "--out", "pairs", "--P", "10"],
         ["train", *bundle_flags,
-         "--train-pairs", str(ws / "pairs" / "train_pairs.csv"),
-         "--valid-pairs", str(ws / "pairs" / "valid_pairs.csv"),
-         "--out", str(ws / "model"), "--epochs", "8",
+         "--train-pairs", "pairs/train_pairs.csv",
+         "--valid-pairs", "pairs/valid_pairs.csv",
+         "--out", "model", "--epochs", "8",
          "--hidden-global", "12", "--hidden-part", "12",
          "--L", "5", "--Q", "10", "--seed", "7"],
-        ["rerank", *bundle_flags, "--model", str(ws / "model" / "model.bin"),
-         "--out", str(ws / "ranked.csv"), "--stages", "both",
+        ["rerank", *bundle_flags, "--model", "model/model.bin",
+         "--out", "ranked.csv", "--stages", "both",
          "--P", "10", "--L", "5", "--Q", "10", "--k1", "5", "--k2", "2"],
-        ["eval", *bundle_flags, "--ranked", str(ws / "ranked.csv"),
-         "--out", str(ws / "report.json"),
-         "--per-query", str(ws / "per_query.csv")],
-        ["sweep-l", *bundle_flags, "--model", str(ws / "model" / "model.bin"),
-         "--out", str(ws / "sweep.csv"), "--L-values", "1,5,10",
+        ["eval", *bundle_flags, "--ranked", "ranked.csv",
+         "--out", "report.json", "--per-query", "per_query.csv"],
+        ["sweep-l", *bundle_flags, "--model", "model/model.bin",
+         "--out", "sweep.csv", "--L-values", "1,5,10",
          "--P", "10", "--Q", "10"],
     ]
 
-    def run_all():
+    def run_all(name):
+        ws = tmp_path / name
+        ws.mkdir()
+        monkeypatch.chdir(ws)
         for argv in steps:
             assert main(argv) == 0, f"step failed: {argv[0]}"
-        return {p.relative_to(ws): p.read_bytes()
+        return {p.relative_to(ws).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in sorted(ws.rglob("*")) if p.is_file()}
 
-    first = run_all()
-    second = run_all()
-    assert first.keys() == second.keys()
-    for name in first:
-        assert first[name] == second[name], f"{name} differs between runs"
+    first = run_all("first")
+    assert run_all("second") == first
+    assert first == PIPELINE_SHA256

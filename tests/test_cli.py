@@ -561,7 +561,7 @@ def test_candidates_for_queries_the_bundle_lacks_fail_the_rerank(workspace, tmp_
     lines = (workspace / "pairs" / "test_pairs.csv").read_text().splitlines(keepends=True)
     n_queries = len(load_bundle(data / "meta.csv", data / "features.bin").splits["Q"])
     extra.write_text("".join(lines) + "".join(
-        f"Q,{qi},{rank},G,{rank},-1.5,0\n" for qi in (n_queries + 90, n_queries + 7)
+        f"Q,{qi},{rank},G,{rank},0\n" for qi in (n_queries + 90, n_queries + 7)
         for rank in (1, 2)))
     out = tmp_path / "ranked.csv"
     rc = main(["rerank", "--meta", str(data / "meta.csv"),
@@ -597,6 +597,33 @@ def test_a_repeated_pair_row_fails_the_read_naming_both_lines(workspace, tmp_pat
     assert capsys.readouterr().err == (
         f"error: {bad}: line 4: repeats the pair of line 3 ({qr} {qi} -> {cr} {ci})\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "rerank"])
+def test_a_pair_file_with_a_score_column_fails_the_read(workspace, tmp_path, capsys, command):
+    # Pair files once carried a score (-distance) before the label; they
+    # must be regenerated, not read.
+    data, name = workspace / "data", f"{'train' if command == 'train' else 'test'}_pairs.csv"
+    comment, header, *rows = (workspace / "pairs" / name).read_text().splitlines()
+    old = tmp_path / name
+    old.write_text("".join(f"{line}\n" for line in [
+        comment, header.replace(",label", ",score,label"),
+        *(",-1.25,".join(row.rsplit(",", 1)) for row in rows)]))
+    out = tmp_path / "out"
+    if command == "train":
+        argv = train_argv(workspace, out)
+        argv[argv.index("--train-pairs") + 1] = str(old)
+    else:
+        argv = ["rerank", "--meta", str(data / "meta.csv"),
+                "--features", str(data / "features.bin"), "--parts", str(data / "parts.bin"),
+                "--candidates", str(old), "--stages", "none", "--out", str(out),
+                "--P", "10", "--L", "5", "--Q", "10"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {old}: line 2: expected header "
+        "'query_role,query_index,rank,cand_role,cand_index,label', got "
+        "'query_role,query_index,rank,cand_role,cand_index,score,label'\n")
+    assert sorted(tmp_path.iterdir()) == [old]
 
 
 @pytest.mark.parametrize("flag, value, message", [

@@ -32,10 +32,10 @@ def read_sweep(path):
     return datastore.read_csv(path, SWEEP_HEADER, (int, float, float))
 
 
-def write_and_reload(bundle, tmp_path, expected_dims=None):
+def write_and_reload(bundle, tmp_path):
     paths = (tmp_path / "meta.csv", tmp_path / "feat.bin", tmp_path / "parts.bin")
     write_bundle(bundle, *paths)
-    return load_bundle(*paths, expected_dims=expected_dims), paths
+    return load_bundle(*paths), paths
 
 
 class TestRoundTrip:
@@ -259,14 +259,6 @@ class TestBinaryFaultWording:
 
 
 class TestFormatErrors:
-    def test_expected_dims_mismatch_is_rejected(self, tmp_path):
-        rng = np.random.default_rng(21)
-        bundle = random_bundle(rng, dims=(8, 4, 5))
-        paths = (tmp_path / "m.csv", tmp_path / "f.bin", tmp_path / "p.bin")
-        write_bundle(bundle, *paths)
-        with pytest.raises(BundleFormatError, match="dimension"):
-            load_bundle(*paths, expected_dims=(4, 4, 5))
-
     def test_metadata_feature_count_mismatch(self, tmp_path):
         rng = np.random.default_rng(22)
         bundle = random_bundle(rng, n_query=2, n_gallery=4)
@@ -356,8 +348,7 @@ class TestFormatErrors:
 class TestCsvReaders:
     #: reader, header, a good row, the same row with a non-numeric field
     READERS = {
-        "pairs": (read_pairs_csv, PAIR_HEADER, "Q,0,1,G,3,-0.5,1",
-                  "Q,0,1,G,x,-0.5,1", ValueError),
+        "pairs": (read_pairs_csv, PAIR_HEADER, "Q,0,1,G,3,1", "Q,0,1,G,x,1", ValueError),
         "ranked": (read_ranked_csv, RANKED_HEADER, "0,1,3,window",
                    "0,x,3,window", ValueError),
         "sweep": (read_sweep, SWEEP_HEADER, "5,0.5,1.0", "5,x,1.0", ValueError),
@@ -530,7 +521,7 @@ class TestValidation:
         assert violations and "Q" in str(violations[0])
 
 
-PAIRS = b"query_role,query_index,rank,cand_role,cand_index,score,label\n"
+PAIRS = b"query_role,query_index,rank,cand_role,cand_index,label\n"
 META = b"index,role,identity,cloth,camera\n"
 SWEEP = b"L,rank1,rank10\n"
 
@@ -539,39 +530,36 @@ SWEEP = b"L,rank1,rank10\n"
 #: to the row path.  Names in BYTE_PATH are the ones the byte path
 #: (``np.loadtxt`` behind a byte gate) takes.
 CASES = {
-    "pairs/well formed": PAIRS + b"Q,0,1,G,3,-0.5,1\nQ,0,2,G,12,-1.25e-05,0\n"
-                         b"Q,1,1,G,0,-inf,0\nQ,1,2,G,4,nan,1\nQ,2,1,G,9,-1e+16,0\n",
+    "pairs/well formed": PAIRS + b"Q,0,1,G,3,1\nQ,0,2,G,12,0\nQ,1,1,G,0,0\nQ,1,2,G,4,1\n"
+                         b"Q,2,1,G,9,0\n",
     "pairs/config comment": b'# config: {"out":"a, \\"b\\"","P":5}\n' + PAIRS
-                            + b"T,0,1,T,3,-0.5,1\n",
-    "pairs/quotes span lines": b'# config: {"a":1,"b\nc":2}\n' + PAIRS + b"VQ,0,1,VG,3,0.0,1\n",
+                            + b"T,0,1,T,3,1\n",
+    "pairs/quotes span lines": b'# config: {"a":1,"b\nc":2}\n' + PAIRS + b"VQ,0,1,VG,3,1\n",
     "pairs/header only": PAIRS,
-    "pairs/crlf": PAIRS.replace(b"\n", b"\r\n") + b"Q,0,1,G,3,-0.5,1\r\n",
-    "pairs/crlf in the comment line only": b"# config: {}\r\n" + PAIRS + b"Q,0,1,G,3,-0.5,1\n",
-    "pairs/quoted role": PAIRS + b'Q,0,1,"G",3,-0.5,1\n',
-    "pairs/comment between rows": PAIRS + b"Q,0,1,G,3,-0.5,1\n# note\nQ,0,2,G,4,-0.75,0\n",
-    "pairs/blank line": PAIRS + b"Q,0,1,G,3,-0.5,1\n\nQ,0,2,G,4,-0.75,0\n",
-    "pairs/signs": PAIRS + b"Q,+0,1,G,3,+0.5,1\nQ,-1,2,G,4,-0.75,0\n",
-    "pairs/19 digits": PAIRS + b"Q,0,1,G,9223372036854775807,-0.5,1\n",
-    "pairs/2**70": PAIRS + b"Q,0,1,G,%d,-0.5,1\n" % 2 ** 70,
-    "pairs/mixed roles": PAIRS + b"Q,0,1,G,3,-0.5,1\nVQ,0,1,VG,3,-0.5,1\n",
-    "pairs/roles differing in their last byte": PAIRS + b"VQ,0,1,VG,3,-0.5,1\n"
-                                                b"VG,0,1,VQ,3,-0.5,1\n",
-    "pairs/comment shaped as a row": PAIRS + b"#Q,0,1,G,3,-0.5,1\n",
-    "pairs/unknown role": PAIRS + b"Q,0,1,G,3,-0.5,1\nQ,0,2,XYZ,4,-0.75,0\n",
-    "pairs/uniform unknown role": PAIRS + b"Q,0,1,XYZ,3,-0.5,1\nQ,0,2,XYZ,4,-0.75,0\n",
-    "pairs/bad label": PAIRS + b"Q,0,1,G,3,-0.5,1\nQ,0,2,G,4,-0.75,2\n",
-    "pairs/underscores": PAIRS + b"Q,1_0,1,G,3,-0_5,1\n",
-    "pairs/float underscore": PAIRS + b"Q,0,1,G,3,-0_5,1\n",
-    "pairs/spaces": PAIRS + b"Q,0, 1,G,3, -0.5,1\n",
-    "pairs/bad float": PAIRS + b"Q,0,1,G,3,1e,1\n",
-    "pairs/empty score": PAIRS + b"Q,0,1,G,3,,1\n",
-    "pairs/extra field": PAIRS + b"Q,0,1,G,3,-0.5,1,9\n",
-    "pairs/no trailing newline": PAIRS + b"Q,0,1,G,3,-0.5,1",
-    "pairs/non-ascii role": PAIRS + "Q,0,1,Gé,3,-0.5,1\n".encode(),
+    "pairs/crlf": PAIRS.replace(b"\n", b"\r\n") + b"Q,0,1,G,3,1\r\n",
+    "pairs/crlf in the comment line only": b"# config: {}\r\n" + PAIRS + b"Q,0,1,G,3,1\n",
+    "pairs/quoted role": PAIRS + b'Q,0,1,"G",3,1\n',
+    "pairs/comment between rows": PAIRS + b"Q,0,1,G,3,1\n# note\nQ,0,2,G,4,0\n",
+    "pairs/blank line": PAIRS + b"Q,0,1,G,3,1\n\nQ,0,2,G,4,0\n",
+    "pairs/signs": PAIRS + b"Q,+0,1,G,3,+1\nQ,-1,2,G,4,-0\n",
+    "pairs/19 digits": PAIRS + b"Q,0,1,G,9223372036854775807,1\n",
+    "pairs/2**70": PAIRS + b"Q,0,1,G,%d,1\n" % 2 ** 70,
+    "pairs/mixed roles": PAIRS + b"Q,0,1,G,3,1\nVQ,0,1,VG,3,1\n",
+    "pairs/roles differing in their last byte": PAIRS + b"VQ,0,1,VG,3,1\nVG,0,1,VQ,3,1\n",
+    "pairs/comment shaped as a row": PAIRS + b"#Q,0,1,G,3,1\n",
+    "pairs/unknown role": PAIRS + b"Q,0,1,G,3,1\nQ,0,2,XYZ,4,0\n",
+    "pairs/uniform unknown role": PAIRS + b"Q,0,1,XYZ,3,1\nQ,0,2,XYZ,4,0\n",
+    "pairs/bad label": PAIRS + b"Q,0,1,G,3,1\nQ,0,2,G,4,2\n",
+    "pairs/underscores": PAIRS + b"Q,1_0,1,G,3,1\n",
+    "pairs/spaces": PAIRS + b"Q,0, 1,G,3, 1\n",
+    "pairs/empty index": PAIRS + b"Q,0,1,G,,1\n",
+    "pairs/extra field": PAIRS + b"Q,0,1,G,3,1,9\n",
+    "pairs/no trailing newline": PAIRS + b"Q,0,1,G,3,1",
+    "pairs/non-ascii role": PAIRS + "Q,0,1,Gé,3,1\n".encode(),
     "pairs/a role one byte short of the width bound":
-        PAIRS + b"Q,0,1,%s,3,-0.5,1\n" % (b"G" * (datastore._TEXT_WIDTH - 1)),
+        PAIRS + b"Q,0,1,%s,3,1\n" % (b"G" * (datastore._TEXT_WIDTH - 1)),
     "pairs/a role as wide as the width bound":
-        PAIRS + b"Q,0,1,G,3,-0.5,1\nQ,0,2,%s,4,-0.75,0\n" % (b"G" * datastore._TEXT_WIDTH),
+        PAIRS + b"Q,0,1,G,3,1\nQ,0,2,%s,4,0\n" % (b"G" * datastore._TEXT_WIDTH),
     "metadata/one role": META + b"0,G,1,0,0\n1,G,2,0,1\n",
     "metadata/every role": META + b"0,T,1,0,0\n0,Q,2,0,1\n",
     "metadata/negative label": META + b"0,G,-3,0,0\n1,G,2,-1,1\n",
@@ -587,15 +575,19 @@ CASES = {
     "metadata/a wider role first": META + b"0,VQ,2,0,1\n0,T,1,0,0\n",
     "metadata/empty role": META + b"0,G,1,0,0\n1,,2,0,1\n",
     "metadata/every role empty": META + b"0,,1,0,0\n1,,2,0,1\n",
-    "pairs/empty role": PAIRS + b"Q,0,1,G,3,-0.5,1\n,0,2,G,4,-0.75,0\n",
-    "sweep/well formed": SWEEP + b"1,0.25,0.75\n5,0.5,1.0\n",
+    "pairs/empty role": PAIRS + b"Q,0,1,G,3,1\n,0,2,G,4,0\n",
+    "sweep/well formed": SWEEP + b"1,0.25,0.75\n5,0.5,1.0\n6,-1.25e-05,-inf\n"
+                         b"7,nan,-1e+16\n",
     "sweep/crlf": SWEEP.replace(b"\n", b"\r\n") + b"1,0.25,0.75\r\n",
     "sweep/quoted field": SWEEP + b'1,"0.25",0.75\n',
     "sweep/comment between rows": SWEEP + b"1,0.25,0.75\n# note\n5,0.5,1.0\n",
-    "sweep/signs": SWEEP + b"+1,-0.25,+0.75\n",
+    "sweep/signs": SWEEP + b"+1,-0.25,+0.75\n2,+0.5,-0.5\n",
     "sweep/19 digits": SWEEP + b"9223372036854775807,0.25,0.75\n",
     "sweep/2**70": SWEEP + b"%d,0.25,0.75\n" % 2 ** 70,
     "sweep/bad float": SWEEP + b"1,x,0.75\n",
+    "sweep/an exponent without digits": SWEEP + b"1,1e,0.75\n",
+    "sweep/float underscore": SWEEP + b"1,-0_5,0.75\n",
+    "sweep/empty float": SWEEP + b"1,,0.75\n",
     "sweep/a field moved to the next line": SWEEP + b"1,0.25,0.75,2\n0.5,1.0\n",
 }
 
@@ -612,7 +604,7 @@ BYTE_PATH = {"pairs/well formed", "pairs/config comment", "pairs/quotes span lin
 
 #: Per format: header, kinds and reader of its files.
 FORMATS = {
-    "pairs": (PAIR_HEADER, (str, int, int, str, int, float, int), read_pairs_csv),
+    "pairs": (PAIR_HEADER, (str, int, int, str, int, int), read_pairs_csv),
     "metadata": (datastore.METADATA_HEADER, datastore._METADATA_KINDS,
                  lambda path: load_bundle(path, path.parent / "f.bin").splits),
     "sweep": (SWEEP_HEADER, (int, float, float), read_sweep),
@@ -795,13 +787,20 @@ class TestRowPathNumbers:
         assert outcome(read_ranked_csv, path) == \
             (ValueError, f"{path}: line 3: {field} holds '_' or whitespace")
 
-    @pytest.mark.parametrize("row, field", [(b"Q,1_2,1,G,3,-0.5,1", "int field '1_2'"),
-                                            (b"Q,0,1,G,3,-1_0.5,1", "float field '-1_0.5'"),
-                                            (b"Q,0,1,G,3,-0.5\t,1", "float field '-0.5\\t'")])
+    @pytest.mark.parametrize("row, field", [(b"Q,1_2,1,G,3,1", "int field '1_2'"),
+                                            (b"Q,0,1,G,3\t,1", "int field '3\\t'")])
     def test_pair_rows(self, tmp_path, row, field):
         path = tmp_path / "pairs.csv"
         path.write_bytes(PAIRS + row + b"\n")
         assert outcome(read_pairs_csv, path) == \
+            (ValueError, f"{path}: line 2: {field} holds '_' or whitespace")
+
+    @pytest.mark.parametrize("row, field", [(b"1,-1_0.5,0.75", "float field '-1_0.5'"),
+                                            (b"1,-0.5\t,0.75", "float field '-0.5\\t'")])
+    def test_sweep_rows(self, tmp_path, row, field):
+        path = tmp_path / "sweep.csv"
+        path.write_bytes(SWEEP + row + b"\n")
+        assert outcome(read_sweep, path) == \
             (ValueError, f"{path}: line 2: {field} holds '_' or whitespace")
 
     def test_metadata_rows(self, tmp_path):

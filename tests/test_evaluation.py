@@ -182,6 +182,13 @@ class TestReportSerialisation:
         assert list(zip(*(column.tolist() for column in columns))) == rows
         assert path.read_text().splitlines()[1] == ",".join(SWEEP_HEADER)
 
+    def test_sweep_csv_floats_survive_repr_round_trip(self, tmp_path):
+        rows = [(1, -0.12345678901234567, 5e-324)]
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, rows)
+        columns, _ = read_csv(path, SWEEP_HEADER, (int, float, float))
+        assert list(zip(*(column.tolist() for column in columns))) == rows
+
 
 class TestSweep:
     def test_width_one_row_equals_plain_retrieval(self):

@@ -124,8 +124,8 @@ class TestEligibility:
         queries = bundle.splits["Q"]
         gallery = bundle.splits["G"]
         assert eligible_mask(queries, gallery).tolist() == [[False, True, True]]
-        [(indices, scores)] = top_candidates(queries, gallery, 20)
-        assert len(indices) == len(scores) == 2
+        [indices] = top_candidates(queries, gallery, 20)
+        assert len(indices) == 2
         assert set(indices.tolist()) == {1, 2}
 
     def test_top_one_matches_full_sort_oracle(self):
@@ -142,17 +142,16 @@ class TestEligibility:
                         continue
                     if best is None or dist[qi, j] < best:
                         best, best_j = dist[qi, j], j
-                assert lists[qi][0].tolist() == [best_j]
+                assert lists[qi].tolist() == [best_j]
 
-    def test_scores_are_negated_distances_in_descending_order(self):
+    def test_candidates_come_in_ascending_distance(self):
         rng = np.random.default_rng(18)
         bundle = random_bundle(rng, n_query=2, n_gallery=8)
         queries, gallery = bundle.splits["Q"], bundle.splits["G"]
         dist = distance_matrix(queries.features, gallery.features)
-        for qi, (indices, scores) in enumerate(top_candidates(queries, gallery, 5)):
-            assert scores.tolist() == sorted(scores.tolist(), reverse=True)
-            for gi, score in zip(indices, scores):
-                np.testing.assert_allclose(score, -dist[qi, gi])
+        for qi, indices in enumerate(top_candidates(queries, gallery, 5)):
+            assert len(indices) == 5
+            assert dist[qi, indices].tolist() == sorted(dist[qi, indices].tolist())
 
     def test_distance_ties_break_to_lower_gallery_index(self):
         feats = np.array([[0.0, 0.0],
@@ -160,7 +159,7 @@ class TestEligibility:
         rows = [(0, "Q", 0, 0, 0),
                 (0, "G", 1, 0, 0), (1, "G", 2, 0, 0), (2, "G", 3, 0, 0)]
         bundle = build_bundle(rows, feats)
-        [(indices, _)] = top_candidates(bundle.splits["Q"], bundle.splits["G"], 3)
+        [indices] = top_candidates(bundle.splits["Q"], bundle.splits["G"], 3)
         assert indices.tolist() == [0, 1, 2]
 
     def test_masked_order_matches_a_masked_full_sort(self):
@@ -300,7 +299,7 @@ class TestEvalPairs:
         direct = top_candidates(bundle.splits["Q"], bundle.splits["G"], 4)
         via_pairs = candidates_from_pairs(build_eval_pairs(bundle, "Q", "G", 4))
         assert list(via_pairs) == list(range(len(direct)))
-        for qi, (indices, _) in enumerate(direct):
+        for qi, indices in enumerate(direct):
             assert via_pairs[qi].tolist() == indices.tolist()
 
 
@@ -336,8 +335,6 @@ class TestTrainPairs:
             assert rows["rank"].tolist() == \
                    [*range(1, (rows["label"] == 1).sum() + 1),
                     *range(1, (rows["label"] == 0).sum() + 1)]
-            np.testing.assert_allclose(rows["score"], -dist[ai, rows["cand_index"]],
-                                       rtol=1e-12)
             negs = rows["cand_index"][rows["label"] == 0].tolist()
             want = sorted((j for j in range(len(train))
                            if train[j].identity != anchor.identity),
@@ -405,14 +402,6 @@ class TestPairsCsv:
         write_pairs_csv(b, pair_set)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_scores_survive_repr_round_trip(self, tmp_path):
-        pairs = np.array([("Q", 0, 1, "G", 3, -0.12345678901234567, 1)],
-                         dtype=PAIR_DTYPE)
-        path = tmp_path / "p.csv"
-        write_pairs_csv(path, PairSet(pairs))
-        back = read_pairs_csv(path)
-        assert back.pairs["score"][0] == -0.12345678901234567
-
     def test_bad_header_raises(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("query_role,query_index\nQ,0\n")
@@ -420,17 +409,17 @@ class TestPairsCsv:
             read_pairs_csv(path)
 
     @pytest.mark.parametrize("row, want", [
-        ("X,0,1,G,3,-0.5,1", "unknown role 'X'"),
-        ("Q,0,1,XYZ,3,-0.5,1", "unknown role 'XYZ'"),
-        ("Q,0,1,G,3,-0.5,2", "label must be 0 or 1, got 2"),
-        ("Q,0,1,G,3,-0.5,-1", "label must be 0 or 1, got -1"),
-        (f"Q,{2 ** 63},1,G,3,-0.5,1", "query_index does not fit in int64"),
-        (f"Q,0,1,G,{-2 ** 63 - 1},-0.5,1", "cand_index does not fit in int64"),
+        ("X,0,1,G,3,1", "unknown role 'X'"),
+        ("Q,0,1,XYZ,3,1", "unknown role 'XYZ'"),
+        ("Q,0,1,G,3,2", "label must be 0 or 1, got 2"),
+        ("Q,0,1,G,3,-1", "label must be 0 or 1, got -1"),
+        (f"Q,{2 ** 63},1,G,3,1", "query_index does not fit in int64"),
+        (f"Q,0,1,G,{-2 ** 63 - 1},1", "cand_index does not fit in int64"),
     ])
     def test_bad_field_values_name_the_file_and_line(self, tmp_path, row, want):
         path = tmp_path / "p.csv"
         path.write_text("# config: {}\nquery_role,query_index,rank,cand_role,"
-                        "cand_index,score,label\nQ,0,1,G,2,-0.25,0\n" + row + "\n")
+                        "cand_index,label\nQ,0,1,G,2,0\n" + row + "\n")
         with pytest.raises(ValueError, match=f"p.csv: line 4: {want}"):
             read_pairs_csv(path)
 
@@ -463,7 +452,7 @@ class TestQueryGroups:
             ("VQ", 3, 1), ("Q", 3, 3)]
 
     def pairs(self):
-        return np.array([(qr, qi, rank, "G", 10 * i, 0.0, i % 2)
+        return np.array([(qr, qi, rank, "G", 10 * i, i % 2)
                          for i, (qr, qi, rank) in enumerate(self.ROWS)], dtype=PAIR_DTYPE)
 
     def test_runs_follow_first_appearance_then_rank_then_file_order(self):

@@ -47,8 +47,12 @@ def two_record_bundle(seed=999, present_g=(True, True, False, True, True)):
     return bundle.splits["Q"][0], bundle.splits["G"][0], bundle
 
 
+def copied(model):
+    return dataclasses.replace(model, params=model.params.copy())
+
+
 def zeroed(model):
-    out = model.copy()
+    out = copied(model)
     out.params[:] = 0.0
     return out
 
@@ -515,7 +519,7 @@ class TestHeadSeparation:
         q, g, _ = two_record_bundle()
         model = VerifierModel.initialize((4, 3, 5), 8, 7, seed=12)
         before = score(model, q, g)[0]
-        bumped = model.copy()
+        bumped = copied(model)
         bumped.global_hidden_w[...] += 3.7
         bumped.global_out_b[...] += 1.1
         assert score(bumped, q, g)[0] == before
@@ -524,7 +528,7 @@ class TestHeadSeparation:
         q, g, _ = two_record_bundle()
         model = VerifierModel.initialize((4, 3, 5), 8, 7, seed=13)
         before = global_score(model, q, g)
-        bumped = model.copy()
+        bumped = copied(model)
         bumped.part_mix_w[...] -= 2.0
         bumped.out_log_gain[...] += 0.5
         assert global_score(bumped, q, g) == before
@@ -539,7 +543,7 @@ class TestContributionConsistency:
                                              seed=int(rng.integers(1 << 16)))
             s, contrib = score(model, q, g)
             kstar = int(np.nanargmax(contrib))
-            bumped = model.copy()
+            bumped = copied(model)
             bumped.part_mix_b[kstar] += 0.25
             s2, contrib2 = score(bumped, q, g)
             np.testing.assert_allclose(contrib2[kstar], contrib[kstar] + 0.25,
