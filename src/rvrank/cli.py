@@ -199,13 +199,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_rerank(args: argparse.Namespace) -> int:
     config = RankingConfig(P=args.P, L=args.L, Q=args.Q,
                            k1=args.k1, k2=args.k2, lam=args.lam)
-    bundle = _load_bundle_args(args)
     stages = STAGE_CHOICES[args.stages]
-    scorer = None
-    if "window" in stages:
-        if args.model is None:
-            raise ValueError("--model is required when the window stage runs")
-        scorer = _load_model_args(args, bundle)
+    if "window" in stages and args.model is None:
+        raise ValueError("--model is required when the window stage runs")
+    bundle = _load_bundle_args(args)
+    scorer = _load_model_args(args, bundle) if "window" in stages else None
     candidates = None
     if args.candidates is not None:
         pair_set = read_pairs_csv(args.candidates)
@@ -246,8 +244,8 @@ def _check_ranked_roles(args: argparse.Namespace) -> None:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     _at_least_one("--k-max", args.k_max)
-    bundle = _load_bundle_args(args)
     _check_ranked_roles(args)
+    bundle = _load_bundle_args(args)
     ranked = read_ranked_csv(args.ranked)
     report = evaluate(bundle, ranked, k_max=args.k_max,
                       query_role=args.query_role, gallery_role=args.gallery_role)

@@ -236,12 +236,8 @@ def write_csv(path: str | Path, header: tuple[str, ...],
                              f"of shape {column.shape}")
         dtype, fmt = _FORMATS[column.dtype.kind]
         column = column.astype(dtype, casting="safe", copy=False)
-        # A stride-0 column holds one value: it is checked and encoded once.
-        once = column[:1] if column.strides == (0,) and len(column) else column
         if fmt is _text_bytes:
-            _check_text(path, name, once)
-        if once is not column:
-            fmt = lambda values, f=fmt(once): np.broadcast_to(f, (len(values), f.shape[1]))
+            _check_text(path, name, column)
         formats.append((column, fmt))
     lengths = {len(column) for column, _ in formats}
     if len(lengths) > 1:
@@ -348,8 +344,7 @@ def _read_body(path: Path, head_lines: int,
     newlines: no whitespace (which loadtxt strips from a number), quote,
     ``#``, CR or NUL.  loadtxt skips blank lines, so a row count other than
     the gate's goes to the row path, as does an empty text field or one
-    ``_TEXT_WIDTH`` wide.  A text column holding one token on every row
-    comes back as that token broadcast read-only.
+    ``_TEXT_WIDTH`` wide.
     """
     # The head's lines are UTF-8 (read_csv checked them); the body's may not be.
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
@@ -382,14 +377,11 @@ def _read_body(path: Path, head_lines: int,
     for j, kind in enumerate(kinds):
         if kind is str:
             text = columns[j]
-            uniform = (text == text[0]).all()
             # The gate let no NUL through: a field's length is its count of non-NUL bytes.
-            fields = (text[:1] if uniform else text)[:, None].view(np.uint8)
-            width = np.count_nonzero(fields, axis=1)
+            width = np.count_nonzero(text[:, None].view(np.uint8), axis=1)
             if width.min() < 1 or width.max() >= _TEXT_WIDTH:
                 return None
-            columns[j] = (np.broadcast_to(np.array(text[0].decode()), rows) if uniform
-                          else text.astype(f"U{width.max()}"))
+            columns[j] = text.astype(f"U{width.max()}")
     return columns, lines
 
 

@@ -85,16 +85,23 @@ def evaluate(bundle: DatasetBundle, ranked: list[RankedList], k_max: int = 10,
 
     ``ranked`` must hold exactly one ranking per query of ``query_role``,
     in any order; a missing, duplicated or unknown query raises ValueError
-    naming it.  Each ranking must be a permutation of its query's eligible
-    gallery (same-identity-same-cloth images already removed); anything
-    else -- ineligible entries, duplicates, omissions -- raises ValueError
-    naming the query.
+    naming it.  A query without eligible gallery images may be missing: its
+    ranking is empty, which a ranked CSV holds as no rows, and it is
+    reported under ``excluded_queries``.  Each ranking must be a permutation
+    of its query's eligible gallery (same-identity-same-cloth images already
+    removed); anything else -- ineligible entries, duplicates, omissions --
+    raises ValueError naming the query.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     queries, gallery = bundle.splits[query_role], bundle.splits[gallery_role]
+    allowed = eligible_mask(queries, gallery)
+    present = {rl.query_index for rl in ranked}
+    ranked = ranked + [RankedList(qi, np.empty(0, dtype=np.int64))
+                       for qi in np.flatnonzero(~allowed.any(axis=1)).tolist()
+                       if qi not in present]
     _check_one_ranking_per_query(ranked, len(queries), query_role)
-    return _score(queries, gallery, eligible_mask(queries, gallery), ranked, k_max)
+    return _score(queries, gallery, allowed, ranked, k_max)
 
 
 def _score(queries: Split, gallery: Split, allowed: np.ndarray,
@@ -182,7 +189,7 @@ def sweep_L(bundle: DatasetBundle, scorer, config: RankingConfig,
     rows: list[tuple[int, float, float]] = []
     for L in L_values:
         run_cfg = replace(cfg, L=int(L)).clamped()
-        ranked = [window_rerank(rl.order, s, run_cfg.L, run_cfg.Q, rl.query_index)
+        ranked = [RankedList(rl.query_index, window_rerank(rl.order, s, run_cfg.L, run_cfg.Q))
                   for rl, s in zip(base, scores)]
         report = _score(queries, gallery, allowed, ranked, k_max=10)
         rows.append((int(L), report.cmc[0], report.cmc[9]))

@@ -11,9 +11,9 @@ Two stages, composable in a fixed order:
   Positions beyond Q are never touched, so the work per query is bounded by
   Q scored pairs regardless of gallery size.
 
-Every query's output is a full permutation of its eligible gallery, tagged
-with the stage provenance (``retrieval``, ``kreciprocal``, ``window`` or
-``composed`` when both stages ran).
+Every query's output is a full permutation of its eligible gallery; a
+ranked CSV holds it as one ``query_index,rank,gallery_index`` row per
+entry, and its ``# config:`` line records the stages that ran.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .verifier import prefix_scores
 
 STAGE_NAMES = ("kreciprocal", "window")
 
-RANKED_HEADER = ("query_index", "rank", "gallery_index", "stage_provenance")
+RANKED_HEADER = ("query_index", "rank", "gallery_index")
 
 
 @dataclass(frozen=True)
@@ -75,16 +75,15 @@ class RankingConfig:
 @dataclass
 class RankedList:
     """Full gallery permutation for one query, as an int64 array of gallery
-    indices best first, plus how it was produced."""
+    indices best first."""
 
     query_index: int
     order: np.ndarray
-    provenance: str
 
 
-def window_rerank(order: np.ndarray, scores: np.ndarray, L: int, Q: int,
-                  query_index: int = -1) -> RankedList:
-    """Reorder the first Q entries of a ranking with an L-wide score window.
+def window_rerank(order: np.ndarray, scores: np.ndarray, L: int, Q: int) -> np.ndarray:
+    """Reorder the first Q entries of a ranking with an L-wide score window,
+    returning the re-ranked order as an int64 array.
 
     ``scores[i]`` scores ``order[i]`` for each of the first ``min(Q,
     len(order))`` positions; any other length raises ValueError.  The window
@@ -114,8 +113,7 @@ def window_rerank(order: np.ndarray, scores: np.ndarray, L: int, Q: int,
         if refill < depth:
             window.append(refill)
             refill += 1
-    return RankedList(query_index, np.concatenate([order[emitted], order[depth:]]),
-                      "window")
+    return np.concatenate([order[emitted], order[depth:]])
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +321,9 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: Callable[..., np.ndarray] | N
     be None when the window stage is not requested.  When ``candidates``
     (a previously retrieved top-P set, ``{query_index: gallery indices}``)
     is supplied, it is checked against the freshly computed retrieval
-    prefix and a ValueError names the first query that disagrees, or that
-    ``query_role`` does not have.
+    prefix and a ValueError names the first query that disagrees, that
+    ``query_role`` does not have, or that has eligible gallery images but
+    no list.
 
     The window stage passes exactly ``min(Q, eligible)`` pairs per query to
     the scorer, through :func:`~rvrank.verifier.prefix_scores`.
@@ -352,10 +351,11 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: Callable[..., np.ndarray] | N
 
     if candidates is not None:
         for qi, order in enumerate(orders):
-            got = candidates.get(qi)
-            if got is None:
-                raise ValueError(f"no candidate list for query {qi}")
-            if not np.array_equal(got, order[:len(got)]):
+            # A query without eligible gallery images has no candidate rows.
+            if qi not in candidates:
+                if len(order):
+                    raise ValueError(f"no candidate list for query {qi}")
+            elif not np.array_equal(candidates[qi], order[:len(candidates[qi])]):
                 raise ValueError(
                     f"candidate list for query {qi} does not match the "
                     f"current retrieval ranking; rebuild the candidates"
@@ -372,12 +372,9 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: Callable[..., np.ndarray] | N
 
     if "window" in stages:
         scores = prefix_scores(scorer, queries, gallery, orders, cfg.Q)
-        orders = [window_rerank(order, s, cfg.L, cfg.Q).order
-                  for order, s in zip(orders, scores)]
+        orders = [window_rerank(order, s, cfg.L, cfg.Q) for order, s in zip(orders, scores)]
 
-    ran = [stage for stage in STAGE_NAMES if stage in stages]
-    provenance = "composed" if len(ran) == 2 else (ran[0] if ran else "retrieval")
-    return [RankedList(qi, order, provenance) for qi, order in enumerate(orders)]
+    return [RankedList(qi, order) for qi, order in enumerate(orders)]
 
 
 # ---------------------------------------------------------------------------
@@ -389,43 +386,28 @@ def write_ranked_csv(path: str | Path, ranked: list[RankedList],
     lengths = np.array([len(rl.order) for rl in ranked], dtype=np.int64)
     rows = int(lengths.sum())
     query = np.repeat(np.array([rl.query_index for rl in ranked], dtype=np.int64), lengths)
-    names = np.array([rl.provenance for rl in ranked], dtype=str)
-    # A pipeline tags every query with one provenance: a stride-0 column
-    # holds it once, not once per row (4 bytes per character per row).
-    if len(set(names.tolist())) == 1:
-        provenance = np.broadcast_to(names[:1], (rows,))
-    else:
-        provenance = np.repeat(names, lengths)
     rank = np.arange(1, rows + 1)
     rank -= np.repeat(np.cumsum(lengths) - lengths, lengths)
     gallery = np.concatenate([np.empty(0, np.int64)] + [rl.order for rl in ranked])
-    write_csv(path, RANKED_HEADER, (query, rank, gallery, provenance), config_comment)
+    write_csv(path, RANKED_HEADER, (query, rank, gallery), config_comment)
 
 
 def read_ranked_csv(path: str | Path) -> list[RankedList]:
     """Read a ranked CSV back into one :class:`RankedList` per query, in
-    query order.  Each query's ranks must be dense from 1 and its
-    provenance one value; a fault raises ValueError naming the file and
-    line."""
+    query order.  Each query's ranks must be dense from 1; a fault raises
+    ValueError naming the file and line."""
     path = Path(path)
-    (q, r, g, prov), lines = read_csv(path, RANKED_HEADER, (int, int, int, str))
+    (q, r, g), lines = read_csv(path, RANKED_HEADER, (int, int, int))
     if not len(q):
         return []
     # Rows as write_ranked_csv writes them need no sort.
     if not ((q[1:] > q[:-1]) | ((q[1:] == q[:-1]) & (r[1:] > r[:-1]))).all():
         by_rank = np.lexsort((r, q))
-        q, r, g, prov, lines = (col[by_rank] for col in (q, r, g, prov, np.asarray(lines)))
+        q, r, g, lines = (col[by_rank] for col in (q, r, g, np.asarray(lines)))
     starts = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
     # Row by row: the position of its query's first row.
     first = np.repeat(starts, np.diff(np.r_[starts, len(q)]))
-    rules = [(r != np.arange(1, len(q) + 1) - first,
-              lambda i: f"{path}: line {lines[i]}: query {q[i]}: ranks are not dense from 1")]
-    # A pipeline tags every query with one provenance: a uniform column
-    # needs no comparison row by row.
-    if not (prov == prov[0]).all():
-        rules.append((prov != prov[first], lambda i: (
-            f"{path}: line {lines[i]}: query {q[i]}: mixed stage_provenance values "
-            f"{sorted(set(prov[q == q[i]].tolist()))}")))
-    check_rows(rules)
-    return [RankedList(qi, order, name) for qi, order, name in zip(
-        q[starts].tolist(), np.split(g, starts[1:]), prov[starts].tolist())]
+    check_rows([(r != np.arange(1, len(q) + 1) - first,
+                 lambda i: f"{path}: line {lines[i]}: query {q[i]}: ranks are not dense from 1")])
+    return [RankedList(qi, order) for qi, order in zip(q[starts].tolist(),
+                                                       np.split(g, starts[1:]))]

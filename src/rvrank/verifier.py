@@ -551,8 +551,7 @@ def validation_rank1(model: VerifierModel, valid: ValidationSet,
         start, end = end, end + min(valid.depth, len(labels))
         # The window moves positions, so re-ranking the labels puts the
         # label of the verifier's top candidate first.
-        hits += int(window_rerank(labels, scores[start:end], ranking_L,
-                                  valid.depth).order[0])
+        hits += int(window_rerank(labels, scores[start:end], ranking_L, valid.depth)[0])
     return hits / len(valid.labels) if valid.labels else 0.0
 
 

@@ -69,7 +69,7 @@ def test_window_invariants_hold_on_random_instances():
         depth = min(q, n)
         scores = [table[g] for g in entries[:depth]]
 
-        out = window_rerank(entries, scores, width, q).order.tolist()
+        out = window_rerank(entries, scores, width, q).tolist()
         assert sorted(out) == sorted(entries)
 
         assert out[depth:] == entries[depth:]
@@ -77,9 +77,9 @@ def test_window_invariants_hold_on_random_instances():
             old_pos = entries.index(g) + 1
             assert new_pos >= max(1, old_pos - width + 1)
 
-        assert window_rerank(entries, scores, 1, q).order.tolist() == entries
+        assert window_rerank(entries, scores, 1, q).tolist() == entries
 
-        full = window_rerank(entries, scores, q, q).order.tolist()
+        full = window_rerank(entries, scores, q, q).tolist()
         want = sorted(entries[:depth],
                       key=lambda g: (-table[g], entries.index(g)))
         assert full[:depth] == want
@@ -91,7 +91,7 @@ def test_window_reorders_the_worked_example():
     """Four entries, window 2: the top-scoring last entry can only surface
     after the window reaches it, giving [a, b, c, d] -> [b, c, d, a]."""
     scores = [0.1, 0.9, 0.5, 0.8]
-    assert window_rerank([0, 1, 2, 3], scores, L=2, Q=4).order.tolist() == [1, 2, 3, 0]
+    assert window_rerank([0, 1, 2, 3], scores, L=2, Q=4).tolist() == [1, 2, 3, 0]
 
 
 def test_rank10_is_flat_once_the_window_covers_the_tail(scenario_setup):
@@ -244,7 +244,7 @@ def test_metrics_match_a_scalar_oracle():
                                n_cloths=int(rng.integers(1, 5)),
                                dims=(4, 2, 3))
         orders = eligible_orders(rng, bundle)
-        ranked = [RankedList(q.index, order, "retrieval")
+        ranked = [RankedList(q.index, order)
                   for q, order in zip(bundle.splits["Q"], orders)]
         k_max = int(rng.integers(1, 11))
         report = evaluate(bundle, ranked, k_max=k_max)
@@ -355,7 +355,8 @@ def test_scoring_cost_is_window_bounded_and_linear():
 #: sha256 of every artifact of the pipeline below.  A change that alters an
 #: artifact's bytes on purpose updates its digest here and names the change
 #: in CHANGES.md.  The pair CSVs and candidates.csv were last changed by
-#: dropping the pair files' score column; every other digest predates it.
+#: dropping the pair files' score column, ranked.csv by dropping its
+#: stage_provenance column; every other digest predates both.
 PIPELINE_SHA256 = {
     "candidates.csv": "75a597148dfd81f7cbccd412d00d5fe38127e36520d66270953676dcd828bd8f",
     "data/features.bin": "6e41e01590c932bc99bc3dc4dfdf1bb9883e1709a1c4b71a946f6a324645bec6",
@@ -373,7 +374,7 @@ PIPELINE_SHA256 = {
     "pairs/train_pairs.csv": "d1bbd81ec61395e4b6a0c0c7cb62baf94203ab6a8f6614ee24a82dd7be533a68",
     "pairs/valid_pairs.csv": "32843546f1ade00e4be3a617fd9f3e236e74398b81f51772d80a1b9e0b944db2",
     "per_query.csv": "5e09d60577d36eec1534f97aaed8b0418b828f8486f7029aa56b73b4548e187b",
-    "ranked.csv": "010fdcf5148265fb5264ce85e6ab205d486fd0bb46fe7c7a39cb4592059a5e84",
+    "ranked.csv": "89d581de9e45c6894300d87d7e1e51edc56e0c89a6d63f6a0de35dda493ad4e4",
     "report.json": "a4107248f65c50ef98bfc0954d5e9dd17bc1e440b6a1af74a46c1e80ab3a8b11",
     "sweep.csv": "74e0a3a54009c0226537b3840f8a8d3022b69a37a3654a829a6dd0dc020bc3f8",
 }

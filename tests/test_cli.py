@@ -12,7 +12,7 @@ import pytest
 
 import rvrank
 from rvrank.cli import main
-from rvrank.datastore import Split, load_bundle, read_csv
+from rvrank.datastore import Split, build_bundle, load_bundle, read_csv, write_bundle
 from rvrank.evaluation import SWEEP_HEADER, evaluate
 from rvrank.reranker import RankingConfig, read_ranked_csv, rerank_pipeline
 from rvrank.verifier import VerifierModel, save_model
@@ -98,7 +98,6 @@ def test_stage_free_rerank_is_the_retrieval_baseline(workspace):
     bundle = load_bundle(data / "meta.csv", data / "features.bin",
                          data / "parts.bin")
     ranked = read_ranked_csv(workspace / "ranked_none.csv")
-    assert {rl.provenance for rl in ranked} == {"retrieval"}
     want = rerank_pipeline(bundle, None, RankingConfig(P=10, L=5, Q=10),
                            stages=())
     assert [rl.order.tolist() for rl in ranked] == [rl.order.tolist() for rl in want]
@@ -108,9 +107,10 @@ def test_stage_free_rerank_is_the_retrieval_baseline(workspace):
     assert report["map"] == fresh.map_score
 
 
-def test_composed_rerank_labels_its_provenance(workspace):
-    ranked = read_ranked_csv(workspace / "ranked.csv")
-    assert {rl.provenance for rl in ranked} == {"composed"}
+def test_ranked_csv_records_its_stages_in_the_config_line(workspace):
+    for name, stages in (("ranked.csv", "both"), ("ranked_none.csv", "none")):
+        first = (workspace / name).read_text().splitlines()[0]
+        assert json.loads(first.removeprefix("# config: "))["stages"] == stages
 
 
 def test_sweep_rows_follow_the_requested_widths(workspace):
@@ -654,3 +654,88 @@ def test_a_negative_hidden_size_is_named(workspace, tmp_path, capsys, flags, siz
     assert capsys.readouterr().err == (
         f"error: bad hidden sizes hidden_global={sizes}: need >= 0\n")
     assert not out.exists()
+
+
+def test_an_old_four_field_ranked_csv_fails_the_eval(workspace, tmp_path, capsys):
+    # Rows once carried a stage_provenance field; such a file must be
+    # regenerated with rerank, not read.
+    data = workspace / "data"
+    comment, header, *rows = (workspace / "ranked.csv").read_text().splitlines()
+    old, report = tmp_path / "ranked.csv", tmp_path / "report.json"
+    old.write_text("".join(f"{line}\n" for line in [
+        comment, header + ",stage_provenance", *(row + ",composed" for row in rows)]))
+    rc = main(["eval", "--meta", str(data / "meta.csv"),
+               "--features", str(data / "features.bin"), "--parts", str(data / "parts.bin"),
+               "--ranked", str(old), "--out", str(report)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {old}: line 2: expected header 'query_index,rank,gallery_index', got "
+        "'query_index,rank,gallery_index,stage_provenance'\n")
+    assert sorted(tmp_path.iterdir()) == [old]
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("rerank", ["--stages", "window", "--out", "out.csv"],
+     "--model is required when the window stage runs"),
+    ("eval", ["--ranked", "ranked.csv", "--out", "out.json"],
+     "ranked.csv: ranked with --query-role VQ --gallery-role VG, "
+     "but eval got --query-role Q --gallery-role G"),
+])
+def test_flag_errors_come_before_the_bundle_is_read(tmp_path, capsys, monkeypatch, command,
+                                                    flags, message):
+    # The bundle is missing: reading it would report that instead.
+    monkeypatch.chdir(tmp_path)
+    ranked = tmp_path / "ranked.csv"
+    ranked.write_text('# config: {"gallery_role":"VG","query_role":"VQ"}\n'
+                      "query_index,rank,gallery_index\n")
+    assert main([command, "--meta", "none.csv", "--features", "none.bin", *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == [ranked]
+
+
+@pytest.fixture
+def one_query_without_eligible_images(tmp_path):
+    """Query 0 shares identity and cloth with every gallery image, so it has
+    no eligible image; query 1 has three, all positives."""
+    rows = [(0, "Q", 1, 0, 0), (1, "Q", 1, 1, 1)] + [(i, "G", 1, 0, 2) for i in range(3)]
+    feats = np.random.default_rng(5).normal(size=(len(rows), 4))
+    data = tmp_path / "data"
+    data.mkdir()
+    write_bundle(build_bundle(rows, feats), data / "meta.csv", data / "features.bin")
+    return ["--meta", str(data / "meta.csv"), "--features", str(data / "features.bin")]
+
+
+def test_a_query_without_eligible_images_is_excluded_by_eval(
+        one_query_without_eligible_images, tmp_path, capsys):
+    flags = one_query_without_eligible_images
+    ranked, report = tmp_path / "ranked.csv", tmp_path / "report.json"
+    assert main(["rerank", *flags, "--stages", "none", "--out", str(ranked)]) == 0
+    assert [line.split(",")[0] for line in ranked.read_text().splitlines()[2:]] == ["1"] * 3
+    assert main(["eval", *flags, "--ranked", str(ranked), "--out", str(report)]) == 0
+    got = json.loads(report.read_text())
+    assert (got["excluded_queries"], got["num_evaluated"], got["cmc"][0]) == ([0], 1, 1.0)
+    # A missing query that has eligible images still fails.
+    lines = ranked.read_text().splitlines(keepends=True)
+    ranked.write_text("".join(lines[:2]))
+    capsys.readouterr()
+    assert main(["eval", *flags, "--ranked", str(ranked), "--out", str(report)]) == 1
+    assert "queries 1 missing: [1]" in capsys.readouterr().err
+
+
+def test_a_query_without_eligible_images_needs_no_candidate_list(
+        one_query_without_eligible_images, tmp_path, capsys):
+    flags = one_query_without_eligible_images
+    candidates, ranked = tmp_path / "candidates.csv", tmp_path / "ranked.csv"
+    assert main(["retrieve", *flags, "--out", str(candidates)]) == 0
+    assert main(["rerank", *flags, "--stages", "none", "--candidates", str(candidates),
+                 "--out", str(ranked)]) == 0
+    assert main(["rerank", *flags, "--stages", "none", "--out", str(tmp_path / "plain.csv")]) == 0
+    assert ranked.read_text().splitlines()[1:] == \
+        (tmp_path / "plain.csv").read_text().splitlines()[1:]
+    # A query that has eligible images still needs its list.
+    lines = candidates.read_text().splitlines(keepends=True)
+    candidates.write_text("".join(lines[:2]))
+    capsys.readouterr()
+    assert main(["rerank", *flags, "--stages", "none", "--candidates", str(candidates),
+                 "--out", str(ranked)]) == 1
+    assert capsys.readouterr().err == "error: no candidate list for query 1\n"

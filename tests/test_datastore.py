@@ -349,8 +349,7 @@ class TestCsvReaders:
     #: reader, header, a good row, the same row with a non-numeric field
     READERS = {
         "pairs": (read_pairs_csv, PAIR_HEADER, "Q,0,1,G,3,1", "Q,0,1,G,x,1", ValueError),
-        "ranked": (read_ranked_csv, RANKED_HEADER, "0,1,3,window",
-                   "0,x,3,window", ValueError),
+        "ranked": (read_ranked_csv, RANKED_HEADER, "0,1,3", "0,x,3", ValueError),
         "sweep": (read_sweep, SWEEP_HEADER, "5,0.5,1.0", "5,x,1.0", ValueError),
         "metadata": (lambda path: load_bundle(path, path.parent / "f.bin"),
                      ("index", "role", "identity", "cloth", "camera"),
@@ -419,7 +418,7 @@ class TestWriteCsv:
         assert not path.exists()
 
     def test_a_stride_0_column_is_written_as_its_copy(self, tmp_path):
-        # Encoded once and repeated, across a block edge.
+        # Across a block edge.
         n = datastore._BLOCK_ROWS + 3
         columns = [np.broadcast_to(np.array(v), n) for v in ("kreciprocal", -12, 0.1)]
         shared, copied = tmp_path / "shared.csv", tmp_path / "copied.csv"
@@ -556,6 +555,8 @@ CASES = {
     "pairs/extra field": PAIRS + b"Q,0,1,G,3,1,9\n",
     "pairs/no trailing newline": PAIRS + b"Q,0,1,G,3,1",
     "pairs/non-ascii role": PAIRS + "Q,0,1,Gé,3,1\n".encode(),
+    "pairs/non-ascii token": PAIRS + "Q\u00ef,0,1,G,3,1\nQ,0,2,G,4,0\n".encode(),
+    "pairs/nul byte": PAIRS + b"Q,0,1,G\0,3,1\n",
     "pairs/a role one byte short of the width bound":
         PAIRS + b"Q,0,1,%s,3,1\n" % (b"G" * (datastore._TEXT_WIDTH - 1)),
     "pairs/a role as wide as the width bound":
@@ -710,7 +711,30 @@ class TestCsvBytePathInSmallGateReads(TestCsvBytePath):
         monkeypatch.setattr(datastore, "_GATE_BYTES", request.param)
 
 
-RANKED_KINDS = (int, int, int, str)
+class TestRoleColumns:
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_role_columns_read_alike_at_every_gate_size(self, tmp_path, monkeypatch, block):
+        # 3,600 rows: one role throughout a column, and roles of two widths
+        # that change between rows.
+        n = 3600
+        path = tmp_path / "pairs.csv"
+        roles = np.array(["T", "VQ", "Q", "VG"])[np.arange(n) % 4]
+        write_csv(path, PAIR_HEADER, (np.full(n, "T"), np.arange(n) // 20, np.arange(n) % 20 + 1,
+                                      roles, np.arange(n) % 97, np.arange(n) % 2),
+                  config_comment="config: {}")
+        kinds = FORMATS["pairs"][1]
+        want = outcome(lambda p: datastore.read_csv(p, PAIR_HEADER, kinds), path)
+        monkeypatch.setattr(datastore, "_GATE_BYTES", block)
+        monkeypatch.setattr(datastore, "_read_rows", None)
+        got = datastore.read_csv(path, PAIR_HEADER, kinds)
+        assert outcome(lambda _: got, path) == want
+        (query_role, *_, cand_role, _, _), lines = got
+        assert lines == range(3, 3 + n)
+        assert query_role.tolist() == ["T"] * n and cand_role.tolist() == roles.tolist()
+        assert (query_role.dtype, cand_role.dtype) == (np.dtype("<U1"), np.dtype("<U2"))
+
+
+RANKED_KINDS = (int, int, int)
 
 
 def read_ranked_columns(path):
@@ -719,38 +743,20 @@ def read_ranked_columns(path):
 
 class TestRankedColumns:
     @staticmethod
-    def ranked_file(tmp_path, provenance, queries=6, gallery=600):
-        """A ranked.csv of ``queries * gallery`` rows, its queries tagged in
-        turn by the names in ``provenance``."""
+    def ranked_file(tmp_path, queries=6, gallery=600):
+        """A ranked.csv of ``queries * gallery`` rows."""
         rng = np.random.default_rng(queries)
         path = tmp_path / "ranked.csv"
-        write_ranked_csv(path, [RankedList(qi, rng.permutation(gallery),
-                                           provenance[qi % len(provenance)])
+        write_ranked_csv(path, [RankedList(qi, rng.permutation(gallery))
                                 for qi in range(queries)], config_comment="config: {}")
         return path
-
-    @pytest.mark.parametrize("block", [1, 7, 64])
-    @pytest.mark.parametrize("provenance", [("kreciprocal",), ("retrieval", "window", "composed")])
-    def test_one_token_throughout_stays_one_broadcast(self, tmp_path, monkeypatch, block,
-                                                       provenance):
-        path = self.ranked_file(tmp_path, provenance)
-        want = outcome(read_ranked_columns, path)
-        monkeypatch.setattr(datastore, "_GATE_BYTES", block)
-        monkeypatch.setattr(datastore, "_read_rows", None)
-        got = read_ranked_columns(path)
-        assert outcome(lambda _: got, path) == want
-        (*_, names), lines = got
-        assert lines[-1] == 2 + 6 * 600 and len(names) == 6 * 600
-        assert (names.strides == (0,)) == (len(provenance) == 1)
-        assert names.flags.writeable == (len(provenance) > 1)
-        assert names.dtype == np.dtype(f"<U{max(map(len, provenance))}")
 
     @pytest.mark.parametrize("block", [7, 1 << 10, datastore._GATE_BYTES])
     def test_a_fault_in_the_last_row_reads_as_the_row_path_says(self, tmp_path, monkeypatch,
                                                                 block):
-        path = self.ranked_file(tmp_path, ("window",))
+        path = self.ranked_file(tmp_path)
         data = path.read_bytes()
-        path.write_bytes(data[:data.rindex(b"\n", 0, -1) + 1] + b"5,600,1_0,window\n")
+        path.write_bytes(data[:data.rindex(b"\n", 0, -1) + 1] + b"5,600,1_0\n")
         monkeypatch.setattr(datastore, "_GATE_BYTES", block)
         got = outcome(read_ranked_columns, path)
         assert got == (ValueError, f"{path}: line 3602: int field '1_0' holds '_' or whitespace")
@@ -762,15 +768,14 @@ class TestRankedColumns:
         ranked.csv.  The file is read in bounded pieces, never whole: the
         traced peak is the storage behind the returned columns plus a
         fixed allowance."""
-        path = self.ranked_file(tmp_path, ("kreciprocal",), queries=450, gallery=1347)
+        path = self.ranked_file(tmp_path, queries=450, gallery=1347)
         with PeakMemory() as peak:
             columns, lines = read_ranked_columns(path)
         # The line numbers are a range: rows of a written file are consecutive lines.
         assert isinstance(lines, range)
-        # The provenance is one string, broadcast; the other columns may
-        # share one table.
+        # The columns may share one table.
         held = {id(base): base.nbytes for base in (c if c.base is None else c.base
-                                                    for c in columns if c.strides != (0,))}
+                                                    for c in columns)}
         beyond = peak.bytes - sum(held.values())
         assert beyond < 8 * 2 ** 20, f"{beyond / 2 ** 20:.1f} MB"
 
@@ -779,11 +784,11 @@ class TestRowPathNumbers:
     """``int()`` and ``float()`` read ``1_0`` as 10 and `` 3 `` as 3; the
     writer writes neither, so the row path rejects both."""
 
-    @pytest.mark.parametrize("row, field", [(b"0,1,1_0,retrieval", "int field '1_0'"),
-                                            (b"0,1, 3 ,retrieval", "int field ' 3 '")])
+    @pytest.mark.parametrize("row, field", [(b"0,2,1_0", "int field '1_0'"),
+                                            (b"0,2, 3 ", "int field ' 3 '")])
     def test_ranked_rows(self, tmp_path, row, field):
         path = tmp_path / "ranked.csv"
-        path.write_bytes(RANKED_HEADER_LINE + b"0,1,0,retrieval\n" + row + b"\n")
+        path.write_bytes(RANKED_HEADER_LINE + b"0,1,0\n" + row + b"\n")
         assert outcome(read_ranked_csv, path) == \
             (ValueError, f"{path}: line 3: {field} holds '_' or whitespace")
 

@@ -31,7 +31,7 @@ def labelled_instance(identities, query_identity=1):
 class TestHandWorkedCases:
     def test_single_positive_on_top(self):
         bundle = labelled_instance([1, 0, 0, 0, 0])
-        report = evaluate(bundle, [RankedList(0, [0, 1, 2, 3, 4], "retrieval")],
+        report = evaluate(bundle, [RankedList(0, [0, 1, 2, 3, 4])],
                           k_max=5)
         assert report.cmc[0] == 1.0
         assert report.map_score == 1.0
@@ -39,7 +39,7 @@ class TestHandWorkedCases:
 
     def test_positives_at_ranks_two_and_four(self):
         bundle = labelled_instance([0, 1, 0, 1, 0])
-        report = evaluate(bundle, [RankedList(0, [0, 1, 2, 3, 4], "retrieval")],
+        report = evaluate(bundle, [RankedList(0, [0, 1, 2, 3, 4])],
                           k_max=5)
         assert report.map_score == pytest.approx(0.5)
         assert report.cmc[0] == 0.0
@@ -49,7 +49,7 @@ class TestHandWorkedCases:
 
     def test_query_without_positives_is_excluded(self):
         bundle = labelled_instance([0, 0, 2])
-        report = evaluate(bundle, [RankedList(0, [0, 1, 2], "retrieval")])
+        report = evaluate(bundle, [RankedList(0, [0, 1, 2])])
         assert report.num_evaluated == 0
         assert report.excluded_queries == [0]
         assert report.per_query[0].average_precision is None
@@ -64,7 +64,7 @@ class TestAgainstScalarOracle:
                                    n_gallery=int(rng.integers(4, 20)),
                                    n_identities=int(rng.integers(2, 7)))
             orders = eligible_orders(rng, bundle)
-            ranked = [RankedList(q.index, order, "retrieval")
+            ranked = [RankedList(q.index, order)
                       for q, order in zip(bundle.splits["Q"], orders)]
             k_max = int(rng.integers(1, 8))
             report = evaluate(bundle, ranked, k_max=k_max)
@@ -78,7 +78,7 @@ class TestAgainstScalarOracle:
         rng = np.random.default_rng(56)
         bundle = random_bundle(rng, n_query=6, n_gallery=25)
         orders = eligible_orders(rng, bundle)
-        ranked = [RankedList(q.index, order, "retrieval")
+        ranked = [RankedList(q.index, order)
                   for q, order in zip(bundle.splits["Q"], orders)]
         report = evaluate(bundle, ranked, k_max=10)
         assert all(a <= b for a, b in zip(report.cmc, report.cmc[1:]))
@@ -88,7 +88,7 @@ class TestAgainstScalarOracle:
         rng = np.random.default_rng(57)
         bundle = random_bundle(rng, n_query=5, n_gallery=12)
         orders = eligible_orders(rng, bundle)
-        ranked = [RankedList(q.index, order, "retrieval")
+        ranked = [RankedList(q.index, order)
                   for q, order in zip(bundle.splits["Q"], orders)]
         forward = evaluate(bundle, ranked)
         backward = evaluate(bundle, list(reversed(ranked)))
@@ -102,11 +102,11 @@ class TestPermutationStrictness:
 
     def test_duplicate_entry_raises(self):
         with pytest.raises(ValueError, match="permutation"):
-            evaluate(self.bundle, [RankedList(0, [0, 0, 1, 2], "retrieval")])
+            evaluate(self.bundle, [RankedList(0, [0, 0, 1, 2])])
 
     def test_missing_entry_raises(self):
         with pytest.raises(ValueError, match="query 0"):
-            evaluate(self.bundle, [RankedList(0, [0, 1], "retrieval")])
+            evaluate(self.bundle, [RankedList(0, [0, 1])])
 
     def test_ineligible_entry_raises(self):
         # gallery 0 shares identity and cloth with the query: ineligible
@@ -114,17 +114,17 @@ class TestPermutationStrictness:
                 (2, "G", 0, 1, 1)]
         bundle = build_bundle(rows, np.zeros((4, 2), dtype=np.float32))
         with pytest.raises(ValueError, match="permutation"):
-            evaluate(bundle, [RankedList(0, [0, 1, 2], "retrieval")])
+            evaluate(bundle, [RankedList(0, [0, 1, 2])])
 
     @pytest.mark.parametrize("order", [[-1, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 2**70]])
     def test_out_of_range_entry_raises(self, order):
         # -1 and 4 would gather real labels if looked up before the check.
         with pytest.raises(ValueError, match="query 0 is not a permutation"):
-            evaluate(self.bundle, [RankedList(0, order, "retrieval")])
+            evaluate(self.bundle, [RankedList(0, order)])
 
     def test_bad_k_max_raises(self):
         with pytest.raises(ValueError, match="k_max"):
-            evaluate(self.bundle, [RankedList(0, [0, 1, 2, 3], "retrieval")],
+            evaluate(self.bundle, [RankedList(0, [0, 1, 2, 3])],
                      k_max=0)
 
 
@@ -132,7 +132,7 @@ class TestQueryCoverage:
     def setup_method(self):
         rng = np.random.default_rng(61)
         self.bundle = random_bundle(rng, n_query=6, n_gallery=12)
-        self.ranked = [RankedList(q.index, order, "retrieval")
+        self.ranked = [RankedList(q.index, order)
                        for q, order in zip(self.bundle.splits["Q"],
                                            eligible_orders(rng, self.bundle))]
 
@@ -148,7 +148,7 @@ class TestQueryCoverage:
             evaluate(self.bundle, self.ranked + [self.ranked[3]])
 
     def test_unknown_queries_are_named(self):
-        extra = RankedList(6, self.ranked[0].order, "retrieval")
+        extra = RankedList(6, self.ranked[0].order)
         with pytest.raises(ValueError, match=r"1 unknown: \[6\]"):
             evaluate(self.bundle, self.ranked + [extra])
 
@@ -156,7 +156,7 @@ class TestQueryCoverage:
 class TestReportSerialisation:
     def test_json_layout_and_config_echo(self, tmp_path):
         bundle = labelled_instance([1, 0])
-        report = evaluate(bundle, [RankedList(0, [0, 1], "retrieval")], k_max=2)
+        report = evaluate(bundle, [RankedList(0, [0, 1])], k_max=2)
         path = tmp_path / "report.json"
         report.write_json(path, config={"L": 10})
         data = json.loads(path.read_text())
@@ -167,7 +167,7 @@ class TestReportSerialisation:
 
     def test_per_query_csv_blanks_excluded_queries(self, tmp_path):
         bundle = labelled_instance([0, 0, 2])
-        report = evaluate(bundle, [RankedList(0, [0, 1, 2], "retrieval")])
+        report = evaluate(bundle, [RankedList(0, [0, 1, 2])])
         path = tmp_path / "per_query.csv"
         report.write_per_query_csv(path)
         lines = path.read_text().splitlines()

@@ -64,9 +64,8 @@ class TestWindowRerank:
         # Last-ranked entry scores best but the window only reaches it after
         # emitting the first three: [a, b, c, d] -> [b, c, d, a].
         ranked = window_rerank([0, 1, 2, 3], [0.1, 0.9, 0.5, 0.8], L=2, Q=4)
-        assert ranked.order.tolist() == [1, 2, 3, 0]
-        assert ranked.order.dtype == np.int64
-        assert ranked.provenance == "window"
+        assert ranked.tolist() == [1, 2, 3, 0]
+        assert ranked.dtype == np.int64
 
     def test_width_one_is_the_identity(self):
         rng = np.random.default_rng(5)
@@ -74,7 +73,7 @@ class TestWindowRerank:
             n = int(rng.integers(1, 15))
             order = rng.permutation(50)[:n].tolist()
             scores = [float(rng.normal()) for _ in order]
-            assert window_rerank(order, scores, 1, max(1, n)).order.tolist() == order
+            assert window_rerank(order, scores, 1, max(1, n)).tolist() == order
 
     def test_full_width_sorts_the_depth(self):
         rng = np.random.default_rng(6)
@@ -82,7 +81,7 @@ class TestWindowRerank:
             n = int(rng.integers(2, 12))
             order = list(range(n))
             scores = [float(rng.normal()) for _ in order]
-            got = window_rerank(order, scores, n, n).order.tolist()
+            got = window_rerank(order, scores, n, n).tolist()
             want = sorted(order, key=lambda g: (-scores[g], order.index(g)))
             assert got == want
 
@@ -91,18 +90,18 @@ class TestWindowRerank:
         order = rng.permutation(30)
         scores = rng.normal(size=30)
         ranked = window_rerank(order, scores[:10], 3, 10)
-        assert np.array_equal(ranked.order[10:], order[10:])
-        assert sorted(ranked.order[:10]) == sorted(order[:10])
+        assert np.array_equal(ranked[10:], order[10:])
+        assert sorted(ranked[:10]) == sorted(order[:10])
 
     def test_ties_keep_the_better_retrieval_rank(self):
         ranked = window_rerank([4, 9, 2], [1.0, 1.0, 1.0], 2, 3)
-        assert ranked.order.tolist() == [4, 9, 2]
+        assert ranked.tolist() == [4, 9, 2]
 
     def test_decreasing_scores_change_nothing(self):
         order = list(range(8))
         scores = [-float(g) for g in order]
         for width in range(1, 9):
-            assert window_rerank(order, scores, width, 8).order.tolist() == order
+            assert window_rerank(order, scores, width, 8).tolist() == order
 
     def test_promotion_is_bounded_by_the_window(self):
         rng = np.random.default_rng(8)
@@ -111,7 +110,7 @@ class TestWindowRerank:
             width = int(rng.integers(1, n + 1))
             order = list(rng.permutation(100)[:n])
             scores = [float(rng.normal()) for _ in order]
-            got = window_rerank([int(g) for g in order], scores, width, n).order
+            got = window_rerank([int(g) for g in order], scores, width, n)
             for new_pos, g in enumerate(got, start=1):
                 old_pos = order.index(g) + 1
                 assert new_pos >= max(1, old_pos - width + 1)
@@ -123,7 +122,7 @@ class TestWindowRerank:
         for _ in range(30):
             order = list(range(q + 5))
             scores = [float(rng.normal()) for _ in order]
-            tops = [frozenset(window_rerank(order, scores[:q], width, q).order[:t].tolist())
+            tops = [frozenset(window_rerank(order, scores[:q], width, q)[:t].tolist())
                     for width in range(q - t + 1, q + 1)]
             assert len(set(tops)) == 1
 
@@ -352,22 +351,8 @@ class TestPipeline:
         pairs = build_eval_pairs(bundle, "Q", "G", num_candidates=15)
         candidates = candidates_from_pairs(pairs)
         for rl in ranked:
-            assert rl.provenance == "retrieval"
             assert rl.order.dtype == np.int64
             assert np.array_equal(rl.order, candidates[rl.query_index])
-
-    def test_provenance_labels_per_stage_combination(self):
-        rng = np.random.default_rng(24)
-        bundle = random_bundle(rng, n_query=3, n_gallery=12)
-        model = VerifierModel.initialize(bundle.dims, 6, 6, seed=0)
-        cfg = RankingConfig(P=12, L=4, Q=8, k1=3, k2=2)
-        combos = {(): "retrieval",
-                  ("kreciprocal",): "kreciprocal",
-                  ("window",): "window",
-                  ("kreciprocal", "window"): "composed"}
-        for stages, want in combos.items():
-            ranked = rerank_pipeline(bundle, model, cfg, stages=stages)
-            assert {rl.provenance for rl in ranked} == {want}
 
     def test_every_order_is_a_permutation_of_the_eligible_gallery(self):
         rng = np.random.default_rng(25)
@@ -569,92 +554,79 @@ class TestRankedCsv:
         path = tmp_path / "ranked.csv"
         write_ranked_csv(path, ranked, config_comment="config: {}")
         back = read_ranked_csv(path)
-        assert [(rl.query_index, rl.order.tolist(), rl.provenance) for rl in back] == \
-               [(rl.query_index, rl.order.tolist(), rl.provenance) for rl in ranked]
+        assert [(rl.query_index, rl.order.tolist()) for rl in back] == \
+               [(rl.query_index, rl.order.tolist()) for rl in ranked]
         assert all(rl.order.dtype == np.int64 for rl in back)
 
     def test_rows_match_the_f_string_form(self, tmp_path):
-        ranked = [RankedList(2, np.array([4, 0, 7]), "window"),
-                  RankedList(0, np.array([], dtype=np.int64), "window"),
-                  RankedList(1, np.array([3, 12345]), "retrieval")]
+        ranked = [RankedList(2, np.array([4, 0, 7])),
+                  RankedList(0, np.array([], dtype=np.int64)),
+                  RankedList(1, np.array([3, 12345]))]
         path = tmp_path / "ranked.csv"
         for lists in (ranked[:2], ranked, []):
             write_ranked_csv(path, lists)
             assert path.read_text() == ",".join(RANKED_HEADER) + "\n" + "".join(
-                f"{rl.query_index},{rank},{gi},{rl.provenance}\n" for rl in lists
+                f"{rl.query_index},{rank},{gi}\n" for rl in lists
                 for rank, gi in enumerate(rl.order.tolist(), start=1))
 
     def test_sparse_ranks_raise(self, tmp_path):
         path = tmp_path / "r.csv"
-        path.write_text("query_index,rank,gallery_index,stage_provenance\n"
-                        "0,1,5,window\n0,3,6,window\n")
+        path.write_text("query_index,rank,gallery_index\n0,1,5\n0,3,6\n")
         with pytest.raises(ValueError, match="dense"):
-            read_ranked_csv(path)
-
-    def test_mixed_provenance_raises(self, tmp_path):
-        path = tmp_path / "r.csv"
-        path.write_text("query_index,rank,gallery_index,stage_provenance\n"
-                        "0,1,5,window\n0,2,6,retrieval\n")
-        with pytest.raises(ValueError):
             read_ranked_csv(path)
 
     def test_index_beyond_int64_raises(self, tmp_path):
         path = tmp_path / "r.csv"
-        path.write_text("query_index,rank,gallery_index,stage_provenance\n"
-                        f"0,1,{2**70},window\n")
+        path.write_text(f"query_index,rank,gallery_index\n0,1,{2**70}\n")
         with pytest.raises(ValueError, match="does not fit in int64"):
             read_ranked_csv(path)
 
     def test_missing_header_raises(self, tmp_path):
         path = tmp_path / "r.csv"
-        path.write_text("0,1,5,window\n")
+        path.write_text("0,1,5\n")
         with pytest.raises(ValueError, match="header"):
             read_ranked_csv(path)
 
     def test_memory_beyond_the_columns_is_fixed(self, tmp_path):
         # 450 queries of 1,347 images: the size of a large benchmark's
         # ranked.csv.  Rows are formatted in blocks, so all but the three
-        # int64 columns handed to write_csv (the provenance is one string,
-        # broadcast) is bounded whatever the row count; formatting every
-        # row at once peaks near 60 MB more.
+        # int64 columns handed to write_csv is bounded whatever the row
+        # count; formatting every row at once peaks near 60 MB more.
         rng = np.random.default_rng(48)
-        ranked = [RankedList(qi, rng.permutation(1347), "kreciprocal")
-                  for qi in range(450)]
+        ranked = [RankedList(qi, rng.permutation(1347)) for qi in range(450)]
         columns = 450 * 1347 * 3 * 8
         with PeakMemory() as peak:
             write_ranked_csv(tmp_path / "ranked.csv", ranked)
         assert peak.bytes - columns < 16 * 2 ** 20, f"{(peak.bytes - columns) / 2 ** 20:.1f} MB"
 
 
-HEADER = b"query_index,rank,gallery_index,stage_provenance\n"
+HEADER = b"query_index,rank,gallery_index\n"
 
 #: Files both paths of ``read_csv`` must agree on: the fast path's own
 #: input, and every odd or faulty file it must leave to the row path.
+#: Text fields are covered by the pair-file cases of ``test_datastore.py``.
 READER_CASES = {
-    "well formed": HEADER + b"1,1,4,window\n0,2,3,window\n0,1,5,window\n",
-    "18 digits": HEADER + b"0,1,999999999999999999,retrieval\n",
-    "config comment": b'# config: {"a":"b,c","query_role":"Q"}\n' + HEADER
-                      + b"0,1,5,window\n",
-    "quotes span lines": b'# config: {"a":1,"b\nc":2}\n' + HEADER + b"0,1,5,window\n",
-    "crlf": HEADER.replace(b"\n", b"\r\n") + b"0,1,5,window\r\n0,2,6,window\r\n",
-    "quoted field": HEADER + b'0,1,5,"window"\n0,2,6,window\n',
-    "blank line": HEADER + b"0,1,5,window\n\n0,2,6,window\n",
-    "comment between rows": HEADER + b"0,1,5,window\n# note\n0,2,6,window\n",
-    "plus sign": HEADER + b"0,+1,5,window\n",
-    "leading space": HEADER + b"0, 1,5,window\n",
-    "leading zeros": HEADER + b"0,001,007,window\n",
-    "negative index": HEADER + b"-1,1,5,window\n",
-    "19 digits": HEADER + b"0,1,9223372036854775807,window\n",
-    "2**70": HEADER + b"0,1,%d,window\n" % 2**70,
-    "no trailing newline": HEADER + b"0,1,5,window\n0,2,6,window",
-    "truncated last row": HEADER + b"0,1,5,window\n0,2,6\n",
-    "extra field": HEADER + b"0,1,5,window\n0,2,6,window,9\n",
-    "a field moved to the next line": HEADER + b"1,2,3,w,1\n2,3,w\n",
-    "nul byte": HEADER + b"0,1,5,win\0dow\n",
-    "non-ascii token": HEADER + "0,1,5,w\u00efndow\n".encode(),
-    "mixed provenance": HEADER + b"0,1,5,window\n0,2,6,retrieval\n",
-    "same-width provenance": HEADER + b"0,1,5,window\n0,2,6,wind0w\n",
-    "sparse ranks": HEADER + b"0,1,5,window\n0,3,6,window\n",
+    "well formed": HEADER + b"1,1,4\n0,2,3\n0,1,5\n",
+    "18 digits": HEADER + b"0,1,999999999999999999\n",
+    "config comment": b'# config: {"a":"b,c","query_role":"Q"}\n' + HEADER + b"0,1,5\n",
+    "quotes span lines": b'# config: {"a":1,"b\nc":2}\n' + HEADER + b"0,1,5\n",
+    "crlf": HEADER.replace(b"\n", b"\r\n") + b"0,1,5\r\n0,2,6\r\n",
+    "quoted field": HEADER + b'0,1,"5"\n0,2,6\n',
+    "blank line": HEADER + b"0,1,5\n\n0,2,6\n",
+    "comment between rows": HEADER + b"0,1,5\n# note\n0,2,6\n",
+    "plus sign": HEADER + b"0,+1,5\n",
+    "leading space": HEADER + b"0, 1,5\n",
+    "leading zeros": HEADER + b"0,001,007\n",
+    "negative index": HEADER + b"-1,1,5\n",
+    "19 digits": HEADER + b"0,1,9223372036854775807\n",
+    "2**70": HEADER + b"0,1,%d\n" % 2**70,
+    "no trailing newline": HEADER + b"0,1,5\n0,2,6",
+    "truncated last row": HEADER + b"0,1,5\n0,2\n",
+    "extra field": HEADER + b"0,1,5\n0,2,6,9\n",
+    "a field moved to the next line": HEADER + b"1,2,3,1\n2,3\n",
+    "nul byte": HEADER + b"0,1,5\0\n",
+    "non-ascii token": HEADER + "0,1,5\u00ef\n".encode(),
+    "sparse ranks": HEADER + b"0,1,5\n0,3,6\n",
     "header only": HEADER,
     "empty file": b"",
 }
@@ -663,8 +635,7 @@ READER_CASES = {
 def read_outcome(path):
     """What read_ranked_csv makes of a file: its rankings or its error."""
     try:
-        return [(rl.query_index, rl.order.tolist(), rl.provenance)
-                for rl in read_ranked_csv(path)]
+        return [(rl.query_index, rl.order.tolist()) for rl in read_ranked_csv(path)]
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -692,6 +663,5 @@ class TestRankedCsvFastPath:
             ranked = rerank_pipeline(bundle, model, cfg, stages=stages)
             write_ranked_csv(path, ranked,
                              config_comment='config: {"out":"a, \\"b\\"","query_role":"Q"}')
-            assert [(rl.query_index, rl.order.tolist(), rl.provenance)
-                    for rl in read_ranked_csv(path)] == \
-                   [(rl.query_index, rl.order.tolist(), rl.provenance) for rl in ranked]
+            assert [(rl.query_index, rl.order.tolist()) for rl in read_ranked_csv(path)] == \
+                   [(rl.query_index, rl.order.tolist()) for rl in ranked]

@@ -591,7 +591,7 @@ class TestTraining:
             scores = [oracle_scores(
                 model, query, bundle.splits[p.cand_role][p.cand_index])[0]
                 for p in ordered[:Q]]
-            top = window_rerank([p.cand_index for p in ordered], scores, L, Q).order[0]
+            top = window_rerank([p.cand_index for p in ordered], scores, L, Q)[0]
             hits += next(p.label for p in ordered if p.cand_index == top)
             total += 1
         assert total > 0
