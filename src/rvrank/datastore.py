@@ -11,7 +11,13 @@ A dataset bundle is three files:
 
 Binary payloads are little-endian f32, row-major, in metadata row order.
 Rows in the metadata file are sorted by role (in the order T, VQ, VG, Q, G)
-and then by index; indices are dense 0..n-1 within each role.
+and then by index; indices are dense 0..n-1 within each role.  Identity,
+cloth and camera labels are at least 0, and every global feature and
+present part value is finite.  :func:`load_bundle` and :func:`build_bundle`
+both apply these rules, so a bundle that breaks one never loads.
+
+Every fault in what an input holds is a plain ValueError; one in a file
+names the file and, where there is one, its line or row.
 
 This module also frames every artifact the package writes or reads:
 :func:`write_csv` and :func:`read_csv` for CSVs, :func:`write_json` for JSON
@@ -43,10 +49,6 @@ PARTS_MAGIC = b"RVP1"
 DEFAULT_PART_COUNT = 15
 
 
-class BundleFormatError(ValueError):
-    """A dataset file violates the on-disk format contract."""
-
-
 @dataclass(frozen=True)
 class ImageRecord:
     """A single image: metadata plus views into its bundle's feature arrays.
@@ -63,19 +65,6 @@ class ImageRecord:
     global_feature: np.ndarray
     part_present: np.ndarray
     part_vectors: np.ndarray
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One invariant failure found by :func:`validate_bundle`."""
-
-    role: str
-    index: int
-    field: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"[{self.role}:{self.index}] {self.field}: {self.message}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,8 +256,7 @@ def write_json(path: str | Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def read_csv(path: str | Path, header: tuple[str, ...], kinds: tuple[type, ...],
-             error: type[ValueError] = ValueError
+def read_csv(path: str | Path, header: tuple[str, ...], kinds: tuple[type, ...]
              ) -> tuple[list[np.ndarray], np.ndarray | range]:
     """Read a CSV as :func:`write_csv` writes it: ``#`` comment lines
     anywhere, then ``header``, then rows of exactly ``len(header)`` fields.
@@ -278,50 +266,49 @@ def read_csv(path: str | Path, header: tuple[str, ...], kinds: tuple[type, ...],
     ``range`` for a file :func:`_read_body` reads, whose rows are
     consecutive lines, else an int64 array.
     Every format fault, an int64 overflow or a byte that is not UTF-8
-    included, raises ``error`` naming the file and line.
+    included, raises ValueError naming the file and line.
     :func:`_read_body` reads the body of a file as this package writes it;
     any other file is read row by row, alike.
     """
     path = Path(path)
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        rows = csv.reader(_utf8_lines(path, fh, error))
+        rows = csv.reader(_utf8_lines(path, fh))
         try:
             for raw in rows:
                 if raw and not raw[0].startswith("#"):
                     break
             else:
-                raise error(f"{path}: missing header row")
+                raise ValueError(f"{path}: missing header row")
             if tuple(raw) != header:
-                raise error(f"{path}: line {rows.line_num}: expected header "
-                            f"{','.join(header)!r}, got {','.join(raw)!r}")
+                raise ValueError(f"{path}: line {rows.line_num}: expected header "
+                                 f"{','.join(header)!r}, got {','.join(raw)!r}")
             parsed = _read_body(path, rows.line_num, kinds)
-            return parsed if parsed is not None else _read_rows(path, rows, header, kinds, error)
+            return parsed if parsed is not None else _read_rows(path, rows, header, kinds)
         except csv.Error as exc:
-            raise error(f"{path}: line {rows.line_num}: {exc}") from None
+            raise ValueError(f"{path}: line {rows.line_num}: {exc}") from None
 
 
-def _utf8_lines(path: Path, fh, error: type[ValueError]):
+def _utf8_lines(path: Path, fh):
     """The lines of ``fh``, a text file read with ``errors="surrogateescape"``;
-    a line holding a byte that is not UTF-8 raises ``error`` naming the file
+    a line holding a byte that is not UTF-8 raises ValueError naming the file
     and line."""
     for number, line in enumerate(fh, 1):
         if not line.isascii():
             try:
                 line.encode("utf-8", "surrogateescape").decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise error(f"{path}: line {number}: {exc}") from None
+                raise ValueError(f"{path}: line {number}: {exc}") from None
         yield line
 
 
-def check_rows(rules: list[tuple[np.ndarray, Callable[[int], str]]],
-               error: type[ValueError] = ValueError) -> None:
-    """Raise ``error(message(i))`` for the first row ``i`` that a rule
+def check_rows(rules: list[tuple[np.ndarray, Callable[[int], str]]]) -> None:
+    """Raise ``ValueError(message(i))`` for the first row ``i`` that a rule
     flags; each rule is a boolean column ``bad`` and its ``message``, and a
     row that several rules flag takes the first rule's message."""
     flagged = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(rules) if bad.any()]
     if flagged:
         row, k = min(flagged)
-        raise error(rules[k][1](row))
+        raise ValueError(rules[k][1](row))
 
 
 #: Width of a text field as :func:`_read_body` reads it.  ``np.loadtxt``
@@ -385,8 +372,8 @@ def _read_body(path: Path, head_lines: int,
     return columns, lines
 
 
-def _read_rows(path: Path, rows, header: tuple[str, ...], kinds: tuple[type, ...],
-               error: type[ValueError]) -> tuple[list[np.ndarray], np.ndarray]:
+def _read_rows(path: Path, rows, header: tuple[str, ...], kinds: tuple[type, ...]
+               ) -> tuple[list[np.ndarray], np.ndarray]:
     """:func:`read_csv`'s result for the rest of ``rows``, a ``csv.reader``
     past the header, converted field by field."""
     fields: list[list] = [[] for _ in header]
@@ -395,8 +382,8 @@ def _read_rows(path: Path, rows, header: tuple[str, ...], kinds: tuple[type, ...
         if not raw or raw[0].startswith("#"):
             continue
         if len(raw) != len(header):
-            raise error(f"{path}: line {rows.line_num}: expected {len(header)} "
-                        f"fields, got {len(raw)}")
+            raise ValueError(f"{path}: line {rows.line_num}: expected {len(header)} "
+                             f"fields, got {len(raw)}")
         try:
             for values, kind, value in zip(fields, kinds, raw):
                 # int() and float() would read "1_0" as 10 and " 3 " as 3.
@@ -404,7 +391,7 @@ def _read_rows(path: Path, rows, header: tuple[str, ...], kinds: tuple[type, ...
                     raise ValueError(f"{kind.__name__} field {value!r} holds '_' or whitespace")
                 values.append(kind(value))
         except ValueError as exc:
-            raise error(f"{path}: line {rows.line_num}: {exc}") from None
+            raise ValueError(f"{path}: line {rows.line_num}: {exc}") from None
         lines.append(rows.line_num)
     columns = []
     for name, kind, values in zip(header, kinds, fields):
@@ -412,25 +399,23 @@ def _read_rows(path: Path, rows, header: tuple[str, ...], kinds: tuple[type, ...
             columns.append(np.array(values, dtype=kind))
         except OverflowError:
             row = next(i for i, v in enumerate(values) if not -2 ** 63 <= v < 2 ** 63)
-            raise error(f"{path}: line {lines[row]}: {name} does not fit in int64") from None
+            raise ValueError(f"{path}: line {lines[row]}: {name} does not fit in int64") from None
     return columns, np.array(lines, dtype=np.int64)
 
 
 class BinaryHeader:
     """A binary file read whole and checked front to back: its ``magic``,
     header fields in order (:meth:`take`), then a payload whose size the
-    header fixes (:meth:`payload`).  Every fault raises ``error`` naming the
+    header fixes (:meth:`payload`).  Every fault raises ValueError naming the
     file."""
 
-    def __init__(self, path: str | Path, magic: bytes,
-                 error: type[ValueError] = BundleFormatError) -> None:
+    def __init__(self, path: str | Path, magic: bytes) -> None:
         self.path = Path(path)
-        self.error = error
         self.data = self.path.read_bytes()
         found = self.data[:len(magic)]
         if found != magic:
-            raise error(f"{self.path}: bad magic at offset 0: expected {magic!r}, "
-                        f"got {found!r}")
+            raise ValueError(f"{self.path}: bad magic at offset 0: expected {magic!r}, "
+                             f"got {found!r}")
         self.offset = len(magic)
 
     def take(self, fmt: str) -> tuple:
@@ -438,7 +423,7 @@ class BinaryHeader:
         size = struct.calcsize(fmt)
         held = len(self.data) - self.offset
         if size > held:
-            raise self.error(f"{self.path}: truncated header at offset {self.offset}: "
+            raise ValueError(f"{self.path}: truncated header at offset {self.offset}: "
                              f"wanted {size} bytes, got {held}")
         values = struct.unpack_from(fmt, self.data, self.offset)
         self.offset += size
@@ -449,25 +434,27 @@ class BinaryHeader:
         long; ``what`` names the contents the header declares."""
         held = len(self.data) - self.offset
         if held != expected_bytes:
-            raise self.error(f"{self.path}: payload length mismatch: header declares "
+            raise ValueError(f"{self.path}: payload length mismatch: header declares "
                              f"{what} ({expected_bytes} bytes), file holds {held} bytes "
                              "after the header")
         return memoryview(self.data)[self.offset:]
 
 
 # ---------------------------------------------------------------------------
-# metadata CSV
+# the rules of a valid bundle: load_bundle and build_bundle apply them all,
+# so every DatasetBundle keeps them
 
 
 #: Column kinds of the metadata CSV, field by field.
 _METADATA_KINDS = (int, str, int, int, int)
 
 
-def _check_metadata_order(source: str | Path, index: np.ndarray, role: np.ndarray,
-                          where: Callable[[int], str]) -> dict[str, int]:
-    """Check that rows are sorted by role, then index, with dense indices;
-    returns the number of rows per role.  ``where(i)`` names row ``i`` in
-    an error."""
+def _check_metadata(source: str | Path, index: np.ndarray, role: np.ndarray,
+                    labels: np.ndarray, where: Callable[[int], str]) -> dict[str, int]:
+    """Check that rows are sorted by role, then index, with dense indices,
+    and that the (3, n) identity, cloth and camera ``labels`` are at least
+    0; returns the number of rows per role.  ``where(i)`` names row ``i``
+    in an error."""
     rank = np.select([role == name for name in ROLES], range(len(ROLES)), -1)
     ascending = np.ones(len(role), dtype=bool)
     ascending[1:] = (rank[1:] > rank[:-1]) | ((rank[1:] == rank[:-1]) & (index[1:] > index[:-1]))
@@ -482,8 +469,30 @@ def _check_metadata_order(source: str | Path, index: np.ndarray, role: np.ndarra
                                "rows must be sorted by role (T, VQ, VG, Q, G) then index"),
         (index != dense, lambda i: f"{source}: {where(i)}: role {role[i]} expected dense "
                                    f"index {dense[i]}, got {index[i]}"),
-    ], BundleFormatError)
+        *((column < 0, lambda i, name=name, column=column:
+           f"{source}: {where(i)}: {name} {column[i]} is negative")
+          for name, column in zip(METADATA_HEADER[2:], labels)),
+    ])
     return {name: int(np.count_nonzero(rank == r)) for r, name in enumerate(ROLES)}
+
+
+def _check_features(source: str | Path, features: np.ndarray,
+                    role: np.ndarray, index: np.ndarray) -> None:
+    """Raise ValueError naming the first row of the (n, D) ``features``
+    that holds a non-finite value."""
+    check_rows([(~np.isfinite(features).all(axis=1), lambda r: (
+        f"{source}: non-finite value in feature row {r} (metadata {role[r]}:{index[r]})"))])
+
+
+def _check_parts(source: str | Path, present: np.ndarray, vectors: np.ndarray,
+                 role: np.ndarray, index: np.ndarray) -> None:
+    """Raise ValueError naming the first record of the (n, K) ``present``
+    flags and (n, K, Dp) ``vectors`` whose present part holds a non-finite
+    value."""
+    bad = present & ~np.isfinite(vectors).all(axis=2)
+    check_rows([(bad.any(axis=1), lambda i: (
+        f"{source}: non-finite value in record {i} part {np.argmax(bad[i])} "
+        f"(metadata {role[i]}:{index[i]})"))])
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +536,8 @@ def read_parts_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     bad = np.argwhere(flags > 1)
     if bad.size:
         i, j = bad[0]
-        raise BundleFormatError(
-            f"{header.path}: record {i} part {j}: presence flag must be 0 or 1, "
-            f"got {flags[i, j]}"
-        )
+        raise ValueError(f"{header.path}: record {i} part {j}: presence flag must be "
+                         f"0 or 1, got {flags[i, j]}")
     present = flags.astype(bool)
     vectors = raw["vec"].copy()
     vectors[~present] = 0.0
@@ -572,45 +579,40 @@ def load_bundle(
 ) -> DatasetBundle:
     """Load a dataset bundle from its metadata, feature and part files.
 
-    Raises :class:`BundleFormatError` on malformed headers, unknown role
-    tokens, row/payload count mismatches or non-finite feature values.  When
-    ``parts_path`` is None every record gets ``DEFAULT_PART_COUNT`` absent
-    part slots of dimension zero.
+    A file that breaks its format or a rule of a valid bundle raises
+    ValueError naming the file and, where there is one, the line or row.
+    When ``parts_path`` is None every record gets ``DEFAULT_PART_COUNT``
+    absent part slots of dimension zero.
     """
     metadata_path = Path(metadata_path)
     feature_path = Path(feature_path)
-    (index, role, *labels), lines = read_csv(metadata_path, METADATA_HEADER,
-                                             _METADATA_KINDS, BundleFormatError)
-    counts = _check_metadata_order(metadata_path, index, role, lambda i: f"line {lines[i]}")
+    (index, role, *labels), lines = read_csv(metadata_path, METADATA_HEADER, _METADATA_KINDS)
+    labels = np.array(labels)
+    counts = _check_metadata(metadata_path, index, role, labels, lambda i: f"line {lines[i]}")
 
     features = read_feature_file(feature_path)
     if features.shape[0] != len(index):
-        raise BundleFormatError(f"{feature_path}: holds {features.shape[0]} rows but "
-                                f"{metadata_path} lists {len(index)} images")
-    check_rows([(~np.isfinite(features).all(axis=1), lambda r: (
-        f"{feature_path}: non-finite value in feature row {r} "
-        f"(metadata {role[r]}:{index[r]})"))], BundleFormatError)
+        raise ValueError(f"{feature_path}: holds {features.shape[0]} rows but "
+                         f"{metadata_path} lists {len(index)} images")
+    _check_features(feature_path, features, role, index)
 
     present = vectors = None
     if parts_path is not None:
         parts_path = Path(parts_path)
         present, vectors = read_parts_file(parts_path)
         if present.shape[0] != len(index):
-            raise BundleFormatError(f"{parts_path}: holds {present.shape[0]} records but "
-                                    f"{metadata_path} lists {len(index)} images")
-        bad = present & ~np.isfinite(vectors).all(axis=2)
-        check_rows([(bad.any(axis=1), lambda i: (
-            f"{parts_path}: non-finite value in record {i} part {np.argmax(bad[i])} "
-            f"(metadata {role[i]}:{index[i]})"))], BundleFormatError)
+            raise ValueError(f"{parts_path}: holds {present.shape[0]} records but "
+                             f"{metadata_path} lists {len(index)} images")
+        _check_parts(parts_path, present, vectors, role, index)
 
-    return _assemble(np.array(labels), counts, features, present, vectors)
+    return _assemble(labels, counts, features, present, vectors)
 
 
 def _assemble(labels: np.ndarray, counts: dict[str, int],
               features: np.ndarray, present: np.ndarray | None,
               vectors: np.ndarray | None) -> DatasetBundle:
     """Slice the (3, n) identity, cloth and camera labels and the arrays of
-    role-ordered rows (see :func:`_check_metadata_order`) into one
+    role-ordered rows (see :func:`_check_metadata`) into one
     :class:`Split` per role; without part arrays every image gets
     ``DEFAULT_PART_COUNT`` absent slots of dimension zero."""
     if present is None:
@@ -625,29 +627,6 @@ def _assemble(labels: np.ndarray, counts: dict[str, int],
         start = part.stop
     return DatasetBundle(splits=splits,
                          dims=(features.shape[1], vectors.shape[2], present.shape[1]))
-
-
-def validate_bundle(bundle: DatasetBundle) -> list[Violation]:
-    """Check what a bundle's arrays do not guarantee; returns one
-    :class:`Violation` per failure, in (role, index) order.
-
-    Covers negative identity/cloth/camera labels and non-finite values in
-    the global feature or a present part.
-    """
-    out: list[Violation] = []
-    for role in ROLES:
-        split = bundle.splits[role]
-        for name in ("identity", "cloth", "camera"):
-            column = getattr(split, name)
-            out.extend(Violation(role, int(i), name, f"negative value {column[i]}")
-                       for i in np.flatnonzero(column < 0))
-        out.extend(Violation(role, int(i), "global_feature", "non-finite value")
-                   for i in np.flatnonzero(~np.isfinite(split.features).all(axis=1)))
-        bad_parts = split.present & ~np.isfinite(split.vectors).all(axis=2)
-        out.extend(Violation(role, int(i), "part_vectors", f"part {j} non-finite value")
-                   for i, j in np.argwhere(bad_parts))
-    out.sort(key=lambda v: (ROLES.index(v.role), v.index))
-    return out
 
 
 def write_bundle(
@@ -688,21 +667,26 @@ def build_bundle(
 
     ``rows`` entries are (index, role, identity, cloth, camera), ordered as
     in a metadata file: by role (T, VQ, VG, Q, G), then dense index from 0.
-    A row out of order, with a gap or with an unknown role raises
-    :class:`BundleFormatError` naming it.  Arrays are
-    cast to float32 so an assembled bundle round-trips bit-for-bit through
-    :func:`write_bundle` / :func:`load_bundle`.
+    Rows and arrays must keep the rules of a valid bundle; the first fault
+    raises ValueError naming its row.  Arrays are cast to float32 so an
+    assembled bundle round-trips bit-for-bit through :func:`write_bundle` /
+    :func:`load_bundle`.
     """
     index, role, *labels = zip(*rows) if rows else ((),) * 5
-    counts = _check_metadata_order("rows", np.array(index, dtype=np.int64),
-                                   np.array(role, dtype=str), lambda i: f"row {i}")
-    features = np.asarray(features, dtype=np.float32)
+    index, role = np.array(index, dtype=np.int64), np.array(role, dtype=str)
+    labels = np.array(labels, dtype=np.int64)
+    counts = _check_metadata("rows", index, role, labels, lambda i: f"row {i}")
+    # A value beyond float32's range casts to inf, which _check_features names.
+    with np.errstate(over="ignore"):
+        features = np.asarray(features, dtype=np.float32)
+        vectors = None if vectors is None else np.asarray(vectors, dtype=np.float32)
     if features.shape[0] != len(rows):
         raise ValueError(f"{features.shape[0]} feature rows for {len(rows)} metadata rows")
     if (present is None) != (vectors is None):
         raise ValueError("present and vectors must be given together")
+    _check_features("features", features, role, index)
     if present is not None:
         present = np.asarray(present, dtype=bool)
-        vectors = np.asarray(vectors, dtype=np.float32)
         vectors = np.where(present[:, :, None], vectors, np.float32(0.0))
-    return _assemble(np.array(labels, dtype=np.int64), counts, features, present, vectors)
+        _check_parts("vectors", present, vectors, role, index)
+    return _assemble(labels, counts, features, present, vectors)

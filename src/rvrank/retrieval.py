@@ -158,6 +158,9 @@ def build_eval_pairs(bundle: DatasetBundle, query_role: str, gallery_role: str,
     """Labelled top-P candidate pairs for a query/gallery role combination."""
     queries = bundle.splits[query_role]
     gallery = bundle.splits[gallery_role]
+    if not len(gallery):
+        raise ValueError(f"empty gallery: role {gallery_role} holds no images to rank "
+                         f"the {query_role} queries against")
     lists = top_candidates(queries, gallery, num_candidates, metric)
     return _ranked_pairs(query_role, queries, gallery_role, gallery, list(enumerate(lists)))
 

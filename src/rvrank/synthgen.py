@@ -23,6 +23,7 @@ generator, so a config determines the bundle bit for bit.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -53,15 +54,23 @@ class SynthConfig:
     def validate(self) -> None:
         if self.n_identities < 5:
             raise ValueError("n_identities must be >= 5 so every split gets an identity")
-        for name in ("clothes_per_identity", "images_per_cloth", "confuser_group_size",
+        for name in ("clothes_per_identity", "confuser_group_size",
                      "feature_dim", "part_dim", "part_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.images_per_cloth < 2:
+            raise ValueError("images_per_cloth must be >= 2 so every query has gallery "
+                             f"images, got {self.images_per_cloth}")
         for name in ("identity_shift", "cloth_shift", "general_noise", "detail_noise"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if not 0.0 <= self.part_dropout < 1.0:
             raise ValueError(f"part_dropout must lie in [0, 1), got {self.part_dropout}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

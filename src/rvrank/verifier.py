@@ -412,14 +412,14 @@ class TripletTable(NamedTuple):
 def _check_pair_indices(bundle: DatasetBundle, pairs: np.ndarray) -> tuple[Split, Split]:
     """The query and candidate splits of a pair array, which pairs one query
     role with one candidate role.  Raise ValueError naming the first pair
-    row, in array order, whose roles differ from row 0's or whose query or
-    candidate index lies outside its split; a role the bundle lacks raises
-    KeyError."""
+    row, in array order, whose roles differ from row 0's, whose query or
+    candidate index lies outside its split, or whose role the bundle
+    lacks."""
     # Row 0 names the roles; any split serves a pair array without rows.
     (query_role, cand_role), = pairs[["query_role", "cand_role"]][:1].tolist() or [("T", "T")]
     for role in (query_role, cand_role):
         if role not in bundle.splits:
-            raise KeyError(f"unknown role {role!r}")
+            raise ValueError(f"unknown role {role!r}")
     queries, cands = bundle.splits[query_role], bundle.splits[cand_role]
     rules = [((pairs["query_role"] != query_role) | (pairs["cand_role"] != cand_role),
               lambda row: f"pair row {row}: roles {pairs['query_role'][row]}/"
@@ -658,7 +658,7 @@ def save_model(path: str | Path, model: VerifierModel) -> None:
 def load_model(path: str | Path) -> VerifierModel:
     """Read an RVM1 checkpoint; a malformed header or payload, or a
     non-finite weight, raises ValueError naming the file."""
-    header = BinaryHeader(path, MODEL_MAGIC, ValueError)
+    header = BinaryHeader(path, MODEL_MAGIC)
     (d, dp, k, hg, hp, seed, margin, lr, epochs, batch, decay_factor,
      n_milestones) = header.take(MODEL_HEADER)
     milestones = header.take(f"<{n_milestones}I")

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
+import inspect
 import json
+import pkgutil
 import shutil
 import sys
 from pathlib import Path
@@ -739,3 +743,68 @@ def test_a_query_without_eligible_images_needs_no_candidate_list(
     assert main(["rerank", *flags, "--stages", "none", "--candidates", str(candidates),
                  "--out", str(ranked)]) == 1
     assert capsys.readouterr().err == "error: no candidate list for query 1\n"
+
+
+def test_faults_are_plain_value_errors():
+    """No module defines an exception type of its own or raises KeyError:
+    every input fault is a ValueError naming where it is."""
+    modules = [rvrank] + [importlib.import_module(f"rvrank.{info.name}")
+                          for info in pkgutil.iter_modules(rvrank.__path__)]
+    for module in modules:
+        assert not [name for name, obj in vars(module).items()
+                    if isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__], module.__name__
+        raised = {ast.unparse(node.exc).split("(")[0]
+                  for node in ast.walk(ast.parse(inspect.getsource(module)))
+                  if isinstance(node, ast.Raise) and node.exc is not None}
+        assert "KeyError" not in raised, module.__name__
+
+
+def test_a_negative_label_fails_every_command_at_load(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    lines = (data / "meta.csv").read_text().splitlines(keepends=True)
+    index, role, _, cloth, camera = lines[4].split(",")
+    lines[4] = ",".join([index, role, "-1", cloth, camera])
+    (data / "meta.csv").write_text("".join(lines))
+    flags = ["--meta", str(data / "meta.csv"), "--features", str(data / "features.bin"),
+             "--parts", str(data / "parts.bin")]
+    for argv in (["validate", *flags],
+                 ["pairs", *flags, "--out", str(tmp_path / "pairs")],
+                 ["rerank", *flags, "--stages", "kreciprocal", "--out", str(tmp_path / "r.csv")],
+                 ["eval", *flags, "--ranked", str(workspace / "ranked.csv"),
+                  "--out", str(tmp_path / "report.json")]):
+        assert main(argv) == 1, argv[0]
+        assert capsys.readouterr() == ("", f"error: {data / 'meta.csv'}: line 5: "
+                                           "identity -1 is negative\n"), argv[0]
+    assert sorted(tmp_path.iterdir()) == [data]
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--identity-shift=nan", "identity_shift must be finite, got nan"),
+    ("--cloth-shift=inf", "cloth_shift must be finite, got inf"),
+    ("--general-noise=nan", "general_noise must be finite, got nan"),
+    ("--detail-noise=-inf", "detail_noise must be finite, got -inf"),
+    ("--images-per-cloth=1",
+     "images_per_cloth must be >= 2 so every query has gallery images, got 1"),
+    ("--seed=-1", "seed must be >= 0, got -1"),
+    # Finite in float64, but beyond float32: the bundle would hold inf.
+    ("--cloth-shift=1e308", "features: non-finite value in feature row 0 (metadata T:0)"),
+])
+def test_synth_writes_no_bundle_that_would_not_load(tmp_path, capsys, flag, message):
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), "--n-identities", "5", flag]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gallery_role", ["G", "VG"])
+def test_retrieve_names_an_empty_gallery_role(tmp_path, capsys, gallery_role):
+    rows = [(0, "T", 0, 0, 0), (0, "Q", 1, 0, 0), (1, "Q", 2, 0, 1)]
+    meta, feat = tmp_path / "meta.csv", tmp_path / "features.bin"
+    write_bundle(build_bundle(rows, np.zeros((3, 4))), meta, feat)
+    assert main(["retrieve", "--meta", str(meta), "--features", str(feat),
+                 "--gallery-role", gallery_role, "--out", str(tmp_path / "c.csv")]) == 1
+    assert capsys.readouterr().err == (f"error: empty gallery: role {gallery_role} holds no "
+                                       "images to rank the Q queries against\n")
+    assert not (tmp_path / "c.csv").exists()

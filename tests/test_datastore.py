@@ -11,12 +11,10 @@ from conftest import PeakMemory, random_bundle
 from rvrank import datastore
 from rvrank.datastore import (
     DEFAULT_PART_COUNT,
-    BundleFormatError,
     build_bundle,
     load_bundle,
     read_feature_file,
     read_parts_file,
-    validate_bundle,
     write_bundle,
     write_csv,
     write_feature_file,
@@ -24,7 +22,7 @@ from rvrank.datastore import (
 )
 from rvrank.evaluation import SWEEP_HEADER
 from rvrank.reranker import RANKED_HEADER, RankedList, read_ranked_csv, write_ranked_csv
-from rvrank.retrieval import PAIR_HEADER, read_pairs_csv
+from rvrank.retrieval import PAIR_HEADER, build_eval_pairs, read_pairs_csv, write_pairs_csv
 from rvrank.synthgen import SynthConfig, generate
 
 
@@ -154,7 +152,7 @@ class TestBuildBundleOrder:
         ([(0, "G", 1, 0, 0), (0, "X", 2, 0, 0)], "row 1: unknown role token 'X'"),
     ])
     def test_bad_rows_are_rejected_by_row(self, rows, want):
-        with pytest.raises(BundleFormatError, match=want):
+        with pytest.raises(ValueError, match=want):
             build_bundle(rows, np.zeros((len(rows), 2)))
 
 
@@ -265,20 +263,20 @@ class TestFormatErrors:
         paths = (tmp_path / "m.csv", tmp_path / "f.bin", tmp_path / "p.bin")
         write_bundle(bundle, *paths)
         write_feature_file(paths[1], np.zeros((3, bundle.dims[0])))
-        with pytest.raises(BundleFormatError, match="rows"):
+        with pytest.raises(ValueError, match="rows"):
             load_bundle(*paths)
 
     def test_bad_magic_is_rejected(self, tmp_path):
         path = tmp_path / "f.bin"
         path.write_bytes(b"XXXX" + struct.pack("<II", 1, 1) + struct.pack("<f", 0.0))
-        with pytest.raises(BundleFormatError, match="magic"):
+        with pytest.raises(ValueError, match="magic"):
             read_feature_file(path)
 
     def test_truncated_payload_is_rejected(self, tmp_path):
         path = tmp_path / "f.bin"
         write_feature_file(path, np.zeros((2, 3)))
         path.write_bytes(path.read_bytes()[:-2])
-        with pytest.raises(BundleFormatError):
+        with pytest.raises(ValueError):
             read_feature_file(path)
 
     def test_bad_presence_flag_is_rejected(self, tmp_path):
@@ -287,7 +285,7 @@ class TestFormatErrors:
         raw = bytearray(path.read_bytes())
         raw[16] = 7  # first flag byte follows the 16-byte header
         path.write_bytes(bytes(raw))
-        with pytest.raises(BundleFormatError, match="flag"):
+        with pytest.raises(ValueError, match="flag"):
             read_parts_file(path)
 
     def test_wrong_header_is_rejected(self, tmp_path):
@@ -295,7 +293,7 @@ class TestFormatErrors:
         meta.write_text("index,role,identity\n0,Q,1\n")
         feat = tmp_path / "f.bin"
         write_feature_file(feat, np.zeros((1, 2)))
-        with pytest.raises(BundleFormatError, match="header"):
+        with pytest.raises(ValueError, match="header"):
             load_bundle(meta, feat)
 
     def test_unknown_role_is_rejected(self, tmp_path):
@@ -303,7 +301,7 @@ class TestFormatErrors:
         meta.write_text("index,role,identity,cloth,camera\n0,X,1,0,0\n")
         feat = tmp_path / "f.bin"
         write_feature_file(feat, np.zeros((1, 2)))
-        with pytest.raises(BundleFormatError, match="role"):
+        with pytest.raises(ValueError, match="role"):
             load_bundle(meta, feat)
 
     def test_non_dense_indices_are_rejected(self, tmp_path):
@@ -312,7 +310,7 @@ class TestFormatErrors:
                         "0,G,1,0,0\n2,G,2,0,1\n")
         feat = tmp_path / "f.bin"
         write_feature_file(feat, np.zeros((2, 2)))
-        with pytest.raises(BundleFormatError, match="index"):
+        with pytest.raises(ValueError, match="index"):
             load_bundle(meta, feat)
 
     def test_out_of_order_rows_are_rejected(self, tmp_path):
@@ -321,7 +319,7 @@ class TestFormatErrors:
                         "0,G,1,0,0\n0,Q,2,0,1\n")
         feat = tmp_path / "f.bin"
         write_feature_file(feat, np.zeros((2, 2)))
-        with pytest.raises(BundleFormatError, match="order"):
+        with pytest.raises(ValueError, match="order"):
             load_bundle(meta, feat)
 
     def test_non_finite_feature_names_the_row(self, tmp_path):
@@ -332,7 +330,7 @@ class TestFormatErrors:
                         "0,G,1,0,0\n1,G,2,0,1\n2,G,3,0,2\n")
         feat = tmp_path / "f.bin"
         write_feature_file(feat, feats)
-        with pytest.raises(BundleFormatError, match="1"):
+        with pytest.raises(ValueError, match="1"):
             load_bundle(meta, feat)
 
     def test_comment_lines_in_metadata_are_skipped(self, tmp_path):
@@ -345,20 +343,55 @@ class TestFormatErrors:
         assert len(bundle.splits["G"]) == 1
 
 
+class TestFaultContract:
+    """A truncated file of each format fails its reader with a plain
+    ValueError whose message starts with the file's path."""
+
+    @staticmethod
+    def files(tmp_path):
+        from rvrank.verifier import VerifierModel, load_model, save_model
+        bundle, _ = generate(SynthConfig(n_identities=5, seed=4))
+        meta, feat, parts, model, pairs, ranked = (tmp_path / name for name in (
+            "meta.csv", "features.bin", "parts.bin", "model.bin", "pairs.csv", "ranked.csv"))
+        write_bundle(bundle, meta, feat, parts, config_comment="config: {}")
+        save_model(model, VerifierModel.initialize(bundle.dims, 4, 4, seed=1))
+        write_pairs_csv(pairs, build_eval_pairs(bundle, "Q", "G", 3))
+        write_ranked_csv(ranked, [RankedList(0, np.arange(4)), RankedList(1, np.arange(4))])
+        def read_bundle(_):
+            return load_bundle(meta, feat, parts)
+
+        return {path.name: (path, read) for path, read in (
+            (meta, read_bundle), (feat, read_bundle), (parts, read_bundle),
+            (model, load_model), (pairs, read_pairs_csv), (ranked, read_ranked_csv))}
+
+    @pytest.mark.parametrize("name", ["meta.csv", "features.bin", "parts.bin", "model.bin",
+                                      "pairs.csv", "ranked.csv"])
+    def test_a_truncated_file_fails_naming_its_path(self, tmp_path, name):
+        path, read = self.files(tmp_path)[name]
+        read(path)
+        data = path.read_bytes()
+        # A CSV loses its last field, a binary file its last byte.
+        path.write_bytes(data[:data.rindex(b",")] if name.endswith(".csv") else data[:-1])
+        with pytest.raises(ValueError) as info:
+            read(path)
+        assert type(info.value) is ValueError
+        assert str(info.value).startswith(f"{path}: "), str(info.value)
+
+
 class TestCsvReaders:
     #: reader, header, a good row, the same row with a non-numeric field
     READERS = {
-        "pairs": (read_pairs_csv, PAIR_HEADER, "Q,0,1,G,3,1", "Q,0,1,G,x,1", ValueError),
-        "ranked": (read_ranked_csv, RANKED_HEADER, "0,1,3", "0,x,3", ValueError),
-        "sweep": (read_sweep, SWEEP_HEADER, "5,0.5,1.0", "5,x,1.0", ValueError),
+        "pairs": (read_pairs_csv, PAIR_HEADER, "Q,0,1,G,3,1", "Q,0,1,G,x,1"),
+        "ranked": (read_ranked_csv, RANKED_HEADER, "0,1,3", "0,x,3"),
+        "sweep": (read_sweep, SWEEP_HEADER, "5,0.5,1.0", "5,x,1.0"),
         "metadata": (lambda path: load_bundle(path, path.parent / "f.bin"),
                      ("index", "role", "identity", "cloth", "camera"),
-                     "0,G,1,0,0", "0,G,x,0,0", BundleFormatError),
+                     "0,G,1,0,0", "0,G,x,0,0"),
     }
 
     @pytest.mark.parametrize("name", sorted(READERS))
     def test_errors_name_the_file_and_line(self, tmp_path, name):
-        read, header, good, bad, error = self.READERS[name]
+        read, header, good, bad = self.READERS[name]
         write_feature_file(tmp_path / "f.bin", np.zeros((1, 2)))
         path = tmp_path / f"{name}.csv"
         cases = {
@@ -374,7 +407,7 @@ class TestCsvReaders:
         for want, lines in cases.items():
             text = "# config: {}\n" + "".join(ln + "\n" for ln in lines)
             path.write_bytes(text.encode("utf-8", "surrogateescape"))
-            with pytest.raises(error, match=f"{path.name}: ({want})"):
+            with pytest.raises(ValueError, match=f"{path.name}: ({want})"):
                 read(path)
 
 
@@ -430,13 +463,17 @@ class TestWriteCsv:
 
     def test_negative_labels_are_written_back(self, tmp_path):
         rows = [(0, "Q", -3, 2 ** 40, -1), (0, "G", 5, -2 ** 62, 0)]
-        paths = (tmp_path / "meta.csv", tmp_path / "feat.bin")
-        write_bundle(build_bundle(rows, np.zeros((2, 2))), *paths)
-        assert paths[0].read_text().splitlines()[1:] == \
-            [",".join(map(str, row)) for row in rows]
-        loaded = load_bundle(*paths)
-        assert [(v.role, v.field) for v in validate_bundle(loaded)] == \
-            [("Q", "identity"), ("Q", "camera"), ("G", "cloth")]
+        meta, feat = tmp_path / "meta.csv", tmp_path / "feat.bin"
+        write_csv(meta, datastore.METADATA_HEADER,
+                  [np.array(column) for column in zip(*rows)])
+        write_feature_file(feat, np.zeros((2, 2)))
+        assert meta.read_text().splitlines()[1:] == [",".join(map(str, row)) for row in rows]
+        (index, role, *labels), lines = datastore.read_csv(
+            meta, datastore.METADATA_HEADER, datastore._METADATA_KINDS)
+        assert list(zip(index.tolist(), role.tolist(), *(c.tolist() for c in labels))) == rows
+        with pytest.raises(ValueError) as info:
+            load_bundle(meta, feat)
+        assert str(info.value) == f"{meta}: line 2: identity -3 is negative"
 
     def test_columns_of_other_kinds_or_lengths_are_rejected(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -474,50 +511,49 @@ class TestMissingParts:
 
 
 class TestValidation:
-    def test_well_formed_bundle_has_no_violations(self):
-        rng = np.random.default_rng(41)
-        bundle = random_bundle(rng)
-        assert validate_bundle(bundle) == []
+    """``build_bundle`` applies the rules ``load_bundle`` applies, naming
+    the first faulty row."""
 
-    def test_nan_feature_is_reported_with_role_and_index(self):
+    def test_nan_feature_is_rejected_with_its_row(self):
         feats = np.zeros((10, 2), dtype=np.float32)
         feats[1 + 7, 0] = np.nan   # row 0 is the query
         rows = [(0, "Q", 1, 0, 0)] + [(i, "G", 2, 0, 0) for i in range(9)]
-        violations = validate_bundle(build_bundle(rows, feats))
-        assert [(v.role, v.index, v.field) for v in violations] == \
-               [("G", 7, "global_feature")]
+        with pytest.raises(ValueError) as info:
+            build_bundle(rows, feats)
+        assert str(info.value) == "features: non-finite value in feature row 8 (metadata G:7)"
 
-    def test_nan_in_a_present_part_only_is_reported(self):
+    def test_a_feature_beyond_float32_is_rejected(self):
+        feats = np.zeros((2, 2))
+        feats[1, 1] = 1e300
+        with pytest.raises(ValueError, match="feature row 1 "):
+            build_bundle([(0, "G", 1, 0, 0), (1, "G", 2, 0, 0)], feats)
+
+    def test_nan_in_a_present_part_only_is_rejected(self):
         present = np.array([[True, False], [True, True]])
         vectors = np.zeros((2, 2, 3))
         vectors[0, 1, 0] = np.nan   # absent slot: normalised away
         vectors[1, 1, 2] = np.inf
-        bundle = build_bundle([(0, "G", 1, 0, 0), (1, "G", 2, 0, 0)],
-                              np.zeros((2, 2)), present, vectors)
-        violations = validate_bundle(bundle)
-        assert [(v.role, v.index, v.field, v.message) for v in violations] == \
-               [("G", 1, "part_vectors", "part 1 non-finite value")]
+        with pytest.raises(ValueError) as info:
+            build_bundle([(0, "G", 1, 0, 0), (1, "G", 2, 0, 0)],
+                         np.zeros((2, 2)), present, vectors)
+        assert str(info.value) == "vectors: non-finite value in record 1 part 1 (metadata G:1)"
 
-    def test_violations_come_in_role_and_index_order(self):
+    @pytest.mark.parametrize("row, name", [((0, "G", -3, 0, 0), "identity -3"),
+                                           ((0, "G", 1, -1, 0), "cloth -1"),
+                                           ((0, "G", 1, 0, -2), "camera -2")])
+    def test_a_negative_label_is_rejected_with_its_row(self, row, name):
+        rows = [(0, "Q", 1, 0, 0), row]
+        with pytest.raises(ValueError) as info:
+            build_bundle(rows, np.zeros((2, 2)))
+        assert str(info.value) == f"rows: row 1: {name} is negative"
+
+    def test_the_first_faulty_row_is_named(self):
         feats = np.zeros((3, 2), dtype=np.float32)
         feats[0, 0] = np.inf
-        rows = [(0, "T", 1, -1, 0), (0, "Q", -2, 0, -3), (1, "Q", 1, 0, 0)]
-        violations = validate_bundle(build_bundle(rows, feats))
-        assert [(v.role, v.index, v.field) for v in violations] == [
-            ("T", 0, "cloth"), ("T", 0, "global_feature"),
-            ("Q", 0, "identity"), ("Q", 0, "camera")]
-
-    def test_negative_identity_is_reported(self):
-        feats = np.zeros((1, 2), dtype=np.float32)
-        bundle = build_bundle([(0, "G", -3, 0, 0)], feats)
-        violations = validate_bundle(bundle)
-        assert any(v.field == "identity" for v in violations)
-
-    def test_violation_string_mentions_location(self):
-        feats = np.zeros((1, 2), dtype=np.float32)
-        bundle = build_bundle([(0, "Q", 1, -1, 0)], feats)
-        violations = validate_bundle(bundle)
-        assert violations and "Q" in str(violations[0])
+        rows = [(0, "T", 1, 0, 0), (0, "Q", -2, 0, -3), (1, "Q", 1, -1, 0)]
+        # The metadata is checked before the features.
+        with pytest.raises(ValueError, match="^rows: row 1: identity -2 is negative$"):
+            build_bundle(rows, feats)
 
 
 PAIRS = b"query_role,query_index,rank,cand_role,cand_index,label\n"
@@ -696,7 +732,7 @@ class TestCsvBytePath:
         path = tmp_path / "meta.csv"
         path.write_bytes(CASES["metadata/2**70"])
         write_feature_file(tmp_path / "f.bin", np.zeros((2, 2)))
-        with pytest.raises(BundleFormatError,
+        with pytest.raises(ValueError,
                            match=f"{path.name}: line 3: identity does not fit in int64"):
             load_bundle(path, tmp_path / "f.bin")
 
@@ -813,7 +849,7 @@ class TestRowPathNumbers:
         path.write_bytes(META + b"0,G,1,0,0\n1,G,2_0,0,1\n")
         write_feature_file(tmp_path / "f.bin", np.zeros((2, 2)))
         assert outcome(lambda p: load_bundle(p, tmp_path / "f.bin"), path) == \
-            (BundleFormatError, f"{path}: line 3: int field '2_0' holds '_' or whitespace")
+            (ValueError, f"{path}: line 3: int field '2_0' holds '_' or whitespace")
 
 
 RANKED_HEADER_LINE = (",".join(RANKED_HEADER) + "\n").encode()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rvrank.cli import main
-from rvrank.datastore import validate_bundle, write_bundle
+from rvrank.datastore import write_bundle
 from rvrank.evaluation import evaluate
 from rvrank.reranker import RankingConfig, rerank_pipeline
 from rvrank.synthgen import (
@@ -64,10 +64,6 @@ class TestStructure:
         assert len(bundle.splits["G"]) == n_test * cfg.clothes_per_identity
         cameras = {(r.identity, r.cloth, r.camera) for r in bundle.splits["Q"]}
         assert len(cameras) == len(bundle.splits["Q"])
-
-    def test_generated_bundle_validates_cleanly(self):
-        bundle, _ = generate(SynthConfig(n_identities=8, seed=6))
-        assert validate_bundle(bundle) == []
 
     def test_part_dropout_rate_is_respected(self):
         cfg = SynthConfig(n_identities=20, part_dropout=0.4, seed=7)

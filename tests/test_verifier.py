@@ -243,6 +243,16 @@ def test_a_pair_set_of_mixed_roles_is_rejected_naming_the_row(builder, side):
         build(bundle, PairSet(pairs))
 
 
+@pytest.mark.parametrize("which", ["train_pairs", "valid_pairs"])
+def test_a_pair_set_of_an_unknown_role_fails_the_train(which):
+    model, bundle, train_pairs, valid_pairs = small_training_setup()
+    sets = {"train_pairs": train_pairs.pairs.copy(), "valid_pairs": valid_pairs.pairs.copy()}
+    sets[which]["cand_role"] = "X"
+    with pytest.raises(ValueError) as info:
+        train(model, bundle, PairSet(sets["train_pairs"]), PairSet(sets["valid_pairs"]))
+    assert type(info.value) is ValueError and str(info.value) == "unknown role 'X'"
+
+
 def oracle_triplet_loss(model, bundle, table, pos_index, neg_index, margin):
     """Scalar-loop (global term, part term) over table-row triplets."""
     def scores(row):
