@@ -362,7 +362,9 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: Callable[..., np.ndarray] | N
                 )
 
     if "kreciprocal" in stages:
-        # One float64 array as both operands, as in build_train_pairs.
+        # Each image's neighbours and weights are read from its own row, so
+        # the union matrix need not be exactly symmetric, and it is not:
+        # distance_matrix's row blocks can round a cell and its mirror apart.
         union = np.vstack([queries.features, gallery.features]).astype(np.float64)
         union_dist = distance_matrix(union, union, metric)
         np.fill_diagonal(union_dist, 0.0)

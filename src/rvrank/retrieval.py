@@ -15,6 +15,7 @@ Pair datasets reuse the same machinery:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,8 +45,8 @@ class PairSet:
     pairs: np.ndarray
 
 
-#: Rows of the product :func:`distance_matrix` finishes per block, which
-#: bounds its temporaries to this many rows.
+#: Rows per block of :func:`distance_matrix`: every distance product is
+#: taken in blocks of this many rows counted from row 0.
 DISTANCE_BLOCK = 64
 
 
@@ -55,10 +56,14 @@ def distance_matrix(query_feats: np.ndarray, gallery_feats: np.ndarray,
 
     ``euclidean`` is the L2 distance ``sqrt(max(|q|² + |g|² - 2 q·g, 0))``;
     ``cosine`` is 1 - cosine similarity with zero-norm rows guarded by a
-    small epsilon.  The product ``q @ g.T`` is taken whole, so the same
-    array as both operands gives an exactly symmetric matrix; it is then
-    turned into distances in place, ``DISTANCE_BLOCK`` rows at a time,
-    which keeps the peak near one n_query x n_gallery array.
+    small epsilon.  The rows come in ``DISTANCE_BLOCK``-row blocks counted
+    from row 0: each block is its own product ``q[rows] @ g.T``, written into
+    the result and turned into distances there, so the peak stays near one
+    n_query x n_gallery array.  Rows ``r0:r0 + DISTANCE_BLOCK`` of the
+    result, for ``r0`` a multiple of the block, are therefore bit for bit
+    ``distance_matrix(q[r0:r0 + DISTANCE_BLOCK], g)``.  With one array as
+    both operands the matrix need not be exactly symmetric: a block of
+    ``a @ a.T`` can round a cell differently from its mirror.
     """
     q = np.asarray(query_feats, dtype=np.float64)
     g = np.asarray(gallery_feats, dtype=np.float64)
@@ -68,10 +73,10 @@ def distance_matrix(query_feats: np.ndarray, gallery_feats: np.ndarray,
         qq, gg = (q * q).sum(axis=1), (g * g).sum(axis=1)
     else:
         qn, gn = np.linalg.norm(q, axis=1), np.linalg.norm(g, axis=1)
-    dist = q @ g.T
-    for start in range(0, len(dist), DISTANCE_BLOCK):
+    dist = np.empty((len(q), len(g)))
+    for start in range(0, len(q), DISTANCE_BLOCK):
         rows = slice(start, start + DISTANCE_BLOCK)
-        block = dist[rows]
+        block = np.matmul(q[rows], g.T, out=dist[rows])
         if metric == "euclidean":
             # (qq + gg) + (-2 m) rounds as (qq + gg) - 2 m does.
             block *= -2.0
@@ -82,6 +87,17 @@ def distance_matrix(query_feats: np.ndarray, gallery_feats: np.ndarray,
             block /= np.maximum(qn[rows, None] * gn, _COSINE_EPS)
             np.subtract(1.0, block, out=block)
     return dist
+
+
+def _distance_rows(query_feats: np.ndarray, gallery_feats: np.ndarray,
+                  metric: str = "euclidean") -> Iterator[np.ndarray]:
+    """The rows of ``distance_matrix(query_feats, gallery_feats, metric)``
+    in order, bit for bit, computed one ``DISTANCE_BLOCK`` at a time so that
+    only one block is held."""
+    q = np.asarray(query_feats, dtype=np.float64)
+    g = np.asarray(gallery_feats, dtype=np.float64)
+    for start in range(0, len(q), DISTANCE_BLOCK):
+        yield from distance_matrix(q[start:start + DISTANCE_BLOCK], g, metric)
 
 
 def eligible_mask(queries: Split, gallery: Split) -> np.ndarray:
@@ -129,9 +145,9 @@ def top_candidates(queries: Split, gallery: Split, num_candidates: int,
         raise ValueError(f"num_candidates must be >= 1, got {num_candidates}")
     if not len(gallery):
         raise ValueError("empty gallery")
-    dist = distance_matrix(queries.features, gallery.features, metric)
+    rows = _distance_rows(queries.features, gallery.features, metric)
     allowed = eligible_mask(queries, gallery)
-    return [masked_order(row, ok, num_candidates) for row, ok in zip(dist, allowed)]
+    return [masked_order(row, ok, num_candidates) for row, ok in zip(rows, allowed)]
 
 
 def _ranked_pairs(query_role: str, queries: Split, cand_role: str, cands: Split,
@@ -178,15 +194,16 @@ def build_train_pairs(bundle: DatasetBundle, num_candidates: int = 20,
     if num_candidates < 1:
         raise ValueError(f"num_candidates must be >= 1, got {num_candidates}")
     train = bundle.splits["T"]
-    # One float64 array as both operands: numpy computes ``a @ a.T`` as a
-    # symmetric product, so dist is exactly symmetric.
+    # One float64 array as both operands: a split that fits in one block
+    # then takes numpy's symmetric ``a @ a.T``.  A larger one need not give
+    # an exactly symmetric matrix, and no code needs it to: each anchor
+    # selects from its own row.
     feats = train.features.astype(np.float64)
-    dist = distance_matrix(feats, feats, metric)
     ids, cloths = train.identity, train.cloth
 
     runs: list[tuple[int, np.ndarray]] = []
     dropped: list[int] = []
-    for ai, row in enumerate(dist):
+    for ai, row in enumerate(_distance_rows(feats, feats, metric)):
         same = ids == ids[ai]
         pos_mask, neg_mask = same & (cloths != cloths[ai]), ~same
         if not pos_mask.any() or not neg_mask.any():

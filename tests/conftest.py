@@ -3,6 +3,13 @@ and scalar-loop reference oracles."""
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread, as the benchmark runs: OpenBLAS reads this when numpy is
+# first imported, and its default thread pool makes wall-clock fits such as
+# test_acceptance's scoring-cost test noisy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import math
 import tracemalloc
 from collections import namedtuple

@@ -25,6 +25,7 @@ from rvrank.retrieval import (
     top_candidates,
     write_pairs_csv,
 )
+from rvrank.synthgen import SynthConfig, generate
 
 
 def scalar_euclidean(q, g):
@@ -85,6 +86,13 @@ def one_shot_distances(q, g, metric):
     return 1.0 - (q @ g.T) / denom
 
 
+def blocked_one_shot(q, g, metric, block):
+    """``one_shot_distances`` of each fixed ``block``-row block of ``q``,
+    counted from row 0, against the whole of ``g``."""
+    return np.concatenate([one_shot_distances(q[r:r + block], g, metric)
+                           for r in range(0, len(q), block)])
+
+
 class TestDistanceBlocks:
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     @pytest.mark.parametrize("n_query, n_gallery", [(1, 9), (1, 1), (23, 23), (23, 40)])
@@ -98,9 +106,21 @@ class TestDistanceBlocks:
             q[-1] = 0.0  # a zero row: cosine's epsilon guard, and a zero distance
         g = q if n_query == n_gallery else rng.normal(size=(n_gallery, 16))
         got = distance_matrix(q, g, metric)
-        assert np.array_equal(got, one_shot_distances(q, g, metric))
-        if g is q:
-            assert np.array_equal(got, got.T)
+        assert np.array_equal(got, blocked_one_shot(q, g, metric, block))
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("same", [True, False], ids=["a-against-a", "q-against-g"])
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_a_block_aligned_slice_gives_the_rows_of_the_whole(self, monkeypatch, metric,
+                                                               same, block):
+        monkeypatch.setattr(retrieval, "DISTANCE_BLOCK", block)
+        rng = np.random.default_rng(block)
+        q = rng.normal(size=(150, 24))
+        g = q if same else rng.normal(size=(90, 24))
+        whole = distance_matrix(q, g, metric)
+        for r0 in range(0, len(q), block):
+            assert np.array_equal(distance_matrix(q[r0:r0 + block], g, metric),
+                                  whole[r0:r0 + block])
 
     def test_peak_memory_stays_near_one_matrix(self):
         """Before the in-place tail, ``qq + gg - 2.0 * (q @ g.T)`` and a
@@ -380,6 +400,68 @@ class TestTrainPairs:
         assert dropped == []
         assert len(pair_set.pairs) == 12 * (2 + 8)
         assert set(pair_set.pairs[["query_role", "cand_role"]].tolist()) == {("T", "T")}
+
+
+def mining_bundle(rng, n=150, d=12):
+    """A train-split bundle of ``n`` images (150 is no multiple of 7 or 64)
+    with repeated feature rows (distance ties) and one identity of a single
+    cloth, whose anchors have no positive and are dropped."""
+    identity, cloth = rng.integers(0, 12, n), rng.integers(0, 3, n)
+    identity[:5], cloth[:5] = 12, 0
+    feats = rng.normal(size=(n, d)).astype(np.float32)
+    feats[1::10] = feats[::10]
+    rows = [(i, "T", int(a), int(c), 0) for i, (a, c) in enumerate(zip(identity, cloth))]
+    return build_bundle(rows, feats)
+
+
+class TestMiningByBlocks:
+    """The consumers take ``distance_matrix``'s rows one fixed block at a
+    time; their lists must be those of the rows of the whole matrix."""
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_train_pairs_are_those_of_the_whole_matrix(self, monkeypatch, metric, block):
+        monkeypatch.setattr(retrieval, "DISTANCE_BLOCK", block)
+        bundle = mining_bundle(np.random.default_rng(block))
+        train = bundle.splits["T"]
+        feats = train.features.astype(np.float64)
+        want, want_dropped = [], []
+        for ai, row in enumerate(distance_matrix(feats, feats, metric)):
+            same = train.identity == train.identity[ai]
+            masks = ((1, same & (train.cloth != train.cloth[ai])), (0, ~same))
+            if not all(mask.any() for _, mask in masks):
+                want_dropped.append(ai)
+                continue
+            want += [("T", ai, rank, "T", ci, label) for label, mask in masks
+                     for rank, ci in enumerate(masked_order(row, mask, 6).tolist(), 1)]
+        pair_set, dropped = build_train_pairs(bundle, num_candidates=6, metric=metric)
+        assert want_dropped[:5] == [0, 1, 2, 3, 4]
+        assert dropped == want_dropped
+        assert pair_set.pairs.tolist() == want
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_top_candidates_are_those_of_the_whole_matrix(self, monkeypatch, metric, block):
+        monkeypatch.setattr(retrieval, "DISTANCE_BLOCK", block)
+        bundle = random_bundle(np.random.default_rng(block), n_query=150, n_gallery=90,
+                               n_identities=8, dims=(12, 4, 5))
+        queries, gallery = bundle.splits["Q"], bundle.splits["G"]
+        whole = distance_matrix(queries.features, gallery.features, metric)
+        want = [masked_order(row, ok, 10).tolist()
+                for row, ok in zip(whole, eligible_mask(queries, gallery))]
+        got = top_candidates(queries, gallery, 10, metric)
+        assert [order.tolist() for order in got] == want
+
+    def test_mining_peaks_far_below_one_train_matrix(self):
+        """Mining from the whole T x T float64 matrix peaked above
+        1.0 T² x 8 bytes."""
+        bundle, _ = generate(SynthConfig(n_identities=500, clothes_per_identity=4,
+                                         images_per_cloth=2))
+        t = len(bundle.splits["T"])
+        assert t == 2000
+        with PeakMemory() as peak:
+            build_train_pairs(bundle)
+        assert peak.bytes < 0.25 * t * t * 8
 
 
 class TestPairsCsv:
