@@ -26,7 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .datastore import DatasetBundle, check_rows, read_csv, write_csv
-from .retrieval import distance_matrix, eligible_mask, masked_order
+from .retrieval import (DISTANCE_BLOCK, DistanceRows, distance_matrix, eligible_mask,
+                        masked_order)
 from .verifier import prefix_scores
 
 STAGE_NAMES = ("kreciprocal", "window")
@@ -125,25 +126,53 @@ def window_rerank(order: np.ndarray, scores: np.ndarray, L: int, Q: int) -> np.n
 #: it would pass either.
 _JACCARD_BLOCK = 1 << 15
 
-#: Rows the set steps (:func:`_neighbourhood_vectors`, :func:`_expand`) take at once.
-_SET_ROWS = 256
+#: Rows the set steps (:func:`_neighbourhood_vectors`, :func:`_expand`) take
+#: at once; :func:`_neighbourhood_vectors` reads that many distance rows.
+_SET_ROWS = 128
 
 #: Sparse neighbourhood vectors: CSR ``(indptr, columns, values)``, each
 #: row's columns ascending.
 Vectors = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _neighbours(d: np.ndarray, count: int) -> np.ndarray:
-    """(n, count) indices: each image's ``count`` nearest images, itself at
-    distance 0, in ``argsort(kind="stable")`` order."""
-    n = d.shape[0]
-    everything = np.ones(n, dtype=bool)
-    out = np.empty((n, count), dtype=np.intp)
-    for i in range(n):
-        row = d[i].copy()
-        row[i] = 0.0
-        out[i] = masked_order(row, everything, count)
-    return out
+def _nearest(block: np.ndarray, count: int) -> np.ndarray:
+    """(len(block), count) column indices: each row's ``count`` smallest
+    entries in :func:`~rvrank.retrieval.masked_order`'s order (ascending,
+    ties to the lower column, NaN last), from one partition of the block for
+    the cuts and one sort of the entries at or below them."""
+    cut = np.partition(block, count - 1, axis=1)[:, count - 1:count]
+    # Every entry not above its row's cut: with a NaN cut (fewer than count
+    # numbers) that is the whole row, and NaN entries sort last either way.
+    kept = np.flatnonzero(~(block > cut))
+    row, col = np.divmod(kept, block.shape[1])
+    # Each row's columns come ascending and lexsort is stable, so equal
+    # values keep the lower column first.
+    by_value = np.lexsort((block.ravel()[kept], row))
+    first = np.searchsorted(row, np.arange(len(block)))
+    return col[by_value][first[:, None] + np.arange(count)]
+
+
+def _neighbours(dist: np.ndarray | DistanceRows, num_queries: int, count: int,
+                lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(initial, blend)``: (n, count) indices, each image's ``count``
+    nearest images with itself at distance 0, and the (queries, gallery)
+    array ``lam * dist[q, num_queries:]`` that the Jaccard step adds to.
+    Reads ``dist`` one ``DISTANCE_BLOCK`` of rows at a time and checks each
+    block's diagonal."""
+    n = dist.shape[0]
+    initial = np.empty((n, count), dtype=np.intp)
+    blend = np.empty((num_queries, n - num_queries))
+    for r0 in range(0, n, DISTANCE_BLOCK):
+        d = np.array(dist[r0:r0 + DISTANCE_BLOCK], dtype=np.float64)
+        own = np.arange(len(d))
+        if (np.abs(d[own, r0 + own]) > 1e-6).any():
+            raise ValueError("dist diagonal must be zero (self-distances)")
+        d[own, r0 + own] = 0.0
+        initial[r0:r0 + len(d)] = _nearest(d, count)
+        if r0 < num_queries:
+            np.multiply(lam, d[:num_queries - r0, num_queries:],
+                        out=blend[r0:r0 + DISTANCE_BLOCK])
+    return initial, blend
 
 
 def _isin(keys: np.ndarray, among: np.ndarray) -> np.ndarray:
@@ -177,11 +206,13 @@ def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
     return lengths, np.arange(len(skip)) + skip
 
 
-def _neighbourhood_vectors(d: np.ndarray, initial: np.ndarray, k1: int) -> Vectors:
+def _neighbourhood_vectors(dist: np.ndarray | DistanceRows, initial: np.ndarray,
+                           k1: int) -> Vectors:
     """Each image's k1-reciprocal set R(i, k1), grown by every half-k1 set
     R(j, k1/2) of a member j that shares more than 2/3 of its entries with
-    R(i, k1), weighted ``exp(-d)`` and normalised to sum 1."""
-    n = d.shape[0]
+    R(i, k1), weighted ``exp(-dist)`` and normalised to sum 1; each block of
+    rows reads its weights from ``dist[r0:r1]``."""
+    n = dist.shape[0]
     heads, half_heads = initial[:, :k1 + 1], initial[:, :int(np.around(k1 / 2)) + 1]
     half = _reciprocal(half_heads)
     owners, at = np.nonzero(_reciprocal(heads))
@@ -199,7 +230,8 @@ def _neighbourhood_vectors(d: np.ndarray, initial: np.ndarray, k1: int) -> Vecto
         expands = overlap > (2.0 / 3.0) * half.sum(axis=1)[j]
         keys = np.unique(np.concatenate([recip, member[expands[pair]]]))
         rows, cols = keys // n, keys % n
-        weights = np.exp(-np.where(rows == cols, 0.0, d[rows, cols]))
+        d = np.asarray(dist[r0:r1], dtype=np.float64)
+        weights = np.exp(-np.where(rows == cols, 0.0, d[rows - r0, cols]))
         # Each row's sum adds its weights in ascending column order.
         return keys, weights / np.bincount(rows - r0, weights)[rows - r0]
     return _csr(n, block)
@@ -224,11 +256,11 @@ def _expand(vectors: Vectors, heads: np.ndarray) -> Vectors:
     return _csr(n, block)
 
 
-def _jaccard(vectors: Vectors, num_queries: int, d: np.ndarray, lam: float) -> np.ndarray:
-    """``lam * d + (1 - lam) * (1 - s / (2 - s))`` per (query row, gallery
-    row), s the sum of ``min`` over their shared columns, through an
-    inverted index over the gallery rows' columns.  Each sum adds its terms
-    in ascending column order, starting from 0."""
+def _jaccard(vectors: Vectors, num_queries: int, out: np.ndarray, lam: float) -> np.ndarray:
+    """Add ``(1 - lam) * (1 - s / (2 - s))`` per (query row, gallery row)
+    into ``out`` and return it, s the sum of ``min`` over their shared
+    columns, through an inverted index over the gallery rows' columns.  Each
+    sum adds its terms in ascending column order, starting from 0."""
     indptr, cols, values = vectors
     n = len(indptr) - 1
     num_gallery = n - num_queries
@@ -243,7 +275,6 @@ def _jaccard(vectors: Vectors, num_queries: int, d: np.ndarray, lam: float) -> n
                            np.diff(indptr[:num_queries + 1]))
     # terms[q]: how many overlap terms the queries before q add up.
     terms = np.cumsum(np.r_[0, np.diff(col_ptr)[cols[:first]]])[indptr[:num_queries + 1]]
-    out = np.empty((num_queries, num_gallery))
     q0 = 0
     while q0 < num_queries:
         q1 = max(q0 + 1, min(q0 + _JACCARD_BLOCK // num_gallery, int(np.searchsorted(
@@ -257,12 +288,12 @@ def _jaccard(vectors: Vectors, num_queries: int, d: np.ndarray, lam: float) -> n
             weights=np.minimum(np.repeat(values[entries], lengths), col_values[at]),
             minlength=(q1 - q0) * num_gallery).reshape(q1 - q0, -1)
         jaccard = 1.0 - overlap / (2.0 - overlap)
-        out[q0:q1] = lam * d[q0:q1, num_queries:] + (1.0 - lam) * jaccard
+        out[q0:q1] += (1.0 - lam) * jaccard
         q0 = q1
     return out
 
 
-def kreciprocal_rerank(dist: np.ndarray, num_queries: int, k1: int = 20,
+def kreciprocal_rerank(dist: np.ndarray | DistanceRows, num_queries: int, k1: int = 20,
                        k2: int = 6, lam: float = 0.3) -> np.ndarray:
     """Rewrite query/gallery distances from k-reciprocal neighbourhood overlap.
 
@@ -276,19 +307,26 @@ def kreciprocal_rerank(dist: np.ndarray, num_queries: int, k1: int = 20,
     ``lam * original + (1 - lam) * jaccard``, so lam=1 returns the original
     query/gallery block unchanged.
 
-    Each image keeps only its top ``max(k1 + 1, k2)`` neighbours, the
-    vectors are sparse rows and only query rows get a Jaccard row, so the
-    memory beyond ``dist`` and the returned block is O(n * k1 * k2); the
-    steps run by blocks of rows or queries, so no temporary is larger.
+    ``dist`` is read only through ``dist.shape`` and row slices
+    ``dist[r0:r1]``, so it may be any object that computes its rows on
+    demand, such as :class:`~rvrank.retrieval.DistanceRows`.  The steps run
+    by blocks of rows or queries; each image keeps only its top
+    ``max(k1 + 1, k2)`` neighbours, the vectors are sparse rows and only
+    query rows get a Jaccard row.  Beyond ``dist`` and the returned block
+    the memory is therefore O(block * n + n * k1 * k2).  On a 1,800-image
+    union (450 queries) the call peaks at 0.34-0.38 x the bytes of the
+    n x n float64 matrix, output included (tracemalloc); given a
+    ``DistanceRows`` view, nothing of that size is ever built.
     """
-    d = np.asarray(dist, dtype=np.float64)
-    n = d.shape[0]
-    if d.ndim != 2 or d.shape[1] != n:
-        raise ValueError(f"dist must be square, got shape {d.shape}")
+    shape = dist.shape
+    n = shape[0]
+    if len(shape) != 2 or shape[1] != n:
+        raise ValueError(f"dist must be square, got shape {shape}")
     if not 0 < num_queries < n:
         raise ValueError(f"num_queries must lie in (0, {n}), got {num_queries}")
-    if np.abs(np.diagonal(d)).max() > 1e-6:
-        raise ValueError("dist diagonal must be zero (self-distances)")
+    # The clamps warn only after the first pass: its diagonal check is the
+    # graver fault and is reported first.
+    initial, out = _neighbours(dist, num_queries, max(min(k1, n - 1) + 1, min(k2, n)), lam)
     if k1 > n - 1:
         warnings.warn(f"k1={k1} exceeds the {n - 1} available neighbours; clamping")
         k1 = n - 1
@@ -296,11 +334,10 @@ def kreciprocal_rerank(dist: np.ndarray, num_queries: int, k1: int = 20,
         warnings.warn(f"k2={k2} exceeds the {n} available images; clamping")
         k2 = n
 
-    initial = _neighbours(d, max(k1 + 1, k2))
-    vectors = _neighbourhood_vectors(d, initial, k1)
+    vectors = _neighbourhood_vectors(dist, initial, k1)
     if k2 > 1:
         vectors = _expand(vectors, initial[:, :k2])
-    return _jaccard(vectors, num_queries, d, lam)
+    return _jaccard(vectors, num_queries, out, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +403,8 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: Callable[..., np.ndarray] | N
         # the union matrix need not be exactly symmetric, and it is not:
         # distance_matrix's row blocks can round a cell and its mirror apart.
         union = np.vstack([queries.features, gallery.features]).astype(np.float64)
-        union_dist = distance_matrix(union, union, metric)
-        np.fill_diagonal(union_dist, 0.0)
-        new_dist = kreciprocal_rerank(union_dist, len(queries),
-                                      k1=cfg.k1, k2=cfg.k2, lam=cfg.lam)
+        new_dist = kreciprocal_rerank(DistanceRows(union, union, metric, zero_diagonal=True),
+                                      len(queries), k1=cfg.k1, k2=cfg.k2, lam=cfg.lam)
         orders = [masked_order(row, ok) for row, ok in zip(new_dist, allowed)]
 
     if "window" in stages:

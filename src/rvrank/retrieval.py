@@ -89,15 +89,43 @@ def distance_matrix(query_feats: np.ndarray, gallery_feats: np.ndarray,
     return dist
 
 
-def _distance_rows(query_feats: np.ndarray, gallery_feats: np.ndarray,
-                  metric: str = "euclidean") -> Iterator[np.ndarray]:
-    """The rows of ``distance_matrix(query_feats, gallery_feats, metric)``
-    in order, bit for bit, computed one ``DISTANCE_BLOCK`` at a time so that
-    only one block is held."""
-    q = np.asarray(query_feats, dtype=np.float64)
-    g = np.asarray(gallery_feats, dtype=np.float64)
-    for start in range(0, len(q), DISTANCE_BLOCK):
-        yield from distance_matrix(q[start:start + DISTANCE_BLOCK], g, metric)
+class DistanceRows:
+    """``distance_matrix(query_feats, gallery_feats, metric)`` read by row
+    slices, each computed on demand: ``rows[r0:r1]`` is bit for bit that
+    slice of the whole matrix, and no more than the ``DISTANCE_BLOCK``-aligned
+    rows enclosing it is ever held.  With ``zero_diagonal`` every cell
+    ``(i, i)`` reads 0, as after ``np.fill_diagonal(matrix, 0.0)``.
+    Iterating yields the rows in order, one block computed at a time.
+    """
+
+    def __init__(self, query_feats: np.ndarray, gallery_feats: np.ndarray,
+                 metric: str = "euclidean", zero_diagonal: bool = False) -> None:
+        if metric not in METRICS:
+            raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+        self.q = np.asarray(query_feats, dtype=np.float64)
+        self.g = np.asarray(gallery_feats, dtype=np.float64)
+        self.metric = metric
+        self.zero_diagonal = zero_diagonal
+        self.shape = (len(self.q), len(self.g))
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, step = rows.indices(len(self.q))
+        if step != 1:
+            raise ValueError(f"DistanceRows takes contiguous row slices, got step {step}")
+        stop = max(start, stop)
+        # Whole blocks only: a shorter last block is a different product,
+        # which BLAS may round differently.
+        r0 = start - start % DISTANCE_BLOCK
+        r1 = stop + -stop % DISTANCE_BLOCK
+        block = distance_matrix(self.q[r0:r1], self.g, self.metric)
+        if self.zero_diagonal:
+            own = np.arange(r0, min(r0 + len(block), len(self.g)))
+            block[own - r0, own] = 0.0
+        return block[start - r0:stop - r0]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        for r0 in range(0, len(self.q), DISTANCE_BLOCK):
+            yield from self[r0:r0 + DISTANCE_BLOCK]
 
 
 def eligible_mask(queries: Split, gallery: Split) -> np.ndarray:
@@ -145,9 +173,14 @@ def top_candidates(queries: Split, gallery: Split, num_candidates: int,
         raise ValueError(f"num_candidates must be >= 1, got {num_candidates}")
     if not len(gallery):
         raise ValueError("empty gallery")
-    rows = _distance_rows(queries.features, gallery.features, metric)
-    allowed = eligible_mask(queries, gallery)
-    return [masked_order(row, ok, num_candidates) for row, ok in zip(rows, allowed)]
+    dist = DistanceRows(queries.features, gallery.features, metric)
+    lists = []
+    # The mask is taken a block of queries at a time, with the distances.
+    for r0 in range(0, len(queries), DISTANCE_BLOCK):
+        rows = slice(r0, r0 + DISTANCE_BLOCK)
+        lists += [masked_order(row, ok, num_candidates)
+                  for row, ok in zip(dist[rows], eligible_mask(queries[rows], gallery))]
+    return lists
 
 
 def _ranked_pairs(query_role: str, queries: Split, cand_role: str, cands: Split,
@@ -203,7 +236,7 @@ def build_train_pairs(bundle: DatasetBundle, num_candidates: int = 20,
 
     runs: list[tuple[int, np.ndarray]] = []
     dropped: list[int] = []
-    for ai, row in enumerate(_distance_rows(feats, feats, metric)):
+    for ai, row in enumerate(DistanceRows(feats, feats, metric)):
         same = ids == ids[ai]
         pos_mask, neg_mask = same & (cloths != cloths[ai]), ~same
         if not pos_mask.any() or not neg_mask.any():

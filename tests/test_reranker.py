@@ -26,7 +26,7 @@ from rvrank.reranker import (
     write_ranked_csv,
 )
 from rvrank.retrieval import (build_eval_pairs, candidates_from_pairs, distance_matrix,
-                              eligible_mask)
+                              eligible_mask, masked_order)
 from rvrank.synthgen import SynthConfig, generate
 from rvrank.verifier import VerifierModel
 
@@ -312,6 +312,94 @@ class TestKReciprocal:
         np.testing.assert_array_equal(a, b)
         with pytest.warns(UserWarning, match="k2"):
             kreciprocal_rerank(dist, 2, k1=2, k2=50)
+
+
+def lattice_distances(rng, n):
+    """Distances between points of a small integer lattice: most of them
+    tie with many others."""
+    pts = rng.integers(0, 3, size=(n, 4)).astype(np.float64)
+    dist = distance_matrix(pts, pts)
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+class TestKReciprocalByRowBlocks:
+    """``rerank_pipeline`` hands ``kreciprocal_rerank`` a
+    :class:`~rvrank.retrieval.DistanceRows` view of the union, whose row
+    slices are computed on demand; the result must be that of the dense
+    matrix, bit for bit."""
+
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_pipeline_equals_the_dense_definition(self, monkeypatch, metric, seed, block):
+        # Blocks of 1 and 7 make the set steps slice the view off the
+        # distance blocks' boundaries.
+        bundle, _ = generate(SynthConfig(n_identities=60, images_per_cloth=4,
+                                         identity_shift=1.5, seed=seed))
+        queries, gallery = bundle.splits["Q"], bundle.splits["G"]
+        union = np.vstack([queries.features, gallery.features]).astype(np.float64)
+        assert len(union) > 3 * 64
+        dense = distance_matrix(union, union, metric)
+        np.fill_diagonal(dense, 0.0)
+        cfg = RankingConfig(k1=8, k2=3, lam=0.4)
+        want = kreciprocal_rerank(dense, len(queries), k1=cfg.k1, k2=cfg.k2, lam=cfg.lam)
+
+        results = []
+        real = reranker.kreciprocal_rerank
+
+        def recording(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(reranker, "kreciprocal_rerank", recording)
+        if block is not None:
+            monkeypatch.setattr(reranker, "_JACCARD_BLOCK", block)
+            monkeypatch.setattr(reranker, "_SET_ROWS", block)
+        ranked = rerank_pipeline(bundle, None, cfg, stages=("kreciprocal",), metric=metric)
+        [got] = results
+        assert np.array_equal(got, want)
+        assert [rl.order.tolist() for rl in ranked] == [
+            masked_order(row, ok).tolist()
+            for row, ok in zip(want, eligible_mask(queries, gallery))]
+
+    @pytest.mark.parametrize("count", [1, 2, 5, 13, 40])
+    def test_block_selection_equals_masked_order_on_ties(self, count):
+        rng = np.random.default_rng(count)
+        dist = lattice_distances(rng, 40)
+        everything = np.ones(40, dtype=bool)
+        for r0 in range(0, 40, 16):
+            block = dist[r0:r0 + 16]
+            got = reranker._nearest(block, count)
+            for row, order in zip(block, got):
+                assert order.tolist() == masked_order(row, everything, count).tolist()
+
+    @pytest.mark.parametrize("count", [1, 3, 9, 20])
+    def test_block_selection_equals_masked_order_with_inf_and_nan(self, count):
+        # Some rows hold fewer than ``count`` numbers, so their cut is NaN.
+        rng = np.random.default_rng(50 + count)
+        block = rng.integers(0, 5, size=(30, 20)).astype(np.float64)
+        block[rng.random(block.shape) < 0.15] = np.inf
+        block[rng.random(block.shape) < 0.15] = -np.inf
+        block[rng.random(block.shape) < 0.2] = np.nan
+        block[:3] = np.nan
+        block[3, :-2] = np.nan
+        everything = np.ones(20, dtype=bool)
+        got = reranker._nearest(block, count)
+        for row, order in zip(block, got):
+            assert order.tolist() == masked_order(row, everything, count).tolist()
+
+    def test_stage_memory_stays_below_half_the_union_matrix(self):
+        """A union of 1,800 images (450 queries), the size and kind of a
+        large benchmark's.  With the dense union the stage peaked at 1.42 x
+        the n x n float64 matrix it held (tracemalloc)."""
+        bundle, _ = generate(SynthConfig(n_identities=500, images_per_cloth=4,
+                                         identity_shift=1.5))
+        n = len(bundle.splits["Q"]) + len(bundle.splits["G"])
+        assert n == 1800
+        with PeakMemory() as peak:
+            rerank_pipeline(bundle, None, RankingConfig(), stages=("kreciprocal",))
+        assert peak.bytes < 0.5 * n * n * 8, f"{peak.bytes / (n * n * 8):.2f} n x n float64"
 
 
 class CountingScorer:

@@ -13,6 +13,7 @@ from rvrank.cli import main
 from rvrank.datastore import build_bundle
 from rvrank.retrieval import (
     PAIR_DTYPE,
+    DistanceRows,
     PairSet,
     build_eval_pairs,
     build_train_pairs,
@@ -121,6 +122,31 @@ class TestDistanceBlocks:
         for r0 in range(0, len(q), block):
             assert np.array_equal(distance_matrix(q[r0:r0 + block], g, metric),
                                   whole[r0:r0 + block])
+
+    @pytest.mark.parametrize("zero_diagonal", [False, True])
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_row_views_give_any_slice_of_the_whole(self, monkeypatch, metric, block,
+                                                   zero_diagonal):
+        monkeypatch.setattr(retrieval, "DISTANCE_BLOCK", block)
+        rng = np.random.default_rng(block)
+        a = rng.normal(size=(150, 24))
+        whole = distance_matrix(a, a, metric)
+        if zero_diagonal:
+            np.fill_diagonal(whole, 0.0)
+        rows = DistanceRows(a, a, metric, zero_diagonal=zero_diagonal)
+        assert rows.shape == (150, 150)
+        for r0, r1 in [(0, 150), (0, 1), (3, 10), (63, 65), (64, 128), (100, 149),
+                       (149, 200), (20, 20)]:
+            assert np.array_equal(rows[r0:r1], whole[r0:r1]), (r0, r1)
+        assert np.array_equal(np.array(list(rows)), whole)
+
+    def test_row_views_take_contiguous_slices_and_known_metrics(self):
+        a = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="step"):
+            DistanceRows(a, a)[::2]
+        with pytest.raises(ValueError, match="manhattan"):
+            DistanceRows(a, a, "manhattan")
 
     def test_peak_memory_stays_near_one_matrix(self):
         """Before the in-place tail, ``qq + gg - 2.0 * (q @ g.T)`` and a
@@ -451,6 +477,19 @@ class TestMiningByBlocks:
                 for row, ok in zip(whole, eligible_mask(queries, gallery))]
         got = top_candidates(queries, gallery, 10, metric)
         assert [order.tolist() for order in got] == want
+
+    def test_top_candidates_never_hold_the_whole_mask(self):
+        """The eligibility mask is taken a block of queries at a time;
+        ``eligible_mask`` over every query peaked at two bools a cell."""
+        rng = np.random.default_rng(4)
+        n_query, n_gallery = 4000, 4000
+        identity = rng.integers(0, 50, size=n_query + n_gallery)
+        rows = [(i, "Q", int(identity[i]), 0, 0) for i in range(n_query)]
+        rows += [(i, "G", int(identity[n_query + i]), 0, 0) for i in range(n_gallery)]
+        bundle = build_bundle(rows, rng.normal(size=(n_query + n_gallery, 2)))
+        with PeakMemory() as peak:
+            top_candidates(bundle.splits["Q"], bundle.splits["G"], 5)
+        assert peak.bytes < 0.5 * n_query * n_gallery
 
     def test_mining_peaks_far_below_one_train_matrix(self):
         """Mining from the whole T x T float64 matrix peaked above
