@@ -22,7 +22,7 @@ import numpy as np
 
 from .datastore import DatasetBundle, Split, write_csv, write_json
 from .reranker import RankedList, RankingConfig, rerank_pipeline, window_rerank
-from .retrieval import eligible_mask
+from .retrieval import DISTANCE_BLOCK, eligible_mask
 from .verifier import prefix_scores
 
 SWEEP_HEADER = ("L", "rank1", "rank10")
@@ -71,12 +71,12 @@ class EvalReport:
     def write_per_query_csv(self, path: str | Path,
                             config_comment: str | None = None) -> None:
         # An excluded query's rank and AP are empty fields.
-        write_csv(path, PER_QUERY_HEADER, (
+        write_csv(path, PER_QUERY_HEADER, [(
             np.array([qm.query_index for qm in self.per_query], dtype=np.int64),
             np.array(["" if qm.first_hit_rank is None else str(qm.first_hit_rank)
                       for qm in self.per_query], dtype=str),
             np.array(["" if qm.average_precision is None else repr(qm.average_precision)
-                      for qm in self.per_query], dtype=str)), config_comment)
+                      for qm in self.per_query], dtype=str))], config_comment)
 
 
 def evaluate(bundle: DatasetBundle, ranked: list[RankedList], k_max: int = 10,
@@ -95,27 +95,31 @@ def evaluate(bundle: DatasetBundle, ranked: list[RankedList], k_max: int = 10,
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     queries, gallery = bundle.splits[query_role], bundle.splits[gallery_role]
-    allowed = eligible_mask(queries, gallery)
     present = {rl.query_index for rl in ranked}
     ranked = ranked + [RankedList(qi, np.empty(0, dtype=np.int64))
-                       for qi in np.flatnonzero(~allowed.any(axis=1)).tolist()
-                       if qi not in present]
+                       for qi in range(len(queries)) if qi not in present
+                       and not eligible_mask(queries[qi:qi + 1], gallery).any()]
     _check_one_ranking_per_query(ranked, len(queries), query_role)
-    return _score(queries, gallery, allowed, ranked, k_max)
+    return _score(queries, gallery, ranked, k_max)
 
 
-def _score(queries: Split, gallery: Split, allowed: np.ndarray,
-           ranked: list[RankedList], k_max: int) -> EvalReport:
-    """:func:`evaluate` with each query's ranking present once and its
-    eligibility mask over the gallery in ``allowed``."""
+def _score(queries: Split, gallery: Split, ranked: list[RankedList],
+           k_max: int) -> EvalReport:
+    """:func:`evaluate` with each query's ranking present once.  The
+    eligibility mask is taken one ``DISTANCE_BLOCK`` of queries at a time."""
     first_hits: list[int] = []
     aps: list[float] = []
     excluded: list[int] = []
     per_query: list[QueryMetric] = []
+    block = None
     for rl in sorted(ranked, key=lambda r: r.query_index):
         qi = rl.query_index
         order = np.asarray(rl.order)
-        eligible = np.flatnonzero(allowed[qi])
+        if qi // DISTANCE_BLOCK != block:
+            block = qi // DISTANCE_BLOCK
+            rows = slice(block * DISTANCE_BLOCK, (block + 1) * DISTANCE_BLOCK)
+            allowed = eligible_mask(queries[rows], gallery)
+        eligible = np.flatnonzero(allowed[qi % DISTANCE_BLOCK])
         # Sorted, a permutation of the eligible gallery is its index list;
         # checked before any lookup, so a bad index cannot wrap or raise.
         if not np.array_equal(np.sort(order), eligible):
@@ -185,13 +189,12 @@ def sweep_L(bundle: DatasetBundle, scorer, config: RankingConfig,
     queries, gallery = bundle.splits[query_role], bundle.splits[gallery_role]
     scores = prefix_scores(scorer, queries, gallery, [rl.order for rl in base], cfg.Q)
 
-    allowed = eligible_mask(queries, gallery)
     rows: list[tuple[int, float, float]] = []
     for L in L_values:
         run_cfg = replace(cfg, L=int(L)).clamped()
         ranked = [RankedList(rl.query_index, window_rerank(rl.order, s, run_cfg.L, run_cfg.Q))
                   for rl, s in zip(base, scores)]
-        report = _score(queries, gallery, allowed, ranked, k_max=10)
+        report = _score(queries, gallery, ranked, k_max=10)
         rows.append((int(L), report.cmc[0], report.cmc[9]))
     return rows
 
@@ -200,4 +203,4 @@ def write_sweep_csv(path: str | Path, rows: list[tuple[int, float, float]],
                     config_comment: str | None = None) -> None:
     table = np.array(rows, dtype=[("L", np.int64), ("rank1", np.float64),
                                   ("rank10", np.float64)])
-    write_csv(path, SWEEP_HEADER, [table[name] for name in SWEEP_HEADER], config_comment)
+    write_csv(path, SWEEP_HEADER, [[table[name] for name in SWEEP_HEADER]], config_comment)

@@ -21,13 +21,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .datastore import DatasetBundle, check_rows, read_csv, write_csv
-from .retrieval import (DISTANCE_BLOCK, DistanceRows, distance_matrix, eligible_mask,
-                        masked_order)
+from .datastore import DatasetBundle, Split, check_rows, read_csv, write_csv
+from .retrieval import DISTANCE_BLOCK, DistanceRows, eligible_mask, masked_order
 from .verifier import prefix_scores
 
 STAGE_NAMES = ("kreciprocal", "window")
@@ -344,6 +343,30 @@ def kreciprocal_rerank(dist: np.ndarray | DistanceRows, num_queries: int, k1: in
 # pipeline
 
 
+def _orders(dist: np.ndarray | DistanceRows, queries: Split,
+            gallery: Split) -> Iterator[np.ndarray]:
+    """Each query's eligible gallery by ascending ``dist`` row, ties to the
+    lower index, taking the rows and the eligibility mask one
+    ``DISTANCE_BLOCK`` of queries at a time."""
+    for r0 in range(0, len(queries), DISTANCE_BLOCK):
+        rows = slice(r0, r0 + DISTANCE_BLOCK)
+        yield from map(masked_order, dist[rows], eligible_mask(queries[rows], gallery))
+
+
+def _check_candidates(candidates: dict[int, np.ndarray], qi: int, order: np.ndarray) -> None:
+    """Raise ValueError unless query ``qi``'s candidate list is the prefix
+    of its retrieval ``order``; a query without eligible gallery images has
+    no candidate rows."""
+    if qi not in candidates:
+        if len(order):
+            raise ValueError(f"no candidate list for query {qi}")
+    elif not np.array_equal(candidates[qi], order[:len(candidates[qi])]):
+        raise ValueError(
+            f"candidate list for query {qi} does not match the "
+            f"current retrieval ranking; rebuild the candidates"
+        )
+
+
 def rerank_pipeline(bundle: DatasetBundle, scorer: Callable[..., np.ndarray] | None,
                     config: RankingConfig,
                     stages: Sequence[str] = ("kreciprocal", "window"),
@@ -379,37 +402,33 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: Callable[..., np.ndarray] | N
                          f"{len(queries)} {query_role} queries")
     if not len(queries):
         return []
-    allowed = eligible_mask(queries, gallery)
     # k-reciprocal re-ranking replaces the retrieval orders, so they are
-    # computed only when the candidate check or a pipeline without it reads them.
+    # computed only when the candidate check or a pipeline without it reads
+    # them, and kept only in the latter.
+    orders = []
     if candidates is not None or "kreciprocal" not in stages:
-        base_dist = distance_matrix(queries.features, gallery.features, metric)
-        orders = [masked_order(row, ok) for row, ok in zip(base_dist, allowed)]
-
-    if candidates is not None:
-        for qi, order in enumerate(orders):
-            # A query without eligible gallery images has no candidate rows.
-            if qi not in candidates:
-                if len(order):
-                    raise ValueError(f"no candidate list for query {qi}")
-            elif not np.array_equal(candidates[qi], order[:len(candidates[qi])]):
-                raise ValueError(
-                    f"candidate list for query {qi} does not match the "
-                    f"current retrieval ranking; rebuild the candidates"
-                )
+        retrieved = _orders(DistanceRows(queries.features, gallery.features, metric),
+                            queries, gallery)
+        for qi, order in enumerate(retrieved):
+            if candidates is not None:
+                _check_candidates(candidates, qi, order)
+            if "kreciprocal" not in stages:
+                orders.append(order)
 
     if "kreciprocal" in stages:
         # Each image's neighbours and weights are read from its own row, so
         # the union matrix need not be exactly symmetric, and it is not:
         # distance_matrix's row blocks can round a cell and its mirror apart.
         union = np.vstack([queries.features, gallery.features]).astype(np.float64)
-        new_dist = kreciprocal_rerank(DistanceRows(union, union, metric, zero_diagonal=True),
-                                      len(queries), k1=cfg.k1, k2=cfg.k2, lam=cfg.lam)
-        orders = [masked_order(row, ok) for row, ok in zip(new_dist, allowed)]
+        orders = list(_orders(
+            kreciprocal_rerank(DistanceRows(union, union, metric, zero_diagonal=True),
+                               len(queries), k1=cfg.k1, k2=cfg.k2, lam=cfg.lam),
+            queries, gallery))
 
     if "window" in stages:
         scores = prefix_scores(scorer, queries, gallery, orders, cfg.Q)
-        orders = [window_rerank(order, s, cfg.L, cfg.Q) for order, s in zip(orders, scores)]
+        for qi, s in enumerate(scores):
+            orders[qi] = window_rerank(orders[qi], s, cfg.L, cfg.Q)
 
     return [RankedList(qi, order) for qi, order in enumerate(orders)]
 
@@ -420,31 +439,65 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: Callable[..., np.ndarray] | N
 
 def write_ranked_csv(path: str | Path, ranked: list[RankedList],
                      config_comment: str | None = None) -> None:
-    lengths = np.array([len(rl.order) for rl in ranked], dtype=np.int64)
-    rows = int(lengths.sum())
-    query = np.repeat(np.array([rl.query_index for rl in ranked], dtype=np.int64), lengths)
-    rank = np.arange(1, rows + 1)
-    rank -= np.repeat(np.cumsum(lengths) - lengths, lengths)
-    gallery = np.concatenate([np.empty(0, np.int64)] + [rl.order for rl in ranked])
-    write_csv(path, RANKED_HEADER, (query, rank, gallery), config_comment)
+    """Write one ``query_index,rank,gallery_index`` row per entry of each
+    ranking, in the order given, ranks counted from 1 within each ranking.
+    The rows of ``DISTANCE_BLOCK`` rankings at a time go to
+    :func:`~rvrank.datastore.write_csv` as one block, so no column of the
+    whole file is ever built; ``ranked`` itself is only read."""
+    def blocks() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        for b0 in range(0, len(ranked), DISTANCE_BLOCK):
+            part = ranked[b0:b0 + DISTANCE_BLOCK]
+            lengths = np.array([len(rl.order) for rl in part], dtype=np.int64)
+            query = np.repeat(np.array([rl.query_index for rl in part], dtype=np.int64),
+                              lengths)
+            rank = np.arange(1, len(query) + 1)
+            rank -= np.repeat(np.cumsum(lengths) - lengths, lengths)
+            yield query, rank, np.concatenate([np.empty(0, np.int64)]
+                                              + [rl.order for rl in part])
+    write_csv(path, RANKED_HEADER, blocks(), config_comment)
+
+
+#: Rows :func:`read_ranked_csv` checks at a time.
+_CHECK_ROWS = 1 << 16
 
 
 def read_ranked_csv(path: str | Path) -> list[RankedList]:
     """Read a ranked CSV back into one :class:`RankedList` per query, in
     query order.  Each query's ranks must be dense from 1; a fault raises
-    ValueError naming the file and line."""
+    ValueError naming the file and line.
+
+    Each order is a view of the parsed table.  A file in query and rank
+    order, as :func:`write_ranked_csv` writes it, is checked ``_CHECK_ROWS``
+    rows at a time, each block against the last row of the block before it,
+    so nothing of the file's size is built beyond the table; any other file
+    is sorted first."""
     path = Path(path)
     (q, r, g), lines = read_csv(path, RANKED_HEADER, (int, int, int))
-    if not len(q):
-        return []
-    # Rows as write_ranked_csv writes them need no sort.
-    if not ((q[1:] > q[:-1]) | ((q[1:] == q[:-1]) & (r[1:] > r[:-1]))).all():
+    if not _in_order(q, r):
         by_rank = np.lexsort((r, q))
         q, r, g, lines = (col[by_rank] for col in (q, r, g, np.asarray(lines)))
-    starts = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
-    # Row by row: the position of its query's first row.
-    first = np.repeat(starts, np.diff(np.r_[starts, len(q)]))
-    check_rows([(r != np.arange(1, len(q) + 1) - first,
-                 lambda i: f"{path}: line {lines[i]}: query {q[i]}: ranks are not dense from 1")])
+    starts, first = [], 0
+    for b0 in range(0, len(q), _CHECK_ROWS):
+        qb, rb = q[b0:b0 + _CHECK_ROWS], r[b0:b0 + _CHECK_ROWS]
+        at = np.arange(b0, b0 + len(qb))
+        # A row opens its query when its query differs from the row before.
+        opens = np.r_[b0 == 0 or qb[0] != q[b0 - 1], qb[1:] != qb[:-1]]
+        # Row by row: the position of its query's first row.
+        firsts = np.maximum.accumulate(np.where(opens, at, first))
+        check_rows([(rb != at - firsts + 1, lambda i: (
+            f"{path}: line {lines[b0 + i]}: query {qb[i]}: ranks are not dense from 1"))])
+        starts.append(at[opens])
+        first = firsts[-1]
+    starts = np.concatenate([np.empty(0, np.int64), *starts])
     return [RankedList(qi, order) for qi, order in zip(q[starts].tolist(),
                                                        np.split(g, starts[1:]))]
+
+
+def _in_order(q: np.ndarray, r: np.ndarray) -> bool:
+    """Whether the rows come by ascending query, then ascending rank, checked
+    ``_CHECK_ROWS`` rows at a time, each block with the row before it."""
+    for b0 in range(1, len(q), _CHECK_ROWS):
+        qb, rb = q[b0 - 1:b0 + _CHECK_ROWS], r[b0 - 1:b0 + _CHECK_ROWS]
+        if not ((qb[1:] > qb[:-1]) | ((qb[1:] == qb[:-1]) & (rb[1:] > rb[:-1]))).all():
+            return False
+    return True

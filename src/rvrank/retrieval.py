@@ -274,7 +274,7 @@ def candidates_from_pairs(pair_set: PairSet) -> dict[int, np.ndarray]:
 def write_pairs_csv(path: str | Path, pair_set: PairSet,
                     config_comment: str | None = None) -> None:
     """Write a pair set, one CSV row per pair."""
-    write_csv(path, PAIR_HEADER, [pair_set.pairs[name] for name in PAIR_HEADER],
+    write_csv(path, PAIR_HEADER, [[pair_set.pairs[name] for name in PAIR_HEADER]],
               config_comment)
 
 

@@ -630,7 +630,7 @@ def write_history_csv(path: str | Path, history: list[EpochStats],
                       config_comment: str | None = None) -> None:
     table = np.array(history, dtype=[("epoch", np.int64)]
                      + [(name, np.float64) for name in HISTORY_HEADER[1:]])
-    write_csv(path, HISTORY_HEADER, [table[name] for name in HISTORY_HEADER], config_comment)
+    write_csv(path, HISTORY_HEADER, [[table[name] for name in HISTORY_HEADER]], config_comment)
 
 
 # ---------------------------------------------------------------------------

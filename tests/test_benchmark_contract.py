@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import random_bundle
 from rvrank import cli, reranker, verifier
@@ -144,3 +145,32 @@ def test_kreciprocal_counter_reads_the_union_size(tmp_path, monkeypatch):
     tracer.count_kreciprocal(t, *call)
     assert t.counts["reranker.kreciprocal_n"] == \
         len(bundle.splits["Q"]) + len(bundle.splits["G"])
+
+
+@pytest.mark.parametrize("stages", ["kreciprocal", "both"])
+def test_ranked_row_counter_reads_every_stage_chain(tmp_path, monkeypatch, stages):
+    tracer = load_tracer()
+    rng = np.random.default_rng(13)
+    bundle = random_bundle(rng, n_query=70, n_gallery=30, n_identities=3, n_cloths=2)
+    eligible = eligible_mask(bundle.splits["Q"], bundle.splits["G"]).sum(axis=1).tolist()
+    # More queries than one block of them.
+    assert len(eligible) > reranker.DISTANCE_BLOCK
+    write_bundle(bundle, tmp_path / "meta.csv", tmp_path / "features.bin",
+                 tmp_path / "parts.bin")
+    save_model(tmp_path / "model.bin",
+               VerifierModel.initialize(bundle.dims, 6, 6, seed=0))
+
+    captured: dict[str, list] = {}
+    spy(monkeypatch, captured, cli, "write_ranked_csv")
+    assert cli.main(["rerank", "--meta", str(tmp_path / "meta.csv"),
+                     "--features", str(tmp_path / "features.bin"),
+                     "--parts", str(tmp_path / "parts.bin"),
+                     "--model", str(tmp_path / "model.bin"),
+                     "--out", str(tmp_path / "ranked.csv"), "--stages", stages,
+                     "--k1", "4", "--k2", "2"]) == 0
+
+    t = tracer.Tracer()
+    for call in captured["write_ranked_csv"]:
+        tracer.count_write_ranked(t, *call)
+    assert len(captured["write_ranked_csv"]) == 1
+    assert t.counts["reranker.ranked_rows"] == sum(eligible)

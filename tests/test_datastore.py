@@ -433,12 +433,35 @@ class TestWriteCsv:
     def test_rows_match_the_f_string_form(self, tmp_path, rows):
         ints, floats, text = self.columns(np.random.default_rng(rows), rows)
         path = tmp_path / "out.csv"
-        write_csv(path, ("i", "f", "t", "j"), (ints, floats, text, ints[::-1]),
+        write_csv(path, ("i", "f", "t", "j"), [(ints, floats, text, ints[::-1])],
                   config_comment="config: {}")
         want = "# config: {}\ni,f,t,j\n" + "".join(
             f"{i},{f!r},{t},{j}\n" for i, f, t, j in
             zip(ints.tolist(), floats.tolist(), text.tolist(), ints[::-1].tolist()))
         assert path.read_bytes() == want.encode()
+
+    def test_blocks_are_written_as_one_column_set(self, tmp_path):
+        ints, floats, text = self.columns(np.random.default_rng(5), datastore._BLOCK_ROWS + 10)
+        whole, split = tmp_path / "whole.csv", tmp_path / "split.csv"
+        write_csv(whole, ("i", "f", "t"), [(ints, floats, text)])
+        cuts = [0, 0, 1, 8, datastore._BLOCK_ROWS + 3, len(ints), len(ints)]
+        write_csv(split, ("i", "f", "t"),
+                  ((ints[a:b], floats[a:b], text[a:b]) for a, b in zip(cuts, cuts[1:])))
+        assert split.read_bytes() == whole.read_bytes()
+        write_csv(split, ("i", "f", "t"), [])
+        assert split.read_bytes() == b"i,f,t\n"
+
+    def test_a_fault_in_a_later_block_names_its_file_row_and_removes_the_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        blocks = [(np.arange(3), np.array(["T", "Q", "G"])),
+                  (np.arange(4), np.array(["T", "T", "V,Q", "T"]))]
+        with pytest.raises(ValueError) as err:
+            write_csv(path, ("index", "role"), iter(blocks))
+        assert str(err.value).startswith(f"{path}: column 'role', row 5: ")
+        assert not path.exists()
+        with pytest.raises(ValueError, match="differ in length"):
+            write_csv(path, ("index", "role"), iter([blocks[0], (np.arange(2), blocks[0][1])]))
+        assert not path.exists()
 
     @pytest.mark.parametrize("bad", [",", '"', "\n", "\r", "\0"])
     def test_a_text_field_that_would_break_its_row_is_rejected(self, tmp_path, bad):
@@ -446,7 +469,7 @@ class TestWriteCsv:
         text = np.array(["T"] * (datastore._BLOCK_ROWS + 5), dtype="U3")
         text[-2] = f"V{bad}Q"
         with pytest.raises(ValueError) as err:
-            write_csv(path, ("index", "role"), (np.arange(len(text)), text))
+            write_csv(path, ("index", "role"), [(np.arange(len(text)), text)])
         assert str(err.value).startswith(f"{path}: column 'role', row {len(text) - 2}: ")
         assert not path.exists()
 
@@ -455,17 +478,17 @@ class TestWriteCsv:
         n = datastore._BLOCK_ROWS + 3
         columns = [np.broadcast_to(np.array(v), n) for v in ("kreciprocal", -12, 0.1)]
         shared, copied = tmp_path / "shared.csv", tmp_path / "copied.csv"
-        write_csv(shared, ("t", "i", "f"), columns)
-        write_csv(copied, ("t", "i", "f"), [c.copy() for c in columns])
+        write_csv(shared, ("t", "i", "f"), [columns])
+        write_csv(copied, ("t", "i", "f"), [[c.copy() for c in columns]])
         assert shared.read_bytes() == copied.read_bytes()
         with pytest.raises(ValueError, match="column 'role', row 0: text field 'V,Q'"):
-            write_csv(shared, ("role",), [np.broadcast_to(np.array("V,Q"), n)])
+            write_csv(shared, ("role",), [[np.broadcast_to(np.array("V,Q"), n)]])
 
     def test_negative_labels_are_written_back(self, tmp_path):
         rows = [(0, "Q", -3, 2 ** 40, -1), (0, "G", 5, -2 ** 62, 0)]
         meta, feat = tmp_path / "meta.csv", tmp_path / "feat.bin"
         write_csv(meta, datastore.METADATA_HEADER,
-                  [np.array(column) for column in zip(*rows)])
+                  [[np.array(column) for column in zip(*rows)]])
         write_feature_file(feat, np.zeros((2, 2)))
         assert meta.read_text().splitlines()[1:] == [",".join(map(str, row)) for row in rows]
         (index, role, *labels), lines = datastore.read_csv(
@@ -481,7 +504,7 @@ class TestWriteCsv:
                                ((np.arange(3), np.ones(3, dtype=bool)), "column 'b'"),
                                ((np.arange(3), np.ones((3, 1))), "column 'b'")):
             with pytest.raises(ValueError, match=match):
-                write_csv(path, ("a", "b"), columns)
+                write_csv(path, ("a", "b"), [columns])
         assert not path.exists()
 
 
@@ -755,8 +778,8 @@ class TestRoleColumns:
         n = 3600
         path = tmp_path / "pairs.csv"
         roles = np.array(["T", "VQ", "Q", "VG"])[np.arange(n) % 4]
-        write_csv(path, PAIR_HEADER, (np.full(n, "T"), np.arange(n) // 20, np.arange(n) % 20 + 1,
-                                      roles, np.arange(n) % 97, np.arange(n) % 2),
+        write_csv(path, PAIR_HEADER, [(np.full(n, "T"), np.arange(n) // 20, np.arange(n) % 20 + 1,
+                                       roles, np.arange(n) % 97, np.arange(n) % 2)],
                   config_comment="config: {}")
         kinds = FORMATS["pairs"][1]
         want = outcome(lambda p: datastore.read_csv(p, PAIR_HEADER, kinds), path)

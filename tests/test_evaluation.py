@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import eligible_orders, oracle_metrics, pairwise, random_bundle
+from rvrank import evaluation
 from rvrank.datastore import build_bundle, read_csv
 from rvrank.evaluation import (
     SWEEP_HEADER,
@@ -94,6 +95,26 @@ class TestAgainstScalarOracle:
         backward = evaluate(bundle, list(reversed(ranked)))
         assert forward.cmc == backward.cmc
         assert forward.map_score == backward.map_score
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_query_blocks_change_no_outcome(self, monkeypatch, block):
+        rng = np.random.default_rng(58)
+        bundle = random_bundle(rng, n_query=150, n_gallery=30, n_identities=8)
+        orders = eligible_orders(rng, bundle)
+        ranked = [RankedList(q.index, order)
+                  for q, order in zip(bundle.splits["Q"], orders)]
+        bad = ranked[:100] + [RankedList(100, orders[100][1:])] + ranked[101:]
+
+        def outcomes():
+            report = evaluate(bundle, list(reversed(ranked)), k_max=5)
+            with pytest.raises(ValueError) as fault:
+                evaluate(bundle, bad)
+            return report.to_json_dict(), report.per_query, str(fault.value)
+
+        want = outcomes()
+        assert "query 100 " in want[2]
+        monkeypatch.setattr(evaluation, "DISTANCE_BLOCK", block)
+        assert outcomes() == want
 
 
 class TestPermutationStrictness:

@@ -631,6 +631,38 @@ class TestPipeline:
         assert [rl.order.tolist() for rl in via_model] == \
                [rl.order.tolist() for rl in via_callable]
 
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_query_blocks_change_no_order(self, monkeypatch, block):
+        rng = np.random.default_rng(39)
+        bundle = random_bundle(rng, n_query=150, n_gallery=40, n_identities=6)
+        model = VerifierModel.initialize(bundle.dims, 6, 6, seed=2)
+        cfg = RankingConfig(P=8, L=3, Q=6, k1=5, k2=3)
+        cands = candidates_from_pairs(build_eval_pairs(bundle, "Q", "G", num_candidates=8))
+        runs = [(stages, candidates) for stages in ((), ("window",), ("kreciprocal",),
+                                                    ("kreciprocal", "window"))
+                for candidates in (None, cands)]
+
+        def orders():
+            return [[rl.order.tolist() for rl in rerank_pipeline(
+                bundle, model, cfg, stages=stages, candidates=candidates)]
+                for stages, candidates in runs]
+
+        want = orders()
+        monkeypatch.setattr(reranker, "DISTANCE_BLOCK", block)
+        assert orders() == want
+
+    def test_the_window_stage_allocates_no_query_by_gallery_array(self):
+        # The retrieval distances and the eligibility mask are taken a
+        # block of queries at a time; the whole Q x G distances, mask and
+        # a second list of orders peaked 10.9 MB above the orders.
+        bundle = random_bundle(np.random.default_rng(1), n_query=450, n_gallery=1347,
+                               n_identities=50)
+        model = VerifierModel.initialize(bundle.dims, 6, 6, seed=0)
+        with PeakMemory() as peak:
+            ranked = rerank_pipeline(bundle, model, RankingConfig(), stages=("window",))
+        beyond = peak.bytes - sum(rl.order.nbytes for rl in ranked)
+        assert beyond < 0.5 * 450 * 1347 * 8, f"{beyond / 2 ** 20:.1f} MB"
+
 
 class TestRankedCsv:
     def test_round_trip(self, tmp_path):
@@ -677,15 +709,28 @@ class TestRankedCsv:
 
     def test_memory_beyond_the_columns_is_fixed(self, tmp_path):
         # 450 queries of 1,347 images: the size of a large benchmark's
-        # ranked.csv.  Rows are formatted in blocks, so all but the three
-        # int64 columns handed to write_csv is bounded whatever the row
-        # count; formatting every row at once peaks near 60 MB more.
+        # ranked.csv.  Its rows go to write_csv a block of queries at a time,
+        # so beyond the orders it is given the call holds O(block) memory;
+        # building three whole-file int64 columns peaked at 18.4 MB.
         rng = np.random.default_rng(48)
         ranked = [RankedList(qi, rng.permutation(1347)) for qi in range(450)]
-        columns = 450 * 1347 * 3 * 8
         with PeakMemory() as peak:
             write_ranked_csv(tmp_path / "ranked.csv", ranked)
-        assert peak.bytes - columns < 16 * 2 ** 20, f"{(peak.bytes - columns) / 2 ** 20:.1f} MB"
+        assert peak.bytes < 8 * 2 ** 20, f"{peak.bytes / 2 ** 20:.1f} MB"
+
+    def test_read_memory_beyond_the_table_is_fixed(self, tmp_path):
+        # The same file read back: loadtxt's table of three int64 fields,
+        # which every order views, plus checks of bounded row blocks; the
+        # whole-column checks held 9.9 MB beyond the table.
+        rng = np.random.default_rng(49)
+        path = tmp_path / "ranked.csv"
+        write_ranked_csv(path, [RankedList(qi, rng.permutation(1347)) for qi in range(450)])
+        with PeakMemory() as peak:
+            ranked = read_ranked_csv(path)
+        table = ranked[0].order.base
+        assert all(rl.order.base is table for rl in ranked)
+        beyond = peak.bytes - table.nbytes
+        assert beyond < 4 * 2 ** 20, f"{beyond / 2 ** 20:.1f} MB"
 
 
 HEADER = b"query_index,rank,gallery_index\n"
@@ -753,3 +798,54 @@ class TestRankedCsvFastPath:
                              config_comment='config: {"out":"a, \\"b\\"","query_role":"Q"}')
             assert [(rl.query_index, rl.order.tolist()) for rl in read_ranked_csv(path)] == \
                    [(rl.query_index, rl.order.tolist()) for rl in ranked]
+
+
+class TestBlockSizes:
+    """The blocks rankings are written and checked in change no outcome:
+    neither the bytes of a ranked CSV nor what reading one gives."""
+
+    @pytest.fixture(params=[1, 7, None])
+    def blocks(self, request, monkeypatch):
+        """Query blocks of write_ranked_csv and row blocks of
+        read_ranked_csv of the given size; None keeps the defaults."""
+        if request.param is not None:
+            monkeypatch.setattr(reranker, "DISTANCE_BLOCK", request.param)
+            monkeypatch.setattr(reranker, "_CHECK_ROWS", request.param)
+
+    def test_written_bytes_do_not_depend_on_the_block(self, tmp_path, blocks):
+        rng = np.random.default_rng(50)
+        ranked = [RankedList(qi, rng.permutation(int(rng.integers(0, 40))))
+                  for qi in range(150)]
+        path = tmp_path / "ranked.csv"
+        write_ranked_csv(path, ranked, config_comment="config: {}")
+        assert path.read_text() == "# config: {}\n" + ",".join(RANKED_HEADER) + "\n" + "".join(
+            f"{rl.query_index},{rank},{gi}\n" for rl in ranked
+            for rank, gi in enumerate(rl.order.tolist(), start=1))
+
+    @pytest.mark.parametrize("name", sorted(READER_CASES))
+    def test_reader_cases_read_alike(self, tmp_path, monkeypatch, name):
+        path = tmp_path / "ranked.csv"
+        path.write_bytes(READER_CASES[name])
+        want = read_outcome(path)
+        for size in (1, 7):
+            monkeypatch.setattr(reranker, "_CHECK_ROWS", size)
+            assert read_outcome(path) == want
+
+    @pytest.mark.parametrize("rows, line", [
+        # Query 1's rows are lines 8-12, across the edge of 7-row blocks.
+        ([(0, r) for r in range(1, 6)] + [(1, r) for r in (1, 2, 3, 4, 6)], 12),
+        # A query opens at a block edge with rank 2.
+        ([(0, r) for r in range(1, 8)] + [(1, 2), (1, 3)], 10),
+        # Rank 1 again after rank 7: the file is sorted first, and the
+        # second rank 1 (line 10) comes second.
+        ([(0, r) for r in range(1, 8)] + [(0, 1), (0, 2)], 10),
+        # The last row.
+        ([(0, r) for r in range(1, 14)] + [(0, 15)], 16),
+    ])
+    def test_a_dense_rank_fault_names_the_same_line(self, tmp_path, blocks, rows, line):
+        path = tmp_path / "ranked.csv"
+        path.write_text("# config: {}\n" + ",".join(RANKED_HEADER) + "\n" + "".join(
+            f"{q},{r},{i}\n" for i, (q, r) in enumerate(rows)))
+        query = rows[line - 3][0]
+        assert read_outcome(path) == (
+            ValueError, f"{path}: line {line}: query {query}: ranks are not dense from 1")
