@@ -123,15 +123,16 @@ _BLOCK_ROWS = 1 << 16
 
 
 def _digit_groups() -> np.ndarray:
-    """(3, 10**4) uint32 table of 4-byte digit groups, by kind: 0 all NUL
-    (above a number's leading group), 1 NUL-padded on the left (its leading
-    group; 0 spells ``0``), 2 zero-padded (every lower group)."""
+    """Flat (3 * 10**4,) uint32 table of 4-byte digit groups, group g of
+    kind k at ``k * 10**4 + g``.  Kind 0 is all NUL (above a number's
+    leading group), 1 NUL-padded on the left (its leading group; 0 spells
+    ``0``), 2 zero-padded (every lower group)."""
     groups = np.arange(10 ** 4)[:, None]
     place = 10 ** np.arange(3, -1, -1)
     padded = (groups // place % 10 + ord("0")).astype(np.uint8)
     leading = np.where((groups < place) & (place > 1), np.uint8(0), padded)
     table = np.stack([np.zeros_like(padded), leading, padded])
-    return table.view(np.uint32)[..., 0]
+    return table.view(np.uint32).ravel()
 
 
 _DIGIT_GROUPS = _digit_groups()
@@ -144,19 +145,27 @@ _TEXT_FORBIDDEN[list(b',"\n\r')] = True
 def _int_bytes(values: np.ndarray) -> np.ndarray:
     """(rows, width) uint8: each int64 as ``str(v)``, NUL-padded."""
     negative = values < 0
-    rest = values.view(np.uint64).copy()
-    # Two's complement: exact for every magnitude, int64's minimum included.
-    rest[negative] = ~rest[negative] + np.uint64(1)
+    signed = bool(negative.any())
+    rest = values.view(np.uint64)
+    if signed:
+        # Two's complement: exact for every magnitude, int64's minimum included.
+        rest = rest.copy()
+        rest[negative] = ~rest[negative] + np.uint64(1)
     top, count = int(rest.max(initial=0)), 1
     while count < 5 and top >= 10 ** (4 * count):
         count += 1
-    groups = np.empty((len(values), count), dtype=np.uint32)
-    for k in range(count):
-        kind = (rest >= 10 ** 4).astype(np.intp) + ((rest > 0) if k else 1)
-        groups[:, count - 1 - k] = _DIGIT_GROUPS[kind, (rest % 10 ** 4).astype(np.intp)]
-        rest //= 10 ** 4
+    if count == 1:
+        # Every value is its own leading group.
+        groups = _DIGIT_GROUPS.take(rest.view(np.int64) + 10 ** 4)[:, None]
+    else:
+        groups = np.empty((len(values), count), dtype=np.uint32)
+        for k in range(count):
+            kind = (rest >= 10 ** 4).astype(np.intp) + ((rest > 0) if k else 1)
+            groups[:, count - 1 - k] = _DIGIT_GROUPS.take(
+                kind * 10 ** 4 + (rest % 10 ** 4).astype(np.intp))
+            rest = rest // 10 ** 4
     digits = groups.view(np.uint8)
-    if not negative.any():
+    if not signed:
         return digits
     # The NULs between the sign and the leading digit drop out when the
     # block is compacted.

@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .datastore import DatasetBundle, Split, check_rows, read_csv, write_csv
-from .retrieval import DISTANCE_BLOCK, DistanceRows, eligible_mask, masked_order
+from .retrieval import DISTANCE_BLOCK, DistanceRows, eligible_mask, masked_orders
 from .verifier import prefix_scores
 
 STAGE_NAMES = ("kreciprocal", "window")
@@ -134,23 +134,6 @@ _SET_ROWS = 128
 Vectors = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _nearest(block: np.ndarray, count: int) -> np.ndarray:
-    """(len(block), count) column indices: each row's ``count`` smallest
-    entries in :func:`~rvrank.retrieval.masked_order`'s order (ascending,
-    ties to the lower column, NaN last), from one partition of the block for
-    the cuts and one sort of the entries at or below them."""
-    cut = np.partition(block, count - 1, axis=1)[:, count - 1:count]
-    # Every entry not above its row's cut: with a NaN cut (fewer than count
-    # numbers) that is the whole row, and NaN entries sort last either way.
-    kept = np.flatnonzero(~(block > cut))
-    row, col = np.divmod(kept, block.shape[1])
-    # Each row's columns come ascending and lexsort is stable, so equal
-    # values keep the lower column first.
-    by_value = np.lexsort((block.ravel()[kept], row))
-    first = np.searchsorted(row, np.arange(len(block)))
-    return col[by_value][first[:, None] + np.arange(count)]
-
-
 def _neighbours(dist: np.ndarray | DistanceRows, num_queries: int, count: int,
                 lam: float) -> tuple[np.ndarray, np.ndarray]:
     """``(initial, blend)``: (n, count) indices, each image's ``count``
@@ -167,7 +150,7 @@ def _neighbours(dist: np.ndarray | DistanceRows, num_queries: int, count: int,
         if (np.abs(d[own, r0 + own]) > 1e-6).any():
             raise ValueError("dist diagonal must be zero (self-distances)")
         d[own, r0 + own] = 0.0
-        initial[r0:r0 + len(d)] = _nearest(d, count)
+        initial[r0:r0 + len(d)] = masked_orders(d, np.ones(d.shape, dtype=bool), count)
         if r0 < num_queries:
             np.multiply(lam, d[:num_queries - r0, num_queries:],
                         out=blend[r0:r0 + DISTANCE_BLOCK])
@@ -343,14 +326,18 @@ def kreciprocal_rerank(dist: np.ndarray | DistanceRows, num_queries: int, k1: in
 # pipeline
 
 
-def _orders(dist: np.ndarray | DistanceRows, queries: Split,
-            gallery: Split) -> Iterator[np.ndarray]:
+def _orders(dist: np.ndarray | DistanceRows, queries: Split, gallery: Split,
+            prefixes: dict[int, np.ndarray] | None = None) -> Iterator[np.ndarray]:
     """Each query's eligible gallery by ascending ``dist`` row, ties to the
     lower index, taking the rows and the eligibility mask one
-    ``DISTANCE_BLOCK`` of queries at a time."""
+    ``DISTANCE_BLOCK`` of queries at a time.  With ``prefixes``, each
+    block's orders stop at its queries' longest ``prefixes`` entry (at
+    least 1): the start of every full order that such an entry can match."""
     for r0 in range(0, len(queries), DISTANCE_BLOCK):
         rows = slice(r0, r0 + DISTANCE_BLOCK)
-        yield from map(masked_order, dist[rows], eligible_mask(queries[rows], gallery))
+        limit = None if prefixes is None else max(
+            [len(prefixes.get(qi, ())) for qi in range(r0, r0 + DISTANCE_BLOCK)] + [1])
+        yield from masked_orders(dist[rows], eligible_mask(queries[rows], gallery), limit)
 
 
 def _check_candidates(candidates: dict[int, np.ndarray], qi: int, order: np.ndarray) -> None:
@@ -404,11 +391,12 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: Callable[..., np.ndarray] | N
         return []
     # k-reciprocal re-ranking replaces the retrieval orders, so they are
     # computed only when the candidate check or a pipeline without it reads
-    # them, and kept only in the latter.
+    # them, kept only in the latter, and cut to the candidate lists' length
+    # in the former.
     orders = []
     if candidates is not None or "kreciprocal" not in stages:
         retrieved = _orders(DistanceRows(queries.features, gallery.features, metric),
-                            queries, gallery)
+                            queries, gallery, candidates if "kreciprocal" in stages else None)
         for qi, order in enumerate(retrieved):
             if candidates is not None:
                 _check_candidates(candidates, qi, order)

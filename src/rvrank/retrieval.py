@@ -139,26 +139,60 @@ def eligible_mask(queries: Split, gallery: Split) -> np.ndarray:
              & (queries.cloth[:, None] == gallery.cloth[None, :]))
 
 
-def masked_order(row: np.ndarray, allowed: np.ndarray,
-                 limit: int | None = None) -> np.ndarray:
-    """Indices of the entries ``allowed`` permits, by ascending ``row``
-    value with ties to the lower index; at most ``limit`` of them, as an
-    array of their own that keeps no longer ordering alive.
+def masked_orders(block: np.ndarray, allowed: np.ndarray,
+                  limit: int | None = None) -> list[np.ndarray]:
+    """For each row of ``block``: the indices of the entries its row of
+    ``allowed`` permits, by ascending value with ties to the lower index and
+    NaN last; at most ``limit`` of them.
 
-    With a ``limit`` below the allowed count, ``np.partition`` finds the
-    limit-th smallest allowed value and only the entries at or below it
-    (ties at the cut included) are sorted: the same order as sorting every
-    allowed entry.  A NaN cut sorts them all, as NaN sorts last.
+    Without a ``limit`` the block takes one unstable ``np.argsort``; the
+    rows where equal values meet then sort each run of them (NaNs form one
+    run) by index, and each row keeps its allowed entries along that order,
+    which is the order of sorting only them.  With a ``limit``, each row
+    holding more allowed entries than that finds its limit-th smallest
+    allowed value with one ``np.partition`` of the block's rows, disallowed
+    entries read as +inf; the entries at or below each row's cut (ties at
+    the cut included; with a NaN cut, every allowed entry) take one stable
+    sort by (row, value).  A limited order is an array of its own that keeps
+    nothing of the block's size alive.
     """
-    kept = np.flatnonzero(allowed)
-    values = row[kept]
-    if limit is not None and 0 < limit < len(kept):
-        cut = np.partition(values, limit - 1)[limit - 1]
-        if not np.isnan(cut):
-            near = values <= cut
-            kept, values = kept[near], values[near]
-    order = kept[np.argsort(values, kind="stable")]
-    return order if limit is None or len(order) <= limit else order[:limit].copy()
+    n = block.shape[1]
+    if limit is None:
+        order = np.argsort(block, axis=1)
+        values = np.take_along_axis(block, order, axis=1)
+        # A run opens at every change of value; the NaNs, sorted last, are one.
+        opens = (values[:, 1:] != values[:, :-1]) & ~np.isnan(values[:, :-1])
+        del values
+        tied = np.flatnonzero(~opens.all(axis=1))
+        if len(tied):
+            runs = np.zeros((len(tied), n), dtype=np.intp)
+            np.cumsum(opens[tied], axis=1, out=runs[:, 1:])
+            runs *= n
+            runs += order[tied]
+            runs.sort(axis=1)
+            order[tied] = runs % n
+        ok = np.take_along_axis(allowed, order, axis=1)
+        return np.split(order[ok], np.cumsum(ok.sum(axis=1)))[:-1]
+    over = np.flatnonzero(allowed.sum(axis=1) > limit)
+    keep = allowed
+    if len(over):
+        # Every row over the limit, as is common, is read through views.
+        rows = slice(None) if len(over) == len(block) else over
+        values = np.where(allowed[rows], block[rows], np.inf)
+        values.partition(limit - 1, axis=1)
+        cut = np.full((len(block), 1), np.inf)
+        cut[over, 0] = values[:, limit - 1]
+        del values
+        # Allowed and not above the cut: a NaN entry or cut keeps the
+        # entry, and NaN sorts last.
+        keep = allowed > (block > cut)
+    kept = np.flatnonzero(keep)
+    row, col = np.divmod(kept, n)
+    # Each row's columns come ascending and lexsort is stable, so equal
+    # values keep the lower column first.
+    col = col[np.lexsort((block.ravel()[kept], row))]
+    starts = np.searchsorted(row, np.arange(len(block) + 1))
+    return [col[a:min(b, a + limit)].copy() for a, b in zip(starts[:-1], starts[1:])]
 
 
 def top_candidates(queries: Split, gallery: Split, num_candidates: int,
@@ -178,8 +212,8 @@ def top_candidates(queries: Split, gallery: Split, num_candidates: int,
     # The mask is taken a block of queries at a time, with the distances.
     for r0 in range(0, len(queries), DISTANCE_BLOCK):
         rows = slice(r0, r0 + DISTANCE_BLOCK)
-        lists += [masked_order(row, ok, num_candidates)
-                  for row, ok in zip(dist[rows], eligible_mask(queries[rows], gallery))]
+        lists += masked_orders(dist[rows], eligible_mask(queries[rows], gallery),
+                               num_candidates)
     return lists
 
 
@@ -236,14 +270,20 @@ def build_train_pairs(bundle: DatasetBundle, num_candidates: int = 20,
 
     runs: list[tuple[int, np.ndarray]] = []
     dropped: list[int] = []
-    for ai, row in enumerate(DistanceRows(feats, feats, metric)):
-        same = ids == ids[ai]
-        pos_mask, neg_mask = same & (cloths != cloths[ai]), ~same
-        if not pos_mask.any() or not neg_mask.any():
-            dropped.append(ai)
-            continue
-        runs += [(ai, masked_order(row, mask, num_candidates))
-                 for mask in (pos_mask, neg_mask)]
+    dist = DistanceRows(feats, feats, metric)
+    for r0 in range(0, len(train), DISTANCE_BLOCK):
+        rows = slice(r0, r0 + DISTANCE_BLOCK)
+        block = dist[rows]
+        same = ids[rows, None] == ids
+        pos_mask, neg_mask = same & (cloths[rows, None] != cloths), ~same
+        usable = pos_mask.any(axis=1) & neg_mask.any(axis=1)
+        positives = masked_orders(block, pos_mask, num_candidates)
+        negatives = masked_orders(block, neg_mask, num_candidates)
+        for ai, ok, pos, neg in zip(range(r0, r0 + len(block)), usable, positives, negatives):
+            if ok:
+                runs += [(ai, pos), (ai, neg)]
+            else:
+                dropped.append(ai)
     return _ranked_pairs("T", train, "T", train, runs), dropped
 
 

@@ -84,6 +84,14 @@ def eligible_orders(rng: np.random.Generator, bundle) -> list[list[int]]:
     return orders
 
 
+def stable_order(row: np.ndarray, allowed: np.ndarray, limit: int | None = None) -> list[int]:
+    """The reference for one row of ``retrieval.masked_orders``: the allowed
+    entries' indices by one stable argsort of their values, then the first
+    ``limit``."""
+    kept = np.flatnonzero(allowed)
+    return kept[np.argsort(row[kept], kind="stable")][:limit].tolist()
+
+
 def oracle_metrics(bundle, orders, k_max):
     """Scalar-loop CMC / mAP / AUC reference, no vectorisation."""
     gallery = bundle.splits["G"]

@@ -440,6 +440,21 @@ class TestWriteCsv:
             zip(ints.tolist(), floats.tolist(), text.tolist(), ints[::-1].tolist()))
         assert path.read_bytes() == want.encode()
 
+    @pytest.mark.parametrize("rows", [1, 9, datastore._BLOCK_ROWS + 9])
+    @pytest.mark.parametrize("value", [None, -1, 9999, 10 ** 4, 10 ** 16])
+    def test_small_int_columns_match_str(self, tmp_path, value, rows):
+        """Columns of ``ranked.csv``'s kind, all values in 0-9,999, but for
+        one row set to ``value``.  At the largest row count that row falls
+        in the first ``_BLOCK_ROWS`` piece and the second holds small
+        values only."""
+        ints = np.random.default_rng(rows).integers(0, 10 ** 4, rows)
+        if value is not None:
+            ints[rows // 2] = value
+        path = tmp_path / "out.csv"
+        write_csv(path, ("i", "j"), [(ints, ints[::-1])])
+        assert path.read_text() == "i,j\n" + "".join(
+            f"{i},{j}\n" for i, j in zip(ints.tolist(), ints[::-1].tolist()))
+
     def test_blocks_are_written_as_one_column_set(self, tmp_path):
         ints, floats, text = self.columns(np.random.default_rng(5), datastore._BLOCK_ROWS + 10)
         whole, split = tmp_path / "whole.csv", tmp_path / "split.csv"

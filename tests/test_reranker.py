@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import PeakMemory, oracle_scores, pairwise, random_bundle
+from conftest import PeakMemory, oracle_scores, pairwise, random_bundle, stable_order
 from rvrank import datastore, reranker, verifier
 from rvrank.reranker import (
     RANKED_HEADER,
@@ -26,7 +26,7 @@ from rvrank.reranker import (
     write_ranked_csv,
 )
 from rvrank.retrieval import (build_eval_pairs, candidates_from_pairs, distance_matrix,
-                              eligible_mask, masked_order)
+                              eligible_mask, masked_orders)
 from rvrank.synthgen import SynthConfig, generate
 from rvrank.verifier import VerifierModel
 
@@ -360,22 +360,19 @@ class TestKReciprocalByRowBlocks:
         [got] = results
         assert np.array_equal(got, want)
         assert [rl.order.tolist() for rl in ranked] == [
-            masked_order(row, ok).tolist()
-            for row, ok in zip(want, eligible_mask(queries, gallery))]
+            stable_order(row, ok) for row, ok in zip(want, eligible_mask(queries, gallery))]
 
     @pytest.mark.parametrize("count", [1, 2, 5, 13, 40])
-    def test_block_selection_equals_masked_order_on_ties(self, count):
+    def test_neighbour_lists_equal_a_stable_sort_on_ties(self, monkeypatch, count):
+        monkeypatch.setattr(reranker, "DISTANCE_BLOCK", 16)
         rng = np.random.default_rng(count)
         dist = lattice_distances(rng, 40)
+        initial, _ = reranker._neighbours(dist, 10, count, 0.3)
         everything = np.ones(40, dtype=bool)
-        for r0 in range(0, 40, 16):
-            block = dist[r0:r0 + 16]
-            got = reranker._nearest(block, count)
-            for row, order in zip(block, got):
-                assert order.tolist() == masked_order(row, everything, count).tolist()
+        assert initial.tolist() == [stable_order(row, everything, count) for row in dist]
 
     @pytest.mark.parametrize("count", [1, 3, 9, 20])
-    def test_block_selection_equals_masked_order_with_inf_and_nan(self, count):
+    def test_block_selection_equals_a_stable_sort_with_inf_and_nan(self, count):
         # Some rows hold fewer than ``count`` numbers, so their cut is NaN.
         rng = np.random.default_rng(50 + count)
         block = rng.integers(0, 5, size=(30, 20)).astype(np.float64)
@@ -384,10 +381,10 @@ class TestKReciprocalByRowBlocks:
         block[rng.random(block.shape) < 0.2] = np.nan
         block[:3] = np.nan
         block[3, :-2] = np.nan
-        everything = np.ones(20, dtype=bool)
-        got = reranker._nearest(block, count)
-        for row, order in zip(block, got):
-            assert order.tolist() == masked_order(row, everything, count).tolist()
+        everything = np.ones(block.shape, dtype=bool)
+        got = masked_orders(block, everything, count)
+        for row, ok, order in zip(block, everything, got):
+            assert order.tolist() == stable_order(row, ok, count)
 
     def test_stage_memory_stays_below_half_the_union_matrix(self):
         """A union of 1,800 images (450 queries), the size and kind of a
@@ -513,6 +510,26 @@ class TestPipeline:
             rerank_pipeline(bundle, None, RankingConfig(P=5, L=2, Q=4),
                             stages=(), candidates=cands)
 
+    def test_stale_candidates_fail_the_kreciprocal_check_alike(self):
+        # With k-reciprocal, retrieval orders stop at each block's longest
+        # candidate list; a list that the full order would reject still fails.
+        rng = np.random.default_rng(29)
+        bundle = random_bundle(rng, n_query=3, n_gallery=10)
+        pairs = build_eval_pairs(bundle, "Q", "G", num_candidates=5)
+        cfg = RankingConfig(P=5, L=2, Q=4, k1=4, k2=2)
+        for query, change, match in (
+                (1, lambda c: c[[1, 0, 2, 3, 4]], "query 1 does not match"),
+                (2, lambda c: np.r_[c, c[0]], "query 2 does not match"),
+                (0, None, "no candidate list for query 0")):
+            cands = candidates_from_pairs(pairs)
+            if change is None:
+                del cands[query]
+            else:
+                cands[query] = change(cands[query])
+            for stages in ((), ("kreciprocal",)):
+                with pytest.raises(ValueError, match=match):
+                    rerank_pipeline(bundle, None, cfg, stages=stages, candidates=cands)
+
     def test_matching_candidates_pass_the_cross_check(self):
         rng = np.random.default_rng(30)
         bundle = random_bundle(rng, n_query=3, n_gallery=10)
@@ -595,27 +612,29 @@ class TestPipeline:
         assert 0 in named_queries(str(failure.value))
 
     def test_kreciprocal_sorts_no_retrieval_order(self, tmp_path, monkeypatch):
-        # Full orders only: k-reciprocal's neighbour lists pass a limit.
+        # Rows ordered without a limit: only k-reciprocal's output needs
+        # full orders.  Its neighbour lists pass a limit, and so does the
+        # candidate check, at each block's longest candidate list.
         full_orders = []
-        real = reranker.masked_order
+        real = reranker.masked_orders
 
-        def spy(row, allowed, limit=None):
+        def spy(block, allowed, limit=None):
             if limit is None:
-                full_orders.append(len(row))
-            return real(row, allowed, limit)
+                full_orders.append(len(block))
+            return real(block, allowed, limit)
 
-        monkeypatch.setattr(reranker, "masked_order", spy)
+        monkeypatch.setattr(reranker, "masked_orders", spy)
         rng = np.random.default_rng(38)
         bundle = random_bundle(rng, n_query=4, n_gallery=12)
         cfg = RankingConfig(P=5, L=2, Q=4, k1=4, k2=2)
         cands = candidates_from_pairs(build_eval_pairs(bundle, "Q", "G", num_candidates=5))
         files = []
-        for candidates, sorts in ((None, 4), (cands, 8)):
+        for candidates in (None, cands):
             full_orders.clear()
             ranked = rerank_pipeline(bundle, None, cfg, stages=("kreciprocal",),
                                      candidates=candidates)
-            assert len(full_orders) == sorts
-            files.append(tmp_path / f"ranked{sorts}.csv")
+            assert sum(full_orders) == 4
+            files.append(tmp_path / f"ranked{len(files)}.csv")
             write_ranked_csv(files[-1], ranked)
         assert files[0].read_bytes() == files[1].read_bytes()
 

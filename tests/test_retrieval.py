@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import PeakMemory, random_bundle, train_bundle
+from conftest import PeakMemory, random_bundle, stable_order, train_bundle
 from rvrank import datastore, retrieval
 from rvrank.cli import main
 from rvrank.datastore import build_bundle
@@ -20,7 +20,7 @@ from rvrank.retrieval import (
     candidates_from_pairs,
     distance_matrix,
     eligible_mask,
-    masked_order,
+    masked_orders,
     query_runs,
     read_pairs_csv,
     top_candidates,
@@ -208,32 +208,6 @@ class TestEligibility:
         [indices] = top_candidates(bundle.splits["Q"], bundle.splits["G"], 3)
         assert indices.tolist() == [0, 1, 2]
 
-    def test_masked_order_matches_a_masked_full_sort(self):
-        # The reference: masked entries set to inf, one stable sort, cut at
-        # min(limit, allowed); rounded rows make ties frequent.
-        rng = np.random.default_rng(19)
-        for _ in range(200):
-            n = int(rng.integers(1, 15))
-            row = np.round(rng.random(n), 1)
-            allowed = rng.random(n) < 0.7
-            limit = int(rng.integers(1, n + 2))
-            keyed = np.where(allowed, row, np.inf)
-            want = np.argsort(keyed, kind="stable")[:min(limit, int(allowed.sum()))]
-            assert masked_order(row, allowed, limit).tolist() == want.tolist()
-            assert masked_order(row, allowed).tolist() == \
-                   np.argsort(keyed, kind="stable")[:int(allowed.sum())].tolist()
-
-    def test_masked_order_with_a_limit_owns_its_memory(self):
-        # A top-P list must not keep the query's whole sorted row alive.
-        row = np.random.default_rng(23).random(50)
-        allowed = np.ones(50, dtype=bool)
-        allowed[::3] = False
-        full = masked_order(row, allowed)
-        for limit in (5, 40):
-            kept = masked_order(row, allowed, limit)
-            assert kept.base is None
-            assert kept.tolist() == full[:limit].tolist()
-
     def test_empty_gallery_raises(self):
         feats = np.zeros((1, 2), dtype=np.float32)
         bundle = build_bundle([(0, "Q", 1, 0, 0)], feats)
@@ -241,67 +215,113 @@ class TestEligibility:
             top_candidates(bundle.splits["Q"], bundle.splits["G"], 5)
 
 
-def masked_full_sort(row, allowed, limit=None):
-    """The order ``masked_order`` must give: one stable sort of the whole
-    row, then the allowed entries, then the first ``limit``."""
-    order = np.argsort(row, kind="stable")
-    return order[allowed[order]][:limit].tolist()
+def lattice_block(rng, rows, n, specials=()):
+    """A (rows, n) block on an integer lattice, so ties are frequent, with
+    about a third of its cells replaced by ``specials`` when given."""
+    block = rng.integers(0, 4, size=(rows, n)).astype(np.float64)
+    if len(specials):
+        odd = rng.random(block.shape) < 0.3
+        block[odd] = rng.choice(np.array(specials), int(odd.sum()))
+    return block
+
+
+SPECIALS = (np.inf, -np.inf, np.nan, -0.0, 0.0)
 
 
 class TestSelection:
-    """``masked_order`` with a limit below the allowed count selects with
-    ``np.partition`` instead of sorting the row."""
+    """``masked_orders`` gives, for every row of a block, the stable sort
+    of its allowed entries: the full orders through one unstable argsort
+    and a repair of its ties, the limited ones through one partition."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("specials", [(), SPECIALS])
+    def test_matches_a_stable_sort_of_the_allowed_entries(self, rows, specials):
+        rng = np.random.default_rng(19 + rows)
+        for _ in range(40):
+            n = int(rng.integers(1, 40))
+            block = lattice_block(rng, rows, n, specials)
+            allowed = rng.random((rows, n)) < rng.random()
+            for limit in (None, 1, 2, 5, n, n + 3):
+                got = masked_orders(block, allowed, limit)
+                assert len(got) == rows
+                assert [order.tolist() for order in got] == [
+                    stable_order(row, ok, limit) for row, ok in zip(block, allowed)]
+                assert all(order.dtype == np.intp for order in got)
+
+    def test_full_orders_repair_ties_to_the_lower_index(self):
+        # Long runs of equal values, which numpy's default argsort leaves
+        # in no fixed order.
+        rng = np.random.default_rng(20)
+        block = rng.integers(0, 3, size=(64, 600)).astype(np.float64)
+        block[:, ::7] = np.nan
+        block[:, 1::11] = -0.0
+        allowed = rng.random(block.shape) < 0.9
+        assert [order.tolist() for order in masked_orders(block, allowed)] == [
+            stable_order(row, ok) for row, ok in zip(block, allowed)]
+
+    def test_a_limited_order_owns_its_memory(self):
+        # A top-P list must not keep the block's sorted rows alive.
+        block = np.random.default_rng(23).random((7, 50))
+        allowed = np.ones(block.shape, dtype=bool)
+        allowed[:, ::3] = False
+        full = masked_orders(block, allowed)
+        for limit in (1, 5, 40):
+            for kept, whole in zip(masked_orders(block, allowed, limit), full):
+                assert kept.base is None
+                assert kept.tolist() == whole[:limit].tolist()
 
     def test_ties_across_the_cut_keep_the_full_sort_order(self):
-        assert masked_order(np.array([0.5, 0.2, 0.5, 0.5, 0.1]),
-                            np.ones(5, dtype=bool), 3).tolist() == [4, 1, 0]
+        assert masked_orders(np.array([[0.5, 0.2, 0.5, 0.5, 0.1]]),
+                             np.ones((1, 5), dtype=bool), 3)[0].tolist() == [4, 1, 0]
         rng = np.random.default_rng(41)
         ties_at_cut = 0
         for _ in range(300):
             n = int(rng.integers(2, 40))
             row = np.round(rng.random(n), 1)
             allowed = rng.random(n) < 0.8
-            full = masked_full_sort(row, allowed)
+            full = stable_order(row, allowed)
             for limit in range(1, len(full)):
                 ties_at_cut += row[full[limit - 1]] == row[full[limit]]
-                assert masked_order(row, allowed, limit).tolist() == full[:limit]
+                [got] = masked_orders(row[None], allowed[None], limit)
+                assert got.tolist() == full[:limit]
         assert ties_at_cut > 1000
 
     def test_inf_and_nan_entries_sort_as_the_full_sort_puts_them(self):
-        rng = np.random.default_rng(42)
-        specials = np.array([np.inf, -np.inf, np.nan])
-        for _ in range(300):
-            n = int(rng.integers(2, 25))
-            row = np.round(rng.random(n), 1)
-            odd = rng.random(n) < 0.4
-            row[odd] = rng.choice(specials, int(odd.sum()))
-            allowed = rng.random(n) < 0.7
-            for limit in range(1, n + 2):
-                assert masked_order(row, allowed, limit).tolist() == \
-                       masked_full_sort(row, allowed, limit)
-        # An allowed inf still ranks before a NaN; a NaN cut sorts them all.
-        row = np.array([np.nan, np.inf, 1.0, np.nan, np.inf])
-        allowed = np.array([True, True, False, True, True])
-        assert masked_order(row, allowed, 2).tolist() == [1, 4]
-        assert masked_order(row, allowed, 3).tolist() == [1, 4, 0]
+        # An allowed inf still ranks before a NaN; a NaN cut keeps them all.
+        block = np.array([[np.nan, np.inf, 1.0, np.nan, np.inf],
+                          [np.nan, np.nan, np.nan, 2.0, np.nan],
+                          [0.0, -0.0, -np.inf, 0.0, np.inf]])
+        allowed = np.array([[True, True, False, True, True],
+                            [True, True, False, True, True],
+                            [True, True, True, False, True]])
+        assert [o.tolist() for o in masked_orders(block, allowed, 2)] == \
+               [[1, 4], [3, 0], [2, 0]]
+        assert [o.tolist() for o in masked_orders(block, allowed, 3)] == \
+               [[1, 4, 0], [3, 0, 1], [2, 0, 1]]
+        assert [o.tolist() for o in masked_orders(block, allowed)] == \
+               [[1, 4, 0, 3], [3, 0, 1, 4], [2, 0, 1, 4]]
 
     def test_an_all_false_mask_selects_nothing(self):
-        row = np.random.default_rng(43).random(12)
-        nothing = np.zeros(12, dtype=bool)
+        block = np.random.default_rng(43).random((3, 12))
+        allowed = np.ones(block.shape, dtype=bool)
+        allowed[1] = False
         for limit in (None, 1, 5, 12, 20):
-            assert masked_order(row, nothing, limit).tolist() == []
+            got = masked_orders(block, allowed, limit)
+            assert got[1].tolist() == []
+            assert len(got[0]) == len(got[2]) == min(12, limit or 12)
+            assert masked_orders(block[:0], allowed[:0], limit) == []
 
     def test_a_limit_at_or_above_the_eligible_count_keeps_every_entry(self):
         rng = np.random.default_rng(44)
         for _ in range(100):
             n = int(rng.integers(1, 30))
-            row = np.round(rng.random(n), 1)
-            allowed = rng.random(n) < 0.6
-            eligible = int(allowed.sum())
+            block = np.round(rng.random((3, n)), 1)
+            allowed = rng.random((3, n)) < 0.6
+            eligible = int(allowed.sum(axis=1).max())
             for limit in (eligible, eligible + 1, eligible + 10):
-                kept = masked_order(row, allowed, limit)
-                assert kept.tolist() == masked_full_sort(row, allowed)
-                assert kept.base is None
+                for row, ok, kept in zip(block, allowed, masked_orders(block, allowed, limit)):
+                    assert kept.tolist() == stable_order(row, ok)
+                    assert kept.base is None
 
 
 class TestEvalPairs:
@@ -459,7 +479,7 @@ class TestMiningByBlocks:
                 want_dropped.append(ai)
                 continue
             want += [("T", ai, rank, "T", ci, label) for label, mask in masks
-                     for rank, ci in enumerate(masked_order(row, mask, 6).tolist(), 1)]
+                     for rank, ci in enumerate(stable_order(row, mask, 6), 1)]
         pair_set, dropped = build_train_pairs(bundle, num_candidates=6, metric=metric)
         assert want_dropped[:5] == [0, 1, 2, 3, 4]
         assert dropped == want_dropped
@@ -473,7 +493,7 @@ class TestMiningByBlocks:
                                n_identities=8, dims=(12, 4, 5))
         queries, gallery = bundle.splits["Q"], bundle.splits["G"]
         whole = distance_matrix(queries.features, gallery.features, metric)
-        want = [masked_order(row, ok, 10).tolist()
+        want = [stable_order(row, ok, 10)
                 for row, ok in zip(whole, eligible_mask(queries, gallery))]
         got = top_candidates(queries, gallery, 10, metric)
         assert [order.tolist() for order in got] == want
