@@ -23,13 +23,14 @@ This module also frames every artifact the package writes or reads:
 :func:`write_csv` and :func:`read_csv` for CSVs, :func:`write_json` for JSON
 and :class:`BinaryHeader` for the magic and header of a binary file.  Each
 format module keeps only its header, its column kinds and its own rules,
-checked over whole columns with :func:`check_rows`.
+checked over whole columns with :func:`check_rows`.  Every CSV is in one
+dialect, the one :func:`write_csv` writes: leading ``#`` lines, the header,
+then ASCII rows ending in ``\\n``; :func:`read_csv` rejects any other file,
+naming the line.
 """
 
 from __future__ import annotations
 
-import csv
-import itertools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -137,11 +138,6 @@ def _digit_groups() -> np.ndarray:
 
 _DIGIT_GROUPS = _digit_groups()
 
-#: Bytes a text field may not hold: each would break a row of the file.
-_TEXT_FORBIDDEN = np.zeros(256, dtype=bool)
-_TEXT_FORBIDDEN[list(b',"\n\r')] = True
-
-
 def _int_bytes(values: np.ndarray) -> np.ndarray:
     """(rows, width) uint8: each int64 as ``str(v)``, NUL-padded."""
     negative = values < 0
@@ -179,12 +175,8 @@ def _float_bytes(values: np.ndarray) -> np.ndarray:
 
 
 def _text_bytes(values: np.ndarray) -> np.ndarray:
-    """(rows, width) uint8: each str as UTF-8, NUL-padded."""
-    values = np.ascontiguousarray(values)
-    codes = values.view(np.uint32).reshape(len(values), -1)
-    if codes.max(initial=0) < 128:
-        return codes.astype(np.uint8)
-    return np.char.encode(values, "utf-8").view(np.uint8).reshape(len(values), -1)
+    """(rows, width) uint8: each ASCII str, NUL-padded."""
+    return values[:, None].view(np.uint32).astype(np.uint8)
 
 
 #: Column dtype kind -> (dtype it is written as, its block formatter).
@@ -194,21 +186,22 @@ _FORMATS = {"i": (np.int64, _int_bytes), "f": (np.float64, _float_bytes),
 
 def _check_text(path: Path, name: str, values: np.ndarray, first_row: int) -> None:
     """Raise ValueError naming the file, column and row of the first text
-    field that holds a byte of :data:`_TEXT_FORBIDDEN` or a NUL; rows count
-    from ``first_row``, the file row of ``values[0]``."""
+    field that :func:`read_csv` would reject: one holding a comma, a
+    character at or below ``#`` (NUL included) or one beyond ASCII, or one
+    ``_TEXT_WIDTH`` characters or wider; rows count from ``first_row``, the
+    file row of ``values[0]``."""
     for start in range(0, len(values), _BLOCK_ROWS):
-        data = _text_bytes(values[start:start + _BLOCK_ROWS])
-        # Every rejected byte, NUL included, sorts below "-"; only rows
-        # holding such a byte, if only as padding, are tested further.
-        rows = np.flatnonzero((data < ord("-")).any(axis=1))
-        data = data[rows]
-        bad = _TEXT_FORBIDDEN[data].any(axis=1)
-        bad |= ((data[:, :-1] == 0) & (data[:, 1:] != 0)).any(axis=1)
-        if bad.any():
-            row = start + int(rows[np.argmax(bad)])
-            raise ValueError(f"{path}: column {name!r}, row {first_row + row}: text field "
-                             f"{str(values[row])!r} holds a comma, quote, newline, "
-                             "carriage return or NUL")
+        codes = values[start:start + _BLOCK_ROWS, None].view(np.uint32)
+        # NUL pads a field on the right, so one before another character
+        # is in the field.
+        held = np.logical_or.accumulate(codes[:, ::-1] != 0, axis=1)[:, ::-1]
+        bad = held & ((codes <= ord("#")) | (codes > 127) | (codes == ord(",")))
+        check_rows([(bad.any(axis=1) | held[:, _TEXT_WIDTH - 1:].any(axis=1), lambda i: (
+            f"{path}: column {name!r}, row {first_row + start + i}: text field "
+            f"{str(values[start + i])!r} " + (
+                f"holds {chr(codes[i, np.argmax(bad[i])])!r}; a text field holds only "
+                "ASCII characters above '#' but the comma" if bad[i].any() else
+                f"is {_TEXT_WIDTH} characters or wider; text fields are narrower")))])
 
 
 def write_csv(path: str | Path, header: tuple[str, ...],
@@ -220,17 +213,21 @@ def write_csv(path: str | Path, header: tuple[str, ...],
     those of the block before it.
 
     An integer column is written as ``str(v)`` of each int64 value, a float
-    column as ``repr(v)`` of each float64 value and a str column verbatim,
-    as UTF-8; an empty string is an empty field.  Each block is checked as
-    it arrives, before any of its rows is written: a column of another kind
-    or length, or a text field holding a comma, a quote, a newline, a
-    carriage return or a NUL, raises ValueError naming the file, and the
-    column and row (counted from the file's first row) where there is one.
-    A fault in the first block is raised before the file is opened, and one
-    in a later block removes the file.  Rows are formatted in pieces of at
+    column as ``repr(v)`` of each float64 value and a str column verbatim;
+    an empty string is an empty field.  Each block is checked as it
+    arrives, before any of its rows is written: a column of another kind or
+    length, or a text field that :func:`read_csv` would reject (see
+    :func:`_check_text`), raises ValueError naming the file, and the column
+    and row (counted from the file's first row) where there is one.
+    A fault in the first block, or a ``config_comment`` holding a newline or
+    carriage return, is raised before the file is opened, and one in a later
+    block removes the file.  Rows are formatted in pieces of at
     most ``_BLOCK_ROWS``.
     """
     path = Path(path)
+    if config_comment is not None and ("\n" in config_comment or "\r" in config_comment):
+        raise ValueError(f"{path}: config comment {config_comment!r} holds a newline or "
+                         "carriage return; it must fit on one line")
     rows = _row_bytes(path, header, blocks)
     # Taking the first piece checks the first block before the file is opened.
     first = next(rows, b"")
@@ -292,48 +289,72 @@ def write_json(path: str | Path, payload: dict) -> None:
 
 
 def read_csv(path: str | Path, header: tuple[str, ...], kinds: tuple[type, ...]
-             ) -> tuple[list[np.ndarray], np.ndarray | range]:
-    """Read a CSV as :func:`write_csv` writes it: ``#`` comment lines
-    anywhere, then ``header``, then rows of exactly ``len(header)`` fields.
+             ) -> tuple[list[np.ndarray], range]:
+    """Read a CSV in the one dialect :func:`write_csv` writes: leading lines
+    that start with ``#``, ``header``, then rows of ``len(header)`` fields,
+    ASCII with no byte at or below ``#`` but the ``\\n`` each ends in.
 
     Returns one 1-D array per field, typed by ``kinds`` (``int`` as int64,
-    ``float`` as float64, or ``str``), and each row's file line number: a
-    ``range`` for a file :func:`_read_body` reads, whose rows are
-    consecutive lines, else an int64 array.
-    Every format fault, an int64 overflow or a byte that is not UTF-8
-    included, raises ValueError naming the file and line.
-    :func:`_read_body` reads the body of a file as this package writes it;
-    any other file is read row by row, alike.
+    ``float`` as float64, or ``str``, an empty field as ``''``), and the
+    ``range`` of the rows' line numbers.  Any other file, a row that
+    ``np.loadtxt`` rejects (an int64 overflow included) or a text field
+    ``_TEXT_WIDTH`` bytes or wider raises one ValueError naming the line.
     """
     path = Path(path)
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        rows = csv.reader(_utf8_lines(path, fh))
-        try:
-            for raw in rows:
-                if raw and not raw[0].startswith("#"):
-                    break
-            else:
-                raise ValueError(f"{path}: missing header row")
-            if tuple(raw) != header:
-                raise ValueError(f"{path}: line {rows.line_num}: expected header "
-                                 f"{','.join(header)!r}, got {','.join(raw)!r}")
-            parsed = _read_body(path, rows.line_num, kinds)
-            return parsed if parsed is not None else _read_rows(path, rows, header, kinds)
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {rows.line_num}: {exc}") from None
-
-
-def _utf8_lines(path: Path, fh):
-    """The lines of ``fh``, a text file read with ``errors="surrogateescape"``;
-    a line holding a byte that is not UTF-8 raises ValueError naming the file
-    and line."""
-    for number, line in enumerate(fh, 1):
-        if not line.isascii():
+    with open(path, "rb") as fh:
+        for head_lines, line in enumerate(fh, 1):
+            if not line.startswith(b"#"):
+                break
+        else:
+            raise ValueError(f"{path}: missing header row")
+        got = line.decode("utf-8", "replace").removesuffix("\n")
+        if got != ",".join(header):
+            raise ValueError(f"{path}: line {head_lines}: expected header "
+                             f"{','.join(header)!r}, got {got!r}")
+        start = fh.tell() - len(line)
+        if fh.peek(1)[:1] == b"\n":  # loadtxt warns on rows that are all empty
+            _check_no_empty_line(path, start, head_lines)
+        fh.seek(start)
+        lines = range(head_lines + 1, head_lines + _gate(path, fh, head_lines))
+    if not lines:  # loadtxt warns on a file without rows
+        return [np.empty(0, dtype=kind) for kind in kinds], lines
+    dtype = np.dtype([("", f"S{_TEXT_WIDTH}" if kind is str else kind) for kind in kinds])
+    try:
+        table = np.loadtxt(path, dtype=dtype, skiprows=head_lines, **_LOADTXT)
+    except ValueError:
+        # An empty line is a fault of the gate's kind, named first.
+        _check_no_empty_line(path, start, head_lines)
+        # Bisect for the first row loadtxt rejects: numpy's own messages
+        # number rows from 0 in some errors and from 1 in others.
+        lo, hi = 0, len(lines)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
             try:
-                line.encode("utf-8", "surrogateescape").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}: line {number}: {exc}") from None
-        yield line
+                np.loadtxt(path, dtype=dtype, skiprows=lines[lo] - 1, max_rows=mid - lo,
+                           **_LOADTXT)
+                lo = mid
+            except ValueError:
+                hi = mid
+        row = path.read_bytes().split(b"\n")[lines[lo] - 1]
+        raise ValueError(f"{path}: line {lines[lo]}: {row.decode()!r} does not parse as "
+                         f"{len(kinds)} fields {','.join(np.dtype(k).name for k in kinds)}"
+                         ) from None
+    if len(table) != len(lines):  # loadtxt skips empty lines
+        _check_no_empty_line(path, start, head_lines)
+    columns = [table[name] for name in dtype.names]
+    for j, (name, kind) in enumerate(zip(header, kinds)):
+        if kind is str:
+            text = columns[j][:, None].view(np.uint8)
+            # The gate let no NUL through, so a field fills its width when its
+            # last byte is not NUL, and the widest field spans every byte
+            # position that holds text in any row.
+            check_rows([(text[:, -1] != 0, lambda i: (
+                f"{path}: line {lines[i]}: {name} {text[i].tobytes().decode()!r}... is "
+                f"{_TEXT_WIDTH} bytes or wider; text fields are narrower"))])
+            width = max(1, int(np.count_nonzero(text.any(axis=0))))
+            # ASCII, as the gate let nothing else through: each byte is its code point.
+            columns[j] = text[:, :width].astype(np.uint32).view(f"U{width}")[:, 0]
+    return columns, lines
 
 
 def check_rows(rules: list[tuple[np.ndarray, Callable[[int], str]]]) -> None:
@@ -346,96 +367,53 @@ def check_rows(rules: list[tuple[np.ndarray, Callable[[int], str]]]) -> None:
         raise ValueError(rules[k][1](row))
 
 
-#: Width of a text field as :func:`_read_body` reads it.  ``np.loadtxt``
-#: cuts a wider field to this width silently, so a field this wide may have
-#: been cut, and its file goes to the row path.
-_TEXT_WIDTH = 16
+#: Width of a text field as :func:`read_csv` parses it: one byte above the 24
+#: of the longest float ``repr``, which ``per_query.csv`` writes as text.
+#: ``np.loadtxt`` cuts a wider field to this width silently, so a field this
+#: wide is rejected, and :func:`write_csv` writes none.
+_TEXT_WIDTH = 25
 
-#: Bytes the gate of :func:`_read_body` scans per read.
+#: Bytes the gate of :func:`read_csv` scans per read.
 _GATE_BYTES = 1 << 20
 
+#: How ``np.loadtxt`` reads the rows of :func:`read_csv`.
+_LOADTXT = dict(delimiter=",", comments=None, quotechar=None, ndmin=1, encoding="utf-8")
 
-def _read_body(path: Path, head_lines: int,
-               kinds: tuple[type, ...]) -> tuple[list[np.ndarray], range] | None:
-    """:func:`read_csv`'s result for the rows after the first ``head_lines``
-    lines, parsed by ``np.loadtxt``, or None to leave the file to the row
-    path.
 
-    A gate scans the rows in ``_GATE_BYTES`` (1 MiB) reads and counts them.  They must be
-    ASCII and end in a newline, and hold no byte at or below ``#`` but
-    newlines: no whitespace (which loadtxt strips from a number), quote,
-    ``#``, CR or NUL.  loadtxt skips blank lines, so a row count other than
-    the gate's goes to the row path, as does an empty text field or one
-    ``_TEXT_WIDTH`` wide.
-    """
-    # The head's lines are UTF-8 (read_csv checked them); the body's may not be.
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        start = sum(len(line.encode()) for line in itertools.islice(fh, head_lines))
-    rows, last = 0, ord("\n")
+def _gate(path: Path, fh, line: int) -> int:
+    """Scan ``fh`` from the start of its header, on ``line``, to its end in
+    ``_GATE_BYTES`` reads and return its count of newlines.  A byte at or
+    below ``#`` but a newline, or a missing final newline, raises
+    ValueError naming its line, or an empty line before it."""
+    start, newlines, last = fh.tell(), 0, 0
     # Read as int8, every byte that is not ASCII is negative: "<= #" finds it too.
     block = np.empty(_GATE_BYTES, dtype=np.int8)
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        while size := fh.readinto(block):
-            body = block[:size]
-            newlines = np.count_nonzero(body == ord("\n"))
-            if np.count_nonzero(body <= ord("#")) != newlines:
-                return None
-            rows, last = rows + newlines, body[-1]
+    while size := fh.readinto(block):
+        body = block[:size]
+        newline = body == ord("\n")
+        count = np.count_nonzero(newline)
+        if np.count_nonzero(body <= ord("#")) != count:
+            at = int(np.argmax((body <= ord("#")) & ~newline))
+            _check_no_empty_line(path, start, line, fh.tell() - size + at)
+            raise ValueError(f"{path}: line {line + newlines + np.count_nonzero(newline[:at])}: "
+                             f"holds the byte {bytes([int(body[at]) % 256])!r}; a row holds "
+                             "only ASCII bytes above '#' and its final newline")
+        newlines, last = newlines + count, body[-1]
     if last != ord("\n"):
-        return None
-    lines = range(head_lines + 1, head_lines + 1 + rows)
-    if not rows:  # loadtxt warns on a file without rows
-        return [np.empty(0, dtype=kind) for kind in kinds], lines
-    dtype = np.dtype([("", f"S{_TEXT_WIDTH}" if kind is str else kind) for kind in kinds])
-    try:
-        table = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=head_lines,
-                           comments=None, quotechar=None, ndmin=1, encoding="utf-8")
-    except ValueError:
-        return None
-    if len(table) != rows:
-        return None
-    columns = [table[name] for name in dtype.names]
-    for j, kind in enumerate(kinds):
-        if kind is str:
-            text = columns[j]
-            # The gate let no NUL through: a field's length is its count of non-NUL bytes.
-            width = np.count_nonzero(text[:, None].view(np.uint8), axis=1)
-            if width.min() < 1 or width.max() >= _TEXT_WIDTH:
-                return None
-            columns[j] = text.astype(f"U{width.max()}")
-    return columns, lines
+        _check_no_empty_line(path, start, line)
+        raise ValueError(f"{path}: line {line + newlines}: does not end in a newline; "
+                         "every line does")
+    return newlines
 
 
-def _read_rows(path: Path, rows, header: tuple[str, ...], kinds: tuple[type, ...]
-               ) -> tuple[list[np.ndarray], np.ndarray]:
-    """:func:`read_csv`'s result for the rest of ``rows``, a ``csv.reader``
-    past the header, converted field by field."""
-    fields: list[list] = [[] for _ in header]
-    lines: list[int] = []
-    for raw in rows:
-        if not raw or raw[0].startswith("#"):
-            continue
-        if len(raw) != len(header):
-            raise ValueError(f"{path}: line {rows.line_num}: expected {len(header)} "
-                             f"fields, got {len(raw)}")
-        try:
-            for values, kind, value in zip(fields, kinds, raw):
-                # int() and float() would read "1_0" as 10 and " 3 " as 3.
-                if kind is not str and ("_" in value or value != value.strip()):
-                    raise ValueError(f"{kind.__name__} field {value!r} holds '_' or whitespace")
-                values.append(kind(value))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {rows.line_num}: {exc}") from None
-        lines.append(rows.line_num)
-    columns = []
-    for name, kind, values in zip(header, kinds, fields):
-        try:
-            columns.append(np.array(values, dtype=kind))
-        except OverflowError:
-            row = next(i for i, v in enumerate(values) if not -2 ** 63 <= v < 2 ** 63)
-            raise ValueError(f"{path}: line {lines[row]}: {name} does not fit in int64") from None
-    return columns, np.array(lines, dtype=np.int64)
+def _check_no_empty_line(path: Path, start: int, line: int, stop: int | None = None) -> None:
+    """Raise ValueError naming the first empty line of ``path`` that ends
+    before byte ``stop``, if there is one; its header starts at byte
+    ``start``, on ``line``.  It reads the whole file, on error paths only."""
+    data = path.read_bytes()
+    if (at := data.find(b"\n\n", start, stop)) >= 0:
+        line += data.count(b"\n", start, at + 1)
+        raise ValueError(f"{path}: line {line}: is empty; every line below the header is a row")
 
 
 class BinaryHeader:

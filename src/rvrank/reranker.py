@@ -451,41 +451,29 @@ _CHECK_ROWS = 1 << 16
 
 def read_ranked_csv(path: str | Path) -> list[RankedList]:
     """Read a ranked CSV back into one :class:`RankedList` per query, in
-    query order.  Each query's ranks must be dense from 1; a fault raises
+    query order.  Rows must come by ascending query, then rank, as
+    :func:`write_ranked_csv` writes them: each query's rows follow those of
+    a lower query, and its ranks are dense from 1.  A fault raises
     ValueError naming the file and line.
 
-    Each order is a view of the parsed table.  A file in query and rank
-    order, as :func:`write_ranked_csv` writes it, is checked ``_CHECK_ROWS``
-    rows at a time, each block against the last row of the block before it,
-    so nothing of the file's size is built beyond the table; any other file
-    is sorted first."""
+    Each order is a view of the parsed table.  The rows are checked
+    ``_CHECK_ROWS`` at a time, each block against the last row of the block
+    before it, so nothing of the file's size is built beyond the table."""
     path = Path(path)
     (q, r, g), lines = read_csv(path, RANKED_HEADER, (int, int, int))
-    if not _in_order(q, r):
-        by_rank = np.lexsort((r, q))
-        q, r, g, lines = (col[by_rank] for col in (q, r, g, np.asarray(lines)))
-    starts, first = [], 0
+    starts = []
     for b0 in range(0, len(q), _CHECK_ROWS):
         qb, rb = q[b0:b0 + _CHECK_ROWS], r[b0:b0 + _CHECK_ROWS]
-        at = np.arange(b0, b0 + len(qb))
         # A row opens its query when its query differs from the row before.
         opens = np.r_[b0 == 0 or qb[0] != q[b0 - 1], qb[1:] != qb[:-1]]
-        # Row by row: the position of its query's first row.
-        firsts = np.maximum.accumulate(np.where(opens, at, first))
-        check_rows([(rb != at - firsts + 1, lambda i: (
-            f"{path}: line {lines[b0 + i]}: query {qb[i]}: ranks are not dense from 1"))])
-        starts.append(at[opens])
-        first = firsts[-1]
+        check_rows([
+            (np.r_[b0 > 0 and qb[0] < q[b0 - 1], qb[1:] < qb[:-1]], lambda i: (
+                f"{path}: line {lines[b0 + i]}: query {qb[i]} follows query {q[b0 + i - 1]}; "
+                "rows must come by ascending query, then rank")),
+            # Rank 1 opens a query, and each rank after it is one more than the last.
+            (rb != np.where(opens, 1, np.r_[r[b0 - 1] if b0 else 0, rb[:-1]] + 1), lambda i: (
+                f"{path}: line {lines[b0 + i]}: query {qb[i]}: ranks are not dense from 1"))])
+        starts.append(np.flatnonzero(opens) + b0)
     starts = np.concatenate([np.empty(0, np.int64), *starts])
     return [RankedList(qi, order) for qi, order in zip(q[starts].tolist(),
                                                        np.split(g, starts[1:]))]
-
-
-def _in_order(q: np.ndarray, r: np.ndarray) -> bool:
-    """Whether the rows come by ascending query, then ascending rank, checked
-    ``_CHECK_ROWS`` rows at a time, each block with the row before it."""
-    for b0 in range(1, len(q), _CHECK_ROWS):
-        qb, rb = q[b0 - 1:b0 + _CHECK_ROWS], r[b0 - 1:b0 + _CHECK_ROWS]
-        if not ((qb[1:] > qb[:-1]) | ((qb[1:] == qb[:-1]) & (rb[1:] > rb[:-1]))).all():
-            return False
-    return True

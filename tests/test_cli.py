@@ -6,8 +6,10 @@ import ast
 import importlib
 import inspect
 import json
+import os
 import pkgutil
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,10 +18,19 @@ import pytest
 
 import rvrank
 from rvrank.cli import main
-from rvrank.datastore import Split, build_bundle, load_bundle, read_csv, write_bundle
-from rvrank.evaluation import SWEEP_HEADER, evaluate
-from rvrank.reranker import RankingConfig, read_ranked_csv, rerank_pipeline
-from rvrank.verifier import VerifierModel, save_model
+from rvrank.datastore import (
+    _METADATA_KINDS,
+    METADATA_HEADER,
+    Split,
+    build_bundle,
+    load_bundle,
+    read_csv,
+    write_bundle,
+)
+from rvrank.evaluation import PER_QUERY_HEADER, SWEEP_HEADER, evaluate
+from rvrank.reranker import RANKED_HEADER, RankingConfig, read_ranked_csv, rerank_pipeline
+from rvrank.retrieval import PAIR_HEADER
+from rvrank.verifier import HISTORY_HEADER, VerifierModel, save_model
 
 
 @pytest.fixture(scope="module")
@@ -724,6 +735,54 @@ def test_a_query_without_eligible_images_is_excluded_by_eval(
     capsys.readouterr()
     assert main(["eval", *flags, "--ranked", str(ranked), "--out", str(report)]) == 1
     assert "queries 1 missing: [1]" in capsys.readouterr().err
+
+
+PAIR_KINDS = (str, int, int, str, int, int)
+
+#: Every CSV the workspace chain writes: its header and column kinds.
+WRITTEN_CSVS = {
+    "data/meta.csv": (METADATA_HEADER, _METADATA_KINDS),
+    "candidates.csv": (PAIR_HEADER, PAIR_KINDS),
+    "pairs/train_pairs.csv": (PAIR_HEADER, PAIR_KINDS),
+    "pairs/valid_pairs.csv": (PAIR_HEADER, PAIR_KINDS),
+    "pairs/test_pairs.csv": (PAIR_HEADER, PAIR_KINDS),
+    "model/history.csv": (HISTORY_HEADER, (int, float, float, float, float)),
+    "ranked.csv": (RANKED_HEADER, (int, int, int)),
+    "sweep.csv": (SWEEP_HEADER, (int, float, float)),
+    "per_query.csv": (PER_QUERY_HEADER, (int, str, str)),
+}
+
+
+def test_every_written_csv_reads_back(workspace, one_query_without_eligible_images, tmp_path):
+    # An excluded query's rank and AP are empty fields of per_query.csv.
+    flags = one_query_without_eligible_images
+    ranked, excluded = tmp_path / "ranked.csv", tmp_path / "per_query.csv"
+    assert main(["rerank", *flags, "--stages", "none", "--out", str(ranked)]) == 0
+    assert main(["eval", *flags, "--ranked", str(ranked), "--out", str(tmp_path / "report.json"),
+                 "--per-query", str(excluded)]) == 0
+    files = {workspace / name: form for name, form in WRITTEN_CSVS.items()}
+    files[excluded] = WRITTEN_CSVS["per_query.csv"]
+    for path, (header, kinds) in files.items():
+        text = path.read_text()
+        _, *rows = [line for line in text.splitlines() if not line.startswith("#")]
+        assert rows, path
+        columns, lines = read_csv(path, header, kinds)
+        head = text.count("\n") - len(rows)
+        assert lines == range(head + 1, head + 1 + len(rows)), path
+        for column, kind, written in zip(columns, kinds, zip(*(row.split(",") for row in rows)),
+                                         strict=True):
+            assert column.tolist() == [kind(value) for value in written], path
+    (_, rank, precision), _ = read_csv(excluded, PER_QUERY_HEADER, (int, str, str))
+    assert (rank.tolist(), precision.tolist()) == (["", "1"], ["", "1.0"])
+
+
+def test_the_cli_imports_no_csv_module():
+    # read_csv is the one CSV reader; csv.reader coming back would pull these in.
+    code = "import sys, rvrank.cli; print(sorted({'csv', '_csv'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(rvrank.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_a_query_without_eligible_images_needs_no_candidate_list(

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import PeakMemory, oracle_scores, pairwise, random_bundle, stable_order
-from rvrank import datastore, reranker, verifier
+from rvrank import reranker, verifier
 from rvrank.reranker import (
     RANKED_HEADER,
     RankedList,
@@ -717,7 +717,7 @@ class TestRankedCsv:
     def test_index_beyond_int64_raises(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text(f"query_index,rank,gallery_index\n0,1,{2**70}\n")
-        with pytest.raises(ValueError, match="does not fit in int64"):
+        with pytest.raises(ValueError, match=f"line 2: '0,1,{2**70}' does not parse as 3 fields"):
             read_ranked_csv(path)
 
     def test_missing_header_raises(self, tmp_path):
@@ -752,71 +752,12 @@ class TestRankedCsv:
         assert beyond < 4 * 2 ** 20, f"{beyond / 2 ** 20:.1f} MB"
 
 
-HEADER = b"query_index,rank,gallery_index\n"
-
-#: Files both paths of ``read_csv`` must agree on: the fast path's own
-#: input, and every odd or faulty file it must leave to the row path.
-#: Text fields are covered by the pair-file cases of ``test_datastore.py``.
-READER_CASES = {
-    "well formed": HEADER + b"1,1,4\n0,2,3\n0,1,5\n",
-    "18 digits": HEADER + b"0,1,999999999999999999\n",
-    "config comment": b'# config: {"a":"b,c","query_role":"Q"}\n' + HEADER + b"0,1,5\n",
-    "quotes span lines": b'# config: {"a":1,"b\nc":2}\n' + HEADER + b"0,1,5\n",
-    "crlf": HEADER.replace(b"\n", b"\r\n") + b"0,1,5\r\n0,2,6\r\n",
-    "quoted field": HEADER + b'0,1,"5"\n0,2,6\n',
-    "blank line": HEADER + b"0,1,5\n\n0,2,6\n",
-    "comment between rows": HEADER + b"0,1,5\n# note\n0,2,6\n",
-    "plus sign": HEADER + b"0,+1,5\n",
-    "leading space": HEADER + b"0, 1,5\n",
-    "leading zeros": HEADER + b"0,001,007\n",
-    "negative index": HEADER + b"-1,1,5\n",
-    "19 digits": HEADER + b"0,1,9223372036854775807\n",
-    "2**70": HEADER + b"0,1,%d\n" % 2**70,
-    "no trailing newline": HEADER + b"0,1,5\n0,2,6",
-    "truncated last row": HEADER + b"0,1,5\n0,2\n",
-    "extra field": HEADER + b"0,1,5\n0,2,6,9\n",
-    "a field moved to the next line": HEADER + b"1,2,3,1\n2,3\n",
-    "nul byte": HEADER + b"0,1,5\0\n",
-    "non-ascii token": HEADER + "0,1,5\u00ef\n".encode(),
-    "sparse ranks": HEADER + b"0,1,5\n0,3,6\n",
-    "header only": HEADER,
-    "empty file": b"",
-}
-
-
 def read_outcome(path):
     """What read_ranked_csv makes of a file: its rankings or its error."""
     try:
         return [(rl.query_index, rl.order.tolist()) for rl in read_ranked_csv(path)]
     except Exception as exc:
         return type(exc), str(exc)
-
-
-class TestRankedCsvFastPath:
-    @pytest.mark.parametrize("name", sorted(READER_CASES))
-    def test_fast_parser_agrees_with_the_row_reader(self, tmp_path, monkeypatch, name):
-        path = tmp_path / "ranked.csv"
-        path.write_bytes(READER_CASES[name])
-        shipped = read_outcome(path)
-        monkeypatch.setattr(datastore, "_read_body", lambda *args: None)
-        assert read_outcome(path) == shipped
-
-    def test_written_files_never_take_the_row_reader(self, tmp_path, monkeypatch):
-        def row_reader(*args, **kwargs):
-            raise AssertionError("a written ranked.csv took the row path")
-
-        monkeypatch.setattr(datastore, "_read_rows", row_reader)
-        rng = np.random.default_rng(47)
-        bundle = random_bundle(rng, n_query=3, n_gallery=9)
-        model = VerifierModel.initialize(bundle.dims, 6, 6, seed=5)
-        path = tmp_path / "ranked.csv"
-        cfg = RankingConfig(P=9, L=3, Q=6, k1=3, k2=2)
-        for stages in ((), ("kreciprocal",), ("window",), ("kreciprocal", "window")):
-            ranked = rerank_pipeline(bundle, model, cfg, stages=stages)
-            write_ranked_csv(path, ranked,
-                             config_comment='config: {"out":"a, \\"b\\"","query_role":"Q"}')
-            assert [(rl.query_index, rl.order.tolist()) for rl in read_ranked_csv(path)] == \
-                   [(rl.query_index, rl.order.tolist()) for rl in ranked]
 
 
 class TestBlockSizes:
@@ -841,22 +782,12 @@ class TestBlockSizes:
             f"{rl.query_index},{rank},{gi}\n" for rl in ranked
             for rank, gi in enumerate(rl.order.tolist(), start=1))
 
-    @pytest.mark.parametrize("name", sorted(READER_CASES))
-    def test_reader_cases_read_alike(self, tmp_path, monkeypatch, name):
-        path = tmp_path / "ranked.csv"
-        path.write_bytes(READER_CASES[name])
-        want = read_outcome(path)
-        for size in (1, 7):
-            monkeypatch.setattr(reranker, "_CHECK_ROWS", size)
-            assert read_outcome(path) == want
-
     @pytest.mark.parametrize("rows, line", [
         # Query 1's rows are lines 8-12, across the edge of 7-row blocks.
         ([(0, r) for r in range(1, 6)] + [(1, r) for r in (1, 2, 3, 4, 6)], 12),
         # A query opens at a block edge with rank 2.
         ([(0, r) for r in range(1, 8)] + [(1, 2), (1, 3)], 10),
-        # Rank 1 again after rank 7: the file is sorted first, and the
-        # second rank 1 (line 10) comes second.
+        # Rank 1 again after rank 7, at a block edge.
         ([(0, r) for r in range(1, 8)] + [(0, 1), (0, 2)], 10),
         # The last row.
         ([(0, r) for r in range(1, 14)] + [(0, 15)], 16),
@@ -868,3 +799,20 @@ class TestBlockSizes:
         query = rows[line - 3][0]
         assert read_outcome(path) == (
             ValueError, f"{path}: line {line}: query {query}: ranks are not dense from 1")
+
+    @pytest.mark.parametrize("rows, line, query, follows", [
+        # A lower query opens at the edge of 7-row blocks.
+        ([(1, r) for r in range(1, 8)] + [(0, 1), (0, 2)], 10, 0, 1),
+        # Query 0 comes back after query 1; sorted, its ranks 1, 2, 3 would be dense.
+        ([(0, 1), (0, 2), (1, 1), (0, 3)], 6, 0, 1),
+        # The last row.
+        ([(2, r) for r in range(1, 14)] + [(1, 1)], 16, 1, 2),
+    ])
+    def test_an_order_fault_names_the_same_line(self, tmp_path, blocks, rows, line, query,
+                                                follows):
+        path = tmp_path / "ranked.csv"
+        path.write_text("# config: {}\n" + ",".join(RANKED_HEADER) + "\n" + "".join(
+            f"{q},{r},{i}\n" for i, (q, r) in enumerate(rows)))
+        assert read_outcome(path) == (
+            ValueError, f"{path}: line {line}: query {query} follows query {follows}; "
+                        "rows must come by ascending query, then rank")
