@@ -290,8 +290,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     print(f"query {args.query_role}:{qi} identity={queries.identity[qi]} "
           f"cloth={queries.cloth[qi]}")
     print("rank,gallery_index,label,score,head,best_part")
-    gx, px, present = fuse(queries, np.full(len(indices), qi), gallery, indices,
-                           bundle.dims)
+    gx, px, present = fuse(queries, np.full(len(indices), qi), gallery, indices)
     scores = batch_scores(model, gx, px, present)
     contribs = part_contributions(model, px, present)
     labels = (gallery.identity[indices] == queries.identity[qi]).astype(int)

@@ -299,18 +299,27 @@ def read_csv(path: str | Path, header: tuple[str, ...], kinds: tuple[type, ...]
     ``range`` of the rows' line numbers.  Any other file, a row that
     ``np.loadtxt`` rejects (an int64 overflow included) or a text field
     ``_TEXT_WIDTH`` bytes or wider raises one ValueError naming the line.
+    The header line is read, and echoed in that error, up to two bytes past
+    the expected header (room for ``\r\n``), so a file of another kind
+    shows a short prefix, marked ``...``.
     """
     path = Path(path)
+    expected = ",".join(header)
     with open(path, "rb") as fh:
-        for head_lines, line in enumerate(fh, 1):
-            if not line.startswith(b"#"):
-                break
-        else:
+        head_lines = 1
+        while fh.peek(1)[:1] == b"#":
+            # A comment of any length, skipped a gate read at a time.
+            while (part := fh.readline(_GATE_BYTES)) and not part.endswith(b"\n"):
+                pass
+            head_lines += 1
+        line = fh.readline(len(expected) + 2)
+        if not line:
             raise ValueError(f"{path}: missing header row")
         got = line.decode("utf-8", "replace").removesuffix("\n")
-        if got != ",".join(header):
+        if got != expected:
+            more = "..." if not line.endswith(b"\n") and fh.peek(1)[:1] else ""
             raise ValueError(f"{path}: line {head_lines}: expected header "
-                             f"{','.join(header)!r}, got {got!r}")
+                             f"{expected!r}, got {got!r}{more}")
         start = fh.tell() - len(line)
         if fh.peek(1)[:1] == b"\n":  # loadtxt warns on rows that are all empty
             _check_no_empty_line(path, start, head_lines)
@@ -478,7 +487,7 @@ def _check_metadata(source: str | Path, index: np.ndarray, role: np.ndarray,
     check_rows([
         (rank < 0, lambda i: f"{source}: {where(i)}: unknown role token {str(role[i])!r} "
                              f"(expected one of {', '.join(ROLES)})"),
-        (~ascending, lambda i: f"{source}: {where(i)} ({role[i]}:{index[i]}) out of order; "
+        (~ascending, lambda i: f"{source}: {where(i)}: ({role[i]}:{index[i]}) out of order; "
                                "rows must be sorted by role (T, VQ, VG, Q, G) then index"),
         (index != dense, lambda i: f"{source}: {where(i)}: role {role[i]} expected dense "
                                    f"index {dense[i]}, got {index[i]}"),

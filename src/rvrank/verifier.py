@@ -84,10 +84,42 @@ class EpochStats(NamedTuple):
 
 def _stacked(arrays: list[np.ndarray], shape: tuple[int, ...],
              what: str) -> np.ndarray:
-    out = np.stack(arrays) if arrays else np.zeros((0, *shape))
+    out = np.stack(arrays)
     if out.shape[1:] != shape:
         raise ValueError(f"{what} shapes {out.shape[1:]} do not match dims {shape}")
     return out
+
+
+def _fuse_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """The fusion arithmetic: ``out = [|a - b| ; a * b]`` along the last
+    axis, every op in float64 (the cast of an f32 input is exact).  Each
+    half is computed contiguous and copied in once, which is faster than
+    ufuncs writing to a strided half of ``out``."""
+    a, b = a.astype(np.float64), b.astype(np.float64)
+    diff = a - b
+    np.abs(diff, out=diff)
+    np.multiply(a, b, out=a)
+    np.concatenate((diff, a), axis=-1, out=out)
+
+
+def _collect(n: int, dims: tuple[int, int, int], sides: Callable
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(global_x, part_x, joint_present)`` of ``n`` pairs, filled
+    ``SCORE_CHUNK`` rows at a time.  ``sides(rows)`` gives the query and the
+    candidate side of the pairs in slice ``rows``, each as (features,
+    vectors, present) arrays."""
+    d, dp, k = dims
+    gx = np.empty((n, 2 * d))
+    px = np.empty((n, k, 2 * dp))
+    present = np.empty((n, k), dtype=bool)
+    for start in range(0, n, SCORE_CHUNK):
+        rows = slice(start, start + SCORE_CHUNK)
+        (fq, vq, pq), (fg, vg, pg) = sides(rows)
+        np.logical_and(pq, pg, out=present[rows])
+        _fuse_into(fq, fg, gx[rows])
+        _fuse_into(vq, vg, px[rows])
+        px[rows][~present[rows]] = 0.0
+    return gx, px, present
 
 
 def pair_arrays(pairs: list[tuple[ImageRecord, ImageRecord]],
@@ -99,40 +131,32 @@ def pair_arrays(pairs: list[tuple[ImageRecord, ImageRecord]],
     (n, K, 2Dp) and (n, K); a part slot is jointly present when both
     records have it, and its fused row is zero otherwise.  The outputs are
     filled ``SCORE_CHUNK`` pairs at a time, so no other temporary grows
-    with n.
+    with n.  :func:`fuse` computes the same arrays from index arrays.
     """
     d, dp, k = dims
-    gx = np.empty((len(pairs), 2 * d))
-    px = np.empty((len(pairs), k, 2 * dp))
-    present = np.empty((len(pairs), k), dtype=bool)
-    for start in range(0, len(pairs), SCORE_CHUNK):
-        rows = slice(start, start + SCORE_CHUNK)
-        queries, cands = [q for q, _ in pairs[rows]], [g for _, g in pairs[rows]]
-        fq = _stacked([r.global_feature for r in queries], (d,), "global feature")
-        fg = _stacked([r.global_feature for r in cands], (d,), "global feature")
-        vq = _stacked([r.part_vectors for r in queries], (k, dp), "part vector")
-        vg = _stacked([r.part_vectors for r in cands], (k, dp), "part vector")
-        np.logical_and(
-            _stacked([r.part_present for r in queries], (k,), "part presence"),
-            _stacked([r.part_present for r in cands], (k,), "part presence"),
-            out=present[rows])
-        # dtype=float64 casts each f32 input exactly, so every op runs in float64.
-        for a, b, out, width in ((fq, fg, gx[rows], d), (vq, vg, px[rows], dp)):
-            diff = out[..., :width]
-            np.subtract(a, b, out=diff, dtype=np.float64)
-            np.abs(diff, out=diff)
-            np.multiply(a, b, out=out[..., width:], dtype=np.float64)
-        px[rows][~present[rows]] = 0.0
-    return gx, px, present
+
+    def sides(rows):
+        return [(_stacked([r.global_feature for r in side], (d,), "global feature"),
+                 _stacked([r.part_vectors for r in side], (k, dp), "part vector"),
+                 _stacked([r.part_present for r in side], (k,), "part presence"))
+                for side in zip(*pairs[rows])]
+
+    return _collect(len(pairs), dims, sides)
 
 
 def fuse(queries: Split, query_index: np.ndarray, gallery: Split,
-         gallery_index: np.ndarray, dims: tuple[int, int, int]
-         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+         gallery_index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`pair_arrays` of the pairs ``(queries[q], gallery[g])`` of the
-    aligned index arrays: the one place that builds image records."""
-    return pair_arrays([(queries[q], gallery[g]) for q, g
-                        in zip(query_index.tolist(), gallery_index.tolist())], dims)
+    aligned index arrays, gathered from the splits' columns by index rather
+    than through image records."""
+    _, k, dp = queries.vectors.shape
+
+    def sides(rows):
+        return [(split.features[index], split.vectors[index], split.present[index])
+                for split, index in ((queries, query_index[rows]),
+                                     (gallery, gallery_index[rows]))]
+
+    return _collect(len(query_index), (queries.features.shape[1], dp, k), sides)
 
 
 def check_sizes(hidden_global: int, hidden_part: int, seed: int = 0) -> None:
@@ -233,9 +257,15 @@ class VerifierModel:
     def __call__(self, queries: Split, query_index: np.ndarray, gallery: Split,
                  gallery_index: np.ndarray) -> np.ndarray:
         """The scorer protocol of :func:`prefix_scores`: one verification
-        score per aligned (query index, gallery index) pair."""
-        return batch_scores(self, *fuse(queries, query_index, gallery, gallery_index,
-                                        self.dims))
+        score per aligned (query index, gallery index) pair.
+
+        This is the one caller of :func:`pair_arrays`, and so the one place
+        that builds image records: the benchmark tracer counts the pairs
+        the rerank scorer fuses by the records that call is given.
+        """
+        return batch_scores(self, *pair_arrays(
+            [(queries[q], gallery[g]) for q, g
+             in zip(query_index.tolist(), gallery_index.tolist())], self.dims))
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +275,9 @@ class VerifierModel:
 def _forward_global(model: VerifierModel, gx: np.ndarray):
     # One 2-D product over every row: OpenBLAS rounds some row chunks of it
     # differently (856 of 322,560 cells moved at 64-row chunks, measured).
-    z1 = gx @ model.global_hidden_w.T + model.global_hidden_b
-    h = np.tanh(z1)
+    h = gx @ model.global_hidden_w.T
+    h += model.global_hidden_b
+    np.tanh(h, out=h)
     z2 = h @ model.global_out_w + model.global_out_b
     s = np.tanh(z2)
     return s, (gx, h, s)
@@ -382,31 +413,38 @@ def triplet_hinge(sim_pos: float, sim_neg: float, margin: float) -> float:
 
 
 class TripletTable(NamedTuple):
-    """The fused pairs :func:`train` optimises over.
+    """The pairs :func:`train` optimises over, as indices only.
 
-    Row ``r`` of ``gx``/``px``/``present`` fuses the pair ``pairs[r]``, a
-    row of the pair set's array.  Anchor ``a`` (numbered from 0) owns rows
-    ``bounds[a]:bounds[a + 1]``, at least one positive and one negative,
-    and ``triplets[a]``, the (positive row, negative row) index arrays of
-    each positive with each negative, positive by positive.
+    Row ``r`` is the pair ``pairs[r]``, a row of the pair set's array, of
+    image ``query_index`` of ``queries`` and image ``cand_index`` of
+    ``cands``; :meth:`fused` fuses rows when they are used.  Anchor ``a``
+    (numbered from 0) owns rows ``bounds[a]:bounds[a + 1]``, at least one
+    positive and one negative, and ``triplets[a]``, the (positive row,
+    negative row) index arrays of each positive with each negative,
+    positive by positive.
     """
 
     bounds: np.ndarray
     triplets: list[np.ndarray]
     pairs: np.ndarray
-    gx: np.ndarray
-    px: np.ndarray
-    present: np.ndarray
+    queries: Split
+    cands: Split
+
+    def fused(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`fuse` of the table rows ``rows`` (an index array or a
+        slice)."""
+        return fuse(self.queries, self.pairs["query_index"][rows], self.cands,
+                    self.pairs["cand_index"][rows])
 
     def batch(self, anchors: np.ndarray):
         """One SGD batch ``(gx, px, present, pos_index, neg_index)``: the
-        anchors' rows in table order, and their triplets in the order the
-        anchors are given, numbered by those rows."""
+        anchors' rows in table order, fused, and their triplets in the
+        order the anchors are given, numbered by those rows."""
         rows = np.concatenate([np.arange(*self.bounds[a:a + 2]) for a in np.sort(anchors)])
         # The rows ascend, and each anchor's triplets use every row it owns.
         pos_index, neg_index = np.searchsorted(
             rows, np.concatenate([self.triplets[a] for a in anchors], axis=1))
-        return self.gx[rows], self.px[rows], self.present[rows], pos_index, neg_index
+        return (*self.fused(rows), pos_index, neg_index)
 
 
 def _check_pair_indices(bundle: DatasetBundle, pairs: np.ndarray) -> tuple[Split, Split]:
@@ -435,10 +473,10 @@ def _check_pair_indices(bundle: DatasetBundle, pairs: np.ndarray) -> tuple[Split
 
 
 def triplet_table(bundle: DatasetBundle, pair_set: PairSet) -> TripletTable:
-    """Fuse every pair of every anchor that has both positives and
-    negatives, anchors in first-appearance order and each anchor's rows in
-    pair-set order.  Every pair row's roles and indices are checked first,
-    including the rows of anchors that are left out."""
+    """Every pair of every anchor that has both positives and negatives,
+    anchors in first-appearance order and each anchor's rows in pair-set
+    order.  Every pair row's roles and indices are checked, including the
+    rows of anchors that are left out, so every later gather is in range."""
     queries, cands = _check_pair_indices(bundle, pair_set.pairs)
     is_pos = pair_set.pairs["label"] == 1
     runs = [np.sort(run) for run in query_runs(pair_set.pairs)
@@ -450,20 +488,24 @@ def triplet_table(bundle: DatasetBundle, pair_set: PairSet) -> TripletTable:
     bounds = np.cumsum([0, *map(len, runs)])
     triplets = [np.stack(np.meshgrid(rows[pos[rows]], rows[~pos[rows]], indexing="ij"))
                 .reshape(2, -1) for rows in np.split(np.arange(len(pairs)), bounds[1:-1])]
-    return TripletTable(bounds, triplets, pairs,
-                        *fuse(queries, pairs["query_index"], cands, pairs["cand_index"],
-                              bundle.dims))
+    return TripletTable(bounds, triplets, pairs, queries, cands)
+
+
+def _hinges(sg, sp, valid, pos_index, neg_index, margin: float):
+    """``(global_term, part_term, hg, hp)``: the hinge of every triplet
+    over the scores ``sg``/``sp`` of its rows, and the sum of each."""
+    hg = np.maximum(sg[neg_index] - sg[pos_index] + margin, 0.0)
+    # A triplet with a pair that has no sim_S has no part term.
+    part_ok = valid[pos_index] & valid[neg_index]
+    hp = np.maximum(np.where(part_ok, sp[neg_index] - sp[pos_index] + margin, 0.0), 0.0)
+    return float(hg.sum()), float(hp.sum()), hg, hp
 
 
 def _loss_forward(model: VerifierModel, gx, px, present, pos_index, neg_index,
                   margin: float):
     sg, cache_g = _forward_global(model, gx)
     sp, _, valid, cache_p = _forward_parts(model, px, present)
-    hg = np.maximum(sg[neg_index] - sg[pos_index] + margin, 0.0)
-    # A triplet with a pair that has no sim_S has no part term.
-    part_ok = valid[pos_index] & valid[neg_index]
-    hp = np.maximum(np.where(part_ok, sp[neg_index] - sp[pos_index] + margin, 0.0), 0.0)
-    return float(hg.sum()), float(hp.sum()), hg, hp, cache_g, cache_p
+    return (*_hinges(sg, sp, valid, pos_index, neg_index, margin), cache_g, cache_p)
 
 
 def triplet_loss(model: VerifierModel, gx, px, present, pos_index, neg_index,
@@ -475,6 +517,26 @@ def triplet_loss(model: VerifierModel, gx, px, present, pos_index, neg_index,
     part (those pairs have no ``sim_S``).
     """
     lg, lp, *_ = _loss_forward(model, gx, px, present, pos_index, neg_index, margin)
+    return lg + lp, lg, lp
+
+
+def table_loss(model: VerifierModel, table: TripletTable,
+               margin: float) -> tuple[float, float, float]:
+    """:func:`triplet_loss` over every triplet of ``table``, bit for bit,
+    fusing its rows ``SCORE_CHUNK`` at a time.  The part head runs on each
+    chunk as it is fused; the global head takes its one product over the
+    whole table's gathered global rows, since row chunks of that product
+    round differently."""
+    n = len(table.pairs)
+    gx = np.empty((n, 2 * table.queries.features.shape[1]))
+    sp = np.empty(n)
+    valid = np.empty(n, dtype=bool)
+    for start in range(0, n, SCORE_CHUNK):
+        rows = slice(start, start + SCORE_CHUNK)
+        gx[rows], px, present = table.fused(rows)
+        sp[rows], _, valid[rows], _ = _forward_parts(model, px, present)
+    sg, _ = _forward_global(model, gx)
+    lg, lp, *_ = _hinges(sg, sp, valid, *np.concatenate(table.triplets, axis=1), margin)
     return lg + lp, lg, lp
 
 
@@ -528,7 +590,7 @@ def validation_set(bundle: DatasetBundle, valid_pairs: PairSet,
     prefixes = np.concatenate([pairs[:0], *(run[:ranking_Q] for run in runs)])
     return ValidationSet([(run["label"] == 1).astype(np.int64) for run in runs], ranking_Q,
                          *fuse(queries, prefixes["query_index"], gallery,
-                               prefixes["cand_index"], bundle.dims))
+                               prefixes["cand_index"]))
 
 
 def validation_rank1(model: VerifierModel, valid: ValidationSet,
@@ -579,8 +641,8 @@ def train(model: VerifierModel, bundle: DatasetBundle, train_pairs: PairSet,
     Returns the model and one :class:`EpochStats` row per epoch (0..epochs).
     """
     config = model.hyper
-    # Pairs fused once; per-epoch batches only re-index into the table, and
-    # validation re-scores the same fused prefixes.
+    # The table holds indices only: each batch fuses its own rows.
+    # Validation re-scores the same prefixes, fused once.
     table = triplet_table(bundle, train_pairs)
     valid = validation_set(bundle, valid_pairs, ranking_Q)
 
@@ -601,8 +663,7 @@ def train(model: VerifierModel, bundle: DatasetBundle, train_pairs: PairSet,
         if progress is not None:
             progress(stats)
 
-    record(0, triplet_loss(model, table.gx, table.px, table.present,
-                           *np.concatenate(table.triplets, axis=1), config.margin))
+    record(0, table_loss(model, table, config.margin))
     rng = np.random.default_rng([model.seed, 1])
     for epoch in range(1, config.epochs + 1):
         lr = _learning_rate(config, epoch)

@@ -161,8 +161,9 @@ def test_image_records_are_named_only_by_datastore_and_verifier():
                   if "ImageRecord" in path.read_text()) == ["datastore.py", "verifier.py"]
 
 
-def test_only_fuse_builds_image_records(workspace, tmp_path, monkeypatch):
-    """Every record a command builds, it builds through ``verifier.fuse``."""
+def test_only_the_rerank_scorer_builds_image_records(workspace, tmp_path, monkeypatch):
+    """Every record a command builds, the model's scorer call builds for
+    ``pair_arrays``; training and ``explain`` fuse by index gather."""
     builders = set()
     index_split = Split.__getitem__
 
@@ -185,7 +186,7 @@ def test_only_fuse_builds_image_records(workspace, tmp_path, monkeypatch):
                   "--L-values", "1,3", "--P", "10", "--Q", "10"],
                  ["explain", *bundle_flags, "--model", model, "--query-index", "1"]):
         assert main(argv) == 0, argv[0]
-    assert builders == {("verifier.py", "fuse")}
+    assert builders == {("verifier.py", "__call__")}
 
 
 @pytest.mark.parametrize("index", ["-1", "9999"])
@@ -637,7 +638,7 @@ def test_a_pair_file_with_a_score_column_fails_the_read(workspace, tmp_path, cap
     assert capsys.readouterr().err == (
         f"error: {old}: line 2: expected header "
         "'query_role,query_index,rank,cand_role,cand_index,label', got "
-        "'query_role,query_index,rank,cand_role,cand_index,score,label'\n")
+        "'query_role,query_index,rank,cand_role,cand_index,score,l'...\n")
     assert sorted(tmp_path.iterdir()) == [old]
 
 
@@ -685,7 +686,7 @@ def test_an_old_four_field_ranked_csv_fails_the_eval(workspace, tmp_path, capsys
     assert rc == 1
     assert capsys.readouterr().err == (
         f"error: {old}: line 2: expected header 'query_index,rank,gallery_index', got "
-        "'query_index,rank,gallery_index,stage_provenance'\n")
+        "'query_index,rank,gallery_index,s'...\n")
     assert sorted(tmp_path.iterdir()) == [old]
 
 

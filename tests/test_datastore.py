@@ -146,7 +146,7 @@ class TestSplit:
 
 class TestBuildBundleOrder:
     @pytest.mark.parametrize("rows, want", [
-        ([(0, "G", 1, 0, 0), (0, "Q", 2, 0, 0)], "row 1 .*out of order"),
+        ([(0, "G", 1, 0, 0), (0, "Q", 2, 0, 0)], "row 1: [(]Q:0[)] out of order"),
         ([(1, "G", 1, 0, 0), (0, "G", 2, 0, 0)], "row 0: role G expected dense index 0"),
         ([(0, "G", 1, 0, 0), (2, "G", 2, 0, 0)], "row 1: role G expected dense index 1"),
         ([(0, "G", 1, 0, 0), (0, "X", 2, 0, 0)], "row 1: unknown role token 'X'"),
@@ -409,6 +409,25 @@ class TestCsvReaders:
             path.write_bytes(text.encode("utf-8", "surrogateescape"))
             with pytest.raises(ValueError, match=f"{path.name}: ({want})"):
                 read(path)
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_a_binary_file_without_a_newline_is_named_by_a_short_error(self, tmp_path, name):
+        read, header, _, _ = self.READERS[name]
+        write_feature_file(tmp_path / "f.bin", np.zeros((1, 2)))
+        path = tmp_path / f"{name}.bin"
+        data = np.random.default_rng(3).integers(0, 256, 1 << 20, dtype=np.uint8)
+        data[data == ord("\n")] = 0
+        data[0] = ord("R")
+        path.write_bytes(data.tobytes())
+        with pytest.raises(ValueError) as info:
+            read(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: line 1: expected header {','.join(header)!r}, "
+                                  "got 'R")
+        assert message.endswith("'...") and len(message) < len(str(path)) + 400
+        path.write_bytes(b"#" + data.tobytes())
+        with pytest.raises(ValueError, match=f"^{path}: missing header row$"):
+            read(path)
 
 
 class TestWriteCsv:
@@ -766,7 +785,7 @@ CASES = {
         [(0, "T", 1, 0, 0), (0, "VQ", 2, 0, 1), (0, "VG", 2, 1, 1), (0, "Q", 3, 0, 0)], None),
     "metadata/a wider role first": (
         META + b"0,VQ,2,0,1\n0,T,1,0,0\n", [(0, "VQ", 2, 0, 1), (0, "T", 1, 0, 0)],
-        "line 3 (T:0) out of order; rows must be sorted by role (T, VQ, VG, Q, G) then index"),
+        "line 3: (T:0) out of order; rows must be sorted by role (T, VQ, VG, Q, G) then index"),
     "metadata/empty role": (META + b"0,G,1,0,0\n1,,2,0,1\n",
                             [(0, "G", 1, 0, 0), (1, "", 2, 0, 1)],
                             at(3, unknown_role("", " token"))),

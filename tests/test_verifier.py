@@ -25,6 +25,7 @@ from rvrank.verifier import (
     pair_arrays,
     part_contributions,
     save_model,
+    table_loss,
     train,
     triplet_hinge,
     triplet_loss,
@@ -275,8 +276,7 @@ class TestBatchLoss:
         for start in (0, 4, 8):
             anchors = np.arange(start, start + 4)
             pos, neg = np.concatenate([table.triplets[a] for a in anchors], axis=1)
-            total, lg, lp = triplet_loss(model, table.gx, table.px,
-                                         table.present, pos, neg, 0.3)
+            total, lg, lp = triplet_loss(model, *table.fused(slice(None)), pos, neg, 0.3)
             want_g, want_p = oracle_triplet_loss(model, bundle, table, pos, neg, 0.3)
             np.testing.assert_allclose(lg, want_g, atol=1e-9)
             np.testing.assert_allclose(lp, want_p, atol=1e-9)
@@ -307,8 +307,7 @@ class TestBatchLoss:
         rows = np.unique(np.concatenate([pos_idx, neg_idx]))
         remap = np.zeros(len(table.pairs), dtype=np.intp)
         remap[rows] = np.arange(rows.size)
-        return (table.gx[rows], table.px[rows], table.present[rows],
-                remap[pos_idx], remap[neg_idx])
+        return (*table.fused(rows), remap[pos_idx], remap[neg_idx])
 
     def test_batch_matches_the_per_call_cross_product(self):
         _, bundle, train_pairs, _ = small_training_setup()
@@ -361,11 +360,11 @@ class TestBatchLoss:
         assert table.pairs.tolist() == [tuple(p) for p in want_rows]
         assert table.bounds.tolist() == want_bounds
         assert [(pos.tolist(), neg.tolist()) for pos, neg in table.triplets] == want_triplets
-        gx, px, present = pair_arrays(
+        want = pair_arrays(
             [pair_records(bundle, table.pairs, r) for r in range(len(table.pairs))],
             bundle.dims)
-        assert np.array_equal(table.gx, gx) and np.array_equal(table.px, px)
-        assert np.array_equal(table.present, present)
+        for got, w in zip(table.fused(slice(None)), want):
+            assert np.array_equal(got, w)
 
     def test_out_of_range_row_in_a_discarded_group_raises(self):
         # Query index -1 forms a one-row group of its own, which has only one
@@ -458,33 +457,57 @@ class TestChunkEdges:
 
     def test_the_table_mixes_rows_with_and_without_a_joint_part(self):
         _, _, table, _ = sparse_parts_setup()
-        valid = table.present.any(axis=1)
+        valid = table.fused(slice(None))[2].any(axis=1)
         assert len(table.pairs) > 2 * max(self.CHUNKS)
         assert 0 < valid.sum() < len(valid)
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_fusion_matches_the_one_shot_form(self, monkeypatch, chunk):
-        _, bundle, _, records = sparse_parts_setup()
+        _, bundle, table, records = sparse_parts_setup()
         monkeypatch.setattr(verifier, "SCORE_CHUNK", chunk)
-        for got, want in zip(pair_arrays(records, bundle.dims),
-                             one_shot_fusion(records, bundle.dims)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        want = one_shot_fusion(records, bundle.dims)
+        for fused in (pair_arrays(records, bundle.dims), table.fused(slice(None))):
+            for got, w in zip(fused, want):
+                assert got.dtype == w.dtype and np.array_equal(got, w)
+
+    def test_a_batch_gathers_what_pair_arrays_fuses_from_records(self):
+        """Both collectors run one fusion arithmetic, absent slots included."""
+        _, bundle, table, records = sparse_parts_setup()
+        rng = np.random.default_rng(9)
+        for anchors in (np.arange(len(table.triplets)), rng.permutation(len(table.triplets)),
+                        rng.choice(len(table.triplets), 3, replace=False)):
+            gx, px, present, pos, neg = table.batch(anchors)
+            rows = np.concatenate([np.arange(*table.bounds[a:a + 2])
+                                   for a in np.sort(anchors)])
+            assert 0 < present.sum() < present.size
+            for got, want in zip((gx, px, present),
+                                 pair_arrays([records[r] for r in rows], bundle.dims)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("chunk", [*CHUNKS, verifier.SCORE_CHUNK])
+    def test_the_table_loss_is_triplet_loss_over_the_fused_table(self, monkeypatch, chunk):
+        model, _, table, _ = sparse_parts_setup()
+        monkeypatch.setattr(verifier, "SCORE_CHUNK", chunk)
+        want = triplet_loss(model, *table.fused(slice(None)),
+                            *np.concatenate(table.triplets, axis=1), 0.3)
+        assert want[2] > 0.0
+        assert table_loss(model, table, 0.3) == want
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_scores_and_contributions_match_the_one_shot_form(self, monkeypatch, chunk):
         model, _, table, _ = sparse_parts_setup()
+        gx, px, present = table.fused(slice(None))
         monkeypatch.setattr(verifier, "SCORE_CHUNK", chunk)
-        want_scores, want_contrib = one_shot_scores(model, table.gx, table.px, table.present)
-        assert np.array_equal(batch_scores(model, table.gx, table.px, table.present),
-                              want_scores)
-        assert np.array_equal(part_contributions(model, table.px, table.present),
+        want_scores, want_contrib = one_shot_scores(model, gx, px, present)
+        assert np.array_equal(batch_scores(model, gx, px, present), want_scores)
+        assert np.array_equal(part_contributions(model, px, present),
                               want_contrib, equal_nan=True)
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_loss_and_gradient_match_a_single_chunk(self, monkeypatch, chunk):
         model, _, table, _ = sparse_parts_setup()
-        args = (model, table.gx, table.px, table.present,
-                *np.concatenate(table.triplets, axis=1), 0.3)
+        args = (model, *table.fused(slice(None)), *np.concatenate(table.triplets, axis=1),
+                0.3)
         monkeypatch.setattr(verifier, "SCORE_CHUNK", len(table.pairs))
         want_losses, want_grad = triplet_loss_and_grads(*args)
         monkeypatch.setattr(verifier, "SCORE_CHUNK", chunk)
@@ -518,10 +541,26 @@ class TestChunkEdges:
         table = triplet_table(bundle, build_train_pairs(bundle, num_candidates=20)[0])
         model = VerifierModel.initialize(bundle.dims, seed=1)
         pos, neg = np.concatenate(table.triplets, axis=1)
+        gx, px, present = table.fused(slice(None))
         assert len(table.pairs) > 10 * verifier.SCORE_CHUNK
         with PeakMemory() as peak:
-            triplet_loss(model, table.gx, table.px, table.present, pos, neg, 0.3)
-        assert peak.bytes < table.px.nbytes
+            triplet_loss(model, gx, px, present, pos, neg, 0.3)
+        assert peak.bytes < px.nbytes
+
+    def test_training_never_holds_the_fused_table(self):
+        """``train`` fuses each batch, and the epoch-0 loss's part head each
+        ``SCORE_CHUNK`` rows, from an index-only table.  Before, it held the
+        whole fused table, (2D + K * 2Dp) float64 per row, for the run."""
+        bundle, _ = generate(SynthConfig(n_identities=40, seed=1))
+        train_pairs = build_train_pairs(bundle, num_candidates=20)[0]
+        valid_pairs = build_eval_pairs(bundle, "VQ", "VG", num_candidates=20)
+        model = VerifierModel.initialize(bundle.dims, seed=1,
+                                         hyper=TrainConfig(epochs=1))
+        rows = len(triplet_table(bundle, train_pairs).pairs)
+        d, dp, k = bundle.dims
+        with PeakMemory() as peak:
+            train(model, bundle, train_pairs, valid_pairs)
+        assert peak.bytes < rows * (2 * d + k * 2 * dp) * 8
 
 
 class TestHeadSeparation:
@@ -617,22 +656,15 @@ class TestTraining:
                            match=f"pair row {row}: index -1 out of range for role VQ"):
             validation_set(bundle, PairSet(pairs), 20)
 
-    def test_pairs_are_fused_once_per_train_call(self, monkeypatch):
+    def test_training_fuses_by_index_and_never_calls_pair_arrays(self, monkeypatch):
         model, bundle, train_pairs, valid_pairs = small_training_setup(epochs=3)
-        fused = []
-
-        def spy(pairs, dims):
-            fused.append(len(pairs))
-            return pair_arrays(pairs, dims)
-
-        monkeypatch.setattr(verifier, "pair_arrays", spy)
+        monkeypatch.setattr(verifier, "pair_arrays", None)
         validated = []
         real_validation = verifier.validation_rank1
         monkeypatch.setattr(verifier, "validation_rank1",
                             lambda *a: validated.append(1) or real_validation(*a))
         train(model, bundle, train_pairs, valid_pairs)
-        # the triplet table, then the validation prefixes; one validation per epoch
-        assert len(fused) == 2
+        # one validation per epoch, the untrained epoch 0 included
         assert len(validated) == 4
 
     def test_learning_rate_decays_after_milestones(self):
