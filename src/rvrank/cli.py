@@ -207,39 +207,22 @@ def cmd_rerank(args: argparse.Namespace) -> int:
                              candidates=candidates, metric=args.metric,
                              query_role=args.query_role,
                              gallery_role=args.gallery_role)
-    write_ranked_csv(args.out, ranked, config_comment=_config_comment(args))
+    write_ranked_csv(args.out, ranked, args.query_role, args.gallery_role)
+    _write_sidecar(Path(args.out), args)
     print(f"wrote {args.out}: {len(ranked)} queries, "
           f"stages={args.stages}")
     return 0
 
 
-def _check_ranked_roles(args: argparse.Namespace) -> None:
-    """Fail when ``--ranked``'s leading ``# config:`` line records other
-    query and gallery roles than ``eval`` was given; a file without both
-    roles in that line is not checked."""
-    with open(args.ranked, "rb") as fh:
-        first = fh.readline()
-    if not first.startswith(b"# config: "):
-        return
-    try:
-        config = json.loads(first.removeprefix(b"# config: "))
-    except ValueError:  # not JSON, or not text: left to the reader
-        return
-    if not isinstance(config, dict) or not {"query_role", "gallery_role"} <= config.keys():
-        return
-    ranked = (config["query_role"], config["gallery_role"])
-    if ranked != (args.query_role, args.gallery_role):
-        raise ValueError(
-            f"{args.ranked}: ranked with --query-role {ranked[0]} --gallery-role "
-            f"{ranked[1]}, but eval got --query-role {args.query_role} "
-            f"--gallery-role {args.gallery_role}")
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     _at_least_one("--k-max", args.k_max)
-    _check_ranked_roles(args)
+    # The roles are checked before the bundle is read.
+    ranked = read_ranked_csv(args.ranked, (args.query_role, args.gallery_role))
     bundle = _load_bundle_args(args)
-    ranked = read_ranked_csv(args.ranked)
+    held = len(bundle.splits[args.query_role])
+    if len(ranked) != held:
+        raise ValueError(f"{args.ranked}: holds rankings of {len(ranked)} queries, but the "
+                         f"bundle holds {held} {args.query_role} queries")
     report = evaluate(bundle, ranked, k_max=args.k_max,
                       query_role=args.query_role, gallery_role=args.gallery_role)
     report.write_json(args.out, config=_config_dict(args))

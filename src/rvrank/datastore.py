@@ -35,7 +35,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -184,12 +184,11 @@ _FORMATS = {"i": (np.int64, _int_bytes), "f": (np.float64, _float_bytes),
             "U": (np.str_, _text_bytes)}
 
 
-def _check_text(path: Path, name: str, values: np.ndarray, first_row: int) -> None:
+def _check_text(path: Path, name: str, values: np.ndarray) -> None:
     """Raise ValueError naming the file, column and row of the first text
     field that :func:`read_csv` would reject: one holding a comma, a
     character at or below ``#`` (NUL included) or one beyond ASCII, or one
-    ``_TEXT_WIDTH`` characters or wider; rows count from ``first_row``, the
-    file row of ``values[0]``."""
+    ``_TEXT_WIDTH`` characters or wider."""
     for start in range(0, len(values), _BLOCK_ROWS):
         codes = values[start:start + _BLOCK_ROWS, None].view(np.uint32)
         # NUL pads a field on the right, so one before another character
@@ -197,77 +196,52 @@ def _check_text(path: Path, name: str, values: np.ndarray, first_row: int) -> No
         held = np.logical_or.accumulate(codes[:, ::-1] != 0, axis=1)[:, ::-1]
         bad = held & ((codes <= ord("#")) | (codes > 127) | (codes == ord(",")))
         check_rows([(bad.any(axis=1) | held[:, _TEXT_WIDTH - 1:].any(axis=1), lambda i: (
-            f"{path}: column {name!r}, row {first_row + start + i}: text field "
+            f"{path}: column {name!r}, row {start + i}: text field "
             f"{str(values[start + i])!r} " + (
                 f"holds {chr(codes[i, np.argmax(bad[i])])!r}; a text field holds only "
                 "ASCII characters above '#' but the comma" if bad[i].any() else
                 f"is {_TEXT_WIDTH} characters or wider; text fields are narrower")))])
 
 
-def write_csv(path: str | Path, header: tuple[str, ...],
-              blocks: Iterable[Sequence[np.ndarray]],
+def write_csv(path: str | Path, header: tuple[str, ...], columns: Sequence[np.ndarray],
               config_comment: str | None = None) -> None:
     """Write a CSV that :func:`read_csv` reads: an optional ``# `` comment
-    line, then ``header``, then the rows of ``blocks``.  Each block holds
-    one 1-D array per header field, all of one length, and its rows follow
-    those of the block before it.
+    line, then ``header``, then one row per entry of ``columns``, one 1-D
+    array per header field, all of one length.
 
     An integer column is written as ``str(v)`` of each int64 value, a float
     column as ``repr(v)`` of each float64 value and a str column verbatim;
-    an empty string is an empty field.  Each block is checked as it
-    arrives, before any of its rows is written: a column of another kind or
-    length, or a text field that :func:`read_csv` would reject (see
-    :func:`_check_text`), raises ValueError naming the file, and the column
-    and row (counted from the file's first row) where there is one.
-    A fault in the first block, or a ``config_comment`` holding a newline or
-    carriage return, is raised before the file is opened, and one in a later
-    block removes the file.  Rows are formatted in pieces of at
-    most ``_BLOCK_ROWS``.
+    an empty string is an empty field.  A column of another kind or length,
+    a text field that :func:`read_csv` would reject (see
+    :func:`_check_text`) or a ``config_comment`` holding a newline or
+    carriage return raises ValueError naming the file, and the column and
+    row where there is one, before the file is opened.  Rows are formatted
+    in pieces of at most ``_BLOCK_ROWS``.
     """
     path = Path(path)
     if config_comment is not None and ("\n" in config_comment or "\r" in config_comment):
         raise ValueError(f"{path}: config comment {config_comment!r} holds a newline or "
                          "carriage return; it must fit on one line")
-    rows = _row_bytes(path, header, blocks)
-    # Taking the first piece checks the first block before the file is opened.
-    first = next(rows, b"")
+    formats = []
+    for name, column in zip(header, columns, strict=True):
+        column = np.asarray(column)
+        if column.ndim != 1 or column.dtype.kind not in _FORMATS:
+            raise ValueError(f"{path}: column {name!r} must be a 1-D array of "
+                             f"integers, floats or str, got {column.dtype} "
+                             f"of shape {column.shape}")
+        dtype, fmt = _FORMATS[column.dtype.kind]
+        column = column.astype(dtype, casting="safe", copy=False)
+        if fmt is _text_bytes:
+            _check_text(path, name, column)
+        formats.append((column, fmt))
+    lengths = {len(column) for column, _ in formats}
+    if len(lengths) > 1:
+        raise ValueError(f"{path}: columns differ in length: {sorted(lengths)}")
     with open(path, "wb") as fh:
-        try:
-            if config_comment is not None:
-                fh.write(f"# {config_comment}\n".encode())
-            fh.write((",".join(header) + "\n").encode())
-            fh.write(first)
-            for piece in rows:
-                fh.write(piece)
-        except BaseException:
-            fh.close()
-            path.unlink()
-            raise
-
-
-def _row_bytes(path: Path, header: tuple[str, ...],
-               blocks: Iterable[Sequence[np.ndarray]]) -> Iterator[bytes]:
-    """The rows of :func:`write_csv`'s ``blocks`` as bytes, ``_BLOCK_ROWS``
-    rows a piece; each block is checked whole before its first piece."""
-    first_row = 0
-    for block in blocks:
-        formats = []
-        for name, column in zip(header, block, strict=True):
-            column = np.asarray(column)
-            if column.ndim != 1 or column.dtype.kind not in _FORMATS:
-                raise ValueError(f"{path}: column {name!r} must be a 1-D array of "
-                                 f"integers, floats or str, got {column.dtype} "
-                                 f"of shape {column.shape}")
-            dtype, fmt = _FORMATS[column.dtype.kind]
-            column = column.astype(dtype, casting="safe", copy=False)
-            if fmt is _text_bytes:
-                _check_text(path, name, column, first_row)
-            formats.append((column, fmt))
-        lengths = {len(column) for column, _ in formats}
-        if len(lengths) > 1:
-            raise ValueError(f"{path}: columns differ in length: {sorted(lengths)}")
-        count = max(lengths, default=0)
-        for start in range(0, count, _BLOCK_ROWS):
+        if config_comment is not None:
+            fh.write(f"# {config_comment}\n".encode())
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, max(lengths, default=0), _BLOCK_ROWS):
             fields = [fmt(column[start:start + _BLOCK_ROWS]) for column, fmt in formats]
             piece = np.empty((len(fields[0]), sum(f.shape[1] + 1 for f in fields)),
                              dtype=np.uint8)
@@ -277,8 +251,7 @@ def _row_bytes(path: Path, header: tuple[str, ...],
                 piece[:, at + f.shape[1]] = ord(",")
                 at += f.shape[1] + 1
             piece[:, -1] = ord("\n")
-            yield piece[piece != 0].tobytes()
-        first_row += count
+            fh.write(piece[piece != 0].tobytes())
 
 
 def write_json(path: str | Path, payload: dict) -> None:
@@ -668,10 +641,10 @@ def write_bundle(
     splits = [bundle.splits[role] for role in ROLES]
     sizes = [len(split) for split in splits]
     write_csv(metadata_path, METADATA_HEADER,
-              [[np.concatenate([np.arange(n) for n in sizes]),
-                np.repeat(np.array(ROLES), sizes)]
-               + [np.concatenate([getattr(s, name) for s in splits])
-                  for name in METADATA_HEADER[2:]]],
+              [np.concatenate([np.arange(n) for n in sizes]),
+               np.repeat(np.array(ROLES), sizes)]
+              + [np.concatenate([getattr(s, name) for s in splits])
+                 for name in METADATA_HEADER[2:]],
               config_comment)
     write_feature_file(feature_path, np.concatenate([s.features for s in splits]))
     if parts_path is not None:

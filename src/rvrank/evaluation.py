@@ -71,12 +71,12 @@ class EvalReport:
     def write_per_query_csv(self, path: str | Path,
                             config_comment: str | None = None) -> None:
         # An excluded query's rank and AP are empty fields.
-        write_csv(path, PER_QUERY_HEADER, [(
+        write_csv(path, PER_QUERY_HEADER, (
             np.array([qm.query_index for qm in self.per_query], dtype=np.int64),
             np.array(["" if qm.first_hit_rank is None else str(qm.first_hit_rank)
                       for qm in self.per_query], dtype=str),
             np.array(["" if qm.average_precision is None else repr(qm.average_precision)
-                      for qm in self.per_query], dtype=str))], config_comment)
+                      for qm in self.per_query], dtype=str)), config_comment)
 
 
 def evaluate(bundle: DatasetBundle, ranked: list[RankedList], k_max: int = 10,
@@ -86,8 +86,7 @@ def evaluate(bundle: DatasetBundle, ranked: list[RankedList], k_max: int = 10,
     ``ranked`` must hold exactly one ranking per query of ``query_role``,
     in any order; a missing, duplicated or unknown query raises ValueError
     naming it.  A query without eligible gallery images may be missing: its
-    ranking is empty, which a ranked CSV holds as no rows, and it is
-    reported under ``excluded_queries``.  Each ranking must be a permutation
+    ranking is empty, and it is reported under ``excluded_queries``.  Each ranking must be a permutation
     of its query's eligible gallery (same-identity-same-cloth images already
     removed); anything else -- ineligible entries, duplicates, omissions --
     raises ValueError naming the query.
@@ -203,4 +202,4 @@ def write_sweep_csv(path: str | Path, rows: list[tuple[int, float, float]],
                     config_comment: str | None = None) -> None:
     table = np.array(rows, dtype=[("L", np.int64), ("rank1", np.float64),
                                   ("rank10", np.float64)])
-    write_csv(path, SWEEP_HEADER, [[table[name] for name in SWEEP_HEADER]], config_comment)
+    write_csv(path, SWEEP_HEADER, [table[name] for name in SWEEP_HEADER], config_comment)

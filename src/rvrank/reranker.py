@@ -11,13 +11,15 @@ Two stages, composable in a fixed order:
   Positions beyond Q are never touched, so the work per query is bounded by
   Q scored pairs regardless of gallery size.
 
-Every query's output is a full permutation of its eligible gallery; a
-ranked CSV holds it as one ``query_index,rank,gallery_index`` row per
-entry, and its ``# config:`` line records the stages that ran.
+Every query's output is a full permutation of its eligible gallery.  A
+ranked file (magic ``RVK1``) holds every query's order as int64, behind the
+query and gallery roles it ranked; its ``.config.json`` sidecar records the
+stages that ran.
 """
 
 from __future__ import annotations
 
+import struct
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -25,13 +27,13 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .datastore import DatasetBundle, Split, check_rows, read_csv, write_csv
+from .datastore import BinaryHeader, DatasetBundle, Split, check_rows
 from .retrieval import DISTANCE_BLOCK, DistanceRows, eligible_mask, masked_orders
 from .verifier import prefix_scores
 
 STAGE_NAMES = ("kreciprocal", "window")
 
-RANKED_HEADER = ("query_index", "rank", "gallery_index")
+RANKED_MAGIC = b"RVK1"
 
 
 @dataclass(frozen=True)
@@ -422,58 +424,64 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: Callable[..., np.ndarray] | N
 
 
 # ---------------------------------------------------------------------------
-# CSV serialisation
+# the ranked file
 
 
-def write_ranked_csv(path: str | Path, ranked: list[RankedList],
-                     config_comment: str | None = None) -> None:
-    """Write one ``query_index,rank,gallery_index`` row per entry of each
-    ranking, in the order given, ranks counted from 1 within each ranking.
-    The rows of ``DISTANCE_BLOCK`` rankings at a time go to
-    :func:`~rvrank.datastore.write_csv` as one block, so no column of the
-    whole file is ever built; ``ranked`` itself is only read."""
-    def blocks() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        for b0 in range(0, len(ranked), DISTANCE_BLOCK):
-            part = ranked[b0:b0 + DISTANCE_BLOCK]
-            lengths = np.array([len(rl.order) for rl in part], dtype=np.int64)
-            query = np.repeat(np.array([rl.query_index for rl in part], dtype=np.int64),
-                              lengths)
-            rank = np.arange(1, len(query) + 1)
-            rank -= np.repeat(np.cumsum(lengths) - lengths, lengths)
-            yield query, rank, np.concatenate([np.empty(0, np.int64)]
-                                              + [rl.order for rl in part])
-    write_csv(path, RANKED_HEADER, blocks(), config_comment)
+def write_ranked_csv(path: str | Path, ranked: list[RankedList], query_role: str = "Q",
+                     gallery_role: str = "G") -> None:
+    """Write an RVK1 ranked file: ``ranked[i]`` must rank query ``i``.
 
-
-#: Rows :func:`read_ranked_csv` checks at a time.
-_CHECK_ROWS = 1 << 16
-
-
-def read_ranked_csv(path: str | Path) -> list[RankedList]:
-    """Read a ranked CSV back into one :class:`RankedList` per query, in
-    query order.  Rows must come by ascending query, then rank, as
-    :func:`write_ranked_csv` writes them: each query's rows follow those of
-    a lower query, and its ranks are dense from 1.  A fault raises
-    ValueError naming the file and line.
-
-    Each order is a view of the parsed table.  The rows are checked
-    ``_CHECK_ROWS`` at a time, each block against the last row of the block
-    before it, so nothing of the file's size is built beyond the table."""
+    Layout (little-endian): magic, the u32 query count, the query and then
+    the gallery role token, each a u8 length and its ASCII bytes, one int64
+    order length per query, then every order back to back as int64.  The
+    orders are written as they are, so nothing of the file's size is built.
+    A ranking out of place raises ValueError before the file is opened.
+    """
     path = Path(path)
-    (q, r, g), lines = read_csv(path, RANKED_HEADER, (int, int, int))
-    starts = []
-    for b0 in range(0, len(q), _CHECK_ROWS):
-        qb, rb = q[b0:b0 + _CHECK_ROWS], r[b0:b0 + _CHECK_ROWS]
-        # A row opens its query when its query differs from the row before.
-        opens = np.r_[b0 == 0 or qb[0] != q[b0 - 1], qb[1:] != qb[:-1]]
-        check_rows([
-            (np.r_[b0 > 0 and qb[0] < q[b0 - 1], qb[1:] < qb[:-1]], lambda i: (
-                f"{path}: line {lines[b0 + i]}: query {qb[i]} follows query {q[b0 + i - 1]}; "
-                "rows must come by ascending query, then rank")),
-            # Rank 1 opens a query, and each rank after it is one more than the last.
-            (rb != np.where(opens, 1, np.r_[r[b0 - 1] if b0 else 0, rb[:-1]] + 1), lambda i: (
-                f"{path}: line {lines[b0 + i]}: query {qb[i]}: ranks are not dense from 1"))])
-        starts.append(np.flatnonzero(opens) + b0)
-    starts = np.concatenate([np.empty(0, np.int64), *starts])
-    return [RankedList(qi, order) for qi, order in zip(q[starts].tolist(),
-                                                       np.split(g, starts[1:]))]
+    check_rows([(np.array([rl.query_index for rl in ranked]) != np.arange(len(ranked)),
+                 lambda i: f"{path}: ranking {i} is for query {ranked[i].query_index}; "
+                           "a ranked file holds one ranking per query, in query order")])
+    orders = [np.ascontiguousarray(rl.order, dtype="<i8") for rl in ranked]
+    # Packed before the file opens: a value that does not fit leaves no file.
+    header = RANKED_MAGIC + struct.pack("<I", len(orders)) + b"".join(
+        struct.pack("<B", len(token)) + token
+        for token in (query_role.encode("ascii"), gallery_role.encode("ascii")))
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(np.array([len(order) for order in orders], dtype="<i8"))
+        fh.writelines(orders)
+
+
+def read_ranked_csv(path: str | Path,
+                    roles: tuple[str, str] | None = None) -> list[RankedList]:
+    """Read an RVK1 ranked file back into one :class:`RankedList` per query,
+    in query order; each order is a read-only view of the file's bytes.
+
+    With ``roles``, the ``(query, gallery)`` roles ``eval`` was given, the
+    file's roles must be those.  A wrong magic, a truncated header, a
+    negative length, lengths the payload does not hold exactly or other
+    roles raise ValueError naming the file, and the query where there is one.
+    """
+    header = BinaryHeader(path, RANKED_MAGIC)
+    (count,) = header.take("<I")
+    found = []
+    for _ in range(2):
+        (size,) = header.take("<B")
+        found.append(header.take(f"<{size}s")[0].decode("ascii", "replace"))
+    if roles is not None and tuple(found) != tuple(roles):
+        raise ValueError(
+            f"{header.path}: ranked with --query-role {found[0]} --gallery-role "
+            f"{found[1]}, but eval got --query-role {roles[0]} --gallery-role {roles[1]}")
+    lengths = np.array(header.take(f"<{count}q"), dtype=np.int64)
+    held = (len(header.data) - header.offset) // 8
+    check_rows([(lengths < 0, lambda q: f"{header.path}: query {q}: negative order "
+                                        f"length {lengths[q]}")])
+    # Each length is capped at one past the payload, so the sum cannot wrap.
+    ends = np.cumsum(np.minimum(lengths, held + 1))
+    check_rows([(ends > held, lambda q: (
+        f"{header.path}: query {q}: its order of {lengths[q]} entries ends past the "
+        f"{held} int64 entries the file holds after the lengths"))])
+    total = int(ends[-1]) if count else 0
+    orders = np.frombuffer(header.payload(8 * total, f"{count} orders of {total} int64 "
+                                                     "entries in all"), dtype="<i8")
+    return [RankedList(qi, order) for qi, order in enumerate(np.split(orders, ends)[:-1])]

@@ -15,7 +15,6 @@ Pair datasets reuse the same machinery:
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -122,10 +121,6 @@ class DistanceRows:
             own = np.arange(r0, min(r0 + len(block), len(self.g)))
             block[own - r0, own] = 0.0
         return block[start - r0:stop - r0]
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        for r0 in range(0, len(self.q), DISTANCE_BLOCK):
-            yield from self[r0:r0 + DISTANCE_BLOCK]
 
 
 def eligible_mask(queries: Split, gallery: Split) -> np.ndarray:
@@ -314,7 +309,7 @@ def candidates_from_pairs(pair_set: PairSet) -> dict[int, np.ndarray]:
 def write_pairs_csv(path: str | Path, pair_set: PairSet,
                     config_comment: str | None = None) -> None:
     """Write a pair set, one CSV row per pair."""
-    write_csv(path, PAIR_HEADER, [[pair_set.pairs[name] for name in PAIR_HEADER]],
+    write_csv(path, PAIR_HEADER, [pair_set.pairs[name] for name in PAIR_HEADER],
               config_comment)
 
 

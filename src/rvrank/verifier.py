@@ -508,25 +508,15 @@ def _loss_forward(model: VerifierModel, gx, px, present, pos_index, neg_index,
     return (*_hinges(sg, sp, valid, pos_index, neg_index, margin), cache_g, cache_p)
 
 
-def triplet_loss(model: VerifierModel, gx, px, present, pos_index, neg_index,
-                 margin: float) -> tuple[float, float, float]:
-    """Summed dual hinge loss ``(total, global_term, part_term)`` over the
-    triplets ``(pos_index[i], neg_index[i])`` of fused pair rows.
-
-    The part term skips triplets where either pair has no jointly present
-    part (those pairs have no ``sim_S``).
-    """
-    lg, lp, *_ = _loss_forward(model, gx, px, present, pos_index, neg_index, margin)
-    return lg + lp, lg, lp
-
-
 def table_loss(model: VerifierModel, table: TripletTable,
                margin: float) -> tuple[float, float, float]:
-    """:func:`triplet_loss` over every triplet of ``table``, bit for bit,
-    fusing its rows ``SCORE_CHUNK`` at a time.  The part head runs on each
-    chunk as it is fused; the global head takes its one product over the
-    whole table's gathered global rows, since row chunks of that product
-    round differently."""
+    """The summed dual hinge loss ``(total, global_term, part_term)`` over
+    every triplet of ``table``, bit for bit the losses that
+    :func:`triplet_loss_and_grads` gives over the whole fused table, fusing
+    its rows ``SCORE_CHUNK`` at a time.  The part head runs on each chunk as
+    it is fused; the global head takes its one product over the whole
+    table's gathered global rows, since row chunks of that product round
+    differently."""
     n = len(table.pairs)
     gx = np.empty((n, 2 * table.queries.features.shape[1]))
     sp = np.empty(n)
@@ -543,8 +533,11 @@ def table_loss(model: VerifierModel, table: TripletTable,
 def triplet_loss_and_grads(model: VerifierModel, gx, px, present, pos_index,
                            neg_index, margin: float
                            ) -> tuple[tuple[float, float, float], np.ndarray]:
-    """:func:`triplet_loss` plus its analytic gradient, one vector laid out
-    like ``model.params``.
+    """The summed dual hinge loss ``(total, global_term, part_term)`` over
+    the triplets ``(pos_index[i], neg_index[i])`` of fused pair rows, plus
+    its analytic gradient, one vector laid out like ``model.params``.  The
+    part term skips triplets where either pair has no jointly present part
+    (those pairs have no ``sim_S``).
 
     At a hinge kink (activation exactly 0) the subgradient 0 is used.
     """
@@ -601,8 +594,6 @@ def validation_rank1(model: VerifierModel, valid: ValidationSet,
 
     Returns 0.0 if no query has a positive candidate.
     """
-    from .reranker import window_rerank
-
     scores = np.empty(len(valid.gx))
     for start in range(0, len(scores), SCORE_CHUNK):
         rows = slice(start, start + SCORE_CHUNK)
@@ -611,9 +602,12 @@ def validation_rank1(model: VerifierModel, valid: ValidationSet,
     hits = end = 0
     for labels in valid.labels:
         start, end = end, end + min(valid.depth, len(labels))
-        # The window moves positions, so re-ranking the labels puts the
-        # label of the verifier's top candidate first.
-        hits += int(window_rerank(labels, scores[start:end], ranking_L, valid.depth)[0])
+        # The window's first pick, as window_rerank makes it: the first of
+        # the highest scores among the first L positions.  max() keeps its
+        # first entry against a NaN challenger, and a NaN first entry
+        # against every challenger.
+        window = scores[start:min(end, start + ranking_L)]
+        hits += int(labels[0 if np.isnan(window[0]) else np.nanargmax(window)])
     return hits / len(valid.labels) if valid.labels else 0.0
 
 
@@ -691,7 +685,7 @@ def write_history_csv(path: str | Path, history: list[EpochStats],
                       config_comment: str | None = None) -> None:
     table = np.array(history, dtype=[("epoch", np.int64)]
                      + [(name, np.float64) for name in HISTORY_HEADER[1:]])
-    write_csv(path, HISTORY_HEADER, [[table[name] for name in HISTORY_HEADER]], config_comment)
+    write_csv(path, HISTORY_HEADER, [table[name] for name in HISTORY_HEADER], config_comment)
 
 
 # ---------------------------------------------------------------------------

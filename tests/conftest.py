@@ -17,6 +17,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from rvrank import verifier
 from rvrank.datastore import build_bundle
 from rvrank.retrieval import PAIR_HEADER
 from rvrank.synthgen import SynthConfig, generate
@@ -188,6 +189,18 @@ def oracle_scores(model, query, cand):
         sim_s = math.tanh(math.exp(float(model.out_log_gain)) * max(present)
                           + float(model.out_bias))
     return (sim_g if sim_s is None else sim_s), sim_g, sim_s, contrib
+
+
+def triplet_loss(model, gx, px, present, pos_index, neg_index, margin):
+    """Summed dual hinge loss ``(total, global_term, part_term)`` over the
+    triplets ``(pos_index[i], neg_index[i])`` of fused pair rows, from the
+    verifier's forward pass alone: the losses without the backward pass.
+
+    The part term skips triplets where either pair has no jointly present
+    part (those pairs have no ``sim_S``).
+    """
+    lg, lp, *_ = verifier._loss_forward(model, gx, px, present, pos_index, neg_index, margin)
+    return lg + lp, lg, lp
 
 
 def pairwise(score):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import (SCENARIO, eligible_orders, oracle_metrics, oracle_scores,
-                      pair_records, pairwise, random_bundle)
+                      pair_records, pairwise, random_bundle, triplet_loss)
 from rvrank.datastore import build_bundle
 from rvrank.evaluation import evaluate, sweep_L
 from rvrank.reranker import (
@@ -30,7 +30,6 @@ from rvrank.verifier import (
     TrainConfig,
     VerifierModel,
     train,
-    triplet_loss,
     triplet_loss_and_grads,
     triplet_table,
 )
@@ -355,8 +354,9 @@ def test_scoring_cost_is_window_bounded_and_linear():
 #: sha256 of every artifact of the pipeline below.  A change that alters an
 #: artifact's bytes on purpose updates its digest here and names the change
 #: in CHANGES.md.  The pair CSVs and candidates.csv were last changed by
-#: dropping the pair files' score column, ranked.csv by dropping its
-#: stage_provenance column; every other digest predates both.
+#: dropping the pair files' score column; ranked.csv by becoming a binary
+#: RVK1 file, whose config moved to ranked.csv.config.json; every other
+#: digest predates both.
 PIPELINE_SHA256 = {
     "candidates.csv": "75a597148dfd81f7cbccd412d00d5fe38127e36520d66270953676dcd828bd8f",
     "data/features.bin": "6e41e01590c932bc99bc3dc4dfdf1bb9883e1709a1c4b71a946f6a324645bec6",
@@ -374,7 +374,9 @@ PIPELINE_SHA256 = {
     "pairs/train_pairs.csv": "d1bbd81ec61395e4b6a0c0c7cb62baf94203ab6a8f6614ee24a82dd7be533a68",
     "pairs/valid_pairs.csv": "32843546f1ade00e4be3a617fd9f3e236e74398b81f51772d80a1b9e0b944db2",
     "per_query.csv": "5e09d60577d36eec1534f97aaed8b0418b828f8486f7029aa56b73b4548e187b",
-    "ranked.csv": "89d581de9e45c6894300d87d7e1e51edc56e0c89a6d63f6a0de35dda493ad4e4",
+    "ranked.csv": "4f5311ddaa53757614238a2adff614f083440a3ddd30099c59997d2e7164eedb",
+    "ranked.csv.config.json":
+        "e229f1f2eaeb64315bf77ec0789760aac39d156a56511fd2ff744dd245741904",
     "report.json": "a4107248f65c50ef98bfc0954d5e9dd17bc1e440b6a1af74a46c1e80ab3a8b11",
     "sweep.csv": "74e0a3a54009c0226537b3840f8a8d3022b69a37a3654a829a6dd0dc020bc3f8",
 }
@@ -384,7 +386,7 @@ def test_identical_seeds_reproduce_every_artifact(tmp_path, monkeypatch):
     """Running the full command pipeline twice with the same seeds must
     reproduce every artifact byte for byte, and the bytes must match
     ``PIPELINE_SHA256``.  Each run works in an empty directory with
-    relative paths, so the ``# config:`` lines do not depend on it."""
+    relative paths, so the recorded configs do not depend on it."""
     from rvrank.cli import main
 
     bundle_flags = ["--meta", "data/meta.csv", "--features", "data/features.bin",

@@ -174,3 +174,24 @@ def test_ranked_row_counter_reads_every_stage_chain(tmp_path, monkeypatch, stage
         tracer.count_write_ranked(t, *call)
     assert len(captured["write_ranked_csv"]) == 1
     assert t.counts["reranker.ranked_rows"] == sum(eligible)
+
+
+def test_eval_reads_the_ranked_file_through_the_traced_reader(tmp_path, monkeypatch):
+    # The tracer rebinds every module attribute that is the traced
+    # reranker.read_ranked_csv, so eval's read shows as
+    # reranker.read_ranked_csv_s only while cli calls that function.
+    assert cli.read_ranked_csv is reranker.read_ranked_csv
+    rng = np.random.default_rng(14)
+    bundle = random_bundle(rng, n_query=5, n_gallery=14, n_identities=3, n_cloths=2)
+    flags = ["--meta", str(tmp_path / "meta.csv"), "--features", str(tmp_path / "features.bin")]
+    write_bundle(bundle, tmp_path / "meta.csv", tmp_path / "features.bin")
+    assert cli.main(["rerank", *flags, "--stages", "none",
+                     "--out", str(tmp_path / "ranked.csv")]) == 0
+
+    captured: dict[str, list] = {}
+    spy(monkeypatch, captured, cli, "read_ranked_csv")
+    assert cli.main(["eval", *flags, "--ranked", str(tmp_path / "ranked.csv"),
+                     "--out", str(tmp_path / "report.json")]) == 0
+    [(args, kwargs, ranked)] = captured["read_ranked_csv"]
+    assert str(args[0]) == str(tmp_path / "ranked.csv")
+    assert len(ranked) == len(bundle.splits["Q"])

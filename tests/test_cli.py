@@ -28,7 +28,8 @@ from rvrank.datastore import (
     write_bundle,
 )
 from rvrank.evaluation import PER_QUERY_HEADER, SWEEP_HEADER, evaluate
-from rvrank.reranker import RANKED_HEADER, RankingConfig, read_ranked_csv, rerank_pipeline
+from rvrank.reranker import (RankedList, RankingConfig, read_ranked_csv, rerank_pipeline,
+                             write_ranked_csv)
 from rvrank.retrieval import PAIR_HEADER
 from rvrank.verifier import HISTORY_HEADER, VerifierModel, save_model
 
@@ -80,13 +81,13 @@ def test_all_artifacts_exist(workspace):
                  "candidates.csv", "pairs/train_pairs.csv",
                  "pairs/valid_pairs.csv", "pairs/test_pairs.csv",
                  "model/model.bin", "model/model.bin.config.json",
-                 "model/history.csv", "ranked.csv", "report.json",
+                 "model/history.csv", "ranked.csv", "ranked.csv.config.json", "report.json",
                  "per_query.csv", "sweep.csv"):
         assert (workspace / name).exists(), name
 
 
 def test_config_comment_heads_each_csv(workspace):
-    for name in ("candidates.csv", "pairs/train_pairs.csv", "ranked.csv",
+    for name in ("candidates.csv", "pairs/train_pairs.csv",
                  "sweep.csv", "per_query.csv", "data/meta.csv"):
         first = (workspace / name).read_text().splitlines()[0]
         assert first.startswith("# config: "), name
@@ -122,10 +123,10 @@ def test_stage_free_rerank_is_the_retrieval_baseline(workspace):
     assert report["map"] == fresh.map_score
 
 
-def test_ranked_csv_records_its_stages_in_the_config_line(workspace):
+def test_ranked_file_records_its_stages_in_its_sidecar(workspace):
     for name, stages in (("ranked.csv", "both"), ("ranked_none.csv", "none")):
-        first = (workspace / name).read_text().splitlines()[0]
-        assert json.loads(first.removeprefix("# config: "))["stages"] == stages
+        sidecar = json.loads((workspace / f"{name}.config.json").read_text())
+        assert (sidecar["config"]["command"], sidecar["config"]["stages"]) == ("rerank", stages)
 
 
 def test_sweep_rows_follow_the_requested_widths(workspace):
@@ -410,29 +411,21 @@ def test_a_bad_L_value_names_the_flag_and_the_token(workspace, tmp_path, capsys)
     assert not out.exists()
 
 
-def test_eval_rejects_partial_or_duplicated_rankings(workspace, tmp_path, capsys):
+@pytest.mark.parametrize("change", [-1, 1])
+def test_eval_rejects_a_ranked_file_for_another_query_count(workspace, tmp_path, capsys,
+                                                            change):
     data = workspace / "data"
-    lines = (workspace / "ranked.csv").read_text().splitlines()
-    header_at = next(i for i, ln in enumerate(lines)
-                     if ln.startswith("query_index"))
-    head, rows = lines[:header_at + 1], lines[header_at + 1:]
-    query1 = [ln for ln in rows if ln.split(",")[0] == "1"]
-    cases = {
-        "partial": (head + [ln for ln in rows if ln.split(",")[0] != "1"],
-                    "missing: [1]"),
-        "doubled": (lines + query1, "query 1"),
-    }
-    for name, (text, named) in cases.items():
-        ranked = tmp_path / f"{name}.csv"
-        ranked.write_text("\n".join(text) + "\n")
-        report = tmp_path / f"{name}.json"
-        rc = main(["eval", "--meta", str(data / "meta.csv"),
-                   "--features", str(data / "features.bin"),
-                   "--parts", str(data / "parts.bin"),
-                   "--ranked", str(ranked), "--out", str(report)])
-        assert rc == 1, name
-        assert named in capsys.readouterr().err, name
-        assert not report.exists(), name
+    ranked = read_ranked_csv(workspace / "ranked.csv")
+    other, report = tmp_path / "ranked.csv", tmp_path / "report.json"
+    count = len(ranked) + change
+    write_ranked_csv(other, (ranked + [RankedList(len(ranked), ranked[0].order)])[:count])
+    rc = main(["eval", "--meta", str(data / "meta.csv"),
+               "--features", str(data / "features.bin"), "--parts", str(data / "parts.bin"),
+               "--ranked", str(other), "--out", str(report)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {other}: holds rankings of {count} queries, "
+                                       f"but the bundle holds {len(ranked)} Q queries\n")
+    assert not report.exists()
 
 
 def test_eval_rejects_a_ranking_made_for_other_roles(workspace, tmp_path, capsys):
@@ -672,21 +665,19 @@ def test_a_negative_hidden_size_is_named(workspace, tmp_path, capsys, flags, siz
     assert not out.exists()
 
 
-def test_an_old_four_field_ranked_csv_fails_the_eval(workspace, tmp_path, capsys):
-    # Rows once carried a stage_provenance field; such a file must be
-    # regenerated with rerank, not read.
+def test_an_old_ranked_csv_fails_the_eval(workspace, tmp_path, capsys):
+    # Rankings were once written as query_index,rank,gallery_index rows;
+    # such a file must be regenerated with rerank, not read.
     data = workspace / "data"
-    comment, header, *rows = (workspace / "ranked.csv").read_text().splitlines()
     old, report = tmp_path / "ranked.csv", tmp_path / "report.json"
-    old.write_text("".join(f"{line}\n" for line in [
-        comment, header + ",stage_provenance", *(row + ",composed" for row in rows)]))
+    old.write_text('# config: {"gallery_role":"G","query_role":"Q"}\n'
+                   "query_index,rank,gallery_index\n0,1,5\n")
     rc = main(["eval", "--meta", str(data / "meta.csv"),
                "--features", str(data / "features.bin"), "--parts", str(data / "parts.bin"),
                "--ranked", str(old), "--out", str(report)])
     assert rc == 1
     assert capsys.readouterr().err == (
-        f"error: {old}: line 2: expected header 'query_index,rank,gallery_index', got "
-        "'query_index,rank,gallery_index,s'...\n")
+        f"error: {old}: bad magic at offset 0: expected b'RVK1', got b'# co'\n")
     assert sorted(tmp_path.iterdir()) == [old]
 
 
@@ -702,8 +693,7 @@ def test_flag_errors_come_before_the_bundle_is_read(tmp_path, capsys, monkeypatc
     # The bundle is missing: reading it would report that instead.
     monkeypatch.chdir(tmp_path)
     ranked = tmp_path / "ranked.csv"
-    ranked.write_text('# config: {"gallery_role":"VG","query_role":"VQ"}\n'
-                      "query_index,rank,gallery_index\n")
+    write_ranked_csv(ranked, [], "VQ", "VG")
     assert main([command, "--meta", "none.csv", "--features", "none.bin", *flags]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert sorted(tmp_path.iterdir()) == [ranked]
@@ -726,16 +716,16 @@ def test_a_query_without_eligible_images_is_excluded_by_eval(
     flags = one_query_without_eligible_images
     ranked, report = tmp_path / "ranked.csv", tmp_path / "report.json"
     assert main(["rerank", *flags, "--stages", "none", "--out", str(ranked)]) == 0
-    assert [line.split(",")[0] for line in ranked.read_text().splitlines()[2:]] == ["1"] * 3
+    assert [len(rl.order) for rl in read_ranked_csv(ranked)] == [0, 3]
     assert main(["eval", *flags, "--ranked", str(ranked), "--out", str(report)]) == 0
     got = json.loads(report.read_text())
     assert (got["excluded_queries"], got["num_evaluated"], got["cmc"][0]) == ([0], 1, 1.0)
-    # A missing query that has eligible images still fails.
-    lines = ranked.read_text().splitlines(keepends=True)
-    ranked.write_text("".join(lines[:2]))
+    # An empty ranking for a query that has eligible images still fails.
+    write_ranked_csv(ranked, [RankedList(qi, np.empty(0, dtype=np.int64)) for qi in (0, 1)])
     capsys.readouterr()
     assert main(["eval", *flags, "--ranked", str(ranked), "--out", str(report)]) == 1
-    assert "queries 1 missing: [1]" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: ranking for query 1 is not a permutation of its 3 eligible gallery images\n")
 
 
 PAIR_KINDS = (str, int, int, str, int, int)
@@ -748,7 +738,6 @@ WRITTEN_CSVS = {
     "pairs/valid_pairs.csv": (PAIR_HEADER, PAIR_KINDS),
     "pairs/test_pairs.csv": (PAIR_HEADER, PAIR_KINDS),
     "model/history.csv": (HISTORY_HEADER, (int, float, float, float, float)),
-    "ranked.csv": (RANKED_HEADER, (int, int, int)),
     "sweep.csv": (SWEEP_HEADER, (int, float, float)),
     "per_query.csv": (PER_QUERY_HEADER, (int, str, str)),
 }
@@ -794,8 +783,7 @@ def test_a_query_without_eligible_images_needs_no_candidate_list(
     assert main(["rerank", *flags, "--stages", "none", "--candidates", str(candidates),
                  "--out", str(ranked)]) == 0
     assert main(["rerank", *flags, "--stages", "none", "--out", str(tmp_path / "plain.csv")]) == 0
-    assert ranked.read_text().splitlines()[1:] == \
-        (tmp_path / "plain.csv").read_text().splitlines()[1:]
+    assert ranked.read_bytes() == (tmp_path / "plain.csv").read_bytes()
     # A query that has eligible images still needs its list.
     lines = candidates.read_text().splitlines(keepends=True)
     candidates.write_text("".join(lines[:2]))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import PeakMemory, random_bundle
-from rvrank import datastore, reranker
+from rvrank import datastore
 from rvrank.datastore import (
     DEFAULT_PART_COUNT,
     build_bundle,
@@ -21,7 +21,7 @@ from rvrank.datastore import (
     write_parts_file,
 )
 from rvrank.evaluation import SWEEP_HEADER
-from rvrank.reranker import RANKED_HEADER, RankedList, read_ranked_csv, write_ranked_csv
+from rvrank.reranker import RankedList, read_ranked_csv, write_ranked_csv
 from rvrank.retrieval import PAIR_HEADER, build_eval_pairs, read_pairs_csv, write_pairs_csv
 from rvrank.synthgen import SynthConfig, generate
 
@@ -370,8 +370,9 @@ class TestFaultContract:
         path, read = self.files(tmp_path)[name]
         read(path)
         data = path.read_bytes()
-        # A CSV loses its last field, a binary file its last byte.
-        path.write_bytes(data[:data.rindex(b",")] if name.endswith(".csv") else data[:-1])
+        # A CSV loses its last field, a binary file (the ranked file too) its last byte.
+        text = name in ("meta.csv", "pairs.csv")
+        path.write_bytes(data[:data.rindex(b",")] if text else data[:-1])
         with pytest.raises(ValueError) as info:
             read(path)
         assert type(info.value) is ValueError
@@ -382,7 +383,6 @@ class TestCsvReaders:
     #: reader, header, a good row, the same row with a non-numeric field
     READERS = {
         "pairs": (read_pairs_csv, PAIR_HEADER, "Q,0,1,G,3,1", "Q,0,1,G,x,1"),
-        "ranked": (read_ranked_csv, RANKED_HEADER, "0,1,3", "0,x,3"),
         "sweep": (read_sweep, SWEEP_HEADER, "5,0.5,1.0", "5,x,1.0"),
         "metadata": (lambda path: load_bundle(path, path.parent / "f.bin"),
                      ("index", "role", "identity", "cloth", "camera"),
@@ -453,7 +453,7 @@ class TestWriteCsv:
     def test_rows_match_the_f_string_form(self, tmp_path, rows):
         ints, floats, text = self.columns(np.random.default_rng(rows), rows)
         path = tmp_path / "out.csv"
-        write_csv(path, ("i", "f", "t", "j"), [(ints, floats, text, ints[::-1])],
+        write_csv(path, ("i", "f", "t", "j"), (ints, floats, text, ints[::-1]),
                   config_comment="config: {}")
         want = "# config: {}\ni,f,t,j\n" + "".join(
             f"{i},{f!r},{t},{j}\n" for i, f, t, j in
@@ -463,7 +463,7 @@ class TestWriteCsv:
     @pytest.mark.parametrize("rows", [1, 9, datastore._BLOCK_ROWS + 9])
     @pytest.mark.parametrize("value", [None, -1, 9999, 10 ** 4, 10 ** 16])
     def test_small_int_columns_match_str(self, tmp_path, value, rows):
-        """Columns of ``ranked.csv``'s kind, all values in 0-9,999, but for
+        """Int columns, all values in 0-9,999, but for
         one row set to ``value``.  At the largest row count that row falls
         in the first ``_BLOCK_ROWS`` piece and the second holds small
         values only."""
@@ -471,32 +471,9 @@ class TestWriteCsv:
         if value is not None:
             ints[rows // 2] = value
         path = tmp_path / "out.csv"
-        write_csv(path, ("i", "j"), [(ints, ints[::-1])])
+        write_csv(path, ("i", "j"), (ints, ints[::-1]))
         assert path.read_text() == "i,j\n" + "".join(
             f"{i},{j}\n" for i, j in zip(ints.tolist(), ints[::-1].tolist()))
-
-    def test_blocks_are_written_as_one_column_set(self, tmp_path):
-        ints, floats, text = self.columns(np.random.default_rng(5), datastore._BLOCK_ROWS + 10)
-        whole, split = tmp_path / "whole.csv", tmp_path / "split.csv"
-        write_csv(whole, ("i", "f", "t"), [(ints, floats, text)])
-        cuts = [0, 0, 1, 8, datastore._BLOCK_ROWS + 3, len(ints), len(ints)]
-        write_csv(split, ("i", "f", "t"),
-                  ((ints[a:b], floats[a:b], text[a:b]) for a, b in zip(cuts, cuts[1:])))
-        assert split.read_bytes() == whole.read_bytes()
-        write_csv(split, ("i", "f", "t"), [])
-        assert split.read_bytes() == b"i,f,t\n"
-
-    def test_a_fault_in_a_later_block_names_its_file_row_and_removes_the_file(self, tmp_path):
-        path = tmp_path / "out.csv"
-        blocks = [(np.arange(3), np.array(["T", "Q", "G"])),
-                  (np.arange(4), np.array(["T", "T", "V,Q", "T"]))]
-        with pytest.raises(ValueError) as err:
-            write_csv(path, ("index", "role"), iter(blocks))
-        assert str(err.value).startswith(f"{path}: column 'role', row 5: ")
-        assert not path.exists()
-        with pytest.raises(ValueError, match="differ in length"):
-            write_csv(path, ("index", "role"), iter([blocks[0], (np.arange(2), blocks[0][1])]))
-        assert not path.exists()
 
     # A NUL in a field, and not in the padding after it, is found wherever it is.
     @pytest.mark.parametrize("bad", [",", '"', "\n", "\r", "\0", "\0\0", " ", "#", "\t", "!",
@@ -506,7 +483,7 @@ class TestWriteCsv:
         text = np.array(["T"] * (datastore._BLOCK_ROWS + 5), dtype="U4")
         text[-2] = f"V{bad}Q"
         with pytest.raises(ValueError) as err:
-            write_csv(path, ("index", "role"), [(np.arange(len(text)), text)])
+            write_csv(path, ("index", "role"), (np.arange(len(text)), text))
         assert str(err.value) == (f"{path}: column 'role', row {len(text) - 2}: text field "
                                   f"{str(text[-2])!r} holds {bad[0]!r}; a text field holds only ASCII "
                                   "characters above '#' but the comma")
@@ -515,12 +492,12 @@ class TestWriteCsv:
     def test_a_text_field_as_wide_as_the_reader_bound_is_rejected(self, tmp_path):
         path = tmp_path / "out.csv"
         narrow = "G" * (datastore._TEXT_WIDTH - 1)
-        write_csv(path, ("role",), [(np.array([narrow, "T"]),)])
+        write_csv(path, ("role",), (np.array([narrow, "T"]),))
         (role,), _ = datastore.read_csv(path, ("role",), (str,))
         assert role.tolist() == [narrow, "T"]
         wide, path = narrow + "G", tmp_path / "wide.csv"
         with pytest.raises(ValueError) as err:
-            write_csv(path, ("role",), [(np.array(["T", narrow, wide]),)])
+            write_csv(path, ("role",), (np.array(["T", narrow, wide]),))
         assert str(err.value) == (f"{path}: column 'role', row 2: text field {wide!r} is "
                                   f"{len(wide)} characters or wider; text fields are narrower")
         assert not path.exists()
@@ -531,7 +508,7 @@ class TestWriteCsv:
         path = tmp_path / "f.csv"
         path.write_bytes(b"old")
         with pytest.raises(ValueError) as info:
-            write_csv(path, ("i",), [(np.arange(2),)], config_comment=comment)
+            write_csv(path, ("i",), (np.arange(2),), config_comment=comment)
         assert str(info.value) == (f"{path}: config comment {comment!r} holds a newline or "
                                    "carriage return; it must fit on one line")
         assert path.read_bytes() == b"old"
@@ -541,17 +518,17 @@ class TestWriteCsv:
         n = datastore._BLOCK_ROWS + 3
         columns = [np.broadcast_to(np.array(v), n) for v in ("kreciprocal", -12, 0.1)]
         shared, copied = tmp_path / "shared.csv", tmp_path / "copied.csv"
-        write_csv(shared, ("t", "i", "f"), [columns])
-        write_csv(copied, ("t", "i", "f"), [[c.copy() for c in columns]])
+        write_csv(shared, ("t", "i", "f"), columns)
+        write_csv(copied, ("t", "i", "f"), [c.copy() for c in columns])
         assert shared.read_bytes() == copied.read_bytes()
         with pytest.raises(ValueError, match="column 'role', row 0: text field 'V,Q'"):
-            write_csv(shared, ("role",), [[np.broadcast_to(np.array("V,Q"), n)]])
+            write_csv(shared, ("role",), [np.broadcast_to(np.array("V,Q"), n)])
 
     def test_negative_labels_are_written_back(self, tmp_path):
         rows = [(0, "Q", -3, 2 ** 40, -1), (0, "G", 5, -2 ** 62, 0)]
         meta, feat = tmp_path / "meta.csv", tmp_path / "feat.bin"
         write_csv(meta, datastore.METADATA_HEADER,
-                  [[np.array(column) for column in zip(*rows)]])
+                  [np.array(column) for column in zip(*rows)])
         write_feature_file(feat, np.zeros((2, 2)))
         assert meta.read_text().splitlines()[1:] == [",".join(map(str, row)) for row in rows]
         (index, role, *labels), lines = datastore.read_csv(
@@ -567,7 +544,7 @@ class TestWriteCsv:
                                ((np.arange(3), np.ones(3, dtype=bool)), "column 'b'"),
                                ((np.arange(3), np.ones((3, 1))), "column 'b'")):
             with pytest.raises(ValueError, match=match):
-                write_csv(path, ("a", "b"), [columns])
+                write_csv(path, ("a", "b"), columns)
         assert not path.exists()
 
 
@@ -645,7 +622,15 @@ class TestValidation:
 PAIRS = b"query_role,query_index,rank,cand_role,cand_index,label\n"
 META = b"index,role,identity,cloth,camera\n"
 SWEEP = b"L,rank1,rank10\n"
-RANKED = b"query_index,rank,gallery_index\n"
+#: An all-int CSV: the rows of ranked orders in the layout they once had on disk.
+INTS = b"query_index,rank,gallery_index\n"
+INT_HEADER = ("query_index", "rank", "gallery_index")
+INT_KINDS = (int, int, int)
+
+
+def read_ints(path):
+    return datastore.read_csv(path, INT_HEADER, INT_KINDS)
+
 
 #: Per format: header, kinds and the reader of its files.
 FORMATS = {
@@ -653,7 +638,7 @@ FORMATS = {
     "metadata": (datastore.METADATA_HEADER, datastore._METADATA_KINDS,
                  lambda path: load_bundle(path, path.parent / "f.bin")),
     "sweep": (SWEEP_HEADER, (int, float, float), read_sweep),
-    "ranked": (RANKED_HEADER, (int, int, int), read_ranked_csv),
+    "ints": (INT_HEADER, INT_KINDS, read_ints),
 }
 
 EMPTY = "is empty; every line below the header is a row"
@@ -671,7 +656,7 @@ def header(got, fmt):
 #: Per format: the fields a row must parse as.
 FIELDS = {"pairs": "6 fields str,int64,int64,str,int64,int64",
           "metadata": "5 fields int64,str,int64,int64,int64",
-          "sweep": "3 fields int64,float64,float64", "ranked": "3 fields int64,int64,int64"}
+          "sweep": "3 fields int64,float64,float64", "ints": "3 fields int64,int64,int64"}
 
 
 def unparsed(row, fmt):
@@ -814,49 +799,44 @@ CASES = {
     "sweep/empty float": (SWEEP + b"1,,0.75\n", None, at(2, unparsed("1,,0.75", "sweep"))),
     "sweep/a field moved to the next line": (SWEEP + b"1,0.25,0.75,2\n0.5,1.0\n",
                                              None, at(2, unparsed("1,0.25,0.75,2", "sweep"))),
-    "ranked/well formed": (RANKED + b"0,1,5\n0,2,3\n1,1,4\n",
+    "ints/well formed": (INTS + b"0,1,5\n0,2,3\n1,1,4\n",
                            [(0, 1, 5), (0, 2, 3), (1, 1, 4)], None),
-    "ranked/queries out of order": (
-        RANKED + b"1,1,4\n0,1,5\n0,2,3\n", [(1, 1, 4), (0, 1, 5), (0, 2, 3)],
-        at(3, "query 0 follows query 1; rows must come by ascending query, then rank")),
-    "ranked/18 digits": (RANKED + b"0,1,999999999999999999\n", [(0, 1, 10 ** 18 - 1)], None),
-    "ranked/config comment": (b'# config: {"a":"b,c","query_role":"Q"}\n' + RANKED + b"0,1,5\n",
+    "ints/18 digits": (INTS + b"0,1,999999999999999999\n", [(0, 1, 10 ** 18 - 1)], None),
+    "ints/config comment": (b'# config: {"a":"b,c","query_role":"Q"}\n' + INTS + b"0,1,5\n",
                               [(0, 1, 5)], None),
-    "ranked/quotes span lines": (b'# config: {"a":1,"b\nc":2}\n' + RANKED + b"0,1,5\n",
-                                 None, at(2, header('c":2}', "ranked"))),
-    "ranked/crlf": (RANKED.replace(b"\n", b"\r\n") + b"0,1,5\r\n0,2,6\r\n",
-                    None, at(1, header("query_index,rank,gallery_index\r", "ranked"))),
-    "ranked/quoted field": (RANKED + b'0,1,"5"\n0,2,6\n', None, at(2, holds(b'"'))),
-    "ranked/blank line": (RANKED + b"0,1,5\n\n0,2,6\n", None, at(3, EMPTY)),
-    "ranked/comment between rows": (RANKED + b"0,1,5\n# note\n0,2,6\n", None, at(3, holds(b"#"))),
-    "ranked/plus sign": (RANKED + b"0,+1,5\n", [(0, 1, 5)], None),
-    "ranked/leading space": (RANKED + b"0, 1,5\n", None, at(2, holds(b" "))),
-    "ranked/leading zeros": (RANKED + b"0,001,007\n", [(0, 1, 7)], None),
-    "ranked/negative index": (RANKED + b"-1,1,5\n", [(-1, 1, 5)], None),
-    "ranked/19 digits": (RANKED + b"0,1,9223372036854775807\n", [(0, 1, 2 ** 63 - 1)], None),
-    "ranked/2**70": (RANKED + b"0,1,%d\n" % 2 ** 70,
-                     None, at(2, unparsed(f"0,1,{2 ** 70}", "ranked"))),
-    "ranked/no trailing newline": (RANKED + b"0,1,5\n0,2,6", None, at(3, NO_NEWLINE)),
-    "ranked/truncated last row": (RANKED + b"0,1,5\n0,2\n",
-                                  None, at(3, unparsed("0,2", "ranked"))),
-    "ranked/extra field": (RANKED + b"0,1,5\n0,2,6,9\n",
-                           None, at(3, unparsed("0,2,6,9", "ranked"))),
-    "ranked/a field moved to the next line": (RANKED + b"1,2,3,1\n2,3\n",
-                                              None, at(2, unparsed("1,2,3,1", "ranked"))),
-    "ranked/nul byte": (RANKED + b"0,1,5\0\n", None, at(2, holds(b"\0"))),
-    "ranked/non-ascii token": (RANKED + "0,1,5ï\n".encode(), None, at(2, holds(b"\xc3"))),
-    "ranked/sparse ranks": (RANKED + b"0,1,5\n0,3,6\n", [(0, 1, 5), (0, 3, 6)],
-                            at(3, "query 0: ranks are not dense from 1")),
-    "ranked/header only": (RANKED, [], None),
-    "ranked/empty file": (b"", None, "missing header row"),
-    "ranked/only empty lines below the header": (RANKED + b"\n\n", None, at(2, EMPTY)),
-    "ranked/a blank line before a quoted field": (RANKED + b'0,1,5\n\n0,2,"6"\n',
+    "ints/quotes span lines": (b'# config: {"a":1,"b\nc":2}\n' + INTS + b"0,1,5\n",
+                                 None, at(2, header('c":2}', "ints"))),
+    "ints/crlf": (INTS.replace(b"\n", b"\r\n") + b"0,1,5\r\n0,2,6\r\n",
+                    None, at(1, header("query_index,rank,gallery_index\r", "ints"))),
+    "ints/quoted field": (INTS + b'0,1,"5"\n0,2,6\n', None, at(2, holds(b'"'))),
+    "ints/blank line": (INTS + b"0,1,5\n\n0,2,6\n", None, at(3, EMPTY)),
+    "ints/comment between rows": (INTS + b"0,1,5\n# note\n0,2,6\n", None, at(3, holds(b"#"))),
+    "ints/plus sign": (INTS + b"0,+1,5\n", [(0, 1, 5)], None),
+    "ints/leading space": (INTS + b"0, 1,5\n", None, at(2, holds(b" "))),
+    "ints/leading zeros": (INTS + b"0,001,007\n", [(0, 1, 7)], None),
+    "ints/negative index": (INTS + b"-1,1,5\n", [(-1, 1, 5)], None),
+    "ints/19 digits": (INTS + b"0,1,9223372036854775807\n", [(0, 1, 2 ** 63 - 1)], None),
+    "ints/2**70": (INTS + b"0,1,%d\n" % 2 ** 70,
+                     None, at(2, unparsed(f"0,1,{2 ** 70}", "ints"))),
+    "ints/no trailing newline": (INTS + b"0,1,5\n0,2,6", None, at(3, NO_NEWLINE)),
+    "ints/truncated last row": (INTS + b"0,1,5\n0,2\n",
+                                  None, at(3, unparsed("0,2", "ints"))),
+    "ints/extra field": (INTS + b"0,1,5\n0,2,6,9\n",
+                           None, at(3, unparsed("0,2,6,9", "ints"))),
+    "ints/a field moved to the next line": (INTS + b"1,2,3,1\n2,3\n",
+                                              None, at(2, unparsed("1,2,3,1", "ints"))),
+    "ints/nul byte": (INTS + b"0,1,5\0\n", None, at(2, holds(b"\0"))),
+    "ints/non-ascii token": (INTS + "0,1,5ï\n".encode(), None, at(2, holds(b"\xc3"))),
+    "ints/header only": (INTS, [], None),
+    "ints/empty file": (b"", None, "missing header row"),
+    "ints/only empty lines below the header": (INTS + b"\n\n", None, at(2, EMPTY)),
+    "ints/a blank line before a quoted field": (INTS + b'0,1,5\n\n0,2,"6"\n',
                                                   None, at(3, EMPTY)),
-    "ranked/a quoted field before a blank line": (RANKED + b'0,1,"5"\n\n0,2,6\n',
+    "ints/a quoted field before a blank line": (INTS + b'0,1,"5"\n\n0,2,6\n',
                                                   None, at(2, holds(b'"'))),
-    "ranked/a blank line and no trailing newline": (RANKED + b"0,1,5\n\n0,2,6",
+    "ints/a blank line and no trailing newline": (INTS + b"0,1,5\n\n0,2,6",
                                                     None, at(3, EMPTY)),
-    "ranked/a bad row before a blank line": (RANKED + b"0,2\n0,1,5\n\n",
+    "ints/a bad row before a blank line": (INTS + b"0,2\n0,1,5\n\n",
                                              None, at(4, EMPTY)),
 }
 
@@ -892,18 +872,14 @@ class TestOneDialect:
         assert isinstance(lines, range) and lines == range(head + 1, head + 1 + len(rows))
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_reader(self, tmp_path, monkeypatch, name):
+    def test_reader(self, tmp_path, name):
         path, _, _, reader, _, fault = self.case(tmp_path, name)
-        # read_ranked_csv checks its rows in blocks: their size changes no outcome.
-        for check_rows in ((None, 1, 7) if name.startswith("ranked/") else (None,)):
-            if check_rows is not None:
-                monkeypatch.setattr(reranker, "_CHECK_ROWS", check_rows)
-            if fault is None:
+        if fault is None:
+            reader(path)
+        else:
+            with pytest.raises(ValueError) as info:
                 reader(path)
-            else:
-                with pytest.raises(ValueError) as info:
-                    reader(path)
-                assert str(info.value) == fault
+            assert str(info.value) == fault
 
     def test_a_text_column_keeps_every_character(self, tmp_path):
         path = tmp_path / "pairs.csv"
@@ -947,8 +923,8 @@ class TestRoleColumns:
         n = 3600
         path = tmp_path / "pairs.csv"
         roles = np.array(["T", "VQ", "Q", "VG"])[np.arange(n) % 4]
-        write_csv(path, PAIR_HEADER, [(np.full(n, "T"), np.arange(n) // 20, np.arange(n) % 20 + 1,
-                                       roles, np.arange(n) % 97, np.arange(n) % 2)],
+        write_csv(path, PAIR_HEADER, (np.full(n, "T"), np.arange(n) // 20, np.arange(n) % 20 + 1,
+                                      roles, np.arange(n) % 97, np.arange(n) % 2),
                   config_comment="config: {}")
         kinds = FORMATS["pairs"][1]
         want = datastore.read_csv(path, PAIR_HEADER, kinds)
@@ -961,49 +937,45 @@ class TestRoleColumns:
         assert (query_role.dtype, cand_role.dtype) == (np.dtype("<U1"), np.dtype("<U2"))
 
 
-RANKED_KINDS = (int, int, int)
-
-
-def read_ranked_columns(path):
-    return datastore.read_csv(path, RANKED_HEADER, RANKED_KINDS)
-
-
-class TestRankedColumns:
+class TestIntColumns:
     @staticmethod
-    def ranked_file(tmp_path, queries=6, gallery=600):
-        """A ranked.csv of ``queries * gallery`` rows."""
+    def int_file(tmp_path, queries=6, gallery=600):
+        """``queries * gallery`` rows of query, rank and a gallery permutation."""
         rng = np.random.default_rng(queries)
-        path = tmp_path / "ranked.csv"
-        write_ranked_csv(path, [RankedList(qi, rng.permutation(gallery))
-                                for qi in range(queries)], config_comment="config: {}")
+        path = tmp_path / "ints.csv"
+        write_csv(path, INT_HEADER, (np.repeat(np.arange(queries), gallery),
+                                     np.tile(np.arange(1, gallery + 1), queries),
+                                     np.concatenate([rng.permutation(gallery)
+                                                     for _ in range(queries)])),
+                  config_comment="config: {}")
         return path
 
     @pytest.mark.parametrize("block", [7, 1 << 10, datastore._GATE_BYTES])
     @pytest.mark.parametrize("row, message", [
-        (b"5,600,1_0\n", unparsed("5,600,1_0", "ranked")),
+        (b"5,600,1_0\n", unparsed("5,600,1_0", "ints")),
         (b"5,600, 10\n", holds(b" ")),
         (b"5,600,10\n\n", EMPTY),
         (b"5,600,10", NO_NEWLINE),
     ])
     def test_a_fault_in_the_last_row_names_its_line(self, tmp_path, monkeypatch, block, row,
                                                     message):
-        path = self.ranked_file(tmp_path)
+        path = self.int_file(tmp_path)
         data = path.read_bytes()
         path.write_bytes(data[:data.rindex(b"\n", 0, -1) + 1] + row)
         monkeypatch.setattr(datastore, "_GATE_BYTES", block)
         line = 3602 + (message == EMPTY)
         with pytest.raises(ValueError) as info:
-            read_ranked_columns(path)
+            read_ints(path)
         assert str(info.value) == f"{path}: line {line}: {message}"
 
     def test_memory_beyond_the_columns_is_fixed(self, tmp_path):
-        """450 queries of 1,347 images, the size of a large benchmark's
-        ranked.csv.  The file is read in bounded pieces, never whole: the
+        """450 queries of 1,347 images, the rows a large benchmark once
+        ranked as text.  The file is read in bounded pieces, never whole: the
         traced peak is the storage behind the returned columns plus a
         fixed allowance."""
-        path = self.ranked_file(tmp_path, queries=450, gallery=1347)
+        path = self.int_file(tmp_path, queries=450, gallery=1347)
         with PeakMemory() as peak:
-            columns, lines = read_ranked_columns(path)
+            columns, lines = read_ints(path)
         # The line numbers are a range: rows of a written file are consecutive lines.
         assert isinstance(lines, range)
         # The columns may share one table.
@@ -1017,13 +989,13 @@ class TestNumberFields:
     """``int()`` and ``float()`` read ``1_0`` as 10 and `` 3 `` as 3; the
     writer writes neither, and the reader rejects both, naming the line."""
 
-    @pytest.mark.parametrize("row, message", [(b"0,2,1_0", unparsed("0,2,1_0", "ranked")),
+    @pytest.mark.parametrize("row, message", [(b"0,2,1_0", unparsed("0,2,1_0", "ints")),
                                               (b"0,2, 3 ", holds(b" "))])
-    def test_ranked_rows(self, tmp_path, row, message):
-        path = tmp_path / "ranked.csv"
-        path.write_bytes(RANKED + b"0,1,0\n" + row + b"\n")
+    def test_int_rows(self, tmp_path, row, message):
+        path = tmp_path / "ints.csv"
+        path.write_bytes(INTS + b"0,1,0\n" + row + b"\n")
         with pytest.raises(ValueError) as info:
-            read_ranked_csv(path)
+            read_ints(path)
         assert str(info.value) == f"{path}: line 3: {message}"
 
     @pytest.mark.parametrize("row, message", [

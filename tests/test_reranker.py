@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ import pytest
 from conftest import PeakMemory, oracle_scores, pairwise, random_bundle, stable_order
 from rvrank import reranker, verifier
 from rvrank.reranker import (
-    RANKED_HEADER,
     RankedList,
     RankingConfig,
     kreciprocal_rerank,
@@ -683,7 +683,15 @@ class TestPipeline:
         assert beyond < 0.5 * 450 * 1347 * 8, f"{beyond / 2 ** 20:.1f} MB"
 
 
-class TestRankedCsv:
+def ranked_bytes(count, roles, lengths, orders):
+    """An RVK1 file's bytes, packed field by field as its layout states."""
+    return (b"RVK1" + struct.pack("<I", count)
+            + b"".join(struct.pack("<B", len(r)) + r for r in roles)
+            + struct.pack(f"<{len(lengths)}q", *lengths)
+            + struct.pack(f"<{len(orders)}q", *orders))
+
+
+class TestRankedFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(43)
         bundle = random_bundle(rng, n_query=3, n_gallery=9)
@@ -691,128 +699,162 @@ class TestRankedCsv:
         ranked = rerank_pipeline(bundle, model,
                                  RankingConfig(P=9, L=3, Q=6, k1=3, k2=2))
         path = tmp_path / "ranked.csv"
-        write_ranked_csv(path, ranked, config_comment="config: {}")
-        back = read_ranked_csv(path)
+        write_ranked_csv(path, ranked)
+        back = read_ranked_csv(path, ("Q", "G"))
         assert [(rl.query_index, rl.order.tolist()) for rl in back] == \
                [(rl.query_index, rl.order.tolist()) for rl in ranked]
         assert all(rl.order.dtype == np.int64 for rl in back)
 
-    def test_rows_match_the_f_string_form(self, tmp_path):
-        ranked = [RankedList(2, np.array([4, 0, 7])),
-                  RankedList(0, np.array([], dtype=np.int64)),
-                  RankedList(1, np.array([3, 12345]))]
+    @pytest.mark.parametrize("stages", [(), ("window",), ("kreciprocal",),
+                                        ("kreciprocal", "window")])
+    @pytest.mark.parametrize("with_candidates", [False, True])
+    def test_every_stage_chain_reads_back(self, tmp_path, stages, with_candidates):
+        rng = np.random.default_rng(44)
+        bundle = random_bundle(rng, n_query=70, n_gallery=30, n_identities=3, n_cloths=2)
+        model = VerifierModel.initialize(bundle.dims, 6, 6, seed=3)
+        cands = candidates_from_pairs(build_eval_pairs(bundle, "Q", "G", num_candidates=8))
+        ranked = rerank_pipeline(bundle, model, RankingConfig(P=8, L=3, Q=6, k1=5, k2=3),
+                                 stages=stages, candidates=cands if with_candidates else None)
+        path = tmp_path / "ranked.csv"
+        write_ranked_csv(path, ranked)
+        back = read_ranked_csv(path, ("Q", "G"))
+        assert len(back) == len(ranked) == 70
+        for got, want in zip(back, ranked):
+            assert got.query_index == want.query_index
+            assert np.array_equal(got.order, want.order)
+
+    def test_bytes_follow_the_layout(self, tmp_path):
+        ranked = [RankedList(0, np.array([4, 0, 7])),
+                  RankedList(1, np.array([], dtype=np.int64)),
+                  RankedList(2, np.array([3, 2 ** 63 - 1]))]
         path = tmp_path / "ranked.csv"
         for lists in (ranked[:2], ranked, []):
-            write_ranked_csv(path, lists)
-            assert path.read_text() == ",".join(RANKED_HEADER) + "\n" + "".join(
-                f"{rl.query_index},{rank},{gi}\n" for rl in lists
-                for rank, gi in enumerate(rl.order.tolist(), start=1))
+            write_ranked_csv(path, lists, "VQ", "VG")
+            assert path.read_bytes() == ranked_bytes(
+                len(lists), (b"VQ", b"VG"), [len(rl.order) for rl in lists],
+                [gi for rl in lists for gi in rl.order.tolist()])
+            assert [(rl.query_index, rl.order.tolist()) for rl in read_ranked_csv(path)] == \
+                   [(rl.query_index, rl.order.tolist()) for rl in lists]
 
-    def test_sparse_ranks_raise(self, tmp_path):
-        path = tmp_path / "r.csv"
-        path.write_text("query_index,rank,gallery_index\n0,1,5\n0,3,6\n")
-        with pytest.raises(ValueError, match="dense"):
-            read_ranked_csv(path)
+    @pytest.mark.parametrize("indices", [[1, 0], [0, 2], [0, 1, 1]])
+    def test_rankings_out_of_query_order_write_nothing(self, tmp_path, indices):
+        path = tmp_path / "ranked.csv"
+        wrong = next(i for i, qi in enumerate(indices) if qi != i)
+        with pytest.raises(ValueError) as info:
+            write_ranked_csv(path, [RankedList(qi, np.arange(2)) for qi in indices])
+        assert str(info.value) == (
+            f"{path}: ranking {wrong} is for query {indices[wrong]}; a ranked file holds "
+            "one ranking per query, in query order")
+        assert not path.exists()
 
-    def test_index_beyond_int64_raises(self, tmp_path):
-        path = tmp_path / "r.csv"
-        path.write_text(f"query_index,rank,gallery_index\n0,1,{2**70}\n")
-        with pytest.raises(ValueError, match=f"line 2: '0,1,{2**70}' does not parse as 3 fields"):
-            read_ranked_csv(path)
-
-    def test_missing_header_raises(self, tmp_path):
-        path = tmp_path / "r.csv"
-        path.write_text("0,1,5\n")
-        with pytest.raises(ValueError, match="header"):
-            read_ranked_csv(path)
-
-    def test_memory_beyond_the_columns_is_fixed(self, tmp_path):
+    def test_write_memory_beyond_the_orders_is_fixed(self, tmp_path):
         # 450 queries of 1,347 images: the size of a large benchmark's
-        # ranked.csv.  Its rows go to write_csv a block of queries at a time,
-        # so beyond the orders it is given the call holds O(block) memory;
-        # building three whole-file int64 columns peaked at 18.4 MB.
+        # ranked file.  The orders are written as they are; formatting them
+        # as text rows peaked at 8 MB.
         rng = np.random.default_rng(48)
         ranked = [RankedList(qi, rng.permutation(1347)) for qi in range(450)]
         with PeakMemory() as peak:
             write_ranked_csv(tmp_path / "ranked.csv", ranked)
-        assert peak.bytes < 8 * 2 ** 20, f"{peak.bytes / 2 ** 20:.1f} MB"
+        assert peak.bytes < 2 ** 20, f"{peak.bytes / 2 ** 20:.1f} MB"
 
-    def test_read_memory_beyond_the_table_is_fixed(self, tmp_path):
-        # The same file read back: loadtxt's table of three int64 fields,
-        # which every order views, plus checks of bounded row blocks; the
-        # whole-column checks held 9.9 MB beyond the table.
+    def test_read_memory_is_the_file(self, tmp_path):
+        # The same file read back: every order is a view of the file's
+        # bytes; parsing it as text held 15.7 MB.
         rng = np.random.default_rng(49)
         path = tmp_path / "ranked.csv"
         write_ranked_csv(path, [RankedList(qi, rng.permutation(1347)) for qi in range(450)])
         with PeakMemory() as peak:
             ranked = read_ranked_csv(path)
-        table = ranked[0].order.base
-        assert all(rl.order.base is table for rl in ranked)
-        beyond = peak.bytes - table.nbytes
-        assert beyond < 4 * 2 ** 20, f"{beyond / 2 ** 20:.1f} MB"
+        assert len({id(rl.order.base) for rl in ranked}) == 1
+        beyond = peak.bytes - path.stat().st_size
+        assert beyond < 2 ** 20, f"{beyond / 2 ** 20:.1f} MB"
 
 
-def read_outcome(path):
-    """What read_ranked_csv makes of a file: its rankings or its error."""
-    try:
-        return [(rl.query_index, rl.order.tolist()) for rl in read_ranked_csv(path)]
-    except Exception as exc:
-        return type(exc), str(exc)
+#: A well-formed file: queries of 2, 0 and 3 entries.
+GOOD = (3, (b"Q", b"G"), [2, 0, 3], [5, 1, 0, 4, 2])
+
+#: What a fault in a ranked file reads as, after ``"{path}: "``.
+RANKED_FAULTS = {
+    "an old ranked CSV": (
+        b"# config: {}\nquery_index,rank,gallery_index\n0,1,5\n",
+        "bad magic at offset 0: expected b'RVK1', got b'# co'"),
+    "another magic": (b"RVR1" + ranked_bytes(*GOOD)[4:],
+                      "bad magic at offset 0: expected b'RVK1', got b'RVR1'"),
+    "no query count": (b"RVK1\x03\x00",
+                       "truncated header at offset 4: wanted 4 bytes, got 2"),
+    "a cut role": (ranked_bytes(*GOOD)[:11],
+                   "truncated header at offset 11: wanted 1 bytes, got 0"),
+    "cut lengths": (ranked_bytes(*GOOD)[:20],
+                    "truncated header at offset 12: wanted 24 bytes, got 8"),
+    "a payload short by one entry": (
+        ranked_bytes(*GOOD)[:-8],
+        "query 2: its order of 3 entries ends past the 4 int64 entries the file holds "
+        "after the lengths"),
+    "a payload short by one byte": (
+        ranked_bytes(*GOOD)[:-1],
+        "query 2: its order of 3 entries ends past the 4 int64 entries the file holds "
+        "after the lengths"),
+    "a length past the payload": (
+        ranked_bytes(3, (b"Q", b"G"), [2, 2 ** 62, 3], [5, 1, 0, 4, 2]),
+        "query 1: its order of 4611686018427387904 entries ends past the 5 int64 "
+        "entries the file holds after the lengths"),
+    "a payload one entry long": (
+        ranked_bytes(*GOOD) + bytes(8),
+        "payload length mismatch: header declares 3 orders of 5 int64 entries in all "
+        "(40 bytes), file holds 48 bytes after the header"),
+    "a payload one byte long": (
+        ranked_bytes(*GOOD) + b"\n",
+        "payload length mismatch: header declares 3 orders of 5 int64 entries in all "
+        "(40 bytes), file holds 41 bytes after the header"),
+    "a negative length": (
+        ranked_bytes(3, (b"Q", b"G"), [2, -1, 4], [5, 1, 0, 4, 2]),
+        "query 1: negative order length -1"),
+    "a negative length after a long one": (
+        ranked_bytes(3, (b"Q", b"G"), [9, 0, -2 ** 63], [5, 1, 0, 4, 2]),
+        "query 2: negative order length -9223372036854775808"),
+    "other roles": (ranked_bytes(3, (b"VQ", b"VG"), [2, 0, 3], [5, 1, 0, 4, 2]),
+                    "ranked with --query-role VQ --gallery-role VG, but eval got "
+                    "--query-role Q --gallery-role G"),
+    "one role swapped": (ranked_bytes(3, (b"Q", b"VG"), [2, 0, 3], [5, 1, 0, 4, 2]),
+                         "ranked with --query-role Q --gallery-role VG, but eval got "
+                         "--query-role Q --gallery-role G"),
+}
 
 
-class TestBlockSizes:
-    """The blocks rankings are written and checked in change no outcome:
-    neither the bytes of a ranked CSV nor what reading one gives."""
+class TestRankedFileFaults:
+    """Every fault in a ranked file raises one plain ValueError naming the
+    file, and the query where there is one."""
 
-    @pytest.fixture(params=[1, 7, None])
-    def blocks(self, request, monkeypatch):
-        """Query blocks of write_ranked_csv and row blocks of
-        read_ranked_csv of the given size; None keeps the defaults."""
-        if request.param is not None:
-            monkeypatch.setattr(reranker, "DISTANCE_BLOCK", request.param)
-            monkeypatch.setattr(reranker, "_CHECK_ROWS", request.param)
-
-    def test_written_bytes_do_not_depend_on_the_block(self, tmp_path, blocks):
-        rng = np.random.default_rng(50)
-        ranked = [RankedList(qi, rng.permutation(int(rng.integers(0, 40))))
-                  for qi in range(150)]
+    def test_a_well_formed_file_reads(self, tmp_path):
         path = tmp_path / "ranked.csv"
-        write_ranked_csv(path, ranked, config_comment="config: {}")
-        assert path.read_text() == "# config: {}\n" + ",".join(RANKED_HEADER) + "\n" + "".join(
-            f"{rl.query_index},{rank},{gi}\n" for rl in ranked
-            for rank, gi in enumerate(rl.order.tolist(), start=1))
+        path.write_bytes(ranked_bytes(*GOOD))
+        assert [rl.order.tolist() for rl in read_ranked_csv(path, ("Q", "G"))] == \
+               [[5, 1], [], [0, 4, 2]]
 
-    @pytest.mark.parametrize("rows, line", [
-        # Query 1's rows are lines 8-12, across the edge of 7-row blocks.
-        ([(0, r) for r in range(1, 6)] + [(1, r) for r in (1, 2, 3, 4, 6)], 12),
-        # A query opens at a block edge with rank 2.
-        ([(0, r) for r in range(1, 8)] + [(1, 2), (1, 3)], 10),
-        # Rank 1 again after rank 7, at a block edge.
-        ([(0, r) for r in range(1, 8)] + [(0, 1), (0, 2)], 10),
-        # The last row.
-        ([(0, r) for r in range(1, 14)] + [(0, 15)], 16),
-    ])
-    def test_a_dense_rank_fault_names_the_same_line(self, tmp_path, blocks, rows, line):
+    @pytest.mark.parametrize("name", sorted(RANKED_FAULTS))
+    def test_a_fault_is_one_value_error(self, tmp_path, name):
+        data, fault = RANKED_FAULTS[name]
         path = tmp_path / "ranked.csv"
-        path.write_text("# config: {}\n" + ",".join(RANKED_HEADER) + "\n" + "".join(
-            f"{q},{r},{i}\n" for i, (q, r) in enumerate(rows)))
-        query = rows[line - 3][0]
-        assert read_outcome(path) == (
-            ValueError, f"{path}: line {line}: query {query}: ranks are not dense from 1")
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            read_ranked_csv(path, ("Q", "G"))
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"{path}: {fault}"
 
-    @pytest.mark.parametrize("rows, line, query, follows", [
-        # A lower query opens at the edge of 7-row blocks.
-        ([(1, r) for r in range(1, 8)] + [(0, 1), (0, 2)], 10, 0, 1),
-        # Query 0 comes back after query 1; sorted, its ranks 1, 2, 3 would be dense.
-        ([(0, 1), (0, 2), (1, 1), (0, 3)], 6, 0, 1),
-        # The last row.
-        ([(2, r) for r in range(1, 14)] + [(1, 1)], 16, 1, 2),
-    ])
-    def test_an_order_fault_names_the_same_line(self, tmp_path, blocks, rows, line, query,
-                                                follows):
+    @pytest.mark.parametrize("size", range(len(ranked_bytes(*GOOD))))
+    def test_every_cut_of_a_file_is_one_value_error(self, tmp_path, size):
         path = tmp_path / "ranked.csv"
-        path.write_text("# config: {}\n" + ",".join(RANKED_HEADER) + "\n" + "".join(
-            f"{q},{r},{i}\n" for i, (q, r) in enumerate(rows)))
-        assert read_outcome(path) == (
-            ValueError, f"{path}: line {line}: query {query} follows query {follows}; "
-                        "rows must come by ascending query, then rank")
+        path.write_bytes(ranked_bytes(*GOOD)[:size])
+        with pytest.raises(ValueError) as info:
+            read_ranked_csv(path)
+        assert type(info.value) is ValueError
+        assert str(info.value).startswith(f"{path}: ")
+        # A cut in the orders names the first query it cuts.
+        if size > 36:
+            query = 0 if size < 52 else 2
+            assert str(info.value).startswith(f"{path}: query {query}: ")
+
+    def test_roles_are_checked_only_when_given(self, tmp_path):
+        path = tmp_path / "ranked.csv"
+        path.write_bytes(RANKED_FAULTS["other roles"][0])
+        assert [rl.order.tolist() for rl in read_ranked_csv(path)] == [[5, 1], [], [0, 4, 2]]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import (PeakMemory, oracle_fuse, oracle_groups, oracle_scores,
-                      pair_records)
+                      pair_records, triplet_loss)
 from rvrank import verifier
 from rvrank.datastore import build_bundle
 from rvrank.retrieval import PairSet, build_eval_pairs, build_train_pairs
@@ -28,7 +28,6 @@ from rvrank.verifier import (
     table_loss,
     train,
     triplet_hinge,
-    triplet_loss,
     triplet_loss_and_grads,
     triplet_table,
     validation_rank1,
@@ -646,6 +645,30 @@ class TestTraining:
         assert total > 0
         got = validation_rank1(model, validation_set(bundle, valid_pairs, Q), L)
         assert got == hits / total
+
+    @pytest.mark.parametrize("scores, L, first", [
+        # Tied scores: the better retrieval rank wins.
+        ([0.5, 0.9, 0.9, 0.1], 4, 1),
+        # A NaN challenger never wins.
+        ([0.5, np.nan, 0.9, 0.1], 4, 2),
+        ([0.5, np.nan, 0.2], 3, 0),
+        ([-np.inf, np.nan, -np.inf], 3, 0),
+        # A NaN first entry is never beaten.
+        ([np.nan, 0.9, 0.9], 3, 0),
+        # Only the first L positions compete.
+        ([0.1, 0.2, 0.9], 2, 1),
+    ])
+    def test_validation_rank1_takes_the_window_first_pick(self, monkeypatch, scores, L,
+                                                          first):
+        from rvrank.reranker import window_rerank
+        depth = len(scores)
+        assert window_rerank(np.arange(depth), np.array(scores), L, depth)[0] == first
+        monkeypatch.setattr(verifier, "batch_scores", lambda *_: np.array(scores))
+        rows = np.zeros((depth, 1))
+        for positive in range(depth):
+            labels = (np.arange(depth) == positive).astype(np.int64)
+            valid = verifier.ValidationSet([labels], depth, rows, rows, rows)
+            assert validation_rank1(None, valid, L) == float(positive == first)
 
     def test_out_of_range_row_of_a_query_without_positive_raises(self):
         _, bundle, _, valid_pairs = small_training_setup()
