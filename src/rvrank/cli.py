@@ -20,11 +20,11 @@ import numpy as np
 
 from . import __version__
 from .datastore import ROLES, load_bundle, write_bundle, write_json
-from .evaluation import evaluate, sweep_L, write_sweep_csv
+from .evaluation import evaluate, write_sweep_csv
 from .retrieval import (METRICS, build_eval_pairs, build_train_pairs,
                         candidates_from_pairs, read_pairs_csv, top_candidates,
                         write_pairs_csv)
-from .reranker import (RankingConfig, read_ranked_csv, rerank_pipeline,
+from .reranker import (RankingConfig, read_ranked_csv, rerank_pipeline, sweep_L,
                        write_ranked_csv)
 from .synthgen import SynthConfig, generate
 from .verifier import (TrainConfig, VerifierModel, batch_scores, check_sizes, fuse,
@@ -228,8 +228,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report.write_json(args.out, config=_config_dict(args))
     if args.per_query is not None:
         report.write_per_query_csv(args.per_query, config_comment=_config_comment(args))
-    rank1 = report.cmc[0] if report.cmc else 0.0
-    print(f"wrote {args.out}: rank1={rank1:.4f} mAP={report.map_score:.4f} "
+    print(f"wrote {args.out}: rank1={report.cmc[0]:.4f} mAP={report.map_score:.4f} "
           f"AUC={report.auc:.4f} evaluated={report.num_evaluated} "
           f"excluded={len(report.excluded_queries)}")
     return 0

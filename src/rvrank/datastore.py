@@ -525,6 +525,9 @@ def read_parts_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     # The size is checked by arithmetic first: a huge declared dp must not
     # build its record dtype.
     payload = header.payload(n * k * (1 + 4 * dp), f"{n}x{k} parts of dim {dp}")
+    if 4 * dp > np.iinfo(np.intc).max:
+        raise ValueError(f"{header.path}: part dim {dp} is too large: a part vector "
+                         f"must fit in {np.iinfo(np.intc).max} bytes")
     record = np.dtype([("flag", "u1"), ("vec", "<f4", (dp,))])
     raw = np.frombuffer(payload, dtype=record).reshape(n, k)
     flags = raw["flag"]

@@ -11,10 +11,11 @@ Two stages, composable in a fixed order:
   Positions beyond Q are never touched, so the work per query is bounded by
   Q scored pairs regardless of gallery size.
 
-Every query's output is a full permutation of its eligible gallery.  A
-ranked file (magic ``RVK1``) holds every query's order as int64, behind the
-query and gallery roles it ranked; its ``.config.json`` sidecar records the
-stages that ran.
+Every query's output is a full permutation of its eligible gallery, and a
+list of rankings holds query ``i``'s at position ``i``.  A ranked file
+(magic ``RVK1``) holds every query's order as int64, behind the query and
+gallery roles it ranked; its ``.config.json`` sidecar records the stages
+that ran.  :func:`sweep_L` scores the window stage at several widths.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ import struct
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .datastore import BinaryHeader, DatasetBundle, Split, check_rows
-from .retrieval import DISTANCE_BLOCK, DistanceRows, eligible_mask, masked_orders
+from .datastore import BinaryHeader, DatasetBundle, check_rows
+from .evaluation import evaluate
+from .retrieval import DISTANCE_BLOCK, DistanceRows, blocked_orders, masked_orders
 from .verifier import prefix_scores
 
 STAGE_NAMES = ("kreciprocal", "window")
@@ -77,9 +79,8 @@ class RankingConfig:
 @dataclass
 class RankedList:
     """Full gallery permutation for one query, as an int64 array of gallery
-    indices best first."""
+    indices best first.  A list of them ranks query ``i`` at position ``i``."""
 
-    query_index: int
     order: np.ndarray
 
 
@@ -328,20 +329,6 @@ def kreciprocal_rerank(dist: np.ndarray | DistanceRows, num_queries: int, k1: in
 # pipeline
 
 
-def _orders(dist: np.ndarray | DistanceRows, queries: Split, gallery: Split,
-            prefixes: dict[int, np.ndarray] | None = None) -> Iterator[np.ndarray]:
-    """Each query's eligible gallery by ascending ``dist`` row, ties to the
-    lower index, taking the rows and the eligibility mask one
-    ``DISTANCE_BLOCK`` of queries at a time.  With ``prefixes``, each
-    block's orders stop at its queries' longest ``prefixes`` entry (at
-    least 1): the start of every full order that such an entry can match."""
-    for r0 in range(0, len(queries), DISTANCE_BLOCK):
-        rows = slice(r0, r0 + DISTANCE_BLOCK)
-        limit = None if prefixes is None else max(
-            [len(prefixes.get(qi, ())) for qi in range(r0, r0 + DISTANCE_BLOCK)] + [1])
-        yield from masked_orders(dist[rows], eligible_mask(queries[rows], gallery), limit)
-
-
 def _check_candidates(candidates: dict[int, np.ndarray], qi: int, order: np.ndarray) -> None:
     """Raise ValueError unless query ``qi``'s candidate list is the prefix
     of its retrieval ``order``; a query without eligible gallery images has
@@ -393,12 +380,14 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: Callable[..., np.ndarray] | N
         return []
     # k-reciprocal re-ranking replaces the retrieval orders, so they are
     # computed only when the candidate check or a pipeline without it reads
-    # them, kept only in the latter, and cut to the candidate lists' length
-    # in the former.
+    # them, kept only in the latter, and cut to the longest candidate list
+    # (at least 1) in the former.
     orders = []
     if candidates is not None or "kreciprocal" not in stages:
-        retrieved = _orders(DistanceRows(queries.features, gallery.features, metric),
-                            queries, gallery, candidates if "kreciprocal" in stages else None)
+        limit = (max([len(c) for c in candidates.values()] + [1])
+                 if "kreciprocal" in stages else None)
+        retrieved = blocked_orders(DistanceRows(queries.features, gallery.features, metric),
+                                   queries, gallery, limit)
         for qi, order in enumerate(retrieved):
             if candidates is not None:
                 _check_candidates(candidates, qi, order)
@@ -410,7 +399,7 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: Callable[..., np.ndarray] | N
         # the union matrix need not be exactly symmetric, and it is not:
         # distance_matrix's row blocks can round a cell and its mirror apart.
         union = np.vstack([queries.features, gallery.features]).astype(np.float64)
-        orders = list(_orders(
+        orders = list(blocked_orders(
             kreciprocal_rerank(DistanceRows(union, union, metric, zero_diagonal=True),
                                len(queries), k1=cfg.k1, k2=cfg.k2, lam=cfg.lam),
             queries, gallery))
@@ -420,7 +409,38 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: Callable[..., np.ndarray] | N
         for qi, s in enumerate(scores):
             orders[qi] = window_rerank(orders[qi], s, cfg.L, cfg.Q)
 
-    return [RankedList(qi, order) for qi, order in enumerate(orders)]
+    return [RankedList(order) for order in orders]
+
+
+def sweep_L(bundle: DatasetBundle, scorer, config: RankingConfig,
+            L_values: Sequence[int], include_kreciprocal: bool = False,
+            metric: str = "euclidean", query_role: str = "Q", gallery_role: str = "G"
+            ) -> list[tuple[int, float, float]]:
+    """Rank-1/Rank-10 as a function of the window size L, at fixed Q.
+
+    ``scorer`` follows the protocol of :func:`~rvrank.verifier.prefix_scores`.
+    Its scores are computed once per query (the scored prefix depends only
+    on Q) and reused across all L values; each width's rankings are scored
+    by :func:`~rvrank.evaluation.evaluate`.  Returns (L, rank1, rank10)
+    rows in the order given.
+    """
+    cfg = config.clamped()
+    base = rerank_pipeline(bundle, None, cfg,
+                           stages=("kreciprocal",) if include_kreciprocal else (),
+                           metric=metric, query_role=query_role,
+                           gallery_role=gallery_role)
+    queries, gallery = bundle.splits[query_role], bundle.splits[gallery_role]
+    scores = prefix_scores(scorer, queries, gallery, [rl.order for rl in base], cfg.Q)
+
+    rows: list[tuple[int, float, float]] = []
+    for L in L_values:
+        run_cfg = replace(cfg, L=int(L)).clamped()
+        ranked = [RankedList(window_rerank(rl.order, s, run_cfg.L, run_cfg.Q))
+                  for rl, s in zip(base, scores)]
+        report = evaluate(bundle, ranked, k_max=10, query_role=query_role,
+                          gallery_role=gallery_role)
+        rows.append((int(L), report.cmc[0], report.cmc[9]))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +455,7 @@ def write_ranked_csv(path: str | Path, ranked: list[RankedList], query_role: str
     the gallery role token, each a u8 length and its ASCII bytes, one int64
     order length per query, then every order back to back as int64.  The
     orders are written as they are, so nothing of the file's size is built.
-    A ranking out of place raises ValueError before the file is opened.
     """
-    path = Path(path)
-    check_rows([(np.array([rl.query_index for rl in ranked]) != np.arange(len(ranked)),
-                 lambda i: f"{path}: ranking {i} is for query {ranked[i].query_index}; "
-                           "a ranked file holds one ranking per query, in query order")])
     orders = [np.ascontiguousarray(rl.order, dtype="<i8") for rl in ranked]
     # Packed before the file opens: a value that does not fit leaves no file.
     header = RANKED_MAGIC + struct.pack("<I", len(orders)) + b"".join(
@@ -484,4 +499,4 @@ def read_ranked_csv(path: str | Path,
     total = int(ends[-1]) if count else 0
     orders = np.frombuffer(header.payload(8 * total, f"{count} orders of {total} int64 "
                                                      "entries in all"), dtype="<i8")
-    return [RankedList(qi, order) for qi, order in enumerate(np.split(orders, ends)[:-1])]
+    return [RankedList(order) for order in np.split(orders, ends)[:-1]]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -190,6 +191,17 @@ def masked_orders(block: np.ndarray, allowed: np.ndarray,
     return [col[a:min(b, a + limit)].copy() for a, b in zip(starts[:-1], starts[1:])]
 
 
+def blocked_orders(dist: np.ndarray | DistanceRows, queries: Split, gallery: Split,
+                   limit: int | None = None) -> Iterator[np.ndarray]:
+    """Each query's eligible gallery by ascending ``dist`` row, ties to the
+    lower index, at most ``limit`` entries (see :func:`masked_orders`),
+    taking the rows and the eligibility mask one ``DISTANCE_BLOCK`` of
+    queries at a time."""
+    for r0 in range(0, len(queries), DISTANCE_BLOCK):
+        rows = slice(r0, r0 + DISTANCE_BLOCK)
+        yield from masked_orders(dist[rows], eligible_mask(queries[rows], gallery), limit)
+
+
 def top_candidates(queries: Split, gallery: Split, num_candidates: int,
                    metric: str = "euclidean") -> list[np.ndarray]:
     """Top-P eligible candidates per query: an array of gallery indices,
@@ -202,14 +214,8 @@ def top_candidates(queries: Split, gallery: Split, num_candidates: int,
         raise ValueError(f"num_candidates must be >= 1, got {num_candidates}")
     if not len(gallery):
         raise ValueError("empty gallery")
-    dist = DistanceRows(queries.features, gallery.features, metric)
-    lists = []
-    # The mask is taken a block of queries at a time, with the distances.
-    for r0 in range(0, len(queries), DISTANCE_BLOCK):
-        rows = slice(r0, r0 + DISTANCE_BLOCK)
-        lists += masked_orders(dist[rows], eligible_mask(queries[rows], gallery),
-                               num_candidates)
-    return lists
+    return list(blocked_orders(DistanceRows(queries.features, gallery.features, metric),
+                               queries, gallery, num_candidates))
 
 
 def _ranked_pairs(query_role: str, queries: Split, cand_role: str, cands: Split,

@@ -576,11 +576,14 @@ def validation_set(bundle: DatasetBundle, valid_pairs: PairSet,
                    ranking_Q: int) -> ValidationSet:
     """Group ``valid_pairs`` by query and fuse every prefix once.  Every
     pair row's roles and indices are checked first, including the rows of
-    queries without a positive, which are left out."""
+    queries without a positive, which are left out; a set where no query
+    has a positive raises ValueError."""
     pairs = valid_pairs.pairs
     queries, gallery = _check_pair_indices(bundle, pairs)
     runs = [pairs[run] for run in query_runs(pairs) if (pairs["label"][run] == 1).any()]
-    prefixes = np.concatenate([pairs[:0], *(run[:ranking_Q] for run in runs)])
+    if not runs:
+        raise ValueError("no usable validation queries: no query has a positive candidate")
+    prefixes = np.concatenate([run[:ranking_Q] for run in runs])
     return ValidationSet([(run["label"] == 1).astype(np.int64) for run in runs], ranking_Q,
                          *fuse(queries, prefixes["query_index"], gallery,
                                prefixes["cand_index"]))
@@ -590,10 +593,7 @@ def validation_rank1(model: VerifierModel, valid: ValidationSet,
                      ranking_L: int) -> float:
     """Rank-1 over validation queries after re-scoring their candidate lists
     with the verifier and applying the windowed ranking strategy (window
-    ``ranking_L``, depth ``valid.depth``).
-
-    Returns 0.0 if no query has a positive candidate.
-    """
+    ``ranking_L``, depth ``valid.depth``)."""
     scores = np.empty(len(valid.gx))
     for start in range(0, len(scores), SCORE_CHUNK):
         rows = slice(start, start + SCORE_CHUNK)
@@ -608,7 +608,7 @@ def validation_rank1(model: VerifierModel, valid: ValidationSet,
         # against every challenger.
         window = scores[start:min(end, start + ranking_L)]
         hits += int(labels[0 if np.isnan(window[0]) else np.nanargmax(window)])
-    return hits / len(valid.labels) if valid.labels else 0.0
+    return hits / len(valid.labels)
 
 
 def _learning_rate(config: TrainConfig, epoch: int) -> float:

@@ -16,12 +16,13 @@ import pytest
 from conftest import (SCENARIO, eligible_orders, oracle_metrics, oracle_scores,
                       pair_records, pairwise, random_bundle, triplet_loss)
 from rvrank.datastore import build_bundle
-from rvrank.evaluation import evaluate, sweep_L
+from rvrank.evaluation import evaluate
 from rvrank.reranker import (
     RankedList,
     RankingConfig,
     kreciprocal_rerank,
     rerank_pipeline,
+    sweep_L,
     window_rerank,
 )
 from rvrank.retrieval import build_eval_pairs, build_train_pairs
@@ -243,8 +244,7 @@ def test_metrics_match_a_scalar_oracle():
                                n_cloths=int(rng.integers(1, 5)),
                                dims=(4, 2, 3))
         orders = eligible_orders(rng, bundle)
-        ranked = [RankedList(q.index, order)
-                  for q, order in zip(bundle.splits["Q"], orders)]
+        ranked = [RankedList(order) for order in orders]
         k_max = int(rng.integers(1, 11))
         report = evaluate(bundle, ranked, k_max=k_max)
         cmc, map_score, auc, excluded = oracle_metrics(bundle, orders, k_max)

@@ -302,6 +302,26 @@ def test_pair_files_of_other_roles_fail_the_train(workspace, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rows", ["none", "no positive"])
+def test_a_validation_file_without_positives_fails_the_train(workspace, tmp_path, capsys,
+                                                             rows):
+    # Such a file would rank every epoch 0.0 and keep the untrained weights.
+    comment, header, *body = (workspace / "pairs" / "valid_pairs.csv").read_text().splitlines()
+    if rows == "none":
+        body = []
+    else:
+        body = [line.rsplit(",", 1)[0] + ",0" for line in body]
+    valid = tmp_path / "valid_pairs.csv"
+    valid.write_text("\n".join([comment, header, *body]) + "\n")
+    out = tmp_path / "model"
+    argv = train_argv(workspace, out)
+    argv[argv.index("--valid-pairs") + 1] = str(valid)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: no usable validation queries: no query has a positive candidate\n")
+    assert not (out / "model.bin").exists()
+
+
 @pytest.mark.parametrize("index", ["-1", "len"])
 def test_out_of_range_pair_index_fails_the_train(workspace, tmp_path, capsys, index):
     data = workspace / "data"
@@ -418,7 +438,7 @@ def test_eval_rejects_a_ranked_file_for_another_query_count(workspace, tmp_path,
     ranked = read_ranked_csv(workspace / "ranked.csv")
     other, report = tmp_path / "ranked.csv", tmp_path / "report.json"
     count = len(ranked) + change
-    write_ranked_csv(other, (ranked + [RankedList(len(ranked), ranked[0].order)])[:count])
+    write_ranked_csv(other, (ranked + [RankedList(ranked[0].order)])[:count])
     rc = main(["eval", "--meta", str(data / "meta.csv"),
                "--features", str(data / "features.bin"), "--parts", str(data / "parts.bin"),
                "--ranked", str(other), "--out", str(report)])
@@ -721,7 +741,7 @@ def test_a_query_without_eligible_images_is_excluded_by_eval(
     got = json.loads(report.read_text())
     assert (got["excluded_queries"], got["num_evaluated"], got["cmc"][0]) == ([0], 1, 1.0)
     # An empty ranking for a query that has eligible images still fails.
-    write_ranked_csv(ranked, [RankedList(qi, np.empty(0, dtype=np.int64)) for qi in (0, 1)])
+    write_ranked_csv(ranked, [RankedList(np.empty(0, dtype=np.int64))] * 2)
     capsys.readouterr()
     assert main(["eval", *flags, "--ranked", str(ranked), "--out", str(report)]) == 1
     assert capsys.readouterr().err == (

@@ -288,6 +288,17 @@ class TestFormatErrors:
         with pytest.raises(ValueError, match="flag"):
             read_parts_file(path)
 
+    @pytest.mark.parametrize("n, k, dp", [(0, 5, 2 ** 32 - 1), (3, 0, 2 ** 32 - 1),
+                                          (0, 1, 2 ** 29)])
+    def test_a_part_dim_too_large_for_a_record_names_the_file(self, tmp_path, n, k, dp):
+        # No record is stored, so the size check passes whatever the dim.
+        path = tmp_path / "p.bin"
+        path.write_bytes(b"RVP1" + struct.pack("<III", n, k, dp))
+        with pytest.raises(ValueError) as info:
+            read_parts_file(path)
+        assert str(info.value) == (f"{path}: part dim {dp} is too large: a part vector "
+                                   "must fit in 2147483647 bytes")
+
     def test_wrong_header_is_rejected(self, tmp_path):
         meta = tmp_path / "m.csv"
         meta.write_text("index,role,identity\n0,Q,1\n")
@@ -356,7 +367,7 @@ class TestFaultContract:
         write_bundle(bundle, meta, feat, parts, config_comment="config: {}")
         save_model(model, VerifierModel.initialize(bundle.dims, 4, 4, seed=1))
         write_pairs_csv(pairs, build_eval_pairs(bundle, "Q", "G", 3))
-        write_ranked_csv(ranked, [RankedList(0, np.arange(4)), RankedList(1, np.arange(4))])
+        write_ranked_csv(ranked, [RankedList(np.arange(4)), RankedList(np.arange(4))])
         def read_bundle(_):
             return load_bundle(meta, feat, parts)
 

@@ -3,20 +3,24 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rvrank
 from conftest import eligible_orders, oracle_metrics, pairwise, random_bundle
 from rvrank import evaluation
 from rvrank.datastore import build_bundle, read_csv
 from rvrank.evaluation import (
     SWEEP_HEADER,
     evaluate,
-    sweep_L,
     write_sweep_csv,
 )
-from rvrank.reranker import RankedList, RankingConfig, rerank_pipeline
+from rvrank.reranker import RankedList, RankingConfig, rerank_pipeline, sweep_L
 from rvrank.retrieval import distance_matrix
 
 
@@ -32,7 +36,7 @@ def labelled_instance(identities, query_identity=1):
 class TestHandWorkedCases:
     def test_single_positive_on_top(self):
         bundle = labelled_instance([1, 0, 0, 0, 0])
-        report = evaluate(bundle, [RankedList(0, [0, 1, 2, 3, 4])],
+        report = evaluate(bundle, [RankedList([0, 1, 2, 3, 4])],
                           k_max=5)
         assert report.cmc[0] == 1.0
         assert report.map_score == 1.0
@@ -40,20 +44,22 @@ class TestHandWorkedCases:
 
     def test_positives_at_ranks_two_and_four(self):
         bundle = labelled_instance([0, 1, 0, 1, 0])
-        report = evaluate(bundle, [RankedList(0, [0, 1, 2, 3, 4])],
+        report = evaluate(bundle, [RankedList([0, 1, 2, 3, 4])],
                           k_max=5)
         assert report.map_score == pytest.approx(0.5)
         assert report.cmc[0] == 0.0
         assert report.cmc[1:] == [1.0, 1.0, 1.0, 1.0]
         assert report.auc == pytest.approx(4 / 5)
-        assert report.per_query[0].first_hit_rank == 2
+        assert report.first_hit_rank.tolist() == [2]
+        assert report.average_precision.tolist() == [0.5]
 
     def test_query_without_positives_is_excluded(self):
         bundle = labelled_instance([0, 0, 2])
-        report = evaluate(bundle, [RankedList(0, [0, 1, 2])])
+        report = evaluate(bundle, [RankedList([0, 1, 2])])
         assert report.num_evaluated == 0
         assert report.excluded_queries == [0]
-        assert report.per_query[0].average_precision is None
+        assert report.first_hit_rank.tolist() == [0]
+        assert np.isnan(report.average_precision).all()
 
 
 class TestAgainstScalarOracle:
@@ -65,8 +71,7 @@ class TestAgainstScalarOracle:
                                    n_gallery=int(rng.integers(4, 20)),
                                    n_identities=int(rng.integers(2, 7)))
             orders = eligible_orders(rng, bundle)
-            ranked = [RankedList(q.index, order)
-                      for q, order in zip(bundle.splits["Q"], orders)]
+            ranked = [RankedList(order) for order in orders]
             k_max = int(rng.integers(1, 8))
             report = evaluate(bundle, ranked, k_max=k_max)
             cmc, map_score, auc, excluded = oracle_metrics(bundle, orders, k_max)
@@ -79,42 +84,33 @@ class TestAgainstScalarOracle:
         rng = np.random.default_rng(56)
         bundle = random_bundle(rng, n_query=6, n_gallery=25)
         orders = eligible_orders(rng, bundle)
-        ranked = [RankedList(q.index, order)
-                  for q, order in zip(bundle.splits["Q"], orders)]
+        ranked = [RankedList(order) for order in orders]
         report = evaluate(bundle, ranked, k_max=10)
         assert all(a <= b for a, b in zip(report.cmc, report.cmc[1:]))
         np.testing.assert_allclose(report.auc, np.mean(report.cmc), rtol=1e-12)
-
-    def test_query_order_in_the_input_does_not_matter(self):
-        rng = np.random.default_rng(57)
-        bundle = random_bundle(rng, n_query=5, n_gallery=12)
-        orders = eligible_orders(rng, bundle)
-        ranked = [RankedList(q.index, order)
-                  for q, order in zip(bundle.splits["Q"], orders)]
-        forward = evaluate(bundle, ranked)
-        backward = evaluate(bundle, list(reversed(ranked)))
-        assert forward.cmc == backward.cmc
-        assert forward.map_score == backward.map_score
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_query_blocks_change_no_outcome(self, monkeypatch, block):
         rng = np.random.default_rng(58)
         bundle = random_bundle(rng, n_query=150, n_gallery=30, n_identities=8)
         orders = eligible_orders(rng, bundle)
-        ranked = [RankedList(q.index, order)
-                  for q, order in zip(bundle.splits["Q"], orders)]
-        bad = ranked[:100] + [RankedList(100, orders[100][1:])] + ranked[101:]
+        ranked = [RankedList(order) for order in orders]
+        bad = ranked[:100] + [RankedList(orders[100][1:])] + ranked[101:]
 
         def outcomes():
-            report = evaluate(bundle, list(reversed(ranked)), k_max=5)
+            report = evaluate(bundle, ranked, k_max=5)
             with pytest.raises(ValueError) as fault:
                 evaluate(bundle, bad)
-            return report.to_json_dict(), report.per_query, str(fault.value)
+            return report, str(fault.value)
 
-        want = outcomes()
-        assert "query 100 " in want[2]
+        want, want_fault = outcomes()
+        assert "query 100 " in want_fault
+        assert 0 < want.num_evaluated < 150
         monkeypatch.setattr(evaluation, "DISTANCE_BLOCK", block)
-        assert outcomes() == want
+        got, got_fault = outcomes()
+        assert (got.to_json_dict(), got_fault) == (want.to_json_dict(), want_fault)
+        assert np.array_equal(got.first_hit_rank, want.first_hit_rank)
+        assert np.array_equal(got.average_precision, want.average_precision, equal_nan=True)
 
 
 class TestPermutationStrictness:
@@ -123,11 +119,11 @@ class TestPermutationStrictness:
 
     def test_duplicate_entry_raises(self):
         with pytest.raises(ValueError, match="permutation"):
-            evaluate(self.bundle, [RankedList(0, [0, 0, 1, 2])])
+            evaluate(self.bundle, [RankedList([0, 0, 1, 2])])
 
     def test_missing_entry_raises(self):
         with pytest.raises(ValueError, match="query 0"):
-            evaluate(self.bundle, [RankedList(0, [0, 1])])
+            evaluate(self.bundle, [RankedList([0, 1])])
 
     def test_ineligible_entry_raises(self):
         # gallery 0 shares identity and cloth with the query: ineligible
@@ -135,49 +131,67 @@ class TestPermutationStrictness:
                 (2, "G", 0, 1, 1)]
         bundle = build_bundle(rows, np.zeros((4, 2), dtype=np.float32))
         with pytest.raises(ValueError, match="permutation"):
-            evaluate(bundle, [RankedList(0, [0, 1, 2])])
+            evaluate(bundle, [RankedList([0, 1, 2])])
 
     @pytest.mark.parametrize("order", [[-1, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 2**70]])
     def test_out_of_range_entry_raises(self, order):
         # -1 and 4 would gather real labels if looked up before the check.
         with pytest.raises(ValueError, match="query 0 is not a permutation"):
-            evaluate(self.bundle, [RankedList(0, order)])
+            evaluate(self.bundle, [RankedList(order)])
 
     def test_bad_k_max_raises(self):
         with pytest.raises(ValueError, match="k_max"):
-            evaluate(self.bundle, [RankedList(0, [0, 1, 2, 3])],
+            evaluate(self.bundle, [RankedList([0, 1, 2, 3])],
                      k_max=0)
 
 
 class TestQueryCoverage:
-    def setup_method(self):
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_a_ranking_list_of_another_length_names_both_counts(self, change):
         rng = np.random.default_rng(61)
-        self.bundle = random_bundle(rng, n_query=6, n_gallery=12)
-        self.ranked = [RankedList(q.index, order)
-                       for q, order in zip(self.bundle.splits["Q"],
-                                           eligible_orders(rng, self.bundle))]
-
-    def test_missing_queries_are_named(self):
-        subset = [rl for rl in self.ranked if rl.query_index not in (1, 4)]
-        with pytest.raises(ValueError, match=r"2 missing: \[1, 4\]"):
-            evaluate(self.bundle, subset)
+        bundle = random_bundle(rng, n_query=6, n_gallery=12)
+        ranked = [RankedList(order) for order in eligible_orders(rng, bundle)]
+        ranked = (ranked + ranked[:1])[:6 + change]
+        with pytest.raises(ValueError) as info:
+            evaluate(bundle, ranked)
+        assert str(info.value) == (f"expected one ranking per Q query: got {6 + change} "
+                                   "rankings for 6 queries")
 
     def test_duplicated_queries_are_named(self):
-        with pytest.raises(ValueError, match=r"6 duplicated: \[0, 1, 2, 3, 4, 5\]"):
-            evaluate(self.bundle, self.ranked + self.ranked)
-        with pytest.raises(ValueError, match=r"1 duplicated: \[3\]"):
-            evaluate(self.bundle, self.ranked + [self.ranked[3]])
+        # A ranking carries no query index: a repeat is one ranking too many.
+        rng = np.random.default_rng(61)
+        bundle = random_bundle(rng, n_query=6, n_gallery=12)
+        ranked = [RankedList(order) for order in eligible_orders(rng, bundle)]
+        with pytest.raises(ValueError, match=r"got 12 rankings for 6 queries"):
+            evaluate(bundle, ranked + ranked)
+        with pytest.raises(ValueError, match=r"got 7 rankings for 6 queries"):
+            evaluate(bundle, ranked + [ranked[3]])
 
     def test_unknown_queries_are_named(self):
-        extra = RankedList(6, self.ranked[0].order)
-        with pytest.raises(ValueError, match=r"1 unknown: \[6\]"):
-            evaluate(self.bundle, self.ranked + [extra])
+        # A ranking past the last query would score query 6, which Q lacks.
+        rng = np.random.default_rng(61)
+        bundle = random_bundle(rng, n_query=6, n_gallery=12)
+        ranked = [RankedList(order) for order in eligible_orders(rng, bundle)]
+        extra = RankedList(np.arange(12, dtype=np.int64))
+        with pytest.raises(ValueError, match=r"got 7 rankings for 6 queries"):
+            evaluate(bundle, ranked + [extra])
+
+
+def test_evaluation_imports_no_ranking_or_training_module():
+    # evaluation holds metrics only: ranking, verification and synthesis
+    # stay out of an interpreter that imports it alone.
+    code = ("import sys, rvrank.evaluation; "
+            "print(sorted(m for m in sys.modules if m.startswith('rvrank.')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(rvrank.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout == "['rvrank.datastore', 'rvrank.evaluation', 'rvrank.retrieval']\n"
 
 
 class TestReportSerialisation:
     def test_json_layout_and_config_echo(self, tmp_path):
         bundle = labelled_instance([1, 0])
-        report = evaluate(bundle, [RankedList(0, [0, 1])], k_max=2)
+        report = evaluate(bundle, [RankedList([0, 1])], k_max=2)
         path = tmp_path / "report.json"
         report.write_json(path, config={"L": 10})
         data = json.loads(path.read_text())
@@ -188,7 +202,7 @@ class TestReportSerialisation:
 
     def test_per_query_csv_blanks_excluded_queries(self, tmp_path):
         bundle = labelled_instance([0, 0, 2])
-        report = evaluate(bundle, [RankedList(0, [0, 1, 2])])
+        report = evaluate(bundle, [RankedList([0, 1, 2])])
         path = tmp_path / "per_query.csv"
         report.write_per_query_csv(path)
         lines = path.read_text().splitlines()

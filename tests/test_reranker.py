@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import PeakMemory, oracle_scores, pairwise, random_bundle, stable_order
-from rvrank import reranker, verifier
+from rvrank import reranker, retrieval, verifier
 from rvrank.reranker import (
     RankedList,
     RankingConfig,
@@ -435,9 +435,10 @@ class TestPipeline:
         ranked = rerank_pipeline(bundle, None, RankingConfig(), stages=())
         pairs = build_eval_pairs(bundle, "Q", "G", num_candidates=15)
         candidates = candidates_from_pairs(pairs)
-        for rl in ranked:
+        assert len(ranked) == 4
+        for qi, rl in enumerate(ranked):
             assert rl.order.dtype == np.int64
-            assert np.array_equal(rl.order, candidates[rl.query_index])
+            assert np.array_equal(rl.order, candidates[qi])
 
     def test_every_order_is_a_permutation_of_the_eligible_gallery(self):
         rng = np.random.default_rng(25)
@@ -614,9 +615,9 @@ class TestPipeline:
     def test_kreciprocal_sorts_no_retrieval_order(self, tmp_path, monkeypatch):
         # Rows ordered without a limit: only k-reciprocal's output needs
         # full orders.  Its neighbour lists pass a limit, and so does the
-        # candidate check, at each block's longest candidate list.
+        # candidate check, at the longest candidate list.
         full_orders = []
-        real = reranker.masked_orders
+        real = retrieval.masked_orders
 
         def spy(block, allowed, limit=None):
             if limit is None:
@@ -624,6 +625,7 @@ class TestPipeline:
             return real(block, allowed, limit)
 
         monkeypatch.setattr(reranker, "masked_orders", spy)
+        monkeypatch.setattr(retrieval, "masked_orders", spy)
         rng = np.random.default_rng(38)
         bundle = random_bundle(rng, n_query=4, n_gallery=12)
         cfg = RankingConfig(P=5, L=2, Q=4, k1=4, k2=2)
@@ -701,8 +703,7 @@ class TestRankedFile:
         path = tmp_path / "ranked.csv"
         write_ranked_csv(path, ranked)
         back = read_ranked_csv(path, ("Q", "G"))
-        assert [(rl.query_index, rl.order.tolist()) for rl in back] == \
-               [(rl.query_index, rl.order.tolist()) for rl in ranked]
+        assert [rl.order.tolist() for rl in back] == [rl.order.tolist() for rl in ranked]
         assert all(rl.order.dtype == np.int64 for rl in back)
 
     @pytest.mark.parametrize("stages", [(), ("window",), ("kreciprocal",),
@@ -720,39 +721,27 @@ class TestRankedFile:
         back = read_ranked_csv(path, ("Q", "G"))
         assert len(back) == len(ranked) == 70
         for got, want in zip(back, ranked):
-            assert got.query_index == want.query_index
             assert np.array_equal(got.order, want.order)
 
     def test_bytes_follow_the_layout(self, tmp_path):
-        ranked = [RankedList(0, np.array([4, 0, 7])),
-                  RankedList(1, np.array([], dtype=np.int64)),
-                  RankedList(2, np.array([3, 2 ** 63 - 1]))]
+        ranked = [RankedList(np.array([4, 0, 7])),
+                  RankedList(np.array([], dtype=np.int64)),
+                  RankedList(np.array([3, 2 ** 63 - 1]))]
         path = tmp_path / "ranked.csv"
         for lists in (ranked[:2], ranked, []):
             write_ranked_csv(path, lists, "VQ", "VG")
             assert path.read_bytes() == ranked_bytes(
                 len(lists), (b"VQ", b"VG"), [len(rl.order) for rl in lists],
                 [gi for rl in lists for gi in rl.order.tolist()])
-            assert [(rl.query_index, rl.order.tolist()) for rl in read_ranked_csv(path)] == \
-                   [(rl.query_index, rl.order.tolist()) for rl in lists]
-
-    @pytest.mark.parametrize("indices", [[1, 0], [0, 2], [0, 1, 1]])
-    def test_rankings_out_of_query_order_write_nothing(self, tmp_path, indices):
-        path = tmp_path / "ranked.csv"
-        wrong = next(i for i, qi in enumerate(indices) if qi != i)
-        with pytest.raises(ValueError) as info:
-            write_ranked_csv(path, [RankedList(qi, np.arange(2)) for qi in indices])
-        assert str(info.value) == (
-            f"{path}: ranking {wrong} is for query {indices[wrong]}; a ranked file holds "
-            "one ranking per query, in query order")
-        assert not path.exists()
+            assert [rl.order.tolist() for rl in read_ranked_csv(path)] == \
+                   [rl.order.tolist() for rl in lists]
 
     def test_write_memory_beyond_the_orders_is_fixed(self, tmp_path):
         # 450 queries of 1,347 images: the size of a large benchmark's
         # ranked file.  The orders are written as they are; formatting them
         # as text rows peaked at 8 MB.
         rng = np.random.default_rng(48)
-        ranked = [RankedList(qi, rng.permutation(1347)) for qi in range(450)]
+        ranked = [RankedList(rng.permutation(1347)) for _ in range(450)]
         with PeakMemory() as peak:
             write_ranked_csv(tmp_path / "ranked.csv", ranked)
         assert peak.bytes < 2 ** 20, f"{peak.bytes / 2 ** 20:.1f} MB"
@@ -762,7 +751,7 @@ class TestRankedFile:
         # bytes; parsing it as text held 15.7 MB.
         rng = np.random.default_rng(49)
         path = tmp_path / "ranked.csv"
-        write_ranked_csv(path, [RankedList(qi, rng.permutation(1347)) for qi in range(450)])
+        write_ranked_csv(path, [RankedList(rng.permutation(1347)) for _ in range(450)])
         with PeakMemory() as peak:
             ranked = read_ranked_csv(path)
         assert len({id(rl.order.base) for rl in ranked}) == 1

@@ -679,6 +679,14 @@ class TestTraining:
                            match=f"pair row {row}: index -1 out of range for role VQ"):
             validation_set(bundle, PairSet(pairs), 20)
 
+    def test_a_validation_set_without_positives_raises(self):
+        _, bundle, _, valid_pairs = small_training_setup()
+        pairs = valid_pairs.pairs.copy()
+        pairs["label"] = 0
+        for rows in (pairs, pairs[:0]):
+            with pytest.raises(ValueError, match="no query has a positive candidate"):
+                validation_set(bundle, PairSet(rows), 20)
+
     def test_training_fuses_by_index_and_never_calls_pair_arrays(self, monkeypatch):
         model, bundle, train_pairs, valid_pairs = small_training_setup(epochs=3)
         monkeypatch.setattr(verifier, "pair_arrays", None)
