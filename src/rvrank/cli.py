@@ -97,6 +97,15 @@ def _add_role_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gallery-role", default="G", choices=ROLES)
 
 
+def _add_config_flags(sub: argparse.ArgumentParser, config: type, *names: str) -> None:
+    """Add a flag per field of the dataclass ``config`` (only ``names`` if
+    given), in field order, typed and defaulted as the field; ``lam`` is ``--lambda``."""
+    for f in dataclasses.fields(config):
+        if not names or f.name in names:
+            flag = "lambda" if f.name == "lam" else f.name.replace("_", "-")
+            sub.add_argument("--" + flag, dest=f.name, type=type(f.default), default=f.default)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -138,13 +147,13 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 def cmd_pairs(args: argparse.Namespace) -> int:
     _at_least_one("--P", args.P)
     bundle = _load_bundle_args(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     comment = _config_comment(args)
     train_pairs, dropped = build_train_pairs(bundle, num_candidates=args.P,
                                              metric=args.metric)
     valid_pairs = build_eval_pairs(bundle, "VQ", "VG", args.P, args.metric)
     test_pairs = build_eval_pairs(bundle, "Q", "G", args.P, args.metric)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_pairs_csv(out / "train_pairs.csv", train_pairs, comment)
     write_pairs_csv(out / "valid_pairs.csv", valid_pairs, comment)
     write_pairs_csv(out / "test_pairs.csv", test_pairs, comment)
@@ -172,8 +181,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     model = VerifierModel.initialize(bundle.dims, hidden_global=args.hidden_global,
                                      hidden_part=args.hidden_part, seed=args.seed,
                                      hyper=hyper)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     def progress(stats) -> None:
         print(f"epoch {stats.epoch}: loss={stats.loss:.6f} "
@@ -181,6 +188,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     model, history = train(model, bundle, train_pairs, valid_pairs,
                            ranking_L=window.L, ranking_Q=window.Q, progress=progress)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     save_model(out / "model.bin", model)
     _write_sidecar(out / "model.bin", args)
     write_history_csv(out / "history.csv", history, config_comment=_config_comment(args))
@@ -302,9 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark")
     p.add_argument("--out", required=True, help="output directory")
-    for f in dataclasses.fields(SynthConfig):
-        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                       default=f.default)
+    _add_config_flags(p, SynthConfig)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("validate", help="check a bundle against its invariants")
@@ -338,8 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--hidden-global", type=int, default=32)
     p.add_argument("--hidden-part", type=int, default=32)
-    p.add_argument("--L", type=int, default=10)
-    p.add_argument("--Q", type=int, default=20)
+    _add_config_flags(p, RankingConfig, "L", "Q")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("rerank", help="re-rank gallery images per query")
@@ -350,12 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", default=None,
                    help="previously retrieved candidate CSV to cross-check")
     p.add_argument("--stages", choices=sorted(STAGE_CHOICES), default="both")
-    p.add_argument("--P", type=int, default=20)
-    p.add_argument("--L", type=int, default=10)
-    p.add_argument("--Q", type=int, default=20)
-    p.add_argument("--k1", type=int, default=20)
-    p.add_argument("--k2", type=int, default=6)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.3)
+    _add_config_flags(p, RankingConfig)
     p.add_argument("--metric", choices=METRICS, default="euclidean")
     p.set_defaults(func=cmd_rerank)
 
@@ -374,11 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--L-values", required=True, help="comma-separated L values")
-    p.add_argument("--P", type=int, default=20)
-    p.add_argument("--Q", type=int, default=20)
-    p.add_argument("--k1", type=int, default=20)
-    p.add_argument("--k2", type=int, default=6)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.3)
+    _add_config_flags(p, RankingConfig, "P", "Q", "k1", "k2", "lam")
     p.add_argument("--with-kreciprocal", action="store_true")
     p.add_argument("--metric", choices=METRICS, default="euclidean")
     p.set_defaults(func=cmd_sweep_l)

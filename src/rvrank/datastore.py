@@ -274,7 +274,9 @@ def read_csv(path: str | Path, header: tuple[str, ...], kinds: tuple[type, ...]
     ``_TEXT_WIDTH`` bytes or wider raises one ValueError naming the line.
     The header line is read, and echoed in that error, up to two bytes past
     the expected header (room for ``\r\n``), so a file of another kind
-    shows a short prefix, marked ``...``.
+    shows a short prefix, marked ``...``.  Below it, :func:`_gate` finds
+    every bad byte, empty line and missing final newline in one forward
+    scan, before any row is parsed.
     """
     path = Path(path)
     expected = ",".join(header)
@@ -293,10 +295,7 @@ def read_csv(path: str | Path, header: tuple[str, ...], kinds: tuple[type, ...]
             more = "..." if not line.endswith(b"\n") and fh.peek(1)[:1] else ""
             raise ValueError(f"{path}: line {head_lines}: expected header "
                              f"{expected!r}, got {got!r}{more}")
-        start = fh.tell() - len(line)
-        if fh.peek(1)[:1] == b"\n":  # loadtxt warns on rows that are all empty
-            _check_no_empty_line(path, start, head_lines)
-        fh.seek(start)
+        fh.seek(fh.tell() - len(line))
         lines = range(head_lines + 1, head_lines + _gate(path, fh, head_lines))
     if not lines:  # loadtxt warns on a file without rows
         return [np.empty(0, dtype=kind) for kind in kinds], lines
@@ -304,8 +303,6 @@ def read_csv(path: str | Path, header: tuple[str, ...], kinds: tuple[type, ...]
     try:
         table = np.loadtxt(path, dtype=dtype, skiprows=head_lines, **_LOADTXT)
     except ValueError:
-        # An empty line is a fault of the gate's kind, named first.
-        _check_no_empty_line(path, start, head_lines)
         # Bisect for the first row loadtxt rejects: numpy's own messages
         # number rows from 0 in some errors and from 1 in others.
         lo, hi = 0, len(lines)
@@ -321,8 +318,6 @@ def read_csv(path: str | Path, header: tuple[str, ...], kinds: tuple[type, ...]
         raise ValueError(f"{path}: line {lines[lo]}: {row.decode()!r} does not parse as "
                          f"{len(kinds)} fields {','.join(np.dtype(k).name for k in kinds)}"
                          ) from None
-    if len(table) != len(lines):  # loadtxt skips empty lines
-        _check_no_empty_line(path, start, head_lines)
     columns = [table[name] for name in dtype.names]
     for j, (name, kind) in enumerate(zip(header, kinds)):
         if kind is str:
@@ -364,38 +359,31 @@ _LOADTXT = dict(delimiter=",", comments=None, quotechar=None, ndmin=1, encoding=
 
 def _gate(path: Path, fh, line: int) -> int:
     """Scan ``fh`` from the start of its header, on ``line``, to its end in
-    ``_GATE_BYTES`` reads and return its count of newlines.  A byte at or
-    below ``#`` but a newline, or a missing final newline, raises
-    ValueError naming its line, or an empty line before it."""
-    start, newlines, last = fh.tell(), 0, 0
+    ``_GATE_BYTES`` reads and return its count of newlines.  The first bad
+    byte (one at or below ``#`` but a newline), empty line or missing final
+    newline in the file raises ValueError naming its line."""
+    newlines = 0
+    # Byte 0 carries the previous read's last byte: an empty line may span reads.
     # Read as int8, every byte that is not ASCII is negative: "<= #" finds it too.
-    block = np.empty(_GATE_BYTES, dtype=np.int8)
-    while size := fh.readinto(block):
-        body = block[:size]
-        newline = body == ord("\n")
-        count = np.count_nonzero(newline)
-        if np.count_nonzero(body <= ord("#")) != count:
-            at = int(np.argmax((body <= ord("#")) & ~newline))
-            _check_no_empty_line(path, start, line, fh.tell() - size + at)
-            raise ValueError(f"{path}: line {line + newlines + np.count_nonzero(newline[:at])}: "
-                             f"holds the byte {bytes([int(body[at]) % 256])!r}; a row holds "
-                             "only ASCII bytes above '#' and its final newline")
-        newlines, last = newlines + count, body[-1]
-    if last != ord("\n"):
-        _check_no_empty_line(path, start, line)
+    block = np.zeros(_GATE_BYTES + 1, dtype=np.int8)
+    while size := fh.readinto(block[1:]):
+        newline = block[:size + 1] == ord("\n")
+        body, ends = block[1:size + 1], newline[1:]
+        count = np.count_nonzero(ends)
+        empty = ends & newline[:-1]
+        if np.count_nonzero(body <= ord("#")) != count or empty.any():
+            at = int(np.argmax((body <= ord("#")) & ~ends | empty))
+            where = f"{path}: line {line + newlines + np.count_nonzero(ends[:at])}: "
+            if ends[at]:
+                raise ValueError(where + "is empty; every line below the header is a row")
+            raise ValueError(where + f"holds the byte {bytes([int(body[at]) % 256])!r}; a row "
+                             "holds only ASCII bytes above '#' and its final newline")
+        newlines += count
+        block[0] = body[-1]
+    if block[0] != ord("\n"):
         raise ValueError(f"{path}: line {line + newlines}: does not end in a newline; "
                          "every line does")
     return newlines
-
-
-def _check_no_empty_line(path: Path, start: int, line: int, stop: int | None = None) -> None:
-    """Raise ValueError naming the first empty line of ``path`` that ends
-    before byte ``stop``, if there is one; its header starts at byte
-    ``start``, on ``line``.  It reads the whole file, on error paths only."""
-    data = path.read_bytes()
-    if (at := data.find(b"\n\n", start, stop)) >= 0:
-        line += data.count(b"\n", start, at + 1)
-        raise ValueError(f"{path}: line {line}: is empty; every line below the header is a row")
 
 
 class BinaryHeader:

@@ -319,7 +319,8 @@ def test_a_validation_file_without_positives_fails_the_train(workspace, tmp_path
     assert main(argv) == 1
     assert capsys.readouterr().err == (
         "error: no usable validation queries: no query has a positive candidate\n")
-    assert not (out / "model.bin").exists()
+    # The fault is found inside training, after every input has been read.
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("index", ["-1", "len"])
@@ -572,6 +573,18 @@ def test_a_count_below_one_fails_before_any_input_is_read(tmp_path, capsys, monk
     assert main(argv + flags) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert sorted(tmp_path.iterdir()) == []
+
+
+def test_pairs_without_a_validation_gallery_writes_nothing(tmp_path, capsys):
+    # The train pairs build; the fault is found after them.
+    rows = [(0, "T", 0, 0, 0), (1, "T", 0, 1, 1), (2, "T", 1, 0, 0), (3, "T", 1, 1, 1),
+            (0, "VQ", 0, 0, 0), (0, "Q", 1, 0, 0), (0, "G", 1, 1, 1)]
+    meta, feat, out = tmp_path / "meta.csv", tmp_path / "features.bin", tmp_path / "pairs"
+    write_bundle(build_bundle(rows, np.arange(28.0).reshape(7, 4)), meta, feat)
+    assert main(["pairs", "--meta", str(meta), "--features", str(feat), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: empty gallery: role VG holds no images to rank "
+                                       "the VQ queries against\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("P", ["0", "-3"])

@@ -926,6 +926,32 @@ class TestOneDialectInSmallGateReads(TestOneDialect):
         monkeypatch.setattr(datastore, "_GATE_BYTES", request.param)
 
 
+#: The cases ``read_csv`` rejects before ``np.loadtxt`` parses a row.
+BYTE_FAULTS = sorted(name for name, (_, rows, fault) in CASES.items()
+                     if rows is None and "does not parse as" not in fault)
+
+
+class TestByteFaultsInOneRead:
+    """A fault of the header, a byte, an empty line or the last newline is
+    named from the one forward read of the file, at every gate size: no
+    second search of the file finds it."""
+
+    @pytest.mark.parametrize("block", [1, 7, 64, datastore._GATE_BYTES])
+    @pytest.mark.parametrize("name", BYTE_FAULTS)
+    def test_the_fault_is_named_without_reading_the_file_again(self, tmp_path, monkeypatch,
+                                                               name, block):
+        path, header, kinds, _, _, fault = TestOneDialect.case(tmp_path, name)
+        monkeypatch.setattr(datastore, "_GATE_BYTES", block)
+
+        def read_again(self):
+            raise AssertionError(f"{self} was read again")
+
+        monkeypatch.setattr("pathlib.Path.read_bytes", read_again)
+        with pytest.raises(ValueError) as info:
+            datastore.read_csv(path, header, kinds)
+        assert str(info.value) == fault
+
+
 class TestRoleColumns:
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_role_columns_read_alike_at_every_gate_size(self, tmp_path, monkeypatch, block):
