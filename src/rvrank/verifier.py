@@ -43,9 +43,16 @@ MODEL_HEADER = "<5Iq2d2IdI"
 
 HISTORY_HEADER = ("epoch", "L", "L_g", "L_p", "valid_rank1")
 
-#: Pairs fused, scored or run through the part head together, which bounds
-#: every temporary of those steps whatever the number of pairs.
+#: Pairs fused or scored together, which bounds every temporary of those
+#: steps whatever the number of pairs.  It is also the block of the global
+#: head's product (see :func:`_forward_global`).
 SCORE_CHUNK = 256
+
+#: Most bytes of one (rows, K, Hp) float64 temporary of the part head's
+#: hidden layer.  Kept below glibc's default 128 KiB mmap threshold, so the
+#: temporaries of every SGD step come from the heap rather than from fresh
+#: pages (a 256-row block at K = 15, Hp = 32 is 983 KB).
+PART_BLOCK_BYTES = 120 * 1024
 
 
 @dataclass(frozen=True)
@@ -213,13 +220,14 @@ class VerifierModel:
 
     def __post_init__(self) -> None:
         layout = _weight_layout(self.dims, self.hidden_global, self.hidden_part)
-        size = sum(math.prod(shape) for _, shape, _ in layout)
-        if self.params.dtype != np.float64 or self.params.shape != (size,):
-            raise ValueError(f"params must be {size} float64 values, got "
+        ends = np.cumsum([0, *(math.prod(shape) for _, shape, _ in layout)]).tolist()
+        if self.params.dtype != np.float64 or self.params.shape != (ends[-1],):
+            raise ValueError(f"params must be {ends[-1]} float64 values, got "
                              f"{self.params.dtype} of shape {self.params.shape}")
         # The frozen dataclass's __setattr__ refuses every name, so the
-        # tensor views go into the instance dict directly.
-        self.__dict__["_layout"] = layout
+        # offsets and the tensor views go into the instance dict directly.
+        self.__dict__["_slices"] = [(name, slice(start, end), shape) for
+                                    (name, shape, _), start, end in zip(layout, ends, ends[1:])]
         self.__dict__.update(self.views(self.params))
 
     @classmethod
@@ -244,15 +252,15 @@ class VerifierModel:
 
     def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         """Tensor name -> view into ``vec``, a vector laid out like ``params``."""
-        ends = np.cumsum([math.prod(shape) for _, shape, _ in self._layout])
-        return {name: chunk.reshape(shape) for (name, shape, _), chunk
-                in zip(self._layout, np.split(vec, ends[:-1]))}
+        return {name: vec[at].reshape(shape) for name, at, shape in self._slices}
 
     def nonfinite_tensor(self, vec: np.ndarray) -> str | None:
         """Name of the first tensor, in layout order, with a non-finite value
         in ``vec`` (laid out like ``params``); None if every value is finite."""
-        return next((name for name, view in self.views(vec).items()
-                     if not np.isfinite(view).all()), None)
+        if np.isfinite(vec).all():
+            return None
+        return next(name for name, view in self.views(vec).items()
+                    if not np.isfinite(view).all())
 
     def __call__(self, queries: Split, query_index: np.ndarray, gallery: Split,
                  gallery_index: np.ndarray) -> np.ndarray:
@@ -273,12 +281,20 @@ class VerifierModel:
 
 
 def _forward_global(model: VerifierModel, gx: np.ndarray):
-    # One 2-D product over every row: OpenBLAS rounds some row chunks of it
-    # differently (856 of 322,560 cells moved at 64-row chunks, measured).
-    h = gx @ model.global_hidden_w.T
-    h += model.global_hidden_b
-    np.tanh(h, out=h)
-    z2 = h @ model.global_out_w + model.global_out_b
+    # The head runs in SCORE_CHUNK-row blocks counted from row 0, each block
+    # its own products.  OpenBLAS can round a cell of a 2-D product
+    # differently with another row count, so the blocks are the definition:
+    # rows r0:r0 + SCORE_CHUNK (r0 a multiple of the block) are bit for bit
+    # the call on that slice, whatever the number of rows around them.
+    h = np.empty((len(gx), model.hidden_global))
+    z2 = np.empty(len(gx))
+    for start in range(0, len(gx), SCORE_CHUNK):
+        rows = slice(start, start + SCORE_CHUNK)
+        block = np.matmul(gx[rows], model.global_hidden_w.T, out=h[rows])
+        block += model.global_hidden_b
+        np.tanh(block, out=block)
+        z2[rows] = block @ model.global_out_w
+    z2 += model.global_out_b
     s = np.tanh(z2)
     return s, (gx, h, s)
 
@@ -294,41 +310,50 @@ def _backward_global(model: VerifierModel, cache, ds: np.ndarray, grads: dict) -
     grads["global_hidden_w"] += dz1.T @ gx
 
 
-def _forward_parts(model: VerifierModel, px: np.ndarray, present: np.ndarray):
+def _part_block(model: VerifierModel) -> int:
+    """Rows of the part head's hidden layer taken at once: as many as keep
+    one (rows, K, Hp) float64 temporary within :data:`PART_BLOCK_BYTES`,
+    and at least 1."""
+    return max(1, PART_BLOCK_BYTES // (8 * model.dims[2] * max(1, model.hidden_part)))
+
+
+def _forward_parts(model: VerifierModel, px: np.ndarray, present: np.ndarray,
+                   contrib: np.ndarray | None = None):
     """Part-head forward for (n, K, 2Dp) inputs.
 
-    Returns ``(s, contrib, valid, cache)``: ``s`` is NaN where ``valid`` is
-    False (no jointly present part); ``contrib`` holds raw per-part
-    contributions with NaN at absent slots.
+    Returns ``(s, valid, cache)``: ``s`` is NaN where ``valid`` is False
+    (no jointly present part).  A given (n, K) ``contrib`` receives the raw
+    per-part contributions, absent slots included.
 
-    The hidden layer runs ``SCORE_CHUNK`` rows at a time; of its (n, K,
+    The hidden layer runs :func:`_part_block` rows at a time; of its (n, K,
     Hp) activations only the winning slot's row ``u_star`` (n, Hp) is kept
     for :func:`_backward_parts`.  numpy takes the 3-D product slice by
-    slice, so no result depends on the chunk size.
+    slice, so no result depends on the block size.
     """
-    n, k = present.shape
-    c = np.empty((n, k))
+    n = len(present)
     pooled = np.empty(n)
     kstar = np.empty(n, dtype=np.intp)
     u_star = np.empty((n, model.hidden_part))
-    for start in range(0, n, SCORE_CHUNK):
-        rows = slice(start, start + SCORE_CHUNK)
+    step = _part_block(model)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
         u = px[rows] @ model.part_hidden_w.T
         u += model.part_hidden_b
         np.tanh(u, out=u)
-        c[rows] = (u * model.part_mix_w[None, :, :]).sum(axis=2) + model.part_mix_b[None, :]
+        c = (u * model.part_mix_w[None, :, :]).sum(axis=2) + model.part_mix_b[None, :]
+        if contrib is not None:
+            contrib[rows] = c
         # A row with no present slot is all -inf and takes slot 0.
-        masked = np.where(present[rows], c[rows], -np.inf)
-        at = np.arange(len(masked))
-        kstar[rows] = masked.argmax(axis=1)
-        pooled[rows] = masked[at, kstar[rows]]
+        c[~present[rows]] = -np.inf
+        at = np.arange(len(c))
+        kstar[rows] = c.argmax(axis=1)
+        pooled[rows] = c[at, kstar[rows]]
         u_star[rows] = u[at, kstar[rows]]
     valid = present.any(axis=1)
     pooled[~valid] = np.nan
     gain = np.exp(model.out_log_gain)
     s = np.tanh(gain * pooled + model.out_bias)
-    contrib = np.where(present, c, np.nan)
-    return s, contrib, valid, (px, u_star, pooled, kstar, s, gain, valid)
+    return s, valid, (px, u_star, pooled, kstar, s, gain, valid)
 
 
 def _backward_parts(model: VerifierModel, cache, ds: np.ndarray, grads: dict) -> None:
@@ -361,7 +386,7 @@ def batch_scores(model: VerifierModel, gx: np.ndarray, px: np.ndarray,
     """Verification score per fused pair (see :func:`pair_arrays`):
     ``sim_S``, or ``sim_G`` for a pair with no jointly present part."""
     sg, _ = _forward_global(model, gx)
-    sp, _, valid, _ = _forward_parts(model, px, present)
+    sp, valid, _ = _forward_parts(model, px, present)
     return np.where(valid, sp, sg)
 
 
@@ -369,7 +394,10 @@ def part_contributions(model: VerifierModel, px: np.ndarray,
                        present: np.ndarray) -> np.ndarray:
     """Per-part contributions (n, K) that the part head of
     :func:`batch_scores` max-pools; NaN where a part is not jointly present."""
-    return _forward_parts(model, px, present)[1]
+    contrib = np.empty(present.shape)
+    _forward_parts(model, px, present, contrib)
+    contrib[~present] = np.nan
+    return contrib
 
 
 def prefix_scores(scorer: Callable[[Split, np.ndarray, Split, np.ndarray], np.ndarray],
@@ -504,7 +532,7 @@ def _hinges(sg, sp, valid, pos_index, neg_index, margin: float):
 def _loss_forward(model: VerifierModel, gx, px, present, pos_index, neg_index,
                   margin: float):
     sg, cache_g = _forward_global(model, gx)
-    sp, _, valid, cache_p = _forward_parts(model, px, present)
+    sp, valid, cache_p = _forward_parts(model, px, present)
     return (*_hinges(sg, sp, valid, pos_index, neg_index, margin), cache_g, cache_p)
 
 
@@ -512,20 +540,18 @@ def table_loss(model: VerifierModel, table: TripletTable,
                margin: float) -> tuple[float, float, float]:
     """The summed dual hinge loss ``(total, global_term, part_term)`` over
     every triplet of ``table``, bit for bit the losses that
-    :func:`triplet_loss_and_grads` gives over the whole fused table, fusing
-    its rows ``SCORE_CHUNK`` at a time.  The part head runs on each chunk as
-    it is fused; the global head takes its one product over the whole
-    table's gathered global rows, since row chunks of that product round
-    differently."""
+    :func:`triplet_loss_and_grads` gives over the whole fused table.  Its
+    rows are fused ``SCORE_CHUNK`` at a time and both heads run on each
+    chunk as it is fused, so only the per-row scores outlive a chunk: the
+    global head's blocks are those of one call over the whole table."""
     n = len(table.pairs)
-    gx = np.empty((n, 2 * table.queries.features.shape[1]))
-    sp = np.empty(n)
+    sg, sp = np.empty(n), np.empty(n)
     valid = np.empty(n, dtype=bool)
     for start in range(0, n, SCORE_CHUNK):
         rows = slice(start, start + SCORE_CHUNK)
-        gx[rows], px, present = table.fused(rows)
-        sp[rows], _, valid[rows], _ = _forward_parts(model, px, present)
-    sg, _ = _forward_global(model, gx)
+        gx, px, present = table.fused(rows)
+        sg[rows] = _forward_global(model, gx)[0]
+        sp[rows], valid[rows], _ = _forward_parts(model, px, present)
     lg, lp, *_ = _hinges(sg, sp, valid, *np.concatenate(table.triplets, axis=1), margin)
     return lg + lp, lg, lp
 
@@ -547,9 +573,11 @@ def triplet_loss_and_grads(model: VerifierModel, gx, px, present, pos_index,
     grads = model.views(grad)
     for hinge, backward, cache in ((hg, _backward_global, cache_g),
                                    (hp, _backward_parts, cache_p)):
-        ds = np.zeros(len(gx))
-        np.add.at(ds, neg_index[hinge > 0.0], 1.0)
-        np.add.at(ds, pos_index[hinge > 0.0], -1.0)
+        # d(loss)/d(score) of each row counts its active triplets, +1 as the
+        # negative and -1 as the positive: integers, so exact in float64.
+        active = hinge > 0.0
+        ds = (np.bincount(neg_index[active], minlength=len(gx))
+              - np.bincount(pos_index[active], minlength=len(gx))).astype(np.float64)
         backward(model, cache, ds, grads)
     return (lg + lp, lg, lp), grad
 
@@ -561,23 +589,25 @@ def triplet_loss_and_grads(model: VerifierModel, gx, px, present, pos_index,
 class ValidationSet(NamedTuple):
     """What :func:`validation_rank1` ranks: in ``labels``, each validation
     query with a positive as its candidates' labels (1 for a positive, else
-    0) in rank order; in ``gx``/``px``/``present``, its first ``depth``
-    candidates (the only ones the window scores) fused once, query after
-    query."""
+    0) in rank order.  Its first ``depth`` candidates (the only ones the
+    window scores), query after query, are the pairs of image
+    ``query_index`` of ``queries`` and image ``gallery_index`` of
+    ``gallery``: indices only, fused when they are scored."""
 
     labels: list[np.ndarray]
     depth: int
-    gx: np.ndarray
-    px: np.ndarray
-    present: np.ndarray
+    queries: Split
+    gallery: Split
+    query_index: np.ndarray
+    gallery_index: np.ndarray
 
 
 def validation_set(bundle: DatasetBundle, valid_pairs: PairSet,
                    ranking_Q: int) -> ValidationSet:
-    """Group ``valid_pairs`` by query and fuse every prefix once.  Every
-    pair row's roles and indices are checked first, including the rows of
-    queries without a positive, which are left out; a set where no query
-    has a positive raises ValueError."""
+    """Group ``valid_pairs`` by query and keep the index arrays of every
+    prefix.  Every pair row's roles and indices are checked first, including
+    the rows of queries without a positive, which are left out; a set where
+    no query has a positive raises ValueError."""
     pairs = valid_pairs.pairs
     queries, gallery = _check_pair_indices(bundle, pairs)
     runs = [pairs[run] for run in query_runs(pairs) if (pairs["label"][run] == 1).any()]
@@ -585,8 +615,8 @@ def validation_set(bundle: DatasetBundle, valid_pairs: PairSet,
         raise ValueError("no usable validation queries: no query has a positive candidate")
     prefixes = np.concatenate([run[:ranking_Q] for run in runs])
     return ValidationSet([(run["label"] == 1).astype(np.int64) for run in runs], ranking_Q,
-                         *fuse(queries, prefixes["query_index"], gallery,
-                               prefixes["cand_index"]))
+                         queries, gallery, prefixes["query_index"].copy(),
+                         prefixes["cand_index"].copy())
 
 
 def validation_rank1(model: VerifierModel, valid: ValidationSet,
@@ -594,11 +624,11 @@ def validation_rank1(model: VerifierModel, valid: ValidationSet,
     """Rank-1 over validation queries after re-scoring their candidate lists
     with the verifier and applying the windowed ranking strategy (window
     ``ranking_L``, depth ``valid.depth``)."""
-    scores = np.empty(len(valid.gx))
+    scores = np.empty(len(valid.query_index))
     for start in range(0, len(scores), SCORE_CHUNK):
         rows = slice(start, start + SCORE_CHUNK)
-        scores[rows] = batch_scores(model, valid.gx[rows], valid.px[rows],
-                                    valid.present[rows])
+        scores[rows] = batch_scores(model, *fuse(valid.queries, valid.query_index[rows],
+                                                 valid.gallery, valid.gallery_index[rows]))
     hits = end = 0
     for labels in valid.labels:
         start, end = end, end + min(valid.depth, len(labels))
@@ -635,8 +665,8 @@ def train(model: VerifierModel, bundle: DatasetBundle, train_pairs: PairSet,
     Returns the model and one :class:`EpochStats` row per epoch (0..epochs).
     """
     config = model.hyper
-    # The table holds indices only: each batch fuses its own rows.
-    # Validation re-scores the same prefixes, fused once.
+    # The table and the validation set hold indices only: each batch and
+    # each validation chunk fuses its own rows.
     table = triplet_table(bundle, train_pairs)
     valid = validation_set(bundle, valid_pairs, ranking_Q)
 

@@ -191,6 +191,21 @@ def oracle_scores(model, query, cand):
     return (sim_g if sim_s is None else sim_s), sim_g, sim_s, contrib
 
 
+def blocked_global_forward(model, gx, block):
+    """The global head as whole-array expressions on each ``block``-row
+    slice of ``gx`` counted from row 0, the block definition of
+    ``verifier._forward_global`` (it uses ``verifier.SCORE_CHUNK``), in its
+    ``(sim_G, (gx, hidden, sim_G))`` return form."""
+    starts = range(0, len(gx), block)
+    h = np.concatenate([np.empty((0, model.hidden_global)),
+                        *(np.tanh(gx[r:r + block] @ model.global_hidden_w.T
+                                  + model.global_hidden_b) for r in starts)])
+    s = np.tanh(np.concatenate([np.empty(0), *(h[r:r + block] @ model.global_out_w
+                                               for r in starts)])
+                + model.global_out_b)
+    return s, (gx, h, s)
+
+
 def triplet_loss(model, gx, px, present, pos_index, neg_index, margin):
     """Summed dual hinge loss ``(total, global_term, part_term)`` over the
     triplets ``(pos_index[i], neg_index[i])`` of fused pair rows, from the

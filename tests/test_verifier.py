@@ -9,8 +9,8 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import (PeakMemory, oracle_fuse, oracle_groups, oracle_scores,
-                      pair_records, triplet_loss)
+from conftest import (PeakMemory, blocked_global_forward, oracle_fuse, oracle_groups,
+                      oracle_scores, pair_records, triplet_loss)
 from rvrank import verifier
 from rvrank.datastore import build_bundle
 from rvrank.retrieval import PairSet, build_eval_pairs, build_train_pairs
@@ -426,9 +426,9 @@ def one_shot_fusion(pairs, dims):
 
 def one_shot_scores(model, gx, px, present):
     """(``batch_scores``, ``part_contributions``) as whole-array expressions,
-    the part head over every row at once."""
-    sg = np.tanh(np.tanh(gx @ model.global_hidden_w.T + model.global_hidden_b)
-                 @ model.global_out_w + model.global_out_b)
+    the part head over every row at once and the global head per
+    ``SCORE_CHUNK`` block, its definition."""
+    sg, _ = blocked_global_forward(model, gx, verifier.SCORE_CHUNK)
     u = np.tanh(px @ model.part_hidden_w.T + model.part_hidden_b)
     c = (u * model.part_mix_w[None, :, :]).sum(axis=2) + model.part_mix_b[None, :]
     pooled = np.where(present, c, -np.inf).max(axis=1)
@@ -448,11 +448,23 @@ def sparse_parts_setup(seed=4):
     return model, bundle, table, records
 
 
-class TestChunkEdges:
-    """The part head and the fusion run ``SCORE_CHUNK`` rows at a time; no
-    chunk size may move a bit."""
+def set_blocks(monkeypatch, model, rows):
+    """``SCORE_CHUNK`` and ``model``'s part-head block both ``rows`` rows."""
+    monkeypatch.setattr(verifier, "SCORE_CHUNK", rows)
+    monkeypatch.setattr(verifier, "PART_BLOCK_BYTES",
+                        rows * 8 * model.dims[2] * model.hidden_part)
 
-    CHUNKS = [1, 7, 64]
+
+#: The part-head block derived for the synthetic dims (K = 15, Hp = 32).
+DERIVED_PART_BLOCK = verifier._part_block(VerifierModel.initialize((32, 8, 15), 32, 32))
+
+
+class TestChunkEdges:
+    """The fusion runs ``SCORE_CHUNK`` rows at a time and the part head
+    :func:`verifier._part_block` rows; neither size may move a bit.  The
+    global head's ``SCORE_CHUNK`` blocks are its definition."""
+
+    CHUNKS = [1, 7, 64, DERIVED_PART_BLOCK]
 
     def test_the_table_mixes_rows_with_and_without_a_joint_part(self):
         _, _, table, _ = sparse_parts_setup()
@@ -486,7 +498,7 @@ class TestChunkEdges:
     @pytest.mark.parametrize("chunk", [*CHUNKS, verifier.SCORE_CHUNK])
     def test_the_table_loss_is_triplet_loss_over_the_fused_table(self, monkeypatch, chunk):
         model, _, table, _ = sparse_parts_setup()
-        monkeypatch.setattr(verifier, "SCORE_CHUNK", chunk)
+        set_blocks(monkeypatch, model, chunk)
         want = triplet_loss(model, *table.fused(slice(None)),
                             *np.concatenate(table.triplets, axis=1), 0.3)
         assert want[2] > 0.0
@@ -496,7 +508,7 @@ class TestChunkEdges:
     def test_scores_and_contributions_match_the_one_shot_form(self, monkeypatch, chunk):
         model, _, table, _ = sparse_parts_setup()
         gx, px, present = table.fused(slice(None))
-        monkeypatch.setattr(verifier, "SCORE_CHUNK", chunk)
+        set_blocks(monkeypatch, model, chunk)
         want_scores, want_contrib = one_shot_scores(model, gx, px, present)
         assert np.array_equal(batch_scores(model, gx, px, present), want_scores)
         assert np.array_equal(part_contributions(model, px, present),
@@ -504,16 +516,33 @@ class TestChunkEdges:
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_loss_and_gradient_match_a_single_chunk(self, monkeypatch, chunk):
+        """The part head in one block, and the global head's ``chunk``-row
+        blocks taken by the conftest oracle, give the same bits."""
         model, _, table, _ = sparse_parts_setup()
         args = (model, *table.fused(slice(None)), *np.concatenate(table.triplets, axis=1),
                 0.3)
-        monkeypatch.setattr(verifier, "SCORE_CHUNK", len(table.pairs))
+        forward_global = verifier._forward_global
+        set_blocks(monkeypatch, model, len(table.pairs))
+        monkeypatch.setattr(verifier, "_forward_global",
+                            lambda model, gx: blocked_global_forward(model, gx, chunk))
         want_losses, want_grad = triplet_loss_and_grads(*args)
-        monkeypatch.setattr(verifier, "SCORE_CHUNK", chunk)
+        monkeypatch.setattr(verifier, "_forward_global", forward_global)
+        set_blocks(monkeypatch, model, chunk)
         losses, grad = triplet_loss_and_grads(*args)
         assert losses == want_losses and triplet_loss(*args) == want_losses
         assert np.array_equal(grad, want_grad)
         assert model.views(grad)["part_hidden_w"].any()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, verifier.SCORE_CHUNK])
+    def test_a_block_aligned_slice_gives_the_rows_of_the_whole(self, monkeypatch, chunk):
+        monkeypatch.setattr(verifier, "SCORE_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        model = VerifierModel.initialize((32, 8, 15), seed=chunk)
+        gx = rng.normal(size=(3 * chunk + 170, 64))
+        whole = verifier._forward_global(model, gx)[0]
+        for r0 in range(0, len(gx), chunk):
+            rows = slice(r0, r0 + chunk)
+            assert np.array_equal(verifier._forward_global(model, gx[rows])[0], whole[rows])
 
     def test_gradients_across_chunks_match_central_differences(self, monkeypatch):
         model, _, table, _ = sparse_parts_setup(seed=5)
@@ -546,8 +575,27 @@ class TestChunkEdges:
             triplet_loss(model, gx, px, present, pos, neg, 0.3)
         assert peak.bytes < px.nbytes
 
+    def test_the_epoch0_loss_and_validation_never_hold_the_global_rows(self, monkeypatch):
+        """Both chunk their work: before, ``table_loss`` held the table's
+        (n, 2D) global rows and their (n, Hg) hidden layer, and
+        ``validation_set`` every fused prefix, for the run (2.9 and 1.8 MB
+        here).  64-row chunks, since one 256-row chunk's fused arrays alone
+        outweigh this 2,880-row table's global rows."""
+        monkeypatch.setattr(verifier, "SCORE_CHUNK", 64)
+        bundle, _ = generate(SynthConfig(n_identities=40, seed=1))
+        table = triplet_table(bundle, build_train_pairs(bundle, num_candidates=20)[0])
+        valid_pairs = build_eval_pairs(bundle, "VQ", "VG", num_candidates=20)
+        model = VerifierModel.initialize(bundle.dims, seed=1)
+        global_rows = len(table.pairs) * 2 * bundle.dims[0] * 8
+        with PeakMemory() as peak:
+            table_loss(model, table, 0.3)
+        assert peak.bytes < global_rows
+        with PeakMemory() as peak:
+            validation_rank1(model, validation_set(bundle, valid_pairs, 20), 10)
+        assert peak.bytes < global_rows
+
     def test_training_never_holds_the_fused_table(self):
-        """``train`` fuses each batch, and the epoch-0 loss's part head each
+        """``train`` fuses each batch, and the epoch-0 loss each
         ``SCORE_CHUNK`` rows, from an index-only table.  Before, it held the
         whole fused table, (2D + K * 2Dp) float64 per row, for the run."""
         bundle, _ = generate(SynthConfig(n_identities=40, seed=1))
@@ -663,11 +711,12 @@ class TestTraining:
         from rvrank.reranker import window_rerank
         depth = len(scores)
         assert window_rerank(np.arange(depth), np.array(scores), L, depth)[0] == first
+        monkeypatch.setattr(verifier, "fuse", lambda *_: ())
         monkeypatch.setattr(verifier, "batch_scores", lambda *_: np.array(scores))
-        rows = np.zeros((depth, 1))
+        index = np.zeros(depth, dtype=np.int64)
         for positive in range(depth):
             labels = (np.arange(depth) == positive).astype(np.int64)
-            valid = verifier.ValidationSet([labels], depth, rows, rows, rows)
+            valid = verifier.ValidationSet([labels], depth, None, None, index, index)
             assert validation_rank1(None, valid, L) == float(positive == first)
 
     def test_out_of_range_row_of_a_query_without_positive_raises(self):
