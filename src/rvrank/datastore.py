@@ -32,6 +32,7 @@ naming the line.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -353,6 +354,9 @@ _TEXT_WIDTH = 25
 #: Bytes the gate of :func:`read_csv` scans per read.
 _GATE_BYTES = 1 << 20
 
+#: Payload bytes :func:`read_parts_file` reads and decodes at once.
+_PARTS_BLOCK_BYTES = 1 << 16
+
 #: How ``np.loadtxt`` reads the rows of :func:`read_csv`.
 _LOADTXT = dict(delimiter=",", comments=None, quotechar=None, ndmin=1, encoding="utf-8")
 
@@ -387,40 +391,54 @@ def _gate(path: Path, fh, line: int) -> int:
 
 
 class BinaryHeader:
-    """A binary file read whole and checked front to back: its ``magic``,
+    """A binary file checked front to back as it is read: its ``magic``,
     header fields in order (:meth:`take`), then a payload whose size the
-    header fixes (:meth:`payload`).  Every fault raises ValueError naming the
-    file."""
+    header fixes, read whole (:meth:`payload`) or, once its size is checked
+    (:meth:`check_payload`), from :attr:`file` in blocks.  Every fault
+    raises ValueError naming the file.  Use it in a ``with`` block, which
+    closes the file."""
 
     def __init__(self, path: str | Path, magic: bytes) -> None:
         self.path = Path(path)
-        self.data = self.path.read_bytes()
-        found = self.data[:len(magic)]
+        self.file = open(self.path, "rb")
+        self.size = os.fstat(self.file.fileno()).st_size
+        found = self.file.read(len(magic))
         if found != magic:
+            self.file.close()
             raise ValueError(f"{self.path}: bad magic at offset 0: expected {magic!r}, "
                              f"got {found!r}")
         self.offset = len(magic)
 
+    def __enter__(self) -> "BinaryHeader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.file.close()
+
     def take(self, fmt: str) -> tuple:
         """Unpack the next header fields; a file too short for them raises."""
         size = struct.calcsize(fmt)
-        held = len(self.data) - self.offset
+        held = self.size - self.offset
         if size > held:
             raise ValueError(f"{self.path}: truncated header at offset {self.offset}: "
                              f"wanted {size} bytes, got {held}")
-        values = struct.unpack_from(fmt, self.data, self.offset)
+        values = struct.unpack(fmt, self.file.read(size))
         self.offset += size
         return values
 
-    def payload(self, expected_bytes: int, what: str) -> memoryview:
-        """The rest of the file, which must be exactly ``expected_bytes``
+    def check_payload(self, expected_bytes: int, what: str) -> None:
+        """Raise unless the rest of the file is exactly ``expected_bytes``
         long; ``what`` names the contents the header declares."""
-        held = len(self.data) - self.offset
+        held = self.size - self.offset
         if held != expected_bytes:
             raise ValueError(f"{self.path}: payload length mismatch: header declares "
                              f"{what} ({expected_bytes} bytes), file holds {held} bytes "
                              "after the header")
-        return memoryview(self.data)[self.offset:]
+
+    def payload(self, expected_bytes: int, what: str) -> bytes:
+        """The rest of the file, checked by :meth:`check_payload`."""
+        self.check_payload(expected_bytes, what)
+        return self.file.read(expected_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +502,10 @@ def _check_parts(source: str | Path, present: np.ndarray, vectors: np.ndarray,
 
 def read_feature_file(path: str | Path) -> np.ndarray:
     """Read a global feature file into an (N, D) float32 array."""
-    header = BinaryHeader(path, FEATURE_MAGIC)
-    n, d = header.take("<II")
-    return np.frombuffer(header.payload(n * d * 4, f"{n}x{d} f32"),
-                         dtype="<f4").reshape(n, d)
+    with BinaryHeader(path, FEATURE_MAGIC) as header:
+        n, d = header.take("<II")
+        return np.frombuffer(header.payload(n * d * 4, f"{n}x{d} f32"),
+                             dtype="<f4").reshape(n, d)
 
 
 def write_feature_file(path: str | Path, features: np.ndarray) -> None:
@@ -507,26 +525,35 @@ def read_parts_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(present, vectors)`` where ``present`` is an (N, K) bool array
     and ``vectors`` is an (N, K, Dp) float32 array.  Vectors whose presence
     flag is 0 are normalised to all-zero regardless of the stored payload.
+    The records are decoded :data:`_PARTS_BLOCK_BYTES` at a time straight
+    into the two arrays, so no copy of the file is held.
     """
-    header = BinaryHeader(path, PARTS_MAGIC)
-    n, k, dp = header.take("<III")
-    # The size is checked by arithmetic first: a huge declared dp must not
-    # build its record dtype.
-    payload = header.payload(n * k * (1 + 4 * dp), f"{n}x{k} parts of dim {dp}")
-    if 4 * dp > np.iinfo(np.intc).max:
-        raise ValueError(f"{header.path}: part dim {dp} is too large: a part vector "
-                         f"must fit in {np.iinfo(np.intc).max} bytes")
-    record = np.dtype([("flag", "u1"), ("vec", "<f4", (dp,))])
-    raw = np.frombuffer(payload, dtype=record).reshape(n, k)
-    flags = raw["flag"]
-    bad = np.argwhere(flags > 1)
-    if bad.size:
-        i, j = bad[0]
-        raise ValueError(f"{header.path}: record {i} part {j}: presence flag must be "
-                         f"0 or 1, got {flags[i, j]}")
-    present = flags.astype(bool)
-    vectors = raw["vec"].copy()
-    vectors[~present] = 0.0
+    with BinaryHeader(path, PARTS_MAGIC) as header:
+        n, k, dp = header.take("<III")
+        # The size is checked by arithmetic first: a huge declared dp must
+        # not build its record dtype.
+        header.check_payload(n * k * (1 + 4 * dp), f"{n}x{k} parts of dim {dp}")
+        if 4 * dp > np.iinfo(np.intc).max:
+            raise ValueError(f"{header.path}: part dim {dp} is too large: a part vector "
+                             f"must fit in {np.iinfo(np.intc).max} bytes")
+        record = np.dtype([("flag", "u1"), ("vec", "<f4", (dp,))])
+        present = np.empty((n, k), dtype=bool)
+        vectors = np.empty((n, k, dp), dtype=np.float32)
+        # Record r is part r % k of image r // k.
+        flat_present, flat_vectors = present.reshape(n * k), vectors.reshape(n * k, dp)
+        step = max(1, _PARTS_BLOCK_BYTES // record.itemsize)
+        for start in range(0, n * k, step):
+            raw = np.frombuffer(header.file.read(min(step, n * k - start) * record.itemsize),
+                                dtype=record)
+            bad = np.flatnonzero(raw["flag"] > 1)
+            if bad.size:
+                i, j = divmod(start + int(bad[0]), k)
+                raise ValueError(f"{header.path}: record {i} part {j}: presence flag must "
+                                 f"be 0 or 1, got {raw['flag'][bad[0]]}")
+            rows = slice(start, start + len(raw))
+            flat_present[rows] = raw["flag"]
+            flat_vectors[rows] = raw["vec"]
+            flat_vectors[rows][~flat_present[rows]] = 0.0
     return present, vectors
 
 

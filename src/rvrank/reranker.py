@@ -477,26 +477,26 @@ def read_ranked_csv(path: str | Path,
     negative length, lengths the payload does not hold exactly or other
     roles raise ValueError naming the file, and the query where there is one.
     """
-    header = BinaryHeader(path, RANKED_MAGIC)
-    (count,) = header.take("<I")
-    found = []
-    for _ in range(2):
-        (size,) = header.take("<B")
-        found.append(header.take(f"<{size}s")[0].decode("ascii", "replace"))
-    if roles is not None and tuple(found) != tuple(roles):
-        raise ValueError(
-            f"{header.path}: ranked with --query-role {found[0]} --gallery-role "
-            f"{found[1]}, but eval got --query-role {roles[0]} --gallery-role {roles[1]}")
-    lengths = np.array(header.take(f"<{count}q"), dtype=np.int64)
-    held = (len(header.data) - header.offset) // 8
-    check_rows([(lengths < 0, lambda q: f"{header.path}: query {q}: negative order "
-                                        f"length {lengths[q]}")])
-    # Each length is capped at one past the payload, so the sum cannot wrap.
-    ends = np.cumsum(np.minimum(lengths, held + 1))
-    check_rows([(ends > held, lambda q: (
-        f"{header.path}: query {q}: its order of {lengths[q]} entries ends past the "
-        f"{held} int64 entries the file holds after the lengths"))])
-    total = int(ends[-1]) if count else 0
-    orders = np.frombuffer(header.payload(8 * total, f"{count} orders of {total} int64 "
-                                                     "entries in all"), dtype="<i8")
+    with BinaryHeader(path, RANKED_MAGIC) as header:
+        (count,) = header.take("<I")
+        found = []
+        for _ in range(2):
+            (size,) = header.take("<B")
+            found.append(header.take(f"<{size}s")[0].decode("ascii", "replace"))
+        if roles is not None and tuple(found) != tuple(roles):
+            raise ValueError(
+                f"{header.path}: ranked with --query-role {found[0]} --gallery-role "
+                f"{found[1]}, but eval got --query-role {roles[0]} --gallery-role {roles[1]}")
+        lengths = np.array(header.take(f"<{count}q"), dtype=np.int64)
+        held = (header.size - header.offset) // 8
+        check_rows([(lengths < 0, lambda q: f"{header.path}: query {q}: negative order "
+                                            f"length {lengths[q]}")])
+        # Each length is capped at one past the payload, so the sum cannot wrap.
+        ends = np.cumsum(np.minimum(lengths, held + 1))
+        check_rows([(ends > held, lambda q: (
+            f"{header.path}: query {q}: its order of {lengths[q]} entries ends past the "
+            f"{held} int64 entries the file holds after the lengths"))])
+        total = int(ends[-1]) if count else 0
+        orders = np.frombuffer(header.payload(8 * total, f"{count} orders of {total} int64 "
+                                                         "entries in all"), dtype="<i8")
     return [RankedList(order) for order in np.split(orders, ends)[:-1]]

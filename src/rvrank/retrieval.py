@@ -149,8 +149,8 @@ def masked_orders(block: np.ndarray, allowed: np.ndarray,
     allowed value with one ``np.partition`` of the block's rows, disallowed
     entries read as +inf; the entries at or below each row's cut (ties at
     the cut included; with a NaN cut, every allowed entry) take one stable
-    sort by (row, value).  A limited order is an array of its own that keeps
-    nothing of the block's size alive.
+    sort by (row, value) (see :func:`_cut_entries`).  A limited order is an
+    array of its own that keeps nothing of the block's size alive.
     """
     n = block.shape[1]
     if limit is None:
@@ -169,6 +169,18 @@ def masked_orders(block: np.ndarray, allowed: np.ndarray,
             order[tied] = runs % n
         ok = np.take_along_axis(allowed, order, axis=1)
         return np.split(order[ok], np.cumsum(ok.sum(axis=1)))[:-1]
+    row, col = _cut_entries(block, allowed, limit)
+    starts = np.searchsorted(row, np.arange(len(block) + 1))
+    return [col[a:min(b, a + limit)].copy() for a, b in zip(starts[:-1], starts[1:])]
+
+
+def _cut_entries(block: np.ndarray, allowed: np.ndarray,
+                 limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The allowed entries at or below each row's cut (see
+    :func:`masked_orders`) as flat int64 columns ``(row, column)``, rows
+    ascending and each row's entries in order.  Ties at the cut can leave a
+    row more than ``limit`` entries; its first ``limit`` are its order."""
+    n = block.shape[1]
     over = np.flatnonzero(allowed.sum(axis=1) > limit)
     keep = allowed
     if len(over):
@@ -186,9 +198,7 @@ def masked_orders(block: np.ndarray, allowed: np.ndarray,
     row, col = np.divmod(kept, n)
     # Each row's columns come ascending and lexsort is stable, so equal
     # values keep the lower column first.
-    col = col[np.lexsort((block.ravel()[kept], row))]
-    starts = np.searchsorted(row, np.arange(len(block) + 1))
-    return [col[a:min(b, a + limit)].copy() for a, b in zip(starts[:-1], starts[1:])]
+    return row, col[np.lexsort((block.ravel()[kept], row))]
 
 
 def blocked_orders(dist: np.ndarray | DistanceRows, queries: Split, gallery: Split,
@@ -218,6 +228,15 @@ def top_candidates(queries: Split, gallery: Split, num_candidates: int,
                                queries, gallery, num_candidates))
 
 
+def concatenated_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """``np.concatenate([np.arange(a, b) for a, b in zip(starts, stops)])``
+    as int64, from a fixed number of whole-array steps."""
+    sizes = stops - starts
+    out = np.repeat(np.asarray(starts - np.cumsum(sizes) + sizes, dtype=np.int64), sizes)
+    out += np.arange(len(out))
+    return out
+
+
 def _ranked_pairs(query_role: str, queries: Split, cand_role: str, cands: Split,
                   runs: list[tuple[int, np.ndarray]]) -> PairSet:
     """One pair per candidate of each ``(query index, candidate indices)``
@@ -226,11 +245,11 @@ def _ranked_pairs(query_role: str, queries: Split, cand_role: str, cands: Split,
     if not runs:
         return PairSet(np.empty(0, dtype=PAIR_DTYPE))
     query_index, cand_index = zip(*runs)
-    counts = [len(kept) for kept in cand_index]
-    pairs = np.empty(sum(counts), dtype=PAIR_DTYPE)
+    counts = np.array([len(kept) for kept in cand_index], dtype=np.int64)
+    pairs = np.empty(counts.sum(), dtype=PAIR_DTYPE)
     pairs["query_role"], pairs["cand_role"] = query_role, cand_role
     pairs["query_index"] = np.repeat(query_index, counts)
-    pairs["rank"] = np.concatenate([np.arange(1, n + 1) for n in counts])
+    pairs["rank"] = concatenated_ranges(np.ones_like(counts), counts + 1)
     pairs["cand_index"] = np.concatenate(cand_index)
     pairs["label"] = (queries.identity[pairs["query_index"]]
                       == cands.identity[pairs["cand_index"]])
@@ -249,6 +268,28 @@ def build_eval_pairs(bundle: DatasetBundle, query_role: str, gallery_role: str,
     return _ranked_pairs(query_role, queries, gallery_role, gallery, list(enumerate(lists)))
 
 
+def _mine_block(block: np.ndarray, rows: slice, ids: np.ndarray, cloths: np.ndarray,
+                limit: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Train pairs of the anchors ``rows``, whose distance rows are
+    ``block``: ``(usable, columns)``, where ``usable`` flags each anchor with
+    a positive and a negative and ``columns`` are the flat query index,
+    rank, candidate index and label of the usable anchors' pairs, anchor
+    after anchor, each one's positives and then its negatives ranked from 1.
+    Every temporary of the block goes when it returns."""
+    same = ids[rows, None] == ids
+    pos_mask, neg_mask = same & (cloths[rows, None] != cloths), ~same
+    usable = pos_mask.any(axis=1) & neg_mask.any(axis=1)
+    sides = [_cut_entries(block, mask, limit) for mask in (pos_mask, neg_mask)]
+    anchor, cand = (np.concatenate(side) for side in zip(*sides))
+    label = np.repeat([True, False], [len(sides[0][0]), len(sides[1][0])])
+    # Each entry's 0-based place in its anchor's positives or negatives.
+    rank = np.concatenate([np.arange(len(row)) - np.searchsorted(row, row) for row, _ in sides])
+    # Stable: an anchor's positives stay ahead of its negatives.
+    order = np.argsort(anchor, kind="stable")
+    order = order[usable[anchor[order]] & (rank[order] < limit)]
+    return usable, [column[order] for column in (anchor + rows.start, rank + 1, cand, label)]
+
+
 def build_train_pairs(bundle: DatasetBundle, num_candidates: int = 20,
                       metric: str = "euclidean") -> tuple[PairSet, list[int]]:
     """Anchor/positive/negative pairs mined from the train split.
@@ -257,7 +298,8 @@ def build_train_pairs(bundle: DatasetBundle, num_candidates: int = 20,
     images become positives (label 1), the nearest ``num_candidates``
     different-identity images become negatives (label 0).  Anchors without at
     least one positive and one negative are dropped; the second return value
-    lists their indices.
+    lists their indices.  Each block of anchors leaves flat columns, copied
+    once into the pair array.
     """
     if num_candidates < 1:
         raise ValueError(f"num_candidates must be >= 1, got {num_candidates}")
@@ -267,25 +309,26 @@ def build_train_pairs(bundle: DatasetBundle, num_candidates: int = 20,
     # an exactly symmetric matrix, and no code needs it to: each anchor
     # selects from its own row.
     feats = train.features.astype(np.float64)
-    ids, cloths = train.identity, train.cloth
-
-    runs: list[tuple[int, np.ndarray]] = []
-    dropped: list[int] = []
     dist = DistanceRows(feats, feats, metric)
+    columns: dict[str, list[np.ndarray]] = {"query_index": [], "rank": [],
+                                            "cand_index": [], "label": []}
+    dropped: list[int] = []
     for r0 in range(0, len(train), DISTANCE_BLOCK):
         rows = slice(r0, r0 + DISTANCE_BLOCK)
-        block = dist[rows]
-        same = ids[rows, None] == ids
-        pos_mask, neg_mask = same & (cloths[rows, None] != cloths), ~same
-        usable = pos_mask.any(axis=1) & neg_mask.any(axis=1)
-        positives = masked_orders(block, pos_mask, num_candidates)
-        negatives = masked_orders(block, neg_mask, num_candidates)
-        for ai, ok, pos, neg in zip(range(r0, r0 + len(block)), usable, positives, negatives):
-            if ok:
-                runs += [(ai, pos), (ai, neg)]
-            else:
-                dropped.append(ai)
-    return _ranked_pairs("T", train, "T", train, runs), dropped
+        usable, block_columns = _mine_block(dist[rows], rows, train.identity, train.cloth,
+                                            num_candidates)
+        dropped += (r0 + np.flatnonzero(~usable)).tolist()
+        for blocks, column in zip(columns.values(), block_columns):
+            blocks.append(column)
+    # Only the columns are held while the pair array is filled.
+    del dist, feats
+    pairs = np.empty(sum(map(len, columns["label"])), dtype=PAIR_DTYPE)
+    pairs["query_role"] = pairs["cand_role"] = "T"
+    for name in list(columns):
+        # Each field's blocks go as soon as they are copied in; the empty
+        # head serves a train split with no images, which has no blocks.
+        np.concatenate([np.empty(0, np.int64), *columns.pop(name)], out=pairs[name])
+    return PairSet(pairs), dropped
 
 
 def query_runs(pairs: np.ndarray) -> list[np.ndarray]:

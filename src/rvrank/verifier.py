@@ -32,7 +32,7 @@ import numpy as np
 
 from .datastore import (BinaryHeader, DatasetBundle, ImageRecord, Split, check_rows,
                         write_csv)
-from .retrieval import PairSet, query_runs
+from .retrieval import PairSet, concatenated_ranges, query_runs
 
 MODEL_MAGIC = b"RVM1"
 
@@ -53,6 +53,12 @@ SCORE_CHUNK = 256
 #: temporaries of every SGD step come from the heap rather than from fresh
 #: pages (a 256-row block at K = 15, Hp = 32 is 983 KB).
 PART_BLOCK_BYTES = 120 * 1024
+
+#: Anchors whose triplets :func:`table_loss` takes at once, which bounds
+#: its temporaries beside the two triplet-length hinge arrays.  At 20
+#: positives and 20 negatives an anchor, one int64 temporary is 100 KiB,
+#: below glibc's mmap threshold as with :data:`PART_BLOCK_BYTES`.
+ANCHOR_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -440,39 +446,64 @@ def triplet_hinge(sim_pos: float, sim_neg: float, margin: float) -> float:
     return max(sim_neg - sim_pos + margin, 0.0)
 
 
-class TripletTable(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class TripletTable:
     """The pairs :func:`train` optimises over, as indices only.
 
-    Row ``r`` is the pair ``pairs[r]``, a row of the pair set's array, of
-    image ``query_index`` of ``queries`` and image ``cand_index`` of
-    ``cands``; :meth:`fused` fuses rows when they are used.  Anchor ``a``
-    (numbered from 0) owns rows ``bounds[a]:bounds[a + 1]``, at least one
-    positive and one negative, and ``triplets[a]``, the (positive row,
-    negative row) index arrays of each positive with each negative,
-    positive by positive.
+    Row ``r`` is the pair of image ``query_index[r]`` of ``queries`` and
+    image ``cand_index[r]`` of ``cands``, a positive where ``positive[r]``;
+    :meth:`fused` fuses rows when they are used.  Anchor ``a`` (numbered
+    from 0) owns rows ``bounds[a]:bounds[a + 1]``, at least one positive and
+    one negative, and triplets of each positive with each negative (see
+    :meth:`triplets`).  ``len(table)`` is the number of anchors.
     """
 
+    query_index: np.ndarray
+    cand_index: np.ndarray
+    positive: np.ndarray
     bounds: np.ndarray
-    triplets: list[np.ndarray]
-    pairs: np.ndarray
     queries: Split
     cands: Split
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def rows(self, anchors: np.ndarray) -> np.ndarray:
+        """The rows ``anchors`` own, anchor after anchor in the order given."""
+        return concatenated_ranges(self.bounds[anchors], self.bounds[anchors + 1])
+
+    def triplets(self, anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(positive rows, negative rows)`` of every triplet of ``anchors``:
+        anchor after anchor in the order given, and within an anchor each of
+        its positives with each of its negatives, both in row order, positive
+        by positive.  A fixed number of whole-array steps, whatever the
+        number of anchors."""
+        anchors = np.asarray(anchors, dtype=np.int64)
+        rows = self.rows(anchors)
+        flags = self.positive[rows]
+        sizes = self.bounds[anchors + 1] - self.bounds[anchors]
+        n_pos = np.add.reduceat(flags, np.cumsum(sizes) - sizes, dtype=np.int64)
+        n_neg = sizes - n_pos
+        # Positive p of an anchor stands once against each of the anchor's
+        # negatives, which lie at first_neg:first_neg + n_neg of neg_rows.
+        first_neg = np.repeat(np.cumsum(n_neg) - n_neg, n_pos)
+        per_pos = np.repeat(n_neg, n_pos)
+        neg = rows[~flags][concatenated_ranges(first_neg, first_neg + per_pos)]
+        return np.repeat(rows[flags], per_pos), neg
 
     def fused(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:func:`fuse` of the table rows ``rows`` (an index array or a
         slice)."""
-        return fuse(self.queries, self.pairs["query_index"][rows], self.cands,
-                    self.pairs["cand_index"][rows])
+        return fuse(self.queries, self.query_index[rows], self.cands, self.cand_index[rows])
 
     def batch(self, anchors: np.ndarray):
         """One SGD batch ``(gx, px, present, pos_index, neg_index)``: the
         anchors' rows in table order, fused, and their triplets in the
         order the anchors are given, numbered by those rows."""
-        rows = np.concatenate([np.arange(*self.bounds[a:a + 2]) for a in np.sort(anchors)])
+        rows = self.rows(np.sort(anchors))
         # The rows ascend, and each anchor's triplets use every row it owns.
-        pos_index, neg_index = np.searchsorted(
-            rows, np.concatenate([self.triplets[a] for a in anchors], axis=1))
-        return (*self.fused(rows), pos_index, neg_index)
+        pos, neg = self.triplets(anchors)
+        return (*self.fused(rows), np.searchsorted(rows, pos), np.searchsorted(rows, neg))
 
 
 def _check_pair_indices(bundle: DatasetBundle, pairs: np.ndarray) -> tuple[Split, Split]:
@@ -500,40 +531,59 @@ def _check_pair_indices(bundle: DatasetBundle, pairs: np.ndarray) -> tuple[Split
     return queries, cands
 
 
+def _first_appearance_groups(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, bounds)``: the rows of each value of the non-negative
+    ``index`` in row order, values by first appearance, back to back; value
+    ``g``'s rows are ``order[bounds[g]:bounds[g + 1]]``."""
+    by_value = np.argsort(index, kind="stable")
+    runs = np.append(np.flatnonzero(np.diff(index[by_value], prepend=-1)), len(index))
+    appearance = np.argsort(by_value[runs[:-1]])
+    starts, stops = runs[:-1][appearance], runs[1:][appearance]
+    return (by_value[concatenated_ranges(starts, stops)],
+            np.cumsum(np.append(0, stops - starts)))
+
+
 def triplet_table(bundle: DatasetBundle, pair_set: PairSet) -> TripletTable:
     """Every pair of every anchor that has both positives and negatives,
     anchors in first-appearance order and each anchor's rows in pair-set
     order.  Every pair row's roles and indices are checked, including the
     rows of anchors that are left out, so every later gather is in range."""
-    queries, cands = _check_pair_indices(bundle, pair_set.pairs)
-    is_pos = pair_set.pairs["label"] == 1
-    runs = [np.sort(run) for run in query_runs(pair_set.pairs)
-            if is_pos[run].any() and not is_pos[run].all()]
-    if not runs:
+    pairs = pair_set.pairs
+    queries, cands = _check_pair_indices(bundle, pairs)
+    # One query role throughout (checked), so the index names the anchor.
+    order, bounds = _first_appearance_groups(pairs["query_index"])
+    positive = pairs["label"][order] == 1
+    sizes = np.diff(bounds)
+    n_pos = np.add.reduceat(positive, bounds[:-1], dtype=np.int64)
+    usable = (n_pos > 0) & (n_pos < sizes)
+    if not usable.any():
         raise ValueError("no usable anchors: every anchor lacks positives or negatives")
-    pairs = pair_set.pairs[np.concatenate(runs)]
-    pos = pairs["label"] == 1
-    bounds = np.cumsum([0, *map(len, runs)])
-    triplets = [np.stack(np.meshgrid(rows[pos[rows]], rows[~pos[rows]], indexing="ij"))
-                .reshape(2, -1) for rows in np.split(np.arange(len(pairs)), bounds[1:-1])]
-    return TripletTable(bounds, triplets, pairs, queries, cands)
+    keep = np.repeat(usable, sizes)
+    order = order[keep]
+    return TripletTable(pairs["query_index"][order], pairs["cand_index"][order],
+                        positive[keep], np.cumsum(np.append(0, sizes[usable])),
+                        queries, cands)
 
 
-def _hinges(sg, sp, valid, pos_index, neg_index, margin: float):
-    """``(global_term, part_term, hg, hp)``: the hinge of every triplet
-    over the scores ``sg``/``sp`` of its rows, and the sum of each."""
-    hg = np.maximum(sg[neg_index] - sg[pos_index] + margin, 0.0)
+def _hinges(sg, sp, valid, pos_index, neg_index, margin: float,
+            hg: np.ndarray, hp: np.ndarray) -> None:
+    """Fill ``hg``/``hp`` with the global and part hinge of every triplet
+    over the scores ``sg``/``sp`` of its rows."""
+    np.maximum(sg[neg_index] - sg[pos_index] + margin, 0.0, out=hg)
     # A triplet with a pair that has no sim_S has no part term.
     part_ok = valid[pos_index] & valid[neg_index]
-    hp = np.maximum(np.where(part_ok, sp[neg_index] - sp[pos_index] + margin, 0.0), 0.0)
-    return float(hg.sum()), float(hp.sum()), hg, hp
+    np.maximum(np.where(part_ok, sp[neg_index] - sp[pos_index] + margin, 0.0), 0.0, out=hp)
 
 
 def _loss_forward(model: VerifierModel, gx, px, present, pos_index, neg_index,
                   margin: float):
+    """``(global_term, part_term, hg, hp, cache_g, cache_p)``: the summed
+    hinges over the triplets, each triplet's hinges and the heads' caches."""
     sg, cache_g = _forward_global(model, gx)
     sp, valid, cache_p = _forward_parts(model, px, present)
-    return (*_hinges(sg, sp, valid, pos_index, neg_index, margin), cache_g, cache_p)
+    hg, hp = np.empty(len(pos_index)), np.empty(len(pos_index))
+    _hinges(sg, sp, valid, pos_index, neg_index, margin, hg, hp)
+    return float(hg.sum()), float(hp.sum()), hg, hp, cache_g, cache_p
 
 
 def table_loss(model: VerifierModel, table: TripletTable,
@@ -543,8 +593,10 @@ def table_loss(model: VerifierModel, table: TripletTable,
     :func:`triplet_loss_and_grads` gives over the whole fused table.  Its
     rows are fused ``SCORE_CHUNK`` at a time and both heads run on each
     chunk as it is fused, so only the per-row scores outlive a chunk: the
-    global head's blocks are those of one call over the whole table."""
-    n = len(table.pairs)
+    global head's blocks are those of one call over the whole table.  The
+    triplets come ``ANCHOR_BLOCK`` anchors at a time, and their hinges fill
+    one float64 array per term, each summed once."""
+    n = len(table.query_index)
     sg, sp = np.empty(n), np.empty(n)
     valid = np.empty(n, dtype=bool)
     for start in range(0, n, SCORE_CHUNK):
@@ -552,7 +604,16 @@ def table_loss(model: VerifierModel, table: TripletTable,
         gx, px, present = table.fused(rows)
         sg[rows] = _forward_global(model, gx)[0]
         sp[rows], valid[rows], _ = _forward_parts(model, px, present)
-    lg, lp, *_ = _hinges(sg, sp, valid, *np.concatenate(table.triplets, axis=1), margin)
+    n_pos = np.add.reduceat(table.positive, table.bounds[:-1], dtype=np.int64)
+    count = int(np.dot(n_pos, np.diff(table.bounds) - n_pos))
+    hg, hp = np.empty(count), np.empty(count)
+    end = 0
+    for a0 in range(0, len(table), ANCHOR_BLOCK):
+        pos, neg = table.triplets(np.arange(a0, min(a0 + ANCHOR_BLOCK, len(table))))
+        at = slice(end, end + len(pos))
+        _hinges(sg, sp, valid, pos, neg, margin, hg[at], hp[at])
+        end = at.stop
+    lg, lp = float(hg.sum()), float(hp.sum())
     return lg + lp, lg, lp
 
 
@@ -691,7 +752,7 @@ def train(model: VerifierModel, bundle: DatasetBundle, train_pairs: PairSet,
     rng = np.random.default_rng([model.seed, 1])
     for epoch in range(1, config.epochs + 1):
         lr = _learning_rate(config, epoch)
-        order = rng.permutation(len(table.triplets))
+        order = rng.permutation(len(table))
         total = np.zeros(3)
         for start in range(0, len(order), config.batch_size):
             chunk = order[start:start + config.batch_size]
@@ -743,20 +804,20 @@ def save_model(path: str | Path, model: VerifierModel) -> None:
 def load_model(path: str | Path) -> VerifierModel:
     """Read an RVM1 checkpoint; a malformed header or payload, or a
     non-finite weight, raises ValueError naming the file."""
-    header = BinaryHeader(path, MODEL_MAGIC)
-    (d, dp, k, hg, hp, seed, margin, lr, epochs, batch, decay_factor,
-     n_milestones) = header.take(MODEL_HEADER)
-    milestones = header.take(f"<{n_milestones}I")
-    try:
-        hyper = TrainConfig(margin=margin, learning_rate=lr, epochs=epochs,
-                            batch_size=batch, decay_factor=decay_factor,
-                            decay_epochs=tuple(milestones))
-        layout = _weight_layout((d, dp, k), hg, hp)
-    except ValueError as exc:
-        raise ValueError(f"{header.path}: {exc}") from None
-    expect = sum(math.prod(shape) for _, shape, _ in layout)
-    payload = np.frombuffer(header.payload(4 * expect, f"{expect} f32 weights"),
-                            dtype="<f4")
+    with BinaryHeader(path, MODEL_MAGIC) as header:
+        (d, dp, k, hg, hp, seed, margin, lr, epochs, batch, decay_factor,
+         n_milestones) = header.take(MODEL_HEADER)
+        milestones = header.take(f"<{n_milestones}I")
+        try:
+            hyper = TrainConfig(margin=margin, learning_rate=lr, epochs=epochs,
+                                batch_size=batch, decay_factor=decay_factor,
+                                decay_epochs=tuple(milestones))
+            layout = _weight_layout((d, dp, k), hg, hp)
+        except ValueError as exc:
+            raise ValueError(f"{header.path}: {exc}") from None
+        expect = sum(math.prod(shape) for _, shape, _ in layout)
+        payload = np.frombuffer(header.payload(4 * expect, f"{expect} f32 weights"),
+                                dtype="<f4")
     model = VerifierModel(dims=(d, dp, k), hidden_global=hg, hidden_part=hp,
                           seed=seed, params=payload.astype(np.float64), hyper=hyper)
     bad = model.nonfinite_tensor(model.params)

@@ -25,16 +25,18 @@ from rvrank.synthgen import SynthConfig, generate
 
 class PeakMemory:
     """``with PeakMemory() as peak:`` traces the block's allocations with
-    tracemalloc; ``peak.bytes`` is then the most they held at once."""
+    tracemalloc; ``peak.bytes`` is then the most they held at once, and
+    ``peak.held`` what they still hold at the end of the block."""
 
     bytes: int
+    held: int
 
     def __enter__(self) -> "PeakMemory":
         tracemalloc.start()
         return self
 
     def __exit__(self, *exc) -> None:
-        self.bytes = tracemalloc.get_traced_memory()[1]
+        self.held, self.bytes = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 
 
@@ -240,8 +242,22 @@ def oracle_groups(pairs) -> dict[tuple[str, int], list[PairRow]]:
     return out
 
 
-def pair_records(bundle, pairs, row):
-    """The (query, candidate) records that row ``row`` of a pair array names."""
-    p = PairRow._make(pairs[row].item())
-    return (bundle.splits[p.query_role][p.query_index],
-            bundle.splits[p.cand_role][p.cand_index])
+def oracle_triplets(table, anchors):
+    """The triplets of ``anchors`` as the triplet table once stored them:
+    per anchor, in the order given, the ``np.meshgrid`` of its positive rows
+    and its negative rows, each positive with every negative, positive by
+    positive.  Returns ``(positive rows, negative rows)``."""
+    grids = [np.empty((2, 0), dtype=np.int64)]
+    for a in np.asarray(anchors).tolist():
+        rows = np.arange(table.bounds[a], table.bounds[a + 1])
+        grids.append(np.stack(np.meshgrid(rows[table.positive[rows]],
+                                          rows[~table.positive[rows]], indexing="ij"))
+                     .reshape(2, -1))
+    pos, neg = np.concatenate(grids, axis=1)
+    return pos, neg
+
+
+def table_records(table, row):
+    """The (query, candidate) records of row ``row`` of a triplet table."""
+    return (table.queries[int(table.query_index[row])],
+            table.cands[int(table.cand_index[row])])

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import (SCENARIO, eligible_orders, oracle_metrics, oracle_scores,
-                      pair_records, pairwise, random_bundle, triplet_loss)
+                      pairwise, random_bundle, table_records, triplet_loss)
 from rvrank.datastore import build_bundle
 from rvrank.evaluation import evaluate
 from rvrank.reranker import (
@@ -181,8 +181,8 @@ def test_analytic_gradients_match_finite_differences():
         if not len(pair_set.pairs):
             continue
         table = triplet_table(bundle, pair_set)
-        anchors = np.arange(min(3, len(table.triplets)))
-        pos_index, neg_index = np.concatenate([table.triplets[a] for a in anchors], axis=1)
+        anchors = np.arange(min(3, len(table)))
+        pos_index, neg_index = table.triplets(anchors)
         if len(pos_index) == 0:
             continue
         model = VerifierModel.initialize(dims, int(rng.integers(3, 5)),
@@ -192,12 +192,11 @@ def test_analytic_gradients_match_finite_differences():
 
         # Distance to the nearest non-smooth point of the loss surface,
         # from the scalar oracle over the pairs the triplets use.
-        sg = np.full(len(table.pairs), np.nan)
-        sp = np.full(len(table.pairs), np.nan)
+        sg = np.full(len(table.query_index), np.nan)
+        sp = np.full(len(table.query_index), np.nan)
         gaps = []
         for row in np.unique(np.concatenate([pos_index, neg_index])):
-            _, sg[row], sim_s, contrib = oracle_scores(
-                model, *pair_records(bundle, table.pairs, row))
+            _, sg[row], sim_s, contrib = oracle_scores(model, *table_records(table, row))
             if sim_s is None:
                 continue
             sp[row] = sim_s

@@ -584,6 +584,85 @@ class TestMissingParts:
         np.testing.assert_array_equal(back_vectors[0, 0], np.full(3, 5.0))
 
 
+def raw_parts_file(path, flags, vectors):
+    """An RVP1 file of (N, K) flag bytes and (N, K, Dp) vectors, stored as
+    given: absent slots keep their values and a flag may be any byte."""
+    n, k, dp = vectors.shape
+    record = np.dtype([("flag", "u1"), ("vec", "<f4", (dp,))])
+    out = np.empty((n, k), dtype=record)
+    out["flag"], out["vec"] = flags, vectors
+    path.write_bytes(b"RVP1" + struct.pack("<III", n, k, dp) + out.tobytes())
+
+
+class TestPartsInBlocks:
+    """``read_parts_file`` decodes the records ``_PARTS_BLOCK_BYTES`` at a
+    time; no block size may change what it returns or which fault it names."""
+
+    BLOCKS = [1, 33 * 7, 1 << 16]
+
+    @staticmethod
+    def stored(rng, n=40, k=3, dp=8):
+        flags = (rng.random((n, k)) < 0.6).astype("u1")
+        vectors = rng.normal(size=(n, k, dp)).astype(np.float32)
+        vectors[0, 0, 1] = vectors[1, 2, 0] = np.nan   # non-finite values,
+        flags[0, 0], flags[1, 2] = 0, 1                # absent and present
+        return flags, vectors
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_the_result_is_the_whole_file_decoded_at_once(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(datastore, "_PARTS_BLOCK_BYTES", block)
+        flags, vectors = self.stored(np.random.default_rng(block))
+        raw_parts_file(tmp_path / "p.bin", flags, vectors)
+        present, got = read_parts_file(tmp_path / "p.bin")
+        assert present.dtype == bool and got.dtype == np.float32
+        assert np.array_equal(present, flags == 1)
+        want = np.where(present[:, :, None], vectors, np.float32(0.0))
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_the_first_bad_flag_is_named_whatever_the_block(self, tmp_path, monkeypatch,
+                                                            block):
+        monkeypatch.setattr(datastore, "_PARTS_BLOCK_BYTES", block)
+        flags, vectors = self.stored(np.random.default_rng(5))
+        flags[25, 1], flags[31, 0] = 2, 255
+        path = tmp_path / "p.bin"
+        raw_parts_file(path, flags, vectors)
+        with pytest.raises(ValueError) as info:
+            read_parts_file(path)
+        assert str(info.value) == (f"{path}: record 25 part 1: presence flag must be "
+                                   "0 or 1, got 2")
+
+    def test_flags_are_checked_before_finiteness(self, tmp_path, monkeypatch):
+        """A bad flag in the last block is named before the non-finite
+        present part of the first record, as when the file was read whole."""
+        monkeypatch.setattr(datastore, "_PARTS_BLOCK_BYTES", 33)
+        bundle = random_bundle(np.random.default_rng(6), n_query=2, n_gallery=3,
+                               dims=(4, 8, 3))
+        paths = (tmp_path / "m.csv", tmp_path / "f.bin", tmp_path / "p.bin")
+        write_bundle(bundle, *paths)
+        present, vectors = read_parts_file(paths[2])
+        flags = present.astype("u1")
+        flags[0, 0], vectors[0, 0, 0] = 1, np.inf
+        raw_parts_file(paths[2], flags, vectors)
+        with pytest.raises(ValueError, match="non-finite value in record 0 part 0"):
+            load_bundle(*paths)
+        flags[-1, -1] = 3
+        raw_parts_file(paths[2], flags, vectors)
+        with pytest.raises(ValueError) as info:
+            load_bundle(*paths)
+        assert str(info.value) == (f"{paths[2]}: record 4 part 2: presence flag must be "
+                                   "0 or 1, got 3")
+
+    def test_the_read_holds_its_result_and_one_block(self, tmp_path):
+        """Before, the read held the whole file and a copy of its vectors
+        beside the result: 2.2 x the result's bytes here."""
+        flags, vectors = self.stored(np.random.default_rng(7), n=2000, k=15)
+        raw_parts_file(tmp_path / "p.bin", flags, vectors)
+        with PeakMemory() as peak:
+            present, got = read_parts_file(tmp_path / "p.bin")
+        assert peak.bytes < present.nbytes + got.nbytes + 4 * datastore._PARTS_BLOCK_BYTES
+
+
 class TestValidation:
     """``build_bundle`` applies the rules ``load_bundle`` applies, naming
     the first faulty row."""

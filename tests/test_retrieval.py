@@ -520,6 +520,23 @@ class TestMiningByBlocks:
             build_train_pairs(bundle)
         assert peak.bytes < 0.25 * t * t * 8
 
+    def test_mining_peaks_near_its_pair_rows(self, monkeypatch):
+        """Each block of anchors leaves flat columns, three int64 and a bool
+        (25 bytes a pair), copied once into the pair array; beside those,
+        mining holds the float64 features and one block of 8 anchors here.
+        Before, per-anchor arrays and their concatenations peaked at 321 KB
+        here, 63 bytes a pair above the pair array."""
+        monkeypatch.setattr(retrieval, "DISTANCE_BLOCK", 8)
+        bundle, _ = generate(SynthConfig(n_identities=40, seed=1))
+        n = len(bundle.splits["T"])
+        with PeakMemory() as peak:
+            pair_set, _ = build_train_pairs(bundle, num_candidates=20)
+        rows = len(pair_set.pairs)
+        assert rows == 2880
+        block = retrieval.DISTANCE_BLOCK * n * 8
+        assert peak.bytes < ((PAIR_DTYPE.itemsize + 25) * rows + n * bundle.dims[0] * 8
+                             + 4 * block)
+
 
 class TestPairsCsv:
     def test_round_trip_is_exact(self, tmp_path):

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from conftest import (PeakMemory, blocked_global_forward, oracle_fuse, oracle_groups,
-                      oracle_scores, pair_records, triplet_loss)
+                      oracle_scores, oracle_triplets, table_records, train_bundle,
+                      triplet_loss)
 from rvrank import verifier
 from rvrank.datastore import build_bundle
-from rvrank.retrieval import PairSet, build_eval_pairs, build_train_pairs
+from rvrank.retrieval import PairSet, build_eval_pairs, build_train_pairs, read_pairs_csv
 from rvrank.synthgen import SynthConfig, generate
 from rvrank.verifier import (
     HISTORY_HEADER,
@@ -256,7 +257,7 @@ def test_a_pair_set_of_an_unknown_role_fails_the_train(which):
 def oracle_triplet_loss(model, bundle, table, pos_index, neg_index, margin):
     """Scalar-loop (global term, part term) over table-row triplets."""
     def scores(row):
-        return oracle_scores(model, *pair_records(bundle, table.pairs, row))
+        return oracle_scores(model, *table_records(table, row))
 
     want_g = want_p = 0.0
     for pi, ni in zip(pos_index, neg_index):
@@ -274,7 +275,7 @@ class TestBatchLoss:
         table = triplet_table(bundle, train_pairs)
         for start in (0, 4, 8):
             anchors = np.arange(start, start + 4)
-            pos, neg = np.concatenate([table.triplets[a] for a in anchors], axis=1)
+            pos, neg = table.triplets(anchors)
             total, lg, lp = triplet_loss(model, *table.fused(slice(None)), pos, neg, 0.3)
             want_g, want_p = oracle_triplet_loss(model, bundle, table, pos, neg, 0.3)
             np.testing.assert_allclose(lg, want_g, atol=1e-9)
@@ -292,19 +293,19 @@ class TestBatchLoss:
         triplets: each anchor's rows found from the query index, its positive
         x negative cross product by ``np.repeat``/``np.tile``, the rows the
         triplets use by ``np.unique``, and a table-length remap into them."""
-        qi = table.pairs["query_index"]
+        qi = table.query_index
         starts = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
         ends = np.r_[starts[1:], len(qi)]
         pos_idx, neg_idx = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
         for anchor in anchors:
             rows = np.arange(starts[anchor], ends[anchor])
-            is_pos = table.pairs["label"][rows] == 1
+            is_pos = table.positive[rows]
             p, n = rows[is_pos], rows[~is_pos]
             pos_idx.append(np.repeat(p, n.size))
             neg_idx.append(np.tile(n, p.size))
         pos_idx, neg_idx = np.concatenate(pos_idx), np.concatenate(neg_idx)
         rows = np.unique(np.concatenate([pos_idx, neg_idx]))
-        remap = np.zeros(len(table.pairs), dtype=np.intp)
+        remap = np.zeros(len(table.query_index), dtype=np.intp)
         remap[rows] = np.arange(rows.size)
         return (*table.fused(rows), remap[pos_idx], remap[neg_idx])
 
@@ -313,8 +314,8 @@ class TestBatchLoss:
         # Shuffled rows interleave positives and negatives within each anchor.
         pairs = train_pairs.pairs[np.random.default_rng(7).permutation(len(train_pairs.pairs))]
         table = triplet_table(bundle, PairSet(pairs))
-        labels = [table.pairs["label"][a:b] for a, b in zip(table.bounds[:-1], table.bounds[1:])]
-        assert any((np.diff(label) > 0).any() for label in labels)
+        labels = [table.positive[a:b] for a, b in zip(table.bounds[:-1], table.bounds[1:])]
+        assert any((np.diff(label.astype(int)) > 0).any() for label in labels)
         n_anchors = len(labels)
         rng = np.random.default_rng(8)
         chunks = [rng.choice(n_anchors, size, replace=False) for size in (1, 3, 16)]
@@ -329,7 +330,7 @@ class TestBatchLoss:
         _, bundle, train_pairs, _ = small_training_setup()
         grouped = oracle_groups(train_pairs.pairs)
         table = triplet_table(bundle, train_pairs)
-        n_anchors = len(table.triplets)
+        n_anchors = len(table)
         got = sum(len(table.batch(np.arange(i, min(i + 3, n_anchors)))[3])
                   for i in range(0, n_anchors, 3))
         want = sum(sum(1 for p in plist if p.label == 1) *
@@ -356,12 +357,14 @@ class TestBatchLoss:
             neg = [start + i for i, p in enumerate(plist) if p.label == 0]
             want_triplets.append(([p for p in pos for _ in neg], neg * len(pos)))
         assert len(want_triplets) == len(oracle_groups(pairs)) - 1
-        assert table.pairs.tolist() == [tuple(p) for p in want_rows]
+        assert table.query_index.tolist() == [p.query_index for p in want_rows]
+        assert table.cand_index.tolist() == [p.cand_index for p in want_rows]
+        assert table.positive.tolist() == [p.label == 1 for p in want_rows]
         assert table.bounds.tolist() == want_bounds
-        assert [(pos.tolist(), neg.tolist()) for pos, neg in table.triplets] == want_triplets
-        want = pair_arrays(
-            [pair_records(bundle, table.pairs, r) for r in range(len(table.pairs))],
-            bundle.dims)
+        assert [tuple(x.tolist() for x in table.triplets(np.array([a])))
+                for a in range(len(table))] == want_triplets
+        want = pair_arrays([table_records(table, r) for r in range(len(table.query_index))],
+                           bundle.dims)
         for got, w in zip(table.fused(slice(None)), want):
             assert np.array_equal(got, w)
 
@@ -384,6 +387,122 @@ class TestBatchLoss:
         batch = table.batch(np.arange(4))
         (total, lg, lp), _ = triplet_loss_and_grads(model, *batch, -10.0)
         assert total == 0.0 and lg == 0.0 and lp == 0.0
+
+
+#: A hand-made train pair file over ``train_bundle``'s 16 images: anchors
+#: interleave, anchor 0 interleaves its labels, anchor 7 has positives only
+#: and anchor 9 negatives only (both left out), and anchor 5 has one of each.
+HAND_MADE_PAIRS = """query_role,query_index,rank,cand_role,cand_index,label
+T,3,1,T,5,0
+T,0,1,T,2,1
+T,3,1,T,1,1
+T,0,1,T,4,0
+T,0,2,T,3,1
+T,7,1,T,8,1
+T,3,2,T,6,0
+T,0,2,T,5,0
+T,9,1,T,2,0
+T,0,3,T,6,1
+T,5,1,T,7,0
+T,5,1,T,4,1
+"""
+
+
+class TestTripletGenerator:
+    """``TripletTable.triplets`` against the per-anchor ``np.meshgrid`` the
+    table once stored (``conftest.oracle_triplets``)."""
+
+    @staticmethod
+    def hand_made_table(tmp_path):
+        path = tmp_path / "train_pairs.csv"
+        path.write_text(HAND_MADE_PAIRS)
+        bundle = train_bundle(np.random.default_rng(3))
+        return triplet_table(bundle, read_pairs_csv(path))
+
+    def test_a_hand_made_file_gives_its_rows_and_triplets(self, tmp_path):
+        table = self.hand_made_table(tmp_path)
+        assert len(table) == 3
+        assert table.query_index.tolist() == [3, 3, 3, 0, 0, 0, 0, 0, 5, 5]
+        assert table.cand_index.tolist() == [5, 1, 6, 2, 4, 3, 5, 6, 7, 4]
+        assert table.positive.tolist() == [False, True, False, True, False, True,
+                                           False, True, False, True]
+        assert table.bounds.tolist() == [0, 3, 8, 10]
+        want = {0: ([1, 1], [0, 2]),
+                1: ([3, 3, 5, 5, 7, 7], [4, 6, 4, 6, 4, 6]),
+                2: ([9], [8])}
+        for anchors in ([0], [1], [2], [2, 0, 1], [1, 2], []):
+            pos, neg = table.triplets(np.array(anchors, dtype=np.int64))
+            assert pos.dtype == neg.dtype == np.int64
+            assert (pos.tolist(), neg.tolist()) == tuple(
+                sum((want[a][side] for a in anchors), []) for side in (0, 1))
+            assert [x.tolist() for x in oracle_triplets(table, anchors)] == \
+                [pos.tolist(), neg.tolist()]
+        # An SGD batch numbers the triplets by the sorted anchors' rows
+        # 0, 1, 2, 8, 9.
+        batch = table.batch(np.array([2, 0]))
+        assert batch[3].tolist() == [4, 1, 1] and batch[4].tolist() == [3, 0, 2]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_anchor_order_gives_the_meshgrid_triplets(self, seed):
+        _, bundle, train_pairs, _ = small_training_setup(seed=seed)
+        # Shuffled rows interleave the anchors and each anchor's labels.
+        rng = np.random.default_rng(seed)
+        table = triplet_table(bundle, PairSet(train_pairs.pairs[
+            rng.permutation(len(train_pairs.pairs))]))
+        n = len(table)
+        orders = [[a] for a in range(n)]
+        orders += [np.arange(n), np.arange(n)[::-1], rng.permutation(n),
+                   rng.choice(n, 5, replace=False)]
+        for anchors in orders:
+            got = table.triplets(np.array(anchors))
+            want = oracle_triplets(table, anchors)
+            assert all(g.tolist() == w.tolist() for g, w in zip(got, want))
+
+    def test_every_sgd_batch_gives_the_meshgrid_triplets(self):
+        model, bundle, train_pairs, _ = small_training_setup(batch_size=3)
+        table = triplet_table(bundle, train_pairs)
+        rng = np.random.default_rng([model.seed, 1])
+        for _ in range(2):
+            order = rng.permutation(len(table))
+            for start in range(0, len(order), model.hyper.batch_size):
+                anchors = order[start:start + model.hyper.batch_size]
+                gx, px, present, pos_index, neg_index = table.batch(anchors)
+                rows = np.concatenate([np.arange(table.bounds[a], table.bounds[a + 1])
+                                       for a in np.sort(anchors)])
+                pos, neg = oracle_triplets(table, anchors)
+                assert rows[pos_index].tolist() == pos.tolist()
+                assert rows[neg_index].tolist() == neg.tolist()
+                for got, want in zip((gx, px, present), table.fused(rows)):
+                    assert np.array_equal(got, want)
+
+    def test_the_table_keeps_its_rows_only(self):
+        """The table holds 17 bytes a row (two int64 indices and a flag)
+        and its bounds.  Before, it kept a 48-byte copy of each pair row and
+        every anchor's (2, m) int64 triplet array: 346 KB here, 120 B a row."""
+        bundle, _ = generate(SynthConfig(n_identities=40, seed=1))
+        train_pairs = build_train_pairs(bundle, num_candidates=20)[0]
+        with PeakMemory() as memory:
+            table = triplet_table(bundle, train_pairs)
+        rows = len(table.query_index)
+        assert rows == len(train_pairs.pairs) == 2880
+        assert memory.held < 17 * rows + 8 * len(table.bounds) + 8 * 1024
+
+    def test_the_table_loss_peaks_near_its_two_hinge_arrays(self, monkeypatch):
+        """Beside one float64 hinge a triplet for each term and the per-row
+        scores, ``table_loss`` holds one block: 8 rows scored and 4 anchors'
+        triplets at a time here.  Before, the hinges of every triplet at
+        once took 546 KB here, 16 x 9,600 + 17 x 2,880 + 343 KB."""
+        bundle, _ = generate(SynthConfig(n_identities=40, seed=1))
+        table = triplet_table(bundle, build_train_pairs(bundle, num_candidates=20)[0])
+        model = VerifierModel.initialize(bundle.dims, seed=1)
+        set_blocks(monkeypatch, model, 8)
+        monkeypatch.setattr(verifier, "ANCHOR_BLOCK", 4)
+        count = len(table.triplets(np.arange(len(table)))[0])
+        rows = len(table.query_index)
+        assert count == 9600
+        with PeakMemory() as peak:
+            table_loss(model, table, 0.3)
+        assert peak.bytes < 16 * count + 17 * rows + 96 * 1024
 
 
 class TestGradients:
@@ -444,7 +563,7 @@ def sparse_parts_setup(seed=4):
     bundle, _ = generate(cfg)
     table = triplet_table(bundle, build_train_pairs(bundle, num_candidates=5)[0])
     model = VerifierModel.initialize(bundle.dims, 8, 8, seed=seed)
-    records = [pair_records(bundle, table.pairs, r) for r in range(len(table.pairs))]
+    records = [table_records(table, r) for r in range(len(table.query_index))]
     return model, bundle, table, records
 
 
@@ -469,7 +588,7 @@ class TestChunkEdges:
     def test_the_table_mixes_rows_with_and_without_a_joint_part(self):
         _, _, table, _ = sparse_parts_setup()
         valid = table.fused(slice(None))[2].any(axis=1)
-        assert len(table.pairs) > 2 * max(self.CHUNKS)
+        assert len(table.query_index) > 2 * max(self.CHUNKS)
         assert 0 < valid.sum() < len(valid)
 
     @pytest.mark.parametrize("chunk", CHUNKS)
@@ -485,8 +604,8 @@ class TestChunkEdges:
         """Both collectors run one fusion arithmetic, absent slots included."""
         _, bundle, table, records = sparse_parts_setup()
         rng = np.random.default_rng(9)
-        for anchors in (np.arange(len(table.triplets)), rng.permutation(len(table.triplets)),
-                        rng.choice(len(table.triplets), 3, replace=False)):
+        for anchors in (np.arange(len(table)), rng.permutation(len(table)),
+                        rng.choice(len(table), 3, replace=False)):
             gx, px, present, pos, neg = table.batch(anchors)
             rows = np.concatenate([np.arange(*table.bounds[a:a + 2])
                                    for a in np.sort(anchors)])
@@ -500,7 +619,7 @@ class TestChunkEdges:
         model, _, table, _ = sparse_parts_setup()
         set_blocks(monkeypatch, model, chunk)
         want = triplet_loss(model, *table.fused(slice(None)),
-                            *np.concatenate(table.triplets, axis=1), 0.3)
+                            *table.triplets(np.arange(len(table))), 0.3)
         assert want[2] > 0.0
         assert table_loss(model, table, 0.3) == want
 
@@ -519,10 +638,10 @@ class TestChunkEdges:
         """The part head in one block, and the global head's ``chunk``-row
         blocks taken by the conftest oracle, give the same bits."""
         model, _, table, _ = sparse_parts_setup()
-        args = (model, *table.fused(slice(None)), *np.concatenate(table.triplets, axis=1),
+        args = (model, *table.fused(slice(None)), *table.triplets(np.arange(len(table))),
                 0.3)
         forward_global = verifier._forward_global
-        set_blocks(monkeypatch, model, len(table.pairs))
+        set_blocks(monkeypatch, model, len(table.query_index))
         monkeypatch.setattr(verifier, "_forward_global",
                             lambda model, gx: blocked_global_forward(model, gx, chunk))
         want_losses, want_grad = triplet_loss_and_grads(*args)
@@ -568,9 +687,9 @@ class TestChunkEdges:
         bundle, _ = generate(SynthConfig(n_identities=40, seed=1))
         table = triplet_table(bundle, build_train_pairs(bundle, num_candidates=20)[0])
         model = VerifierModel.initialize(bundle.dims, seed=1)
-        pos, neg = np.concatenate(table.triplets, axis=1)
+        pos, neg = table.triplets(np.arange(len(table)))
         gx, px, present = table.fused(slice(None))
-        assert len(table.pairs) > 10 * verifier.SCORE_CHUNK
+        assert len(table.query_index) > 10 * verifier.SCORE_CHUNK
         with PeakMemory() as peak:
             triplet_loss(model, gx, px, present, pos, neg, 0.3)
         assert peak.bytes < px.nbytes
@@ -586,7 +705,7 @@ class TestChunkEdges:
         table = triplet_table(bundle, build_train_pairs(bundle, num_candidates=20)[0])
         valid_pairs = build_eval_pairs(bundle, "VQ", "VG", num_candidates=20)
         model = VerifierModel.initialize(bundle.dims, seed=1)
-        global_rows = len(table.pairs) * 2 * bundle.dims[0] * 8
+        global_rows = len(table.query_index) * 2 * bundle.dims[0] * 8
         with PeakMemory() as peak:
             table_loss(model, table, 0.3)
         assert peak.bytes < global_rows
@@ -603,7 +722,7 @@ class TestChunkEdges:
         valid_pairs = build_eval_pairs(bundle, "VQ", "VG", num_candidates=20)
         model = VerifierModel.initialize(bundle.dims, seed=1,
                                          hyper=TrainConfig(epochs=1))
-        rows = len(triplet_table(bundle, train_pairs).pairs)
+        rows = len(triplet_table(bundle, train_pairs).query_index)
         d, dp, k = bundle.dims
         with PeakMemory() as peak:
             train(model, bundle, train_pairs, valid_pairs)
