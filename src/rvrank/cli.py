@@ -339,10 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--valid-pairs", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=80)
-    p.add_argument("--lr", type=float, default=3.5e-4)
-    p.add_argument("--margin", type=float, default=0.3)
-    p.add_argument("--batch-size", type=int, default=16)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--margin", type=float, default=TrainConfig.margin)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--hidden-global", type=int, default=32)
     p.add_argument("--hidden-part", type=int, default=32)
     _add_config_flags(p, RankingConfig, "L", "Q")

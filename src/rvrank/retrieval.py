@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -237,57 +237,84 @@ def concatenated_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ranked_pairs(query_role: str, queries: Split, cand_role: str, cands: Split,
-                  runs: list[tuple[int, np.ndarray]]) -> PairSet:
-    """One pair per candidate of each ``(query index, candidate indices)``
-    run, ranked from 1 within its run and labelled 1 when the query and the
-    candidate share an identity."""
-    if not runs:
-        return PairSet(np.empty(0, dtype=PAIR_DTYPE))
-    query_index, cand_index = zip(*runs)
-    counts = np.array([len(kept) for kept in cand_index], dtype=np.int64)
-    pairs = np.empty(counts.sum(), dtype=PAIR_DTYPE)
+def first_appearance_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, bounds)``: the rows of each distinct value of the 1-D array
+    ``keys`` (a structured one compares field by field) in row order,
+    values by first appearance, back to back; value ``g``'s rows are
+    ``order[bounds[g]:bounds[g + 1]]``."""
+    by_value = np.argsort(keys, kind="stable")
+    sorted_keys = keys[by_value]
+    opens = np.ones(len(keys), dtype=bool)
+    opens[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    runs = np.append(np.flatnonzero(opens), len(keys))
+    appearance = np.argsort(by_value[runs[:-1]])
+    starts, stops = runs[:-1][appearance], runs[1:][appearance]
+    return (by_value[concatenated_ranges(starts, stops)],
+            np.cumsum(np.append(0, stops - starts)))
+
+
+def _mine_block(block: np.ndarray, rows: slice, masks: Callable[[slice], list[np.ndarray]],
+                limit: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``(usable, columns)`` for the queries ``rows``, whose distance rows
+    are ``block``: ``usable`` flags the queries with an entry under every
+    mask of ``masks(rows)``; ``columns`` are the flat query index, rank and
+    candidate index of their pairs, query after query, each query's entries
+    under each mask in turn (those at or below its cut, see
+    :func:`masked_orders`) ranked from 1, at most ``limit``.  The masks are
+    made here, so every temporary of the block goes when it returns."""
+    allowed = masks(rows)
+    usable = np.logical_and.reduce([mask.any(axis=1) for mask in allowed])
+    sides = [_cut_entries(block, mask, limit) for mask in allowed]
+    query, cand = (np.concatenate(side) for side in zip(*sides))
+    # Each entry's 0-based place in its query's entries under its mask.
+    rank = np.concatenate([np.arange(len(row)) - np.searchsorted(row, row) for row, _ in sides])
+    # Stable: a query's entries keep the order of the masks.
+    order = np.argsort(query, kind="stable")
+    order = order[usable[query[order]] & (rank[order] < limit)]
+    return usable, [column[order] for column in (query + rows.start, rank + 1, cand)]
+
+
+def _block_pairs(dist: DistanceRows, query_role: str, queries: Split, cand_role: str,
+                 cands: Split, masks: Callable[[slice], list[np.ndarray]],
+                 limit: int) -> tuple[PairSet, list[int]]:
+    """``(pairs, dropped)``: the pairs of :func:`_mine_block` of every
+    ``DISTANCE_BLOCK`` of ``queries``, labelled 1 where query and candidate
+    share an identity, and the queries left out.  Only the blocks' flat
+    columns are held, once ``dist`` is dropped, while the pairs are filled."""
+    if limit < 1:
+        raise ValueError(f"num_candidates must be >= 1, got {limit}")
+    columns: dict[str, list[np.ndarray]] = {"query_index": [], "rank": [], "cand_index": []}
+    dropped: list[int] = []
+    for r0 in range(0, len(queries), DISTANCE_BLOCK):
+        rows = slice(r0, r0 + DISTANCE_BLOCK)
+        usable, block_columns = _mine_block(dist[rows], rows, masks, limit)
+        dropped += (r0 + np.flatnonzero(~usable)).tolist()
+        for blocks, column in zip(columns.values(), block_columns):
+            blocks.append(column)
+    del dist
+    pairs = np.empty(sum(map(len, columns["rank"])), dtype=PAIR_DTYPE)
     pairs["query_role"], pairs["cand_role"] = query_role, cand_role
-    pairs["query_index"] = np.repeat(query_index, counts)
-    pairs["rank"] = concatenated_ranges(np.ones_like(counts), counts + 1)
-    pairs["cand_index"] = np.concatenate(cand_index)
+    for name in list(columns):
+        # Each field's blocks go as soon as they are copied in; the empty
+        # head serves a role with no images, which has no blocks.
+        np.concatenate([np.empty(0, np.int64), *columns.pop(name)], out=pairs[name])
     pairs["label"] = (queries.identity[pairs["query_index"]]
                       == cands.identity[pairs["cand_index"]])
-    return PairSet(pairs)
+    return PairSet(pairs), dropped
 
 
 def build_eval_pairs(bundle: DatasetBundle, query_role: str, gallery_role: str,
                      num_candidates: int = 20, metric: str = "euclidean") -> PairSet:
-    """Labelled top-P candidate pairs for a query/gallery role combination."""
+    """Labelled top-P candidate pairs for a query/gallery role combination,
+    ranked from 1 in :func:`top_candidates`' order."""
     queries = bundle.splits[query_role]
     gallery = bundle.splits[gallery_role]
     if not len(gallery):
         raise ValueError(f"empty gallery: role {gallery_role} holds no images to rank "
                          f"the {query_role} queries against")
-    lists = top_candidates(queries, gallery, num_candidates, metric)
-    return _ranked_pairs(query_role, queries, gallery_role, gallery, list(enumerate(lists)))
-
-
-def _mine_block(block: np.ndarray, rows: slice, ids: np.ndarray, cloths: np.ndarray,
-                limit: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Train pairs of the anchors ``rows``, whose distance rows are
-    ``block``: ``(usable, columns)``, where ``usable`` flags each anchor with
-    a positive and a negative and ``columns`` are the flat query index,
-    rank, candidate index and label of the usable anchors' pairs, anchor
-    after anchor, each one's positives and then its negatives ranked from 1.
-    Every temporary of the block goes when it returns."""
-    same = ids[rows, None] == ids
-    pos_mask, neg_mask = same & (cloths[rows, None] != cloths), ~same
-    usable = pos_mask.any(axis=1) & neg_mask.any(axis=1)
-    sides = [_cut_entries(block, mask, limit) for mask in (pos_mask, neg_mask)]
-    anchor, cand = (np.concatenate(side) for side in zip(*sides))
-    label = np.repeat([True, False], [len(sides[0][0]), len(sides[1][0])])
-    # Each entry's 0-based place in its anchor's positives or negatives.
-    rank = np.concatenate([np.arange(len(row)) - np.searchsorted(row, row) for row, _ in sides])
-    # Stable: an anchor's positives stay ahead of its negatives.
-    order = np.argsort(anchor, kind="stable")
-    order = order[usable[anchor[order]] & (rank[order] < limit)]
-    return usable, [column[order] for column in (anchor + rows.start, rank + 1, cand, label)]
+    return _block_pairs(DistanceRows(queries.features, gallery.features, metric), query_role,
+                        queries, gallery_role, gallery,
+                        lambda rows: [eligible_mask(queries[rows], gallery)], num_candidates)[0]
 
 
 def build_train_pairs(bundle: DatasetBundle, num_candidates: int = 20,
@@ -296,50 +323,34 @@ def build_train_pairs(bundle: DatasetBundle, num_candidates: int = 20,
 
     Per anchor: the nearest ``num_candidates`` same-identity different-cloth
     images become positives (label 1), the nearest ``num_candidates``
-    different-identity images become negatives (label 0).  Anchors without at
-    least one positive and one negative are dropped; the second return value
-    lists their indices.  Each block of anchors leaves flat columns, copied
-    once into the pair array.
+    different-identity images become negatives (label 0), each side ranked
+    from 1.  Anchors without at least one positive and one negative are
+    dropped; the second return value lists their indices.
     """
-    if num_candidates < 1:
-        raise ValueError(f"num_candidates must be >= 1, got {num_candidates}")
     train = bundle.splits["T"]
-    # One float64 array as both operands: a split that fits in one block
-    # then takes numpy's symmetric ``a @ a.T``.  A larger one need not give
-    # an exactly symmetric matrix, and no code needs it to: each anchor
-    # selects from its own row.
-    feats = train.features.astype(np.float64)
-    dist = DistanceRows(feats, feats, metric)
-    columns: dict[str, list[np.ndarray]] = {"query_index": [], "rank": [],
-                                            "cand_index": [], "label": []}
-    dropped: list[int] = []
-    for r0 in range(0, len(train), DISTANCE_BLOCK):
-        rows = slice(r0, r0 + DISTANCE_BLOCK)
-        usable, block_columns = _mine_block(dist[rows], rows, train.identity, train.cloth,
-                                            num_candidates)
-        dropped += (r0 + np.flatnonzero(~usable)).tolist()
-        for blocks, column in zip(columns.values(), block_columns):
-            blocks.append(column)
-    # Only the columns are held while the pair array is filled.
-    del dist, feats
-    pairs = np.empty(sum(map(len, columns["label"])), dtype=PAIR_DTYPE)
-    pairs["query_role"] = pairs["cand_role"] = "T"
-    for name in list(columns):
-        # Each field's blocks go as soon as they are copied in; the empty
-        # head serves a train split with no images, which has no blocks.
-        np.concatenate([np.empty(0, np.int64), *columns.pop(name)], out=pairs[name])
-    return PairSet(pairs), dropped
+
+    def masks(rows: slice) -> list[np.ndarray]:
+        same = train.identity[rows, None] == train.identity
+        # The negatives take the buffer of ``same``: one block array fewer.
+        return [same & (train.cloth[rows, None] != train.cloth),
+                np.logical_not(same, out=same)]
+
+    # One float64 array as both operands (a split of one block then takes
+    # numpy's symmetric ``a @ a.T``; no code needs the matrix symmetric),
+    # built in the call so that it goes before the pair array is filled.
+    return _block_pairs(DistanceRows(*[train.features.astype(np.float64)] * 2, metric),
+                        "T", train, "T", train, masks, num_candidates)
 
 
 def query_runs(pairs: np.ndarray) -> list[np.ndarray]:
     """Row numbers of each query's pairs in rank order (equal ranks in file
-    order); queries are numbered by their ``(query_role, query_index)``'s
-    first appearance and come in that order."""
-    _, first, inverse = np.unique(pairs[["query_role", "query_index"]],
-                                  return_index=True, return_inverse=True)
-    number = np.argsort(np.argsort(first))[inverse]
-    order = np.lexsort((pairs["rank"], number))
-    return np.split(order, np.flatnonzero(np.diff(number[order], prepend=-1)))[1:]
+    order); queries are grouped by their ``(query_role, query_index)`` with
+    :func:`first_appearance_groups` and come in that order."""
+    order, bounds = first_appearance_groups(pairs[["query_role", "query_index"]])
+    # Each query's rows come in file order, and lexsort is stable.
+    query = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    order = order[np.lexsort((pairs["rank"][order], query))]
+    return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def candidates_from_pairs(pair_set: PairSet) -> dict[int, np.ndarray]:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .datastore import (BinaryHeader, DatasetBundle, ImageRecord, Split, check_rows,
                         write_csv)
-from .retrieval import PairSet, concatenated_ranges, query_runs
+from .retrieval import PairSet, concatenated_ranges, first_appearance_groups, query_runs
 
 MODEL_MAGIC = b"RVM1"
 
@@ -531,18 +531,6 @@ def _check_pair_indices(bundle: DatasetBundle, pairs: np.ndarray) -> tuple[Split
     return queries, cands
 
 
-def _first_appearance_groups(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, bounds)``: the rows of each value of the non-negative
-    ``index`` in row order, values by first appearance, back to back; value
-    ``g``'s rows are ``order[bounds[g]:bounds[g + 1]]``."""
-    by_value = np.argsort(index, kind="stable")
-    runs = np.append(np.flatnonzero(np.diff(index[by_value], prepend=-1)), len(index))
-    appearance = np.argsort(by_value[runs[:-1]])
-    starts, stops = runs[:-1][appearance], runs[1:][appearance]
-    return (by_value[concatenated_ranges(starts, stops)],
-            np.cumsum(np.append(0, stops - starts)))
-
-
 def triplet_table(bundle: DatasetBundle, pair_set: PairSet) -> TripletTable:
     """Every pair of every anchor that has both positives and negatives,
     anchors in first-appearance order and each anchor's rows in pair-set
@@ -551,7 +539,7 @@ def triplet_table(bundle: DatasetBundle, pair_set: PairSet) -> TripletTable:
     pairs = pair_set.pairs
     queries, cands = _check_pair_indices(bundle, pairs)
     # One query role throughout (checked), so the index names the anchor.
-    order, bounds = _first_appearance_groups(pairs["query_index"])
+    order, bounds = first_appearance_groups(pairs["query_index"])
     positive = pairs["label"][order] == 1
     sizes = np.diff(bounds)
     n_pos = np.add.reduceat(positive, bounds[:-1], dtype=np.int64)

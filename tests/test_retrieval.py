@@ -357,6 +357,20 @@ class TestEvalPairs:
         assert len(pair_set.pairs) > 0
         assert set(pair_set.pairs[["query_role", "cand_role"]].tolist()) == {("VQ", "VG")}
 
+    @pytest.mark.parametrize("P", [0, -1])
+    def test_a_depth_below_one_is_rejected(self, P):
+        bundle = random_bundle(np.random.default_rng(30))
+        with pytest.raises(ValueError, match=f"num_candidates must be >= 1, got {P}"):
+            build_eval_pairs(bundle, "Q", "G", P)
+        # An empty gallery is named by its role first.
+        with pytest.raises(ValueError, match="empty gallery: role VG holds no images"):
+            build_eval_pairs(bundle, "Q", "VG", P)
+
+    def test_an_empty_query_role_gives_no_pairs(self):
+        bundle = random_bundle(np.random.default_rng(31))
+        pair_set = build_eval_pairs(bundle, "VQ", "G", 5)
+        assert pair_set.pairs.dtype == PAIR_DTYPE and len(pair_set.pairs) == 0
+
     def test_candidates_from_pairs_round_trips_lists(self):
         rng = np.random.default_rng(29)
         bundle = random_bundle(rng, n_query=3, n_gallery=9)
@@ -458,6 +472,17 @@ def mining_bundle(rng, n=150, d=12):
     return build_bundle(rows, feats)
 
 
+def tied_eval_bundle(rng, n_query=150, n_gallery=90, d=12):
+    """A Q/G bundle (150 queries: no multiple of 7 or 64) whose gallery
+    repeats every tenth feature row, so equal distances fall at the cut."""
+    labels = rng.integers(0, [[8], [3]], size=(2, n_query + n_gallery))
+    feats = rng.normal(size=(n_query + n_gallery, d))
+    feats[n_query + 1::10] = feats[n_query::10]
+    rows = [(i, "Q", int(a), int(c), 0) for i, (a, c) in enumerate(labels[:, :n_query].T)]
+    rows += [(i, "G", int(a), int(c), 0) for i, (a, c) in enumerate(labels[:, n_query:].T)]
+    return build_bundle(rows, feats)
+
+
 class TestMiningByBlocks:
     """The consumers take ``distance_matrix``'s rows one fixed block at a
     time; their lists must be those of the rows of the whole matrix."""
@@ -496,18 +521,38 @@ class TestMiningByBlocks:
         got = top_candidates(queries, gallery, 10, metric)
         assert [order.tolist() for order in got] == want
 
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_eval_pairs_are_those_of_the_whole_matrix(self, monkeypatch, metric, block):
+        monkeypatch.setattr(retrieval, "DISTANCE_BLOCK", block)
+        bundle = tied_eval_bundle(np.random.default_rng(block))
+        queries, gallery = bundle.splits["Q"], bundle.splits["G"]
+        whole = distance_matrix(queries.features, gallery.features, metric)
+        want, tied_at_cut = [], 0
+        for qi, (row, ok) in enumerate(zip(whole, eligible_mask(queries, gallery))):
+            order = stable_order(row, ok)
+            tied_at_cut += row[order[9]] == row[order[10]]
+            want += [("Q", qi, rank, "G", gi, int(gallery.identity[gi] == queries.identity[qi]))
+                     for rank, gi in enumerate(order[:10], 1)]
+        assert tied_at_cut
+        got = build_eval_pairs(bundle, "Q", "G", 10, metric)
+        assert got.pairs.tolist() == want
+
     def test_top_candidates_never_hold_the_whole_mask(self):
-        """The eligibility mask is taken a block of queries at a time;
-        ``eligible_mask`` over every query peaked at two bools a cell."""
+        """The eligibility mask is taken a block of queries at a time, by
+        ``top_candidates`` and ``build_eval_pairs`` alike; ``eligible_mask``
+        over every query peaked at two bools a cell."""
         rng = np.random.default_rng(4)
         n_query, n_gallery = 4000, 4000
         identity = rng.integers(0, 50, size=n_query + n_gallery)
         rows = [(i, "Q", int(identity[i]), 0, 0) for i in range(n_query)]
         rows += [(i, "G", int(identity[n_query + i]), 0, 0) for i in range(n_gallery)]
         bundle = build_bundle(rows, rng.normal(size=(n_query + n_gallery, 2)))
-        with PeakMemory() as peak:
-            top_candidates(bundle.splits["Q"], bundle.splits["G"], 5)
-        assert peak.bytes < 0.5 * n_query * n_gallery
+        for select in (lambda: top_candidates(bundle.splits["Q"], bundle.splits["G"], 5),
+                       lambda: build_eval_pairs(bundle, "Q", "G", 5)):
+            with PeakMemory() as peak:
+                select()
+            assert peak.bytes < 0.5 * n_query * n_gallery
 
     def test_mining_peaks_far_below_one_train_matrix(self):
         """Mining from the whole T x T float64 matrix peaked above
