@@ -22,8 +22,8 @@ from . import __version__
 from .datastore import ROLES, load_bundle, write_bundle, write_json
 from .evaluation import evaluate, write_sweep_csv
 from .retrieval import (METRICS, build_eval_pairs, build_train_pairs,
-                        candidates_from_pairs, read_pairs_csv, top_candidates,
-                        write_pairs_csv)
+                        candidates_from_pairs, read_pairs_csv, require_gallery,
+                        top_candidates, write_pairs_csv)
 from .reranker import (RankingConfig, read_ranked_csv, rerank_pipeline, sweep_L,
                        write_ranked_csv)
 from .synthgen import SynthConfig, generate
@@ -277,6 +277,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if not 0 <= qi < len(queries):
         raise ValueError(f"--query-index {qi} out of range for role "
                          f"{args.query_role} (n={len(queries)})")
+    require_gallery(gallery, args.query_role, args.gallery_role)
     [indices] = top_candidates(queries[qi:qi + 1], gallery, args.limit, metric=args.metric)
     print(f"query {args.query_role}:{qi} identity={queries.identity[qi]} "
           f"cloth={queries.cloth[qi]}")

@@ -30,7 +30,8 @@ import numpy as np
 
 from .datastore import BinaryHeader, DatasetBundle, check_rows
 from .evaluation import evaluate
-from .retrieval import DISTANCE_BLOCK, DistanceRows, blocked_orders, masked_orders
+from .retrieval import (DISTANCE_BLOCK, DistanceRows, blocked_orders, mine_block,
+                        require_gallery, top_candidates)
 from .verifier import prefix_scores
 
 STAGE_NAMES = ("kreciprocal", "window")
@@ -128,10 +129,6 @@ def window_rerank(order: np.ndarray, scores: np.ndarray, L: int, Q: int) -> np.n
 #: it would pass either.
 _JACCARD_BLOCK = 1 << 15
 
-#: Rows the set steps (:func:`_neighbourhood_vectors`, :func:`_expand`) take
-#: at once; :func:`_neighbourhood_vectors` reads that many distance rows.
-_SET_ROWS = 128
-
 #: Sparse neighbourhood vectors: CSR ``(indptr, columns, values)``, each
 #: row's columns ascending.
 Vectors = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -142,8 +139,8 @@ def _neighbours(dist: np.ndarray | DistanceRows, num_queries: int, count: int,
     """``(initial, blend)``: (n, count) indices, each image's ``count``
     nearest images with itself at distance 0, and the (queries, gallery)
     array ``lam * dist[q, num_queries:]`` that the Jaccard step adds to.
-    Reads ``dist`` one ``DISTANCE_BLOCK`` of rows at a time and checks each
-    block's diagonal."""
+    Reads ``dist`` one ``DISTANCE_BLOCK`` of rows at a time, checks each
+    block's diagonal and takes its lists from :func:`mine_block`."""
     n = dist.shape[0]
     initial = np.empty((n, count), dtype=np.intp)
     blend = np.empty((num_queries, n - num_queries))
@@ -153,7 +150,9 @@ def _neighbours(dist: np.ndarray | DistanceRows, num_queries: int, count: int,
         if (np.abs(d[own, r0 + own]) > 1e-6).any():
             raise ValueError("dist diagonal must be zero (self-distances)")
         d[own, r0 + own] = 0.0
-        initial[r0:r0 + len(d)] = masked_orders(d, np.ones(d.shape, dtype=bool), count)
+        everything = [np.ones(d.shape, dtype=bool)]
+        _, (*_, nearest) = mine_block(d, slice(r0, None), lambda _: everything, count)
+        initial[r0:r0 + len(d)] = nearest.reshape(-1, count)
         if r0 < num_queries:
             np.multiply(lam, d[:num_queries - r0, num_queries:],
                         out=blend[r0:r0 + DISTANCE_BLOCK])
@@ -176,9 +175,10 @@ def _reciprocal(heads: np.ndarray) -> np.ndarray:
 
 def _csr(n: int, block: Callable) -> Vectors:
     """CSR rows from ``block(r0, r1)``: rows r0..r1-1 as sorted unique
-    ``row * n + column`` keys and their values, ``_SET_ROWS`` rows a call."""
+    ``row * n + column`` keys and their values, one ``DISTANCE_BLOCK`` of
+    rows a call, so that each call reads exactly one block of distances."""
     keys, values = map(np.concatenate, zip(*(
-        block(r0, min(r0 + _SET_ROWS, n)) for r0 in range(0, n, _SET_ROWS))))
+        block(r0, min(r0 + DISTANCE_BLOCK, n)) for r0 in range(0, n, DISTANCE_BLOCK))))
     counts = np.bincount(keys // n, minlength=n)
     return np.concatenate([[0], np.cumsum(counts)]), keys % n, values
 
@@ -329,18 +329,19 @@ def kreciprocal_rerank(dist: np.ndarray | DistanceRows, num_queries: int, k1: in
 # pipeline
 
 
-def _check_candidates(candidates: dict[int, np.ndarray], qi: int, order: np.ndarray) -> None:
-    """Raise ValueError unless query ``qi``'s candidate list is the prefix
-    of its retrieval ``order``; a query without eligible gallery images has
-    no candidate rows."""
-    if qi not in candidates:
-        if len(order):
-            raise ValueError(f"no candidate list for query {qi}")
-    elif not np.array_equal(candidates[qi], order[:len(candidates[qi])]):
-        raise ValueError(
-            f"candidate list for query {qi} does not match the "
-            f"current retrieval ranking; rebuild the candidates"
-        )
+def _check_candidates(candidates: dict[int, np.ndarray], orders: list[np.ndarray]) -> None:
+    """Raise ValueError unless each query ``qi``'s candidate list is the
+    prefix of its retrieval order ``orders[qi]``; a query without eligible
+    gallery images has no candidate rows."""
+    for qi, order in enumerate(orders):
+        if qi not in candidates:
+            if len(order):
+                raise ValueError(f"no candidate list for query {qi}")
+        elif not np.array_equal(candidates[qi], order[:len(candidates[qi])]):
+            raise ValueError(
+                f"candidate list for query {qi} does not match the "
+                f"current retrieval ranking; rebuild the candidates"
+            )
 
 
 def rerank_pipeline(bundle: DatasetBundle, scorer: Callable[..., np.ndarray] | None,
@@ -359,7 +360,8 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: Callable[..., np.ndarray] | N
     is supplied, it is checked against the freshly computed retrieval
     prefix and a ValueError names the first query that disagrees, that
     ``query_role`` does not have, or that has eligible gallery images but
-    no list.
+    no list.  With the k-reciprocal stage, an empty gallery role raises
+    ValueError naming it before anything is selected.
 
     The window stage passes exactly ``min(Q, eligible)`` pairs per query to
     the scorer, through :func:`~rvrank.verifier.prefix_scores`.
@@ -378,23 +380,18 @@ def rerank_pipeline(bundle: DatasetBundle, scorer: Callable[..., np.ndarray] | N
                          f"{len(queries)} {query_role} queries")
     if not len(queries):
         return []
-    # k-reciprocal re-ranking replaces the retrieval orders, so they are
-    # computed only when the candidate check or a pipeline without it reads
-    # them, kept only in the latter, and cut to the longest candidate list
-    # (at least 1) in the former.
-    orders = []
-    if candidates is not None or "kreciprocal" not in stages:
-        limit = (max([len(c) for c in candidates.values()] + [1])
-                 if "kreciprocal" in stages else None)
-        retrieved = blocked_orders(DistanceRows(queries.features, gallery.features, metric),
-                                   queries, gallery, limit)
-        for qi, order in enumerate(retrieved):
-            if candidates is not None:
-                _check_candidates(candidates, qi, order)
-            if "kreciprocal" not in stages:
-                orders.append(order)
-
-    if "kreciprocal" in stages:
+    if "kreciprocal" not in stages:
+        orders = list(blocked_orders(DistanceRows(queries.features, gallery.features, metric),
+                                     queries, gallery))
+        if candidates is not None:
+            _check_candidates(candidates, orders)
+    else:
+        require_gallery(gallery, query_role, gallery_role)
+        if candidates is not None:
+            # k-reciprocal re-ranking replaces the retrieval orders, so the
+            # check reads them only as deep as its longest list (at least 1).
+            _check_candidates(candidates, top_candidates(
+                queries, gallery, max([len(c) for c in candidates.values()] + [1]), metric))
         # Each image's neighbours and weights are read from its own row, so
         # the union matrix need not be exactly symmetric, and it is not:
         # distance_matrix's row blocks can round a cell and its mirror apart.

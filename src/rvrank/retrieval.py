@@ -135,51 +135,42 @@ def eligible_mask(queries: Split, gallery: Split) -> np.ndarray:
              & (queries.cloth[:, None] == gallery.cloth[None, :]))
 
 
-def masked_orders(block: np.ndarray, allowed: np.ndarray,
-                  limit: int | None = None) -> list[np.ndarray]:
-    """For each row of ``block``: the indices of the entries its row of
-    ``allowed`` permits, by ascending value with ties to the lower index and
-    NaN last; at most ``limit`` of them.
+def masked_orders(block: np.ndarray, allowed: np.ndarray) -> list[np.ndarray]:
+    """The full-order kernel.  For each row of ``block``: the indices of
+    every entry its row of ``allowed`` permits, by ascending value with ties
+    to the lower index and NaN last, as views of one array per block.
 
-    Without a ``limit`` the block takes one unstable ``np.argsort``; the
-    rows where equal values meet then sort each run of them (NaNs form one
-    run) by index, and each row keeps its allowed entries along that order,
-    which is the order of sorting only them.  With a ``limit``, each row
-    holding more allowed entries than that finds its limit-th smallest
-    allowed value with one ``np.partition`` of the block's rows, disallowed
-    entries read as +inf; the entries at or below each row's cut (ties at
-    the cut included; with a NaN cut, every allowed entry) take one stable
-    sort by (row, value) (see :func:`_cut_entries`).  A limited order is an
-    array of its own that keeps nothing of the block's size alive.
+    The block takes one unstable ``np.argsort``; the rows where equal values
+    meet then sort each run of them (NaNs form one run) by index, and each
+    row keeps its allowed entries along that order, which is the order of
+    sorting only them.  Top-P selections go through :func:`mine_block`.
     """
     n = block.shape[1]
-    if limit is None:
-        order = np.argsort(block, axis=1)
-        values = np.take_along_axis(block, order, axis=1)
-        # A run opens at every change of value; the NaNs, sorted last, are one.
-        opens = (values[:, 1:] != values[:, :-1]) & ~np.isnan(values[:, :-1])
-        del values
-        tied = np.flatnonzero(~opens.all(axis=1))
-        if len(tied):
-            runs = np.zeros((len(tied), n), dtype=np.intp)
-            np.cumsum(opens[tied], axis=1, out=runs[:, 1:])
-            runs *= n
-            runs += order[tied]
-            runs.sort(axis=1)
-            order[tied] = runs % n
-        ok = np.take_along_axis(allowed, order, axis=1)
-        return np.split(order[ok], np.cumsum(ok.sum(axis=1)))[:-1]
-    row, col = _cut_entries(block, allowed, limit)
-    starts = np.searchsorted(row, np.arange(len(block) + 1))
-    return [col[a:min(b, a + limit)].copy() for a, b in zip(starts[:-1], starts[1:])]
+    order = np.argsort(block, axis=1)
+    values = np.take_along_axis(block, order, axis=1)
+    # A run opens at every change of value; the NaNs, sorted last, are one.
+    opens = (values[:, 1:] != values[:, :-1]) & ~np.isnan(values[:, :-1])
+    del values
+    tied = np.flatnonzero(~opens.all(axis=1))
+    if len(tied):
+        runs = np.zeros((len(tied), n), dtype=np.intp)
+        np.cumsum(opens[tied], axis=1, out=runs[:, 1:])
+        runs *= n
+        runs += order[tied]
+        runs.sort(axis=1)
+        order[tied] = runs % n
+    ok = np.take_along_axis(allowed, order, axis=1)
+    return np.split(order[ok], np.cumsum(ok.sum(axis=1)))[:-1]
 
 
 def _cut_entries(block: np.ndarray, allowed: np.ndarray,
                  limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """The allowed entries at or below each row's cut (see
-    :func:`masked_orders`) as flat int64 columns ``(row, column)``, rows
-    ascending and each row's entries in order.  Ties at the cut can leave a
-    row more than ``limit`` entries; its first ``limit`` are its order."""
+    """The allowed entries at or below each row's cut as flat int64 columns
+    ``(row, column)``, rows ascending, each row's entries by ascending value
+    with ties to the lower column and NaN last.  A row with more than
+    ``limit`` allowed entries cuts at the limit-th smallest of them (one
+    ``np.partition``, disallowed entries read as +inf; a NaN cut keeps them
+    all); ties at the cut can leave it more than ``limit`` entries."""
     n = block.shape[1]
     over = np.flatnonzero(allowed.sum(axis=1) > limit)
     keep = allowed
@@ -201,31 +192,37 @@ def _cut_entries(block: np.ndarray, allowed: np.ndarray,
     return row, col[np.lexsort((block.ravel()[kept], row))]
 
 
-def blocked_orders(dist: np.ndarray | DistanceRows, queries: Split, gallery: Split,
-                   limit: int | None = None) -> Iterator[np.ndarray]:
-    """Each query's eligible gallery by ascending ``dist`` row, ties to the
-    lower index, at most ``limit`` entries (see :func:`masked_orders`),
-    taking the rows and the eligibility mask one ``DISTANCE_BLOCK`` of
-    queries at a time."""
+def blocked_orders(dist: np.ndarray | DistanceRows, queries: Split,
+                   gallery: Split) -> Iterator[np.ndarray]:
+    """Each query's whole eligible gallery by ascending ``dist`` row, ties
+    to the lower index (see :func:`masked_orders`), taking the rows and the
+    eligibility mask one ``DISTANCE_BLOCK`` of queries at a time."""
     for r0 in range(0, len(queries), DISTANCE_BLOCK):
         rows = slice(r0, r0 + DISTANCE_BLOCK)
-        yield from masked_orders(dist[rows], eligible_mask(queries[rows], gallery), limit)
+        yield from masked_orders(dist[rows], eligible_mask(queries[rows], gallery))
+
+
+def require_gallery(gallery: Split, query_role: str, gallery_role: str) -> None:
+    """Raise ValueError naming ``gallery_role`` when it holds no images."""
+    if not len(gallery):
+        raise ValueError(f"empty gallery: role {gallery_role} holds no images to rank "
+                         f"the {query_role} queries against")
 
 
 def top_candidates(queries: Split, gallery: Split, num_candidates: int,
                    metric: str = "euclidean") -> list[np.ndarray]:
     """Top-P eligible candidates per query: an array of gallery indices,
-    nearest first.
-
-    Ties in distance break towards the lower gallery index.  Queries with
-    fewer than P eligible gallery images get shorter arrays.
+    nearest first, ties to the lower index.  These are the candidates of
+    :func:`build_eval_pairs`, split per query: a query with fewer than P
+    eligible gallery images gets a shorter array (one with none an empty
+    one), and zero queries give ``[]``.
     """
-    if num_candidates < 1:
-        raise ValueError(f"num_candidates must be >= 1, got {num_candidates}")
     if not len(gallery):
         raise ValueError("empty gallery")
-    return list(blocked_orders(DistanceRows(queries.features, gallery.features, metric),
-                               queries, gallery, num_candidates))
+    pairs = _eval_pairs("", queries, "", gallery, num_candidates, metric).pairs
+    # The split's last piece, always empty, goes: zero queries give [].
+    ends = np.cumsum(np.bincount(pairs["query_index"], minlength=len(queries)))
+    return np.split(pairs["cand_index"], ends)[:-1]
 
 
 def concatenated_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -253,15 +250,16 @@ def first_appearance_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.cumsum(np.append(0, stops - starts)))
 
 
-def _mine_block(block: np.ndarray, rows: slice, masks: Callable[[slice], list[np.ndarray]],
-                limit: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``(usable, columns)`` for the queries ``rows``, whose distance rows
-    are ``block``: ``usable`` flags the queries with an entry under every
-    mask of ``masks(rows)``; ``columns`` are the flat query index, rank and
-    candidate index of their pairs, query after query, each query's entries
-    under each mask in turn (those at or below its cut, see
-    :func:`masked_orders`) ranked from 1, at most ``limit``.  The masks are
-    made here, so every temporary of the block goes when it returns."""
+def mine_block(block: np.ndarray, rows: slice, masks: Callable[[slice], list[np.ndarray]],
+               limit: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The top-P kernel.  ``(usable, columns)`` for the queries ``rows``,
+    whose distance rows are ``block``: ``usable`` flags the queries with an
+    entry under every mask of ``masks(rows)``; ``columns`` are the flat
+    query index, rank and candidate index of their pairs, query after query,
+    each query's entries under each mask in turn (by ascending value, ties
+    to the lower index, NaN last; see :func:`_cut_entries`) ranked from 1,
+    at most ``limit``.  The masks are made here, so every temporary of the
+    block goes when it returns."""
     allowed = masks(rows)
     usable = np.logical_and.reduce([mask.any(axis=1) for mask in allowed])
     sides = [_cut_entries(block, mask, limit) for mask in allowed]
@@ -277,7 +275,7 @@ def _mine_block(block: np.ndarray, rows: slice, masks: Callable[[slice], list[np
 def _block_pairs(dist: DistanceRows, query_role: str, queries: Split, cand_role: str,
                  cands: Split, masks: Callable[[slice], list[np.ndarray]],
                  limit: int) -> tuple[PairSet, list[int]]:
-    """``(pairs, dropped)``: the pairs of :func:`_mine_block` of every
+    """``(pairs, dropped)``: the pairs of :func:`mine_block` of every
     ``DISTANCE_BLOCK`` of ``queries``, labelled 1 where query and candidate
     share an identity, and the queries left out.  Only the blocks' flat
     columns are held, once ``dist`` is dropped, while the pairs are filled."""
@@ -287,7 +285,7 @@ def _block_pairs(dist: DistanceRows, query_role: str, queries: Split, cand_role:
     dropped: list[int] = []
     for r0 in range(0, len(queries), DISTANCE_BLOCK):
         rows = slice(r0, r0 + DISTANCE_BLOCK)
-        usable, block_columns = _mine_block(dist[rows], rows, masks, limit)
+        usable, block_columns = mine_block(dist[rows], rows, masks, limit)
         dropped += (r0 + np.flatnonzero(~usable)).tolist()
         for blocks, column in zip(columns.values(), block_columns):
             blocks.append(column)
@@ -303,18 +301,21 @@ def _block_pairs(dist: DistanceRows, query_role: str, queries: Split, cand_role:
     return PairSet(pairs), dropped
 
 
+def _eval_pairs(query_role: str, queries: Split, gallery_role: str, gallery: Split,
+                limit: int, metric: str) -> PairSet:
+    """The top-``limit`` eligible candidates of every query as pairs."""
+    return _block_pairs(DistanceRows(queries.features, gallery.features, metric), query_role,
+                        queries, gallery_role, gallery,
+                        lambda rows: [eligible_mask(queries[rows], gallery)], limit)[0]
+
+
 def build_eval_pairs(bundle: DatasetBundle, query_role: str, gallery_role: str,
                      num_candidates: int = 20, metric: str = "euclidean") -> PairSet:
     """Labelled top-P candidate pairs for a query/gallery role combination,
     ranked from 1 in :func:`top_candidates`' order."""
-    queries = bundle.splits[query_role]
-    gallery = bundle.splits[gallery_role]
-    if not len(gallery):
-        raise ValueError(f"empty gallery: role {gallery_role} holds no images to rank "
-                         f"the {query_role} queries against")
-    return _block_pairs(DistanceRows(queries.features, gallery.features, metric), query_role,
-                        queries, gallery_role, gallery,
-                        lambda rows: [eligible_mask(queries[rows], gallery)], num_candidates)[0]
+    require_gallery(bundle.splits[gallery_role], query_role, gallery_role)
+    return _eval_pairs(query_role, bundle.splits[query_role], gallery_role,
+                       bundle.splits[gallery_role], num_candidates, metric)
 
 
 def build_train_pairs(bundle: DatasetBundle, num_candidates: int = 20,

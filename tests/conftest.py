@@ -9,6 +9,11 @@ import os
 # first imported, and its default thread pool makes wall-clock fits such as
 # test_acceptance's scoring-cost test noisy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# One BLAS kernel, whatever the caller set: the kernel OpenBLAS picks from
+# the CPU decides the last bits of the training loss, which
+# test_acceptance's digest of history.csv pins.  Haswell needs AVX2, which
+# every x86-64 CI runner has.
+os.environ["OPENBLAS_CORETYPE"] = "Haswell"
 
 import math
 import tracemalloc
@@ -19,7 +24,7 @@ import pytest
 
 from rvrank import verifier
 from rvrank.datastore import build_bundle
-from rvrank.retrieval import PAIR_HEADER
+from rvrank.retrieval import PAIR_HEADER, mine_block
 from rvrank.synthgen import SynthConfig, generate
 
 
@@ -88,11 +93,26 @@ def eligible_orders(rng: np.random.Generator, bundle) -> list[list[int]]:
 
 
 def stable_order(row: np.ndarray, allowed: np.ndarray, limit: int | None = None) -> list[int]:
-    """The reference for one row of ``retrieval.masked_orders``: the allowed
+    """The reference for one row of ``retrieval.masked_orders`` (no
+    ``limit``) and of the top-P kernel ``retrieval.mine_block``: the allowed
     entries' indices by one stable argsort of their values, then the first
     ``limit``."""
     kept = np.flatnonzero(allowed)
     return kept[np.argsort(row[kept], kind="stable")][:limit].tolist()
+
+
+def top_orders(block: np.ndarray, allowed: np.ndarray, limit: int) -> list[np.ndarray]:
+    """Each row's top-``limit`` order from ``retrieval.mine_block`` with the
+    one mask ``allowed``, a row without an entry getting an empty array;
+    checks on the way that the kernel ranks each row's entries from 1 and
+    flags the rows that have one."""
+    r0 = 5  # the rows' place in a larger matrix shifts only the query column
+    usable, (query, rank, cand) = mine_block(block, slice(r0, r0 + len(block)),
+                                             lambda rows: [allowed], limit)
+    assert usable.tolist() == allowed.any(axis=1).tolist()
+    orders = [cand[query == r0 + r] for r in range(len(block))]
+    assert rank.tolist() == [i for order in orders for i in range(1, len(order) + 1)]
+    return orders
 
 
 def oracle_metrics(bundle, orders, k_max):

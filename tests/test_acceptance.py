@@ -354,8 +354,10 @@ def test_scoring_cost_is_window_bounded_and_linear():
 #: artifact's bytes on purpose updates its digest here and names the change
 #: in CHANGES.md.  The pair CSVs and candidates.csv were last changed by
 #: dropping the pair files' score column; ranked.csv by becoming a binary
-#: RVK1 file, whose config moved to ranked.csv.config.json; every other
-#: digest predates both.
+#: RVK1 file, whose config moved to ranked.csv.config.json;
+#: model/history.csv by pinning the OpenBLAS kernel to Haswell (see
+#: conftest.py), whose sums set its loss columns' last digits; every other
+#: digest predates these.
 PIPELINE_SHA256 = {
     "candidates.csv": "75a597148dfd81f7cbccd412d00d5fe38127e36520d66270953676dcd828bd8f",
     "data/features.bin": "6e41e01590c932bc99bc3dc4dfdf1bb9883e1709a1c4b71a946f6a324645bec6",
@@ -365,7 +367,7 @@ PIPELINE_SHA256 = {
     "data/parts.bin": "c5d8d9bfea3500eef9b07f91f6107b42ad4aabaec704ac291170dc586acad700",
     "data/parts.bin.config.json":
         "42e9d341a12df8daa49a38386bed75cf6b5e08aa67718aec110cd4e2fea9e080",
-    "model/history.csv": "1b2f25bb24204e57e86b69bc3a68314aa5e27dd51ac1bddd91da729981cbf456",
+    "model/history.csv": "259e2dac082df957dd05bd3fbed24a0b2fea2428e3da9503939faaade82b1705",
     "model/model.bin": "d94bcf89cabbfcac292a3e128f590b8a01ae9cb986be1018e4db4f5a26540b8d",
     "model/model.bin.config.json":
         "ab183c65ebb5f7f7a63649e2fa660e159be85ca3e74746543b2dfdfed11cacdc",

@@ -889,3 +889,33 @@ def test_retrieve_names_an_empty_gallery_role(tmp_path, capsys, gallery_role):
     assert capsys.readouterr().err == (f"error: empty gallery: role {gallery_role} holds no "
                                        "images to rank the Q queries against\n")
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["explain", "--query-index", "0"],
+    ["rerank", "--stages", "kreciprocal"],
+    ["rerank", "--stages", "both"],
+    ["rerank", "--stages", "kreciprocal", "--candidates", "{candidates}"],
+    ["sweep-l", "--with-kreciprocal", "--L-values", "1,3"],
+])
+def test_an_empty_gallery_role_is_named_before_any_selection(workspace, tmp_path, capsys,
+                                                             command):
+    # The workspace bundle with its VG role emptied: every other role, the
+    # dims and so the model still fit.
+    data, out = workspace / "data", tmp_path / "out"
+    bundle = load_bundle(data / "meta.csv", data / "features.bin", data / "parts.bin")
+    bundle.splits["VG"] = bundle.splits["VG"][0:0]
+    flags = ["--meta", str(tmp_path / "meta.csv"), "--features", str(tmp_path / "f.bin"),
+             "--parts", str(tmp_path / "p.bin"), "--gallery-role", "VG"]
+    write_bundle(bundle, *flags[1:6:2])
+    if command[0] != "rerank" or "both" in command:
+        flags += ["--model", str(workspace / "model" / "model.bin")]
+    if command[0] != "explain":
+        flags += ["--out", str(out)]
+    # A header-only candidate file: no query has a list.
+    (tmp_path / "c.csv").write_text(",".join(PAIR_HEADER) + "\n")
+    argv = [arg.format(candidates=tmp_path / "c.csv") for arg in command] + flags
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: empty gallery: role VG holds no images to "
+                                       "rank the Q queries against\n")
+    assert not out.exists()

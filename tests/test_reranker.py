@@ -14,7 +14,8 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import PeakMemory, oracle_scores, pairwise, random_bundle, stable_order
+from conftest import (PeakMemory, oracle_scores, pairwise, random_bundle, stable_order,
+                      top_orders)
 from rvrank import reranker, retrieval, verifier
 from rvrank.reranker import (
     RankedList,
@@ -26,7 +27,7 @@ from rvrank.reranker import (
     write_ranked_csv,
 )
 from rvrank.retrieval import (build_eval_pairs, candidates_from_pairs, distance_matrix,
-                              eligible_mask, masked_orders)
+                              eligible_mask)
 from rvrank.synthgen import SynthConfig, generate
 from rvrank.verifier import VerifierModel
 
@@ -263,7 +264,7 @@ class TestKReciprocal:
             whole = kreciprocal_rerank(dist, nq, k1=k1, k2=k2)
             with monkeypatch.context() as patch:
                 patch.setattr(reranker, "_JACCARD_BLOCK", block)
-                patch.setattr(reranker, "_SET_ROWS", block)
+                patch.setattr(reranker, "DISTANCE_BLOCK", block)
                 assert np.array_equal(kreciprocal_rerank(dist, nq, k1=k1, k2=k2), whole)
 
     def test_full_blend_returns_the_original_block(self):
@@ -355,7 +356,7 @@ class TestKReciprocalByRowBlocks:
         monkeypatch.setattr(reranker, "kreciprocal_rerank", recording)
         if block is not None:
             monkeypatch.setattr(reranker, "_JACCARD_BLOCK", block)
-            monkeypatch.setattr(reranker, "_SET_ROWS", block)
+            monkeypatch.setattr(reranker, "DISTANCE_BLOCK", block)
         ranked = rerank_pipeline(bundle, None, cfg, stages=("kreciprocal",), metric=metric)
         [got] = results
         assert np.array_equal(got, want)
@@ -382,7 +383,7 @@ class TestKReciprocalByRowBlocks:
         block[:3] = np.nan
         block[3, :-2] = np.nan
         everything = np.ones(block.shape, dtype=bool)
-        got = masked_orders(block, everything, count)
+        got = top_orders(block, everything, count)
         for row, ok, order in zip(block, everything, got):
             assert order.tolist() == stable_order(row, ok, count)
 
@@ -613,18 +614,16 @@ class TestPipeline:
         assert 0 in named_queries(str(failure.value))
 
     def test_kreciprocal_sorts_no_retrieval_order(self, tmp_path, monkeypatch):
-        # Rows ordered without a limit: only k-reciprocal's output needs
-        # full orders.  Its neighbour lists pass a limit, and so does the
-        # candidate check, at the longest candidate list.
+        # Rows given full orders: only k-reciprocal's output needs them.
+        # Its neighbour lists, and the candidate check at the longest
+        # candidate list, go through the top-P kernel.
         full_orders = []
         real = retrieval.masked_orders
 
-        def spy(block, allowed, limit=None):
-            if limit is None:
-                full_orders.append(len(block))
-            return real(block, allowed, limit)
+        def spy(block, allowed):
+            full_orders.append(len(block))
+            return real(block, allowed)
 
-        monkeypatch.setattr(reranker, "masked_orders", spy)
         monkeypatch.setattr(retrieval, "masked_orders", spy)
         rng = np.random.default_rng(38)
         bundle = random_bundle(rng, n_query=4, n_gallery=12)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import PeakMemory, random_bundle, stable_order, train_bundle
+from conftest import PeakMemory, random_bundle, stable_order, top_orders, train_bundle
 from rvrank import retrieval
 from rvrank.datastore import build_bundle
 from rvrank.retrieval import (
@@ -228,8 +228,9 @@ SPECIALS = (np.inf, -np.inf, np.nan, -0.0, 0.0)
 
 class TestSelection:
     """``masked_orders`` gives, for every row of a block, the stable sort
-    of its allowed entries: the full orders through one unstable argsort
-    and a repair of its ties, the limited ones through one partition."""
+    of its allowed entries through one unstable argsort and a repair of its
+    ties; the top-P kernel ``mine_block`` (read through ``top_orders``)
+    gives its first ``limit`` entries through one partition."""
 
     @pytest.mark.parametrize("rows", [1, 7, 64])
     @pytest.mark.parametrize("specials", [(), SPECIALS])
@@ -239,9 +240,13 @@ class TestSelection:
             n = int(rng.integers(1, 40))
             block = lattice_block(rng, rows, n, specials)
             allowed = rng.random((rows, n)) < rng.random()
-            for limit in (None, 1, 2, 5, n, n + 3):
-                got = masked_orders(block, allowed, limit)
-                assert len(got) == rows
+            got = masked_orders(block, allowed)
+            assert len(got) == rows
+            assert [order.tolist() for order in got] == [
+                stable_order(row, ok) for row, ok in zip(block, allowed)]
+            assert all(order.dtype == np.intp for order in got)
+            for limit in (1, 2, 5, n, n + 3):
+                got = top_orders(block, allowed, limit)
                 assert [order.tolist() for order in got] == [
                     stable_order(row, ok, limit) for row, ok in zip(block, allowed)]
                 assert all(order.dtype == np.intp for order in got)
@@ -258,19 +263,21 @@ class TestSelection:
             stable_order(row, ok) for row, ok in zip(block, allowed)]
 
     def test_a_limited_order_owns_its_memory(self):
-        # A top-P list must not keep the block's sorted rows alive.
+        # A top-P list must not keep the block's sorted rows alive: the
+        # kernel's columns are arrays of their own.
         block = np.random.default_rng(23).random((7, 50))
         allowed = np.ones(block.shape, dtype=bool)
         allowed[:, ::3] = False
         full = masked_orders(block, allowed)
         for limit in (1, 5, 40):
-            for kept, whole in zip(masked_orders(block, allowed, limit), full):
-                assert kept.base is None
+            _, columns = retrieval.mine_block(block, slice(0, 7), lambda rows: [allowed], limit)
+            assert all(column.base is None for column in columns)
+            for kept, whole in zip(top_orders(block, allowed, limit), full):
                 assert kept.tolist() == whole[:limit].tolist()
 
     def test_ties_across_the_cut_keep_the_full_sort_order(self):
-        assert masked_orders(np.array([[0.5, 0.2, 0.5, 0.5, 0.1]]),
-                             np.ones((1, 5), dtype=bool), 3)[0].tolist() == [4, 1, 0]
+        assert top_orders(np.array([[0.5, 0.2, 0.5, 0.5, 0.1]]),
+                          np.ones((1, 5), dtype=bool), 3)[0].tolist() == [4, 1, 0]
         rng = np.random.default_rng(41)
         ties_at_cut = 0
         for _ in range(300):
@@ -280,7 +287,7 @@ class TestSelection:
             full = stable_order(row, allowed)
             for limit in range(1, len(full)):
                 ties_at_cut += row[full[limit - 1]] == row[full[limit]]
-                [got] = masked_orders(row[None], allowed[None], limit)
+                [got] = top_orders(row[None], allowed[None], limit)
                 assert got.tolist() == full[:limit]
         assert ties_at_cut > 1000
 
@@ -292,9 +299,9 @@ class TestSelection:
         allowed = np.array([[True, True, False, True, True],
                             [True, True, False, True, True],
                             [True, True, True, False, True]])
-        assert [o.tolist() for o in masked_orders(block, allowed, 2)] == \
+        assert [o.tolist() for o in top_orders(block, allowed, 2)] == \
                [[1, 4], [3, 0], [2, 0]]
-        assert [o.tolist() for o in masked_orders(block, allowed, 3)] == \
+        assert [o.tolist() for o in top_orders(block, allowed, 3)] == \
                [[1, 4, 0], [3, 0, 1], [2, 0, 1]]
         assert [o.tolist() for o in masked_orders(block, allowed)] == \
                [[1, 4, 0, 3], [3, 0, 1, 4], [2, 0, 1, 4]]
@@ -303,11 +310,14 @@ class TestSelection:
         block = np.random.default_rng(43).random((3, 12))
         allowed = np.ones(block.shape, dtype=bool)
         allowed[1] = False
-        for limit in (None, 1, 5, 12, 20):
-            got = masked_orders(block, allowed, limit)
+        got = masked_orders(block, allowed)
+        assert got[1].tolist() == [] and len(got[0]) == len(got[2]) == 12
+        assert masked_orders(block[:0], allowed[:0]) == []
+        for limit in (1, 5, 12, 20):
+            got = top_orders(block, allowed, limit)
             assert got[1].tolist() == []
-            assert len(got[0]) == len(got[2]) == min(12, limit or 12)
-            assert masked_orders(block[:0], allowed[:0], limit) == []
+            assert len(got[0]) == len(got[2]) == min(12, limit)
+            assert top_orders(block[:0], allowed[:0], limit) == []
 
     def test_a_limit_at_or_above_the_eligible_count_keeps_every_entry(self):
         rng = np.random.default_rng(44)
@@ -317,9 +327,8 @@ class TestSelection:
             allowed = rng.random((3, n)) < 0.6
             eligible = int(allowed.sum(axis=1).max())
             for limit in (eligible, eligible + 1, eligible + 10):
-                for row, ok, kept in zip(block, allowed, masked_orders(block, allowed, limit)):
+                for row, ok, kept in zip(block, allowed, top_orders(block, allowed, limit)):
                     assert kept.tolist() == stable_order(row, ok)
-                    assert kept.base is None
 
 
 class TestEvalPairs:
@@ -379,6 +388,20 @@ class TestEvalPairs:
         assert list(via_pairs) == list(range(len(direct)))
         for qi, indices in enumerate(direct):
             assert via_pairs[qi].tolist() == indices.tolist()
+        # Every distance ties, and query 1 shares identity and cloth with
+        # the whole gallery: its list is empty, in its own place.
+        rows = [(0, "Q", 2, 0, 0), (1, "Q", 1, 0, 0), (2, "Q", 1, 1, 0),
+                *[(i, "G", 1, 0, 1) for i in range(4)]]
+        bundle = build_bundle(rows, np.ones((7, 3)))
+        queries, gallery = bundle.splits["Q"], bundle.splits["G"]
+        direct = top_candidates(queries, gallery, 3)
+        assert [indices.tolist() for indices in direct] == [[0, 1, 2], [], [0, 1, 2]]
+        via_pairs = candidates_from_pairs(build_eval_pairs(bundle, "Q", "G", 3))
+        assert list(via_pairs) == [0, 2]
+        assert all(via_pairs[qi].tolist() == direct[qi].tolist() for qi in via_pairs)
+        # No query, no list: a split of the empty column at no point would
+        # still give one.
+        assert top_candidates(queries[0:0], gallery, 3) == []
 
 
 class TestTrainPairs:
