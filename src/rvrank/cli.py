@@ -23,7 +23,7 @@ from .datastore import ROLES, load_bundle, write_bundle, write_json
 from .evaluation import evaluate, write_sweep_csv
 from .retrieval import (METRICS, build_eval_pairs, build_train_pairs,
                         candidates_from_pairs, read_pairs_csv, require_gallery,
-                        top_candidates, write_pairs_csv)
+                        sorted_unique, top_candidates, write_pairs_csv)
 from .reranker import (RankingConfig, read_ranked_csv, rerank_pipeline, sweep_L,
                        write_ranked_csv)
 from .synthgen import SynthConfig, generate
@@ -139,7 +139,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     pairs = build_eval_pairs(bundle, args.query_role, args.gallery_role,
                              num_candidates=args.P, metric=args.metric)
     write_pairs_csv(args.out, pairs, config_comment=_config_comment(args))
-    n_queries = len(np.unique(pairs.pairs["query_index"]))
+    n_queries = len(sorted_unique(pairs.pairs["query_index"]))
     print(f"wrote {args.out}: {len(pairs.pairs)} pairs for {n_queries} queries")
     return 0
 

@@ -31,7 +31,7 @@ import numpy as np
 from .datastore import BinaryHeader, DatasetBundle, check_rows
 from .evaluation import evaluate
 from .retrieval import (DISTANCE_BLOCK, DistanceRows, blocked_orders, mine_block,
-                        require_gallery, top_candidates)
+                        require_gallery, sorted_unique, top_candidates)
 from .verifier import prefix_scores
 
 STAGE_NAMES = ("kreciprocal", "window")
@@ -134,24 +134,24 @@ _JACCARD_BLOCK = 1 << 15
 Vectors = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _neighbours(dist: np.ndarray | DistanceRows, num_queries: int, count: int,
+def _neighbours(dist: DistanceRows, num_queries: int, count: int,
                 lam: float) -> tuple[np.ndarray, np.ndarray]:
     """``(initial, blend)``: (n, count) indices, each image's ``count``
     nearest images with itself at distance 0, and the (queries, gallery)
     array ``lam * dist[q, num_queries:]`` that the Jaccard step adds to.
-    Reads ``dist`` one ``DISTANCE_BLOCK`` of rows at a time, checks each
-    block's diagonal and takes its lists from :func:`mine_block`."""
+    Reads ``dist`` one ``DISTANCE_BLOCK`` of rows at a time, checks and
+    zeroes each block's diagonal in place and takes its lists from
+    :func:`mine_block`, every entry allowed."""
     n = dist.shape[0]
     initial = np.empty((n, count), dtype=np.intp)
     blend = np.empty((num_queries, n - num_queries))
     for r0 in range(0, n, DISTANCE_BLOCK):
-        d = np.array(dist[r0:r0 + DISTANCE_BLOCK], dtype=np.float64)
+        d = dist[r0:r0 + DISTANCE_BLOCK]
         own = np.arange(len(d))
         if (np.abs(d[own, r0 + own]) > 1e-6).any():
             raise ValueError("dist diagonal must be zero (self-distances)")
         d[own, r0 + own] = 0.0
-        everything = [np.ones(d.shape, dtype=bool)]
-        _, (*_, nearest) = mine_block(d, slice(r0, None), lambda _: everything, count)
+        _, (*_, nearest) = mine_block(d, slice(r0, None), lambda _: [None], count)
         initial[r0:r0 + len(d)] = nearest.reshape(-1, count)
         if r0 < num_queries:
             np.multiply(lam, d[:num_queries - r0, num_queries:],
@@ -159,18 +159,16 @@ def _neighbours(dist: np.ndarray | DistanceRows, num_queries: int, count: int,
     return initial, blend
 
 
-def _isin(keys: np.ndarray, among: np.ndarray) -> np.ndarray:
-    """``np.isin(keys, among)`` through one sort of ``among`` and a binary search."""
-    among = np.sort(among)
-    return among.take(np.searchsorted(among, keys), mode="clip") == keys
-
-
 def _reciprocal(heads: np.ndarray) -> np.ndarray:
     """Mask over ``heads``: True where ``heads[i, p]`` has i among its own
-    heads, so row i's True entries are R(i, k) for k + 1 heads per row."""
-    n, width = heads.shape
-    owner = np.repeat(np.arange(n), width)
-    return _isin(heads.ravel() * n + owner, owner * n + heads.ravel()).reshape(n, width)
+    heads, so row i's True entries are R(i, k) for k + 1 heads per row.
+    Gathers one column's heads' heads at a time, an array the size of
+    ``heads``."""
+    own = np.arange(len(heads))[:, None]
+    mask = np.empty(heads.shape, dtype=bool)
+    for p, column in enumerate(heads.T):
+        mask[:, p] = (heads[column] == own).any(axis=1)
+    return mask
 
 
 def _csr(n: int, block: Callable) -> Vectors:
@@ -191,12 +189,11 @@ def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
     return lengths, np.arange(len(skip)) + skip
 
 
-def _neighbourhood_vectors(dist: np.ndarray | DistanceRows, initial: np.ndarray,
-                           k1: int) -> Vectors:
+def _neighbourhood_vectors(dist: DistanceRows, initial: np.ndarray, k1: int) -> Vectors:
     """Each image's k1-reciprocal set R(i, k1), grown by every half-k1 set
     R(j, k1/2) of a member j that shares more than 2/3 of its entries with
     R(i, k1), weighted ``exp(-dist)`` and normalised to sum 1; each block of
-    rows reads its weights from ``dist[r0:r1]``."""
+    rows reads only its weights' cells, through ``dist.cells``."""
     n = dist.shape[0]
     heads, half_heads = initial[:, :k1 + 1], initial[:, :int(np.around(k1 / 2)) + 1]
     half = _reciprocal(half_heads)
@@ -204,19 +201,20 @@ def _neighbourhood_vectors(dist: np.ndarray | DistanceRows, initial: np.ndarray,
     members = heads[owners, at]
 
     def block(r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
-        # R(i, k1) as keys i * n + j; each of its members j's half set as
-        # keys i * n + c, one row per (pair, c).
+        # R(i, k1) as pairs (i, j) and as a table of the block's rows; each
+        # of its members j's half set as (i, c), one row per (pair, c).
         lo, hi = np.searchsorted(owners, [r0, r1])
         owner, j = owners[lo:hi], members[lo:hi]
-        recip = owner * n + j
+        inside = np.zeros((r1 - r0, n), dtype=bool)
+        inside[owner - r0, j] = True
         pair, slot = np.nonzero(half[j])
-        member = owner[pair] * n + half_heads[j[pair], slot]
-        overlap = np.bincount(pair[_isin(member, recip)], minlength=len(recip))
+        column = half_heads[j[pair], slot]
+        overlap = np.bincount(pair[inside[owner[pair] - r0, column]], minlength=len(j))
         expands = overlap > (2.0 / 3.0) * half.sum(axis=1)[j]
-        keys = np.unique(np.concatenate([recip, member[expands[pair]]]))
+        keys = sorted_unique(np.concatenate(
+            [owner * n + j, (owner[pair] * n + column)[expands[pair]]]))
         rows, cols = keys // n, keys % n
-        d = np.asarray(dist[r0:r1], dtype=np.float64)
-        weights = np.exp(-np.where(rows == cols, 0.0, d[rows - r0, cols]))
+        weights = np.exp(-np.where(rows == cols, 0.0, dist.cells(rows, cols)))
         # Each row's sum adds its weights in ascending column order.
         return keys, weights / np.bincount(rows - r0, weights)[rows - r0]
     return _csr(n, block)
@@ -230,9 +228,10 @@ def _expand(vectors: Vectors, heads: np.ndarray) -> Vectors:
 
     def block(r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
         parts = [_row_entries(indptr, heads[r0:r1, p]) for p in range(k2)]
-        keys, slots = np.unique(np.concatenate(
-            [np.repeat(np.arange(r0, r1) * n, lengths) + cols[at] for lengths, at in parts]),
-            return_inverse=True)
+        entries = np.concatenate(
+            [np.repeat(np.arange(r0, r1) * n, lengths) + cols[at] for lengths, at in parts])
+        keys = sorted_unique(entries)
+        slots = np.searchsorted(keys, entries)
         summed = np.zeros(len(keys))
         for (_, at), part in zip(parts, np.split(slots, np.cumsum(
                 [len(at) for _, at in parts])[:-1])):
@@ -278,7 +277,7 @@ def _jaccard(vectors: Vectors, num_queries: int, out: np.ndarray, lam: float) ->
     return out
 
 
-def kreciprocal_rerank(dist: np.ndarray | DistanceRows, num_queries: int, k1: int = 20,
+def kreciprocal_rerank(dist: DistanceRows, num_queries: int, k1: int = 20,
                        k2: int = 6, lam: float = 0.3) -> np.ndarray:
     """Rewrite query/gallery distances from k-reciprocal neighbourhood overlap.
 
@@ -292,9 +291,12 @@ def kreciprocal_rerank(dist: np.ndarray | DistanceRows, num_queries: int, k1: in
     ``lam * original + (1 - lam) * jaccard``, so lam=1 returns the original
     query/gallery block unchanged.
 
-    ``dist`` is read only through ``dist.shape`` and row slices
-    ``dist[r0:r1]``, so it may be any object that computes its rows on
-    demand, such as :class:`~rvrank.retrieval.DistanceRows`.  The steps run
+    ``dist`` is a :class:`~rvrank.retrieval.DistanceRows` view, read only
+    through ``dist.shape``, row slices ``dist[r0:r1]`` (each overwritten in
+    place: its diagonal is zeroed) and ``dist.cells(rows, cols)``, so any
+    object with that interface serves, such as a dense matrix behind an
+    adapter.  The first pass reads every row, the weight pass only the
+    cells it weights.  The steps run
     by blocks of rows or queries; each image keeps only its top
     ``max(k1 + 1, k2)`` neighbours, the vectors are sparse rows and only
     query rows get a Jaccard row.  Beyond ``dist`` and the returned block

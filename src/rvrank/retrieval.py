@@ -50,53 +50,90 @@ class PairSet:
 DISTANCE_BLOCK = 64
 
 
+def _norms(feats: np.ndarray, metric: str) -> np.ndarray:
+    """Each row's squared norm for ``euclidean``, its norm for ``cosine``."""
+    if metric == "euclidean":
+        return (feats * feats).sum(axis=1)
+    return np.linalg.norm(feats, axis=1)
+
+
+def _finish(product: np.ndarray, query_norms: np.ndarray | float,
+            gallery_norms: np.ndarray, metric: str) -> None:
+    """Turn products ``q·g`` into distances in place, cell by cell from the
+    :func:`_norms` of the cell's two rows, so any subset of cells gets the
+    bits of the whole block."""
+    if metric == "euclidean":
+        # (qq + gg) + (-2 m) rounds as (qq + gg) - 2 m does.
+        product *= -2.0
+        product += query_norms + gallery_norms
+        np.maximum(product, 0.0, out=product)
+        np.sqrt(product, out=product)
+    else:
+        product /= np.maximum(query_norms * gallery_norms, _COSINE_EPS)
+        np.subtract(1.0, product, out=product)
+
+
+def _finish_rows(block: np.ndarray, query_norms: np.ndarray, gallery_norms: np.ndarray,
+                 metric: str) -> None:
+    """:func:`_finish` a block of products row by row: no temporary the
+    size of the block."""
+    for row, norm in zip(block, query_norms):
+        _finish(row, norm, gallery_norms, metric)
+
+
 def distance_matrix(query_feats: np.ndarray, gallery_feats: np.ndarray,
-                    metric: str = "euclidean") -> np.ndarray:
+                    metric: str = "euclidean", *, out: np.ndarray | None = None,
+                    finish: bool = True) -> np.ndarray:
     """Exact pairwise distances, (n_query, n_gallery), float64.
 
     ``euclidean`` is the L2 distance ``sqrt(max(|q|² + |g|² - 2 q·g, 0))``;
     ``cosine`` is 1 - cosine similarity with zero-norm rows guarded by a
     small epsilon.  The rows come in ``DISTANCE_BLOCK``-row blocks counted
     from row 0: each block is its own product ``q[rows] @ g.T``, written into
-    the result and turned into distances there, so the peak stays near one
-    n_query x n_gallery array.  Rows ``r0:r0 + DISTANCE_BLOCK`` of the
-    result, for ``r0`` a multiple of the block, are therefore bit for bit
-    ``distance_matrix(q[r0:r0 + DISTANCE_BLOCK], g)``.  With one array as
-    both operands the matrix need not be exactly symmetric: a block of
-    ``a @ a.T`` can round a cell differently from its mirror.
+    the result and turned into distances there row by row, so the peak
+    stays near one n_query x n_gallery array.  Rows ``r0:r0 +
+    DISTANCE_BLOCK`` of the result, for ``r0`` a multiple of the block, are
+    therefore bit for bit ``distance_matrix(q[r0:r0 + DISTANCE_BLOCK], g)``.
+    With one array as both operands the matrix need not be exactly
+    symmetric: a block of ``a @ a.T`` can round a cell differently from its
+    mirror.
+
+    ``out`` is the array to write into instead of a new one, and
+    ``finish=False`` leaves the products ``q·g`` there, for a caller that
+    finishes only the cells it reads (:class:`DistanceRows` does both).
     """
     q = np.asarray(query_feats, dtype=np.float64)
     g = np.asarray(gallery_feats, dtype=np.float64)
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    if metric == "euclidean":
-        qq, gg = (q * q).sum(axis=1), (g * g).sum(axis=1)
-    else:
-        qn, gn = np.linalg.norm(q, axis=1), np.linalg.norm(g, axis=1)
-    dist = np.empty((len(q), len(g)))
+    dist = np.empty((len(q), len(g))) if out is None else out
+    if finish:
+        query_norms, gallery_norms = _norms(q, metric), _norms(g, metric)
     for start in range(0, len(q), DISTANCE_BLOCK):
         rows = slice(start, start + DISTANCE_BLOCK)
         block = np.matmul(q[rows], g.T, out=dist[rows])
-        if metric == "euclidean":
-            # (qq + gg) + (-2 m) rounds as (qq + gg) - 2 m does.
-            block *= -2.0
-            block += qq[rows, None] + gg
-            np.maximum(block, 0.0, out=block)
-            np.sqrt(block, out=block)
-        else:
-            block /= np.maximum(qn[rows, None] * gn, _COSINE_EPS)
-            np.subtract(1.0, block, out=block)
+        if finish:
+            _finish_rows(block, query_norms[rows], gallery_norms, metric)
     return dist
 
 
 class DistanceRows:
-    """``distance_matrix(query_feats, gallery_feats, metric)`` read by row
-    slices, each computed on demand: ``rows[r0:r1]`` is bit for bit that
-    slice of the whole matrix, and no more than the ``DISTANCE_BLOCK``-aligned
-    rows enclosing it is ever held.  With ``zero_diagonal`` every cell
-    ``(i, i)`` reads 0, as after ``np.fill_diagonal(matrix, 0.0)``.
-    Iterating yields the rows in order, one block computed at a time.
+    """``distance_matrix(query_feats, gallery_feats, metric)`` read on
+    demand: ``rows[r0:r1]`` is bit for bit that slice of the whole matrix,
+    and ``rows.cells(i, j)`` its cells ``(i[k], j[k])``.  With
+    ``zero_diagonal`` every cell ``(i, i)`` reads 0, as after
+    ``np.fill_diagonal(matrix, 0.0)``.
+
+    The norms are computed once, when the view is made.  Each read takes
+    the products of the ``DISTANCE_BLOCK``-aligned rows enclosing it into
+    one buffer that every read reuses, so what a read returns holds until
+    the next read (copy it to keep it), and the view holds no more than the
+    aligned rows of its widest read.  A read finishes into distances only
+    what it returns: the rows of a slice, the cells of ``cells``.  Only
+    contiguous row slices are read; the view is not iterable.
     """
+
+    __iter__ = None
 
     def __init__(self, query_feats: np.ndarray, gallery_feats: np.ndarray,
                  metric: str = "euclidean", zero_diagonal: bool = False) -> None:
@@ -107,21 +144,46 @@ class DistanceRows:
         self.metric = metric
         self.zero_diagonal = zero_diagonal
         self.shape = (len(self.q), len(self.g))
+        self.query_norms, self.gallery_norms = _norms(self.q, metric), _norms(self.g, metric)
+        self.buffer = np.empty((0, len(self.g)))
+
+    def _products(self, start: int, stop: int) -> tuple[int, np.ndarray]:
+        """``(r0, block)``: the products of rows ``r0:r1`` in the buffer,
+        the aligned rows enclosing ``start:stop``.  Whole blocks only: a
+        shorter last block is a different product, which BLAS may round
+        differently."""
+        r0 = start - start % DISTANCE_BLOCK
+        r1 = min(stop + -stop % DISTANCE_BLOCK, len(self.q))
+        if len(self.buffer) < r1 - r0:
+            self.buffer = np.empty((r1 - r0, len(self.g)))
+        return r0, distance_matrix(self.q[r0:r1], self.g, self.metric,
+                                   out=self.buffer[:r1 - r0], finish=False)
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         start, stop, step = rows.indices(len(self.q))
         if step != 1:
             raise ValueError(f"DistanceRows takes contiguous row slices, got step {step}")
         stop = max(start, stop)
-        # Whole blocks only: a shorter last block is a different product,
-        # which BLAS may round differently.
-        r0 = start - start % DISTANCE_BLOCK
-        r1 = stop + -stop % DISTANCE_BLOCK
-        block = distance_matrix(self.q[r0:r1], self.g, self.metric)
+        r0, block = self._products(start, stop)
+        dist = block[start - r0:stop - r0]
+        _finish_rows(dist, self.query_norms[start:stop], self.gallery_norms, self.metric)
         if self.zero_diagonal:
-            own = np.arange(r0, min(r0 + len(block), len(self.g)))
-            block[own - r0, own] = 0.0
-        return block[start - r0:stop - r0]
+            own = np.arange(start, min(stop, len(self.g)))
+            dist[own - start, own] = 0.0
+        return dist
+
+    def cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The distances at ``(rows[k], cols[k])`` as a new float64 array:
+        the products of the aligned rows enclosing ``rows``, finished only
+        at these cells."""
+        if not len(rows):
+            return np.empty(0)
+        r0, block = self._products(int(rows.min()), int(rows.max()) + 1)
+        values = block[rows - r0, cols]
+        _finish(values, self.query_norms[rows], self.gallery_norms[cols], self.metric)
+        if self.zero_diagonal:
+            values[rows == cols] = 0.0
+        return values
 
 
 def eligible_mask(queries: Split, gallery: Split) -> np.ndarray:
@@ -163,29 +225,35 @@ def masked_orders(block: np.ndarray, allowed: np.ndarray) -> list[np.ndarray]:
     return np.split(order[ok], np.cumsum(ok.sum(axis=1)))[:-1]
 
 
-def _cut_entries(block: np.ndarray, allowed: np.ndarray,
+def _cut_entries(block: np.ndarray, allowed: np.ndarray | None,
                  limit: int) -> tuple[np.ndarray, np.ndarray]:
     """The allowed entries at or below each row's cut as flat int64 columns
     ``(row, column)``, rows ascending, each row's entries by ascending value
     with ties to the lower column and NaN last.  A row with more than
     ``limit`` allowed entries cuts at the limit-th smallest of them (one
     ``np.partition``, disallowed entries read as +inf; a NaN cut keeps them
-    all); ties at the cut can leave it more than ``limit`` entries."""
+    all); ties at the cut can leave it more than ``limit`` entries.
+    ``allowed`` None allows every entry: every row is then over the limit
+    or none is, and the block is partitioned as it is."""
     n = block.shape[1]
-    over = np.flatnonzero(allowed.sum(axis=1) > limit)
     keep = allowed
-    if len(over):
-        # Every row over the limit, as is common, is read through views.
-        rows = slice(None) if len(over) == len(block) else over
-        values = np.where(allowed[rows], block[rows], np.inf)
-        values.partition(limit - 1, axis=1)
-        cut = np.full((len(block), 1), np.inf)
-        cut[over, 0] = values[:, limit - 1]
-        del values
-        # Allowed and not above the cut: a NaN entry or cut keeps the
-        # entry, and NaN sorts last.
-        keep = allowed > (block > cut)
-    kept = np.flatnonzero(keep)
+    if allowed is None:
+        if n > limit:
+            keep = ~(block > np.partition(block, limit - 1, axis=1)[:, [limit - 1]])
+    else:
+        over = np.flatnonzero(allowed.sum(axis=1) > limit)
+        if len(over):
+            # Every row over the limit, as is common, is read through views.
+            rows = slice(None) if len(over) == len(block) else over
+            values = np.where(allowed[rows], block[rows], np.inf)
+            values.partition(limit - 1, axis=1)
+            cut = np.full((len(block), 1), np.inf)
+            cut[over, 0] = values[:, limit - 1]
+            del values
+            # Allowed and not above the cut: a NaN entry or cut keeps the
+            # entry, and NaN sorts last.
+            keep = allowed > (block > cut)
+    kept = np.arange(block.size) if keep is None else np.flatnonzero(keep)
     row, col = np.divmod(kept, n)
     # Each row's columns come ascending and lexsort is stable, so equal
     # values keep the lower column first.
@@ -234,6 +302,15 @@ def concatenated_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return out
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` of a 1-D integer array, by one sort.  The
+    first ``np.unique`` call of a process imports ``numpy.ma``, 9-13 ms."""
+    values = np.sort(values)
+    opens = np.ones(len(values), dtype=bool)
+    opens[1:] = values[1:] != values[:-1]
+    return values[opens]
+
+
 def first_appearance_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(order, bounds)``: the rows of each distinct value of the 1-D array
     ``keys`` (a structured one compares field by field) in row order,
@@ -250,7 +327,8 @@ def first_appearance_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.cumsum(np.append(0, stops - starts)))
 
 
-def mine_block(block: np.ndarray, rows: slice, masks: Callable[[slice], list[np.ndarray]],
+def mine_block(block: np.ndarray, rows: slice,
+               masks: Callable[[slice], list[np.ndarray | None]],
                limit: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """The top-P kernel.  ``(usable, columns)`` for the queries ``rows``,
     whose distance rows are ``block``: ``usable`` flags the queries with an
@@ -258,11 +336,12 @@ def mine_block(block: np.ndarray, rows: slice, masks: Callable[[slice], list[np.
     query index, rank and candidate index of their pairs, query after query,
     each query's entries under each mask in turn (by ascending value, ties
     to the lower index, NaN last; see :func:`_cut_entries`) ranked from 1,
-    at most ``limit``.  The masks are made here, so every temporary of the
-    block goes when it returns."""
-    allowed = masks(rows)
-    usable = np.logical_and.reduce([mask.any(axis=1) for mask in allowed])
-    sides = [_cut_entries(block, mask, limit) for mask in allowed]
+    at most ``limit``.  A mask None allows every entry.  The masks are made
+    here, so every temporary of the block goes when it returns."""
+    sides = [_cut_entries(block, mask, limit) for mask in masks(rows)]
+    # Every query with an allowed entry keeps at least its smallest one.
+    usable = np.logical_and.reduce(
+        [np.bincount(row, minlength=len(block)) > 0 for row, _ in sides])
     query, cand = (np.concatenate(side) for side in zip(*sides))
     # Each entry's 0-based place in its query's entries under its mask.
     rank = np.concatenate([np.arange(len(row)) - np.searchsorted(row, row) for row, _ in sides])

@@ -4,6 +4,12 @@ and scalar-loop reference oracles."""
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
+
+# The checkout's own package comes after every PYTHONPATH entry, so that
+# ``PYTHONPATH=<other tree>/src pytest`` tests that tree.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
 # One BLAS thread, as the benchmark runs: OpenBLAS reads this when numpy is
 # first imported, and its default thread pool makes wall-clock fits such as
@@ -101,18 +107,36 @@ def stable_order(row: np.ndarray, allowed: np.ndarray, limit: int | None = None)
     return kept[np.argsort(row[kept], kind="stable")][:limit].tolist()
 
 
-def top_orders(block: np.ndarray, allowed: np.ndarray, limit: int) -> list[np.ndarray]:
+def top_orders(block: np.ndarray, allowed: np.ndarray | None, limit: int) -> list[np.ndarray]:
     """Each row's top-``limit`` order from ``retrieval.mine_block`` with the
-    one mask ``allowed``, a row without an entry getting an empty array;
-    checks on the way that the kernel ranks each row's entries from 1 and
-    flags the rows that have one."""
+    one mask ``allowed`` (None allows every entry), a row without an entry
+    getting an empty array; checks on the way that the kernel ranks each
+    row's entries from 1 and flags the rows that have one."""
     r0 = 5  # the rows' place in a larger matrix shifts only the query column
     usable, (query, rank, cand) = mine_block(block, slice(r0, r0 + len(block)),
                                              lambda rows: [allowed], limit)
-    assert usable.tolist() == allowed.any(axis=1).tolist()
+    has_entry = block.shape[1] > 0 if allowed is None else allowed.any(axis=1)
+    assert usable.tolist() == np.broadcast_to(has_entry, len(block)).tolist()
     orders = [cand[query == r0 + r] for r in range(len(block))]
     assert rank.tolist() == [i for order in orders for i in range(1, len(order) + 1)]
     return orders
+
+
+class DenseRows:
+    """A dense distance matrix read through the interface that
+    ``reranker.kreciprocal_rerank`` takes, that of ``retrieval.DistanceRows``:
+    ``shape``, row slices (copies, which the reader may overwrite) and
+    ``cells(rows, cols)``."""
+
+    def __init__(self, matrix) -> None:
+        self.matrix = np.asarray(matrix, dtype=np.float64)
+        self.shape = self.matrix.shape
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.matrix[rows].copy()
+
+    def cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return self.matrix[rows, cols]
 
 
 def oracle_metrics(bundle, orders, k_max):

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (SCENARIO, eligible_orders, oracle_metrics, oracle_scores,
+from conftest import (SCENARIO, DenseRows, eligible_orders, oracle_metrics, oracle_scores,
                       pairwise, random_bundle, table_records, triplet_loss)
 from rvrank.datastore import build_bundle
 from rvrank.evaluation import evaluate
@@ -261,9 +261,9 @@ def test_reciprocal_free_instance_and_full_blend_change_nothing():
     n = 6
     dist = np.array([[(j - i) % n for j in range(n)] for i in range(n)],
                     dtype=np.float64)
-    jacc = kreciprocal_rerank(dist, 2, k1=1, k2=1, lam=0.0)
+    jacc = kreciprocal_rerank(DenseRows(dist), 2, k1=1, k2=1, lam=0.0)
     np.testing.assert_array_equal(jacc, np.ones((2, 4)))
-    blended = kreciprocal_rerank(dist, 2, k1=1, k2=1, lam=0.3)
+    blended = kreciprocal_rerank(DenseRows(dist), 2, k1=1, k2=1, lam=0.3)
     for qi in range(2):
         np.testing.assert_array_equal(
             np.argsort(blended[qi], kind="stable"),
@@ -273,7 +273,7 @@ def test_reciprocal_free_instance_and_full_blend_change_nothing():
     pts = rng.normal(size=(12, 3))
     diff = pts[:, None, :] - pts[None, :, :]
     full = np.sqrt((diff ** 2).sum(axis=2))
-    passthrough = kreciprocal_rerank(full, 5, k1=4, k2=3, lam=1.0)
+    passthrough = kreciprocal_rerank(DenseRows(full), 5, k1=4, k2=3, lam=1.0)
     np.testing.assert_array_equal(passthrough, full[:5, 5:])
 
 

@@ -14,8 +14,8 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import (PeakMemory, oracle_scores, pairwise, random_bundle, stable_order,
-                      top_orders)
+from conftest import (DenseRows, PeakMemory, oracle_scores, pairwise, random_bundle,
+                      stable_order, top_orders)
 from rvrank import reranker, retrieval, verifier
 from rvrank.reranker import (
     RankedList,
@@ -203,7 +203,7 @@ class TestKReciprocal:
             k2 = int(rng.integers(1, 4))
             lam = float(rng.uniform(0, 1))
             dist = point_cloud_distances(rng, n)
-            got = kreciprocal_rerank(dist, nq, k1=k1, k2=k2, lam=lam)
+            got = kreciprocal_rerank(DenseRows(dist), nq, k1=k1, k2=k2, lam=lam)
             want = oracle_kreciprocal(dist, nq, k1, k2, lam)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -221,9 +221,9 @@ class TestKReciprocal:
             dist = np.round(point_cloud_distances(rng, n), 1)
             if k1 > n - 1:
                 with pytest.warns(UserWarning, match="k1"):
-                    got = kreciprocal_rerank(dist, nq, k1=k1, k2=k2, lam=lam)
+                    got = kreciprocal_rerank(DenseRows(dist), nq, k1=k1, k2=k2, lam=lam)
             else:
-                got = kreciprocal_rerank(dist, nq, k1=k1, k2=k2, lam=lam)
+                got = kreciprocal_rerank(DenseRows(dist), nq, k1=k1, k2=k2, lam=lam)
             want = oracle_kreciprocal(dist, nq, k1, k2, lam)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -235,7 +235,7 @@ class TestKReciprocal:
         dist = distance_matrix(feats, feats)
         np.fill_diagonal(dist, 0.0)
         with PeakMemory() as peak:
-            kreciprocal_rerank(dist, n // 4, k1=20, k2=6)
+            kreciprocal_rerank(DenseRows(dist), n // 4, k1=20, k2=6)
         assert peak.bytes < 3 * n * n * 8, f"peak {peak.bytes / (n * n * 8):.2f} n x n float64"
 
     def test_memory_beyond_the_input_stays_below_half_of_it(self):
@@ -250,8 +250,24 @@ class TestKReciprocal:
         dist = distance_matrix(union, union)
         np.fill_diagonal(dist, 0.0)
         with PeakMemory() as peak:
-            kreciprocal_rerank(dist, len(queries))
+            kreciprocal_rerank(DenseRows(dist), len(queries))
         assert peak.bytes < 0.5 * dist.nbytes, f"{peak.bytes / dist.nbytes:.2f} x dist.nbytes"
+
+    @pytest.mark.parametrize("width", [1, 8, 300])
+    def test_reciprocal_sets_hold_about_one_heads_array(self, width):
+        """Up to k1 + 1 = n heads per row.  Gathering a 64-row block's
+        heads' heads at once held a (64, k1 + 1, k1 + 1) array, 64 x
+        ``heads.nbytes`` at width n."""
+        n = 300
+        dist = point_cloud_distances(np.random.default_rng(33), n)
+        heads = np.argsort(dist, axis=1, kind="stable")[:, :width].copy()
+        with PeakMemory() as peak:
+            mask = reranker._reciprocal(heads)
+        # One heads-sized gather at a time, plus a distance block's bytes.
+        bound = 1.5 * heads.nbytes + retrieval.DISTANCE_BLOCK * n * 8
+        assert peak.bytes < bound, f"{peak.bytes / heads.nbytes:.2f} x heads.nbytes"
+        want = [[i in set(heads[j].tolist()) for j in row] for i, row in enumerate(heads)]
+        assert mask.tolist() == want
 
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("n, nq, k1, k2", [(12, 4, 3, 1), (40, 9, 6, 3), (61, 30, 20, 6),
@@ -261,16 +277,16 @@ class TestKReciprocal:
         # and queries that the default blocks take whole, or nearly so.
         rng = np.random.default_rng(n)
         for dist in (point_cloud_distances(rng, n), np.round(point_cloud_distances(rng, n), 1)):
-            whole = kreciprocal_rerank(dist, nq, k1=k1, k2=k2)
+            whole = kreciprocal_rerank(DenseRows(dist), nq, k1=k1, k2=k2)
             with monkeypatch.context() as patch:
                 patch.setattr(reranker, "_JACCARD_BLOCK", block)
                 patch.setattr(reranker, "DISTANCE_BLOCK", block)
-                assert np.array_equal(kreciprocal_rerank(dist, nq, k1=k1, k2=k2), whole)
+                assert np.array_equal(kreciprocal_rerank(DenseRows(dist), nq, k1=k1, k2=k2), whole)
 
     def test_full_blend_returns_the_original_block(self):
         rng = np.random.default_rng(14)
         dist = point_cloud_distances(rng, 10)
-        got = kreciprocal_rerank(dist, 4, k1=3, k2=2, lam=1.0)
+        got = kreciprocal_rerank(DenseRows(dist), 4, k1=3, k2=2, lam=1.0)
         np.testing.assert_array_equal(got, dist[:4, 4:])
 
     def test_cyclic_instance_has_no_reciprocal_pairs(self):
@@ -280,9 +296,9 @@ class TestKReciprocal:
         n = 6
         dist = np.array([[(j - i) % n for j in range(n)] for i in range(n)],
                         dtype=np.float64)
-        jacc = kreciprocal_rerank(dist, 2, k1=1, k2=1, lam=0.0)
+        jacc = kreciprocal_rerank(DenseRows(dist), 2, k1=1, k2=1, lam=0.0)
         np.testing.assert_array_equal(jacc, np.ones((2, 4)))
-        blended = kreciprocal_rerank(dist, 2, k1=1, k2=1, lam=0.3)
+        blended = kreciprocal_rerank(DenseRows(dist), 2, k1=1, k2=1, lam=0.3)
         for qi in range(2):
             got = np.argsort(blended[qi], kind="stable")
             want = np.argsort(dist[qi, 2:], kind="stable")
@@ -290,29 +306,29 @@ class TestKReciprocal:
 
     def test_non_square_matrix_raises(self):
         with pytest.raises(ValueError, match="square"):
-            kreciprocal_rerank(np.zeros((3, 4)), 1)
+            kreciprocal_rerank(DenseRows(np.zeros((3, 4))), 1)
 
     def test_nonzero_diagonal_raises(self):
         dist = np.ones((4, 4))
         with pytest.raises(ValueError, match="diagonal"):
-            kreciprocal_rerank(dist, 1)
+            kreciprocal_rerank(DenseRows(dist), 1)
 
     def test_bad_query_count_raises(self):
         rng = np.random.default_rng(15)
         dist = point_cloud_distances(rng, 4)
         for bad in (0, 4, 7):
             with pytest.raises(ValueError, match="num_queries"):
-                kreciprocal_rerank(dist, bad)
+                kreciprocal_rerank(DenseRows(dist), bad)
 
     def test_oversized_neighbourhoods_warn_and_clamp(self):
         rng = np.random.default_rng(16)
         dist = point_cloud_distances(rng, 5)
         with pytest.warns(UserWarning, match="k1"):
-            a = kreciprocal_rerank(dist, 2, k1=50, k2=1)
-        b = kreciprocal_rerank(dist, 2, k1=4, k2=1)
+            a = kreciprocal_rerank(DenseRows(dist), 2, k1=50, k2=1)
+        b = kreciprocal_rerank(DenseRows(dist), 2, k1=4, k2=1)
         np.testing.assert_array_equal(a, b)
         with pytest.warns(UserWarning, match="k2"):
-            kreciprocal_rerank(dist, 2, k1=2, k2=50)
+            kreciprocal_rerank(DenseRows(dist), 2, k1=2, k2=50)
 
 
 def lattice_distances(rng, n):
@@ -344,7 +360,7 @@ class TestKReciprocalByRowBlocks:
         dense = distance_matrix(union, union, metric)
         np.fill_diagonal(dense, 0.0)
         cfg = RankingConfig(k1=8, k2=3, lam=0.4)
-        want = kreciprocal_rerank(dense, len(queries), k1=cfg.k1, k2=cfg.k2, lam=cfg.lam)
+        want = kreciprocal_rerank(DenseRows(dense), len(queries), k1=cfg.k1, k2=cfg.k2, lam=cfg.lam)
 
         results = []
         real = reranker.kreciprocal_rerank
@@ -368,12 +384,13 @@ class TestKReciprocalByRowBlocks:
         monkeypatch.setattr(reranker, "DISTANCE_BLOCK", 16)
         rng = np.random.default_rng(count)
         dist = lattice_distances(rng, 40)
-        initial, _ = reranker._neighbours(dist, 10, count, 0.3)
+        initial, _ = reranker._neighbours(DenseRows(dist), 10, count, 0.3)
         everything = np.ones(40, dtype=bool)
         assert initial.tolist() == [stable_order(row, everything, count) for row in dist]
 
     @pytest.mark.parametrize("count", [1, 3, 9, 20])
-    def test_block_selection_equals_a_stable_sort_with_inf_and_nan(self, count):
+    @pytest.mark.parametrize("mask", ["none", "all-true"])
+    def test_block_selection_equals_a_stable_sort_with_inf_and_nan(self, count, mask):
         # Some rows hold fewer than ``count`` numbers, so their cut is NaN.
         rng = np.random.default_rng(50 + count)
         block = rng.integers(0, 5, size=(30, 20)).astype(np.float64)
@@ -383,7 +400,7 @@ class TestKReciprocalByRowBlocks:
         block[:3] = np.nan
         block[3, :-2] = np.nan
         everything = np.ones(block.shape, dtype=bool)
-        got = top_orders(block, everything, count)
+        got = top_orders(block, None if mask == "none" else everything, count)
         for row, ok, order in zip(block, everything, got):
             assert order.tolist() == stable_order(row, ok, count)
 

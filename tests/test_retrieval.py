@@ -125,19 +125,57 @@ class TestDistanceBlocks:
     @pytest.mark.parametrize("zero_diagonal", [False, True])
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("n_query, n_gallery", [(23, 23), (150, 150), (150, 90)],
+                             ids=["a-against-a-in-one-block", "a-against-a", "q-against-g"])
     def test_row_views_give_any_slice_of_the_whole(self, monkeypatch, metric, block,
-                                                   zero_diagonal):
+                                                   zero_diagonal, n_query, n_gallery):
+        # With one array as both operands and 23 rows in one block, numpy
+        # takes the block as the symmetric a @ a.T, whose bits can differ
+        # from the general product's.
         monkeypatch.setattr(retrieval, "DISTANCE_BLOCK", block)
         rng = np.random.default_rng(block)
-        a = rng.normal(size=(150, 24))
-        whole = distance_matrix(a, a, metric)
+        q = rng.normal(size=(n_query, 24))
+        g = q if n_query == n_gallery else rng.normal(size=(n_gallery, 24))
+        whole = distance_matrix(q, g, metric)
         if zero_diagonal:
             np.fill_diagonal(whole, 0.0)
-        rows = DistanceRows(a, a, metric, zero_diagonal=zero_diagonal)
-        assert rows.shape == (150, 150)
-        for r0, r1 in [(0, 150), (0, 1), (3, 10), (63, 65), (64, 128), (100, 149),
-                       (149, 200), (20, 20)]:
+        rows = DistanceRows(q, g, metric, zero_diagonal=zero_diagonal)
+        assert rows.shape == (n_query, n_gallery)
+        for r0, r1 in [(0, n_query), (0, 1), (3, 10), (20, 23), (63, 65), (64, 128),
+                       (100, 149), (128, 150), (149, 200), (20, 20)]:
             assert np.array_equal(rows[r0:r1], whole[r0:r1]), (r0, r1)
+            if r0 < min(r1, n_query):
+                # Cells on and off the diagonal, finished one by one.
+                own = np.arange(r0, min(r1, n_query))
+                i = np.concatenate([own, own])
+                j = np.concatenate([np.minimum(own, n_gallery - 1),
+                                    rng.integers(0, n_gallery, len(own))])
+                assert np.array_equal(rows.cells(i, j), whole[i, j]), (r0, r1)
+        assert rows.cells(np.empty(0, np.int64), np.empty(0, np.int64)).shape == (0,)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_reading_every_block_holds_one_block(self, metric):
+        """Each read writes into the view's one buffer.  Before, each read
+        took a new block and, for euclidean, a ``qq + gg`` temporary of the
+        same size (tracemalloc: 2.0 blocks at this size)."""
+        n = 1000
+        a = np.random.default_rng(4).normal(size=(n, 32))
+        rows = DistanceRows(a, a, metric, zero_diagonal=True)
+        block = retrieval.DISTANCE_BLOCK * n * 8
+        with PeakMemory() as peak:
+            for r0 in range(0, n, retrieval.DISTANCE_BLOCK):
+                rows[r0:r0 + retrieval.DISTANCE_BLOCK]
+                own = np.arange(r0, min(r0 + retrieval.DISTANCE_BLOCK, n))
+                rows.cells(own, own[::-1])
+        assert peak.bytes < 1.1 * block, f"{peak.bytes / block:.2f} blocks"
+
+    def test_a_read_holds_until_the_next_and_the_view_is_not_iterable(self):
+        a = np.random.default_rng(5).normal(size=(150, 8))
+        rows = DistanceRows(a, a)
+        first = rows[0:64]
+        assert np.shares_memory(first, rows[64:128])
+        with pytest.raises(TypeError, match="not iterable"):
+            iter(rows)
 
     def test_row_views_take_contiguous_slices_and_known_metrics(self):
         a = np.zeros((3, 2))
@@ -145,6 +183,11 @@ class TestDistanceBlocks:
             DistanceRows(a, a)[::2]
         with pytest.raises(ValueError, match="manhattan"):
             DistanceRows(a, a, "manhattan")
+
+    def test_sorted_unique_is_np_unique(self):
+        rng = np.random.default_rng(6)
+        for values in (np.empty(0, np.int64), np.array([3]), rng.integers(-5, 40, 300)):
+            assert np.array_equal(retrieval.sorted_unique(values), np.unique(values))
 
     def test_peak_memory_stays_near_one_matrix(self):
         """Before the in-place tail, ``qq + gg - 2.0 * (q @ g.T)`` and a
