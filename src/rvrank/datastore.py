@@ -119,9 +119,15 @@ class DatasetBundle:
 # artifact framing: CSV, JSON and binary headers
 
 
-#: Rows formatted per block by :func:`write_csv`, so that every temporary of
-#: the writer is O(block) rather than O(rows).
-_BLOCK_ROWS = 1 << 16
+#: Bytes of a block's widest temporary in every loop whose block only bounds
+#: memory: below glibc's default 128 KiB mmap threshold (``M_MMAP_THRESHOLD``),
+#: so those temporaries come from the heap, not from fresh pages.
+BLOCK_BYTES = 120 * 1024
+
+
+def block_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` each that fit in :data:`BLOCK_BYTES`, at least 1."""
+    return max(1, BLOCK_BYTES // max(1, row_bytes))
 
 
 def _digit_groups() -> np.ndarray:
@@ -189,9 +195,11 @@ def _check_text(path: Path, name: str, values: np.ndarray) -> None:
     """Raise ValueError naming the file, column and row of the first text
     field that :func:`read_csv` would reject: one holding a comma, a
     character at or below ``#`` (NUL included) or one beyond ASCII, or one
-    ``_TEXT_WIDTH`` characters or wider."""
-    for start in range(0, len(values), _BLOCK_ROWS):
-        codes = values[start:start + _BLOCK_ROWS, None].view(np.uint32)
+    ``_TEXT_WIDTH`` characters or wider.  Its temporaries hold one bool a
+    character, :func:`block_rows` of them at a time."""
+    step = block_rows(values.dtype.itemsize // 4)
+    for start in range(0, len(values), step):
+        codes = values[start:start + step, None].view(np.uint32)
         # NUL pads a field on the right, so one before another character
         # is in the field.
         held = np.logical_or.accumulate(codes[:, ::-1] != 0, axis=1)[:, ::-1]
@@ -217,9 +225,11 @@ def write_csv(path: str | Path, header: tuple[str, ...], columns: Sequence[np.nd
     :func:`_check_text`) or a ``config_comment`` holding a newline or
     carriage return raises ValueError naming the file, and the column and
     row where there is one, before the file is opened.  Rows are formatted
-    in pieces of at most ``_BLOCK_ROWS``.
+    in pieces of :func:`block_rows` of the widest row, ``_TEXT_WIDTH + 1``
+    bytes a field.
     """
     path = Path(path)
+    step = block_rows((_TEXT_WIDTH + 1) * len(header))
     if config_comment is not None and ("\n" in config_comment or "\r" in config_comment):
         raise ValueError(f"{path}: config comment {config_comment!r} holds a newline or "
                          "carriage return; it must fit on one line")
@@ -242,8 +252,8 @@ def write_csv(path: str | Path, header: tuple[str, ...], columns: Sequence[np.nd
         if config_comment is not None:
             fh.write(f"# {config_comment}\n".encode())
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, max(lengths, default=0), _BLOCK_ROWS):
-            fields = [fmt(column[start:start + _BLOCK_ROWS]) for column, fmt in formats]
+        for start in range(0, max(lengths, default=0), step):
+            fields = [fmt(column[start:start + step]) for column, fmt in formats]
             piece = np.empty((len(fields[0]), sum(f.shape[1] + 1 for f in fields)),
                              dtype=np.uint8)
             at = 0
@@ -252,7 +262,7 @@ def write_csv(path: str | Path, header: tuple[str, ...], columns: Sequence[np.nd
                 piece[:, at + f.shape[1]] = ord(",")
                 at += f.shape[1] + 1
             piece[:, -1] = ord("\n")
-            fh.write(piece[piece != 0].tobytes())
+            fh.write(piece.compress((piece != 0).ravel()))
 
 
 def write_json(path: str | Path, payload: dict) -> None:
@@ -351,11 +361,11 @@ def check_rows(rules: list[tuple[np.ndarray, Callable[[int], str]]]) -> None:
 #: wide is rejected, and :func:`write_csv` writes none.
 _TEXT_WIDTH = 25
 
-#: Bytes the gate of :func:`read_csv` scans per read.
+#: Bytes the gate of :func:`read_csv` scans per read.  Not sized by
+#: :func:`block_rows`: freeing this 1 MiB buffer raises glibc's dynamic mmap
+#: threshold, which the SGD batch's fused arrays depend on to come from the
+#: heap (see ROADMAP item 16).
 _GATE_BYTES = 1 << 20
-
-#: Payload bytes :func:`read_parts_file` reads and decodes at once.
-_PARTS_BLOCK_BYTES = 1 << 16
 
 #: How ``np.loadtxt`` reads the rows of :func:`read_csv`.
 _LOADTXT = dict(delimiter=",", comments=None, quotechar=None, ndmin=1, encoding="utf-8")
@@ -525,8 +535,8 @@ def read_parts_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(present, vectors)`` where ``present`` is an (N, K) bool array
     and ``vectors`` is an (N, K, Dp) float32 array.  Vectors whose presence
     flag is 0 are normalised to all-zero regardless of the stored payload.
-    The records are decoded :data:`_PARTS_BLOCK_BYTES` at a time straight
-    into the two arrays, so no copy of the file is held.
+    The records are decoded :func:`block_rows` at a time straight into the
+    two arrays, so no copy of the file is held.
     """
     with BinaryHeader(path, PARTS_MAGIC) as header:
         n, k, dp = header.take("<III")
@@ -541,7 +551,7 @@ def read_parts_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         vectors = np.empty((n, k, dp), dtype=np.float32)
         # Record r is part r % k of image r // k.
         flat_present, flat_vectors = present.reshape(n * k), vectors.reshape(n * k, dp)
-        step = max(1, _PARTS_BLOCK_BYTES // record.itemsize)
+        step = block_rows(record.itemsize)
         for start in range(0, n * k, step):
             raw = np.frombuffer(header.file.read(min(step, n * k - start) * record.itemsize),
                                 dtype=record)

@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .datastore import DatasetBundle, write_csv, write_json
-from .retrieval import DISTANCE_BLOCK, eligible_mask
+from .datastore import DatasetBundle, block_rows, write_csv, write_json
+from .retrieval import eligible_mask
 
 if TYPE_CHECKING:
     from .reranker import RankedList
@@ -90,7 +90,7 @@ def evaluate(bundle: DatasetBundle, ranked: Sequence[RankedList], k_max: int = 1
     (same-identity-same-cloth images already removed, so a query without
     eligible images has an empty one); anything else -- ineligible entries,
     duplicates, omissions -- raises ValueError naming the query.  The
-    eligibility mask is taken one ``DISTANCE_BLOCK`` of queries at a time.
+    eligibility mask is taken ``block_rows(len(gallery))`` queries at a time.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -100,11 +100,12 @@ def evaluate(bundle: DatasetBundle, ranked: Sequence[RankedList], k_max: int = 1
                          f"{len(ranked)} rankings for {len(queries)} queries")
     first_hit_rank = np.zeros(len(queries), dtype=np.int64)
     average_precision = np.full(len(queries), np.nan)
+    step = block_rows(len(gallery))
     for qi, rl in enumerate(ranked):
-        if qi % DISTANCE_BLOCK == 0:
-            allowed = eligible_mask(queries[qi:qi + DISTANCE_BLOCK], gallery)
+        if qi % step == 0:
+            allowed = eligible_mask(queries[qi:qi + step], gallery)
         order = np.asarray(rl.order)
-        eligible = np.flatnonzero(allowed[qi % DISTANCE_BLOCK])
+        eligible = np.flatnonzero(allowed[qi % step])
         # Sorted, a permutation of the eligible gallery is its index list;
         # checked before any lookup, so a bad index cannot wrap or raise.
         if not np.array_equal(np.sort(order), eligible):

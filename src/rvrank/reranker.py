@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .datastore import BinaryHeader, DatasetBundle, check_rows
+from .datastore import BinaryHeader, DatasetBundle, block_rows, check_rows
 from .evaluation import evaluate
 from .retrieval import (DISTANCE_BLOCK, DistanceRows, blocked_orders, mine_block,
                         require_gallery, sorted_unique, top_candidates)
@@ -123,11 +123,6 @@ def window_rerank(order: np.ndarray, scores: np.ndarray, L: int, Q: int) -> np.n
 # ---------------------------------------------------------------------------
 # k-reciprocal re-ranking
 
-
-#: Most (query entry, gallery entry) overlap terms, and most (query, gallery)
-#: cells, the Jaccard step holds at once; a block of queries stops before
-#: it would pass either.
-_JACCARD_BLOCK = 1 << 15
 
 #: Sparse neighbourhood vectors: CSR ``(indptr, columns, values)``, each
 #: row's columns ascending.
@@ -244,7 +239,8 @@ def _jaccard(vectors: Vectors, num_queries: int, out: np.ndarray, lam: float) ->
     """Add ``(1 - lam) * (1 - s / (2 - s))`` per (query row, gallery row)
     into ``out`` and return it, s the sum of ``min`` over their shared
     columns, through an inverted index over the gallery rows' columns.  Each
-    sum adds its terms in ascending column order, starting from 0."""
+    sum adds its terms in ascending column order, starting from 0.  A block
+    of queries stops before its overlap terms or cells pass ``block_rows(8)``."""
     indptr, cols, values = vectors
     n = len(indptr) - 1
     num_gallery = n - num_queries
@@ -259,10 +255,10 @@ def _jaccard(vectors: Vectors, num_queries: int, out: np.ndarray, lam: float) ->
                            np.diff(indptr[:num_queries + 1]))
     # terms[q]: how many overlap terms the queries before q add up.
     terms = np.cumsum(np.r_[0, np.diff(col_ptr)[cols[:first]]])[indptr[:num_queries + 1]]
-    q0 = 0
+    step, q0 = block_rows(8), 0
     while q0 < num_queries:
-        q1 = max(q0 + 1, min(q0 + _JACCARD_BLOCK // num_gallery, int(np.searchsorted(
-            terms, terms[q0] + _JACCARD_BLOCK, side="right")) - 1))
+        q1 = max(q0 + 1, min(q0 + step // num_gallery, int(np.searchsorted(
+            terms, terms[q0] + step, side="right")) - 1))
         entries = slice(indptr[q0], indptr[q1])
         lengths, at = _row_entries(col_ptr, cols[entries])
         # bincount adds in array order, and each query's entries come in
@@ -300,7 +296,9 @@ def kreciprocal_rerank(dist: DistanceRows, num_queries: int, k1: int = 20,
     by blocks of rows or queries; each image keeps only its top
     ``max(k1 + 1, k2)`` neighbours, the vectors are sparse rows and only
     query rows get a Jaccard row.  Beyond ``dist`` and the returned block
-    the memory is therefore O(block * n + n * k1 * k2).  On a 1,800-image
+    the memory is therefore O(block * n + block * k1**2 + n * k1 * k2): the
+    weight pass expands each reciprocal pair of a block by a half-k1 set, 128
+    x the n x n float64 matrix at n = 400, k1 = 399.  On a 1,800-image
     union (450 queries) the call peaks at 0.34-0.38 x the bytes of the
     n x n float64 matrix, output included (tracemalloc); given a
     ``DistanceRows`` view, nothing of that size is ever built.

@@ -46,7 +46,9 @@ class PairSet:
 
 
 #: Rows per block of :func:`distance_matrix`: every distance product is
-#: taken in blocks of this many rows counted from row 0.
+#: taken in blocks of this many rows counted from row 0.  Not sized by
+#: :func:`~rvrank.datastore.block_rows`: OpenBLAS can round a product cell
+#: differently with another row count, so the blocks define the distances.
 DISTANCE_BLOCK = 64
 
 

@@ -30,8 +30,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .datastore import (BinaryHeader, DatasetBundle, ImageRecord, Split, check_rows,
-                        write_csv)
+from .datastore import (BinaryHeader, DatasetBundle, ImageRecord, Split, block_rows,
+                        check_rows, write_csv)
 from .retrieval import PairSet, concatenated_ranges, first_appearance_groups, query_runs
 
 MODEL_MAGIC = b"RVM1"
@@ -44,21 +44,10 @@ MODEL_HEADER = "<5Iq2d2IdI"
 HISTORY_HEADER = ("epoch", "L", "L_g", "L_p", "valid_rank1")
 
 #: Pairs fused or scored together, which bounds every temporary of those
-#: steps whatever the number of pairs.  It is also the block of the global
-#: head's product (see :func:`_forward_global`).
+#: steps whatever the number of pairs.  Not sized by
+#: :func:`~rvrank.datastore.block_rows`: it is also the block of the global
+#: head's product, which defines its bits (see :func:`_forward_global`).
 SCORE_CHUNK = 256
-
-#: Most bytes of one (rows, K, Hp) float64 temporary of the part head's
-#: hidden layer.  Kept below glibc's default 128 KiB mmap threshold, so the
-#: temporaries of every SGD step come from the heap rather than from fresh
-#: pages (a 256-row block at K = 15, Hp = 32 is 983 KB).
-PART_BLOCK_BYTES = 120 * 1024
-
-#: Anchors whose triplets :func:`table_loss` takes at once, which bounds
-#: its temporaries beside the two triplet-length hinge arrays.  At 20
-#: positives and 20 negatives an anchor, one int64 temporary is 100 KiB,
-#: below glibc's mmap threshold as with :data:`PART_BLOCK_BYTES`.
-ANCHOR_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -118,9 +107,10 @@ def _fuse_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 def _collect(n: int, dims: tuple[int, int, int], sides: Callable
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(global_x, part_x, joint_present)`` of ``n`` pairs, filled
-    ``SCORE_CHUNK`` rows at a time.  ``sides(rows)`` gives the query and the
-    candidate side of the pairs in slice ``rows``, each as (features,
-    vectors, present) arrays."""
+    ``SCORE_CHUNK`` rows at a time, the scorer's chunk: not ``block_rows``,
+    as these are the SGD batches' allocations (see ``datastore._GATE_BYTES``).
+    ``sides(rows)`` gives the query and the candidate side of the pairs in
+    slice ``rows``, each as (features, vectors, present) arrays."""
     d, dp, k = dims
     gx = np.empty((n, 2 * d))
     px = np.empty((n, k, 2 * dp))
@@ -316,13 +306,6 @@ def _backward_global(model: VerifierModel, cache, ds: np.ndarray, grads: dict) -
     grads["global_hidden_w"] += dz1.T @ gx
 
 
-def _part_block(model: VerifierModel) -> int:
-    """Rows of the part head's hidden layer taken at once: as many as keep
-    one (rows, K, Hp) float64 temporary within :data:`PART_BLOCK_BYTES`,
-    and at least 1."""
-    return max(1, PART_BLOCK_BYTES // (8 * model.dims[2] * max(1, model.hidden_part)))
-
-
 def _forward_parts(model: VerifierModel, px: np.ndarray, present: np.ndarray,
                    contrib: np.ndarray | None = None):
     """Part-head forward for (n, K, 2Dp) inputs.
@@ -331,7 +314,8 @@ def _forward_parts(model: VerifierModel, px: np.ndarray, present: np.ndarray,
     (no jointly present part).  A given (n, K) ``contrib`` receives the raw
     per-part contributions, absent slots included.
 
-    The hidden layer runs :func:`_part_block` rows at a time; of its (n, K,
+    The hidden layer runs :func:`~rvrank.datastore.block_rows` of its (K,
+    Hp) float64 rows at a time (32 rows at K = 15, Hp = 32); of its (n, K,
     Hp) activations only the winning slot's row ``u_star`` (n, Hp) is kept
     for :func:`_backward_parts`.  numpy takes the 3-D product slice by
     slice, so no result depends on the block size.
@@ -340,7 +324,7 @@ def _forward_parts(model: VerifierModel, px: np.ndarray, present: np.ndarray,
     pooled = np.empty(n)
     kstar = np.empty(n, dtype=np.intp)
     u_star = np.empty((n, model.hidden_part))
-    step = _part_block(model)
+    step = block_rows(8 * model.dims[2] * max(1, model.hidden_part))
     for start in range(0, n, step):
         rows = slice(start, start + step)
         u = px[rows] @ model.part_hidden_w.T
@@ -582,7 +566,8 @@ def table_loss(model: VerifierModel, table: TripletTable,
     rows are fused ``SCORE_CHUNK`` at a time and both heads run on each
     chunk as it is fused, so only the per-row scores outlive a chunk: the
     global head's blocks are those of one call over the whole table.  The
-    triplets come ``ANCHOR_BLOCK`` anchors at a time, and their hinges fill
+    triplets come :func:`~rvrank.datastore.block_rows` anchors at a time,
+    one int64 a triplet of the anchor with the most, and their hinges fill
     one float64 array per term, each summed once."""
     n = len(table.query_index)
     sg, sp = np.empty(n), np.empty(n)
@@ -593,11 +578,13 @@ def table_loss(model: VerifierModel, table: TripletTable,
         sg[rows] = _forward_global(model, gx)[0]
         sp[rows], valid[rows], _ = _forward_parts(model, px, present)
     n_pos = np.add.reduceat(table.positive, table.bounds[:-1], dtype=np.int64)
-    count = int(np.dot(n_pos, np.diff(table.bounds) - n_pos))
+    per_anchor = n_pos * (np.diff(table.bounds) - n_pos)
+    count = int(per_anchor.sum())
     hg, hp = np.empty(count), np.empty(count)
+    step = block_rows(8 * int(per_anchor.max(initial=0)))
     end = 0
-    for a0 in range(0, len(table), ANCHOR_BLOCK):
-        pos, neg = table.triplets(np.arange(a0, min(a0 + ANCHOR_BLOCK, len(table))))
+    for a0 in range(0, len(table), step):
+        pos, neg = table.triplets(np.arange(a0, min(a0 + step, len(table))))
         at = slice(end, end + len(pos))
         _hinges(sg, sp, valid, pos, neg, margin, hg[at], hp[at])
         end = at.stop

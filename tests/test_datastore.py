@@ -441,6 +441,39 @@ class TestCsvReaders:
             read(path)
 
 
+def piece_rows(fields: int) -> int:
+    """Rows of one piece that ``write_csv`` formats at ``fields`` columns."""
+    return datastore.block_rows((datastore._TEXT_WIDTH + 1) * fields)
+
+
+def check_rows(width: int) -> int:
+    """Rows of one block that ``write_csv`` checks of a text column of
+    ``width`` characters: one bool a character."""
+    return datastore.block_rows(width)
+
+
+class TestBlockRows:
+    """``block_rows``: the rows of a block whose widest temporary takes the
+    given bytes a row, within ``BLOCK_BYTES``."""
+
+    @pytest.mark.parametrize("row_bytes", [datastore.BLOCK_BYTES, datastore.BLOCK_BYTES + 1,
+                                           10 ** 9])
+    def test_a_row_as_wide_as_the_budget_or_wider_is_a_block_of_one(self, row_bytes):
+        assert datastore.block_rows(row_bytes) == 1
+
+    def test_the_block_is_the_floor_of_the_budget(self):
+        """One float64 a row, as in the Jaccard terms."""
+        assert datastore.block_rows(8) == 15_360
+
+    def test_the_part_head_takes_32_rows_at_the_synthetic_dims(self):
+        """One (rows, K, Hp) float64 hidden layer at K = 15, Hp = 32."""
+        assert datastore.block_rows(8 * 15 * 32) == 32
+
+    def test_the_budget_reads_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(datastore, "BLOCK_BYTES", 100)
+        assert [datastore.block_rows(b) for b in (1, 7, 50, 101)] == [100, 14, 2, 1]
+
+
 class TestWriteCsv:
     """``write_csv`` against the f-string rows it replaced: ``str`` of each
     int, ``repr`` of each float and each text field verbatim."""
@@ -460,7 +493,9 @@ class TestWriteCsv:
         ints[:head], floats[:head] = edges[0][:head], edges[1][:head]
         return ints, floats, text
 
-    @pytest.mark.parametrize("rows", [0, 1, 8, 2 * datastore._BLOCK_ROWS + 3])
+    # The largest count spans several pieces and two check blocks of the
+    # 24-character text column.
+    @pytest.mark.parametrize("rows", [0, 1, 8, check_rows(24) + 3])
     def test_rows_match_the_f_string_form(self, tmp_path, rows):
         ints, floats, text = self.columns(np.random.default_rng(rows), rows)
         path = tmp_path / "out.csv"
@@ -471,12 +506,12 @@ class TestWriteCsv:
             zip(ints.tolist(), floats.tolist(), text.tolist(), ints[::-1].tolist()))
         assert path.read_bytes() == want.encode()
 
-    @pytest.mark.parametrize("rows", [1, 9, datastore._BLOCK_ROWS + 9])
+    @pytest.mark.parametrize("rows", [1, 9, piece_rows(2) + 9])
     @pytest.mark.parametrize("value", [None, -1, 9999, 10 ** 4, 10 ** 16])
     def test_small_int_columns_match_str(self, tmp_path, value, rows):
         """Int columns, all values in 0-9,999, but for
         one row set to ``value``.  At the largest row count that row falls
-        in the first ``_BLOCK_ROWS`` piece and the second holds small
+        in the first piece of ``write_csv`` and the second holds small
         values only."""
         ints = np.random.default_rng(rows).integers(0, 10 ** 4, rows)
         if value is not None:
@@ -491,7 +526,9 @@ class TestWriteCsv:
                                      "\u00e9", "\x80"])
     def test_a_text_field_the_reader_rejects_is_rejected(self, tmp_path, bad):
         path = tmp_path / "out.csv"
-        text = np.array(["T"] * (datastore._BLOCK_ROWS + 5), dtype="U4")
+        # The bad field is in the second check block, whose row numbers
+        # start past 0.
+        text = np.array(["T"] * (check_rows(4) + 5), dtype="U4")
         text[-2] = f"V{bad}Q"
         with pytest.raises(ValueError) as err:
             write_csv(path, ("index", "role"), (np.arange(len(text)), text))
@@ -525,8 +562,8 @@ class TestWriteCsv:
         assert path.read_bytes() == b"old"
 
     def test_a_stride_0_column_is_written_as_its_copy(self, tmp_path):
-        # Across a block edge.
-        n = datastore._BLOCK_ROWS + 3
+        # Across the edges of several pieces and of a check block.
+        n = check_rows(len("kreciprocal")) + 3
         columns = [np.broadcast_to(np.array(v), n) for v in ("kreciprocal", -12, 0.1)]
         shared, copied = tmp_path / "shared.csv", tmp_path / "copied.csv"
         write_csv(shared, ("t", "i", "f"), columns)
@@ -595,8 +632,9 @@ def raw_parts_file(path, flags, vectors):
 
 
 class TestPartsInBlocks:
-    """``read_parts_file`` decodes the records ``_PARTS_BLOCK_BYTES`` at a
-    time; no block size may change what it returns or which fault it names."""
+    """``read_parts_file`` decodes the records ``BLOCK_BYTES`` at a time
+    (1, 7 and 1,985 33-byte records here); no block size may change what it
+    returns or which fault it names."""
 
     BLOCKS = [1, 33 * 7, 1 << 16]
 
@@ -610,7 +648,7 @@ class TestPartsInBlocks:
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_the_result_is_the_whole_file_decoded_at_once(self, tmp_path, monkeypatch, block):
-        monkeypatch.setattr(datastore, "_PARTS_BLOCK_BYTES", block)
+        monkeypatch.setattr(datastore, "BLOCK_BYTES", block)
         flags, vectors = self.stored(np.random.default_rng(block))
         raw_parts_file(tmp_path / "p.bin", flags, vectors)
         present, got = read_parts_file(tmp_path / "p.bin")
@@ -622,7 +660,7 @@ class TestPartsInBlocks:
     @pytest.mark.parametrize("block", BLOCKS)
     def test_the_first_bad_flag_is_named_whatever_the_block(self, tmp_path, monkeypatch,
                                                             block):
-        monkeypatch.setattr(datastore, "_PARTS_BLOCK_BYTES", block)
+        monkeypatch.setattr(datastore, "BLOCK_BYTES", block)
         flags, vectors = self.stored(np.random.default_rng(5))
         flags[25, 1], flags[31, 0] = 2, 255
         path = tmp_path / "p.bin"
@@ -635,7 +673,7 @@ class TestPartsInBlocks:
     def test_flags_are_checked_before_finiteness(self, tmp_path, monkeypatch):
         """A bad flag in the last block is named before the non-finite
         present part of the first record, as when the file was read whole."""
-        monkeypatch.setattr(datastore, "_PARTS_BLOCK_BYTES", 33)
+        monkeypatch.setattr(datastore, "BLOCK_BYTES", 33)
         bundle = random_bundle(np.random.default_rng(6), n_query=2, n_gallery=3,
                                dims=(4, 8, 3))
         paths = (tmp_path / "m.csv", tmp_path / "f.bin", tmp_path / "p.bin")
@@ -653,14 +691,15 @@ class TestPartsInBlocks:
         assert str(info.value) == (f"{paths[2]}: record 4 part 2: presence flag must be "
                                    "0 or 1, got 3")
 
-    def test_the_read_holds_its_result_and_one_block(self, tmp_path):
+    def test_the_read_holds_its_result_and_one_block(self, tmp_path, monkeypatch):
         """Before, the read held the whole file and a copy of its vectors
         beside the result: 2.2 x the result's bytes here."""
         flags, vectors = self.stored(np.random.default_rng(7), n=2000, k=15)
         raw_parts_file(tmp_path / "p.bin", flags, vectors)
+        monkeypatch.setattr(datastore, "BLOCK_BYTES", 1 << 16)
         with PeakMemory() as peak:
             present, got = read_parts_file(tmp_path / "p.bin")
-        assert peak.bytes < present.nbytes + got.nbytes + 4 * datastore._PARTS_BLOCK_BYTES
+        assert peak.bytes < present.nbytes + got.nbytes + 4 * datastore.BLOCK_BYTES
 
 
 class TestValidation:

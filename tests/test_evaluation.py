@@ -13,7 +13,7 @@ import pytest
 
 import rvrank
 from conftest import eligible_orders, oracle_metrics, pairwise, random_bundle
-from rvrank import evaluation
+from rvrank import datastore
 from rvrank.datastore import build_bundle, read_csv
 from rvrank.evaluation import (
     SWEEP_HEADER,
@@ -106,7 +106,8 @@ class TestAgainstScalarOracle:
         want, want_fault = outcomes()
         assert "query 100 " in want_fault
         assert 0 < want.num_evaluated < 150
-        monkeypatch.setattr(evaluation, "DISTANCE_BLOCK", block)
+        # One bool a gallery image: ``block`` queries' mask a block.
+        monkeypatch.setattr(datastore, "BLOCK_BYTES", block * len(bundle.splits["G"]))
         got, got_fault = outcomes()
         assert (got.to_json_dict(), got_fault) == (want.to_json_dict(), want_fault)
         assert np.array_equal(got.first_hit_rank, want.first_hit_rank)

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import (DenseRows, PeakMemory, oracle_scores, pairwise, random_bundle,
                       stable_order, top_orders)
-from rvrank import reranker, retrieval, verifier
+from rvrank import datastore, reranker, retrieval, verifier
 from rvrank.reranker import (
     RankedList,
     RankingConfig,
@@ -279,7 +279,7 @@ class TestKReciprocal:
         for dist in (point_cloud_distances(rng, n), np.round(point_cloud_distances(rng, n), 1)):
             whole = kreciprocal_rerank(DenseRows(dist), nq, k1=k1, k2=k2)
             with monkeypatch.context() as patch:
-                patch.setattr(reranker, "_JACCARD_BLOCK", block)
+                patch.setattr(datastore, "BLOCK_BYTES", 8 * block)
                 patch.setattr(reranker, "DISTANCE_BLOCK", block)
                 assert np.array_equal(kreciprocal_rerank(DenseRows(dist), nq, k1=k1, k2=k2), whole)
 
@@ -371,7 +371,7 @@ class TestKReciprocalByRowBlocks:
 
         monkeypatch.setattr(reranker, "kreciprocal_rerank", recording)
         if block is not None:
-            monkeypatch.setattr(reranker, "_JACCARD_BLOCK", block)
+            monkeypatch.setattr(datastore, "BLOCK_BYTES", 8 * block)
             monkeypatch.setattr(reranker, "DISTANCE_BLOCK", block)
         ranked = rerank_pipeline(bundle, None, cfg, stages=("kreciprocal",), metric=metric)
         [got] = results

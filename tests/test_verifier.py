@@ -12,7 +12,7 @@ import pytest
 from conftest import (PeakMemory, blocked_global_forward, oracle_fuse, oracle_groups,
                       oracle_scores, oracle_triplets, table_records, train_bundle,
                       triplet_loss)
-from rvrank import verifier
+from rvrank import datastore, verifier
 from rvrank.datastore import build_bundle
 from rvrank.retrieval import PairSet, build_eval_pairs, build_train_pairs, read_pairs_csv
 from rvrank.synthgen import SynthConfig, generate
@@ -489,14 +489,15 @@ class TestTripletGenerator:
 
     def test_the_table_loss_peaks_near_its_two_hinge_arrays(self, monkeypatch):
         """Beside one float64 hinge a triplet for each term and the per-row
-        scores, ``table_loss`` holds one block: 8 rows scored and 4 anchors'
-        triplets at a time here.  Before, the hinges of every triplet at
-        once took 546 KB here, 16 x 9,600 + 17 x 2,880 + 343 KB."""
+        scores, ``table_loss`` holds one block: 8 rows scored, 1 part-head
+        row and 4 anchors' triplets (80 each: 2,560 B) at a time here.
+        Before, the hinges of every triplet at once took 546 KB here, 16 x
+        9,600 + 17 x 2,880 + 343 KB."""
         bundle, _ = generate(SynthConfig(n_identities=40, seed=1))
         table = triplet_table(bundle, build_train_pairs(bundle, num_candidates=20)[0])
         model = VerifierModel.initialize(bundle.dims, seed=1)
-        set_blocks(monkeypatch, model, 8)
-        monkeypatch.setattr(verifier, "ANCHOR_BLOCK", 4)
+        monkeypatch.setattr(verifier, "SCORE_CHUNK", 8)
+        monkeypatch.setattr(datastore, "BLOCK_BYTES", 4 * 8 * 80)
         count = len(table.triplets(np.arange(len(table)))[0])
         rows = len(table.query_index)
         assert count == 9600
@@ -570,17 +571,16 @@ def sparse_parts_setup(seed=4):
 def set_blocks(monkeypatch, model, rows):
     """``SCORE_CHUNK`` and ``model``'s part-head block both ``rows`` rows."""
     monkeypatch.setattr(verifier, "SCORE_CHUNK", rows)
-    monkeypatch.setattr(verifier, "PART_BLOCK_BYTES",
-                        rows * 8 * model.dims[2] * model.hidden_part)
+    monkeypatch.setattr(datastore, "BLOCK_BYTES", rows * 8 * model.dims[2] * model.hidden_part)
 
 
 #: The part-head block derived for the synthetic dims (K = 15, Hp = 32).
-DERIVED_PART_BLOCK = verifier._part_block(VerifierModel.initialize((32, 8, 15), 32, 32))
+DERIVED_PART_BLOCK = datastore.block_rows(8 * 15 * 32)
 
 
 class TestChunkEdges:
     """The fusion runs ``SCORE_CHUNK`` rows at a time and the part head
-    :func:`verifier._part_block` rows; neither size may move a bit.  The
+    ``block_rows`` of its rows; neither size may move a bit.  The
     global head's ``SCORE_CHUNK`` blocks are its definition."""
 
     CHUNKS = [1, 7, 64, DERIVED_PART_BLOCK]
